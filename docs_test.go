@@ -1,9 +1,14 @@
 package upsim_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,5 +106,168 @@ func TestDocsRelativeLinks(t *testing.T) {
 				t.Errorf("%s: link %q: no heading with anchor #%s in %s", file, target, frag, resolved)
 			}
 		}
+	}
+}
+
+// parseGo parses every non-test Go file under dir, comments included,
+// skipping testdata and hidden directories.
+func parseGo(t *testing.T, dir string) (*token.FileSet, []*ast.File) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != dir && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
+}
+
+// callStrings calls fn with every string-literal argument of every call in
+// files.
+func callStrings(files []*ast.File, fn func(call *ast.CallExpr, s string)) {
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, err := strconv.Unquote(lit.Value); err == nil {
+						fn(call, s)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// registeredMetrics returns every metric name registered in
+// obs.DefaultRegistry: the name argument of each obs.NewCounter,
+// obs.NewGauge and obs.NewHistogram call. The registry lists only families
+// that have recorded a value, so the names come from the calls.
+func registeredMetrics(files []*ast.File) map[string]bool {
+	names := map[string]bool{}
+	callStrings(files, func(call *ast.CallExpr, s string) {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !strings.HasPrefix(s, "upsim_") {
+			return
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "obs" && strings.HasPrefix(sel.Sel.Name, "New") {
+			names[s] = true
+		}
+	})
+	return names
+}
+
+// metricRef matches a metric reference in prose: a name, a family
+// alternation (upsim_cache_{hits,misses}_total, possibly wrapped across
+// lines), a label set (upsim_explain_seconds{mode,kernel}) or a wildcard
+// (upsim_http_*).
+var metricRef = regexp.MustCompile(`upsim_[a-z0-9_]*(\{[^}]*\}[a-z0-9_]*|\*[a-z0-9_]*)?`)
+
+// metricKnown reports whether ref names registered metrics: every member of
+// an alternation must be registered, a wildcard must match one, and a bare
+// name must be registered or end at an underscore boundary of one (as in
+// `grep upsim_http`).
+func metricKnown(ref string, registered map[string]bool) bool {
+	if head, rest, ok := strings.Cut(ref, "{"); ok {
+		if !strings.HasSuffix(head, "_") {
+			return metricKnown(head, registered) // a label set
+		}
+		alts, suffix, _ := strings.Cut(rest, "}")
+		for _, alt := range strings.Split(alts, ",") {
+			if alt = strings.TrimSpace(alt); alt != "" && alt != "…" && !metricKnown(head+alt+suffix, registered) {
+				return false
+			}
+		}
+		return true
+	}
+	if registered[ref] {
+		return true
+	}
+	prefix, suffix, wild := strings.Cut(ref, "*")
+	if !wild {
+		prefix = strings.TrimSuffix(ref, "_") + "_"
+	}
+	for name := range registered {
+		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDocsMetricNamesRegistered checks that every upsim_* metric named in
+// the docs or in a Go comment is registered, so a renamed or misspelled
+// metric cannot linger in the documentation.
+func TestDocsMetricNamesRegistered(t *testing.T) {
+	fset, files := parseGo(t, ".")
+	registered := registeredMetrics(files)
+	if len(registered) < 20 {
+		t.Fatalf("found only %d registered metrics: %v", len(registered), registered)
+	}
+	check := func(where, text string) {
+		for _, ref := range metricRef.FindAllString(text, -1) {
+			if !metricKnown(ref, registered) {
+				t.Errorf("%s: %s names no registered metric", where, ref)
+			}
+		}
+	}
+	for _, file := range docsFiles(t) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(file, string(data))
+	}
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			check(fset.Position(cg.Pos()).String(), cg.Text())
+		}
+	}
+}
+
+// TestDocsCoverRoutes checks that every route pattern internal/server
+// registers is documented in docs/API.md.
+func TestDocsCoverRoutes(t *testing.T) {
+	api, err := os.ReadFile("docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, files := parseGo(t, "internal/server")
+	pattern := regexp.MustCompile(`^(GET|POST|PUT|PATCH|DELETE) /`)
+	routes := 0
+	callStrings(files, func(_ *ast.CallExpr, s string) {
+		if !pattern.MatchString(s) {
+			return
+		}
+		routes++
+		if !strings.Contains(string(api), "`"+s+"`") {
+			t.Errorf("route %q is not documented in docs/API.md", s)
+		}
+	})
+	if routes < 10 {
+		t.Fatalf("found only %d route patterns in internal/server", routes)
 	}
 }

@@ -9,9 +9,9 @@
 // reproduction. Metric families are registered once, at package init of the
 // instrumented package, against the Default registry:
 //
-//	var enumerations = obs.NewCounter("upsim_pathdisc_enumerations_total",
-//	        "Path enumerations started.", "algorithm")
-//	enumerations.With("recursive-dfs").Inc()
+//	var mPatch = obs.NewCounter("upsim_pathdisc_patch_total",
+//	        "Incremental CSR patch operations applied to compiled graphs.", "op")
+//	mPatch.With("remove-edge").Inc()
 //
 // and exposed by mounting obs.Handler() (see internal/server, GET /metrics).
 package obs

@@ -36,7 +36,7 @@ import (
 )
 
 // mPatch counts individual CSR patch operations by kind; the what-if engine
-// pairs it with upsim_whatif_recompiles_total to show the patch-vs-recompile
+// pairs it with upsim_whatif_recompile_total to show the patch-vs-recompile
 // ratio on /metrics.
 var mPatch = obs.NewCounter("upsim_pathdisc_patch_total",
 	"Incremental CSR patch operations applied to compiled graphs.", "op")

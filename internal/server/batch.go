@@ -12,8 +12,6 @@ import (
 
 	"upsim/internal/cache"
 	"upsim/internal/core"
-	"upsim/internal/depend"
-	"upsim/internal/pathdisc"
 )
 
 // MaxBatchItems bounds one POST /api/v1/batch request.
@@ -98,23 +96,24 @@ type BatchResponse struct {
 // Result. Results arrive at their item's index, so output order is
 // deterministic regardless of pool size. RunBatch is exported for the
 // `upsim batch` subcommand, which executes request files in-process against
-// its own cache.
+// its own cache. The items run through the same handlers as the HTTP route,
+// on a generator pool of RunBatch's own over c; the warm lane stays off, so
+// c's statistics count generation and analysis entries only.
 func RunBatch(ctx context.Context, c *cache.Cache, workers int, req *BatchRequest) (*BatchResponse, error) {
-	return runBatch(ctx, c, nil, nil, workers, req)
+	a := &api{cache: c, generators: core.NewGeneratorPool(c, 0, 0), batchWorkers: workers}
+	return a.runBatch(ctx, req)
 }
 
-// runBatch is RunBatch with an optional generator pool and warm cache: the
-// HTTP handler passes the server's pool so items of the same model reuse
-// one imported model space, and the warm cache so repeated items replay
-// their memoised result (see runBatchItem). The exported entry point builds
-// generators fresh and skips the warm lane.
-func runBatch(ctx context.Context, c, warm *cache.Cache, p *core.GeneratorPool, workers int, req *BatchRequest) (*BatchResponse, error) {
+// runBatch fans the items out over a.batchWorkers workers (req.Workers
+// overrides the bound).
+func (a *api) runBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
 	if len(req.Items) == 0 {
 		return nil, fmt.Errorf("batch: items is required")
 	}
 	if len(req.Items) > MaxBatchItems {
 		return nil, fmt.Errorf("batch: %d items exceed the limit of %d", len(req.Items), MaxBatchItems)
 	}
+	workers := a.batchWorkers
 	if req.Workers > 0 {
 		workers = req.Workers
 	}
@@ -133,7 +132,7 @@ func runBatch(ctx context.Context, c, warm *cache.Cache, p *core.GeneratorPool, 
 		go func() {
 			defer wg.Done()
 			for i := range tasks {
-				results[i] = runBatchItem(ctx, c, warm, p, i, &req.Items[i])
+				results[i] = a.runBatchItem(ctx, i, &req.Items[i])
 			}
 		}()
 	}
@@ -143,7 +142,7 @@ func runBatch(ctx context.Context, c, warm *cache.Cache, p *core.GeneratorPool, 
 	close(tasks)
 	wg.Wait()
 
-	resp := &BatchResponse{Results: results, Cache: c.Stats()}
+	resp := &BatchResponse{Results: results, Cache: a.cache.Stats()}
 	for i := range results {
 		if results[i].Error != "" {
 			resp.Errors++
@@ -152,12 +151,17 @@ func runBatch(ctx context.Context, c, warm *cache.Cache, p *core.GeneratorPool, 
 	return resp, nil
 }
 
-// itemWarmKey derives the warm-lane key of one batch item from its
-// canonical JSON encoding ("" when the warm lane is off). Op normalisation
-// happens before the call, so op "" and op "generate" share a key.
-func itemWarmKey(warm *cache.Cache, it *BatchItem) string {
-	if warm == nil {
+// itemWarmKey derives the warm-lane key of one batch item from the
+// canonical JSON encoding of the item under its normalised op, so op "" and
+// op "generate" share a key ("" when the warm lane is off).
+func (a *api) itemWarmKey(op string, it *BatchItem) string {
+	if a.warm == nil {
 		return ""
+	}
+	if it.Op != op {
+		norm := *it
+		norm.Op = op
+		it = &norm
 	}
 	b, err := json.Marshal(it)
 	if err != nil {
@@ -167,30 +171,14 @@ func itemWarmKey(warm *cache.Cache, it *BatchItem) string {
 	return warmPrefixItem + hex.EncodeToString(sum[:])
 }
 
-// failBatchItem records an item failure, decorating budget overflows with
-// the structured detail the single routes return as their 422 body.
-func failBatchItem(out BatchResult, err error) BatchResult {
-	out.Error = err.Error()
-	if be, ok := depend.AsBudgetError(err); ok {
-		out.Budget = &budgetErrorResponse{
-			errorResponse: errorResponse{Error: be.Error()},
-			Kind:          string(be.Kind),
-			AtomicService: be.AtomicService,
-			Need:          be.Need,
-			Limit:         be.Limit,
-		}
-	} else if le, ok := pathdisc.AsLimitError(err); ok {
-		out.Budget = pathsBudgetResponse(le)
-	}
-	return out
-}
-
 // runBatchItem executes one item. A cancelled ctx fails remaining items fast
 // (the pipeline itself also honours ctx). Items ride the warm lane like the
 // top-level analysis POSTs: a repeated item (keyed by its canonical JSON)
 // replays its memoised result without generation or analysis, even when the
-// surrounding batch differs.
-func runBatchItem(ctx context.Context, c, warm *cache.Cache, p *core.GeneratorPool, i int, it *BatchItem) BatchResult {
+// surrounding batch differs. A failed item carries the error string and, for
+// a budget overflow, the structured detail the single routes answer as
+// their 422 body.
+func (a *api) runBatchItem(ctx context.Context, i int, it *BatchItem) BatchResult {
 	out := BatchResult{Index: i, Op: it.Op}
 	if out.Op == "" {
 		out.Op = OpGenerate
@@ -205,104 +193,71 @@ func runBatchItem(ctx context.Context, c, warm *cache.Cache, p *core.GeneratorPo
 		out.Error = fmt.Sprintf("unknown op %q (want %s, %s, %s or %s)", it.Op, OpGenerate, OpAvailability, OpQoS, OpPaths)
 		return out
 	}
-	wkey := itemWarmKey(warm, it)
+	wkey := a.itemWarmKey(out.Op, it)
 	if wkey != "" {
-		if v, ok := warm.Get(wkey); ok {
+		if v, ok := a.warm.Get(wkey); ok {
 			mWarmHits.With("/api/v1/batch").Inc()
 			out.Result = v
 			return out
 		}
 	}
-	if out.Op == OpPaths {
-		return runBatchPaths(ctx, warm, wkey, p, out, it)
+	v, err := a.batchItem(ctx, out.Op, it)
+	if err != nil {
+		out.Error = err.Error()
+		out.Budget = budgetBody(err)
+		return out
 	}
-	greq := &generateRequest{
-		modelInput:        modelInput{ModelXML: it.ModelXML, Diagram: it.Diagram},
+	out.Result = v
+	if wkey != "" {
+		a.warm.Add(wkey, v)
+	}
+	return out
+}
+
+// batchItem answers one item through the handler of its single route.
+func (a *api) batchItem(ctx context.Context, op string, it *BatchItem) (any, error) {
+	in := modelInput{ModelXML: it.ModelXML, Diagram: it.Diagram}
+	if op == OpPaths {
+		return a.handlePaths(ctx, &pathsRequest{
+			modelInput: in, From: it.From, To: it.To,
+			MaxDepth: it.MaxDepth, MaxPaths: it.MaxPaths, K: it.K, Cost: it.Cost,
+		})
+	}
+	g := generateRequest{
+		modelInput:        in,
 		Service:           it.Service,
 		MappingXML:        it.MappingXML,
 		Name:              it.Name,
 		AllowDisconnected: it.AllowDisconnected,
 	}
-	res, genKey, err := greq.generate(ctx, c, p)
-	if err != nil {
-		return failBatchItem(out, err)
-	}
-	switch out.Op {
-	case OpGenerate:
-		out.Result = buildGenerateResponse(res)
+	var q analysisRequest
+	switch op {
 	case OpAvailability:
-		resp, err := analyzeAvailability(ctx, c, genKey, res, it.Formula1, it.MCSamples, it.Seed, it.LegacyKernel)
-		if err != nil {
-			return failBatchItem(out, err)
-		}
-		out.Result = resp.value
+		q = &availabilityRequest{generateRequest: g, Formula1: it.Formula1,
+			MCSamples: it.MCSamples, Seed: it.Seed, LegacyKernel: it.LegacyKernel}
 	case OpQoS:
-		resp, err := analyzeQoS(ctx, c, genKey, res, it.MaxHops)
-		if err != nil {
-			return failBatchItem(out, err)
-		}
-		out.Result = resp.value
+		q = &qosRequest{generateRequest: g, MaxHops: it.MaxHops}
+	default:
+		return a.handleGenerate(ctx, &g)
 	}
-	if wkey != "" {
-		warm.Add(wkey, out.Result)
+	enc, err := a.analyze(ctx, q)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return enc.value, nil
 }
 
-// runBatchPaths executes one op "paths" item: path discovery (full or
-// ranked) without a service or mapping, mirroring POST /api/v1/paths.
-func runBatchPaths(ctx context.Context, warm *cache.Cache, wkey string, p *core.GeneratorPool, out BatchResult, it *BatchItem) BatchResult {
-	in := modelInput{ModelXML: it.ModelXML, Diagram: it.Diagram}
-	var gen *core.Generator
-	if p != nil {
-		if err := in.validate(); err != nil {
-			return failBatchItem(out, err)
-		}
-		g, err := p.Acquire(ctx, in.ModelXML, in.Diagram)
-		if err != nil {
-			return failBatchItem(out, err)
-		}
-		defer p.Release(g)
-		gen = g
-	} else {
-		_, g, err := in.load(ctx)
-		if err != nil {
-			return failBatchItem(out, err)
-		}
-		gen = g
-	}
-	resp, err := computePaths(gen, it.Diagram, &pathsRequest{
-		From: it.From, To: it.To,
-		MaxDepth: it.MaxDepth, MaxPaths: it.MaxPaths,
-		K: it.K, Cost: it.Cost,
-	})
+// handleBatch runs the batch and encodes the reply once; respond publishes
+// the bytes under the whole-body warm key, so a repeated identical batch
+// replays them without decoding or fan-out.
+func (a *api) handleBatch(ctx context.Context, req *BatchRequest) (any, error) {
+	resp, err := a.runBatch(ctx, req)
 	if err != nil {
-		return failBatchItem(out, err)
+		return nil, err
 	}
-	out.Result = resp
-	if wkey != "" {
-		warm.Add(wkey, out.Result)
-	}
-	return out
-}
-
-func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	resp, err := runBatch(r.Context(), a.cache, a.warm, a.generators, a.batchWorkers, &req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Encode once and publish under the whole-body warm key, so a repeated
-	// identical batch replays these bytes without decoding or fan-out.
 	enc, err := encodeResponse("/api/v1/batch", resp)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return nil, withStatus(http.StatusInternalServerError, err)
 	}
-	writeRawJSON(w, http.StatusOK, enc.body)
-	a.storeWarm(r, enc)
+	return enc, nil
 }

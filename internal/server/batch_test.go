@@ -125,6 +125,32 @@ func TestBatchDedupAndWarmCache(t *testing.T) {
 	}
 }
 
+// TestBatchItemWarmKeyNormalisesOp pins that an item's warm key hashes its
+// normalised op: op "" and op "generate" are the same item, so the second
+// spelling replays the result the first memoised.
+func TestBatchItemWarmKeyNormalisesOp(t *testing.T) {
+	modelXML, mappingXML := warmFixture(t)
+	h := New()
+	hits := mWarmHits.With("/api/v1/batch")
+	for i, op := range []string{"", OpGenerate} {
+		body, err := json.Marshal(map[string]any{
+			"items": []map[string]any{batchItem(modelXML, mappingXML, op, "upsim")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := hits.Value()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("op %q: status %d: %s", op, w.Code, w.Body.String())
+		}
+		if got, want := hits.Value(), before+uint64(i); got != want {
+			t.Fatalf("op %q: batch warm hits %d -> %d, want +%d", op, before, got, i)
+		}
+	}
+}
+
 // TestSingleRoutesShareBatchCache asserts that /api/v1/generate and the
 // batch route run through the same cache instance.
 func TestSingleRoutesShareBatchCache(t *testing.T) {

@@ -39,6 +39,11 @@
 // identical requests compute once (singleflight). Cache traffic is visible
 // on GET /metrics as upsim_cache_{hits,misses,evictions,singleflight_shared}_total.
 //
+// Every JSON POST route runs one request pipeline (serve): a strict decode
+// of the body, a typed handler returning (reply, error), and respond, which
+// renders every error in one place and writes the reply, publishing
+// memoised analysis bytes to the warm lane.
+//
 // Every API route runs behind the observability middleware (request-ID
 // injection, request counter, per-route latency histogram, in-flight gauge,
 // panic recovery → JSON 500); see middleware.go.
@@ -48,8 +53,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -99,8 +106,9 @@ type Config struct {
 
 // api is the per-handler shared state: the content-addressed result cache
 // every generation-backed route runs through, the dedicated warm-lane
-// response cache, the generator pool that recycles imported model spaces
-// across requests of the same model, and the batch pool bound.
+// response cache (nil turns the lane off), the generator pool that recycles
+// imported model spaces across requests of the same model — its generators
+// carry the result cache — and the batch pool bound.
 type api struct {
 	cache        *cache.Cache
 	warm         *cache.Cache
@@ -153,30 +161,36 @@ func NewWithConfig(cfg Config) http.Handler {
 	return newAPI(cfg).routes()
 }
 
-// routes assembles the mux over the shared state.
+// routes assembles the mux over the shared state. A route's metric label is
+// its pattern's path.
 func (a *api) routes() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern, route string, h http.HandlerFunc) {
+	handle := func(pattern string, h http.HandlerFunc) {
+		_, route, _ := strings.Cut(pattern, " ")
 		mux.HandleFunc(pattern, instrument(route, h))
 	}
 	// The analysis routes additionally run the warm byte-level lane (see
 	// warm.go): a repeated body is answered from memoised response bytes
 	// without JSON decoding, generation or allocation.
-	warm := func(pattern, route, prefix string, h http.HandlerFunc) {
+	warm := func(pattern, prefix string, h http.HandlerFunc) {
+		_, route, _ := strings.Cut(pattern, " ")
 		mux.HandleFunc(pattern, a.instrumentWarm(route, prefix, h))
 	}
-	handle("GET /healthz", "/healthz", handleHealth)
-	handle("GET /api/v1/casestudy/model", "/api/v1/casestudy/model", handleCaseStudyModel)
-	handle("GET /api/v1/casestudy/mapping", "/api/v1/casestudy/mapping", handleCaseStudyMapping)
-	handle("GET /api/v1/paths", "/api/v1/paths", a.handlePathsGet)
-	handle("POST /api/v1/paths", "/api/v1/paths", a.handlePaths)
-	handle("POST /api/v1/generate", "/api/v1/generate", a.handleGenerate)
-	warm("POST /api/v1/availability", "/api/v1/availability", warmPrefixAvailability, a.handleAvailability)
-	warm("POST /api/v1/qos", "/api/v1/qos", warmPrefixQoS, a.handleQoS)
-	warm("POST /api/v1/explain", "/api/v1/explain", warmPrefixExplain, a.handleExplain)
-	handle("POST /api/v1/lint", "/api/v1/lint", handleLint)
-	warm("POST /api/v1/batch", "/api/v1/batch", warmPrefixBatch, a.handleBatch)
-	handle("POST /api/v1/whatif", "/api/v1/whatif", a.handleWhatIf)
+	handle("GET /healthz", handleHealth)
+	handle("GET /api/v1/casestudy/model", handleCaseStudyModel)
+	handle("GET /api/v1/casestudy/mapping", handleCaseStudyMapping)
+	handle("GET /api/v1/paths", func(w http.ResponseWriter, r *http.Request) {
+		v, err := a.handlePathsQuery(r)
+		a.respond(w, r, v, err)
+	})
+	handle("POST /api/v1/paths", serve(a, a.handlePaths))
+	handle("POST /api/v1/generate", serve(a, a.handleGenerate))
+	warm("POST /api/v1/availability", warmPrefixAvailability, serve(a, a.handleAvailability))
+	warm("POST /api/v1/qos", warmPrefixQoS, serve(a, a.handleQoS))
+	warm("POST /api/v1/explain", warmPrefixExplain, serve(a, a.handleExplain))
+	handle("POST /api/v1/lint", serve(a, handleLint))
+	warm("POST /api/v1/batch", warmPrefixBatch, serve(a, a.handleBatch))
+	handle("POST /api/v1/whatif", serve(a, a.handleWhatIf))
 	mux.Handle("GET /metrics", obs.Handler())
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
@@ -195,6 +209,91 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// statusError carries the HTTP status a handler chose for its error; body,
+// when set, replaces the uniform error body. A handler error without one is
+// the request's fault and answers 400.
+type statusError struct {
+	status int
+	err    error
+	body   any
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+func withStatus(status int, err error) error { return &statusError{status: status, err: err} }
+
+// unprocessable marks an analysis failure on a well-formed request (422).
+func unprocessable(err error) error { return withStatus(http.StatusUnprocessableEntity, err) }
+
+// serve is the request pipeline of the JSON POST routes: a strict decode of
+// the body into a fresh T (a failure is the uniform 400), the typed handler,
+// then respond.
+func serve[T any](a *api, h func(context.Context, *T) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if err := decodeBody(w, r, &req); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+			return
+		}
+		v, err := h(r.Context(), &req)
+		a.respond(w, r, v, err)
+	}
+}
+
+// decodeBody decodes exactly one JSON value from the request body into v:
+// unknown fields and anything but whitespace after the value are errors.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// respond writes a handler's outcome: an error through writeFailure, a
+// memoised *encodedResponse from its bytes (then published to the warm lane
+// under the request's body key), any other reply encoded now.
+func (a *api) respond(w http.ResponseWriter, r *http.Request, v any, err error) {
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	enc, ok := v.(*encodedResponse)
+	if !ok {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(enc.body)
+	a.storeWarm(r, enc)
+}
+
+// writeFailure renders a handler error: a budget or limit overflow anywhere
+// in its chain as the structured 422, anything else at the status its
+// handler attached (400 when none) with the uniform body or the handler's
+// own.
+func writeFailure(w http.ResponseWriter, err error) {
+	if b := budgetBody(err); b != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, b)
+		return
+	}
+	var se *statusError
+	switch {
+	case !errors.As(err, &se):
+		writeError(w, http.StatusBadRequest, "%v", err)
+	case se.body != nil:
+		writeJSON(w, se.status, se.body)
+	default:
+		writeError(w, se.status, "%v", err)
+	}
 }
 
 // mResponseEncodes counts JSON encodings performed by the cached analysis
@@ -225,13 +324,6 @@ func encodeResponse(route string, v any) (*encodedResponse, error) {
 	return &encodedResponse{value: v, body: append(b, '\n')}, nil
 }
 
-// writeRawJSON writes a pre-encoded JSON body.
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
 // budgetErrorResponse is the structured 422 body for analysis-budget
 // exhaustion: which budget overflowed, on which atomic service, and by how
 // much — enough for a client to raise the limit or shrink the model instead
@@ -244,31 +336,38 @@ type budgetErrorResponse struct {
 	Limit         int    `json:"limit"`
 }
 
-// writeAnalysisError renders an analysis failure: budget exhaustion becomes
-// the structured 422, anything else the uniform error body at the same
-// status.
-func writeAnalysisError(w http.ResponseWriter, err error) {
+// budgetBody renders a budget overflow anywhere in err's chain as the
+// structured budget body, or returns nil. For the path-discovery limits the
+// requester→provider pair plays the atomic-service role, Kind distinguishes
+// the enumeration hard limit ("paths") from the ranked work envelope
+// ("kbest"), and Need falls back to Limit+1 for enumeration errors, which
+// only know the limit they hit. The single routes answer it as their 422
+// body; batch items carry it in their budget field.
+func budgetBody(err error) *budgetErrorResponse {
 	if be, ok := depend.AsBudgetError(err); ok {
-		writeJSON(w, http.StatusUnprocessableEntity, budgetErrorResponse{
+		return &budgetErrorResponse{
 			errorResponse: errorResponse{Error: be.Error()},
 			Kind:          string(be.Kind),
 			AtomicService: be.AtomicService,
 			Need:          be.Need,
 			Limit:         be.Limit,
-		})
-		return
+		}
 	}
-	writeError(w, http.StatusUnprocessableEntity, "%v", err)
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
+	le, ok := pathdisc.AsLimitError(err)
+	if !ok {
+		return nil
 	}
-	return true
+	need := le.Need
+	if need == 0 {
+		need = le.Limit + 1
+	}
+	return &budgetErrorResponse{
+		errorResponse: errorResponse{Error: le.Error()},
+		Kind:          le.BudgetKind(),
+		AtomicService: le.Src + "→" + le.Dst,
+		Need:          need,
+		Limit:         le.Limit,
+	}
 }
 
 func handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -323,22 +422,39 @@ func (in *modelInput) validate() error {
 	return nil
 }
 
-// load decodes the model and builds a fresh generator. The what-if route
-// depends on this freshness — its engine takes ownership of the generator's
-// live topology — so it must NOT be switched to the pooled acquire path.
-func (in *modelInput) load(ctx context.Context) (*uml.Model, *core.Generator, error) {
+// load decodes the model and builds a fresh generator. Only the what-if
+// route uses it: its engine takes ownership of the generator's live
+// topology, so the generator must not come from the pool.
+func (in *modelInput) load(ctx context.Context) (*core.Generator, error) {
 	if err := in.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m, err := uml.Decode(strings.NewReader(in.ModelXML))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	gen, err := core.NewGeneratorContext(ctx, m, in.Diagram)
+	return core.NewGeneratorContext(ctx, m, in.Diagram)
+}
+
+// currentDiagram resolves the topology a generation is validated against:
+// the diagram currentName (default: the request diagram) of the model
+// currentXML (default: the request model).
+func (in *modelInput) currentDiagram(currentXML, currentName string) (*uml.ObjectDiagram, error) {
+	if strings.TrimSpace(currentXML) == "" {
+		currentXML = in.ModelXML
+	}
+	if currentName == "" {
+		currentName = in.Diagram
+	}
+	cm, err := uml.Decode(strings.NewReader(currentXML))
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("current model: %w", err)
 	}
-	return m, gen, nil
+	d, ok := cm.Diagram(currentName)
+	if !ok {
+		return nil, fmt.Errorf("current model has no diagram %q", currentName)
+	}
+	return d, nil
 }
 
 // pathsRequest asks for simple paths between two components: all of them
@@ -406,33 +522,19 @@ var pathsHardLimit = 1 << 20
 // can lower it.
 var pathsWorkLimit = 1 << 26
 
-// pathsBudgetResponse renders a pathdisc budget overflow as the structured
-// budget body — same shape as the depend budget errors; the
-// requester→provider pair plays the atomic-service role. Kind distinguishes
-// the enumeration hard limit ("paths") from the ranked work envelope
-// ("kbest"); Need falls back to Limit+1 for enumeration errors, which only
-// know the limit they hit.
-func pathsBudgetResponse(le *pathdisc.LimitError) *budgetErrorResponse {
-	need := le.Need
-	if need == 0 {
-		need = le.Limit + 1
+// handlePaths runs the discovery — full enumeration, or the budgeted k-best
+// kernel when req.K > 0 — on a pooled generator. It serves the POST route,
+// the GET route (built-in case-study model) and the batch "paths" op;
+// budget overflows surface as *pathdisc.LimitError.
+func (a *api) handlePaths(ctx context.Context, req *pathsRequest) (any, error) {
+	if err := req.validate(); err != nil {
+		return nil, err
 	}
-	return &budgetErrorResponse{
-		errorResponse: errorResponse{Error: le.Error()},
-		Kind:          le.BudgetKind(),
-		AtomicService: le.Src + "→" + le.Dst,
-		Need:          need,
-		Limit:         le.Limit,
+	gen, err := a.generators.Acquire(ctx, req.ModelXML, req.Diagram)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// computePaths runs the discovery — full enumeration, or the budgeted
-// k-best kernel when req.K > 0 — on an acquired generator. diagram names
-// the object diagram the generator was built from (needed to join link
-// stereotypes onto ranked results). Shared by the POST route (model in the
-// body), the GET route (built-in case-study model) and the batch "paths"
-// op; budget overflows surface as *pathdisc.LimitError.
-func computePaths(gen *core.Generator, diagram string, req *pathsRequest) (*pathsResponse, error) {
+	defer a.generators.Release(gen)
 	metric, err := pathdisc.ParseCostMetric(req.Cost)
 	if err != nil {
 		return nil, err
@@ -469,7 +571,7 @@ func computePaths(gen *core.Generator, diagram string, req *pathsRequest) (*path
 	if req.K > 0 {
 		resp.CostMetric = metric.String()
 		var links []*uml.Link
-		if d, ok := gen.Model().Diagram(diagram); ok {
+		if d, ok := gen.Model().Diagram(req.Diagram); ok {
 			links = d.Links()
 		}
 		for _, p := range paths {
@@ -488,42 +590,9 @@ func computePaths(gen *core.Generator, diagram string, req *pathsRequest) (*path
 	return resp, nil
 }
 
-// servePaths maps computePaths onto the HTTP surface: budget overflows
-// become the structured 422, anything else a 400.
-func servePaths(w http.ResponseWriter, gen *core.Generator, diagram string, req *pathsRequest) {
-	resp, err := computePaths(gen, diagram, req)
-	if err != nil {
-		if le, ok := pathdisc.AsLimitError(err); ok {
-			writeJSON(w, http.StatusUnprocessableEntity, pathsBudgetResponse(le))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (a *api) handlePaths(w http.ResponseWriter, r *http.Request) {
-	var req pathsRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	gen, err := a.generators.Acquire(r.Context(), req.ModelXML, req.Diagram)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer a.generators.Release(gen)
-	servePaths(w, gen, req.Diagram, &req)
-}
-
-// caseStudyXMLOnce memoises the encoded case-study model: the model is
-// built from source, so the XML is a process constant.
-var caseStudyXMLOnce = sync.OnceValues(func() (string, error) {
+// caseStudyXML memoises the encoded case-study model: the model is built
+// from source, so the XML is a process constant.
+var caseStudyXML = sync.OnceValues(func() (string, error) {
 	m, err := casestudy.BuildModel()
 	if err != nil {
 		return "", err
@@ -535,13 +604,11 @@ var caseStudyXMLOnce = sync.OnceValues(func() (string, error) {
 	return buf.String(), nil
 })
 
-func caseStudyXML() (string, error) { return caseStudyXMLOnce() }
-
-// handlePathsGet serves path discovery over the built-in case-study model —
-// the server is stateless, so the GET form cannot carry a model and instead
-// answers against the paper's Figure 8 topology. Query parameters: from, to
-// (required), k, cost, maxDepth, maxPaths.
-func (a *api) handlePathsGet(w http.ResponseWriter, r *http.Request) {
+// handlePathsQuery serves path discovery over the built-in case-study model
+// — the server is stateless, so the GET form cannot carry a model and
+// instead answers against the paper's Figure 8 topology. Query parameters:
+// from, to (required), k, cost, maxDepth, maxPaths.
+func (a *api) handlePathsQuery(r *http.Request) (any, error) {
 	q := r.URL.Query()
 	req := pathsRequest{
 		From: q.Get("from"),
@@ -549,8 +616,7 @@ func (a *api) handlePathsGet(w http.ResponseWriter, r *http.Request) {
 		Cost: q.Get("cost"),
 	}
 	if req.From == "" || req.To == "" {
-		writeError(w, http.StatusBadRequest, "from and to are required")
-		return
+		return nil, errors.New("from and to are required")
 	}
 	for _, f := range []struct {
 		name string
@@ -559,24 +625,17 @@ func (a *api) handlePathsGet(w http.ResponseWriter, r *http.Request) {
 		if s := q.Get(f.name); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "invalid %s: %v", f.name, err)
-				return
+				return nil, fmt.Errorf("invalid %s: %w", f.name, err)
 			}
 			*f.dst = n
 		}
 	}
 	xml, err := caseStudyXML()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "building case study: %v", err)
-		return
+		return nil, withStatus(http.StatusInternalServerError, fmt.Errorf("building case study: %w", err))
 	}
-	gen, err := a.generators.Acquire(r.Context(), xml, casestudy.DiagramName)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	defer a.generators.Release(gen)
-	servePaths(w, gen, casestudy.DiagramName, &req)
+	req.modelInput = modelInput{ModelXML: xml, Diagram: casestudy.DiagramName}
+	return a.handlePaths(r.Context(), &req)
 }
 
 // generateRequest asks for a UPSIM.
@@ -592,37 +651,28 @@ type generateRequest struct {
 	AllowDisconnected bool `json:"allowDisconnected,omitempty"`
 }
 
-// generate runs the pipeline for one request through the shared cache (nil
-// disables caching). With a pool, the generator is acquired warm — a repeated
-// model skips XML decode, VPM import and CSR compilation — and released (its
-// derived artifacts unhooked) before returning; results stay valid after
-// release because derived diagrams are detached, not destroyed. With p ==
-// nil the generator is built fresh per request. Either way the cache key is
-// derived from the request content, so identical requests hit the same entry
-// no matter which generator instance computes them. The returned key is the
-// generation content hash; the analysis routes extend it into their own
-// cache keys so replays skip recompilation, not just regeneration.
-func (req *generateRequest) generate(ctx context.Context, c *cache.Cache, p *core.GeneratorPool) (*core.Result, string, error) {
-	var gen *core.Generator
-	if p != nil {
-		if err := req.validate(); err != nil {
-			return nil, "", err
-		}
-		g, err := p.Acquire(ctx, req.ModelXML, req.Diagram)
-		if err != nil {
-			return nil, "", err
-		}
-		defer p.Release(g)
-		gen = g
-	} else {
-		_, g, err := req.load(ctx)
-		if err != nil {
-			return nil, "", err
-		}
-		gen = g
+// gen returns the generation part of a request; the analysis requests
+// embed it.
+func (req *generateRequest) gen() *generateRequest { return req }
+
+// generate runs the pipeline for one request on a pooled generator through
+// the shared cache. A repeated model skips XML decode, VPM import and CSR
+// compilation; the generator goes back to the pool before the result is
+// used, which stays valid because derived diagrams are detached, not
+// destroyed. The cache key derives from the request content, so identical
+// requests hit the same entry whichever generator computes them. The
+// returned key is that generation content hash; the analysis memo keys
+// extend it, so replays skip recompilation, not just regeneration.
+func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result, string, error) {
+	if err := req.validate(); err != nil {
+		return nil, "", err
 	}
-	m := gen.Model()
-	act, ok := m.Activity(req.Service)
+	gen, err := a.generators.Acquire(ctx, req.ModelXML, req.Diagram)
+	if err != nil {
+		return nil, "", err
+	}
+	defer a.generators.Release(gen)
+	act, ok := gen.Model().Activity(req.Service)
 	if !ok {
 		return nil, "", fmt.Errorf("model has no activity %q", req.Service)
 	}
@@ -643,7 +693,7 @@ func (req *generateRequest) generate(ctx context.Context, c *cache.Cache, p *cor
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := gen.WithCache(c).GenerateContext(ctx, svc, mp, name, opts)
+	res, err := gen.GenerateContext(ctx, svc, mp, name, opts)
 	if err != nil {
 		return nil, "", err
 	}
@@ -688,21 +738,16 @@ type generateResponse struct {
 	Truncated bool `json:"truncated"`
 }
 
-func (a *api) handleGenerate(w http.ResponseWriter, r *http.Request) {
-	var req generateRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	res, _, err := req.generate(r.Context(), a.cache, a.generators)
+// handleGenerate serves the generate route and the batch "generate" op.
+func (a *api) handleGenerate(ctx context.Context, req *generateRequest) (any, error) {
+	res, _, err := a.generate(ctx, req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, buildGenerateResponse(res))
+	return buildGenerateResponse(res), nil
 }
 
-// buildGenerateResponse renders a pipeline Result; shared by the single
-// generate route and the batch fan-out.
+// buildGenerateResponse renders a pipeline Result.
 func buildGenerateResponse(res *core.Result) generateResponse {
 	resp := generateResponse{
 		Name:       res.Name,
@@ -741,6 +786,54 @@ func buildGenerateResponse(res *core.Result) generateResponse {
 	return resp
 }
 
+// analysisRequest is a request answered by a memoised analysis of its
+// generation. Each request type owns its cache key — the generation content
+// hash plus every analysis knob — and its computation, so the single routes
+// and the batch items run one code path.
+type analysisRequest interface {
+	gen() *generateRequest
+	// route labels the response-encode counter.
+	route() string
+	cacheKey(genKey string) string
+	compute(ctx context.Context, res *core.Result) (any, error)
+}
+
+// analyze generates q's UPSIM, then answers q through memo.
+func (a *api) analyze(ctx context.Context, q analysisRequest) (*encodedResponse, error) {
+	res, genKey, err := a.generate(ctx, q.gen())
+	if err != nil {
+		return nil, err
+	}
+	return a.memo(ctx, q, res, genKey)
+}
+
+// memo runs q's analysis of res and its JSON encoding once per cache key.
+// The shared cache holds the encoded reply, so a replay skips structure
+// extraction, kernel compilation and re-marshalling alike, and a warm hit
+// writes the stored bytes straight to the wire.
+func (a *api) memo(ctx context.Context, q analysisRequest, res *core.Result, genKey string) (*encodedResponse, error) {
+	v, _, err := a.cache.Do(ctx, q.cacheKey(genKey), func() (any, error) {
+		val, err := q.compute(ctx, res)
+		if err != nil {
+			return nil, err
+		}
+		return encodeResponse(q.route(), val)
+	})
+	if err != nil {
+		return nil, unprocessable(err)
+	}
+	return v.(*encodedResponse), nil
+}
+
+// availabilityModel maps the formula1 request knob to the component
+// availability model.
+func availabilityModel(formula1 bool) depend.AvailabilityModel {
+	if formula1 {
+		return depend.ModelFormula1
+	}
+	return depend.ModelExact
+}
+
 // availabilityRequest asks for the Section VII analysis.
 type availabilityRequest struct {
 	generateRequest
@@ -769,6 +862,47 @@ type availabilityResponse struct {
 	Components           int     `json:"components"`
 }
 
+func (a *api) handleAvailability(ctx context.Context, req *availabilityRequest) (any, error) {
+	return a.analyze(ctx, req)
+}
+
+func (req *availabilityRequest) route() string { return "/api/v1/availability" }
+
+// knobs resolves the Monte Carlo defaults.
+func (req *availabilityRequest) knobs() (model depend.AvailabilityModel, samples int, seed int64) {
+	samples, seed = req.MCSamples, req.Seed
+	if samples <= 0 {
+		samples = 100000
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	return availabilityModel(req.Formula1), samples, seed
+}
+
+func (req *availabilityRequest) cacheKey(genKey string) string {
+	model, samples, seed := req.knobs()
+	return fmt.Sprintf("avail|%s|model=%s|mc=%d|seed=%d|legacy=%t", genKey, model, samples, seed, req.LegacyKernel)
+}
+
+func (req *availabilityRequest) compute(ctx context.Context, res *core.Result) (any, error) {
+	model, samples, seed := req.knobs()
+	rep, err := depend.AnalyzeWithOptions(ctx, res, model, samples, seed,
+		depend.AnalyzeOptions{Legacy: req.LegacyKernel})
+	if err != nil {
+		return nil, err
+	}
+	return availabilityResponse{
+		Exact:                rep.Exact,
+		RBDApprox:            rep.RBDApprox,
+		FTApprox:             rep.FTApprox,
+		MonteCarlo:           rep.MonteCarlo,
+		MCStdErr:             rep.MCStdErr,
+		DowntimePerYearHours: rep.DowntimePerYearHours,
+		Components:           rep.Components,
+	}, nil
+}
+
 // qosRequest asks for the performability/responsiveness analysis.
 type qosRequest struct {
 	generateRequest
@@ -786,73 +920,48 @@ type qosResponse struct {
 	PathsTotal        int     `json:"pathsTotal"`
 }
 
-func (a *api) handleQoS(w http.ResponseWriter, r *http.Request) {
-	var req qosRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	res, genKey, err := req.generate(r.Context(), a.cache, a.generators)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp, err := analyzeQoS(r.Context(), a.cache, genKey, res, req.MaxHops)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	writeRawJSON(w, http.StatusOK, resp.body)
-	a.storeWarm(r, resp)
+func (a *api) handleQoS(ctx context.Context, req *qosRequest) (any, error) {
+	return a.analyze(ctx, req)
 }
 
-// analyzeQoS runs the performability + responsiveness analysis on a (possibly
-// cached) Result, through the shared cache keyed on the generation content
-// hash plus the analysis knobs: a replayed request skips structure
-// extraction, kernel compilation AND response encoding — the cache holds the
-// marshalled bytes, so a warm hit writes them straight to the wire. Shared by
-// the single qos route and the batch fan-out; c == nil disables caching.
-func analyzeQoS(ctx context.Context, c *cache.Cache, genKey string, res *core.Result, maxHops int) (*encodedResponse, error) {
-	if maxHops <= 0 {
-		maxHops = 8
+func (req *qosRequest) route() string { return "/api/v1/qos" }
+
+// hops resolves the hop budget's default.
+func (req *qosRequest) hops() int {
+	if req.MaxHops <= 0 {
+		return 8
 	}
-	compute := func() (any, error) {
-		tp, err := depend.Throughput(res)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := depend.Responsiveness(res, depend.ModelExact, maxHops)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResponse("/api/v1/qos", qosResponse{
-			ThroughputMbps:    tp.Service,
-			MaxHops:           rr.MaxHops,
-			Responsiveness:    rr.Responsiveness,
-			Availability:      rr.Availability,
-			PathsWithinBudget: rr.PathsWithinBudget,
-			PathsTotal:        rr.PathsTotal,
-		})
-	}
-	if c == nil || genKey == "" {
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return v.(*encodedResponse), nil
-	}
-	key := fmt.Sprintf("qos|%s|hops=%d", genKey, maxHops)
-	v, _, err := c.Do(ctx, key, compute)
+	return req.MaxHops
+}
+
+func (req *qosRequest) cacheKey(genKey string) string {
+	return fmt.Sprintf("qos|%s|hops=%d", genKey, req.hops())
+}
+
+func (req *qosRequest) compute(_ context.Context, res *core.Result) (any, error) {
+	tp, err := depend.Throughput(res)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*encodedResponse), nil
+	rr, err := depend.Responsiveness(res, depend.ModelExact, req.hops())
+	if err != nil {
+		return nil, err
+	}
+	return qosResponse{
+		ThroughputMbps:    tp.Service,
+		MaxHops:           rr.MaxHops,
+		Responsiveness:    rr.Responsiveness,
+		Availability:      rr.Availability,
+		PathsWithinBudget: rr.PathsWithinBudget,
+		PathsTotal:        rr.PathsTotal,
+	}, nil
 }
 
 // lintRequest asks for a static-analysis report. Unlike the pipeline routes
-// it does not reuse modelInput.load: that path pre-validates the model inside
-// NewGeneratorContext and would reject exactly the broken models the linter
-// exists to report on. Only modelXml is required; diagram, service and
-// mappingXml widen the rule coverage when present.
+// it does not build a generator: NewGeneratorContext pre-validates the model
+// and would reject exactly the broken models the linter exists to report on.
+// Only modelXml is required; diagram, service and mappingXml widen the rule
+// coverage when present.
 type lintRequest struct {
 	// ModelXML is the model in the library's XML dialect (required).
 	ModelXML string `json:"modelXml"`
@@ -873,27 +982,20 @@ type lintResponse struct {
 	ServiceError string `json:"serviceError,omitempty"`
 }
 
-func handleLint(w http.ResponseWriter, r *http.Request) {
-	var req lintRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
+func handleLint(_ context.Context, req *lintRequest) (any, error) {
 	if strings.TrimSpace(req.ModelXML) == "" {
-		writeError(w, http.StatusBadRequest, "modelXml is required")
-		return
+		return nil, errors.New("modelXml is required")
 	}
 	m, err := uml.Decode(strings.NewReader(req.ModelXML))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	resp := lintResponse{}
 	var svc *service.Composite
 	if req.Service != "" {
 		act, ok := m.Activity(req.Service)
 		if !ok {
-			writeError(w, http.StatusBadRequest, "model has no activity %q", req.Service)
-			return
+			return nil, fmt.Errorf("model has no activity %q", req.Service)
 		}
 		if svc, err = service.FromActivity(act); err != nil {
 			resp.ServiceError = err.Error()
@@ -903,90 +1005,19 @@ func handleLint(w http.ResponseWriter, r *http.Request) {
 	var mp *mapping.Mapping
 	if strings.TrimSpace(req.MappingXML) != "" {
 		if mp, err = mapping.Parse(strings.NewReader(req.MappingXML)); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return nil, err
 		}
 	}
 	in, err := lint.NewInput(m, req.Diagram, svc, mp)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	rep, err := lint.Default().Run(in)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		return nil, withStatus(http.StatusInternalServerError, err)
 	}
 	resp.Report = *rep
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (a *api) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	var req availabilityRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	res, genKey, err := req.generate(r.Context(), a.cache, a.generators)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp, err := analyzeAvailability(r.Context(), a.cache, genKey, res, req.Formula1, req.MCSamples, req.Seed, req.LegacyKernel)
-	if err != nil {
-		writeAnalysisError(w, err)
-		return
-	}
-	writeRawJSON(w, http.StatusOK, resp.body)
-	a.storeWarm(r, resp)
-}
-
-// analyzeAvailability runs the Section VII analysis on a (possibly cached)
-// Result, through the shared cache keyed on the generation content hash plus
-// every analysis knob (including the legacy-kernel ablation flag): a
-// replayed request skips structure extraction, kernel compilation AND
-// response encoding — the cache holds the marshalled bytes, so a warm hit
-// writes them straight to the wire. Shared by the single availability route
-// and the batch fan-out; c == nil disables caching.
-func analyzeAvailability(ctx context.Context, c *cache.Cache, genKey string, res *core.Result, formula1 bool, samples int, seed int64, legacy bool) (*encodedResponse, error) {
-	model := depend.ModelExact
-	if formula1 {
-		model = depend.ModelFormula1
-	}
-	if samples <= 0 {
-		samples = 100000
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	compute := func() (any, error) {
-		rep, err := depend.AnalyzeWithOptions(ctx, res, model, samples, seed,
-			depend.AnalyzeOptions{Legacy: legacy})
-		if err != nil {
-			return nil, err
-		}
-		return encodeResponse("/api/v1/availability", availabilityResponse{
-			Exact:                rep.Exact,
-			RBDApprox:            rep.RBDApprox,
-			FTApprox:             rep.FTApprox,
-			MonteCarlo:           rep.MonteCarlo,
-			MCStdErr:             rep.MCStdErr,
-			DowntimePerYearHours: rep.DowntimePerYearHours,
-			Components:           rep.Components,
-		})
-	}
-	if c == nil || genKey == "" {
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return v.(*encodedResponse), nil
-	}
-	key := fmt.Sprintf("avail|%s|model=%s|mc=%d|seed=%d|legacy=%t", genKey, model, samples, seed, legacy)
-	v, _, err := c.Do(ctx, key, compute)
-	if err != nil {
-		return nil, err
-	}
-	return v.(*encodedResponse), nil
+	return resp, nil
 }
 
 // Explain modes.
@@ -1028,92 +1059,43 @@ type explainRequest struct {
 	CurrentDiagram string `json:"currentDiagram,omitempty"`
 }
 
-func (a *api) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req explainRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	res, genKey, err := req.generate(r.Context(), a.cache, a.generators)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	switch req.Mode {
-	case "", ExplainModeReport:
-		resp, err := analyzeExplain(r.Context(), a.cache, genKey, res, &req)
-		if err != nil {
-			writeAnalysisError(w, err)
-			return
-		}
-		writeRawJSON(w, http.StatusOK, resp.body)
-		a.storeWarm(r, resp)
-	case ExplainModeValidate:
-		xml := req.CurrentModelXML
-		if strings.TrimSpace(xml) == "" {
-			xml = req.ModelXML
-		}
-		cm, err := uml.Decode(strings.NewReader(xml))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "current model: %v", err)
-			return
-		}
-		name := req.CurrentDiagram
-		if name == "" {
-			name = req.Diagram
-		}
-		d, ok := cm.Diagram(name)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "current model has no diagram %q", name)
-			return
-		}
-		val, err := explain.Validate(r.Context(), res, d)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, val)
-	default:
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want %q or %q)",
-			req.Mode, ExplainModeReport, ExplainModeValidate)
-	}
-}
-
-// analyzeExplain builds the provenance & attribution report through the
-// shared cache, keyed on the generation content hash plus every report knob.
-// Like analyzeAvailability, the cache holds the *encoded* response: a warm
-// hit skips structure extraction, cut-set expansion, importance attribution
-// AND re-marshalling — the stored bytes go straight to the wire. c == nil
-// (or an empty genKey from an uncached generation) disables caching.
-func analyzeExplain(ctx context.Context, c *cache.Cache, genKey string, res *core.Result, req *explainRequest) (*encodedResponse, error) {
-	model := depend.ModelExact
-	if req.Formula1 {
-		model = depend.ModelFormula1
-	}
-	compute := func() (any, error) {
-		rep, err := explain.Explain(ctx, res, explain.Options{
-			Legacy:          req.LegacyKernel,
-			Model:           model,
-			TopN:            req.Top,
-			CutLimit:        req.CutLimit,
-			SkipAttribution: req.SkipAttribution,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return encodeResponse("/api/v1/explain", rep)
-	}
-	if c == nil || genKey == "" {
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return v.(*encodedResponse), nil
-	}
-	key := fmt.Sprintf("explain|%s|model=%s|top=%d|cut=%d|legacy=%t|skipattr=%t",
-		genKey, model, req.Top, req.CutLimit, req.LegacyKernel, req.SkipAttribution)
-	v, _, err := c.Do(ctx, key, compute)
+// handleExplain answers mode "report" through the analysis memo and mode
+// "validate" with the generation's freshness against the current topology.
+func (a *api) handleExplain(ctx context.Context, req *explainRequest) (any, error) {
+	res, genKey, err := a.generate(ctx, &req.generateRequest)
 	if err != nil {
 		return nil, err
 	}
-	return v.(*encodedResponse), nil
+	switch req.Mode {
+	case "", ExplainModeReport:
+		return a.memo(ctx, req, res, genKey)
+	case ExplainModeValidate:
+		d, err := req.currentDiagram(req.CurrentModelXML, req.CurrentDiagram)
+		if err != nil {
+			return nil, err
+		}
+		val, err := explain.Validate(ctx, res, d)
+		if err != nil {
+			return nil, unprocessable(err)
+		}
+		return val, nil
+	}
+	return nil, fmt.Errorf("unknown mode %q (want %q or %q)", req.Mode, ExplainModeReport, ExplainModeValidate)
+}
+
+func (req *explainRequest) route() string { return "/api/v1/explain" }
+
+func (req *explainRequest) cacheKey(genKey string) string {
+	return fmt.Sprintf("explain|%s|model=%s|top=%d|cut=%d|legacy=%t|skipattr=%t",
+		genKey, availabilityModel(req.Formula1), req.Top, req.CutLimit, req.LegacyKernel, req.SkipAttribution)
+}
+
+func (req *explainRequest) compute(ctx context.Context, res *core.Result) (any, error) {
+	return explain.Explain(ctx, res, explain.Options{
+		Legacy:          req.LegacyKernel,
+		Model:           availabilityModel(req.Formula1),
+		TopN:            req.Top,
+		CutLimit:        req.CutLimit,
+		SkipAttribution: req.SkipAttribution,
+	})
 }

@@ -9,12 +9,12 @@ package server
 // invalidation counts, and the critical-component ranking.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 
-	"upsim/internal/depend"
-	"upsim/internal/uml"
 	"upsim/internal/whatif"
 )
 
@@ -97,30 +97,21 @@ type staleGenerationResponse struct {
 	InvalidatedKeys int `json:"invalidatedKeys"`
 }
 
-func (a *api) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	var req whatifRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
+func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error) {
 	if len(req.Services) == 0 {
-		writeError(w, http.StatusBadRequest, "services is required (at least one registration)")
-		return
+		return nil, errors.New("services is required (at least one registration)")
 	}
 	mode := req.Mode
 	if mode == "" {
 		mode = WhatIfModeFailure
 	}
-	model := depend.ModelExact
-	if req.Formula1 {
-		model = depend.ModelFormula1
-	}
+	model := availabilityModel(req.Formula1)
 
 	// The engine owns the live topology: one generator load gives the graph
 	// the registrations were (re)generated against.
-	_, gen, err := req.load(r.Context())
+	gen, err := req.load(ctx)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	eng := whatif.New(gen.Graph(), a.cache)
 	for _, s := range req.Services {
@@ -133,14 +124,12 @@ func (a *api) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if gr.Name == "" {
 			gr.Name = s.Service
 		}
-		res, genKey, err := gr.generate(r.Context(), a.cache, a.generators)
+		res, genKey, err := a.generate(ctx, &gr)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "service %q: %v", s.Service, err)
-			return
+			return nil, fmt.Errorf("service %q: %w", s.Service, err)
 		}
 		if err := eng.Register(gr.Name, genKey, res, model); err != nil {
-			writeAnalysisError(w, err)
-			return
+			return nil, unprocessable(err)
 		}
 	}
 
@@ -149,24 +138,13 @@ func (a *api) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	// Freshness gate: against a drifted topology the registered generations
 	// are lies; evict them and refuse with the concrete issues.
 	if strings.TrimSpace(req.CurrentModelXML) != "" {
-		cm, err := uml.Decode(strings.NewReader(req.CurrentModelXML))
+		d, err := req.currentDiagram(req.CurrentModelXML, req.CurrentDiagram)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "current model: %v", err)
-			return
+			return nil, err
 		}
-		name := req.CurrentDiagram
-		if name == "" {
-			name = req.Diagram
-		}
-		d, ok := cm.Diagram(name)
-		if !ok {
-			writeError(w, http.StatusBadRequest, "current model has no diagram %q", name)
-			return
-		}
-		vals, evicted, err := eng.Revalidate(r.Context(), d)
+		vals, evicted, err := eng.Revalidate(ctx, d)
 		if err != nil {
-			writeAnalysisError(w, err)
-			return
+			return nil, unprocessable(err)
 		}
 		stale := 0
 		for _, v := range vals {
@@ -175,12 +153,12 @@ func (a *api) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if stale > 0 {
-			writeJSON(w, http.StatusConflict, staleGenerationResponse{
-				errorResponse:   errorResponse{Error: fmtStale(stale, len(vals))},
+			msg := fmt.Sprintf("%d of %d registered generations are stale against the current topology", stale, len(vals))
+			return nil, &statusError{status: http.StatusConflict, err: errors.New(msg), body: staleGenerationResponse{
+				errorResponse:   errorResponse{Error: msg},
 				Validations:     vals,
 				InvalidatedKeys: evicted,
-			})
-			return
+			}}
 		}
 		resp.Validations = vals
 	}
@@ -189,46 +167,36 @@ func (a *api) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	case WhatIfModeFailure:
 		impact, err := eng.Impact(req.Failure)
 		if err != nil {
-			writeAnalysisError(w, err)
-			return
+			return nil, unprocessable(err)
 		}
 		resp.Impact = impact
 	case WhatIfModeApply:
 		if len(req.Deltas) == 0 {
-			writeError(w, http.StatusBadRequest, "mode %q needs at least one delta", mode)
-			return
+			return nil, fmt.Errorf("mode %q needs at least one delta", mode)
 		}
 		rep, err := eng.Apply(req.Deltas...)
 		if err != nil {
-			writeAnalysisError(w, err)
-			return
+			return nil, unprocessable(err)
 		}
 		resp.Apply = rep
 	case WhatIfModeCritical:
 		// Ranking handled below for every mode.
 	default:
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want %q, %q or %q)",
+		return nil, fmt.Errorf("unknown mode %q (want %q, %q or %q)",
 			mode, WhatIfModeFailure, WhatIfModeApply, WhatIfModeCritical)
-		return
 	}
 
 	if mode == WhatIfModeCritical || req.Top > 0 {
-		crit, err := eng.Critical(r.Context(), req.Top, req.CutLimit)
+		crit, err := eng.Critical(ctx, req.Top, req.CutLimit)
 		if err != nil {
 			// The importance join expands minimal cut sets under the
 			// request's budget: overflow surfaces as the structured 422,
 			// never a bare 500.
-			writeAnalysisError(w, err)
-			return
+			return nil, unprocessable(err)
 		}
 		resp.Critical = crit
 	}
 
 	resp.Services = eng.Services()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// fmtStale renders the 409 summary line.
-func fmtStale(stale, total int) string {
-	return fmt.Sprintf("%d of %d registered generations are stale against the current topology", stale, total)
+	return resp, nil
 }
