@@ -222,8 +222,9 @@ func BenchmarkPathDiscovery(b *testing.B) {
 	}
 }
 
-// BenchmarkDFSVariants is the algorithm ablation: recursive (the paper's
-// choice) vs iterative vs parallel DFS on the same dense graph.
+// BenchmarkDFSVariants is the kernel ablation of the paper's recursive DFS
+// on a dense graph: the map-based reference walker vs the compiled CSR
+// kernel that Step 7 runs.
 func BenchmarkDFSVariants(b *testing.B) {
 	g, err := topology.Mesh(8)
 	if err != nil {
@@ -236,16 +237,10 @@ func BenchmarkDFSVariants(b *testing.B) {
 			}
 		}
 	})
-	b.Run("iterative", func(b *testing.B) {
+	c := pathdisc.Compile(g)
+	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := pathdisc.AllPathsIterative(g, "n0", "n7", pathdisc.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := pathdisc.AllPathsParallel(g, "n0", "n7", pathdisc.Options{}, 0); err != nil {
+			if _, _, err := c.AllPaths("n0", "n7", pathdisc.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,28 +19,20 @@ import (
 var pathdiscOut string
 
 // pathdiscWorkload is one row of the BENCH_pathdisc.json record: one
-// (topology, endpoint pair) workload measured under the map-based kernel,
-// the compiled CSR kernel, and the gated parallel CSR variant. Durations
-// are best-of-reps nanoseconds per full enumeration.
+// (topology, endpoint pair) workload measured under the map-based reference
+// walker and the compiled CSR kernel. Durations are best-of-reps
+// nanoseconds per full enumeration.
 type pathdiscWorkload struct {
-	Topology        string  `json:"topology"`
-	Nodes           int     `json:"nodes"`
-	Edges           int     `json:"edges"`
-	Branching       float64 `json:"branching"`
-	Paths           int     `json:"paths"`
-	LegacyNs        int64   `json:"legacyNs"`
-	CompiledNs      int64   `json:"compiledNs"`
-	Speedup         float64 `json:"speedup"`
-	LegacyAllocs    float64 `json:"legacyAllocsPerOp"`
-	CompiledAllocs  float64 `json:"compiledAllocsPerOp"`
-	ParallelNs      int64   `json:"csrParallelNs"`
-	ParallelMode    string  `json:"parallelMode"`
-	ParallelSpeedup float64 `json:"parallelSpeedup"`
-	// ParallelParity is true when the sequential and parallel sample sets are
-	// statistically indistinguishable (two-sided Mann-Whitney U, alpha 0.05),
-	// in which case ParallelSpeedup is reported as exactly 1 — the same
-	// convention benchstat uses when it prints "~" instead of a delta.
-	ParallelParity bool `json:"parallelParity"`
+	Topology       string  `json:"topology"`
+	Nodes          int     `json:"nodes"`
+	Edges          int     `json:"edges"`
+	Branching      float64 `json:"branching"`
+	Paths          int     `json:"paths"`
+	LegacyNs       int64   `json:"legacyNs"`
+	CompiledNs     int64   `json:"compiledNs"`
+	Speedup        float64 `json:"speedup"`
+	LegacyAllocs   float64 `json:"legacyAllocsPerOp"`
+	CompiledAllocs float64 `json:"compiledAllocsPerOp"`
 	// RunsPerRep is the calibrated batch size: enough consecutive runs that
 	// one timed sample spans at least pathdiscWindow of work.
 	RunsPerRep int `json:"runsPerRep"`
@@ -97,20 +89,13 @@ func mannWhitneyDistinct(a, b []int64) bool {
 
 // pathdiscBench is the BENCH_pathdisc.json schema.
 type pathdiscBench struct {
-	GOMAXPROCS         int                `json:"gomaxprocs"`
-	BranchingThreshold float64            `json:"parallelBranchingThreshold"`
-	Reps               int                `json:"repsPerVariant"`
-	WindowNs           int64              `json:"minSampleWindowNs"`
-	Workloads          []pathdiscWorkload `json:"workloads"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
+	Reps       int                `json:"repsPerVariant"`
+	WindowNs   int64              `json:"minSampleWindowNs"`
+	Workloads  []pathdiscWorkload `json:"workloads"`
 	// DenseMeshSpeedup is the compiled-vs-legacy speedup on the densest mesh
 	// workload (the acceptance floor is 3x).
 	DenseMeshSpeedup float64 `json:"denseMeshSpeedup"`
-	// MinParallelSpeedup is the worst parallel-vs-sequential ratio across all
-	// workloads; the gated parallel variant must hold the 1.0x floor.
-	MinParallelSpeedup float64 `json:"minParallelSpeedup"`
-	// Regression flags MinParallelSpeedup < 1 explicitly, mirroring the cache
-	// record's field.
-	Regression bool `json:"regression"`
 }
 
 // expPathdisc is the scalability benchmark of the compiled kernel (Section
@@ -156,17 +141,15 @@ func expPathdisc() error {
 	// testing.B uses to pick b.N.
 	const pathdiscWindow = 20 * time.Millisecond
 	b := pathdiscBench{
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		BranchingThreshold: pathdisc.ParallelBranchingThreshold,
-		Reps:               9,
-		WindowNs:           pathdiscWindow.Nanoseconds(),
-		DenseMeshSpeedup:   math.Inf(1),
-		MinParallelSpeedup: math.Inf(1),
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		Reps:             9,
+		WindowNs:         pathdiscWindow.Nanoseconds(),
+		DenseMeshSpeedup: math.Inf(1),
 	}
-	fmt.Printf("  GOMAXPROCS=%d, fan-out threshold: branching >= %.1f, best of %d interleaved reps, >=%s/sample\n",
-		b.GOMAXPROCS, b.BranchingThreshold, b.Reps, pathdiscWindow)
-	fmt.Printf("  %-22s %6s %6s %9s %11s %11s %8s %9s %9s %8s %-9s\n",
-		"topology", "nodes", "edges", "paths", "legacy", "compiled", "speedup", "allocs", "allocs'", "par x", "par mode")
+	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample\n",
+		b.GOMAXPROCS, b.Reps, pathdiscWindow)
+	fmt.Printf("  %-22s %6s %6s %9s %11s %11s %8s %9s %9s\n",
+		"topology", "nodes", "edges", "paths", "legacy", "compiled", "speedup", "allocs", "allocs'")
 
 	// One sample = collect the heap, one untimed warm-up run (runtime.GC
 	// purges the kernel's sync.Pool, so the first run after it re-allocates
@@ -202,52 +185,28 @@ func expPathdisc() error {
 		batch := int(pathdiscWindow / max(time.Since(calStart), time.Microsecond))
 		batch = min(max(batch, 1), 512)
 		w := pathdiscWorkload{
-			Topology:  x.name,
-			Nodes:     x.g.NumNodes(),
-			Edges:     x.g.NumEdges(),
-			Branching: math.Round(c.Branching()*100) / 100,
-			Paths:     len(paths),
-			LegacyNs:  math.MaxInt64, CompiledNs: math.MaxInt64, ParallelNs: math.MaxInt64,
-			ParallelMode: "fallback-sequential",
-			RunsPerRep:   batch,
+			Topology:   x.name,
+			Nodes:      x.g.NumNodes(),
+			Edges:      x.g.NumEdges(),
+			Branching:  math.Round(c.Branching()*100) / 100,
+			Paths:      len(paths),
+			LegacyNs:   math.MaxInt64,
+			CompiledNs: math.MaxInt64,
+			RunsPerRep: batch,
 		}
-		if c.ParallelEligible(x.src, opts) {
-			w.ParallelMode = "fan-out"
-		}
-		// Interleave the three variants so drift hits them equally; keep the
-		// best repetition of each (see cache.go for the rationale). The
-		// csr/parallel order flips every repetition so neither variant always
-		// inherits the other's just-warmed allocator state.
-		runCSR := func() error { _, _, err := c.AllPaths(x.src, x.dst, opts); return err }
-		runPar := func() error { _, _, err := c.AllPathsParallel(x.src, x.dst, opts, 0); return err }
-		csrSamples := make([]int64, 0, b.Reps)
-		parSamples := make([]int64, 0, b.Reps)
+		// Interleave the two kernels so drift hits them equally; keep the
+		// best repetition of each (see cache.go for the rationale).
 		for i := 0; i < b.Reps; i++ {
 			d, err := timeIt(batch, func() error { _, _, err := pathdisc.AllPaths(x.g, x.src, x.dst, opts); return err })
 			if err != nil {
 				return err
 			}
 			w.LegacyNs = min(w.LegacyNs, d)
-			first, second := runCSR, runPar
-			if i%2 == 1 {
-				first, second = runPar, runCSR
-			}
-			dFirst, err := timeIt(batch, first)
+			d, err = timeIt(batch, func() error { _, _, err := c.AllPaths(x.src, x.dst, opts); return err })
 			if err != nil {
 				return err
 			}
-			dSecond, err := timeIt(batch, second)
-			if err != nil {
-				return err
-			}
-			dCSR, dPar := dFirst, dSecond
-			if i%2 == 1 {
-				dCSR, dPar = dSecond, dFirst
-			}
-			w.CompiledNs = min(w.CompiledNs, dCSR)
-			w.ParallelNs = min(w.ParallelNs, dPar)
-			csrSamples = append(csrSamples, dCSR)
-			parSamples = append(parSamples, dPar)
+			w.CompiledNs = min(w.CompiledNs, d)
 		}
 		w.LegacyAllocs = testing.AllocsPerRun(3, func() {
 			_, _, _ = pathdisc.AllPaths(x.g, x.src, x.dst, opts)
@@ -258,27 +217,12 @@ func expPathdisc() error {
 		// Speedups below the noise floor of a best-of comparison (<1%) round
 		// away rather than masquerading as signal.
 		w.Speedup = math.Round(float64(w.LegacyNs)/float64(w.CompiledNs)*100) / 100
-		// The sequential/parallel comparison only earns a delta when the two
-		// sample sets actually differ; on a single-core box they are the same
-		// code path and the test reports parity.
-		if mannWhitneyDistinct(csrSamples, parSamples) {
-			w.ParallelSpeedup = math.Round(float64(w.CompiledNs)/float64(w.ParallelNs)*100) / 100
-		} else {
-			w.ParallelParity = true
-			w.ParallelSpeedup = 1
-		}
 		b.Workloads = append(b.Workloads, w)
-		b.DenseMeshSpeedup = w.Speedup // meshes come first, densest last of them
-		b.MinParallelSpeedup = min(b.MinParallelSpeedup, w.ParallelSpeedup)
-		parCol := fmt.Sprintf("%.2fx", w.ParallelSpeedup)
-		if w.ParallelParity {
-			parCol = "~" + parCol
-		}
-		fmt.Printf("  %-22s %6d %6d %9d %11s %11s %7.2fx %9.0f %9.0f %8s %-9s\n",
+		fmt.Printf("  %-22s %6d %6d %9d %11s %11s %7.2fx %9.0f %9.0f\n",
 			w.Topology, w.Nodes, w.Edges, w.Paths,
 			time.Duration(w.LegacyNs).Round(time.Microsecond),
 			time.Duration(w.CompiledNs).Round(time.Microsecond),
-			w.Speedup, w.LegacyAllocs, w.CompiledAllocs, parCol, w.ParallelMode)
+			w.Speedup, w.LegacyAllocs, w.CompiledAllocs)
 	}
 	// DenseMeshSpeedup must reflect the mesh rows, not whatever ran last.
 	for _, w := range b.Workloads {
@@ -286,11 +230,7 @@ func expPathdisc() error {
 			b.DenseMeshSpeedup = w.Speedup
 		}
 	}
-	b.Regression = b.MinParallelSpeedup < 1
-	fmt.Printf("  dense mesh speedup: %.2fx (floor 3x); worst parallel ratio: %.2fx (floor 1x, regression=%t)\n",
-		b.DenseMeshSpeedup, b.MinParallelSpeedup, b.Regression)
-	fmt.Println("  (the compiled kernel wins on every shape; fan-out needs both cores")
-	fmt.Println("   and branching, so low-degree ladders always take the sequential path)")
+	fmt.Printf("  dense mesh speedup: %.2fx (floor 3x)\n", b.DenseMeshSpeedup)
 
 	if pathdiscOut != "" {
 		data, err := json.MarshalIndent(b, "", "  ")

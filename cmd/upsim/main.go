@@ -252,6 +252,14 @@ func cmdPaths(args []string) error {
 	if *modelPath == "" || *diagram == "" || *from == "" || *to == "" {
 		return fmt.Errorf("paths: -model, -diagram, -from and -to are required")
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"k", *k}, {"maxdepth", *maxDepth}, {"maxpaths", *maxPaths}} {
+		if f.v < 0 {
+			return fmt.Errorf("paths: -%s must be >= 0", f.name)
+		}
+	}
 	metric, err := upsim.ParseCostMetric(*cost)
 	if err != nil {
 		return fmt.Errorf("paths: %w", err)
@@ -285,9 +293,10 @@ func cmdPaths(args []string) error {
 		printTrace()
 		return nil
 	}
-	g := gen.Graph()
+	// Enumerate on the compiled kernel, as the server's /api/v1/paths does,
+	// so both report the same search effort.
 	_, disc := upsim.StartSpan(ctx, "step7.pathdisc")
-	paths, stats, err := upsim.AllPaths(g, *from, *to,
+	paths, stats, err := gen.Compiled().AllPaths(*from, *to,
 		upsim.PathOptions{MaxDepth: *maxDepth, MaxPaths: *maxPaths})
 	disc.SetAttr("paths", stats.Paths)
 	disc.SetAttr("edge_visits", stats.EdgeVisits)
@@ -298,8 +307,8 @@ func cmdPaths(args []string) error {
 	for _, p := range paths {
 		fmt.Println(p)
 	}
-	fmt.Printf("# %d paths, %d nodes visited, %d edge visits, max stack %d\n",
-		stats.Paths, stats.NodeVisits, stats.EdgeVisits, stats.MaxStack)
+	fmt.Printf("# %d paths, %d nodes visited, %d edge visits, max stack %d, pruned %d\n",
+		stats.Paths, stats.NodeVisits, stats.EdgeVisits, stats.MaxStack, stats.Pruned)
 	printTrace()
 	return nil
 }

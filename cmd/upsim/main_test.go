@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"upsim"
+	"upsim/internal/server"
 )
 
 // withArtifacts writes the built-in case-study artifacts into a temp dir and
@@ -78,6 +81,46 @@ func TestCLIPaths(t *testing.T) {
 	}
 	if !strings.Contains(out, "t1—e1—d1—c1—d4—printS") || !strings.Contains(out, "# 2 paths") {
 		t.Errorf("paths output:\n%s", out)
+	}
+}
+
+// TestCLIPathsMatchesServer pins the CLI to the server's discovery kernel:
+// a bounded enumeration reports the same search effort as GET /api/v1/paths
+// on the same case-study model.
+func TestCLIPathsMatchesServer(t *testing.T) {
+	modelPath, _ := withArtifacts(t)
+	out, err := capture(t, func() error {
+		return run([]string{"paths", "-model", modelPath, "-diagram", "infrastructure",
+			"-from", "t1", "-to", "printS", "-maxdepth", "5"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	server.New().ServeHTTP(w, httptest.NewRequest("GET", "/api/v1/paths?from=t1&to=printS&maxDepth=5", nil))
+	var resp struct {
+		PathCount, NodesVisited, EdgeVisits, MaxStack, Pruned int
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("server reply %d %s: %v", w.Code, w.Body, err)
+	}
+	want := fmt.Sprintf("# %d paths, %d nodes visited, %d edge visits, max stack %d, pruned %d\n",
+		resp.PathCount, resp.NodesVisited, resp.EdgeVisits, resp.MaxStack, resp.Pruned)
+	if !strings.Contains(out, want) {
+		t.Errorf("CLI stats differ from the server's %q:\n%s", want, out)
+	}
+}
+
+func TestCLIPathsRejectsNegativeBounds(t *testing.T) {
+	modelPath, _ := withArtifacts(t)
+	for _, flag := range []string{"-k", "-maxdepth", "-maxpaths"} {
+		_, err := capture(t, func() error {
+			return run([]string{"paths", "-model", modelPath, "-diagram", "infrastructure",
+				"-from", "t1", "-to", "printS", flag, "-1"})
+		})
+		if err == nil || !strings.Contains(err.Error(), flag+" must be >= 0") {
+			t.Errorf("%s -1: err = %v", flag, err)
+		}
 	}
 }
 

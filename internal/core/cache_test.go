@@ -89,7 +89,7 @@ func TestCacheKeyDerivation(t *testing.T) {
 		t.Error("identical request derived different keys")
 	}
 	// Pool sizes tune parallelism only — they must not change the address.
-	pooled, err := g.CacheKey(f.svc, f.mp, "u", Options{DiscoveryWorkers: 7, Workers: 3})
+	pooled, err := g.CacheKey(f.svc, f.mp, "u", Options{DiscoveryWorkers: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,17 +33,13 @@ import (
 	"upsim/internal/vpm"
 )
 
-// Algorithm selects the path-discovery variant for Step 7.
+// Algorithm selects the Step 7 path-discovery strategy.
 type Algorithm uint8
 
 const (
-	// AlgoRecursive is the paper's recursive DFS with path tracking.
+	// AlgoRecursive is the paper's recursive DFS with path tracking, run on
+	// the compiled CSR kernel.
 	AlgoRecursive Algorithm = iota
-	// AlgoIterative is the explicit-stack DFS (identical output).
-	AlgoIterative
-	// AlgoParallel partitions the search over the requester's first hops
-	// across a worker pool (identical output).
-	AlgoParallel
 	// AlgoShortest keeps only one minimum-hop path per atomic service. It
 	// deliberately violates Definition 2 (all redundant paths) and exists
 	// for the redundancy ablation.
@@ -55,10 +51,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case AlgoRecursive:
 		return "recursive-dfs"
-	case AlgoIterative:
-		return "iterative-dfs"
-	case AlgoParallel:
-		return "parallel-dfs"
 	case AlgoShortest:
 		return "shortest-path"
 	}
@@ -125,7 +117,7 @@ func (m LintMode) String() string {
 // enumeration, disconnected pairs are errors, and no lint gate (LintOff).
 // Every default below is asserted by TestOptionsZeroValueDefaults.
 type Options struct {
-	// Algorithm selects the Step 7 path-discovery variant. The zero value
+	// Algorithm selects the Step 7 path-discovery strategy. The zero value
 	// AlgoRecursive is the paper's recursive DFS with path tracking.
 	Algorithm Algorithm
 	// Merge selects the Step 8 merge semantics. The zero value MergeInduced
@@ -135,9 +127,6 @@ type Options struct {
 	// Paths tunes the enumeration (depth/count bounds, parallel-edge
 	// collapsing). The zero value enumerates unbounded, without collapsing.
 	Paths pathdisc.Options
-	// Workers sets the pool size for AlgoParallel (0, the default, spawns
-	// one worker per first-hop branch of the requester).
-	Workers int
 	// DiscoveryWorkers bounds the worker pool that runs the per-atomic-
 	// service discovery loop of Step 7 concurrently. 0 (the default) sizes
 	// the pool to min(GOMAXPROCS, number of atomic services); 1 forces the
@@ -153,12 +142,6 @@ type Options struct {
 	// linting entirely, matching the paper's pipeline; LintWarn logs
 	// findings, LintFail aborts on error-severity findings.
 	Lint LintMode
-	// LegacyKernel routes Step 7 through the original map-based discovery
-	// functions instead of the compiled CSR kernel (pathdisc.Compile). The
-	// zero value (false) uses the compiled kernel, which returns the exact
-	// same path sets but prunes unreachable expansions, so its search-effort
-	// Stats are lower. AlgoShortest always uses the legacy implementation.
-	LegacyKernel bool
 }
 
 // discoveryWorkers resolves the effective Step 7 pool size for n atomic
@@ -207,7 +190,8 @@ type Result struct {
 	// EdgeVisits aggregates the search effort of Step 7.
 	EdgeVisits int
 	// Pruned aggregates the expansions the compiled kernel's reachability
-	// pass skipped in Step 7 (always 0 with Options.LegacyKernel).
+	// pass skipped in Step 7 (always 0 for ranked discovery and
+	// AlgoShortest).
 	Pruned int
 }
 
@@ -592,42 +576,27 @@ func (g *Generator) lintGate(ctx context.Context, svc *service.Composite, mp *ma
 	return nil
 }
 
+// discover runs Step 7 for one requester/provider pair: ranked discovery
+// when Paths.K > 0, the shortest-path ablation for AlgoShortest, and the
+// compiled recursive DFS otherwise.
 func (g *Generator) discover(req, prov string, opts Options) ([]pathdisc.Path, pathdisc.Stats, error) {
-	if opts.Paths.K > 0 {
+	switch {
+	case opts.Paths.K > 0:
 		// Ranked discovery: the K cheapest paths under the stereotype cost
 		// view replace the full enumeration — Step 7 with a bounded work
-		// envelope instead of an exponential sweep. Ranked mode lives only
-		// on the compiled kernel; LegacyKernel has no ranked counterpart.
+		// envelope instead of an exponential sweep.
 		return g.compiled.KShortest(req, prov, opts.Paths)
-	}
-	if !opts.LegacyKernel {
-		switch opts.Algorithm {
-		case AlgoRecursive:
-			return g.compiled.AllPaths(req, prov, opts.Paths)
-		case AlgoIterative:
-			return g.compiled.AllPathsIterative(req, prov, opts.Paths)
-		case AlgoParallel:
-			return g.compiled.AllPathsParallel(req, prov, opts.Paths, opts.Workers)
-		}
-		// AlgoShortest (and unknown values) fall through to the legacy switch.
-	}
-	switch opts.Algorithm {
-	case AlgoRecursive:
-		return pathdisc.AllPaths(g.graph, req, prov, opts.Paths)
-	case AlgoIterative:
-		return pathdisc.AllPathsIterative(g.graph, req, prov, opts.Paths)
-	case AlgoParallel:
-		return pathdisc.AllPathsParallel(g.graph, req, prov, opts.Paths, opts.Workers)
-	case AlgoShortest:
+	case opts.Algorithm == AlgoShortest:
 		p, err := pathdisc.ShortestPath(g.graph, req, prov)
 		if err != nil {
 			// Unreachable providers surface as zero paths, consistent with
-			// the DFS variants.
+			// the DFS.
 			return nil, pathdisc.Stats{}, nil
 		}
 		return []pathdisc.Path{p}, pathdisc.Stats{Paths: 1, EdgeVisits: p.Len(), NodeVisits: len(p.Nodes)}, nil
+	default:
+		return g.compiled.AllPaths(req, prov, opts.Paths)
 	}
-	return nil, pathdisc.Stats{}, fmt.Errorf("unknown algorithm %v", opts.Algorithm)
 }
 
 // storePaths materialises paths under paths.<name>.<atomic service>.p<i>,

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"upsim/internal/casestudy"
 	"upsim/internal/mapping"
 	"upsim/internal/obs"
 	"upsim/internal/pathdisc"
@@ -267,34 +270,54 @@ func TestGenerateDisconnected(t *testing.T) {
 	}
 }
 
+// TestGenerateAlgorithmsAgree pins Step 7 against the reference walker:
+// every atomic service's paths from the generator (the compiled CSR kernel)
+// equal pathdisc.AllPaths on the generator's map-based graph, in sequence,
+// on the diamond fixture and on the USI case study with the Table I
+// mapping, under several path options.
 func TestGenerateAlgorithmsAgree(t *testing.T) {
 	f := buildFixture(t)
-	g, _ := NewGenerator(f.model, "infrastructure")
-	base, err := g.Generate(f.svc, f.mp, "a-rec", Options{Algorithm: AlgoRecursive})
+	usi, err := casestudy.BuildModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	iter, err := g.Generate(f.svc, f.mp, "a-iter", Options{Algorithm: AlgoIterative})
+	printing, err := casestudy.PrintingService(usi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := g.Generate(f.svc, f.mp, "a-par", Options{Algorithm: AlgoParallel, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base.Services {
-		if !pathdisc.Equal(base.Services[i].Paths, iter.Services[i].Paths) {
-			t.Errorf("service %d: iterative differs", i)
+	for _, tc := range []struct {
+		name    string
+		model   *uml.Model
+		diagram string
+		svc     *service.Composite
+		mp      *mapping.Mapping
+	}{
+		{"diamond", f.model, "infrastructure", f.svc, f.mp},
+		{"usi", usi, casestudy.DiagramName, printing, casestudy.TableIMapping()},
+	} {
+		g, err := NewGenerator(tc.model, tc.diagram)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !pathdisc.Equal(base.Services[i].Paths, par.Services[i].Paths) {
-			t.Errorf("service %d: parallel differs", i)
-		}
-	}
-	// Same UPSIM node set in all variants.
-	b, i, p := base.NodeNames(), iter.NodeNames(), par.NodeNames()
-	for k := range b {
-		if b[k] != i[k] || b[k] != p[k] {
-			t.Fatalf("node sets differ: %v / %v / %v", b, i, p)
+		for i, paths := range []pathdisc.Options{{}, {MaxDepth: 5}, {CollapseParallel: true}} {
+			res, err := g.Generate(tc.svc, tc.mp, fmt.Sprintf("agree-%d", i), Options{Paths: paths})
+			if err != nil {
+				t.Fatalf("%s %+v: %v", tc.name, paths, err)
+			}
+			for _, sp := range res.Services {
+				want, _, err := pathdisc.AllPaths(g.Graph(), sp.Requester, sp.Provider, paths)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) != len(sp.Paths) {
+					t.Fatalf("%s %+v %s: %d paths, reference walker %d", tc.name, paths, sp.AtomicService, len(sp.Paths), len(want))
+				}
+				for k := range want {
+					if want[k].String() != sp.Paths[k].String() || !slices.Equal(want[k].Edges, sp.Paths[k].Edges) {
+						t.Fatalf("%s %+v %s: path %d = %s, reference walker %s", tc.name, paths, sp.AtomicService, k, sp.Paths[k], want[k])
+					}
+				}
+			}
 		}
 	}
 }
@@ -385,8 +408,7 @@ func TestGeneratorErrors(t *testing.T) {
 
 func TestAlgorithmAndMergeStrings(t *testing.T) {
 	for algo, want := range map[Algorithm]string{
-		AlgoRecursive: "recursive-dfs", AlgoIterative: "iterative-dfs",
-		AlgoParallel: "parallel-dfs", AlgoShortest: "shortest-path",
+		AlgoRecursive: "recursive-dfs", AlgoShortest: "shortest-path",
 	} {
 		if algo.String() != want {
 			t.Errorf("%d.String() = %q", algo, algo.String())

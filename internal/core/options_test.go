@@ -32,9 +32,6 @@ func TestOptionsZeroValueDefaults(t *testing.T) {
 	if o.Paths.MaxDepth != 0 || o.Paths.MaxPaths != 0 || o.Paths.CollapseParallel {
 		t.Errorf("Paths bounds = %+v, want 0/0/false (unbounded, parallel links kept)", o.Paths)
 	}
-	if o.Workers != 0 {
-		t.Errorf("Workers zero value = %d, want 0 (one goroutine per branch)", o.Workers)
-	}
 	if o.DiscoveryWorkers != 0 {
 		t.Errorf("DiscoveryWorkers zero value = %d, want 0 (automatic sizing)", o.DiscoveryWorkers)
 	}

@@ -3,7 +3,6 @@ package pathdisc
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"upsim/internal/topology"
@@ -85,21 +84,10 @@ func assertSameSequence(t *testing.T, label string, want, got []Path) {
 	}
 }
 
-// assertSameSet fails unless both slices hold the same path set (nodes and
-// edge IDs), compared after canonical Sort.
-func assertSameSet(t *testing.T, label string, want, got []Path) {
-	t.Helper()
-	if !Equal(want, got) {
-		t.Fatalf("%s: path sets differ (%d vs %d paths)", label, len(got), len(want))
-	}
-}
-
 // TestCSRVariantsMatchLegacyProperty is the equality property of the
 // compiled kernel: across randomized multigraphs (parallel edges, self-loops,
-// disconnected islands) and the full Options matrix, every CSR variant
-// returns exactly the path set of the legacy recursive DFS — the sequential
-// variants in the identical order, the parallel variant as the same set with
-// the same MaxPaths prefix semantics.
+// disconnected islands) and the full Options matrix, the CSR DFS returns
+// exactly the paths of the map-based recursive DFS, in the identical order.
 func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		n := 6 + int(seed)%9
@@ -117,25 +105,8 @@ func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 				t.Fatalf("%s: csr: %v", label, err)
 			}
 			assertSameSequence(t, label+" csr-dfs", want, rec)
-			iter, _, err := c.AllPathsIterative(src, dst, opts)
-			if err != nil {
-				t.Fatalf("%s: csr-iterative: %v", label, err)
-			}
-			assertSameSequence(t, label+" csr-iterative", want, iter)
-			for _, workers := range []int{0, 1, 3} {
-				par, parStats, err := c.AllPathsParallel(src, dst, opts, workers)
-				if err != nil {
-					t.Fatalf("%s: csr-parallel(%d): %v", label, workers, err)
-				}
-				if opts.MaxPaths > 0 {
-					// Truncated parallel output must be the sequential prefix.
-					assertSameSequence(t, fmt.Sprintf("%s csr-parallel(%d)", label, workers), want, par)
-				} else {
-					assertSameSet(t, fmt.Sprintf("%s csr-parallel(%d)", label, workers), want, par)
-				}
-				if parStats.Paths != len(par) {
-					t.Fatalf("%s: parallel stats.Paths = %d, len = %d", label, parStats.Paths, len(par))
-				}
+			if recStats.Paths != len(rec) {
+				t.Fatalf("%s: csr stats.Paths = %d, len = %d", label, recStats.Paths, len(rec))
 			}
 			// Pruning may only reduce effort, never change results.
 			if recStats.EdgeVisits > wantStats.EdgeVisits {
@@ -181,20 +152,6 @@ func FuzzCSRAgreesWithLegacy(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameSequence(t, "csr-dfs", want, got)
-		iter, _, err := c.AllPathsIterative(src, dst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameSequence(t, "csr-iterative", want, iter)
-		par, _, err := c.AllPathsParallel(src, dst, opts, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if opts.MaxPaths > 0 {
-			assertSameSequence(t, "csr-parallel", want, par)
-		} else {
-			assertSameSet(t, "csr-parallel", want, par)
-		}
 	})
 }
 
@@ -253,10 +210,10 @@ func TestCSRValidation(t *testing.T) {
 	if _, _, err := c.AllPaths("ghost", "n1", Options{}); err == nil {
 		t.Error("unknown requester should fail")
 	}
-	if _, _, err := c.AllPathsIterative("n0", "ghost", Options{}); err == nil {
+	if _, _, err := c.AllPaths("n0", "ghost", Options{}); err == nil {
 		t.Error("unknown provider should fail")
 	}
-	if _, _, err := c.AllPathsParallel("n0", "n0", Options{}, 2); err == nil {
+	if _, _, err := c.AllPaths("n0", "n0", Options{}); err == nil {
 		t.Error("identical endpoints should fail")
 	}
 }
@@ -268,18 +225,12 @@ func TestCSRDisconnectedPairSkipsSearch(t *testing.T) {
 	_ = g.AddNode("c", "")
 	_, _ = g.AddEdge("a", "b", "")
 	c := Compile(g)
-	for _, run := range []func() ([]Path, Stats, error){
-		func() ([]Path, Stats, error) { return c.AllPaths("a", "c", Options{}) },
-		func() ([]Path, Stats, error) { return c.AllPathsIterative("a", "c", Options{}) },
-		func() ([]Path, Stats, error) { return c.AllPathsParallel("a", "c", Options{}, 2) },
-	} {
-		paths, stats, err := run()
-		if err != nil || len(paths) != 0 {
-			t.Fatalf("disconnected pair: paths=%v err=%v", paths, err)
-		}
-		if stats.EdgeVisits != 0 {
-			t.Errorf("reachability pruning should skip the whole search, EdgeVisits = %d", stats.EdgeVisits)
-		}
+	paths, stats, err := c.AllPaths("a", "c", Options{})
+	if err != nil || len(paths) != 0 {
+		t.Fatalf("disconnected pair: paths=%v err=%v", paths, err)
+	}
+	if stats.EdgeVisits != 0 {
+		t.Errorf("reachability pruning should skip the whole search, EdgeVisits = %d", stats.EdgeVisits)
 	}
 }
 
@@ -348,73 +299,6 @@ func TestCSRPruningSkipsDeadEnds(t *testing.T) {
 	}
 }
 
-// TestCSRParallelGate pins the fan-out policy: no fan-out without cores or
-// branching, fan-out on a dense mesh when cores exist — and identical output
-// either way.
-func TestCSRParallelGate(t *testing.T) {
-	mesh, err := topology.Mesh(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := topology.Chain(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, cc := Compile(mesh), Compile(chain)
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	runtime.GOMAXPROCS(1)
-	if cm.ParallelEligible("n0", Options{}) {
-		t.Error("GOMAXPROCS=1 must force the sequential fallback")
-	}
-	runtime.GOMAXPROCS(4)
-	if !cm.ParallelEligible("n0", Options{}) {
-		t.Errorf("mesh (branching %.1f) with 4 procs should fan out", cm.Branching())
-	}
-	if cc.ParallelEligible("n0", Options{}) {
-		t.Errorf("chain (branching %.2f) is below the %.1f threshold and must not fan out",
-			cc.Branching(), ParallelBranchingThreshold)
-	}
-
-	// Both gate outcomes produce the legacy path set (fan-out exercised here
-	// regardless of the host's core count, which matters under -race).
-	want, _, err := AllPaths(mesh, "n0", "n6", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fanned, _, err := cm.AllPathsParallel("n0", "n6", Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSet(t, "fan-out", want, fanned)
-	runtime.GOMAXPROCS(1)
-	fallback, _, err := cm.AllPathsParallel("n0", "n6", Options{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSequence(t, "fallback", want, fallback)
-}
-
-// TestCSRParallelMaxPathsPrefix mirrors the legacy parallel prefix guarantee
-// under forced fan-out.
-func TestCSRParallelMaxPathsPrefix(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	runtime.GOMAXPROCS(4)
-	g, _ := topology.Mesh(7)
-	c := Compile(g)
-	full, _, _ := AllPaths(g, "n0", "n6", Options{})
-	trunc, stats, err := c.AllPathsParallel("n0", "n6", Options{MaxPaths: 25}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trunc) != 25 || !stats.Truncated {
-		t.Fatalf("parallel truncation: %d paths, truncated=%v", len(trunc), stats.Truncated)
-	}
-	assertSameSequence(t, "prefix", full[:25], trunc)
-}
-
 // TestCSRScratchReuse runs many enumerations through one kernel to verify
 // pooled scratch stays clean between uses (a stale visited bit would drop
 // paths; a stale path buffer would corrupt them).
@@ -432,12 +316,12 @@ func TestCSRScratchReuse(t *testing.T) {
 		}
 		assertSameSequence(t, fmt.Sprintf("round %d", i), want, got)
 	}
-	// Interleave different endpoint pairs and variants.
+	// Interleave different endpoint pairs and options.
 	for i := 0; i < 20; i++ {
-		if _, _, err := c.AllPathsIterative("n1", "n4", Options{MaxDepth: 3}); err != nil {
+		if _, _, err := c.AllPaths("n1", "n4", Options{MaxDepth: 3}); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.AllPathsParallel("n2", "n3", Options{}, 0); err != nil {
+		if _, _, err := c.AllPaths("n2", "n3", Options{}); err != nil {
 			t.Fatal(err)
 		}
 		got, _, err := c.AllPaths("n0", "n5", Options{})
@@ -468,7 +352,7 @@ func TestEqualKeyAllocs(t *testing.T) {
 	}
 }
 
-// --- Benchmarks (the CI smoke job runs -bench=PathDisc -benchtime=1x) ---
+// --- Benchmarks (the CI smoke job runs every benchmark with -benchtime=1x) ---
 
 func benchGraph(b *testing.B) *topology.Graph {
 	g, err := topology.Mesh(8)
@@ -494,28 +378,6 @@ func BenchmarkPathDiscCSRMesh8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := c.AllPaths("n0", "n7", Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPathDiscCSRIterativeMesh8(b *testing.B) {
-	c := Compile(benchGraph(b))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.AllPathsIterative("n0", "n7", Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPathDiscCSRParallelMesh8(b *testing.B) {
-	c := Compile(benchGraph(b))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.AllPathsParallel("n0", "n7", Options{}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -400,8 +400,6 @@ func prefixMatches(p, prev kpath, i int) bool {
 // returns a *LimitError with Kind "kbest" before any search runs.
 // Stats.Truncated reports that exactly K paths were returned (more may
 // exist); Paths, NodeVisits and EdgeVisits count the ranked search effort.
-//
-// Package-level alias: KShortestCSR.
 func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, error) {
 	s0, d0, err := c.validate(src, dst)
 	if err != nil {
@@ -536,11 +534,4 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 	k.stats.Truncated = len(out) == opts.K
 	observe("csr-kbest", k.stats)
 	return out, k.stats, nil
-}
-
-// KShortestCSR runs ranked discovery on a compiled graph — the
-// package-level counterpart of Compiled.KShortest, mirroring the
-// AllPathsCSR naming scheme.
-func KShortestCSR(c *Compiled, src, dst string, opts Options) ([]Path, Stats, error) {
-	return c.KShortest(src, dst, opts)
 }

@@ -3,10 +3,13 @@
 // and a service mapping pair (requester, provider), it enumerates all simple
 // paths between the two components. The paper chooses "a depth-first search
 // (DFS) algorithm with a path tracking mechanism to avoid live-locks within
-// cycles"; this package provides that algorithm in recursive, iterative and
-// parallel variants (all producing the same path set, which the tests verify
-// by property), a bounded-depth variant for very dense graphs, and a BFS
-// shortest-path baseline used by the redundancy ablation.
+// cycles". The product kernel is the compiled recursive DFS over a CSR
+// lowering of the graph (Compile, Compiled.AllPaths) plus its ranked
+// counterpart (Compiled.KShortest); the map-based recursive AllPaths in this
+// file is the reference walker the property and fuzz tests compare the
+// compiled kernel against. CountPaths enumerates without storing paths for
+// the dense-graph scaling study, and ShortestPath is the BFS baseline of the
+// redundancy ablation.
 package pathdisc
 
 import (
@@ -15,7 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"upsim/internal/obs"
 	"upsim/internal/topology"
@@ -194,8 +196,7 @@ type Stats struct {
 	// NodeVisits counts node expansions, including the initial requester
 	// and re-entries of the same node along different partial paths. Each
 	// traversed edge enters exactly one node, so for a completed search
-	// NodeVisits = EdgeVisits + 1 (per independent sub-search for the
-	// parallel variant).
+	// NodeVisits = EdgeVisits + 1.
 	NodeVisits int
 	// MaxStack is the deepest DFS stack observed (in nodes).
 	MaxStack int
@@ -203,7 +204,7 @@ type Stats struct {
 	Paths int
 	// Pruned counts expansions skipped by the compiled kernel's
 	// destination-reachability pruning (see Compile); always zero for the
-	// map-based variants, which explore dead-end subtrees in full.
+	// map-based reference walker, which explores dead-end subtrees in full.
 	Pruned int
 	// Truncated reports whether MaxPaths stopped the enumeration early.
 	Truncated bool
@@ -297,314 +298,6 @@ func AllPaths(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, 
 	}
 	stats.NodeVisits = stats.EdgeVisits + 1
 	observe("recursive-dfs", stats)
-	return out, stats, nil
-}
-
-// AllPathsIterative is the explicit-stack variant of AllPaths. It produces
-// exactly the same path sequence and exists both as an ablation subject and
-// as the safe choice for very deep graphs where recursion depth is a
-// concern.
-func AllPathsIterative(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	type frame struct {
-		node     string
-		nextIdx  int
-		seenPair map[string]bool
-	}
-	var (
-		stats   Stats
-		out     []Path
-		nodes   = []string{src}
-		edges   []int
-		visited = map[string]bool{src: true}
-		stack   = []*frame{{node: src}}
-	)
-	if opts.CollapseParallel {
-		stack[0].seenPair = map[string]bool{}
-	}
-	for len(stack) > 0 {
-		if len(nodes) > stats.MaxStack {
-			stats.MaxStack = len(nodes)
-		}
-		f := stack[len(stack)-1]
-		inc := g.IncidentEdges(f.node)
-		advanced := false
-		for f.nextIdx < len(inc) {
-			id := inc[f.nextIdx]
-			f.nextIdx++
-			e, _ := g.Edge(id)
-			next := e.Other(f.node)
-			if visited[next] {
-				continue
-			}
-			if opts.CollapseParallel {
-				if f.seenPair[next] {
-					continue
-				}
-				f.seenPair[next] = true
-			}
-			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			if next == dst {
-				p := Path{
-					Nodes: append(append([]string(nil), nodes...), next),
-					Edges: append(append([]int(nil), edges...), id),
-				}
-				out = append(out, p)
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && stats.Paths > opts.HardMaxPaths {
-					return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-				}
-				if opts.MaxPaths > 0 && stats.Paths >= opts.MaxPaths {
-					stats.Truncated = true
-					stats.NodeVisits = stats.EdgeVisits + 1
-					observe("iterative-dfs", stats)
-					return out, stats, nil
-				}
-				continue
-			}
-			visited[next] = true
-			nodes = append(nodes, next)
-			edges = append(edges, id)
-			nf := &frame{node: next}
-			if opts.CollapseParallel {
-				nf.seenPair = map[string]bool{}
-			}
-			stack = append(stack, nf)
-			advanced = true
-			break
-		}
-		if advanced {
-			continue
-		}
-		// Frame exhausted: backtrack.
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			visited[f.node] = false
-			nodes = nodes[:len(nodes)-1]
-			edges = edges[:len(edges)-1]
-		}
-	}
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("iterative-dfs", stats)
-	return out, stats, nil
-}
-
-// AllPathsParallel enumerates the same path set as AllPaths using a worker
-// pool: the search space is partitioned by the first edge out of the
-// requester and each branch is explored concurrently. Results are re-sorted
-// into the sequential order. workers < 1 selects one worker per branch.
-func AllPathsParallel(g *topology.Graph, src, dst string, opts Options, workers int) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	branches := g.IncidentEdges(src)
-	if len(branches) == 0 {
-		return nil, Stats{}, nil
-	}
-	if workers < 1 || workers > len(branches) {
-		workers = len(branches)
-	}
-	// MaxPaths interacts with branch parallelism: each branch enumerates at
-	// most MaxPaths, then the merged result is truncated. The combined
-	// result therefore honours the global bound while staying deterministic.
-	type result struct {
-		branch int
-		paths  []Path
-		stats  Stats
-		err    error
-	}
-	work := make(chan int)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for bi := range work {
-				paths, stats, err := branchPaths(g, src, dst, branches[bi], opts)
-				results <- result{branch: bi, paths: paths, stats: stats, err: err}
-			}
-		}()
-	}
-	go func() {
-		for bi := range branches {
-			work <- bi
-		}
-		close(work)
-		wg.Wait()
-		close(results)
-	}()
-
-	collected := make([][]Path, len(branches))
-	var stats Stats
-	var firstErr error
-	seenPair := map[string]bool{}
-	for r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		collected[r.branch] = r.paths
-		stats.EdgeVisits += r.stats.EdgeVisits
-		if r.stats.MaxStack > stats.MaxStack {
-			stats.MaxStack = r.stats.MaxStack
-		}
-	}
-	if firstErr != nil {
-		if _, ok := AsLimitError(firstErr); ok {
-			// Branch-local limit errors name the branch's entry node; report
-			// the enumeration's own endpoints instead.
-			firstErr = &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-		}
-		return nil, Stats{}, firstErr
-	}
-	var out []Path
-	for bi := range branches {
-		for _, p := range collected[bi] {
-			if opts.CollapseParallel {
-				// Branch-local parallel-edge collapsing cannot see sibling
-				// branches that start over a parallel edge of the same
-				// pair; dedupe on the node sequence here.
-				key := strings.Join(p.Nodes, "\x00")
-				if seenPair[key] {
-					continue
-				}
-				seenPair[key] = true
-			}
-			out = append(out, p)
-			if opts.HardMaxPaths > 0 && len(out) > opts.HardMaxPaths {
-				return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-			}
-			if opts.MaxPaths > 0 && len(out) >= opts.MaxPaths {
-				stats.Truncated = true
-				stats.Paths = len(out)
-				stats.NodeVisits = stats.EdgeVisits + 1
-				observe("parallel-dfs", stats)
-				return out, stats, nil
-			}
-		}
-	}
-	stats.Paths = len(out)
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("parallel-dfs", stats)
-	return out, stats, nil
-}
-
-// branchPaths runs the sequential DFS restricted to paths whose first edge
-// is firstEdge.
-func branchPaths(g *topology.Graph, src, dst string, firstEdge int, opts Options) ([]Path, Stats, error) {
-	e, ok := g.Edge(firstEdge)
-	if !ok {
-		return nil, Stats{}, fmt.Errorf("pathdisc: unknown edge %d", firstEdge)
-	}
-	next := e.Other(src)
-	var stats Stats
-	stats.EdgeVisits = 1
-	if next == dst {
-		p := Path{Nodes: []string{src, dst}, Edges: []int{firstEdge}}
-		stats.Paths = 1
-		stats.MaxStack = 2
-		return []Path{p}, stats, nil
-	}
-	if opts.MaxDepth == 1 {
-		return nil, stats, nil
-	}
-	subOpts := opts
-	if subOpts.MaxDepth > 0 {
-		subOpts.MaxDepth--
-	}
-	sub, subStats, err := allPathsAvoiding(g, next, dst, subOpts, src)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.EdgeVisits += subStats.EdgeVisits
-	stats.MaxStack = subStats.MaxStack + 1
-	out := make([]Path, 0, len(sub))
-	for _, p := range sub {
-		out = append(out, Path{
-			Nodes: append([]string{src}, p.Nodes...),
-			Edges: append([]int{firstEdge}, p.Edges...),
-		})
-	}
-	stats.Paths = len(out)
-	return out, stats, nil
-}
-
-// allPathsAvoiding is AllPaths with an extra pre-visited node.
-func allPathsAvoiding(g *topology.Graph, src, dst string, opts Options, avoid string) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	var (
-		stats   Stats
-		out     []Path
-		nodes   = []string{src}
-		edges   []int
-		visited = map[string]bool{src: true, avoid: true}
-		hardHit bool
-	)
-	var rec func(cur string) bool
-	rec = func(cur string) bool {
-		if len(nodes) > stats.MaxStack {
-			stats.MaxStack = len(nodes)
-		}
-		seenPair := map[string]bool{}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if visited[next] {
-				continue
-			}
-			if opts.CollapseParallel {
-				if seenPair[next] {
-					continue
-				}
-				seenPair[next] = true
-			}
-			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			nodes = append(nodes, next)
-			edges = append(edges, id)
-			if next == dst {
-				out = append(out, Path{Nodes: append([]string(nil), nodes...), Edges: append([]int(nil), edges...)})
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && stats.Paths > opts.HardMaxPaths {
-					hardHit = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-				if opts.MaxPaths > 0 && stats.Paths >= opts.MaxPaths {
-					stats.Truncated = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			} else {
-				visited[next] = true
-				ok := rec(next)
-				visited[next] = false
-				if !ok {
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			}
-			nodes = nodes[:len(nodes)-1]
-			edges = edges[:len(edges)-1]
-		}
-		return true
-	}
-	rec(src)
-	if hardHit {
-		return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
 	return out, stats, nil
 }
 

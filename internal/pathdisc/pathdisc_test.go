@@ -173,11 +173,6 @@ func TestDisconnectedPair(t *testing.T) {
 	if _, err := ShortestPath(g, "a", "b"); err == nil {
 		t.Error("shortest path on disconnected pair should fail")
 	}
-	// Parallel variant with zero branches.
-	pp, _, err := AllPathsParallel(g, "a", "b", Options{}, 4)
-	if err != nil || len(pp) != 0 {
-		t.Errorf("parallel disconnected = %v, %v", pp, err)
-	}
 }
 
 func TestShortestPath(t *testing.T) {
@@ -226,24 +221,17 @@ func TestVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		iter, _, err := AllPathsIterative(g, src, dst, Options{})
+		csr, _, err := Compile(g).AllPaths(src, dst, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		par, _, err := AllPathsParallel(g, src, dst, Options{}, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if !Equal(rec, csr) {
+			t.Errorf("%s: map-based and compiled path sets differ (%d vs %d)", name, len(rec), len(csr))
 		}
-		if !Equal(rec, iter) {
-			t.Errorf("%s: recursive and iterative path sets differ (%d vs %d)", name, len(rec), len(iter))
-		}
-		if !Equal(rec, par) {
-			t.Errorf("%s: recursive and parallel path sets differ (%d vs %d)", name, len(rec), len(par))
-		}
-		// Iterative emits the same sequence, not just the same set.
+		// The compiled kernel emits the same sequence, not just the same set.
 		for i := range rec {
-			if rec[i].equalKey() != iter[i].equalKey() {
-				t.Errorf("%s: sequence differs at %d: %s vs %s", name, i, rec[i], iter[i])
+			if rec[i].equalKey() != csr[i].equalKey() {
+				t.Errorf("%s: sequence differs at %d: %s vs %s", name, i, rec[i], csr[i])
 				break
 			}
 		}
@@ -257,10 +245,9 @@ func TestVariantsAgreeWithOptions(t *testing.T) {
 	}
 	opts := Options{MaxDepth: 6, CollapseParallel: true}
 	rec, _, _ := AllPaths(g, "n0", "n17", opts)
-	iter, _, _ := AllPathsIterative(g, "n0", "n17", opts)
-	par, _, _ := AllPathsParallel(g, "n0", "n17", opts, 3)
-	if !Equal(rec, iter) || !Equal(rec, par) {
-		t.Errorf("variants disagree under options: %d/%d/%d", len(rec), len(iter), len(par))
+	csr, _, _ := Compile(g).AllPaths("n0", "n17", opts)
+	if !Equal(rec, csr) {
+		t.Errorf("map-based and compiled kernels disagree under options: %d/%d", len(rec), len(csr))
 	}
 }
 
@@ -345,37 +332,6 @@ func TestPathString(t *testing.T) {
 	}
 }
 
-func TestParallelWorkerCounts(t *testing.T) {
-	g, _ := topology.Mesh(6)
-	want, _, _ := AllPaths(g, "n0", "n5", Options{})
-	for _, workers := range []int{-1, 0, 1, 2, 16, 100} {
-		got, _, err := AllPathsParallel(g, "n0", "n5", Options{}, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !Equal(want, got) {
-			t.Errorf("workers=%d: path set differs", workers)
-		}
-	}
-}
-
-func TestParallelMaxPathsPrefix(t *testing.T) {
-	g, _ := topology.Mesh(7)
-	full, _, _ := AllPaths(g, "n0", "n6", Options{})
-	trunc, stats, err := AllPathsParallel(g, "n0", "n6", Options{MaxPaths: 25}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trunc) != 25 || !stats.Truncated {
-		t.Fatalf("parallel truncation: %d paths, truncated=%v", len(trunc), stats.Truncated)
-	}
-	for i := range trunc {
-		if trunc[i].equalKey() != full[i].equalKey() {
-			t.Fatalf("parallel truncated result is not the sequential prefix at %d", i)
-		}
-	}
-}
-
 func TestCountPathsAgreesWithAllPaths(t *testing.T) {
 	graphs := map[string]*topology.Graph{}
 	if g, err := topology.Mesh(7); err == nil {
@@ -443,13 +399,7 @@ func TestNodeVisitsAndMetrics(t *testing.T) {
 	if stats.NodeVisits != stats.EdgeVisits+1 {
 		t.Errorf("NodeVisits = %d, EdgeVisits = %d", stats.NodeVisits, stats.EdgeVisits)
 	}
-	// Every variant reports NodeVisits.
-	if _, s, err := AllPathsIterative(g, "a", "d", Options{}); err != nil || s.NodeVisits == 0 {
-		t.Errorf("iterative NodeVisits = %d, err = %v", s.NodeVisits, err)
-	}
-	if _, s, err := AllPathsParallel(g, "a", "d", Options{}, 2); err != nil || s.NodeVisits != s.EdgeVisits+1 {
-		t.Errorf("parallel NodeVisits = %d (edges %d), err = %v", s.NodeVisits, s.EdgeVisits, err)
-	}
+	// Counting reports NodeVisits too.
 	if _, s, err := CountPaths(g, "a", "d", Options{}); err != nil || s.NodeVisits == 0 {
 		t.Errorf("count NodeVisits = %d, err = %v", s.NodeVisits, err)
 	}
@@ -491,18 +441,14 @@ func BenchmarkAllPathsInstrumented(b *testing.B) {
 }
 
 // TestHardMaxPaths pins the hard-limit contract across every enumeration
-// variant: the diamond holds two simple paths, so a hard limit of 1 must
+// entry point: the diamond holds two simple paths, so a hard limit of 1 must
 // abort with a *LimitError while a limit of 2 passes untouched.
 func TestHardMaxPaths(t *testing.T) {
 	g := diamond(t)
 	c := Compile(g)
 	variants := map[string]func(Options) ([]Path, Stats, error){
 		"recursive": func(o Options) ([]Path, Stats, error) { return AllPaths(g, "a", "d", o) },
-		"iterative": func(o Options) ([]Path, Stats, error) { return AllPathsIterative(g, "a", "d", o) },
-		"parallel":  func(o Options) ([]Path, Stats, error) { return AllPathsParallel(g, "a", "d", o, 2) },
 		"csr":       func(o Options) ([]Path, Stats, error) { return c.AllPaths("a", "d", o) },
-		"csr-iter":  func(o Options) ([]Path, Stats, error) { return c.AllPathsIterative("a", "d", o) },
-		"csr-par":   func(o Options) ([]Path, Stats, error) { return c.AllPathsParallel("a", "d", o, 2) },
 	}
 	for name, run := range variants {
 		t.Run(name, func(t *testing.T) {

@@ -218,6 +218,13 @@ func contractCases(t *testing.T) []contractCase {
 	post("unknown delta op", "/api/v1/whatif", with(whatif, obj{"mode": WhatIfModeApply, "deltas": []obj{{"op": "teleport"}}}))
 	post("empty failure", "/api/v1/whatif", with(whatif, obj{"failure": nil}))
 	post("budget 422", "/api/v1/whatif", with(whatif, obj{"mode": WhatIfModeCritical, "cutLimit": 1}))
+	get("negative k", "/api/v1/paths?from=t1&to=printS&k=-1")
+	get("negative maxDepth", "/api/v1/paths?from=t1&to=printS&maxDepth=-4&maxPaths=1")
+	get("negative maxPaths", "/api/v1/paths?from=t1&to=printS&maxPaths=-1")
+	post("negative k", "/api/v1/paths", with(paths, obj{"k": -1}))
+	post("negative maxDepth", "/api/v1/paths", with(paths, obj{"maxDepth": -4}))
+	post("negative maxPaths", "/api/v1/paths", with(paths, obj{"maxPaths": -1}))
+	post("negative k", "/api/v1/batch", batch(with(paths, obj{"op": OpPaths, "k": -1})))
 	return cases
 }
 

@@ -475,6 +475,24 @@ type pathsRequest struct {
 	Cost string `json:"cost,omitempty"`
 }
 
+// validate checks the model input and rejects negative discovery bounds:
+// zero already means "unbounded", so a sign slip must not turn a bounded
+// request into a full enumeration.
+func (req *pathsRequest) validate() error {
+	if err := req.modelInput.validate(); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"k", req.K}, {"maxDepth", req.MaxDepth}, {"maxPaths", req.MaxPaths}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must be >= 0", f.name)
+		}
+	}
+	return nil
+}
+
 // rankedPathJSON is one ranked-discovery result: the hop sequence plus the
 // stereotype-derived metrics joined from the provenance layer.
 type rankedPathJSON struct {

@@ -163,10 +163,10 @@ func AllPaths(g *Graph, from, to string, opts PathOptions) ([]Path, PathStats, e
 }
 
 // CompiledGraph is a topology lowered into a CSR (compressed sparse row)
-// integer-indexed form by Compile. Its enumeration methods (AllPaths,
-// AllPathsIterative, AllPathsParallel) return exactly the same path sets as
-// the package-level functions but skip the per-call map allocations and
-// prune expansions that cannot reach the provider. A CompiledGraph is
+// integer-indexed form by Compile. Its AllPaths returns exactly the same
+// paths, in the same order, as the package-level AllPaths but skips the
+// per-call map allocations and prunes expansions that cannot reach the
+// provider; KShortest ranks the k cheapest paths instead. A CompiledGraph is
 // immutable and safe for concurrent use; Generators compile their
 // infrastructure graph automatically (Generator.Compiled).
 type CompiledGraph = pathdisc.Compiled
@@ -297,8 +297,6 @@ type (
 // Algorithm and merge-semantics selectors for Options.
 const (
 	AlgoRecursive = core.AlgoRecursive
-	AlgoIterative = core.AlgoIterative
-	AlgoParallel  = core.AlgoParallel
 	AlgoShortest  = core.AlgoShortest
 
 	MergeInduced   = core.MergeInduced
