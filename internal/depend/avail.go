@@ -67,10 +67,12 @@ func Unavailability(mtbf, mttr float64) (float64, error) {
 	return 1 - a, nil
 }
 
-// checkProb validates a probability value.
-func checkProb(p float64, what string) error {
+// checkProb validates a probability value. The label is what+name, e.g.
+// "availability of " + "c1", and is only assembled when p is invalid, so
+// the per-component checks of the analysis loops allocate nothing.
+func checkProb(p float64, what, name string) error {
 	if p < 0 || p > 1 || p != p {
-		return fmt.Errorf("depend: %s %v outside [0,1]", what, p)
+		return fmt.Errorf("depend: %s%s %v outside [0,1]", what, name, p)
 	}
 	return nil
 }

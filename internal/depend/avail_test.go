@@ -61,6 +61,43 @@ func TestAvailabilityErrors(t *testing.T) {
 	}
 }
 
+// TestProbabilityErrorTexts pins the out-of-range messages of every
+// probability check: the labels are assembled only on failure, and the text
+// must stay what it was when they were built eagerly.
+func TestProbabilityErrorTexts(t *testing.T) {
+	s := &ServiceStructure{AtomicServices: []AtomicStructure{
+		{Name: "svc", PathSets: []PathSet{{"c1", "c2"}}},
+	}}
+	for _, tc := range []struct {
+		p    float64
+		text string // the %v rendering of p
+	}{
+		{math.NaN(), "NaN"},
+		{-0.1, "-0.1"},
+		{1.5, "1.5"},
+	} {
+		avail := map[string]float64{"c1": 0.9, "c2": tc.p}
+		wantAvail := "depend: availability of c2 " + tc.text + " outside [0,1]"
+		for _, got := range []struct {
+			what string
+			err  func() error
+			want string
+		}{
+			{"compiled Exact", func() error { _, err := Compile(s).Exact(avail); return err }, wantAvail},
+			{"legacy Exact", func() error { _, err := s.Exact(avail); return err }, wantAvail},
+			{"Basic.Availability", func() error { _, err := (Basic{Name: "b", A: tc.p}).Availability(); return err },
+				"depend: availability of b " + tc.text + " outside [0,1]"},
+			{"BasicEvent.Probability", func() error { _, err := (BasicEvent{Name: "e", Q: tc.p}).Probability(); return err },
+				"depend: failure probability of e " + tc.text + " outside [0,1]"},
+		} {
+			err := got.err()
+			if err == nil || err.Error() != got.want {
+				t.Errorf("%s with %s: error %v, want %q", got.what, tc.text, err, got.want)
+			}
+		}
+	}
+}
+
 func TestUnavailability(t *testing.T) {
 	u, err := Unavailability(100, 100)
 	if err != nil {

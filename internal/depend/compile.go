@@ -136,9 +136,11 @@ func minimalizeBits(sets []bitset) []bitset {
 const arenaChunk = 4096
 
 // bitArena is a bump allocator for transient bitsets (cross-product unions,
-// transversal candidates). Blocks are recycled through the compiled
-// structure's sync.Pool, so steady-state analysis allocates nothing per
-// candidate. Allocated bitsets are only valid until the arena is returned.
+// transversal candidates). Blocks are recycled through the package-level
+// arenaPool, shared by every compiled structure, so steady-state analysis
+// allocates nothing per candidate — not even the first analysis of a freshly
+// compiled structure. Allocated bitsets are only valid until the arena is
+// returned.
 type bitArena struct {
 	blocks [][]uint64
 	bi     int // current block
@@ -184,7 +186,7 @@ type compiledAtomic struct {
 // CompiledStructure is the interned, bitset form of a ServiceStructure,
 // built once by Compile and reusable across any number of analyses. It is
 // immutable after construction and safe for concurrent use; per-analysis
-// scratch comes from an internal sync.Pool. Component ids are dense ints in
+// scratch comes from the package-level pools. Component ids are dense ints in
 // sorted-name order, so ascending-id iteration visits components exactly as
 // the legacy code's sorted Components() loops do.
 type CompiledStructure struct {
@@ -195,22 +197,27 @@ type CompiledStructure struct {
 
 	validErr  error // Validate() result of the source structure, if any
 	patchDead bool  // validErr was induced by PatchRemoveComponent (see patch.go)
-
-	pool      sync.Pool // *bitArena
-	exactPool sync.Pool // *exactCtx (memo table + factoring arenas, memo.go)
 }
+
+// arenaPool recycles bitset arenas across every compiled structure.
+var arenaPool = sync.Pool{New: func() any { return new(bitArena) }}
 
 // Compile lowers s into its interned bitset form. An invalid structure
 // still compiles (the component universe is well defined regardless); its
 // Validate error is stored and returned by every analysis entry point,
 // mirroring the legacy methods.
 func Compile(s *ServiceStructure) *CompiledStructure {
-	names := s.Components()
+	return compile(s, s.Components(), s.Validate())
+}
+
+// compile is Compile with the structure's sorted components and Validate
+// outcome supplied by a caller that already has them; names is retained.
+func compile(s *ServiceStructure, names []string, validErr error) *CompiledStructure {
 	cs := &CompiledStructure{
 		names:    names,
 		index:    make(map[string]int32, len(names)),
 		words:    (len(names) + 63) / 64,
-		validErr: s.Validate(),
+		validErr: validErr,
 	}
 	for i, c := range names {
 		cs.index[c] = int32(i)
@@ -227,8 +234,6 @@ func Compile(s *ServiceStructure) *CompiledStructure {
 		}
 		cs.atomics = append(cs.atomics, ca)
 	}
-	cs.pool.New = func() any { return new(bitArena) }
-	cs.exactPool.New = func() any { return new(exactCtx) }
 	mDependCompile.With().Inc()
 	mDependComponents.With().Set(int64(len(names)))
 	return cs
@@ -249,13 +254,13 @@ func (cs *CompiledStructure) Words() int { return cs.words }
 // Err returns the Validate error of the source structure, if any.
 func (cs *CompiledStructure) Err() error { return cs.validErr }
 
-func (cs *CompiledStructure) getArena() *bitArena {
-	a := cs.pool.Get().(*bitArena)
+func getArena() *bitArena {
+	a := arenaPool.Get().(*bitArena)
 	a.reset()
 	return a
 }
 
-func (cs *CompiledStructure) putArena(a *bitArena) { cs.pool.Put(a) }
+func putArena(a *bitArena) { arenaPool.Put(a) }
 
 // packAvail lowers the availability map onto the dense id space, with the
 // exact validation (and error messages) of the legacy checkAvail.
@@ -266,7 +271,7 @@ func (cs *CompiledStructure) packAvail(avail map[string]float64) ([]float64, err
 		if !ok {
 			return nil, fmt.Errorf(errFmtNoAvailability, c)
 		}
-		if err := checkProb(a, "availability of "+c); err != nil {
+		if err := checkProb(a, "availability of ", c); err != nil {
 			return nil, err
 		}
 		pa[i] = a
@@ -301,7 +306,7 @@ func (cs *CompiledStructure) ServicePathSets(limit int) ([]PathSet, error) {
 		return nil, err
 	}
 	out := cs.toPathSets(sets)
-	cs.putArena(ar)
+	putArena(ar)
 	return out, nil
 }
 
@@ -321,7 +326,7 @@ func (cs *CompiledStructure) servicePathBits(limit int) ([]bitset, *bitArena, er
 			return nil, nil, &BudgetError{Kind: BudgetServicePathSets, Need: raw, Limit: limit}
 		}
 	}
-	ar := cs.getArena()
+	ar := getArena()
 	unions := []bitset{ar.alloc(cs.words)}
 	for _, a := range cs.atomics {
 		next := make([]bitset, 0, len(unions)*len(a.sets))
@@ -348,7 +353,7 @@ func (cs *CompiledStructure) MinimalCutSets(limit int) ([]PathSet, error) {
 		return nil, err
 	}
 	out := cs.toPathSets(sets)
-	cs.putArena(ar)
+	putArena(ar)
 	return out, nil
 }
 
@@ -359,12 +364,12 @@ func (cs *CompiledStructure) minimalCutBits(limit int) ([]bitset, *bitArena, err
 	if limit <= 0 {
 		limit = DefaultSetLimit
 	}
-	ar := cs.getArena()
+	ar := getArena()
 	var all []bitset
 	for _, a := range cs.atomics {
 		cuts, err := transversalsBits(a.sets, cs.words, limit, ar)
 		if err != nil {
-			cs.putArena(ar)
+			putArena(ar)
 			if be, ok := AsBudgetError(err); ok {
 				return nil, nil, be.forAtomic(a.name)
 			}
@@ -420,12 +425,12 @@ func (cs *CompiledStructure) EsaryProschan(avail map[string]float64, limit int) 
 	if err != nil {
 		return Bounds{}, err
 	}
-	defer cs.putArena(arPaths)
+	defer putArena(arPaths)
 	cuts, arCuts, err := cs.minimalCutBits(limit)
 	if err != nil {
 		return Bounds{}, err
 	}
-	defer cs.putArena(arCuts)
+	defer putArena(arCuts)
 	lower := 1.0
 	for _, k := range cuts {
 		qAll := 1.0
@@ -470,7 +475,7 @@ func (cs *CompiledStructure) ExactInclusionExclusion(avail map[string]float64, l
 	if err != nil {
 		return 0, err
 	}
-	defer cs.putArena(ar)
+	defer putArena(ar)
 	if limit <= 0 {
 		limit = 20
 	}
@@ -548,13 +553,13 @@ func (cs *CompiledStructure) Exact(avail map[string]float64) (float64, error) {
 //
 //upsim:hotpath
 func (cs *CompiledStructure) exactPacked(pa []float64) float64 {
-	ctx := cs.getExactCtx()
+	ctx := getExactCtx(len(cs.names))
 	f := ctx.ffs.alloc(len(cs.atomics))
 	for _, a := range cs.atomics {
 		f = append(f, a.sets)
 	}
 	v := cs.factorBits(f, pa, ctx)
-	cs.putExactCtx(ctx)
+	putExactCtx(ctx)
 	return v
 }
 
@@ -850,4 +855,39 @@ func (cs *CompiledStructure) FussellVesely(avail map[string]float64, component s
 		return 0, err
 	}
 	return ((1 - base) - (1 - perfect)) / qSys, nil
+}
+
+// Importances returns, for every component in id order (the sorted order of
+// Components), the exact service availability with that component forced up
+// (up[i]) and forced down (down[i]). Birnbaum importance is up[i]−down[i]
+// and Fussell–Vesely importance is ((1−base)−(1−up[i]))/(1−base), each
+// bit-identical to the per-component Birnbaum and FussellVesely methods,
+// while the availability map is packed once and each component costs the
+// two factorings Birnbaum alone runs (Birnbaum plus FussellVesely run six).
+func (cs *CompiledStructure) Importances(avail map[string]float64) (up, down []float64, err error) {
+	if cs.validErr != nil {
+		return nil, nil, cs.validErr
+	}
+	pa, err := cs.packAvail(avail)
+	if err != nil {
+		return nil, nil, err
+	}
+	up = make([]float64, len(pa))
+	down = make([]float64, len(pa))
+	cs.importances(pa, up, down)
+	return up, down, nil
+}
+
+// importances fills up and down by forcing each component of the packed
+// vector pa up, then down, and restoring it before moving on.
+//
+//upsim:hotpath two factorings per component
+func (cs *CompiledStructure) importances(pa, up, down []float64) {
+	for i, a := range pa {
+		pa[i] = 1
+		up[i] = cs.exactPacked(pa)
+		pa[i] = 0
+		down[i] = cs.exactPacked(pa)
+		pa[i] = a
+	}
 }

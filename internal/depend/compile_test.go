@@ -170,6 +170,7 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s, avail := randomStructure(rng)
 		checkCompiledEquivalence(t, s, avail)
+		checkFusedAnalyses(t, s, avail)
 	}
 }
 
@@ -340,5 +341,67 @@ func FuzzCompiledKernel(f *testing.F) {
 			avail[c] = float64(next()) / 255
 		}
 		checkCompiledEquivalence(t, s, avail)
+		checkFusedAnalyses(t, s, avail)
 	})
+}
+
+// checkFusedAnalyses pins the analysis pipeline's shortcuts to the public
+// per-call API, exactly (==): the in-place RBD and fault-tree loops against
+// the block and gate trees, and Importances against per-component Birnbaum
+// and FussellVesely.
+func checkFusedAnalyses(t *testing.T, s *ServiceStructure, avail map[string]float64) {
+	t.Helper()
+	rbd, err := s.ToRBD(avail)
+	if err != nil {
+		t.Fatalf("ToRBD: %v", err)
+	}
+	wantRBD, err := rbd.Availability()
+	if err != nil {
+		t.Fatalf("RBD Availability: %v", err)
+	}
+	if got := s.seriesParallel(avail); got != wantRBD {
+		t.Fatalf("in-place RBD %.17g, ToRBD().Availability() %.17g", got, wantRBD)
+	}
+	ft, err := s.ToFaultTree(avail)
+	if err != nil {
+		t.Fatalf("ToFaultTree: %v", err)
+	}
+	topQ, err := ft.Probability()
+	if err != nil {
+		t.Fatalf("fault tree Probability: %v", err)
+	}
+	if got := 1 - s.topEventProbability(avail); got != 1-topQ {
+		t.Fatalf("in-place fault tree %.17g, 1-ToFaultTree().Probability() %.17g", got, 1-topQ)
+	}
+
+	cs := Compile(s)
+	base, err := cs.Exact(avail)
+	if err != nil {
+		t.Fatalf("Exact: %v", err)
+	}
+	up, down, err := cs.Importances(avail)
+	if err != nil {
+		t.Fatalf("Importances: %v", err)
+	}
+	qSys := 1 - base
+	for i, c := range cs.Components() {
+		b, err := cs.Birnbaum(avail, c)
+		if err != nil {
+			t.Fatalf("Birnbaum(%q): %v", c, err)
+		}
+		if up[i]-down[i] != b {
+			t.Fatalf("Importances Birnbaum(%q) = %.17g, Birnbaum %.17g", c, up[i]-down[i], b)
+		}
+		fv, err := cs.FussellVesely(avail, c)
+		if err != nil {
+			t.Fatalf("FussellVesely(%q): %v", c, err)
+		}
+		gotFV := 0.0
+		if qSys != 0 {
+			gotFV = ((1 - base) - (1 - up[i])) / qSys
+		}
+		if gotFV != fv {
+			t.Fatalf("Importances Fussell–Vesely(%q) = %.17g, FussellVesely %.17g", c, gotFV, fv)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package depend
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"upsim/internal/core"
@@ -49,7 +50,21 @@ func LinkComponentID(a, b string, edgeID int) string {
 	if b < a {
 		a, b = b, a
 	}
-	return fmt.Sprintf("%s--%s#%d", a, b, edgeID)
+	return a + "--" + b + "#" + strconv.Itoa(edgeID)
+}
+
+// ReservedNameError reports a device whose instance name has the
+// LinkComponentID form "a--b#<edge>". Such a name would read back as a link
+// (ParseLinkComponentID), and would share the availability entry of the real
+// link with that ID, so the analysis rejects it instead of answering for the
+// wrong component.
+type ReservedNameError struct {
+	Name string
+}
+
+// Error names the rejected instance.
+func (e *ReservedNameError) Error() string {
+	return fmt.Sprintf("depend: instance name %q has the reserved link component form a--b#<edge>", e.Name)
 }
 
 // FromResult builds the service structure function and the per-component
@@ -69,7 +84,7 @@ func FromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return st, Compile(st), avail, nil
+	return st, compile(st, st.Components(), nil), avail, nil
 }
 
 // fromResult builds the legacy structure and availability table only — the
@@ -81,6 +96,9 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 	}
 	avail := make(map[string]float64)
 	links := res.Source.Links()
+	// An edge has fixed endpoints, so its component ID is minted once and
+	// shared by every path that crosses it.
+	linkIDs := make([]string, len(links))
 
 	compute := func(mtbf, mttr float64) (float64, error) {
 		if model == ModelFormula1 {
@@ -102,6 +120,9 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 		for _, p := range sp.Paths {
 			ps := make(PathSet, 0, len(p.Nodes)+len(p.Edges))
 			for _, n := range p.Nodes {
+				if _, isLink := parseLinkComponent(n); isLink {
+					return nil, nil, &ReservedNameError{Name: n}
+				}
 				if _, done := avail[n]; !done {
 					a, err := deviceAvail(n)
 					if err != nil {
@@ -115,10 +136,11 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 				if id < 0 || id >= len(links) {
 					return nil, nil, fmt.Errorf("depend: path references unknown edge %d", id)
 				}
-				l := links[id]
-				cid := LinkComponentID(p.Nodes[i], p.Nodes[i+1], id)
-				if _, done := avail[cid]; !done {
-					a, err := linkAvailability(l, compute)
+				cid := linkIDs[id]
+				if cid == "" {
+					cid = LinkComponentID(p.Nodes[i], p.Nodes[i+1], id)
+					linkIDs[id] = cid
+					a, err := linkAvailability(links[id], compute)
 					if err != nil {
 						return nil, nil, err
 					}
@@ -238,12 +260,14 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 	if err != nil {
 		return nil, err
 	}
-	span.SetAttr("components", len(st.Components()))
+	// fromResult validated st; compile reuses that and the component list.
+	names := st.Components()
+	span.SetAttr("components", len(names))
 
 	var cs *CompiledStructure
 	if !opts.Legacy {
 		sp, t0 = stage("depend.compile"), time.Now()
-		cs = Compile(st)
+		cs = compile(st, names, nil)
 		sp.End()
 		observe("compile", t0)
 	}
@@ -261,26 +285,17 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 		return nil, err
 	}
 
+	// Exact has checked every availability, so the RBD and fault-tree
+	// readings evaluate in place, without building their trees.
 	sp, t0 = stage("avail.rbd"), time.Now()
-	rbd, err := st.RBDApprox(avail)
+	rbd := st.seriesParallel(avail)
 	sp.End()
 	observe("rbd", t0)
-	if err != nil {
-		return nil, err
-	}
 
 	sp, t0 = stage("avail.fault_tree"), time.Now()
-	ft, err := st.ToFaultTree(avail)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	topQ, err := ft.Probability()
+	topQ := st.topEventProbability(avail)
 	sp.End()
 	observe("fault_tree", t0)
-	if err != nil {
-		return nil, err
-	}
 
 	sp, t0 = stage("avail.montecarlo"), time.Now()
 	sp.SetAttr("samples", mcSamples)
@@ -307,6 +322,6 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 		MonteCarlo:           mc,
 		MCStdErr:             se,
 		DowntimePerYearHours: (1 - exact) * 365 * 24,
-		Components:           len(st.Components()),
+		Components:           len(names),
 	}, nil
 }

@@ -29,7 +29,7 @@ type BasicEvent struct {
 
 // Probability implements FTNode.
 func (b BasicEvent) Probability() (float64, error) {
-	if err := checkProb(b.Q, "failure probability of "+b.Name); err != nil {
+	if err := checkProb(b.Q, "failure probability of ", b.Name); err != nil {
 		return 0, err
 	}
 	return b.Q, nil
@@ -152,4 +152,27 @@ func (s *ServiceStructure) ToFaultTree(avail map[string]float64) (FTNode, error)
 		top = append(top, atomicFails)
 	}
 	return top, nil
+}
+
+// topEventProbability is ToFaultTree(avail).Probability() without the gate
+// tree: the same float operations in the same order as OrGate, AndGate and
+// BasicEvent, so the value is bit-identical (the float64 conversions rule
+// out fused multiply-subtract, as in seriesParallel). The caller has
+// validated s and avail.
+//
+//upsim:hotpath the fault-tree stage of every analysis
+func (s *ServiceStructure) topEventProbability(avail map[string]float64) float64 {
+	topNone := 1.0
+	for _, a := range s.AtomicServices {
+		atomicFails := 1.0
+		for _, ps := range a.PathSets {
+			pathNone := 1.0
+			for _, c := range ps {
+				pathNone *= 1 - (1 - avail[c])
+			}
+			atomicFails *= 1 - float64(pathNone)
+		}
+		topNone *= 1 - float64(atomicFails)
+	}
+	return 1 - float64(topNone)
 }

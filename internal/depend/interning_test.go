@@ -2,6 +2,9 @@ package depend
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -86,7 +89,7 @@ func TestLinkComponentIDSurvivesInterning(t *testing.T) {
 }
 
 // TestConcurrentAnalysisSharedCompiled exercises one CompiledStructure (and
-// its sync.Pool scratch arenas) from many goroutines at once, alongside
+// the package's sync.Pool scratch arenas) from many goroutines at once, alongside
 // concurrent AnalyzeContext pipelines over the same generation result. Run
 // under -race this pins that the compiled kernel is safe for the server's
 // concurrent request fan-out.
@@ -132,6 +135,71 @@ func TestConcurrentAnalysisSharedCompiled(t *testing.T) {
 				rep, err := AnalyzeContext(context.Background(), res, ModelExact, 500, 1)
 				if err != nil || *rep != *wantRep {
 					t.Errorf("worker %d: AnalyzeContext = %+v, %v; want %+v", w, rep, err, wantRep)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestConcurrentPoolsAcrossStructures runs the exact, cut-set and importance
+// analyses of structures with different component counts and bitset widths
+// from many goroutines at once: the scratch pools are package-wide, so a
+// context or arena grown for one structure is reused by the next, whatever
+// its shape. Every result must equal the structure's sequential one.
+func TestConcurrentPoolsAcrossStructures(t *testing.T) {
+	type want struct {
+		cs       *CompiledStructure
+		avail    map[string]float64
+		exact    float64
+		cuts     int
+		up, down []float64
+	}
+	rng := rand.New(rand.NewSource(7))
+	var cases []want
+	for len(cases) < 12 {
+		s, avail := randomStructure(rng)
+		if len(cases)%3 == 0 { // widen every third structure past one word
+			for i := 0; i < 70; i++ {
+				c := fmt.Sprintf("wide%02d", i)
+				s.AtomicServices[0].PathSets[0] = append(s.AtomicServices[0].PathSets[0], c)
+				avail[c] = 0.999
+			}
+		}
+		cs := Compile(s)
+		exact, err := cs.Exact(avail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts, err := cs.MinimalCutSets(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, down, err := cs.Importances(avail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, want{cs, avail, exact, len(cuts), up, down})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				c := cases[(w+i)%len(cases)]
+				if got, err := c.cs.Exact(c.avail); err != nil || got != c.exact {
+					t.Errorf("worker %d: Exact = %v, %v; want %v", w, got, err, c.exact)
+					return
+				}
+				if cuts, err := c.cs.MinimalCutSets(0); err != nil || len(cuts) != c.cuts {
+					t.Errorf("worker %d: MinimalCutSets = %d sets, %v; want %d", w, len(cuts), err, c.cuts)
+					return
+				}
+				up, down, err := c.cs.Importances(c.avail)
+				if err != nil || !reflect.DeepEqual(up, c.up) || !reflect.DeepEqual(down, c.down) {
+					t.Errorf("worker %d: Importances differ from the sequential run (err %v)", w, err)
 					return
 				}
 			}

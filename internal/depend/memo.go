@@ -9,7 +9,7 @@ package depend
 // held in an append-only arena and probes an open-addressing table, so a
 // steady-state factoring performs zero allocations: keys are staged in
 // reusable scratch, copied into the arena only on a miss, and the table,
-// arena and scratch are all pooled per compiled structure.
+// arena and scratch are all pooled package-wide, across compiled structures.
 //
 // Key layout, per formula:
 //
@@ -21,6 +21,8 @@ package depend
 // as the legacy byte-string key — equal multisets of set multisets — so memo
 // hits coincide node for node and the factored float expression tree, hence
 // the result, stays bit-identical to the legacy engine.
+
+import "sync"
 
 // sliceChunk is the block size (in elements) of the formula slice arenas.
 const sliceChunk = 1024
@@ -197,20 +199,39 @@ type exactCtx struct {
 	atomIdx  []int32 // atomic segment sort
 }
 
-func (cs *CompiledStructure) getExactCtx() *exactCtx {
-	ctx := cs.exactPool.Get().(*exactCtx)
+// exactPool recycles factoring contexts across every compiled structure, so
+// the first factoring of a freshly compiled structure reuses grown arenas
+// and memo tables instead of growing its own.
+var exactPool = sync.Pool{New: func() any { return new(exactCtx) }}
+
+// maxPooledMemoSlots caps the memo table a pooled context may carry: reset
+// clears the whole table, so one outsized structure must not make every
+// later factoring pay for its table. A context that grew past the cap is
+// dropped instead of pooled. A campus-sized UPSIM (24 components) factors
+// within 128 slots; the cap (128 KB of entries) is 32 times that.
+const maxPooledMemoSlots = 1 << 12
+
+// getExactCtx returns a reset context whose counts scratch spans n
+// components.
+func getExactCtx(n int) *exactCtx {
+	ctx := exactPool.Get().(*exactCtx)
 	ctx.memo.reset()
 	ctx.ar.reset()
 	ctx.fs.reset()
 	ctx.ffs.reset()
-	if cap(ctx.counts) < len(cs.names) {
-		ctx.counts = make([]int32, len(cs.names))
+	if cap(ctx.counts) < n {
+		ctx.counts = make([]int32, n)
 	}
-	ctx.counts = ctx.counts[:len(cs.names)]
+	ctx.counts = ctx.counts[:n]
 	return ctx
 }
 
-func (cs *CompiledStructure) putExactCtx(ctx *exactCtx) { cs.exactPool.Put(ctx) }
+func putExactCtx(ctx *exactCtx) {
+	if len(ctx.memo.entries) > maxPooledMemoSlots {
+		return
+	}
+	exactPool.Put(ctx)
+}
 
 // buildKey stages the canonical packed key for f into ctx.keyTmp and returns
 // its hash. All scratch comes from the context; steady state allocates

@@ -145,8 +145,8 @@ func TestMemoTableGrowth(t *testing.T) {
 // atomic permutation — the equivalence the memo relies on.
 func TestBuildKeyCanonical(t *testing.T) {
 	cs := Compile(memoStructure())
-	ctx := cs.getExactCtx()
-	defer cs.putExactCtx(ctx)
+	ctx := getExactCtx(cs.NumComponents())
+	defer putExactCtx(ctx)
 	a := cs.atomics[0].sets
 	b := cs.atomics[1].sets
 
@@ -176,4 +176,19 @@ func equalWords(a, b []uint64) bool {
 		}
 	}
 	return true
+}
+
+// TestPutExactCtxDropsOversizedMemo checks that a context whose memo table
+// outgrew maxPooledMemoSlots is dropped, not recycled into every later
+// factoring's reset.
+func TestPutExactCtxDropsOversizedMemo(t *testing.T) {
+	ctx := getExactCtx(4)
+	ctx.memo.entries = make([]memoEntry, 2*maxPooledMemoSlots)
+	ctx.memo.mask = uint64(len(ctx.memo.entries) - 1)
+	putExactCtx(ctx)
+	got := exactPool.Get().(*exactCtx)
+	exactPool.Put(got)
+	if got == ctx {
+		t.Fatalf("a context with %d memo slots went back to the pool (cap %d)", len(ctx.memo.entries), maxPooledMemoSlots)
+	}
 }

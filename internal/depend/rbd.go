@@ -26,7 +26,7 @@ type Basic struct {
 
 // Availability implements Block.
 func (b Basic) Availability() (float64, error) {
-	if err := checkProb(b.A, "availability of "+b.Name); err != nil {
+	if err := checkProb(b.A, "availability of ", b.Name); err != nil {
 		return 0, err
 	}
 	return b.A, nil

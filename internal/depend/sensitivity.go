@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"upsim/internal/core"
+	"upsim/internal/uml"
 )
 
 // Section VII highlights that "changes to intrinsic properties of network
@@ -47,59 +48,69 @@ type SensitivityReport struct {
 // come from the exact structure-function engine. Devices aggregate by class
 // name, links by association name.
 func Sensitivity(res *core.Result) (*SensitivityReport, error) {
-	st, cs, avail, err := FromResult(res, ModelExact)
+	_, cs, avail, err := FromResult(res, ModelExact)
 	if err != nil {
 		return nil, err
 	}
-	links := res.Source.Links()
-	type rates struct {
-		mtbf, mttr float64
+	up, down, err := cs.Importances(avail)
+	if err != nil {
+		return nil, err
 	}
-	// Resolve every structure component to its class and failure data.
-	classOf := make(map[string]string)
-	rateOf := make(map[string]rates)
-	for _, comp := range st.Components() {
+	for i := range up {
+		up[i] -= down[i]
+	}
+	return SensitivityOf(res, cs.Components(), up)
+}
+
+// SensitivityOf is Sensitivity over Birnbaum importances the caller already
+// holds: comps are the structure's components under ModelExact and
+// birnbaum[i] is the importance of comps[i], as CompiledStructure.Importances
+// yields them. Explain shares one factoring pass between its component
+// ranking and the class report this way.
+func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*SensitivityReport, error) {
+	if res == nil || res.Source == nil {
+		return nil, fmt.Errorf("depend: nil generation result")
+	}
+	if len(birnbaum) != len(comps) {
+		return nil, fmt.Errorf("depend: %d Birnbaum importances for %d components", len(birnbaum), len(comps))
+	}
+	links := res.Source.Links()
+	agg := make(map[string]*ClassSensitivity)
+	for i, comp := range comps {
+		var (
+			cls          string
+			mtbfV, mttrV uml.Value
+		)
 		if edgeID, isLink := parseLinkComponent(comp); isLink {
 			if edgeID < 0 || edgeID >= len(links) {
 				return nil, fmt.Errorf("depend: link component %q references unknown edge", comp)
 			}
 			l := links[edgeID]
-			mtbf, _ := l.Property("MTBF")
-			mttr, _ := l.Property("MTTR")
-			classOf[comp] = l.Association().Name()
-			rateOf[comp] = rates{mtbf: mtbf.AsReal(), mttr: mttr.AsReal()}
-			continue
+			cls = l.Association().Name()
+			mtbfV, _ = l.Property("MTBF")
+			mttrV, _ = l.Property("MTTR")
+		} else {
+			inst, ok := res.Source.Instance(comp)
+			if !ok {
+				return nil, fmt.Errorf("depend: component %q not in source diagram", comp)
+			}
+			cls = inst.Classifier().Name()
+			mtbfV, _ = inst.Property("MTBF")
+			mttrV, _ = inst.Property("MTTR")
 		}
-		inst, ok := res.Source.Instance(comp)
-		if !ok {
-			return nil, fmt.Errorf("depend: component %q not in source diagram", comp)
-		}
-		mtbf, _ := inst.Property("MTBF")
-		mttr, _ := inst.Property("MTTR")
-		classOf[comp] = inst.Classifier().Name()
-		rateOf[comp] = rates{mtbf: mtbf.AsReal(), mttr: mttr.AsReal()}
-	}
-
-	agg := make(map[string]*ClassSensitivity)
-	for _, comp := range st.Components() {
-		b, err := cs.Birnbaum(avail, comp)
-		if err != nil {
-			return nil, err
-		}
-		r := rateOf[comp]
-		denom := (r.mtbf + r.mttr) * (r.mtbf + r.mttr)
+		mtbf, mttr := mtbfV.AsReal(), mttrV.AsReal()
+		denom := (mtbf + mttr) * (mtbf + mttr)
 		if denom == 0 {
 			return nil, fmt.Errorf("depend: component %q has zero MTBF+MTTR", comp)
 		}
-		cls := classOf[comp]
 		cs, ok := agg[cls]
 		if !ok {
 			cs = &ClassSensitivity{Class: cls}
 			agg[cls] = cs
 		}
 		cs.Instances++
-		cs.DAvailDMTBF += b * r.mttr / denom
-		cs.DAvailDMTTR -= b * r.mtbf / denom
+		cs.DAvailDMTBF += birnbaum[i] * mttr / denom
+		cs.DAvailDMTTR -= birnbaum[i] * mtbf / denom
 	}
 	rep := &SensitivityReport{}
 	for _, cs := range agg {

@@ -79,7 +79,7 @@ func checkAvail(s *ServiceStructure, avail map[string]float64) error {
 		if !ok {
 			return fmt.Errorf(errFmtNoAvailability, c)
 		}
-		if err := checkProb(a, "availability of "+c); err != nil {
+		if err := checkProb(a, "availability of ", c); err != nil {
 			return err
 		}
 	}
@@ -248,11 +248,31 @@ func (s *ServiceStructure) RBDApprox(avail map[string]float64) (float64, error) 
 	if err := checkAvail(s, avail); err != nil {
 		return 0, err
 	}
-	b, err := s.ToRBD(avail)
-	if err != nil {
-		return 0, err
+	return s.seriesParallel(avail), nil
+}
+
+// seriesParallel is ToRBD(avail).Availability() without the block tree: the
+// same float operations in the same order as Series, Parallel and Basic, so
+// the value is bit-identical. The float64 conversions round each product
+// before it is subtracted, as the tree's method boundaries do, so no
+// architecture fuses the two into one multiply-subtract. The caller has
+// validated s and avail.
+//
+//upsim:hotpath the RBD stage of every analysis
+func (s *ServiceStructure) seriesParallel(avail map[string]float64) float64 {
+	svc := 1.0
+	for _, a := range s.AtomicServices {
+		q := 1.0
+		for _, ps := range a.PathSets {
+			ser := 1.0
+			for _, c := range ps {
+				ser *= avail[c]
+			}
+			q *= 1 - float64(ser)
+		}
+		svc *= 1 - float64(q)
 	}
-	return b.Availability()
+	return svc
 }
 
 // ToRBD builds the series-parallel RBD of the structure: Series over atomic

@@ -434,19 +434,6 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 		}
 		return cs.MinimalCutSets(opts.CutLimit)
 	}
-	birnbaum := func(c string) (float64, error) {
-		if opts.Legacy {
-			return st.Birnbaum(avail, c)
-		}
-		return cs.Birnbaum(avail, c)
-	}
-	fussellVesely := func(c string) (float64, error) {
-		if opts.Legacy {
-			return st.FussellVesely(avail, c)
-		}
-		return cs.FussellVesely(avail, c)
-	}
-
 	base, err := exact()
 	if err != nil {
 		return nil, err
@@ -481,18 +468,14 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	attr.CutSets = truncate(recs, opts.TopN)
 
 	links := res.Source.Links()
-	comps := st.Components()
+	comps := cs.Components()
 	attr.ComponentsTotal = len(comps)
+	birnbaum, fussellVesely, err := importances(st, cs, avail, comps, base, opts.Legacy)
+	if err != nil {
+		return nil, err
+	}
 	imps := make([]ComponentImportance, 0, len(comps))
-	for _, c := range comps {
-		b, err := birnbaum(c)
-		if err != nil {
-			return nil, err
-		}
-		fv, err := fussellVesely(c)
-		if err != nil {
-			return nil, err
-		}
+	for i, c := range comps {
 		class := ""
 		if edgeID, isLink := depend.ParseLinkComponentID(c); isLink {
 			if edgeID < 0 || edgeID >= len(links) {
@@ -506,8 +489,8 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 			Component:     c,
 			Class:         class,
 			Availability:  avail[c],
-			Birnbaum:      b,
-			FussellVesely: fv,
+			Birnbaum:      birnbaum[i],
+			FussellVesely: fussellVesely[i],
 		})
 	}
 	// Components arrive sorted by name; a stable sort on Birnbaum resolves
@@ -517,7 +500,14 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	})
 	attr.Components = truncate(imps, opts.TopN)
 
-	sens, err := depend.Sensitivity(res)
+	// The class report needs Birnbaum factors under the exact model; when
+	// that is the report's model they are the ones just computed.
+	var sens *depend.SensitivityReport
+	if opts.Model == depend.ModelExact {
+		sens, err = depend.SensitivityOf(res, comps, birnbaum)
+	} else {
+		sens, err = depend.Sensitivity(res)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -530,6 +520,40 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 		})
 	}
 	return attr, nil
+}
+
+// importances returns the Birnbaum and Fussell–Vesely importance of each of
+// comps, the structure's components in sorted order; base is the exact
+// service availability. The compiled kernel derives both measures from one
+// up/down factoring pair per component; the legacy kernel keeps its
+// per-component calls.
+func importances(st *depend.ServiceStructure, cs *depend.CompiledStructure, avail map[string]float64,
+	comps []string, base float64, legacy bool) (birnbaum, fussellVesely []float64, err error) {
+	birnbaum = make([]float64, len(comps))
+	fussellVesely = make([]float64, len(comps))
+	if legacy {
+		for i, c := range comps {
+			if birnbaum[i], err = st.Birnbaum(avail, c); err != nil {
+				return nil, nil, err
+			}
+			if fussellVesely[i], err = st.FussellVesely(avail, c); err != nil {
+				return nil, nil, err
+			}
+		}
+		return birnbaum, fussellVesely, nil
+	}
+	up, down, err := cs.Importances(avail)
+	if err != nil {
+		return nil, nil, err
+	}
+	qSys := 1 - base
+	for i := range comps {
+		birnbaum[i] = up[i] - down[i]
+		if qSys != 0 { // a perfect system attributes no unavailability
+			fussellVesely[i] = ((1 - base) - (1 - up[i])) / qSys
+		}
+	}
+	return birnbaum, fussellVesely, nil
 }
 
 // truncate keeps the first n elements (n <= 0 keeps all).

@@ -10,6 +10,7 @@ import (
 	"upsim/internal/casestudy"
 	"upsim/internal/core"
 	"upsim/internal/depend"
+	"upsim/internal/testutil"
 )
 
 // usiResult generates the USI printing-service UPSIM (Table I mapping,
@@ -35,26 +36,69 @@ func usiResult(t *testing.T) *core.Result {
 	return res
 }
 
+// explainAllocCeiling bounds one full explain report of the USI UPSIM:
+// about 475 allocations today, most of them the report itself (path
+// records, trees, cut-set and importance rows), down from about 2,730 when
+// every component ran six factorings and the class report rebuilt the
+// structure.
+const explainAllocCeiling = 520
+
+// TestExplainAllocCeiling guards the allocation budget of the explain
+// report on the compiled kernel.
+func TestExplainAllocCeiling(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts exact counts")
+	}
+	res := usiResult(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Explain(context.Background(), res, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > explainAllocCeiling {
+		t.Errorf("Explain allocates %.0f objects per run, ceiling %d", allocs, explainAllocCeiling)
+	}
+}
+
 // TestExplainKernelParity is the acceptance gate: the full report —
 // per-path statistics, discovery trees, cut-set ranking, Birnbaum and
 // Fussell–Vesely importances, class sensitivities — must be identical under
-// the compiled and legacy dependability kernels.
+// the compiled and legacy dependability kernels, for both availability
+// models.
 func TestExplainKernelParity(t *testing.T) {
 	res := usiResult(t)
-	compiled, err := Explain(context.Background(), res, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Explain(context.Background(), res, Options{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compiled.Kernel != "compiled" || legacy.Kernel != "legacy" {
-		t.Fatalf("kernels = %q, %q", compiled.Kernel, legacy.Kernel)
-	}
-	compiled.Kernel, legacy.Kernel = "", ""
-	if !reflect.DeepEqual(compiled, legacy) {
-		t.Fatalf("compiled and legacy explain reports differ:\ncompiled: %+v\nlegacy:   %+v", compiled, legacy)
+	for _, model := range []depend.AvailabilityModel{depend.ModelExact, depend.ModelFormula1} {
+		compiled, err := Explain(context.Background(), res, Options{Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := Explain(context.Background(), res, Options{Model: model, Legacy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compiled.Kernel != "compiled" || legacy.Kernel != "legacy" {
+			t.Fatalf("kernels = %q, %q", compiled.Kernel, legacy.Kernel)
+		}
+		compiled.Kernel, legacy.Kernel = "", ""
+		if !reflect.DeepEqual(compiled, legacy) {
+			t.Fatalf("%s: compiled and legacy explain reports differ:\ncompiled: %+v\nlegacy:   %+v", model, compiled, legacy)
+		}
+		// The class report reuses the ranking's Birnbaum factors under the
+		// exact model and recomputes them otherwise; either way it is
+		// depend.Sensitivity's.
+		sens, err := depend.Sensitivity(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sens.Classes) != len(compiled.Attribution.Classes) {
+			t.Fatalf("%s: %d classes, depend.Sensitivity has %d", model, len(compiled.Attribution.Classes), len(sens.Classes))
+		}
+		for i, c := range sens.Classes {
+			want := ClassRecord{Class: c.Class, Instances: c.Instances, DAvailDMTBF: c.DAvailDMTBF, DAvailDMTTR: c.DAvailDMTTR}
+			if got := compiled.Attribution.Classes[i]; got != want {
+				t.Fatalf("%s: class %d = %+v, depend.Sensitivity has %+v", model, i, got, want)
+			}
+		}
 	}
 }
 

@@ -225,6 +225,9 @@ func contractCases(t *testing.T) []contractCase {
 	post("negative maxDepth", "/api/v1/paths", with(paths, obj{"maxDepth": -4}))
 	post("negative maxPaths", "/api/v1/paths", with(paths, obj{"maxPaths": -1}))
 	post("negative k", "/api/v1/batch", batch(with(paths, obj{"op": OpPaths, "k": -1})))
+	reserved := with(gen, obj{"modelXml": strings.ReplaceAll(modelXML, `"d4"`, `"c1--d4#0"`)})
+	post("reserved link name 422", "/api/v1/availability", with(reserved, obj{"mcSamples": 1000}))
+	post("reserved link name 422", "/api/v1/explain", reserved)
 	return cases
 }
 

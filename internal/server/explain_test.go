@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"upsim/internal/casestudy"
@@ -128,6 +129,30 @@ func TestExplainValidateEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no missing-node issue for d4: %+v", out.Issues)
+	}
+}
+
+// TestReservedLinkName422 renames the case study's edge switch d4 to
+// "c1--d4#0", the component ID form of link edge 0: every analysis route
+// answers 422 naming the device instead of a 200 computed for the wrong
+// component.
+func TestReservedLinkName422(t *testing.T) {
+	ts := httptest.NewServer(New())
+	defer ts.Close()
+	req := usiExplainRequest(t, ts)
+	req["modelXml"] = strings.ReplaceAll(req["modelXml"].(string), `"d4"`, `"c1--d4#0"`)
+	want := `depend: instance name "c1--d4#0" has the reserved link component form a--b#<edge>`
+	for _, route := range []string{"/api/v1/availability", "/api/v1/qos", "/api/v1/explain"} {
+		resp, body := postJSON(t, ts, route, req)
+		var out struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%s: %v: %s", route, err, body)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || out.Error != want {
+			t.Errorf("%s = %d %q, want 422 %q", route, resp.StatusCode, out.Error, want)
+		}
 	}
 }
 

@@ -582,6 +582,10 @@ type (
 	// (cut-set expansion limits), carrying the budget kind, the atomic
 	// service and the limit.
 	BudgetError = depend.BudgetError
+	// ReservedNameError rejects a device whose instance name has the
+	// synthetic link component form "a--b#<edge>", which would be read
+	// back as that link.
+	ReservedNameError = depend.ReservedNameError
 )
 
 // Explain builds the provenance & attribution report for a generation: where

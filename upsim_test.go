@@ -3,6 +3,7 @@ package upsim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -457,5 +458,55 @@ func TestFacadeExplain(t *testing.T) {
 	be, ok := AsBudgetError(err)
 	if !ok || be.Limit != 1 || be.AtomicService == "" {
 		t.Fatalf("AsBudgetError = %+v, %v (err %v)", be, ok, err)
+	}
+}
+
+// TestFacadeReservedLinkName renames the USI edge switch d4 to "c1--d4#0",
+// the component ID form of link edge 0. The analyses must reject the name
+// rather than read the device back as that link (class C6500-C6500, link
+// MTBF/MTTR) or merge it with a real link of the same ID.
+func TestFacadeReservedLinkName(t *testing.T) {
+	m, err := USIModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	const reserved = "c1--d4#0"
+	renamed, err := ReadModel(strings.NewReader(strings.ReplaceAll(buf.String(), `"d4"`, `"`+reserved+`"`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := USIPrintingService(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(renamed, USIDiagramName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Generate(svc, USITableIMapping(), "reserved", Options{})
+	if err != nil {
+		t.Fatalf("generation must still accept the name: %v", err)
+	}
+	if _, ok := res.Graph.Node(reserved); !ok {
+		t.Fatalf("UPSIM does not route through %q", reserved)
+	}
+	want := `depend: instance name "c1--d4#0" has the reserved link component form a--b#<edge>`
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Analyze", func() error { _, err := Analyze(res, ModelExact, 1000, 1); return err }},
+		{"AnalyzeSensitivity", func() error { _, err := AnalyzeSensitivity(res); return err }},
+		{"Explain", func() error { _, err := Explain(context.Background(), res, ExplainOptions{}); return err }},
+	} {
+		err := tc.run()
+		var re *ReservedNameError
+		if !errors.As(err, &re) || re.Name != reserved || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", tc.name, err, want)
+		}
 	}
 }
