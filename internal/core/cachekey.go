@@ -15,10 +15,7 @@ import (
 // to the generator and returns it for chaining. Subsequent Generate calls
 // derive a CacheKey from their inputs and serve repeated identical requests
 // from the cache without re-running Steps 6–8; concurrent identical
-// requests compute once and share the result (singleflight). The model's
-// canonical digest is taken now, so the model must not be mutated
-// externally after this call (the generator's own UPSIM output diagrams are
-// excluded by construction: the digest is fixed before any is added).
+// requests compute once and share the result (singleflight).
 //
 // A cached *Result is shared verbatim between callers and must be treated
 // as immutable — which every pipeline consumer already does, because a
@@ -27,9 +24,6 @@ func (g *Generator) WithCache(c *cache.Cache) *Generator {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.cache = c
-	if c != nil && g.modelDigest == "" && g.digestErr == nil {
-		g.modelDigest, g.digestErr = modelDigest(g.model)
-	}
 	return g
 }
 
@@ -50,12 +44,20 @@ func modelDigest(m *uml.Model) (string, error) {
 }
 
 // CacheKey derives the content address of one generation request: a stable
-// SHA-256 over the canonically-encoded model XMI (digested once, at
-// WithCache time), the infrastructure diagram name, the composite service's
-// name and stage structure, the Figure-3 encoding of the mapping, the UPSIM
-// name and every Options field that can change the output. Two requests
-// collide exactly when Steps 6–8 would produce an identical Result, which
-// is what makes a cached Result safe to share.
+// SHA-256 over the canonically-encoded model XMI, the infrastructure
+// diagram name, the composite service's name and stage structure, the
+// Figure-3 encoding of the mapping, the UPSIM name and every Options field
+// that can change the output. Two requests collide exactly when Steps 6–8
+// would produce an identical Result, which is what makes a cached Result
+// safe to share.
+//
+// The model digest is taken by the first CacheKey and kept for the
+// generator's life, so a generator that never builds a key (a pooled one
+// serving only path queries) never re-encodes its model. With a cache
+// attached every generation takes its key before it grafts its output onto
+// the model, and a pooled generator is back to its imported state after
+// ResetDerived, so the digest always covers the model as imported; the
+// model must therefore not be mutated by anyone else after NewGenerator.
 func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name string, opts Options) (string, error) {
 	if svc == nil {
 		return "", fmt.Errorf("core: cache key: nil service")
@@ -64,12 +66,10 @@ func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name s
 		return "", fmt.Errorf("core: cache key: nil mapping")
 	}
 	g.mu.Lock()
-	digest, err := g.modelDigest, g.digestErr
-	if digest == "" && err == nil {
-		// CacheKey may be called before WithCache (tests, tooling).
+	if g.modelDigest == "" && g.digestErr == nil {
 		g.modelDigest, g.digestErr = modelDigest(g.model)
-		digest, err = g.modelDigest, g.digestErr
 	}
+	digest, err := g.modelDigest, g.digestErr
 	g.mu.Unlock()
 	if err != nil {
 		return "", err

@@ -229,7 +229,7 @@ type Generator struct {
 	mu          sync.Mutex // guards the fields below and the pipeline's mutations
 	mappingSeq  int
 	cache       *cache.Cache
-	modelDigest string // canonical model hash, fixed at WithCache time
+	modelDigest string // canonical model hash, taken by the first CacheKey
 	digestErr   error
 
 	// derived names every artifact a Generate call grafted onto the shared

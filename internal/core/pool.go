@@ -19,7 +19,6 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
-	"strings"
 	"sync"
 
 	"upsim/internal/cache"
@@ -80,12 +79,19 @@ func NewGeneratorPool(c *cache.Cache, maxIdle, maxModels int) *GeneratorPool {
 // poolKey digests the raw model XML and diagram name. Keying on the raw
 // bytes (not the canonical re-encoding) keeps the hit path free of any model
 // traversal; differently-formatted XML of the same model simply builds its
-// own warm line.
+// own warm line. The strings are hashed through a stack buffer, because
+// converting them to []byte for the hash.Hash interface would copy the
+// whole model on every Acquire.
 func poolKey(modelXML, diagram string) string {
 	h := sha256.New()
-	h.Write([]byte(modelXML))
-	h.Write([]byte{0})
-	h.Write([]byte(diagram))
+	var buf [512]byte
+	for _, s := range [...]string{modelXML, "\x00", diagram} {
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
+	}
 	var out [sha256.Size]byte
 	return string(h.Sum(out[:0]))
 }
@@ -107,7 +113,7 @@ func (p *GeneratorPool) Acquire(ctx context.Context, modelXML, diagram string) (
 	}
 	p.mu.Unlock()
 	mPoolMisses.With().Inc()
-	m, err := uml.Decode(strings.NewReader(modelXML))
+	m, err := uml.DecodeString(modelXML)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,7 +10,9 @@ import (
 
 	"upsim/internal/cache"
 	"upsim/internal/mapping"
+	"upsim/internal/pathdisc"
 	"upsim/internal/service"
+	"upsim/internal/testutil"
 	"upsim/internal/uml"
 )
 
@@ -24,9 +27,9 @@ func fixtureXML(t *testing.T) string {
 	return b.String()
 }
 
-// poolGenerate runs one print-service generation on a pooled generator,
-// building service and mapping against the generator's own model instance.
-func poolGenerate(t testing.TB, g *Generator, name string) *Result {
+// printRequest builds the print service and its mapping against the
+// generator's own model instance.
+func printRequest(t testing.TB, g *Generator) (*service.Composite, *mapping.Mapping) {
 	t.Helper()
 	act, ok := g.Model().Activity("print")
 	if !ok {
@@ -43,11 +46,80 @@ func poolGenerate(t testing.TB, g *Generator, name string) *Result {
 	if err := mp.Add(mapping.Pair{AtomicService: "deliver", Requester: "srv", Provider: "t1"}); err != nil {
 		t.Fatal(err)
 	}
+	return svc, mp
+}
+
+// poolGenerate runs one print-service generation on a pooled generator.
+func poolGenerate(t testing.TB, g *Generator, name string) *Result {
+	t.Helper()
+	svc, mp := printRequest(t, g)
 	res, err := g.Generate(svc, mp, name, Options{})
 	if err != nil {
 		t.Fatalf("Generate(%s): %v", name, err)
 	}
 	return res
+}
+
+// TestPoolLazyDigest: a pooled generator serving only path queries never
+// encodes its model for the cache digest, and the first CacheKey of a
+// reused generator — even one whose earlier uncached generations grafted
+// diagrams onto the model — equals a fresh generator's.
+func TestPoolLazyDigest(t *testing.T) {
+	xml := fixtureXML(t)
+	ctx := context.Background()
+	fresh, err := NewGenerator(buildFixture(t).model, "infrastructure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, mp := printRequest(t, fresh)
+	want, err := fresh.CacheKey(svc, mp, "u", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*cache.Cache{cache.New(64), nil} {
+		p := NewGeneratorPool(c, 2, 4)
+		g, err := p.Acquire(ctx, xml, "infrastructure")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			poolGenerate(t, g, "grafted")
+		} else if _, _, err := g.Compiled().AllPaths("t1", "srv", pathdisc.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(g)
+		g2, err := p.Acquire(ctx, xml, "infrastructure")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g2 != g {
+			t.Fatal("re-Acquire did not reuse the idle generator")
+		}
+		if g2.modelDigest != "" {
+			t.Errorf("cache=%v: the model digest was taken without a CacheKey", c != nil)
+		}
+		svc, mp := printRequest(t, g2)
+		if got, err := g2.CacheKey(svc, mp, "u", Options{}); err != nil || got != want {
+			t.Errorf("cache=%v: reused generator's key = %s, %v; fresh generator's = %s", c != nil, got, err, want)
+		}
+		p.Release(g2)
+	}
+}
+
+// TestPoolKey: the pool key is SHA-256 over model XML, a zero byte and the
+// diagram name, and hashing it allocates only the key string.
+func TestPoolKey(t *testing.T) {
+	xml := fixtureXML(t) + strings.Repeat(" ", 1000) // spans several hash chunks
+	sum := sha256.Sum256([]byte(xml + "\x00infrastructure"))
+	if got := poolKey(xml, "infrastructure"); got != string(sum[:]) {
+		t.Errorf("poolKey = %x, want %x", got, sum)
+	}
+	if testutil.RaceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { poolKey(xml, "infrastructure") }); allocs > 1 {
+		t.Errorf("poolKey: %.0f allocs, want ≤ 1", allocs)
+	}
 }
 
 func TestPoolReuseSameModel(t *testing.T) {

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 
 // tableI builds the paper's Table I mapping for the printing service from
 // client t1 to printer p2 through server printS.
-func tableI(t *testing.T) *Mapping {
+func tableI(t testing.TB) *Mapping {
 	t.Helper()
 	m := New()
 	pairs := []Pair{
@@ -275,4 +276,39 @@ func TestParseErrorIsPositional(t *testing.T) {
 			t.Errorf("error %q missing %q", err, want)
 		}
 	}
+}
+
+// FuzzMappingParse: Parse never panics on untrusted input, and every
+// mapping it accepts survives an Encode/Parse round trip unchanged.
+func FuzzMappingParse(f *testing.F) {
+	var buf bytes.Buffer
+	if err := tableI(f).Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	for _, s := range []string{
+		`<servicemapping><atomicservice id="s"><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice id='s &amp; t'><requester id="&#x41;"/><provider id=" b "/></atomicservice></servicemapping>`,
+		`<?xml version="1.0"?><servicemapping><!-- c --><atomicservice id="s"><requester id="a"/><provider id="a"/></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice`,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		m, err := Parse(strings.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var b bytes.Buffer
+		if err := m.Encode(&b); err != nil {
+			t.Fatalf("Encode of a parsed mapping: %v", err)
+		}
+		again, err := Parse(&b)
+		if err != nil {
+			t.Fatalf("re-Parse: %v\n%s", err, b.String())
+		}
+		if !slices.Equal(again.Pairs(), m.Pairs()) {
+			t.Fatalf("round trip changed the pairs: %v -> %v", m.Pairs(), again.Pairs())
+		}
+	})
 }

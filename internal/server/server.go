@@ -429,7 +429,7 @@ func (in *modelInput) load(ctx context.Context) (*core.Generator, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	m, err := uml.Decode(strings.NewReader(in.ModelXML))
+	m, err := uml.DecodeString(in.ModelXML)
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +446,7 @@ func (in *modelInput) currentDiagram(currentXML, currentName string) (*uml.Objec
 	if currentName == "" {
 		currentName = in.Diagram
 	}
-	cm, err := uml.Decode(strings.NewReader(currentXML))
+	cm, err := uml.DecodeString(currentXML)
 	if err != nil {
 		return nil, fmt.Errorf("current model: %w", err)
 	}
@@ -592,10 +592,10 @@ func (a *api) handlePaths(ctx context.Context, req *pathsRequest) (any, error) {
 		if d, ok := gen.Model().Diagram(req.Diagram); ok {
 			links = d.Links()
 		}
-		for _, p := range paths {
+		for i, p := range paths {
 			_, bottleneck, channels := explain.PathMetrics(links, p)
 			resp.Ranked = append(resp.Ranked, rankedPathJSON{
-				Path: p.String(),
+				Path: resp.Paths[i],
 				Hops: p.Len(),
 				// PathCost folds in the kernel's summation order, so this
 				// is the exact ranking cost, not a re-derived approximation.
@@ -1004,7 +1004,7 @@ func handleLint(_ context.Context, req *lintRequest) (any, error) {
 	if strings.TrimSpace(req.ModelXML) == "" {
 		return nil, errors.New("modelXml is required")
 	}
-	m, err := uml.Decode(strings.NewReader(req.ModelXML))
+	m, err := uml.DecodeString(req.ModelXML)
 	if err != nil {
 		return nil, err
 	}

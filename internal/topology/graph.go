@@ -241,11 +241,19 @@ func (g *Graph) InducedSubgraph(keep map[string]bool) *Graph {
 // (association name attached). This is the hand-off point between Step 5
 // (imported models) and Step 7 (path discovery).
 func FromObjectDiagram(d *uml.ObjectDiagram) *Graph {
-	g := New()
-	for _, inst := range d.Instances() {
+	insts, links := d.Instances(), d.Links()
+	// Sized up front: every cold model build (Step 5) passes through here.
+	g := &Graph{
+		nodes: make(map[string]Node, len(insts)),
+		order: make([]string, 0, len(insts)),
+		edges: make([]Edge, 0, len(links)),
+		dead:  make([]bool, 0, len(links)),
+		adj:   make(map[string][]int, len(insts)),
+	}
+	for _, inst := range insts {
 		_ = g.AddNode(inst.Name(), inst.Classifier().Name())
 	}
-	for _, l := range d.Links() {
+	for _, l := range links {
 		a, b := l.Ends()
 		_, _ = g.AddEdge(a.Name(), b.Name(), l.Association().Name())
 	}

@@ -4,6 +4,17 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strings"
+
+	"upsim/internal/obs"
+)
+
+// Decode metrics: which parser served each model (DecodeString).
+var (
+	mDecode = obs.NewCounter("upsim_uml_decode_total",
+		"XMI models decoded, by parser: the scanner or the encoding/xml fallback.", "path")
+	mDecodeScan   = mDecode.With("scan")
+	mDecodeStdlib = mDecode.With("stdlib")
 )
 
 // This file implements an XMI-like XML serialisation of UML models so that
@@ -196,12 +207,58 @@ func encodeApply(app *StereotypeApplication) xmiApply {
 	return xa
 }
 
-// Decode reads a model from r.
+// Decode reads a model from r: it reads r to the end and decodes the text
+// with DecodeString.
 func Decode(r io.Reader) (*Model, error) {
-	var x xmiModel
-	if err := xml.NewDecoder(r).Decode(&x); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("uml: decode: %w", err)
 	}
+	return DecodeString(string(b))
+}
+
+// DecodeString decodes a model from its XMI text. The dialect Encode
+// writes is read by a single-pass scanner (xmiscan.go) that accepts an
+// optional leading XML declaration of version 1.0 in UTF-8, the dialect's
+// elements and attributes without namespace prefixes (each attribute at
+// most once), quoted attribute values, character data with the five
+// predefined entities and numeric character references, and whitespace
+// between elements; like encoding/xml it ignores anything after the root
+// element. Any other input — comments, CDATA, directives such as DOCTYPE,
+// other processing instructions, namespace prefixes, unknown or repeated
+// attributes, unknown elements, carriage returns, invalid characters and
+// every syntax error — is parsed by encoding/xml instead. Both paths yield
+// the same model and the same errors, and XML syntax errors always carry
+// encoding/xml's text. The decoded model keeps copies of its strings,
+// never substrings of s.
+func DecodeString(s string) (*Model, error) {
+	var x xmiModel
+	if scanModel(s, &x) {
+		mDecodeScan.Inc()
+		x.detach()
+	} else {
+		mDecodeStdlib.Inc()
+		if err := decodeStdlib(s, &x); err != nil {
+			return nil, err
+		}
+	}
+	return x.build()
+}
+
+// decodeStdlib parses s into x with encoding/xml: the fallback for input
+// the scanner does not accept, and the oracle its tests compare against.
+func decodeStdlib(s string, x *xmiModel) error {
+	*x = xmiModel{}
+	if err := xml.NewDecoder(strings.NewReader(s)).Decode(x); err != nil {
+		return fmt.Errorf("uml: decode: %w", err)
+	}
+	return nil
+}
+
+// build constructs the model from its parsed form: profiles, classes,
+// associations, diagrams, then activities, so that every reference resolves
+// to an element declared before it.
+func (x *xmiModel) build() (*Model, error) {
 	m := NewModel(x.Name)
 	for _, xp := range x.Profiles {
 		p := NewProfile(xp.Name)

@@ -166,30 +166,65 @@ func TestXMIDoubleRoundTripStable(t *testing.T) {
 	}
 }
 
+// decodeErrorCases are documents Decode must reject, one per error class:
+// XML syntax, each semantic check of the model build, then encoding/xml's
+// own unmarshal errors.
+var decodeErrorCases = []struct {
+	name string
+	xml  string
+}{
+	{"malformed xml", `<uml.Model name="x"><class`},
+	{"unknown parent stereotype", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class" parent="Ghost"></stereotype></profile></uml.Model>`},
+	{"unknown class in association", `<uml.Model name="x"><association name="a" endA="A" endB="B"></association></uml.Model>`},
+	{"unknown stereotype applied", `<uml.Model name="x"><class name="C"><apply stereotype="Ghost"></apply></class></uml.Model>`},
+	{"unknown class in instance", `<uml.Model name="x"><objectDiagram name="d"><instance name="i" class="Ghost"/></objectDiagram></uml.Model>`},
+	{"unknown association in link", `<uml.Model name="x"><class name="C"/><objectDiagram name="d"><instance name="i" class="C"/><instance name="j" class="C"/><link a="i" b="j" association="Ghost"/></objectDiagram></uml.Model>`},
+	{"bad node kind", `<uml.Model name="x"><activity name="a"><node id="0" kind="Initial"/><node id="1" kind="Decision"/></activity></uml.Model>`},
+	{"duplicate node id", `<uml.Model name="x"><activity name="a"><node id="0" kind="Initial"/><node id="0" kind="Final"/></activity></uml.Model>`},
+	{"flow from unknown node", `<uml.Model name="x"><activity name="a"><node id="0" kind="Initial"/><flow src="9" dst="0"/></activity></uml.Model>`},
+	{"bad attribute type", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class"><attribute name="a" type="Complex"/></stereotype></profile></uml.Model>`},
+	{"bad metaclass", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Package"/></profile></uml.Model>`},
+	{"bad stereotype value", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class"><attribute name="a" type="Real"/></stereotype></profile><class name="C"><apply stereotype="S"><value attribute="a">NaNaN</value></apply></class></uml.Model>`},
+	{"unknown stereotype attribute value", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class"/></profile><class name="C"><apply stereotype="S"><value attribute="ghost">1</value></apply></class></uml.Model>`},
+	{"bad node id", `<uml.Model name="x"><activity name="a"><node id="zero" kind="Initial"/></activity></uml.Model>`},
+	{"wrong root element", `<model name="x"></model>`},
+}
+
+// TestDecodeErrors: every case fails, and with the error text of the
+// encoding/xml path, whichever parser served it.
 func TestDecodeErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		xml  string
-	}{
-		{"malformed xml", `<uml.Model name="x"><class`},
-		{"unknown parent stereotype", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class" parent="Ghost"></stereotype></profile></uml.Model>`},
-		{"unknown class in association", `<uml.Model name="x"><association name="a" endA="A" endB="B"></association></uml.Model>`},
-		{"unknown stereotype applied", `<uml.Model name="x"><class name="C"><apply stereotype="Ghost"></apply></class></uml.Model>`},
-		{"unknown class in instance", `<uml.Model name="x"><objectDiagram name="d"><instance name="i" class="Ghost"/></objectDiagram></uml.Model>`},
-		{"unknown association in link", `<uml.Model name="x"><class name="C"/><objectDiagram name="d"><instance name="i" class="C"/><instance name="j" class="C"/><link a="i" b="j" association="Ghost"/></objectDiagram></uml.Model>`},
-		{"bad node kind", `<uml.Model name="x"><activity name="a"><node id="0" kind="Initial"/><node id="1" kind="Decision"/></activity></uml.Model>`},
-		{"duplicate node id", `<uml.Model name="x"><activity name="a"><node id="0" kind="Initial"/><node id="0" kind="Final"/></activity></uml.Model>`},
-		{"flow from unknown node", `<uml.Model name="x"><activity name="a"><node id="0" kind="Initial"/><flow src="9" dst="0"/></activity></uml.Model>`},
-		{"bad attribute type", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class"><attribute name="a" type="Complex"/></stereotype></profile></uml.Model>`},
-		{"bad metaclass", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Package"/></profile></uml.Model>`},
-		{"bad stereotype value", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class"><attribute name="a" type="Real"/></stereotype></profile><class name="C"><apply stereotype="S"><value attribute="a">NaNaN</value></apply></class></uml.Model>`},
-		{"unknown stereotype attribute value", `<uml.Model name="x"><profile name="p"><stereotype name="S" extends="Class"/></profile><class name="C"><apply stereotype="S"><value attribute="ghost">1</value></apply></class></uml.Model>`},
-	}
-	for _, c := range cases {
+	for _, c := range decodeErrorCases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Decode(strings.NewReader(c.xml)); err == nil {
-				t.Errorf("Decode should fail for %s", c.name)
+			_, err := Decode(strings.NewReader(c.xml))
+			if err == nil {
+				t.Fatalf("Decode should fail for %s", c.name)
+			}
+			var x xmiModel
+			want := decodeStdlib(c.xml, &x)
+			if want == nil {
+				_, want = x.build()
+			}
+			if want == nil || err.Error() != want.Error() {
+				t.Errorf("error = %q, encoding/xml path = %v", err, want)
 			}
 		})
+	}
+}
+
+// TestDecodeCountsParser: upsim_uml_decode_total counts each decode under
+// the parser that served it.
+func TestDecodeCountsParser(t *testing.T) {
+	scan, std := mDecodeScan.Value(), mDecodeStdlib.Value()
+	if _, err := DecodeString(`<uml.Model name="x"/>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeString(`<uml.Model name="x"><!-- comment --></uml.Model>`); err != nil {
+		t.Fatal(err)
+	}
+	if got := mDecodeScan.Value() - scan; got != 1 {
+		t.Errorf("scan decodes = %d, want 1", got)
+	}
+	if got := mDecodeStdlib.Value() - std; got != 1 {
+		t.Errorf("stdlib decodes = %d, want 1", got)
 	}
 }

@@ -312,7 +312,9 @@ func (s *ModelSpace) EnsureEntity(fqn string) (*Entity, error) {
 		return s.root, nil
 	}
 	cur := s.root
-	for _, seg := range strings.Split(fqn, ".") {
+	for rest, more := fqn, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, ".")
 		next, ok := cur.children[seg]
 		if !ok {
 			var err error
@@ -332,7 +334,9 @@ func (s *ModelSpace) Lookup(fqn string) (*Entity, bool) {
 		return s.root, true
 	}
 	cur := s.root
-	for _, seg := range strings.Split(fqn, ".") {
+	for rest, more := fqn, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, ".")
 		next, ok := cur.children[seg]
 		if !ok {
 			return nil, false

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"upsim/internal/testutil"
 )
 
 func TestEntityTreeBasics(t *testing.T) {
@@ -97,6 +99,36 @@ func TestEnsureEntity(t *testing.T) {
 	}
 	if root, err := s.EnsureEntity(""); err != nil || root != s.Root() {
 		t.Error("EnsureEntity of empty FQN should return root")
+	}
+}
+
+// TestLookupSegments: Lookup and EnsureEntity walk FQN segments in place —
+// empty segments still resolve to nothing, and a hit allocates nothing.
+func TestLookupSegments(t *testing.T) {
+	s := NewSpace()
+	e, err := s.EnsureEntity("a.b.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fqn := range []string{"a.b.", ".a", "a..c", "a.b.c.d"} {
+		if _, ok := s.Lookup(fqn); ok {
+			t.Errorf("Lookup(%q) resolved", fqn)
+		}
+	}
+	for _, fqn := range []string{"a.b.", "a..c"} {
+		if _, err := s.EnsureEntity(fqn); err == nil {
+			t.Errorf("EnsureEntity(%q) accepted an empty segment", fqn)
+		}
+	}
+	if testutil.RaceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, ok := s.Lookup("a.b.c"); !ok || got != e {
+			t.Fatal("Lookup(a.b.c) missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("Lookup: %.0f allocs, want 0", allocs)
 	}
 }
 
