@@ -398,29 +398,6 @@ func BenchmarkQoS(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarloParallel compares the worker-pool Monte Carlo against
-// the serial engine at 100k samples.
-func BenchmarkMonteCarloParallel(b *testing.B) {
-	_, svc, gen := mustBase(b)
-	res, err := gen.Generate(svc, USITableIMapping(), "bmcp", Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, avail, err := StructureOf(res, ModelExact)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := st.MonteCarloParallel(avail, 100000, int64(i), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkVTCL measures pattern parsing and matching against the imported
 // case-study space.
 func BenchmarkVTCL(b *testing.B) {

@@ -161,6 +161,87 @@ func loadMapping(path string) (*upsim.Mapping, error) {
 	return upsim.ReadMapping(f)
 }
 
+// serviceInput is the model, diagram and composite service a subcommand
+// generates a UPSIM for, with the mapping of its atomic services.
+type serviceInput struct {
+	model   *upsim.Model
+	diagram string
+	name    string // activity name of the composite service
+	svc     *upsim.Composite
+	mapping *upsim.Mapping
+}
+
+// serviceFlags are the -model, -diagram, -service and -mapping flags (and
+// -casestudy, where a subcommand offers it) of the subcommands that
+// generate one service's UPSIM.
+type serviceFlags struct {
+	cmd                              string
+	model, diagram, service, mapping *string
+	caseStudy                        *bool
+}
+
+// addServiceFlags registers the service flags on fs; a non-empty
+// caseStudyUsage also registers -casestudy with that usage text.
+func addServiceFlags(fs *flag.FlagSet, caseStudyUsage string) *serviceFlags {
+	f := &serviceFlags{
+		cmd:     fs.Name(),
+		model:   fs.String("model", "", "model XML file"),
+		diagram: fs.String("diagram", "", "infrastructure object diagram name"),
+		service: fs.String("service", "", "activity name of the composite service"),
+		mapping: fs.String("mapping", "", "service mapping XML file"),
+	}
+	if caseStudyUsage != "" {
+		f.caseStudy = fs.Bool("casestudy", false, caseStudyUsage)
+	}
+	return f
+}
+
+// load checks the required flags, reads the model, wraps the named activity
+// as a composite service and reads the mapping. -casestudy takes the
+// built-in USI printing service and Table I mapping instead; -service then
+// only names the result (default "printing").
+func (f *serviceFlags) load() (*serviceInput, error) {
+	if f.caseStudy != nil && *f.caseStudy {
+		m, err := upsim.USIModel()
+		if err != nil {
+			return nil, err
+		}
+		svc, err := upsim.USIPrintingService(m)
+		if err != nil {
+			return nil, err
+		}
+		name := *f.service
+		if name == "" {
+			name = "printing"
+		}
+		return &serviceInput{m, upsim.USIDiagramName, name, svc, upsim.USITableIMapping()}, nil
+	}
+	if *f.model == "" || *f.diagram == "" || *f.service == "" || *f.mapping == "" {
+		alt := ""
+		if f.caseStudy != nil {
+			alt = " (or use -casestudy)"
+		}
+		return nil, fmt.Errorf("%s: -model, -diagram, -service and -mapping are required%s", f.cmd, alt)
+	}
+	m, err := loadModel(*f.model)
+	if err != nil {
+		return nil, err
+	}
+	act, ok := m.Activity(*f.service)
+	if !ok {
+		return nil, fmt.Errorf("%s: model has no activity %q", f.cmd, *f.service)
+	}
+	svc, err := upsim.ServiceFromActivity(act)
+	if err != nil {
+		return nil, err
+	}
+	mp, err := loadMapping(*f.mapping)
+	if err != nil {
+		return nil, err
+	}
+	return &serviceInput{m, *f.diagram, *f.service, svc, mp}, nil
+}
+
 func cmdCaseStudy(args []string) error {
 	fs := flag.NewFlagSet("casestudy", flag.ContinueOnError)
 	modelOut := fs.String("model", "usi.xml", "output path for the USI model")
@@ -315,10 +396,7 @@ func cmdPaths(args []string) error {
 
 func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
-	modelPath := fs.String("model", "", "model XML file")
-	diagram := fs.String("diagram", "", "infrastructure object diagram name")
-	svcName := fs.String("service", "", "activity name of the composite service")
-	mappingPath := fs.String("mapping", "", "service mapping XML file")
+	sf := addServiceFlags(fs, "")
 	name := fs.String("name", "upsim", "name of the generated UPSIM diagram")
 	dotOut := fs.String("dot", "", "optional DOT output path for the UPSIM")
 	modelOut := fs.String("out", "", "optional path to write the model including the UPSIM diagram")
@@ -326,31 +404,16 @@ func cmdGenerate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *modelPath == "" || *diagram == "" || *svcName == "" || *mappingPath == "" {
-		return fmt.Errorf("generate: -model, -diagram, -service and -mapping are required")
-	}
-	m, err := loadModel(*modelPath)
-	if err != nil {
-		return err
-	}
-	act, ok := m.Activity(*svcName)
-	if !ok {
-		return fmt.Errorf("generate: model has no activity %q", *svcName)
-	}
-	svc, err := upsim.ServiceFromActivity(act)
-	if err != nil {
-		return err
-	}
-	mp, err := loadMapping(*mappingPath)
+	in, err := sf.load()
 	if err != nil {
 		return err
 	}
 	ctx, printTrace := traceSpan(*trace, "upsim.generate")
-	gen, err := upsim.NewGeneratorContext(ctx, m, *diagram)
+	gen, err := upsim.NewGeneratorContext(ctx, in.model, in.diagram)
 	if err != nil {
 		return err
 	}
-	res, err := gen.GenerateContext(ctx, svc, mp, *name, upsim.Options{})
+	res, err := gen.GenerateContext(ctx, in.svc, in.mapping, *name, upsim.Options{})
 	if err != nil {
 		return err
 	}
@@ -377,7 +440,7 @@ func cmdGenerate(args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := upsim.WriteModel(f, m); err != nil {
+		if err := upsim.WriteModel(f, in.model); err != nil {
 			return err
 		}
 		fmt.Println("wrote", *modelOut)
@@ -387,43 +450,24 @@ func cmdGenerate(args []string) error {
 
 func cmdAvail(args []string) error {
 	fs := flag.NewFlagSet("avail", flag.ContinueOnError)
-	modelPath := fs.String("model", "", "model XML file")
-	diagram := fs.String("diagram", "", "infrastructure object diagram name")
-	svcName := fs.String("service", "", "activity name of the composite service")
-	mappingPath := fs.String("mapping", "", "service mapping XML file")
+	sf := addServiceFlags(fs, "")
 	formula1 := fs.Bool("formula1", false, "use the paper's Formula 1 instead of the exact component availability")
 	mcSamples := fs.Int("mc", 200000, "Monte-Carlo sample count")
 	seed := fs.Int64("seed", 1, "Monte-Carlo seed")
-	mcWorkers := fs.Int("mc-workers", 0, "Monte-Carlo workers: 0 sequential, >0 that many shards, <0 one per CPU")
 	trace := fs.Bool("trace", false, "print the span tree with per-stage timings after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *modelPath == "" || *diagram == "" || *svcName == "" || *mappingPath == "" {
-		return fmt.Errorf("avail: -model, -diagram, -service and -mapping are required")
-	}
-	m, err := loadModel(*modelPath)
-	if err != nil {
-		return err
-	}
-	act, ok := m.Activity(*svcName)
-	if !ok {
-		return fmt.Errorf("avail: model has no activity %q", *svcName)
-	}
-	svc, err := upsim.ServiceFromActivity(act)
-	if err != nil {
-		return err
-	}
-	mp, err := loadMapping(*mappingPath)
+	in, err := sf.load()
 	if err != nil {
 		return err
 	}
 	ctx, printTrace := traceSpan(*trace, "upsim.avail")
-	gen, err := upsim.NewGeneratorContext(ctx, m, *diagram)
+	gen, err := upsim.NewGeneratorContext(ctx, in.model, in.diagram)
 	if err != nil {
 		return err
 	}
-	res, err := gen.GenerateContext(ctx, svc, mp, "avail-analysis", upsim.Options{})
+	res, err := gen.GenerateContext(ctx, in.svc, in.mapping, "avail-analysis", upsim.Options{})
 	if err != nil {
 		return err
 	}
@@ -439,24 +483,16 @@ func cmdAvail(args []string) error {
 	}
 	fmt.Printf("compiled kernel: %d components interned, %d-word bitsets\n",
 		cs.NumComponents(), cs.Words())
-	rep, err := upsim.AnalyzeWithOptions(ctx, res, model, *mcSamples, *seed,
-		upsim.AnalyzeOptions{MCWorkers: *mcWorkers})
+	rep, err := upsim.AnalyzeContext(ctx, res, model, *mcSamples, *seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("service %q, %d UPSIM components (%s component model)\n",
-		*svcName, rep.Components, model)
+		in.name, rep.Components, model)
 	fmt.Printf("exact:        %.10f\n", rep.Exact)
 	fmt.Printf("naive RBD:    %.10f\n", rep.RBDApprox)
 	fmt.Printf("fault tree:   %.10f\n", rep.FTApprox)
-	sampler := "sequential"
-	if *mcWorkers != 0 {
-		sampler = fmt.Sprintf("%d workers", *mcWorkers)
-		if *mcWorkers < 0 {
-			sampler = "one worker per CPU"
-		}
-	}
-	fmt.Printf("Monte Carlo:  %.6f ± %.6f (%d samples, %s)\n", rep.MonteCarlo, rep.MCStdErr, *mcSamples, sampler)
+	fmt.Printf("Monte Carlo:  %.6f ± %.6f (%d samples)\n", rep.MonteCarlo, rep.MCStdErr, *mcSamples)
 	fmt.Printf("downtime:     %.1f hours/year\n", rep.DowntimePerYearHours)
 	printTrace()
 	return nil
@@ -464,11 +500,7 @@ func cmdAvail(args []string) error {
 
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-	modelPath := fs.String("model", "", "model XML file")
-	diagram := fs.String("diagram", "", "infrastructure object diagram name")
-	svcName := fs.String("service", "", "activity name of the composite service")
-	mappingPath := fs.String("mapping", "", "service mapping XML file")
-	caseStudy := fs.Bool("casestudy", false, "explain the built-in USI case study (printing service, Table I mapping)")
+	sf := addServiceFlags(fs, "explain the built-in USI case study (printing service, Table I mapping)")
 	top := fs.Int("top", 5, "rows per ranking table (0 = all)")
 	formula1 := fs.Bool("formula1", false, "use the paper's Formula 1 instead of the exact component availability")
 	legacy := fs.Bool("legacy", false, "attribute through the legacy map-based kernel (numbers are identical)")
@@ -478,45 +510,16 @@ func cmdExplain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var (
-		m   *upsim.Model
-		svc *upsim.Composite
-		mp  *upsim.Mapping
-		err error
-	)
-	if *caseStudy {
-		if m, err = upsim.USIModel(); err != nil {
-			return err
-		}
-		if svc, err = upsim.USIPrintingService(m); err != nil {
-			return err
-		}
-		mp = upsim.USITableIMapping()
-		*diagram = upsim.USIDiagramName
-	} else {
-		if *modelPath == "" || *diagram == "" || *svcName == "" || *mappingPath == "" {
-			return fmt.Errorf("explain: -model, -diagram, -service and -mapping are required (or use -casestudy)")
-		}
-		if m, err = loadModel(*modelPath); err != nil {
-			return err
-		}
-		act, ok := m.Activity(*svcName)
-		if !ok {
-			return fmt.Errorf("explain: model has no activity %q", *svcName)
-		}
-		if svc, err = upsim.ServiceFromActivity(act); err != nil {
-			return err
-		}
-		if mp, err = loadMapping(*mappingPath); err != nil {
-			return err
-		}
-	}
-	ctx, printTrace := traceSpan(*trace, "upsim.explain")
-	gen, err := upsim.NewGeneratorContext(ctx, m, *diagram)
+	in, err := sf.load()
 	if err != nil {
 		return err
 	}
-	res, err := gen.GenerateContext(ctx, svc, mp, "explain", upsim.Options{})
+	ctx, printTrace := traceSpan(*trace, "upsim.explain")
+	gen, err := upsim.NewGeneratorContext(ctx, in.model, in.diagram)
+	if err != nil {
+		return err
+	}
+	res, err := gen.GenerateContext(ctx, in.svc, in.mapping, "explain", upsim.Options{})
 	if err != nil {
 		return err
 	}
@@ -829,37 +832,19 @@ func cmdDot(args []string) error {
 
 func cmdRBD(args []string) error {
 	fs := flag.NewFlagSet("rbd", flag.ContinueOnError)
-	modelPath := fs.String("model", "", "model XML file")
-	diagram := fs.String("diagram", "", "infrastructure object diagram name")
-	svcName := fs.String("service", "", "activity name of the composite service")
-	mappingPath := fs.String("mapping", "", "service mapping XML file")
+	sf := addServiceFlags(fs, "")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *modelPath == "" || *diagram == "" || *svcName == "" || *mappingPath == "" {
-		return fmt.Errorf("rbd: -model, -diagram, -service and -mapping are required")
-	}
-	m, err := loadModel(*modelPath)
+	in, err := sf.load()
 	if err != nil {
 		return err
 	}
-	act, ok := m.Activity(*svcName)
-	if !ok {
-		return fmt.Errorf("rbd: model has no activity %q", *svcName)
-	}
-	svc, err := upsim.ServiceFromActivity(act)
+	gen, err := upsim.NewGenerator(in.model, in.diagram)
 	if err != nil {
 		return err
 	}
-	mp, err := loadMapping(*mappingPath)
-	if err != nil {
-		return err
-	}
-	gen, err := upsim.NewGenerator(m, *diagram)
-	if err != nil {
-		return err
-	}
-	res, err := gen.Generate(svc, mp, "rbd", upsim.Options{})
+	res, err := gen.Generate(in.svc, in.mapping, "rbd", upsim.Options{})
 	if err != nil {
 		return err
 	}
@@ -899,11 +884,7 @@ func cmdRBD(args []string) error {
 // The numbers match POST /api/v1/whatif for the same inputs.
 func cmdWhatIf(args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
-	modelPath := fs.String("model", "", "model XML file")
-	diagram := fs.String("diagram", "", "infrastructure object diagram name")
-	svcName := fs.String("service", "", "activity name of the composite service")
-	mappingPath := fs.String("mapping", "", "service mapping XML file")
-	caseStudy := fs.Bool("casestudy", false, "analyse the built-in USI case study (printing service, Table I mapping)")
+	sf := addServiceFlags(fs, "analyse the built-in USI case study (printing service, Table I mapping)")
 	fail := fs.String("fail", "", "comma-separated failed components (node names or a--b#edge link ids)")
 	failLink := fs.String("fail-link", "", "comma-separated failed links by endpoints (a--b, all parallel edges)")
 	top := fs.Int("top", 10, "rows of the critical-component ranking (0 = all)")
@@ -914,48 +895,16 @@ func cmdWhatIf(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var (
-		m   *upsim.Model
-		svc *upsim.Composite
-		mp  *upsim.Mapping
-		err error
-	)
-	if *caseStudy {
-		if m, err = upsim.USIModel(); err != nil {
-			return err
-		}
-		if svc, err = upsim.USIPrintingService(m); err != nil {
-			return err
-		}
-		mp = upsim.USITableIMapping()
-		*diagram = upsim.USIDiagramName
-		if *svcName == "" {
-			*svcName = "printing"
-		}
-	} else {
-		if *modelPath == "" || *diagram == "" || *svcName == "" || *mappingPath == "" {
-			return fmt.Errorf("whatif: -model, -diagram, -service and -mapping are required (or use -casestudy)")
-		}
-		if m, err = loadModel(*modelPath); err != nil {
-			return err
-		}
-		act, ok := m.Activity(*svcName)
-		if !ok {
-			return fmt.Errorf("whatif: model has no activity %q", *svcName)
-		}
-		if svc, err = upsim.ServiceFromActivity(act); err != nil {
-			return err
-		}
-		if mp, err = loadMapping(*mappingPath); err != nil {
-			return err
-		}
-	}
-	ctx, printTrace := traceSpan(*trace, "upsim.whatif")
-	gen, err := upsim.NewGeneratorContext(ctx, m, *diagram)
+	in, err := sf.load()
 	if err != nil {
 		return err
 	}
-	res, err := gen.GenerateContext(ctx, svc, mp, *svcName, upsim.Options{})
+	ctx, printTrace := traceSpan(*trace, "upsim.whatif")
+	gen, err := upsim.NewGeneratorContext(ctx, in.model, in.diagram)
+	if err != nil {
+		return err
+	}
+	res, err := gen.GenerateContext(ctx, in.svc, in.mapping, in.name, upsim.Options{})
 	if err != nil {
 		return err
 	}
@@ -964,7 +913,7 @@ func cmdWhatIf(args []string) error {
 		model = upsim.ModelFormula1
 	}
 	eng := upsim.NewWhatIfEngine(gen.Graph(), nil)
-	if err := eng.Register(*svcName, "", res, model); err != nil {
+	if err := eng.Register(in.name, "", res, model); err != nil {
 		return err
 	}
 

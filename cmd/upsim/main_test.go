@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -180,6 +183,111 @@ func TestCLIGenerateAndAvail(t *testing.T) {
 	}
 	if !strings.Contains(out, "exact:") || !strings.Contains(out, "downtime:") {
 		t.Errorf("avail output:\n%s", out)
+	}
+}
+
+// TestCLIAvailMatchesServer pins `upsim avail` to POST /api/v1/availability:
+// the same inputs, sample count and seed print the server's exact, RBD,
+// fault-tree and Monte Carlo figures at the CLI's precision.
+func TestCLIAvailMatchesServer(t *testing.T) {
+	modelPath, mappingPath := withArtifacts(t)
+	out, err := capture(t, func() error {
+		return run([]string{"avail", "-model", modelPath, "-diagram", "infrastructure",
+			"-service", "printing", "-mapping", mappingPath, "-mc", "20000", "-seed", "7"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelXML, err := os.ReadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mappingXML, err := os.ReadFile(mappingPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{
+		"modelXml": string(modelXML), "diagram": "infrastructure", "service": "printing",
+		"mappingXml": string(mappingXML), "mcSamples": 20000, "seed": 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	server.New().ServeHTTP(w, httptest.NewRequest("POST", "/api/v1/availability", bytes.NewReader(body)))
+	var resp struct {
+		Exact, RBDApprox, FTApprox, MonteCarlo, MCStdErr, DowntimePerYearHours float64
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("server reply %d %s: %v", w.Code, w.Body, err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("exact:        %.10f\n", resp.Exact),
+		fmt.Sprintf("naive RBD:    %.10f\n", resp.RBDApprox),
+		fmt.Sprintf("fault tree:   %.10f\n", resp.FTApprox),
+		fmt.Sprintf("Monte Carlo:  %.6f ± %.6f (20000 samples)\n", resp.MonteCarlo, resp.MCStdErr),
+		fmt.Sprintf("downtime:     %.1f hours/year\n", resp.DowntimePerYearHours),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("CLI output lacks the server's %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCLIWhatIf checks `upsim whatif -casestudy -fail p2 -json` against the
+// what-if engine run in-process on the same generation: the failure impact
+// and the critical-component ranking must be equal.
+func TestCLIWhatIf(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"whatif", "-casestudy", "-fail", "p2", "-json"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Impact   *upsim.WhatIfImpact       `json:"impact"`
+		Critical []upsim.CriticalComponent `json:"critical"`
+	}
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
+		t.Fatalf("whatif -json does not parse: %v\n%s", err, out)
+	}
+
+	m, err := upsim.USIModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := upsim.USIPrintingService(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := upsim.NewGenerator(m, upsim.USIDiagramName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Generate(svc, upsim.USITableIMapping(), "printing", upsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := upsim.NewWhatIfEngine(gen.Graph(), nil)
+	if err := eng.Register("printing", "", res, upsim.ModelExact); err != nil {
+		t.Fatal(err)
+	}
+	impact, err := eng.Impact(upsim.WhatIfFailure{Components: []string{"p2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, err := eng.Critical(context.Background(), 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Impact, impact) {
+		t.Errorf("impact: CLI %+v, engine %+v", got.Impact, impact)
+	}
+	if !reflect.DeepEqual(got.Critical, crit) {
+		t.Errorf("critical ranking: CLI %+v, engine %+v", got.Critical, crit)
+	}
+	if len(crit) == 0 || len(impact.Services) != 1 || !impact.Services[0].Affected {
+		t.Errorf("degenerate what-if fixture: impact %+v, %d critical", impact, len(crit))
 	}
 }
 
@@ -380,23 +488,19 @@ func TestCLIExplain(t *testing.T) {
 }
 
 func TestCLIErrors(t *testing.T) {
-	modelPath, mappingPath := withArtifacts(t)
+	modelPath, _ := withArtifacts(t)
 	cases := [][]string{
 		{},
 		{"bogus"},
 		{"inventory"},
 		{"paths", "-model", modelPath},
 		{"paths", "-model", modelPath, "-diagram", "infrastructure", "-from", "ghost", "-to", "printS"},
-		{"generate", "-model", modelPath},
-		{"generate", "-model", modelPath, "-diagram", "infrastructure", "-service", "ghost", "-mapping", mappingPath},
-		{"avail", "-model", modelPath},
 		{"dot"},
 		{"dot", "-model", modelPath, "-kind", "nonsense"},
 		{"dot", "-model", modelPath, "-kind", "activity"},
 		{"dot", "-model", modelPath, "-kind", "object", "-diagram", "ghost"},
 		{"query", "-model", modelPath},
 		{"query", "-model", modelPath, "-diagram", "infrastructure", "-patterns", "/nonexistent.vtcl"},
-		{"rbd", "-model", modelPath},
 		{"inventory", "-model", "/nonexistent.xml"},
 	}
 	for _, args := range cases {
@@ -407,6 +511,46 @@ func TestCLIErrors(t *testing.T) {
 	// Help succeeds.
 	if _, err := capture(t, func() error { return run([]string{"help"}) }); err != nil {
 		t.Errorf("help failed: %v", err)
+	}
+}
+
+// TestCLIServiceInputErrors pins the exact error text of the subcommands
+// that load a model, a service activity and a mapping: missing flags, an
+// unreadable model, an unknown activity (checked before the mapping is
+// opened) and an unreadable mapping.
+func TestCLIServiceInputErrors(t *testing.T) {
+	modelPath, mappingPath := withArtifacts(t)
+	missing := filepath.Join(t.TempDir(), "missing.xml")
+	noFile := "open " + missing + ": no such file or directory"
+	for _, tc := range []struct {
+		cmd, required string
+	}{
+		{"generate", "generate: -model, -diagram, -service and -mapping are required"},
+		{"avail", "avail: -model, -diagram, -service and -mapping are required"},
+		{"explain", "explain: -model, -diagram, -service and -mapping are required (or use -casestudy)"},
+		{"rbd", "rbd: -model, -diagram, -service and -mapping are required"},
+		{"whatif", "whatif: -model, -diagram, -service and -mapping are required (or use -casestudy)"},
+	} {
+		full := func(model, service, mapping string) []string {
+			return []string{tc.cmd, "-model", model, "-diagram", "infrastructure",
+				"-service", service, "-mapping", mapping}
+		}
+		for _, c := range []struct {
+			args []string
+			want string
+		}{
+			{[]string{tc.cmd}, tc.required},
+			{[]string{tc.cmd, "-model", modelPath}, tc.required},
+			{[]string{tc.cmd, "-model", modelPath, "-diagram", "infrastructure", "-service", "printing"}, tc.required},
+			{full(missing, "printing", mappingPath), noFile},
+			{full(modelPath, "ghost", missing), tc.cmd + `: model has no activity "ghost"`},
+			{full(modelPath, "printing", missing), noFile},
+		} {
+			_, err := capture(t, func() error { return run(c.args) })
+			if err == nil || err.Error() != c.want {
+				t.Errorf("run(%v) = %v, want %q", c.args, err, c.want)
+			}
+		}
 	}
 }
 

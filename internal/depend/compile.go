@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -729,66 +728,6 @@ func (cs *CompiledStructure) evalUp(up bitset) bool {
 	return true
 }
 
-// MonteCarloParallel is the compiled form of
-// ServiceStructure.MonteCarloParallel, with the identical shard split and
-// sub-seed derivation, so (samples, seed, workers) reproduces the legacy
-// estimate exactly.
-func (cs *CompiledStructure) MonteCarloParallel(avail map[string]float64, samples int, seed int64, workers int) (est, stderr float64, err error) {
-	if cs.validErr != nil {
-		return 0, 0, cs.validErr
-	}
-	if _, err := cs.packAvail(avail); err != nil {
-		return 0, 0, err
-	}
-	if samples < 1 {
-		return 0, 0, fmt.Errorf(errFmtMCParallelSamples, samples)
-	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > samples {
-		workers = samples
-	}
-	type shard struct {
-		good int
-		n    int
-		err  error
-	}
-	results := make(chan shard, workers)
-	per := samples / workers
-	extra := samples % workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(n int, subSeed int64) {
-			defer wg.Done()
-			p, _, err := cs.MonteCarlo(avail, n, subSeed)
-			results <- shard{good: int(p*float64(n) + 0.5), n: n, err: err}
-		}(n, seed+int64(w)*0x9E3779B9)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	good, total := 0, 0
-	for r := range results {
-		if r.err != nil {
-			return 0, 0, r.err
-		}
-		good += r.good
-		total += r.n
-	}
-	p := float64(good) / float64(total)
-	return p, math.Sqrt(p * (1 - p) / float64(total)), nil
-}
-
 // WhatIf is the compiled form of ServiceStructure.WhatIf: exact availability
 // with the given components forced up or down. As in legacy, a forced
 // component must be a key of the availability map; forcing a component that
@@ -820,50 +759,13 @@ func (cs *CompiledStructure) WhatIf(avail map[string]float64, forced map[string]
 	return cs.exactPacked(pa), nil
 }
 
-// Birnbaum is the compiled form of ServiceStructure.Birnbaum.
-func (cs *CompiledStructure) Birnbaum(avail map[string]float64, component string) (float64, error) {
-	if cs.validErr != nil {
-		return 0, cs.validErr
-	}
-	pa, err := cs.packAvail(avail)
-	if err != nil {
-		return 0, err
-	}
-	id, ok := cs.index[component]
-	if !ok {
-		return 0, fmt.Errorf(errFmtCompNotInStruct, component)
-	}
-	paUp := append([]float64(nil), pa...)
-	paUp[id] = 1
-	paDown := append([]float64(nil), pa...)
-	paDown[id] = 0
-	return cs.exactPacked(paUp) - cs.exactPacked(paDown), nil
-}
-
-// FussellVesely is the compiled form of ServiceStructure.FussellVesely.
-func (cs *CompiledStructure) FussellVesely(avail map[string]float64, component string) (float64, error) {
-	base, err := cs.Exact(avail)
-	if err != nil {
-		return 0, err
-	}
-	qSys := 1 - base
-	if qSys == 0 {
-		return 0, nil // a perfect system attributes no unavailability
-	}
-	perfect, err := cs.WhatIf(avail, map[string]bool{component: true})
-	if err != nil {
-		return 0, err
-	}
-	return ((1 - base) - (1 - perfect)) / qSys, nil
-}
-
 // Importances returns, for every component in id order (the sorted order of
 // Components), the exact service availability with that component forced up
 // (up[i]) and forced down (down[i]). Birnbaum importance is up[i]−down[i]
-// and Fussell–Vesely importance is ((1−base)−(1−up[i]))/(1−base), each
-// bit-identical to the per-component Birnbaum and FussellVesely methods,
-// while the availability map is packed once and each component costs the
-// two factorings Birnbaum alone runs (Birnbaum plus FussellVesely run six).
+// and Fussell–Vesely importance is ((1−base)−(1−up[i]))/(1−base), 0 when
+// base is 1: the compiled form of ServiceStructure.Birnbaum and
+// FussellVesely for every component at once. The availability map is
+// packed once and each component costs two factorings.
 func (cs *CompiledStructure) Importances(avail map[string]float64) (up, down []float64, err error) {
 	if cs.validErr != nil {
 		return nil, nil, cs.validErr

@@ -135,23 +135,18 @@ func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[strin
 		t.Fatalf("MonteCarlo: legacy %v±%v, compiled %v±%v", lmc, lse, cmc, cse)
 	}
 
-	lmp, lpe, lerr := s.MonteCarloParallel(avail, 500, seed, 3)
-	cmp, cpe, cerr := cs.MonteCarloParallel(avail, 500, seed, 3)
-	if !checkErr("MonteCarloParallel", lerr, cerr) && (lmp != cmp || lpe != cpe) {
-		t.Fatalf("MonteCarloParallel: legacy %v±%v, compiled %v±%v", lmp, lpe, cmp, cpe)
-	}
-
-	for _, c := range wantComps[:1] {
+	// The per-component legacy importances against the compiled kernel's
+	// one Importances pass.
+	up, down, ierr := cs.Importances(avail)
+	for i, c := range wantComps[:1] {
 		lbi, lerr := s.Birnbaum(avail, c)
-		cbi, cerr := cs.Birnbaum(avail, c)
-		if !checkErr("Birnbaum", lerr, cerr) && !withinOneUlp(lbi, cbi) {
-			t.Fatalf("Birnbaum(%q): legacy %.17g, compiled %.17g", c, lbi, cbi)
+		if !checkErr("Birnbaum", lerr, ierr) && !withinOneUlp(lbi, up[i]-down[i]) {
+			t.Fatalf("Birnbaum(%q): legacy %.17g, compiled %.17g", c, lbi, up[i]-down[i])
 		}
 
 		lfv, lerr := s.FussellVesely(avail, c)
-		cfv, cerr := cs.FussellVesely(avail, c)
-		if !checkErr("FussellVesely", lerr, cerr) && !withinOneUlp(lfv, cfv) {
-			t.Fatalf("FussellVesely(%q): legacy %.17g, compiled %.17g", c, lfv, cfv)
+		if !checkErr("FussellVesely", lerr, ierr) && !withinOneUlp(lfv, fussellVesely(cex, up[i])) {
+			t.Fatalf("FussellVesely(%q): legacy %.17g, compiled %.17g", c, lfv, fussellVesely(cex, up[i]))
 		}
 
 		lwi, lerr := s.WhatIf(avail, map[string]bool{c: false})
@@ -249,10 +244,7 @@ func TestCompiledErrorParity(t *testing.T) {
 	_, cerr = cwide.ExactInclusionExclusion(av, 2)
 	sameErr("IE limit", lerr, cerr)
 
-	// Unknown component in Birnbaum and WhatIf.
-	_, lerr = s.Birnbaum(av, "ghost")
-	_, cerr = cs.Birnbaum(av, "ghost")
-	sameErr("Birnbaum unknown", lerr, cerr)
+	// Unknown component in WhatIf.
 	_, lerr = s.WhatIf(av, map[string]bool{"ghost": true})
 	_, cerr = cs.WhatIf(av, map[string]bool{"ghost": true})
 	sameErr("WhatIf unknown", lerr, cerr)
@@ -261,9 +253,6 @@ func TestCompiledErrorParity(t *testing.T) {
 	_, _, lerr = s.MonteCarlo(av, 0, 1)
 	_, _, cerr = cs.MonteCarlo(av, 0, 1)
 	sameErr("MC samples", lerr, cerr)
-	_, _, lerr = s.MonteCarloParallel(av, 0, 1, 2)
-	_, _, cerr = cs.MonteCarloParallel(av, 0, 1, 2)
-	sameErr("MCP samples", lerr, cerr)
 }
 
 // TestCompiledStructureWideUniverse exercises the multi-word bitset path
@@ -348,7 +337,8 @@ func FuzzCompiledKernel(f *testing.F) {
 // checkFusedAnalyses pins the analysis pipeline's shortcuts to the public
 // per-call API, exactly (==): the in-place RBD and fault-tree loops against
 // the block and gate trees, and Importances against per-component Birnbaum
-// and FussellVesely.
+// (WhatIf with the component up minus WhatIf with it down) and
+// Fussell–Vesely (from Exact and WhatIf with the component up).
 func checkFusedAnalyses(t *testing.T, s *ServiceStructure, avail map[string]float64) {
 	t.Helper()
 	rbd, err := s.ToRBD(avail)
@@ -383,25 +373,30 @@ func checkFusedAnalyses(t *testing.T, s *ServiceStructure, avail map[string]floa
 	if err != nil {
 		t.Fatalf("Importances: %v", err)
 	}
-	qSys := 1 - base
 	for i, c := range cs.Components() {
-		b, err := cs.Birnbaum(avail, c)
+		cUp, err := cs.WhatIf(avail, map[string]bool{c: true})
 		if err != nil {
-			t.Fatalf("Birnbaum(%q): %v", c, err)
+			t.Fatalf("WhatIf(%q up): %v", c, err)
 		}
-		if up[i]-down[i] != b {
-			t.Fatalf("Importances Birnbaum(%q) = %.17g, Birnbaum %.17g", c, up[i]-down[i], b)
-		}
-		fv, err := cs.FussellVesely(avail, c)
+		cDown, err := cs.WhatIf(avail, map[string]bool{c: false})
 		if err != nil {
-			t.Fatalf("FussellVesely(%q): %v", c, err)
+			t.Fatalf("WhatIf(%q down): %v", c, err)
 		}
-		gotFV := 0.0
-		if qSys != 0 {
-			gotFV = ((1 - base) - (1 - up[i])) / qSys
+		if up[i]-down[i] != cUp-cDown {
+			t.Fatalf("Importances Birnbaum(%q) = %.17g, WhatIf up−down %.17g", c, up[i]-down[i], cUp-cDown)
 		}
-		if gotFV != fv {
-			t.Fatalf("Importances Fussell–Vesely(%q) = %.17g, FussellVesely %.17g", c, gotFV, fv)
+		if got, want := fussellVesely(base, up[i]), fussellVesely(base, cUp); got != want {
+			t.Fatalf("Importances Fussell–Vesely(%q) = %.17g, from WhatIf %.17g", c, got, want)
 		}
 	}
+}
+
+// fussellVesely is the Fussell–Vesely importance of a component from the
+// exact service availability base and the availability up with the
+// component forced up; a perfect system attributes no unavailability.
+func fussellVesely(base, up float64) float64 {
+	if base == 1 {
+		return 0
+	}
+	return ((1 - base) - (1 - up)) / (1 - base)
 }

@@ -213,11 +213,6 @@ type AnalyzeOptions struct {
 	// ablation escape hatch and participates in the server's analysis cache
 	// key.
 	Legacy bool
-	// MCWorkers selects the Monte Carlo sampler: 0 runs the sequential
-	// sampler (the historical default), any other value runs
-	// MonteCarloParallel with that worker count (< 0 means one worker per
-	// CPU). Different worker counts resample but converge to the same value.
-	MCWorkers int
 }
 
 // Analyze runs the full Section VII analysis pipeline on a generation
@@ -235,8 +230,7 @@ func AnalyzeContext(ctx context.Context, res *core.Result, model AvailabilityMod
 	return AnalyzeWithOptions(ctx, res, model, mcSamples, seed, AnalyzeOptions{})
 }
 
-// AnalyzeWithOptions is AnalyzeContext with explicit kernel and sampler
-// selection.
+// AnalyzeWithOptions is AnalyzeContext with explicit kernel selection.
 func AnalyzeWithOptions(ctx context.Context, res *core.Result, model AvailabilityModel, mcSamples int, seed int64, opts AnalyzeOptions) (*Report, error) {
 	ctx, span := obs.StartSpan(ctx, "avail.analyze")
 	defer span.End()
@@ -300,14 +294,9 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 	sp, t0 = stage("avail.montecarlo"), time.Now()
 	sp.SetAttr("samples", mcSamples)
 	var mc, se float64
-	switch {
-	case cs != nil && opts.MCWorkers != 0:
-		mc, se, err = cs.MonteCarloParallel(avail, mcSamples, seed, opts.MCWorkers)
-	case cs != nil:
+	if cs != nil {
 		mc, se, err = cs.MonteCarlo(avail, mcSamples, seed)
-	case opts.MCWorkers != 0:
-		mc, se, err = st.MonteCarloParallel(avail, mcSamples, seed, opts.MCWorkers)
-	default:
+	} else {
 		mc, se, err = st.MonteCarlo(avail, mcSamples, seed)
 	}
 	sp.End()

@@ -111,13 +111,24 @@ func TestConcurrentAnalysisSharedCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const workers, rounds = 8, 20
+	type estimate struct{ est, stderr float64 }
+	var wantMC [workers][rounds]estimate
+	for w := range wantMC {
+		for i := range wantMC[w] {
+			e := &wantMC[w][i]
+			if e.est, e.stderr, err = cs.MonteCarlo(avail, 200, int64(w*100+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
+			for i := 0; i < rounds; i++ {
 				got, err := cs.Exact(avail)
 				if err != nil || got != wantExact {
 					t.Errorf("worker %d: Exact = %v, %v; want %v", w, got, err, wantExact)
@@ -128,8 +139,9 @@ func TestConcurrentAnalysisSharedCompiled(t *testing.T) {
 					t.Errorf("worker %d: MinimalCutSets = %d sets, %v; want %d", w, len(cuts), err, len(wantCuts))
 					return
 				}
-				if _, _, err := cs.MonteCarloParallel(avail, 200, int64(w*100+i), 3); err != nil {
-					t.Errorf("worker %d: MonteCarloParallel: %v", w, err)
+				est, stderr, err := cs.MonteCarlo(avail, 200, int64(w*100+i))
+				if got := (estimate{est, stderr}); err != nil || got != wantMC[w][i] {
+					t.Errorf("worker %d: MonteCarlo = %+v, %v; want %+v", w, got, err, wantMC[w][i])
 					return
 				}
 				rep, err := AnalyzeContext(context.Background(), res, ModelExact, 500, 1)

@@ -12,7 +12,6 @@ const (
 	errFmtAtomicService     = "depend: atomic service %q: %w"
 	errFmtInclExclLimit     = "depend: inclusion-exclusion over %d path sets exceeds limit %d"
 	errFmtMonteCarloSamples = "depend: MonteCarlo needs at least 1 sample, got %d"
-	errFmtMCParallelSamples = "depend: MonteCarloParallel needs at least 1 sample, got %d"
 	errFmtForcedNotInStruct = "depend: forced component %q not in structure"
 	errFmtCompNotInStruct   = "depend: component %q not in structure"
 )

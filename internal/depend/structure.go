@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // PathSet is one minimal path set: the component IDs that must all be
@@ -365,68 +363,6 @@ func (s *ServiceStructure) MonteCarlo(avail map[string]float64, samples int, see
 	}
 	p := float64(good) / float64(samples)
 	return p, math.Sqrt(p * (1 - p) / float64(samples)), nil
-}
-
-// MonteCarloParallel is MonteCarlo distributed over a worker pool: the
-// sample budget is split into per-worker shards, each driven by its own
-// deterministic sub-seed, and the shard counts are summed. For the same
-// (samples, seed, workers) triple the estimate is reproducible; different
-// worker counts resample but converge to the same value. workers < 1
-// selects one worker per available CPU.
-func (s *ServiceStructure) MonteCarloParallel(avail map[string]float64, samples int, seed int64, workers int) (est, stderr float64, err error) {
-	if err := s.Validate(); err != nil {
-		return 0, 0, err
-	}
-	if err := checkAvail(s, avail); err != nil {
-		return 0, 0, err
-	}
-	if samples < 1 {
-		return 0, 0, fmt.Errorf(errFmtMCParallelSamples, samples)
-	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > samples {
-		workers = samples
-	}
-	type shard struct {
-		good int
-		n    int
-		err  error
-	}
-	results := make(chan shard, workers)
-	per := samples / workers
-	extra := samples % workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		n := per
-		if w < extra {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(n int, subSeed int64) {
-			defer wg.Done()
-			p, _, err := s.MonteCarlo(avail, n, subSeed)
-			results <- shard{good: int(p*float64(n) + 0.5), n: n, err: err}
-		}(n, seed+int64(w)*0x9E3779B9)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	good, total := 0, 0
-	for r := range results {
-		if r.err != nil {
-			return 0, 0, r.err
-		}
-		good += r.good
-		total += r.n
-	}
-	p := float64(good) / float64(total)
-	return p, math.Sqrt(p * (1 - p) / float64(total)), nil
 }
 
 // Birnbaum returns the Birnbaum importance of a component: the partial

@@ -256,37 +256,3 @@ func TestExactProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMonteCarloParallel(t *testing.T) {
-	st, avail := sharedStructure()
-	exact, err := st.Exact(avail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{-1, 1, 2, 8} {
-		mc, se, err := st.MonteCarloParallel(avail, 100000, 42, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if math.Abs(mc-exact) > 5*se+1e-9 {
-			t.Errorf("workers=%d: MC %v ± %v vs exact %v", workers, mc, se, exact)
-		}
-	}
-	// Reproducible for a fixed triple.
-	a1, _, _ := st.MonteCarloParallel(avail, 50000, 7, 4)
-	a2, _, _ := st.MonteCarloParallel(avail, 50000, 7, 4)
-	if a1 != a2 {
-		t.Error("same (samples, seed, workers) must reproduce")
-	}
-	// More workers than samples is clamped, not an error.
-	if _, _, err := st.MonteCarloParallel(avail, 3, 1, 64); err != nil {
-		t.Errorf("worker clamping failed: %v", err)
-	}
-	if _, _, err := st.MonteCarloParallel(avail, 0, 1, 2); err == nil {
-		t.Error("zero samples should fail")
-	}
-	bad := &ServiceStructure{}
-	if _, _, err := bad.MonteCarloParallel(avail, 10, 1, 2); err == nil {
-		t.Error("invalid structure should fail")
-	}
-}

@@ -284,7 +284,7 @@ type (
 	// CompiledStructure is the interned bitset form of a ServiceStructure:
 	// same analyses, bit-identical results, compiled once.
 	CompiledStructure = depend.CompiledStructure
-	// AnalyzeOptions selects the analysis kernel and Monte Carlo sampler.
+	// AnalyzeOptions selects the analysis kernel.
 	AnalyzeOptions = depend.AnalyzeOptions
 	// Report is the end-to-end availability analysis of one UPSIM.
 	Report = depend.Report
@@ -388,8 +388,8 @@ func AnalyzeContext(ctx context.Context, res *Result, model depend.AvailabilityM
 	return depend.AnalyzeContext(ctx, res, model, mcSamples, seed)
 }
 
-// AnalyzeWithOptions is AnalyzeContext with explicit kernel (legacy ablation
-// flag) and Monte Carlo worker selection.
+// AnalyzeWithOptions is AnalyzeContext with explicit kernel selection (the
+// legacy ablation flag).
 func AnalyzeWithOptions(ctx context.Context, res *Result, model depend.AvailabilityModel, mcSamples int, seed int64, opts AnalyzeOptions) (*Report, error) {
 	return depend.AnalyzeWithOptions(ctx, res, model, mcSamples, seed, opts)
 }
