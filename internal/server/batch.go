@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -151,30 +151,54 @@ func (a *api) runBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, 
 	return resp, nil
 }
 
-// itemWarmKey derives the warm-lane key of one batch item from the
-// canonical JSON encoding of the item under its normalised op, so op "" and
-// op "generate" share a key ("" when the warm lane is off).
+// itemWarmKey derives the warm-lane key of one batch item ("" when the
+// warm lane is off): a SHA-256 over every field of the item, the op
+// normalised so op "" and op "generate" share a key. Strings are hashed
+// behind their lengths, so no two items differing in any field share the
+// bytes hashed; they stream through a stack buffer instead of being copied
+// or re-encoded.
 func (a *api) itemWarmKey(op string, it *BatchItem) string {
 	if a.warm == nil {
 		return ""
 	}
-	if it.Op != op {
-		norm := *it
-		norm.Op = op
-		it = &norm
+	h := sha256.New()
+	var buf [512]byte
+	str := func(s string) {
+		h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(len(s))))
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
 	}
-	b, err := json.Marshal(it)
-	if err != nil {
-		return ""
+	num := func(n int64) { h.Write(binary.LittleEndian.AppendUint64(buf[:0], uint64(n))) }
+	flag := func(b bool) {
+		buf[0] = 0
+		if b {
+			buf[0] = 1
+		}
+		h.Write(buf[:1])
 	}
-	sum := sha256.Sum256(b)
-	return warmPrefixItem + hex.EncodeToString(sum[:])
+	for _, s := range [...]string{op, it.ModelXML, it.Diagram, it.Service, it.MappingXML, it.Name, it.From, it.To, it.Cost} {
+		str(s)
+	}
+	for _, n := range [...]int64{int64(it.MCSamples), it.Seed, int64(it.MaxHops), int64(it.MaxDepth), int64(it.MaxPaths), int64(it.K)} {
+		num(n)
+	}
+	for _, b := range [...]bool{it.AllowDisconnected, it.Formula1, it.LegacyKernel} {
+		flag(b)
+	}
+	var key [len(warmPrefixItem) + 2*sha256.Size]byte
+	copy(key[:], warmPrefixItem)
+	var sum [sha256.Size]byte
+	hex.Encode(key[len(warmPrefixItem):], h.Sum(sum[:0]))
+	return string(key[:])
 }
 
 // runBatchItem executes one item. A cancelled ctx fails remaining items fast
 // (the pipeline itself also honours ctx). Items ride the warm lane like the
-// top-level analysis POSTs: a repeated item (keyed by its canonical JSON)
-// replays its memoised result without generation or analysis, even when the
+// top-level analysis POSTs: a repeated item (keyed by its fields) replays
+// its memoised result without generation or analysis, even when the
 // surrounding batch differs. A failed item carries the error string and, for
 // a budget overflow, the structured detail the single routes answer as
 // their 422 body.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -289,5 +290,49 @@ func TestAnalysisCacheReplay(t *testing.T) {
 	lr := cold.Results[1].Result.(availabilityResponse)
 	if cr != lr {
 		t.Errorf("compiled %+v != legacy %+v", cr, lr)
+	}
+}
+
+// TestBatchItemWarmKeyFields: an item's warm key changes with every field,
+// and with bytes moved across a field boundary.
+func TestBatchItemWarmKeyFields(t *testing.T) {
+	a := &api{warm: cache.New(0)}
+	key := func(it BatchItem) string { return a.itemWarmKey(it.Op, &it) }
+	base := BatchItem{
+		Op: OpQoS, ModelXML: "m", Diagram: "d", Service: "s", MappingXML: "p", Name: "n",
+		MCSamples: 1, Seed: 2, MaxHops: 3, From: "f", To: "t", MaxDepth: 4, MaxPaths: 5, K: 6, Cost: "c",
+	}
+	seen := map[string]string{key(base): "base"}
+	v := reflect.ValueOf(base)
+	for i := 0; i < v.NumField(); i++ {
+		it := base
+		f := reflect.ValueOf(&it).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("field %s: unhandled kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+		name := v.Type().Field(i).Name
+		if prev, dup := seen[key(it)]; dup {
+			t.Errorf("changing %s keeps the key of %s", name, prev)
+		}
+		seen[key(it)] = name
+	}
+	for _, pair := range [][2]BatchItem{
+		{{From: "ab", To: "c"}, {From: "a", To: "bc"}},
+		{{ModelXML: "m", Diagram: ""}, {ModelXML: "", Diagram: "m"}},
+		{{Name: "x"}, {From: "x"}},
+	} {
+		if key(pair[0]) == key(pair[1]) {
+			t.Errorf("%+v and %+v share a key", pair[0], pair[1])
+		}
+	}
+	if !strings.HasPrefix(key(base), warmPrefixItem) || len(key(base)) != len(warmPrefixItem)+64 {
+		t.Errorf("key %q is not the item prefix and a hex SHA-256", key(base))
 	}
 }

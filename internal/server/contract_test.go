@@ -58,7 +58,7 @@ func with(base, fields obj) obj {
 	return out
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -71,7 +71,7 @@ func mustJSON(t *testing.T, v any) string {
 // mesh whose components all have MTTR > MTBF: generation succeeds, the
 // Formula 1 analysis fails. That is the availability route's 422; its
 // analysis runs no budgeted expansion, so it has no budget 422.
-func formula1BreakdownRequest(t *testing.T) obj {
+func formula1BreakdownRequest(t testing.TB) obj {
 	t.Helper()
 	g, err := topology.Mesh(3)
 	if err != nil {
@@ -108,7 +108,7 @@ func formula1BreakdownRequest(t *testing.T) obj {
 
 // contractCases lists every route with its success case and each error
 // class it can answer.
-func contractCases(t *testing.T) []contractCase {
+func contractCases(t testing.TB) []contractCase {
 	t.Helper()
 	modelXML, mappingXML := warmFixture(t)
 	var stale strings.Builder // the case-study model without edge switch d4
@@ -228,6 +228,44 @@ func contractCases(t *testing.T) []contractCase {
 	reserved := with(gen, obj{"modelXml": strings.ReplaceAll(modelXML, `"d4"`, `"c1--d4#0"`)})
 	post("reserved link name 422", "/api/v1/availability", with(reserved, obj{"mcSamples": 1000}))
 	post("reserved link name 422", "/api/v1/explain", reserved)
+
+	// Decode edge cases: inputs outside the common JSON shape, each pinned
+	// on one route of every body kind (flat analysis request, flat paths
+	// request, batch item). raw splices a key:value run into base in place
+	// of fields that base drops; str is a string field whose value the
+	// error text echoes.
+	for _, d := range []struct {
+		route, str string
+		base       obj
+		wrap       func(item string) string
+	}{
+		{"/api/v1/availability", "service", with(gen, obj{"mcSamples": 1000, "seed": 7}), nil},
+		{"/api/v1/paths", "from", paths, nil},
+		{"/api/v1/batch", "service", with(gen, obj{"op": OpAvailability, "mcSamples": 1000}),
+			func(item string) string { return `{"items":[` + item + `],"workers":1}` }},
+	} {
+		raw := func(drop []string, fields string) string {
+			base := with(d.base, obj{"~": 0})
+			for _, k := range drop {
+				delete(base, k)
+			}
+			s := strings.Replace(mustJSON(t, base), `"~":0`, fields, 1)
+			if d.wrap != nil {
+				s = d.wrap(s)
+			}
+			return s
+		}
+		post("case-variant key", d.route, raw([]string{"modelXml"}, `"ModelXML":`+mustJSON(t, modelXML)))
+		post("duplicate key", d.route, raw([]string{"diagram"}, `"diagram":"ghost","diagram":"infrastructure"`))
+		post("null string", d.route, raw([]string{d.str}, `"`+d.str+`":null`))
+		post("quoted int", d.route, raw(nil, `"k":"5"`))
+		post("fractional int", d.route, raw([]string{"mcSamples"}, `"mcSamples":1.5`))
+		post("escaped non-ascii", d.route, raw([]string{d.str}, `"`+d.str+`":"caf\u00e9"`))
+		post("surrogate pair", d.route, raw([]string{d.str}, `"`+d.str+`":"\ud83d\ude00"`))
+		post("invalid utf-8", d.route, raw([]string{d.str}, `"`+d.str+"\":\"t\xff1\""))
+		small := raw(nil, `"name":""`)
+		post("oversize body", d.route, raw(nil, `"name":"`+strings.Repeat("x", MaxRequestBytes+1024-len(small))+`"`))
+	}
 	return cases
 }
 

@@ -94,7 +94,7 @@ func (a *api) instrumentWarm(route, warmPrefix string, h http.HandlerFunc) http.
 		start := time.Now()
 		wr := warmPool.Get().(*warmReq)
 		if a.tryWarm(wr, warmPrefix, w, r) {
-			warmPool.Put(wr)
+			wr.recycle()
 			warmHits.Inc()
 			warmRequests.Inc()
 			warmLatency.Observe(time.Since(start).Seconds())
@@ -103,7 +103,7 @@ func (a *api) instrumentWarm(route, warmPrefix string, h http.HandlerFunc) http.
 		cold(w, r)
 		// The handler is done with the replayed body (storeWarm copied the
 		// key); the warmReq can be recycled.
-		warmPool.Put(wr)
+		wr.recycle()
 	}
 }
 

@@ -40,9 +40,10 @@
 // on GET /metrics as upsim_cache_{hits,misses,evictions,singleflight_shared}_total.
 //
 // Every JSON POST route runs one request pipeline (serve): a strict decode
-// of the body, a typed handler returning (reply, error), and respond, which
-// renders every error in one place and writes the reply, publishing
-// memoised analysis bytes to the warm lane.
+// of the body — by the single-pass scanner of scan.go where it applies, by
+// encoding/json otherwise — a typed handler returning (reply, error), and
+// respond, which renders every error in one place and writes the reply,
+// publishing memoised analysis bytes to the warm lane.
 //
 // Every API route runs behind the observability middleware (request-ID
 // injection, request counter, per-route latency histogram, in-flight gauge,
@@ -169,12 +170,17 @@ func (a *api) routes() http.Handler {
 		_, route, _ := strings.Cut(pattern, " ")
 		mux.HandleFunc(pattern, instrument(route, h))
 	}
-	// The analysis routes additionally run the warm byte-level lane (see
-	// warm.go): a repeated body is answered from memoised response bytes
-	// without JSON decoding, generation or allocation.
-	warm := func(pattern, prefix string, h http.HandlerFunc) {
+	// post registers a JSON POST route. A non-empty warm prefix puts the
+	// warm byte-level lane (see warm.go) in front: a repeated body is
+	// answered from memoised response bytes without JSON decoding,
+	// generation or allocation.
+	post := func(pattern, warmPrefix string, h func(route string) http.HandlerFunc) {
 		_, route, _ := strings.Cut(pattern, " ")
-		mux.HandleFunc(pattern, a.instrumentWarm(route, prefix, h))
+		if warmPrefix == "" {
+			mux.HandleFunc(pattern, instrument(route, h(route)))
+			return
+		}
+		mux.HandleFunc(pattern, a.instrumentWarm(route, warmPrefix, h(route)))
 	}
 	handle("GET /healthz", handleHealth)
 	handle("GET /api/v1/casestudy/model", handleCaseStudyModel)
@@ -183,14 +189,14 @@ func (a *api) routes() http.Handler {
 		v, err := a.handlePathsQuery(r)
 		a.respond(w, r, v, err)
 	})
-	handle("POST /api/v1/paths", serve(a, a.handlePaths))
-	handle("POST /api/v1/generate", serve(a, a.handleGenerate))
-	warm("POST /api/v1/availability", warmPrefixAvailability, serve(a, a.handleAvailability))
-	warm("POST /api/v1/qos", warmPrefixQoS, serve(a, a.handleQoS))
-	warm("POST /api/v1/explain", warmPrefixExplain, serve(a, a.handleExplain))
-	handle("POST /api/v1/lint", serve(a, handleLint))
-	warm("POST /api/v1/batch", warmPrefixBatch, serve(a, a.handleBatch))
-	handle("POST /api/v1/whatif", serve(a, a.handleWhatIf))
+	post("POST /api/v1/paths", "", serve(a, a.handlePaths))
+	post("POST /api/v1/generate", "", serve(a, a.handleGenerate))
+	post("POST /api/v1/availability", warmPrefixAvailability, serve(a, a.handleAvailability))
+	post("POST /api/v1/qos", warmPrefixQoS, serve(a, a.handleQoS))
+	post("POST /api/v1/explain", warmPrefixExplain, serve(a, a.handleExplain))
+	post("POST /api/v1/lint", "", serve(a, handleLint))
+	post("POST /api/v1/batch", warmPrefixBatch, serve(a, a.handleBatch))
+	post("POST /api/v1/whatif", "", serve(a, a.handleWhatIf))
 	mux.Handle("GET /metrics", obs.Handler())
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
@@ -228,18 +234,46 @@ func withStatus(status int, err error) error { return &statusError{status: statu
 // unprocessable marks an analysis failure on a well-formed request (422).
 func unprocessable(err error) error { return withStatus(http.StatusUnprocessableEntity, err) }
 
-// serve is the request pipeline of the JSON POST routes: a strict decode of
-// the body into a fresh T (a failure is the uniform 400), the typed handler,
-// then respond.
-func serve[T any](a *api, h func(context.Context, *T) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req T
-		if err := decodeBody(w, r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
-			return
+// mDecodes counts decoded request bodies by route and decoder: "scan" for
+// the single-pass scanner (scan.go), "stdlib" for the strict encoding/json
+// decoder that serves every other body.
+var mDecodes = obs.NewCounter("upsim_server_decode_total",
+	"Request bodies decoded, by route and decoder (scan or stdlib).", "route", "path")
+
+// serve is the request pipeline of the JSON POST routes: the body read into
+// a pooled buffer (the warm lane's, when it already holds the body), a
+// decode into a fresh T (a failure is the uniform 400), the typed handler,
+// then respond. The route names the decode counter's series. A T the
+// scanner covers is scanned from the buffer; any other T, and any body the
+// scanner does not accept, is decoded by decodeBody from the replayed bytes.
+func serve[T any](a *api, h func(context.Context, *T) (any, error)) func(route string) http.HandlerFunc {
+	return func(route string) http.HandlerFunc {
+		scanned, stdlib := mDecodes.With(route, "scan"), mDecodes.With(route, "stdlib")
+		return func(w http.ResponseWriter, r *http.Request) {
+			wr, ok := r.Body.(*warmReq)
+			if !ok {
+				wr = warmPool.Get().(*warmReq)
+				defer wr.recycle()
+				// A failed read is replayed with its error, which the
+				// decode below then reports.
+				_ = wr.fill(r.Body)
+				wr.replay(r)
+			}
+			var req T
+			// Only a body fill read whole is scanned.
+			if f, ok := any(&req).(scanFielder); ok && wr.err == nil && wr.sc.scan(wr.buf, f) {
+				scanned.Inc()
+			} else {
+				req = *new(T)
+				stdlib.Inc()
+				if err := decodeBody(w, r, &req); err != nil {
+					writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+					return
+				}
+			}
+			v, err := h(r.Context(), &req)
+			a.respond(w, r, v, err)
 		}
-		v, err := h(r.Context(), &req)
-		a.respond(w, r, v, err)
 	}
 }
 

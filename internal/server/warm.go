@@ -67,60 +67,92 @@ const (
 	// fanning out. (The memoised body embeds the cache-stats snapshot taken
 	// when it was computed; a warm replay intentionally repeats it.)
 	warmPrefixBatch = "warm|batch|"
-	// warmPrefixItem keys individual batch items by their canonical JSON
-	// encoding, so a repeated item skips generation and analysis even when
-	// the surrounding batch differs (see runBatchItem).
+	// warmPrefixItem keys individual batch items by a hash of their fields
+	// (itemWarmKey), so a repeated item skips generation and analysis even
+	// when the surrounding batch differs (see runBatchItem).
 	warmPrefixItem = "warm|item|"
 )
 
-// warmReq is the pooled per-request state of the warm lane: the body buffer,
-// the derived cache key and the replay reader handed to the JSON decoder on a
-// miss. It implements io.ReadCloser so it can be installed as r.Body.
+// warmReq is the pooled per-request state of the body buffer: the body
+// bytes, the warm-lane cache key, the replay reader handed to the JSON
+// decoder on a miss and the request-body scanner. It implements
+// io.ReadCloser so it can be installed as r.Body. Every JSON POST route
+// reads its body through one (see serve); only the warm routes key it.
 type warmReq struct {
 	buf  []byte       // request body bytes, reused across requests
+	err  error        // why fill stopped early, or nil
 	key  []byte       // prefix + hex digest, reused across requests
 	body bytes.Reader // replays buf to the handler on a miss
+	sc   scanner      // decodes buf on the scanned routes
 }
 
-func (wr *warmReq) Read(p []byte) (int, error) { return wr.body.Read(p) }
-func (wr *warmReq) Close() error               { return nil }
+// Read replays the body, then the error that cut its read short, if any.
+func (wr *warmReq) Read(p []byte) (int, error) {
+	n, err := wr.body.Read(p)
+	if err == io.EOF && wr.err != nil {
+		err = wr.err
+	}
+	return n, err
+}
+
+func (wr *warmReq) Close() error { return nil }
 
 var warmPool = sync.Pool{New: func() any { return new(warmReq) }}
 
+// maxPooledBody bounds the body buffer and unescape scratch a recycled
+// warmReq keeps: a rare large body must not stay pinned in the pool.
+const maxPooledBody = 1 << 20
+
+// recycle returns wr to warmPool.
+func (wr *warmReq) recycle() {
+	wr.shrink()
+	warmPool.Put(wr)
+}
+
+// shrink drops the buffers grown past maxPooledBody.
+func (wr *warmReq) shrink() {
+	if cap(wr.buf) > maxPooledBody {
+		wr.buf = nil
+	}
+	if cap(wr.sc.scratch) > maxPooledBody {
+		wr.sc.scratch = nil
+	}
+}
+
 // fill reads the request body into the reusable buffer, up to one byte past
 // the request size bound (the overflow byte lets the replayed decode fail
-// with the same "body too large" error the cold path produces).
+// with the same "body too large" error the cold path produces). It clears
+// the previous request's key; the returned error is also kept in wr.err.
 //
 //upsim:hotpath
 func (wr *warmReq) fill(r io.Reader) error {
+	wr.key = wr.key[:0]
 	buf := wr.buf[:0]
 	if cap(buf) == 0 {
 		buf = make([]byte, 0, 4096)
 	}
 	for {
 		if len(buf) == cap(buf) {
-			if len(buf) > MaxRequestBytes {
-				wr.buf = buf
-				return errBodyTooLarge
-			}
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		n, err := r.Read(buf[len(buf):min(cap(buf), MaxRequestBytes+1)])
 		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			wr.buf = buf
-			return nil
+		switch {
+		case len(buf) > MaxRequestBytes:
+			err = errBodyTooLarge
+		case err == io.EOF:
+			err = nil
+		case err == nil:
+			continue
 		}
-		if err != nil {
-			wr.buf = buf
-			return err
-		}
+		wr.buf, wr.err = buf, err
+		return err
 	}
 }
 
 // errBodyTooLarge aborts fill when the body exceeds MaxRequestBytes; the
-// middleware falls back to the cold path, whose MaxBytesReader produces the
-// canonical 400.
+// decode falls back to decodeBody, whose MaxBytesReader produces the
+// canonical 400 from the replayed bytes.
 var errBodyTooLarge = errors.New("server: request body exceeds MaxRequestBytes")
 
 // buildKey derives the warm cache key — prefix plus the hex SHA-256 of the

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,7 +17,7 @@ import (
 
 // warmFixture returns the case-study model XML and Table I mapping XML
 // without going through HTTP.
-func warmFixture(t *testing.T) (modelXML, mappingXML string) {
+func warmFixture(t testing.TB) (modelXML, mappingXML string) {
 	t.Helper()
 	m, err := casestudy.BuildModel()
 	if err != nil {
@@ -230,5 +231,53 @@ func TestPathsHardLimit422(t *testing.T) {
 	}
 	if resp.Error == "" {
 		t.Fatal("422 body lacks the error message")
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestWarmFillBounded: an oversize body is read no further than one byte
+// past MaxRequestBytes, is neither hashed nor probed, answers the canonical
+// 400, and its buffer does not go back into the pool.
+func TestWarmFillBounded(t *testing.T) {
+	const size = MaxRequestBytes + 5000
+	a := newAPI(Config{})
+	wr := new(warmReq)
+	wr.key = append(wr.key, "warm|qos|stale"...)
+	cr := &countingReader{r: strings.NewReader(strings.Repeat(" ", size))}
+	r := httptest.NewRequest(http.MethodPost, "/api/v1/qos", cr)
+	if a.tryWarm(wr, warmPrefixQoS, httptest.NewRecorder(), r) {
+		t.Fatal("oversize body served as a warm hit")
+	}
+	if cr.n != MaxRequestBytes+1 {
+		t.Errorf("read %d bytes of a %d-byte body, want %d", cr.n, size, MaxRequestBytes+1)
+	}
+	if wr.err != errBodyTooLarge || len(wr.key) != 0 {
+		t.Errorf("fill error %v, key %q; want errBodyTooLarge and no key", wr.err, wr.key)
+	}
+	wr.shrink()
+	if wr.buf != nil {
+		t.Errorf("a %d-byte buffer stays poolable", cap(wr.buf))
+	}
+
+	h := New()
+	for _, route := range []string{"/api/v1/qos", "/api/v1/paths", "/api/v1/lint"} {
+		body := `{"diagram":"` + strings.Repeat("x", size) + `"}`
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, route, strings.NewReader(body)))
+		const want = `{"error":"invalid request body: http: request body too large"}` + "\n"
+		if w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("%s: %d %s, want 400 %s", route, w.Code, w.Body.String(), want)
+		}
 	}
 }
