@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"time"
@@ -18,34 +17,20 @@ var benchOut string
 // cacheBench is the BENCH_cache.json schema (all durations in nanoseconds;
 // see EXPERIMENTS.md for recorded numbers).
 type cacheBench struct {
-	CaseStudy        string  `json:"caseStudy"`
-	ColdReps         int     `json:"coldReps"`
-	ColdNs           int64   `json:"coldNs"`
-	WarmReps         int     `json:"warmReps"`
-	WarmNs           int64   `json:"warmNs"`
-	Speedup          float64 `json:"speedup"`
-	SequentialNs     int64   `json:"sequentialNs"`
-	ConcurrentNs     int64   `json:"concurrentNs"`
-	DiscoverySpeedup float64 `json:"discoverySpeedup"`
-	// DiscoveryParity is true when the sequential and concurrent sample sets
-	// are statistically indistinguishable (Mann-Whitney U, alpha 0.05; see
-	// mannWhitneyDistinct), in which case DiscoverySpeedup is reported as
-	// exactly 1. On a single-core box auto concurrency resolves to the same
-	// inline loop as workers=1, so parity is the expected verdict there.
-	DiscoveryParity bool `json:"discoveryParity"`
-	// Regression flags DiscoverySpeedup < 1 explicitly, so a concurrent
-	// discovery path that is slower than the sequential loop can never again
-	// hide as just another number in the record (PR 3 recorded 0.96 silently).
-	Regression        bool   `json:"regression"`
-	Goroutines        int    `json:"goroutines"`
-	SingleflightMiss  uint64 `json:"singleflightMisses"`
-	SingleflightReuse uint64 `json:"singleflightReused"`
+	CaseStudy         string  `json:"caseStudy"`
+	ColdReps          int     `json:"coldReps"`
+	ColdNs            int64   `json:"coldNs"`
+	WarmReps          int     `json:"warmReps"`
+	WarmNs            int64   `json:"warmNs"`
+	Speedup           float64 `json:"speedup"`
+	Goroutines        int     `json:"goroutines"`
+	SingleflightMiss  uint64  `json:"singleflightMisses"`
+	SingleflightReuse uint64  `json:"singleflightReused"`
 }
 
-// expCache measures the tentpole of this growth step on the USI case study:
-// cold vs warm generation through the content-addressed cache, sequential vs
-// concurrent Step 7 discovery, and singleflight deduplication under
-// concurrent identical requests.
+// expCache measures the generation cache on the USI case study: cold vs
+// warm generation through the content-addressed cache, and singleflight
+// deduplication under concurrent identical requests.
 func expCache() error {
 	mp := upsim.USITableIMapping()
 	b := cacheBench{CaseStudy: "usi-printing (Table I, t1 → p2)", ColdReps: 10, WarmReps: 200, Goroutines: 16}
@@ -86,73 +71,6 @@ func expCache() error {
 	b.WarmNs = time.Since(start).Nanoseconds() / int64(b.WarmReps)
 	b.Speedup = float64(b.ColdNs) / float64(b.WarmNs)
 
-	// Sequential vs concurrent Step 7 discovery (no cache; distinct UPSIM
-	// names keep every run computing). The configurations are measured
-	// interleaved — one batched sequential sample, then one batched
-	// concurrent sample, repeated, with the order flipped every repetition —
-	// so slow drift (GC, thermal, scheduler) hits both equally. One sample
-	// times a batch of consecutive generates so the window spans milliseconds
-	// rather than one ~60µs run that a single GC pause can swamp, and the
-	// verdict comes from a rank test over all samples, not from comparing two
-	// noisy minima. PR 3 measured the two back-to-back with single-shot means
-	// and recorded a phantom 0.96× "regression" between what were identical
-	// single-core code paths.
-	const discReps = 11
-	const discBatch = 32
-	// A fresh generator per sample: every Generate registers a new object
-	// diagram in the model, so a long-lived generator accumulates state and
-	// the variant measured later always pays more for its lookups. With a
-	// fresh one per batch, every sample times 32 generates against an
-	// identically-growing model.
-	timeBatch := func(workers int) (int64, error) {
-		_, svc, gen, err := base()
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for j := 0; j < discBatch; j++ {
-			if _, err := gen.Generate(svc, mp, fmt.Sprintf("d-%d", j), upsim.Options{DiscoveryWorkers: workers}); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Nanoseconds() / discBatch, nil
-	}
-	b.SequentialNs, b.ConcurrentNs = math.MaxInt64, math.MaxInt64
-	seqSamples := make([]int64, 0, discReps)
-	concSamples := make([]int64, 0, discReps)
-	for i := 0; i < discReps; i++ {
-		first := func() (int64, error) { return timeBatch(1) }
-		second := func() (int64, error) { return timeBatch(0) }
-		if i%2 == 1 {
-			first, second = second, first
-		}
-		dFirst, err := first()
-		if err != nil {
-			return err
-		}
-		dSecond, err := second()
-		if err != nil {
-			return err
-		}
-		dSeq, dConc := dFirst, dSecond
-		if i%2 == 1 {
-			dSeq, dConc = dSecond, dFirst
-		}
-		b.SequentialNs = min(b.SequentialNs, dSeq)
-		b.ConcurrentNs = min(b.ConcurrentNs, dConc)
-		seqSamples = append(seqSamples, dSeq)
-		concSamples = append(concSamples, dConc)
-	}
-	// Round to two decimals: differences below 1% between best repetitions
-	// are measurement noise, not code-path cost.
-	if mannWhitneyDistinct(seqSamples, concSamples) {
-		b.DiscoverySpeedup = math.Round(float64(b.SequentialNs)/float64(b.ConcurrentNs)*100) / 100
-	} else {
-		b.DiscoveryParity = true
-		b.DiscoverySpeedup = 1
-	}
-	b.Regression = b.DiscoverySpeedup < 1
-
 	// Singleflight: concurrent identical requests against a cold cache
 	// compute exactly once.
 	_, svc, gen, err = base()
@@ -177,18 +95,8 @@ func expCache() error {
 	fmt.Printf("  cold generate (pipeline):   %s   (mean of %d fresh runs)\n", time.Duration(b.ColdNs), b.ColdReps)
 	fmt.Printf("  warm generate (cache hit):  %s   (mean of %d repeats)\n", time.Duration(b.WarmNs), b.WarmReps)
 	fmt.Printf("  warm speedup: %.0fx\n", b.Speedup)
-	fmt.Printf("  step 7 discovery, sequential (workers=1): %s/generate (best of %d x %d runs)\n",
-		time.Duration(b.SequentialNs), discReps, discBatch)
-	discCol := fmt.Sprintf("%.2fx", b.DiscoverySpeedup)
-	if b.DiscoveryParity {
-		discCol = "~" + discCol + " (parity)"
-	}
-	fmt.Printf("  step 7 discovery, concurrent (auto):      %s/generate (%s, regression=%t)\n",
-		time.Duration(b.ConcurrentNs), discCol, b.Regression)
 	fmt.Printf("  singleflight: %d goroutines, %d computed, %d reused\n",
 		b.Goroutines, b.SingleflightMiss, b.SingleflightReuse)
-	fmt.Println("  (the USI diamond is tiny, so pool wins are modest here; the cache")
-	fmt.Println("   win is structural — a hash lookup replaces the whole pipeline)")
 
 	if benchOut != "" {
 		data, err := json.MarshalIndent(b, "", "  ")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -87,14 +88,6 @@ func TestCacheKeyDerivation(t *testing.T) {
 	}
 	if base != again {
 		t.Error("identical request derived different keys")
-	}
-	// Pool sizes tune parallelism only — they must not change the address.
-	pooled, err := g.CacheKey(f.svc, f.mp, "u", Options{DiscoveryWorkers: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pooled != base {
-		t.Error("worker-pool sizing changed the cache key")
 	}
 	// Everything that changes the produced Result must change the key.
 	variants := map[string]Options{
@@ -217,71 +210,38 @@ func TestConcurrentDistinctRequests(t *testing.T) {
 	}
 }
 
-// TestDiscoveryWorkersDeterministic asserts the concurrency contract of the
-// Step 7 loop: whatever the pool size, per-service path sets arrive in
-// execution order with identical contents.
-func TestDiscoveryWorkersDeterministic(t *testing.T) {
+// TestFirstFailureInExecutionOrder pins which error Step 7 reports when
+// several atomic services fail: the first in execution order. fetch (first)
+// has no path at all; deliver (second) fails discovery outright under a hard
+// path limit. The no-path check for fetch must win over deliver's discovery
+// error.
+func TestFirstFailureInExecutionOrder(t *testing.T) {
 	f := buildFixture(t)
 	g, err := NewGenerator(f.model, "infrastructure")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := g.Generate(f.svc, f.mp, "seq", Options{DiscoveryWorkers: 1})
-	if err != nil {
+	opts := Options{Paths: pathdisc.Options{HardMaxPaths: 1}}
+	// With fetch on its single t1->sw1 path, deliver's several srv->t1
+	// paths overflow the limit: a discovery error, not a no-path one.
+	mp := f.mp.Clone()
+	if err := mp.Remap("fetch", "t1", "sw1"); err != nil {
 		t.Fatal(err)
 	}
-	for i, workers := range []int{2, 4, 16} {
-		conc, err := g.Generate(f.svc, f.mp, fmt.Sprintf("conc-%d", i), Options{DiscoveryWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(conc.Services) != len(seq.Services) {
-			t.Fatalf("workers=%d: services = %d, want %d", workers, len(conc.Services), len(seq.Services))
-		}
-		for si := range seq.Services {
-			a, b := seq.Services[si], conc.Services[si]
-			if a.AtomicService != b.AtomicService {
-				t.Errorf("workers=%d: service[%d] = %s, want %s (order lost)", workers, si, b.AtomicService, a.AtomicService)
-			}
-			if len(a.Paths) != len(b.Paths) {
-				t.Fatalf("workers=%d: %s has %d paths, want %d", workers, a.AtomicService, len(b.Paths), len(a.Paths))
-			}
-			for pi := range a.Paths {
-				if a.Paths[pi].String() != b.Paths[pi].String() {
-					t.Errorf("workers=%d: %s path[%d] = %s, want %s", workers, a.AtomicService, pi, b.Paths[pi], a.Paths[pi])
-				}
-			}
-		}
-		if got, want := conc.NodeNames(), seq.NodeNames(); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("workers=%d: nodes = %v, want %v", workers, got, want)
-		}
+	var limit *pathdisc.LimitError
+	if _, err := g.Generate(f.svc, mp, "limit", opts); !errors.As(err, &limit) ||
+		!strings.Contains(err.Error(), `atomic service "deliver"`) {
+		t.Fatalf("error = %v, want deliver's path-limit failure", err)
 	}
-}
-
-func TestConcurrentDiscoveryErrorDeterministic(t *testing.T) {
-	f := buildFixture(t)
-	// Remap the *first* atomic service onto the isolated client so that the
-	// sequential loop's error (fetch has no path) is the one every pool
-	// size must report, even though deliver errors too.
-	mp := f.mp.Clone()
 	if err := mp.Remap("fetch", "iso", "srv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := mp.Remap("deliver", "srv", "iso"); err != nil {
-		t.Fatal(err)
+	_, err = g.Generate(f.svc, mp, "fail", opts)
+	if err == nil {
+		t.Fatal("disconnected pair did not fail")
 	}
-	g, err := NewGenerator(f.model, "infrastructure")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, workers := range []int{1, 2, 8} {
-		_, err := g.Generate(f.svc, mp, fmt.Sprintf("fail-%d", i), Options{DiscoveryWorkers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: disconnected pair did not fail", workers)
-		}
-		if !strings.Contains(err.Error(), `atomic service "fetch"`) {
-			t.Errorf("workers=%d: error = %v, want the first pair's (fetch) failure", workers, err)
-		}
+	if !strings.Contains(err.Error(), `atomic service "fetch"`) || !strings.Contains(err.Error(), "no path") {
+		t.Errorf("error = %v, want the first pair's (fetch) no-path failure", err)
 	}
 }
 

@@ -80,18 +80,16 @@ func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name s
 	if err := mp.Encode(h); err != nil {
 		return "", fmt.Errorf("core: cache key: encoding mapping: %w", err)
 	}
-	// DiscoveryWorkers is deliberately excluded: it tunes parallelism only,
-	// never the produced Result (the discovery loop preserves execution
-	// order), so requests differing only in pool size share one entry.
 	// K, CostMetric and MaxWork all change the produced path set (ranked
 	// top-k under a metric vs full enumeration; the work budget decides
 	// whether the request errors), so they key the cache like the other
 	// path options.
-	// legacy=false is the slot of the retired map-based-kernel switch, kept
-	// literal so every key (and the genKey in response bodies) is unchanged.
-	fmt.Fprintf(h, "\nopts=%s/%s paths={d=%d p=%d c=%t k=%d cost=%s work=%d} disc=%t lint=%s legacy=false\n",
+	// c=false and legacy=false are the slots of the retired parallel-edge
+	// collapsing and map-based-kernel switches, kept literal so every key
+	// (and the genKey in response bodies) is unchanged.
+	fmt.Fprintf(h, "\nopts=%s/%s paths={d=%d p=%d c=false k=%d cost=%s work=%d} disc=%t lint=%s legacy=false\n",
 		opts.Algorithm, opts.Merge,
-		opts.Paths.MaxDepth, opts.Paths.MaxPaths, opts.Paths.CollapseParallel,
+		opts.Paths.MaxDepth, opts.Paths.MaxPaths,
 		opts.Paths.K, opts.Paths.CostMetric, opts.Paths.MaxWork,
 		opts.AllowDisconnected, opts.Lint)
 	return hex.EncodeToString(h.Sum(nil)), nil

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"upsim/internal/cache"
@@ -124,16 +123,9 @@ type Options struct {
 	// is the paper's Section VI-H filter (keep every infrastructure link
 	// whose both endpoints appear in some path).
 	Merge MergeSemantics
-	// Paths tunes the enumeration (depth/count bounds, parallel-edge
-	// collapsing). The zero value enumerates unbounded, without collapsing.
+	// Paths tunes the enumeration (depth/count bounds, ranked top-k). The
+	// zero value enumerates every simple path, parallel links included.
 	Paths pathdisc.Options
-	// DiscoveryWorkers bounds the worker pool that runs the per-atomic-
-	// service discovery loop of Step 7 concurrently. 0 (the default) sizes
-	// the pool to min(GOMAXPROCS, number of atomic services); 1 forces the
-	// sequential loop; larger values cap the pool. The Result is
-	// deterministic regardless of pool size: per-service path sets keep the
-	// composite's execution order.
-	DiscoveryWorkers int
 	// AllowDisconnected produces a partial UPSIM instead of failing when an
 	// atomic service has no path between requester and provider. The
 	// default (false) makes a disconnected pair an error.
@@ -142,22 +134,6 @@ type Options struct {
 	// linting entirely, matching the paper's pipeline; LintWarn logs
 	// findings, LintFail aborts on error-severity findings.
 	Lint LintMode
-}
-
-// discoveryWorkers resolves the effective Step 7 pool size for n atomic
-// services.
-func (o Options) discoveryWorkers(n int) int {
-	w := o.DiscoveryWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // ServicePaths records Step 7 output for one atomic service.
@@ -422,13 +398,9 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	span6.SetAttr("pairs", len(mp.Pairs()))
 	span6.End()
 
-	// Step 7: path discovery per atomic service. Pair resolution stays
-	// sequential (it reads the model space); the discoveries themselves fan
-	// out over a bounded worker pool (Options.DiscoveryWorkers) against the
-	// read-only topology graph. Tasks are claimed in execution order and
-	// results assembled by index, so the Result — including the first error
-	// reported when several pairs fail — is identical to the sequential
-	// loop's, whatever the pool size.
+	// Step 7: path discovery per atomic service, in execution order. Each
+	// pair is resolved, discovered and checked before the next starts, so
+	// the first failing pair is the one reported.
 	ctx7, span7 := obs.StartSpan(ctx, "step7.pathdisc")
 	defer span7.End()
 	span7.SetAttr("algorithm", opts.Algorithm.String())
@@ -436,84 +408,34 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: name}
-	sps := make([]ServicePaths, len(pairs))
-	for i, p := range pairs {
+	res := &Result{Name: name, Services: make([]ServicePaths, 0, len(pairs))}
+	for _, p := range pairs {
+		if err := ctx7.Err(); err != nil {
+			return nil, err
+		}
 		req, prov, err := importers.ResolvePair(g.space, mappingName, p.AtomicService)
 		if err != nil {
 			return nil, err
 		}
-		sps[i] = ServicePaths{
-			AtomicService: p.AtomicService,
-			Requester:     req.Name(),
-			Provider:      prov.Name(),
-		}
-	}
-	workers := opts.discoveryWorkers(len(pairs))
-	span7.SetAttr("workers", workers)
-	wctx, cancelDiscovery := context.WithCancel(ctx7)
-	defer cancelDiscovery()
-	errs := make([]error, len(pairs))
-	discoverOne := func(i int) {
-		// A cancelled context (caller gave up, or an earlier pair failed)
-		// skips the remaining discoveries.
-		if err := wctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		sp := &sps[i]
-		_, svcSpan := obs.StartSpan(wctx, sp.AtomicService)
-		var derr error
-		sp.Paths, sp.Stats, derr = g.discover(sp.Requester, sp.Provider, opts)
+		sp := ServicePaths{AtomicService: p.AtomicService, Requester: req.Name(), Provider: prov.Name()}
+		_, svcSpan := obs.StartSpan(ctx7, sp.AtomicService)
+		sp.Paths, sp.Stats, err = g.discover(sp.Requester, sp.Provider, opts)
 		svcSpan.SetAttr("paths", sp.Stats.Paths)
 		svcSpan.SetAttr("edge_visits", sp.Stats.EdgeVisits)
 		svcSpan.SetAttr("nodes_visited", sp.Stats.NodeVisits)
 		svcSpan.SetAttr("max_stack", sp.Stats.MaxStack)
 		svcSpan.End()
-		if derr != nil {
-			errs[i] = fmt.Errorf("core: %s: atomic service %q: %w", name, sp.AtomicService, derr)
-			cancelDiscovery()
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: atomic service %q: %w", name, sp.AtomicService, err)
 		}
-	}
-	if workers == 1 {
-		// A single-worker pool is just the sequential loop: skip the
-		// goroutine/channel machinery whose scheduling overhead is what made
-		// single-core "concurrent" discovery measure below 1× in PR 3.
-		for i := range pairs {
-			discoverOne(i)
-		}
-	} else {
-		var (
-			wg    sync.WaitGroup
-			tasks = make(chan int)
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range tasks {
-					discoverOne(i)
-				}
-			}()
-		}
-		for i := range pairs {
-			tasks <- i
-		}
-		close(tasks)
-		wg.Wait()
-	}
-	for i := range sps {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if len(sps[i].Paths) == 0 && !opts.AllowDisconnected {
+		if len(sp.Paths) == 0 && !opts.AllowDisconnected {
 			return nil, fmt.Errorf("core: %s: atomic service %q: no path between requester %q and provider %q",
-				name, sps[i].AtomicService, sps[i].Requester, sps[i].Provider)
+				name, sp.AtomicService, sp.Requester, sp.Provider)
 		}
-		res.Services = append(res.Services, sps[i])
-		res.TotalPaths += len(sps[i].Paths)
-		res.EdgeVisits += sps[i].Stats.EdgeVisits
-		res.Pruned += sps[i].Stats.Pruned
+		res.Services = append(res.Services, sp)
+		res.TotalPaths += len(sp.Paths)
+		res.EdgeVisits += sp.Stats.EdgeVisits
+		res.Pruned += sp.Stats.Pruned
 	}
 	span7.SetAttr("paths", res.TotalPaths)
 	span7.SetAttr("edge_visits", res.EdgeVisits)

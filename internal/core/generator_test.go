@@ -299,7 +299,7 @@ func TestGenerateAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, paths := range []pathdisc.Options{{}, {MaxDepth: 5}, {CollapseParallel: true}} {
+		for i, paths := range []pathdisc.Options{{}, {MaxDepth: 5}} {
 			res, err := g.Generate(tc.svc, tc.mp, fmt.Sprintf("agree-%d", i), Options{Paths: paths})
 			if err != nil {
 				t.Fatalf("%s %+v: %v", tc.name, paths, err)
@@ -345,23 +345,23 @@ func TestGenerateShortestAblation(t *testing.T) {
 func TestMergeSemantics(t *testing.T) {
 	f := buildFixture(t)
 	g, _ := NewGenerator(f.model, "infrastructure")
-	// CollapseParallel drops the redundant core link from the traversed
-	// edge set but the induced merge restores it from the topology.
-	induced, err := g.Generate(f.svc, f.mp, "m-ind",
-		Options{Merge: MergeInduced, Paths: pathdisc.Options{CollapseParallel: true}})
+	// Under a 4-hop bound every path runs sw1-c{1,2}-sw2, so neither core
+	// interconnect is traversed; the induced merge restores both from the
+	// topology because their endpoints c1 and c2 are on the paths.
+	bounded := pathdisc.Options{MaxDepth: 4}
+	induced, err := g.Generate(f.svc, f.mp, "m-ind", Options{Merge: MergeInduced, Paths: bounded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traversed, err := g.Generate(f.svc, f.mp, "m-trav",
-		Options{Merge: MergeTraversed, Paths: pathdisc.Options{CollapseParallel: true}})
+	traversed, err := g.Generate(f.svc, f.mp, "m-trav", Options{Merge: MergeTraversed, Paths: bounded})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if induced.Graph.NumEdges() != 8 {
 		t.Errorf("induced edges = %d, want 8", induced.Graph.NumEdges())
 	}
-	if traversed.Graph.NumEdges() != 7 {
-		t.Errorf("traversed+collapsed edges = %d, want 7", traversed.Graph.NumEdges())
+	if traversed.Graph.NumEdges() != 6 {
+		t.Errorf("traversed edges = %d, want 6", traversed.Graph.NumEdges())
 	}
 }
 

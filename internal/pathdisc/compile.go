@@ -41,19 +41,11 @@ type Compiled struct {
 	names []string         // dense node ID -> node name
 	index map[string]int32 // node name -> dense node ID
 
-	// Full CSR adjacency: entries [adjStart[v], adjStart[v+1]) are node v's
+	// CSR adjacency: entries [adjStart[v], adjStart[v+1]) are node v's
 	// incident edges, as (opposite endpoint, topology edge ID) pairs.
 	adjStart []int32
 	adjNode  []int32
 	adjEdge  []int32
-
-	// Collapsed CSR adjacency: as above, but keeping only the first edge per
-	// (node, neighbour) pair — the static equivalent of the per-frame
-	// seenPair map of Options.CollapseParallel. Shares the full arrays when
-	// the graph has no parallel edges.
-	colStart []int32
-	colNode  []int32
-	colEdge  []int32
 
 	numEdges  int
 	liveNodes int // names minus tombstoned slots (see patch.go)
@@ -129,10 +121,8 @@ func Compile(g *topology.Graph) *Compiled {
 	c.adjNode = make([]int32, total)
 	c.adjEdge = make([]int32, total)
 	pos := 0
-	parallel := false
 	for i := 0; i < n; i++ {
 		name := c.names[i]
-		seen := make(map[int32]bool, 4)
 		for _, id := range g.IncidentEdges(name) {
 			e, _ := g.Edge(id)
 			o := c.index[e.Other(name)]
@@ -142,31 +132,6 @@ func Compile(g *topology.Graph) *Compiled {
 			if id > c.maxEdgeID {
 				c.maxEdgeID = id
 			}
-			if seen[o] {
-				parallel = true
-			}
-			seen[o] = true
-		}
-	}
-	if !parallel {
-		// No parallel edges: the collapsed view is the full view.
-		c.colStart, c.colNode, c.colEdge = c.adjStart, c.adjNode, c.adjEdge
-	} else {
-		c.colStart = make([]int32, n+1)
-		c.colNode = make([]int32, 0, total)
-		c.colEdge = make([]int32, 0, total)
-		for i := 0; i < n; i++ {
-			seen := make(map[int32]bool, 4)
-			for j := c.adjStart[i]; j < c.adjStart[i+1]; j++ {
-				o := c.adjNode[j]
-				if seen[o] {
-					continue
-				}
-				seen[o] = true
-				c.colNode = append(c.colNode, o)
-				c.colEdge = append(c.colEdge, c.adjEdge[j])
-			}
-			c.colStart[i+1] = int32(len(c.colNode))
 		}
 	}
 	c.liveNodes = n
@@ -245,14 +210,6 @@ func (c *Compiled) validate(src, dst string) (int32, int32, error) {
 	return s, d, nil
 }
 
-// adjacency selects the full or collapsed CSR view per the options.
-func (c *Compiled) adjacency(opts Options) (start, node, edge []int32) {
-	if opts.CollapseParallel {
-		return c.colStart, c.colNode, c.colEdge
-	}
-	return c.adjStart, c.adjNode, c.adjEdge
-}
-
 // reverseBFS fills s.dist with the hop distance from every node to dst
 // (-1 when dst is unreachable) — the destination-reachability pruning pass.
 // Soundness: any simple path suffix from a node v to dst is a walk proving
@@ -293,9 +250,6 @@ func depthBudget(opts Options) int {
 type csrSearch struct {
 	c        *Compiled
 	s        *scratch
-	start    []int32
-	adjNode  []int32
-	adjEdge  []int32
 	dst      int32
 	budget   int
 	maxPaths int
@@ -374,8 +328,9 @@ func (q *csrSearch) rec(cur int32) bool {
 	if len(q.s.nodes) > q.stats.MaxStack {
 		q.stats.MaxStack = len(q.s.nodes)
 	}
-	for j := q.start[cur]; j < q.start[cur+1]; j++ {
-		next := q.adjNode[j]
+	adjNode, adjEdge := q.c.adjNode, q.c.adjEdge
+	for j := q.c.adjStart[cur]; j < q.c.adjStart[cur+1]; j++ {
+		next := adjNode[j]
 		if q.isVisited(next) {
 			continue
 		}
@@ -385,7 +340,7 @@ func (q *csrSearch) rec(cur int32) bool {
 		}
 		q.stats.EdgeVisits++
 		q.s.nodes = append(q.s.nodes, next)
-		q.s.edges = append(q.s.edges, q.adjEdge[j])
+		q.s.edges = append(q.s.edges, adjEdge[j])
 		if next == q.dst {
 			q.emit()
 			if q.hardMax > 0 && q.stats.Paths > q.hardMax {
@@ -430,10 +385,8 @@ func (c *Compiled) AllPaths(src, dst string, opts Options) ([]Path, Stats, error
 	s := c.getScratch()
 	defer c.putScratch(s)
 	c.reverseBFS(s, d0)
-	start, adjNode, adjEdge := c.adjacency(opts)
 	q := &csrSearch{
-		c: c, s: s, start: start, adjNode: adjNode, adjEdge: adjEdge,
-		dst: d0, budget: depthBudget(opts), maxPaths: opts.MaxPaths,
+		c: c, s: s, dst: d0, budget: depthBudget(opts), maxPaths: opts.MaxPaths,
 		hardMax: opts.HardMaxPaths,
 	}
 	if s.dist[s0] >= 0 { // disconnected pairs skip the search entirely

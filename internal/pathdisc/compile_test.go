@@ -61,11 +61,8 @@ func optionsMatrix() []Options {
 		{MaxDepth: 6},
 		{MaxPaths: 1},
 		{MaxPaths: 7},
-		{CollapseParallel: true},
-		{MaxDepth: 4, CollapseParallel: true},
 		{MaxDepth: 5, MaxPaths: 9},
-		{MaxPaths: 3, CollapseParallel: true},
-		{MaxDepth: 4, MaxPaths: 5, CollapseParallel: true},
+		{MaxDepth: 4, MaxPaths: 5},
 	}
 }
 
@@ -128,19 +125,18 @@ func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 // the seed corpus keeps it as a fast regression property under plain
 // `go test`.
 func FuzzCSRAgreesWithLegacy(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint8(4), uint8(0), uint8(0), false)
-	f.Add(int64(7), uint8(12), uint8(9), uint8(4), uint8(3), true)
-	f.Add(int64(42), uint8(5), uint8(7), uint8(2), uint8(1), false)
-	f.Add(int64(99), uint8(14), uint8(2), uint8(0), uint8(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, extraRaw, maxDepth, maxPaths uint8, collapse bool) {
+	f.Add(int64(1), uint8(8), uint8(4), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(12), uint8(9), uint8(4), uint8(3))
+	f.Add(int64(42), uint8(5), uint8(7), uint8(2), uint8(1))
+	f.Add(int64(99), uint8(14), uint8(2), uint8(0), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, extraRaw, maxDepth, maxPaths uint8) {
 		n := 2 + int(nRaw)%13       // 2..14 nodes
 		extra := int(extraRaw) % 12 // bounded density keeps enumeration small
 		g := randomMultigraph(t, seed, n, extra)
 		c := Compile(g)
 		opts := Options{
-			MaxDepth:         int(maxDepth) % 8,
-			MaxPaths:         int(maxPaths) % 10,
-			CollapseParallel: collapse,
+			MaxDepth: int(maxDepth) % 8,
+			MaxPaths: int(maxPaths) % 10,
 		}
 		src, dst := "n0", fmt.Sprintf("n%d", n-1)
 		want, _, err := AllPaths(g, src, dst, opts)
@@ -169,38 +165,6 @@ func TestCompileShape(t *testing.T) {
 	}
 	if b := c.Branching(); b != 5 {
 		t.Errorf("Branching = %v, want 5 (2E/N)", b)
-	}
-	// No parallel edges: the collapsed view shares the full arrays.
-	if &c.colNode[0] != &c.adjNode[0] {
-		t.Error("collapsed CSR should share the full arrays without parallel edges")
-	}
-}
-
-func TestCompileCollapsedView(t *testing.T) {
-	g := topology.New()
-	for _, n := range []string{"a", "b", "c"} {
-		_ = g.AddNode(n, "")
-	}
-	_, _ = g.AddEdge("a", "b", "l1")
-	_, _ = g.AddEdge("a", "b", "l2") // parallel
-	_, _ = g.AddEdge("b", "c", "")
-	c := Compile(g)
-	paths, _, err := c.AllPaths("a", "c", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("full view paths = %d, want 2 (parallel edges distinct)", len(paths))
-	}
-	collapsed, _, err := c.AllPaths("a", "c", Options{CollapseParallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(collapsed) != 1 {
-		t.Fatalf("collapsed paths = %d, want 1", len(collapsed))
-	}
-	if collapsed[0].Edges[0] != 0 {
-		t.Errorf("collapsed path must keep the first parallel edge, got %d", collapsed[0].Edges[0])
 	}
 }
 

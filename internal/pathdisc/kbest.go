@@ -395,7 +395,7 @@ func prefixMatches(p, prev kpath, i int) bool {
 // semantics like AllowDisconnected stay with the full enumeration).
 //
 // Unlike the enumeration entry points, KShortest ignores MaxDepth,
-// MaxPaths, CollapseParallel and HardMaxPaths: its bound is the K·V·E work
+// MaxPaths and HardMaxPaths: its bound is the K·V·E work
 // envelope, enforced up front through Options.MaxWork — exceeding it
 // returns a *LimitError with Kind "kbest" before any search runs.
 // Stats.Truncated reports that exactly K paths were returned (more may

@@ -177,7 +177,7 @@ func (c *Compiled) removeAdj(v, e int32) bool {
 }
 
 // afterPatch restores the derived state every patch invalidates: the
-// collapsed parallel-edge view, the degree/branching statistics. Cost is
+// degree/branching statistics. Cost is
 // O(V+E) with integer ops only — no string hashing, no per-node maps —
 // which is what makes patching beat recompilation (BENCH_whatif.json).
 func (c *Compiled) afterPatch() {
@@ -191,39 +191,6 @@ func (c *Compiled) afterPatch() {
 	if c.liveNodes > 0 {
 		c.branching = float64(len(c.adjNode)) / float64(c.liveNodes)
 	}
-	c.rebuildCollapsed()
 	mCompiledNodes.With().Set(int64(c.liveNodes))
 	mCompiledEdges.With().Set(int64(c.numEdges))
-}
-
-// rebuildCollapsed recomputes the collapsed (first-edge-per-neighbour) view
-// from the full view, using a stamp array instead of per-node maps. When no
-// parallel edges remain the collapsed view goes back to aliasing the full
-// arrays, matching Compile's layout.
-func (c *Compiled) rebuildCollapsed() {
-	n := len(c.names)
-	stamp := make([]int32, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	colStart := make([]int32, n+1)
-	colNode := make([]int32, 0, len(c.adjNode))
-	colEdge := make([]int32, 0, len(c.adjEdge))
-	for i := 0; i < n; i++ {
-		for j := c.adjStart[i]; j < c.adjStart[i+1]; j++ {
-			o := c.adjNode[j]
-			if stamp[o] == int32(i) {
-				continue
-			}
-			stamp[o] = int32(i)
-			colNode = append(colNode, o)
-			colEdge = append(colEdge, c.adjEdge[j])
-		}
-		colStart[i+1] = int32(len(colNode))
-	}
-	if len(colNode) == len(c.adjNode) {
-		c.colStart, c.colNode, c.colEdge = c.adjStart, c.adjNode, c.adjEdge
-	} else {
-		c.colStart, c.colNode, c.colEdge = colStart, colNode, colEdge
-	}
 }

@@ -79,7 +79,7 @@ func applyRandomMutation(t *testing.T, rng *rand.Rand, g *topology.Graph, c *Com
 func comparePatchedToRecompiled(t *testing.T, g *topology.Graph, patched *Compiled, src, dst, ctxt string) {
 	t.Helper()
 	fresh := Compile(g)
-	for _, opts := range []Options{{}, {CollapseParallel: true}, {MaxDepth: 4}} {
+	for _, opts := range []Options{{}, {MaxDepth: 4}} {
 		wantPaths, wantStats, wantErr := fresh.AllPaths(src, dst, opts)
 		gotPaths, gotStats, gotErr := patched.AllPaths(src, dst, opts)
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {

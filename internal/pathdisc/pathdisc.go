@@ -102,10 +102,6 @@ type Options struct {
 	MaxDepth int
 	// MaxPaths stops enumeration after this many paths; 0 means unbounded.
 	MaxPaths int
-	// CollapseParallel treats parallel edges between the same node pair as
-	// a single logical connection: only the first edge of each pair is
-	// traversed. Node sequences are then unique across the result.
-	CollapseParallel bool
 	// HardMaxPaths aborts the enumeration with a *LimitError once more than
 	// this many paths exist; 0 disables the limit. Unlike MaxPaths — which
 	// truncates the result and reports Stats.Truncated, leaving the caller a
@@ -243,18 +239,11 @@ func AllPaths(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, 
 		if len(nodes) > stats.MaxStack {
 			stats.MaxStack = len(nodes)
 		}
-		seenPair := map[string]bool{}
 		for _, id := range g.IncidentEdges(cur) {
 			e, _ := g.Edge(id)
 			next := e.Other(cur)
 			if visited[next] {
 				continue // path tracking: avoid live-locks within cycles
-			}
-			if opts.CollapseParallel {
-				if seenPair[next] {
-					continue
-				}
-				seenPair[next] = true
 			}
 			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
 				continue
@@ -303,8 +292,8 @@ func AllPaths(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, 
 
 // CountPaths counts all simple paths from src to dst without storing them,
 // so that the factorial-growth experiments of Section V-D can run on dense
-// graphs whose full enumeration would not fit in memory. MaxPaths and
-// MaxDepth from opts are honoured; CollapseParallel is too.
+// graphs whose full enumeration would not fit in memory. MaxPaths,
+// MaxDepth and HardMaxPaths from opts are honoured.
 func CountPaths(g *topology.Graph, src, dst string, opts Options) (int, Stats, error) {
 	if err := validateEndpoints(g, src, dst); err != nil {
 		return 0, Stats{}, err
@@ -321,18 +310,11 @@ func CountPaths(g *topology.Graph, src, dst string, opts Options) (int, Stats, e
 		if depth+1 > stats.MaxStack {
 			stats.MaxStack = depth + 1
 		}
-		seenPair := map[string]bool{}
 		for _, id := range g.IncidentEdges(cur) {
 			e, _ := g.Edge(id)
 			next := e.Other(cur)
 			if visited[next] {
 				continue
-			}
-			if opts.CollapseParallel {
-				if seenPair[next] {
-					continue
-				}
-				seenPair[next] = true
 			}
 			if opts.MaxDepth > 0 && depth+1 > opts.MaxDepth {
 				continue

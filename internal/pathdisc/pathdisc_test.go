@@ -84,12 +84,12 @@ func TestAllPathsParallelEdges(t *testing.T) {
 	if paths[0].Edges[0] == paths[1].Edges[0] {
 		t.Error("paths must use distinct edges")
 	}
-	collapsed, _, err := AllPaths(g, "a", "b", Options{CollapseParallel: true})
+	compiled, _, err := Compile(g).AllPaths("a", "b", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(collapsed) != 1 {
-		t.Fatalf("collapsed paths = %d, want 1", len(collapsed))
+	if !Equal(paths, compiled) {
+		t.Errorf("compiled parallel-edge paths = %v, want %v", compiled, paths)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestVariantsAgreeWithOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{MaxDepth: 6, CollapseParallel: true}
+	opts := Options{MaxDepth: 6}
 	rec, _, _ := AllPaths(g, "n0", "n17", opts)
 	csr, _, _ := Compile(g).AllPaths("n0", "n17", opts)
 	if !Equal(rec, csr) {
@@ -349,7 +349,6 @@ func TestCountPathsAgreesWithAllPaths(t *testing.T) {
 		for _, opts := range []Options{
 			{},
 			{MaxDepth: 5},
-			{CollapseParallel: true},
 			{MaxPaths: 7},
 		} {
 			paths, _, err := AllPaths(g, src, dst, opts)
