@@ -21,7 +21,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"upsim/internal/obs"
@@ -102,16 +102,16 @@ func compareBits(a, b bitset) int {
 }
 
 // minimalizeBits is Minimalize on bitsets: sort canonically, drop adjacent
-// duplicates, drop supersets of kept sets. It filters in place over the
-// input slice header and returns a prefix-orderd new slice of survivors.
+// duplicates, drop supersets of kept sets. The survivors are appended to
+// out, which must not share a backing array with sets: filtering into
+// sets[:0] instead would clobber sets[i-1], which the adjacent-duplicate
+// check still reads. Callers size out from the only upper bound known
+// without a second pass (every candidate survives), or pass a pooled
+// buffer.
 //
 //upsim:hotpath
-func minimalizeBits(sets []bitset) []bitset {
-	sort.Slice(sets, func(i, j int) bool { return compareBits(sets[i], sets[j]) < 0 })
-	// Preallocated at the only upper bound known without a second pass: every
-	// candidate survives. Filtering into sets[:0] instead would clobber
-	// sets[i-1], which the adjacent-duplicate check still reads.
-	out := make([]bitset, 0, len(sets))
+func minimalizeBits(sets, out []bitset) []bitset {
+	slices.SortFunc(sets, compareBits)
 	for i, cand := range sets {
 		if i > 0 && compareBits(sets[i-1], cand) == 0 {
 			continue
@@ -144,6 +144,11 @@ type bitArena struct {
 	blocks [][]uint64
 	bi     int // current block
 	off    int // next free word in current block
+
+	// Per-level header buffers of transversalsBits, reused level to level
+	// and across analyses: next collects one level's candidates, cur its
+	// minimalised survivors.
+	next, cur []bitset
 }
 
 //upsim:hotpath
@@ -340,7 +345,7 @@ func (cs *CompiledStructure) servicePathBits(limit int) ([]bitset, *bitArena, er
 		}
 		unions = next
 	}
-	return minimalizeBits(unions), ar, nil
+	return minimalizeBits(unions, make([]bitset, 0, len(unions))), ar, nil
 }
 
 // MinimalCutSets is the compiled form of ServiceStructure.MinimalCutSets:
@@ -374,20 +379,23 @@ func (cs *CompiledStructure) minimalCutBits(limit int) ([]bitset, *bitArena, err
 			}
 			return nil, nil, fmt.Errorf(errFmtAtomicService, a.name, err)
 		}
-		all = append(all, cuts...)
+		all = append(all, cuts...) // copied out of the arena's level buffer
 	}
-	return minimalizeBits(all), ar, nil
+	return minimalizeBits(all, make([]bitset, 0, len(all))), ar, nil
 }
 
 // transversalsBits is the bitset transversal construction: extending a
 // transversal is copy + one OR, the hit test is a word-AND, and all
-// candidates live in the arena.
+// candidates live in the arena. The per-level slices are the arena's
+// pooled header buffers, so the returned transversals are only valid until
+// the next transversalsBits call on ar.
 //
 //upsim:hotpath
 func transversalsBits(sets []bitset, words, limit int, ar *bitArena) ([]bitset, error) {
-	cur := []bitset{ar.alloc(words)}
+	cur := append(ar.cur[:0], ar.alloc(words))
+	next := ar.next[:0]
 	for _, ps := range sets {
-		next := make([]bitset, 0, len(cur))
+		next = next[:0]
 		for _, t := range cur {
 			if intersects(t, ps) {
 				next = append(next, t)
@@ -404,11 +412,13 @@ func transversalsBits(sets []bitset, words, limit int, ar *bitArena) ([]bitset, 
 				}
 			}
 			if len(next) > limit {
+				ar.cur, ar.next = cur, next
 				return nil, &BudgetError{Kind: BudgetTransversal, Limit: limit}
 			}
 		}
-		cur = minimalizeBits(next)
+		cur = minimalizeBits(next, cur[:0])
 	}
+	ar.cur, ar.next = cur, next
 	return cur, nil
 }
 

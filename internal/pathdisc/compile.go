@@ -8,7 +8,9 @@ package pathdisc
 // per expansion, plus one map allocation per expanded node; the compiled
 // kernel replaces all of that with array indexing and a []uint64 visited
 // bitset, and additionally prunes dead-end subtrees with a reverse BFS from
-// the provider before the exponential search enters them. See DESIGN.md §9.
+// the provider before the exponential search enters them. Found paths are
+// recorded as int32 IDs in pooled scratch and materialised once, at exact
+// size, when the search ends. See DESIGN.md §9.
 
 import (
 	"fmt"
@@ -69,9 +71,9 @@ type Compiled struct {
 }
 
 // scratch is the reusable per-enumeration state: the visited bitset, the
-// reverse-BFS distance table with its queue, and the path buffers. One
-// scratch serves one enumeration at a time; the pool amortises them across
-// enumerations.
+// reverse-BFS distance table with its queue, the current path buffers and
+// the found-path records. One scratch serves one enumeration at a time; the
+// pool amortises them across enumerations.
 type scratch struct {
 	visited []uint64 // bitset, one bit per node, all zero between uses
 	dist    []int32  // hop distance to the provider, -1 when unreachable
@@ -79,17 +81,20 @@ type scratch struct {
 	nodes   []int32
 	edges   []int32
 
-	// Ranked-discovery state (kbest.go): the Dijkstra distance table and
-	// frontier heap, the blocked-edge bitset (all zero between uses, like
-	// visited), and the candidate storage Yen's algorithm accumulates into
-	// — an int32 arena plus the accepted/candidate path slices referencing
-	// it. All reused across enumerations.
-	fdist  []float64
-	kheap  []kheapEntry
-	eblock []uint64
+	// Found-path records of both kernels: the int32 node and edge IDs of
+	// every recorded path, back to back in karena, and the kpath spans of
+	// it — AllPaths' emitted paths and KShortest's accepted ones in kacc,
+	// Yen's pending candidates in kcand.
 	karena []int32
 	kacc   []kpath
 	kcand  []kpath
+
+	// Ranked-discovery state (kbest.go): the Dijkstra distance table and
+	// frontier heap, and the blocked-edge bitset (all zero between uses,
+	// like visited).
+	fdist  []float64
+	kheap  []kheapEntry
+	eblock []uint64
 }
 
 // Compile lowers a topology graph into its CSR form. The cost is one pass
@@ -173,7 +178,11 @@ func (c *Compiled) resetPool() {
 			queue:   make([]int32, 0, n),
 			nodes:   make([]int32, 0, 16),
 			edges:   make([]int32, 0, 16),
-			fdist:   make([]float64, n),
+			// Room for a handful of campus-sized paths, so the first search
+			// on a fresh pool does not regrow its records from empty.
+			karena: make([]int32, 0, 128),
+			kacc:   make([]kpath, 0, 16),
+			fdist:  make([]float64, n),
 		}
 	}}
 }
@@ -223,10 +232,11 @@ func (c *Compiled) reverseBFS(s *scratch, dst int32) {
 		s.dist[i] = -1
 	}
 	s.dist[dst] = 0
+	// Walk the queue with a head index: popping by reslicing would leave
+	// the pooled buffer with no capacity for the next search.
 	s.queue = append(s.queue[:0], dst)
-	for len(s.queue) > 0 {
-		cur := s.queue[0]
-		s.queue = s.queue[1:]
+	for h := 0; h < len(s.queue); h++ {
+		cur := s.queue[h]
 		for j := c.adjStart[cur]; j < c.adjStart[cur+1]; j++ {
 			o := c.adjNode[j]
 			if s.dist[o] < 0 {
@@ -245,8 +255,9 @@ func depthBudget(opts Options) int {
 	return math.MaxInt32
 }
 
-// csrSearch is one CSR enumeration: the DFS state plus the accumulated
-// result.
+// csrSearch is one CSR enumeration: the DFS state and its statistics. Found
+// paths accumulate in the pooled scratch (s.kacc over s.karena) until
+// AllPaths materialises them.
 type csrSearch struct {
 	c        *Compiled
 	s        *scratch
@@ -255,15 +266,7 @@ type csrSearch struct {
 	maxPaths int
 	hardMax  int // Options.HardMaxPaths; exceeding it sets overflow
 	overflow bool
-	out      []Path
 	stats    Stats
-
-	// Path arenas: emitted Nodes/Edges slices are carved out of chunked
-	// backing arrays, two allocations per chunk instead of two per path.
-	// The chunks escape into the returned Paths, so they are per-search
-	// state, never pooled.
-	nameArena []string
-	edgeArena []int
 }
 
 //upsim:hotpath bitset membership ops, one per DFS expansion
@@ -275,45 +278,46 @@ func (q *csrSearch) unvisit(v int32) { q.s.visited[v>>6] &^= 1 << (uint(v) & 63)
 //upsim:hotpath
 func (q *csrSearch) isVisited(v int32) bool { return q.s.visited[v>>6]&(1<<(uint(v)&63)) != 0 }
 
-// arenaChunk sizes a fresh arena chunk: big enough for the requested path
-// and for a few hundred more like it.
-func arenaChunk(need int) int {
-	const chunk = 2048
-	if need > chunk {
-		return need
-	}
-	return chunk
-}
-
-// emit materialises the current path buffer as a Path. Backing storage comes
-// from the search's arenas; full slice expressions cap every path at its own
-// region, so a caller appending to a returned Path reallocates instead of
-// clobbering the next path.
+// emit records the current path buffer in the pooled scratch (s.carve), the
+// record format KShortest keeps its accepted paths in. Nothing escapes the
+// search; AllPaths materialises the records once the enumeration is over.
 //
 //upsim:hotpath
 func (q *csrSearch) emit() {
-	nl := len(q.s.nodes)
-	if cap(q.nameArena)-len(q.nameArena) < nl {
-		q.nameArena = make([]string, 0, arenaChunk(nl))
-	}
-	nb := len(q.nameArena)
-	for _, v := range q.s.nodes {
-		q.nameArena = append(q.nameArena, q.c.names[v])
-	}
-	names := q.nameArena[nb : nb+nl : nb+nl]
-
-	el := len(q.s.edges)
-	if cap(q.edgeArena)-len(q.edgeArena) < el {
-		q.edgeArena = make([]int, 0, arenaChunk(el))
-	}
-	eb := len(q.edgeArena)
-	for _, e := range q.s.edges {
-		q.edgeArena = append(q.edgeArena, int(e))
-	}
-	edges := q.edgeArena[eb : eb+el : eb+el]
-
-	q.out = append(q.out, Path{Nodes: names, Edges: edges})
+	q.s.kacc = append(q.s.kacc, q.s.carve(0))
 	q.stats.Paths++
+}
+
+// materialise converts the path records in s.kacc into the returned []Path
+// at exact size: one counting pass, then three allocations — the []Path,
+// one []string of node names and one []int of edge IDs shared by every
+// path. Full slice expressions cap each path at its own region, so a caller
+// appending to one returned Path reallocates instead of clobbering the
+// next. Nothing returned aliases the pooled scratch. Zero records
+// materialise as nil.
+func (c *Compiled) materialise(s *scratch) []Path {
+	if len(s.kacc) == 0 {
+		return nil
+	}
+	nn := 0
+	for _, p := range s.kacc {
+		nn += p.n
+	}
+	out := make([]Path, len(s.kacc))
+	names := make([]string, nn)
+	edges := make([]int, nn-len(s.kacc)) // a path has one edge fewer than nodes
+	for i, p := range s.kacc {
+		n, e := names[:p.n:p.n], edges[:p.n-1:p.n-1]
+		names, edges = names[p.n:], edges[p.n-1:]
+		for j, v := range s.pathNodes(p) {
+			n[j] = c.names[v]
+		}
+		for j, id := range s.pathEdges(p) {
+			e[j] = int(id)
+		}
+		out[i] = Path{Nodes: n, Edges: e}
+	}
+	return out
 }
 
 // rec is the recursive CSR DFS. It mirrors the map-based AllPaths loop
@@ -399,5 +403,5 @@ func (c *Compiled) AllPaths(src, dst string, opts Options) ([]Path, Stats, error
 	}
 	q.stats.NodeVisits = q.stats.EdgeVisits + 1
 	observe("csr-dfs", q.stats)
-	return q.out, q.stats, nil
+	return c.materialise(s), q.stats, nil
 }

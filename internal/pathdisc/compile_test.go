@@ -1,10 +1,13 @@
 package pathdisc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"upsim/internal/testutil"
 	"upsim/internal/topology"
 )
 
@@ -138,8 +141,18 @@ func FuzzCSRAgreesWithLegacy(f *testing.F) {
 			MaxDepth: int(maxDepth) % 8,
 			MaxPaths: int(maxPaths) % 10,
 		}
+		// A second enumeration with different Options on the same kernel
+		// reuses the pooled scratch; it must not disturb the first result.
+		opts2 := Options{
+			MaxDepth: (opts.MaxDepth + 3) % 8,
+			MaxPaths: (opts.MaxPaths + 4) % 10,
+		}
 		src, dst := "n0", fmt.Sprintf("n%d", n-1)
 		want, _, err := AllPaths(g, src, dst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want2, _, err := AllPaths(g, src, dst, opts2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,6 +161,12 @@ func FuzzCSRAgreesWithLegacy(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSameSequence(t, "csr-dfs", want, got)
+		got2, _, err := c.AllPaths(src, dst, opts2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameSequence(t, "csr-dfs second run", want2, got2)
+		assertSameSequence(t, "csr-dfs first run after second", want, got)
 	})
 }
 
@@ -313,6 +332,145 @@ func TestEqualKeyAllocs(t *testing.T) {
 	}
 	if got, want := p.equalKey(), "t1|0|e1|11|d1|222|c1|3333|d4|44444|printS"; got != want {
 		t.Errorf("equalKey = %q, want %q", got, want)
+	}
+}
+
+// clonePaths deep-copies paths, so later mutation of the originals' backing
+// arrays shows up as a difference.
+func clonePaths(ps []Path) []Path {
+	out := make([]Path, len(ps))
+	for i, p := range ps {
+		out[i] = Path{
+			Nodes: append([]string(nil), p.Nodes...),
+			Edges: append([]int(nil), p.Edges...),
+		}
+	}
+	return out
+}
+
+// TestReturnedPathsDoNotAlias pins the ownership contract of both compiled
+// kernels: returned paths share one backing array per field but never
+// overlap — appending to one path cannot clobber its neighbour — and they
+// never alias the pooled scratch, so a later search (including one that
+// aborts on the hard limit) leaves an earlier result intact.
+func TestReturnedPathsDoNotAlias(t *testing.T) {
+	g, err := topology.Mesh(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Compile(g)
+	kernels := []struct {
+		name string
+		run  func(src, dst string) ([]Path, error)
+		want func(src, dst string) []Path
+	}{
+		{"AllPaths",
+			func(src, dst string) ([]Path, error) {
+				ps, _, err := c.AllPaths(src, dst, Options{})
+				return ps, err
+			},
+			func(src, dst string) []Path {
+				ps, _, err := AllPaths(g, src, dst, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ps
+			}},
+		{"KShortest",
+			func(src, dst string) ([]Path, error) {
+				ps, _, err := c.KShortest(src, dst, Options{K: 8})
+				return ps, err
+			},
+			func(src, dst string) []Path {
+				return bruteKShortest(t, c, g, src, dst, 8, CostHops)
+			}},
+	}
+	for _, k := range kernels {
+		first, err := k.run("n0", "n5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first) < 2 {
+			t.Fatalf("%s: %d paths, the test needs at least 2", k.name, len(first))
+		}
+		snapshot := clonePaths(first)
+
+		// Appending to one path must reallocate, not write into the next.
+		for i := 0; i+1 < len(first); i++ {
+			_ = append(first[i].Nodes, "clobber")
+			_ = append(first[i].Edges, -1)
+		}
+		assertSameSequence(t, k.name+" after append", snapshot, first)
+
+		// A second search on the same kernel reuses the pooled scratch.
+		if _, err := k.run("n1", "n4"); err != nil {
+			t.Fatal(err)
+		}
+		assertSameSequence(t, k.name+" after a second search", snapshot, first)
+
+		// A hard-limit abort leaves the scratch reusable.
+		_, _, err = c.AllPaths("n0", "n5", Options{HardMaxPaths: 3})
+		var le *LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s: HardMaxPaths 3 on mesh 6: err = %v, want *LimitError", k.name, err)
+		}
+		assertSameSequence(t, k.name+" after an overflow", snapshot, first)
+		got, err := k.run("n0", "n5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameSequence(t, k.name+" run after an overflow", k.want("n0", "n5"), got)
+	}
+}
+
+// TestAllPathsAllocs is the allocation guard of the enumeration kernel: on a
+// warm pool, AllPaths allocates only the three arrays of its exact-size
+// result (the []Path, the node names, the edge IDs) whatever the path count,
+// so a small enumeration costs bytes in proportion to what it finds.
+func TestAllPathsAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	for _, tc := range []struct {
+		n, paths  int
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{n: 4, paths: 5, maxAllocs: 3, maxBytes: 1 << 10},
+		{n: 8, paths: 1957, maxAllocs: 3},
+	} {
+		g, err := topology.Mesh(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Compile(g)
+		dst := fmt.Sprintf("n%d", tc.n-1)
+		run := func() {
+			ps, _, err := c.AllPaths("n0", dst, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ps) != tc.paths {
+				t.Fatalf("mesh %d: %d paths, want %d", tc.n, len(ps), tc.paths)
+			}
+		}
+		run() // warm the scratch pool
+		allocs := testing.AllocsPerRun(20, run)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const runs = 20
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		perRun := (m1.TotalAlloc - m0.TotalAlloc) / runs
+		t.Logf("mesh %d (%d paths): %.0f allocs, %d B per enumeration", tc.n, tc.paths, allocs, perRun)
+		if allocs > tc.maxAllocs {
+			t.Errorf("mesh %d: AllPaths allocates %.1f objects/op, want <= %.0f", tc.n, allocs, tc.maxAllocs)
+		}
+		if tc.maxBytes > 0 && perRun > tc.maxBytes {
+			t.Errorf("mesh %d: AllPaths allocates %d B/op, want <= %d", tc.n, perRun, tc.maxBytes)
+		}
 	}
 }
 

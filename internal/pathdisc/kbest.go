@@ -18,10 +18,10 @@ package pathdisc
 // brute-force property test) reproduce kernel costs bit-identically.
 //
 // Allocation. The spur searches run on the pooled scratch: the binary heap,
-// the float distance table, the blocked-edge bitset and the candidate
-// arena are all reused across enumerations, so a warm KShortest performs
-// only the handful of allocations that escape into the returned paths
-// (pinned by TestKShortestAllocs).
+// the float distance table, the blocked-edge bitset and the path records
+// are all reused across enumerations, so a warm KShortest performs only the
+// three allocations of its exact-size result, built by materialise like
+// AllPaths' (pinned by TestKShortestAllocs).
 
 import (
 	"fmt"
@@ -153,13 +153,23 @@ type kheapEntry struct {
 	node int32
 }
 
-// kpath is one accepted or candidate path in Compiled-internal form. Node
-// and edge storage is carved from the pooled scratch arena.
+// kpath is one found path in Compiled-internal form: an AllPaths emission,
+// or a KShortest candidate or accepted path. It is a span of the pooled
+// scratch's karena — n node IDs from off, then the n-1 edge IDs — so a
+// record holds no pointers: appending one needs no GC write barrier, and
+// the records stay valid when karena regrows. materialise turns records
+// into Paths.
 type kpath struct {
-	cost  float64
-	nodes []int32
-	edges []int32
+	cost float64
+	off  int
+	n    int
 }
+
+// pathNodes returns the node IDs of record p.
+func (s *scratch) pathNodes(p kpath) []int32 { return s.karena[p.off : p.off+p.n] }
+
+// pathEdges returns the edge IDs of record p.
+func (s *scratch) pathEdges(p kpath) []int32 { return s.karena[p.off+p.n : p.off+2*p.n-1] }
 
 // ksearch is the per-enumeration state of one KShortest run.
 type ksearch struct {
@@ -308,33 +318,29 @@ func (k *ksearch) extract(from int32) bool {
 	return true
 }
 
-// carve copies the current s.nodes/s.edges buffers into the pooled arena
-// and returns them as a kpath with the given cost. Appending to the arena
-// may grow it; previously carved slices keep referencing the old backing
-// array, whose contents are never mutated, so they stay valid.
-func (k *ksearch) carve(cost float64) kpath {
-	s := k.s
-	no := len(s.karena)
+// carve copies the current s.nodes/s.edges buffers (a path: one edge fewer
+// than nodes) into karena and returns them as a kpath with the given cost.
+//
+//upsim:hotpath once per emitted path or spur candidate
+func (s *scratch) carve(cost float64) kpath {
+	p := kpath{cost: cost, off: len(s.karena), n: len(s.nodes)}
 	s.karena = append(s.karena, s.nodes...)
-	nodes := s.karena[no:len(s.karena):len(s.karena)]
-	eo := len(s.karena)
 	s.karena = append(s.karena, s.edges...)
-	edges := s.karena[eo:len(s.karena):len(s.karena)]
-	return kpath{cost: cost, nodes: nodes, edges: edges}
+	return p
 }
 
 // sameSeq reports whether a kpath equals the current buffer contents.
 func (k *ksearch) sameSeq(p kpath) bool {
 	s := k.s
-	if len(p.nodes) != len(s.nodes) || len(p.edges) != len(s.edges) {
+	if p.n != len(s.nodes) {
 		return false
 	}
-	for i, v := range p.nodes {
+	for i, v := range s.pathNodes(p) {
 		if s.nodes[i] != v {
 			return false
 		}
 	}
-	for i, e := range p.edges {
+	for i, e := range s.pathEdges(p) {
 		if s.edges[i] != e {
 			return false
 		}
@@ -345,41 +351,44 @@ func (k *ksearch) sameSeq(p kpath) bool {
 // lessKPath is the deterministic total order of ranked discovery: cost
 // (exact float compare — all costs share one summation order), then the
 // node-name sequence, then the edge-ID sequence.
-func (c *Compiled) lessKPath(a, b kpath) bool {
+func (k *ksearch) lessKPath(a, b kpath) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
-	for i := 0; i < len(a.nodes) && i < len(b.nodes); i++ {
-		an, bn := c.names[a.nodes[i]], c.names[b.nodes[i]]
-		if an != bn {
-			return an < bn
+	an, bn := k.s.pathNodes(a), k.s.pathNodes(b)
+	for i := 0; i < len(an) && i < len(bn); i++ {
+		if x, y := k.c.names[an[i]], k.c.names[bn[i]]; x != y {
+			return x < y
 		}
 	}
-	if len(a.nodes) != len(b.nodes) {
-		return len(a.nodes) < len(b.nodes)
+	if len(an) != len(bn) {
+		return len(an) < len(bn)
 	}
-	for i := 0; i < len(a.edges) && i < len(b.edges); i++ {
-		if a.edges[i] != b.edges[i] {
-			return a.edges[i] < b.edges[i]
+	ae, be := k.s.pathEdges(a), k.s.pathEdges(b)
+	for i := range ae {
+		if ae[i] != be[i] {
+			return ae[i] < be[i]
 		}
 	}
 	return false
 }
 
-// prefixMatches reports whether accepted path p shares prev's root prefix
-// through spur index i: same first i+1 nodes and first i edges, with an
-// edge at position i to block.
-func prefixMatches(p, prev kpath, i int) bool {
-	if len(p.edges) <= i {
+// prefixMatches reports whether accepted path p shares the root prefix of
+// prevNodes/prevEdges through spur index i: same first i+1 nodes and first
+// i edges, with an edge at position i to block.
+func (s *scratch) prefixMatches(p kpath, prevNodes, prevEdges []int32, i int) bool {
+	pe := s.pathEdges(p)
+	if len(pe) <= i {
 		return false
 	}
+	pn := s.pathNodes(p)
 	for j := 0; j <= i; j++ {
-		if p.nodes[j] != prev.nodes[j] {
+		if pn[j] != prevNodes[j] {
 			return false
 		}
 	}
 	for j := 0; j < i; j++ {
-		if p.edges[j] != prev.edges[j] {
+		if pe[j] != prevEdges[j] {
 			return false
 		}
 	}
@@ -444,34 +453,37 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 	if !k.extract(s0) {
 		return nil, k.stats, fmt.Errorf("pathdisc: internal: no tight edge from %q", src)
 	}
-	s.kacc = append(s.kacc, k.carve(s.fdist[s0]))
+	s.kacc = append(s.kacc, s.carve(s.fdist[s0]))
 
 	for len(s.kacc) < opts.K {
+		// The root path's IDs. carve may regrow karena below; these slices
+		// keep the old backing array, whose contents never change.
 		prev := s.kacc[len(s.kacc)-1]
-		for i := 0; i < len(prev.nodes)-1; i++ {
-			spur := prev.nodes[i]
+		prevNodes, prevEdges := s.pathNodes(prev), s.pathEdges(prev)
+		for i := 0; i < len(prevNodes)-1; i++ {
+			spur := prevNodes[i]
 			// Block the root-path nodes before the spur node, and the
 			// spur-position edge of every accepted path sharing the root.
-			for _, v := range prev.nodes[:i] {
+			for _, v := range prevNodes[:i] {
 				s.visited[v>>6] |= 1 << (uint(v) & 63)
 			}
 			clear(s.eblock)
 			for _, p := range s.kacc {
-				if prefixMatches(p, prev, i) {
-					k.blockEdge(p.edges[i])
+				if s.prefixMatches(p, prevNodes, prevEdges, i) {
+					k.blockEdge(s.pathEdges(p)[i])
 				}
 			}
 			k.dijkstra()
 			if !math.IsInf(s.fdist[spur], 1) {
-				s.nodes = append(s.nodes[:0], prev.nodes[:i+1]...)
-				s.edges = append(s.edges[:0], prev.edges[:i]...)
+				s.nodes = append(s.nodes[:0], prevNodes[:i+1]...)
+				s.edges = append(s.edges[:0], prevEdges[:i]...)
 				if k.extract(spur) {
 					// Total cost keeps the right-to-left fold: the spur
 					// tail's cost is fdist[spur] by construction, the root
 					// edges fold on from the inside out.
 					cost := s.fdist[spur]
 					for j := i - 1; j >= 0; j-- {
-						cost = c.edgeCost(opts.CostMetric, prev.edges[j]) + cost
+						cost = c.edgeCost(opts.CostMetric, prevEdges[j]) + cost
 					}
 					dup := false
 					for _, p := range s.kcand {
@@ -481,11 +493,11 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 						}
 					}
 					if !dup {
-						s.kcand = append(s.kcand, k.carve(cost))
+						s.kcand = append(s.kcand, s.carve(cost))
 					}
 				}
 			}
-			for _, v := range prev.nodes[:i] {
+			for _, v := range prevNodes[:i] {
 				s.visited[v>>6] &^= 1 << (uint(v) & 63)
 			}
 		}
@@ -494,7 +506,7 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 		}
 		mi := 0
 		for j := 1; j < len(s.kcand); j++ {
-			if c.lessKPath(s.kcand[j], s.kcand[mi]) {
+			if k.lessKPath(s.kcand[j], s.kcand[mi]) {
 				mi = j
 			}
 		}
@@ -504,34 +516,11 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 	}
 	clear(s.eblock)
 
-	out := make([]Path, 0, len(s.kacc))
-	var nameArena []string
-	var edgeArena []int
 	for _, p := range s.kacc {
-		if cap(nameArena)-len(nameArena) < len(p.nodes) {
-			nameArena = make([]string, 0, arenaChunk(len(p.nodes)))
-		}
-		nb := len(nameArena)
-		for _, v := range p.nodes {
-			nameArena = append(nameArena, c.names[v])
-		}
-		if cap(edgeArena)-len(edgeArena) < len(p.edges) {
-			edgeArena = make([]int, 0, arenaChunk(len(p.edges)))
-		}
-		eb := len(edgeArena)
-		for _, e := range p.edges {
-			edgeArena = append(edgeArena, int(e))
-		}
-		out = append(out, Path{
-			Nodes: nameArena[nb : nb+len(p.nodes) : nb+len(p.nodes)],
-			Edges: edgeArena[eb : eb+len(p.edges) : eb+len(p.edges)],
-		})
-		if len(p.nodes) > k.stats.MaxStack {
-			k.stats.MaxStack = len(p.nodes)
-		}
+		k.stats.MaxStack = max(k.stats.MaxStack, p.n)
 	}
-	k.stats.Paths = len(out)
-	k.stats.Truncated = len(out) == opts.K
+	k.stats.Paths = len(s.kacc)
+	k.stats.Truncated = len(s.kacc) == opts.K
 	observe("csr-kbest", k.stats)
-	return out, k.stats, nil
+	return c.materialise(s), k.stats, nil
 }

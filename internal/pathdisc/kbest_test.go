@@ -293,9 +293,9 @@ func TestParseCostMetric(t *testing.T) {
 
 // TestKShortestAllocs is the AllocsPerRun guard of the pooled ranked
 // kernel: once the scratch pool is warm, a KShortest run performs only the
-// allocations that escape into the returned paths — the result slice and
-// its two arena chunks, plus small constant slack for arena regrowth —
-// never per-expansion or per-spur work.
+// allocations that escape into the returned paths — the exact-size result
+// slice, its node names and its edge IDs — never per-expansion or per-spur
+// work.
 func TestKShortestAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -316,8 +316,8 @@ func TestKShortestAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("KShortest allocates %.1f objects/op, want <= 8 (result slice + arenas)", allocs)
+	if allocs > 3 {
+		t.Errorf("KShortest allocates %.1f objects/op, want <= 3 (result slice, names, edge IDs)", allocs)
 	}
 }
 
