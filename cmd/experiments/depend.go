@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"upsim"
@@ -35,9 +36,11 @@ type dependFamily struct {
 }
 
 // dependWorkload is one row of the BENCH_depend.json record: one service
-// structure measured under both kernels across the four §VII algorithm
-// families. InclusionExclusion is omitted where the service path-set count
-// exceeds the 2^20-term budget (the legacy engine refuses those too).
+// structure measured under both kernels across the §VII algorithm families.
+// InclusionExclusion is omitted where the service path-set count exceeds the
+// 2^20-term budget (the legacy engine refuses those too). ExactFactoring and
+// Importances time what a request pays on the compiled side: a fresh
+// Compile plus the first evaluation, which records the factoring program.
 type dependWorkload struct {
 	Structure          string        `json:"structure"`
 	Components         int           `json:"components"`
@@ -47,6 +50,7 @@ type dependWorkload struct {
 	InclusionExclusion *dependFamily `json:"inclusionExclusion,omitempty"`
 	MinimalCuts        dependFamily  `json:"minimalCuts"`
 	ExactFactoring     dependFamily  `json:"exactFactoring"`
+	Importances        dependFamily  `json:"importances"`
 	MonteCarlo         dependFamily  `json:"monteCarlo"`
 	MCLegacyNsPerSamp  float64       `json:"mcLegacyNsPerSample"`
 	MCCompNsPerSamp    float64       `json:"mcCompiledNsPerSample"`
@@ -57,6 +61,7 @@ type dependWorkload struct {
 // enumeration for structures with >=12 components, >=2x per Monte Carlo
 // sample, and no Mann-Whitney-confirmed regression in any measured family.
 type dependBench struct {
+	Host            string           `json:"host"`
 	GOMAXPROCS      int              `json:"gomaxprocs"`
 	Reps            int              `json:"repsPerVariant"`
 	WindowNs        int64            `json:"minSampleWindowNs"`
@@ -142,6 +147,7 @@ func expDepend() error {
 
 	window := 20 * time.Millisecond
 	b := dependBench{
+		Host:            hostName(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		Reps:            9,
 		MCSamples:       20000,
@@ -154,10 +160,10 @@ func expDepend() error {
 		b.Reps, b.MCSamples, window = 3, 2000, 2*time.Millisecond
 	}
 	b.WindowNs = window.Nanoseconds()
-	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, %d MC samples/run\n",
-		b.GOMAXPROCS, b.Reps, window, b.MCSamples)
-	fmt.Printf("  %-20s %5s %5s %5s %6s %8s %8s %8s %8s\n",
-		"structure", "comps", "words", "sets", "cuts", "IE x", "cuts x", "exact x", "MC x")
+	fmt.Printf("  %s, GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, %d MC samples/run\n",
+		b.Host, b.GOMAXPROCS, b.Reps, window, b.MCSamples)
+	fmt.Printf("  %-20s %5s %5s %5s %6s %8s %8s %8s %8s %8s\n",
+		"structure", "comps", "words", "sets", "cuts", "IE x", "cuts x", "exact x", "import x", "MC x")
 
 	// One sample = collect the heap, one untimed warm-up, then `batch` timed
 	// runs averaged into a per-run figure (see expPathdisc for why single-shot
@@ -275,12 +281,33 @@ func expDepend() error {
 
 		w.ExactFactoring, err = benchPair(
 			func() error { _, err := x.st.Exact(avail); return err },
-			func() error { _, err := cs.Exact(avail); return err },
+			func() error { _, err := depend.Compile(x.st).Exact(avail); return err },
 		)
 		if err != nil {
 			return err
 		}
 		b.Regression = b.Regression || (!w.ExactFactoring.Parity && w.ExactFactoring.Speedup < 1)
+
+		// Every component forced up and forced down: the legacy kernel
+		// factors twice per component, the compiled one runs its program.
+		comps := cs.Components()
+		w.Importances, err = benchPair(
+			func() error {
+				for _, c := range comps {
+					for _, up := range []bool{true, false} {
+						if _, err := x.st.WhatIf(avail, map[string]bool{c: up}); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			},
+			func() error { _, _, err := depend.Compile(x.st).Importances(avail); return err },
+		)
+		if err != nil {
+			return err
+		}
+		b.Regression = b.Regression || (!w.Importances.Parity && w.Importances.Speedup < 1)
 
 		w.MonteCarlo, err = benchPair(
 			func() error { _, _, err := x.st.MonteCarlo(avail, b.MCSamples, 7); return err },
@@ -295,9 +322,9 @@ func expDepend() error {
 		b.Regression = b.Regression || (!w.MonteCarlo.Parity && w.MonteCarlo.Speedup < 1)
 
 		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-20s %5d %5d %5d %6d %8s %7.2fx %7.2fx %7.2fx\n",
+		fmt.Printf("  %-20s %5d %5d %5d %6d %8s %7.2fx %7.2fx %7.2fx %7.2fx\n",
 			w.Structure, w.Components, w.Words, w.ServiceSets, w.CutSets,
-			ieCol, w.MinimalCuts.Speedup, w.ExactFactoring.Speedup, w.MonteCarlo.Speedup)
+			ieCol, w.MinimalCuts.Speedup, w.ExactFactoring.Speedup, w.Importances.Speedup, w.MonteCarlo.Speedup)
 	}
 
 	// A floor with no qualifying row (possible only if the workload list is
@@ -324,4 +351,19 @@ func expDepend() error {
 		fmt.Printf("  wrote %s\n", dependOut)
 	}
 	return nil
+}
+
+// hostName names the machine a benchmark record was taken on: the CPU model
+// where /proc/cpuinfo reports one, the architecture and the CPU count.
+func hostName() string {
+	cpu := "unknown CPU"
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if name, ok := strings.CutPrefix(line, "model name"); ok {
+				cpu = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s, %s, %d CPUs", cpu, runtime.GOARCH, runtime.NumCPU())
 }

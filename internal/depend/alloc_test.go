@@ -31,11 +31,11 @@ func usiResult(t *testing.T) *core.Result {
 	return res
 }
 
-// analyzeAllocCeiling bounds one §VII analysis of the USI UPSIM: about 105
+// analyzeAllocCeiling bounds one §VII analysis of the USI UPSIM: about 104
 // allocations today (the structure and availability table, the compiled
-// structure, the Monte Carlo source, span and metric bookkeeping), down from
-// about 1,060 when error labels, link IDs, RBD/FT trees and scratch pools
-// were rebuilt per call.
+// structure and its factoring program, span and metric bookkeeping), down
+// from about 1,060 when error labels, link IDs, RBD/FT trees and scratch
+// pools were rebuilt per call.
 const analyzeAllocCeiling = 120
 
 // TestAnalyzeAllocCeiling guards the allocation budget of the analysis

@@ -7,10 +7,11 @@ package depend
 // transversal hits become AND/AND-NOT word operations, Minimalize compares
 // popcounts and lowest differing bits instead of joined strings, the
 // inclusion–exclusion sum keeps an incremental union (counts vector +
-// presence bitset) across the binary subset enumeration, and Monte Carlo
-// sampling evaluates the structure function word-wise against a bitset up
-// vector. Every algorithm reproduces the legacy map implementation exactly:
-// same sets in the same canonical (cardinality, then element-wise
+// presence bitset) across the binary subset enumeration, exact evaluation
+// replays a recorded factoring program (program.go), and Monte Carlo
+// sampling evaluates the structure function on 64 samples per word
+// (montecarlo.go). Every algorithm reproduces the legacy map implementation
+// exactly: same sets in the same canonical (cardinality, then element-wise
 // lexicographic) order, same error messages, and bit-identical floats —
 // component ids are assigned in sorted-name order, so ascending-id bit
 // iteration multiplies availabilities in exactly the order the legacy code
@@ -18,9 +19,7 @@ package depend
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -201,6 +200,11 @@ type CompiledStructure struct {
 
 	validErr  error // Validate() result of the source structure, if any
 	patchDead bool  // validErr was induced by PatchRemoveComponent (see patch.go)
+
+	// The Shannon factoring program (program.go), recorded by the first
+	// exact evaluation and dropped by PatchRemoveComponent.
+	progOnce sync.Once
+	prog     []factorNode
 }
 
 // arenaPool recycles bitset arenas across every compiled structure.
@@ -542,7 +546,9 @@ func (cs *CompiledStructure) ExactInclusionExclusion(avail map[string]float64, l
 // with the same pivot rule (most frequent component, ties to the smallest
 // name — here the smallest id) and a memo keyed on the canonical multiset
 // encoding of the conditioned formula. Same pivots at every node means the
-// same float expression tree, so the result is bit-identical to legacy.
+// same float expression tree, so the result is bit-identical to legacy. The
+// tree is recorded once per structure as its factoring program (program.go);
+// each call replays it over the packed availabilities.
 func (cs *CompiledStructure) Exact(avail map[string]float64) (float64, error) {
 	if cs.validErr != nil {
 		return 0, cs.validErr
@@ -552,52 +558,6 @@ func (cs *CompiledStructure) Exact(avail map[string]float64) (float64, error) {
 		return 0, err
 	}
 	return cs.exactPacked(pa), nil
-}
-
-// exactPacked runs the Shannon factoring over pooled scratch: the top-level
-// formula shares the immutable compiled set slices (conditioning never
-// mutates its input), conditioned subformulas live in the context's arenas,
-// and the memo is the packed open-addressing table of memo.go. Steady state
-// allocates nothing.
-//
-//upsim:hotpath
-func (cs *CompiledStructure) exactPacked(pa []float64) float64 {
-	ctx := getExactCtx(len(cs.names))
-	f := ctx.ffs.alloc(len(cs.atomics))
-	for _, a := range cs.atomics {
-		f = append(f, a.sets)
-	}
-	v := cs.factorBits(f, pa, ctx)
-	putExactCtx(ctx)
-	return v
-}
-
-//upsim:hotpath the §VII factoring recursion, one call per expression node
-func (cs *CompiledStructure) factorBits(f [][]bitset, pa []float64, ctx *exactCtx) float64 {
-	h := ctx.buildKey(f)
-	if v, ok := ctx.memo.lookup(ctx.keyTmp, h); ok {
-		return v
-	}
-	// Reserve the key before recursing: the staging buffer is reused by
-	// every deeper node, the arena copy is not.
-	klen := int32(len(ctx.keyTmp))
-	off := ctx.memo.reserve(ctx.keyTmp)
-	c := mostFrequentBit(f, ctx.counts)
-	a := pa[c]
-	var up, down float64
-	if fUp, konst := conditionBits(f, c, true, ctx); konst >= 0 {
-		up = float64(konst)
-	} else {
-		up = cs.factorBits(fUp, pa, ctx)
-	}
-	if fDown, konst := conditionBits(f, c, false, ctx); konst >= 0 {
-		down = float64(konst)
-	} else {
-		down = cs.factorBits(fDown, pa, ctx)
-	}
-	v := a*up + (1-a)*down
-	ctx.memo.insert(h, off, klen, v)
-	return v
 }
 
 // mostFrequentBit returns the component on the most path sets; ascending
@@ -682,62 +642,6 @@ func conditionBits(f [][]bitset, c int32, up bool, ctx *exactCtx) ([][]bitset, i
 	return out, -1
 }
 
-// MonteCarlo is the compiled form of ServiceStructure.MonteCarlo. It draws
-// the identical rand stream (one Float64 per component in sorted order per
-// sample), so the estimate matches legacy exactly per seed; the structure
-// function evaluates word-wise against a bitset up vector instead of
-// per-component slice indexing behind a map lookup.
-func (cs *CompiledStructure) MonteCarlo(avail map[string]float64, samples int, seed int64) (est, stderr float64, err error) {
-	if cs.validErr != nil {
-		return 0, 0, cs.validErr
-	}
-	pa, err := cs.packAvail(avail)
-	if err != nil {
-		return 0, 0, err
-	}
-	if samples < 1 {
-		return 0, 0, fmt.Errorf(errFmtMonteCarloSamples, samples)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	up := make(bitset, cs.words)
-	good := 0
-	for n := 0; n < samples; n++ {
-		for i := range up {
-			up[i] = 0
-		}
-		for i := range pa {
-			if rng.Float64() < pa[i] {
-				up[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		if cs.evalUp(up) {
-			good++
-		}
-	}
-	p := float64(good) / float64(samples)
-	return p, math.Sqrt(p * (1 - p) / float64(samples)), nil
-}
-
-// evalUp evaluates the structure function: every atomic service needs some
-// path set fully contained in the up vector.
-//
-//upsim:hotpath once per Monte-Carlo sample
-func (cs *CompiledStructure) evalUp(up bitset) bool {
-	for _, a := range cs.atomics {
-		works := false
-		for _, set := range a.sets {
-			if containsAll(set, up) {
-				works = true
-				break
-			}
-		}
-		if !works {
-			return false
-		}
-	}
-	return true
-}
-
 // WhatIf is the compiled form of ServiceStructure.WhatIf: exact availability
 // with the given components forced up or down. As in legacy, a forced
 // component must be a key of the availability map; forcing a component that
@@ -788,18 +692,4 @@ func (cs *CompiledStructure) Importances(avail map[string]float64) (up, down []f
 	down = make([]float64, len(pa))
 	cs.importances(pa, up, down)
 	return up, down, nil
-}
-
-// importances fills up and down by forcing each component of the packed
-// vector pa up, then down, and restoring it before moving on.
-//
-//upsim:hotpath two factorings per component
-func (cs *CompiledStructure) importances(pa, up, down []float64) {
-	for i, a := range pa {
-		pa[i] = 1
-		up[i] = cs.exactPacked(pa)
-		pa[i] = 0
-		down[i] = cs.exactPacked(pa)
-		pa[i] = a
-	}
 }

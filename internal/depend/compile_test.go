@@ -73,9 +73,9 @@ func randomStructure(rng *rand.Rand) (*ServiceStructure, map[string]float64) {
 
 // checkCompiledEquivalence runs every analysis on both kernels and fails on
 // the first divergence: sets must be identical including order, algebraic
-// probabilities within 1 ulp, Monte Carlo estimates exactly equal, errors
-// equal by message.
-func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[string]float64) {
+// probabilities within 1 ulp, Monte Carlo estimates (mcSamples draws from
+// mcSeed) exactly equal, errors equal by message.
+func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[string]float64, mcSeed int64, mcSamples int) {
 	t.Helper()
 	cs := Compile(s)
 
@@ -128,9 +128,8 @@ func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[strin
 		t.Fatalf("Exact: legacy %.17g, compiled %.17g", lex, cex)
 	}
 
-	seed := int64(len(avail))*7919 + int64(len(s.AtomicServices))
-	lmc, lse, lerr := s.MonteCarlo(avail, 500, seed)
-	cmc, cse, cerr := cs.MonteCarlo(avail, 500, seed)
+	lmc, lse, lerr := s.MonteCarlo(avail, mcSamples, mcSeed)
+	cmc, cse, cerr := cs.MonteCarlo(avail, mcSamples, mcSeed)
 	if !checkErr("MonteCarlo", lerr, cerr) && (lmc != cmc || lse != cse) {
 		t.Fatalf("MonteCarlo: legacy %v±%v, compiled %v±%v", lmc, lse, cmc, cse)
 	}
@@ -164,7 +163,7 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for i := 0; i < 200; i++ {
 		s, avail := randomStructure(rng)
-		checkCompiledEquivalence(t, s, avail)
+		checkCompiledEquivalence(t, s, avail, int64(len(avail))*7919+int64(len(s.AtomicServices)), 500)
 		checkFusedAnalyses(t, s, avail)
 	}
 }
@@ -183,7 +182,7 @@ func TestCompiledEquivalenceCaseStudy(t *testing.T) {
 		{"shared", sharedS, sharedAv},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkCompiledEquivalence(t, tc.s, tc.av)
+			checkCompiledEquivalence(t, tc.s, tc.av, 1, 500)
 		})
 	}
 }
@@ -273,7 +272,7 @@ func TestCompiledStructureWideUniverse(t *testing.T) {
 		avail[c1] = 0.9
 		avail[c2] = 0.99
 	}
-	checkCompiledEquivalence(t, s, avail)
+	checkCompiledEquivalence(t, s, avail, 1, 500)
 	if cs := Compile(s); cs.words != 2 {
 		t.Fatalf("structure spans %d words, want 2", cs.words)
 	}
@@ -281,12 +280,15 @@ func TestCompiledStructureWideUniverse(t *testing.T) {
 
 // FuzzCompiledKernel drives the equivalence check from a byte string: the
 // fuzzer shapes the structure (component count, atomic/path-set layout) and
-// the availability vector. Mirrors PR 4's FuzzCSR target.
+// the availability vector, and picks the Monte Carlo seed and sample count
+// (1 to 4096, so every offset within a 64-sample word and within the
+// generator's 607-word ring occurs). Mirrors pathdisc's
+// FuzzCSRAgreesWithLegacy.
 func FuzzCompiledKernel(f *testing.F) {
-	f.Add([]byte{3, 2, 1, 0, 1, 2, 50, 200, 128})
-	f.Add([]byte{5, 1, 3, 0, 1, 2, 3, 4, 0, 255, 1, 9, 77})
-	f.Add([]byte{12, 2, 2, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 100})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{3, 2, 1, 0, 1, 2, 50, 200, 128}, int64(1), uint16(499))
+	f.Add([]byte{5, 1, 3, 0, 1, 2, 3, 4, 0, 255, 1, 9, 77}, int64(-7), uint16(63))
+	f.Add([]byte{12, 2, 2, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 100}, int64(0), uint16(606))
+	f.Fuzz(func(t *testing.T, data []byte, mcSeed int64, mcSamples uint16) {
 		if len(data) < 4 {
 			t.Skip()
 		}
@@ -329,16 +331,17 @@ func FuzzCompiledKernel(f *testing.F) {
 		for _, c := range comps {
 			avail[c] = float64(next()) / 255
 		}
-		checkCompiledEquivalence(t, s, avail)
+		checkCompiledEquivalence(t, s, avail, mcSeed, 1+int(mcSamples)%4096)
 		checkFusedAnalyses(t, s, avail)
 	})
 }
 
 // checkFusedAnalyses pins the analysis pipeline's shortcuts to the public
 // per-call API, exactly (==): the in-place RBD and fault-tree loops against
-// the block and gate trees, and Importances against per-component Birnbaum
+// the block and gate trees, Importances against per-component Birnbaum
 // (WhatIf with the component up minus WhatIf with it down) and
-// Fussell–Vesely (from Exact and WhatIf with the component up).
+// Fussell–Vesely (from Exact and WhatIf with the component up), and the
+// factoring program against the recursion it was recorded from.
 func checkFusedAnalyses(t *testing.T, s *ServiceStructure, avail map[string]float64) {
 	t.Helper()
 	rbd, err := s.ToRBD(avail)
@@ -373,6 +376,7 @@ func checkFusedAnalyses(t *testing.T, s *ServiceStructure, avail map[string]floa
 	if err != nil {
 		t.Fatalf("Importances: %v", err)
 	}
+	checkProgramOracle(t, cs, avail, base, up, down)
 	for i, c := range cs.Components() {
 		cUp, err := cs.WhatIf(avail, map[string]bool{c: true})
 		if err != nil {

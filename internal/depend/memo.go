@@ -181,8 +181,9 @@ func (t *memoTable) grow() {
 }
 
 // exactCtx is the pooled per-factoring scratch: the memo table, the bitset
-// and slice arenas backing conditioned formulas, and the key staging
-// buffers. One context serves one exactPacked call at a time.
+// and slice arenas backing conditioned formulas, the key staging buffers
+// and the nodes of the program being recorded. One context serves one
+// recordProgram call at a time.
 type exactCtx struct {
 	memo memoTable
 	ar   bitArena           // reduced path sets from conditioning
@@ -197,6 +198,8 @@ type exactCtx struct {
 	segLen   []int32
 	setIdx   []int32 // per-atomic set sort
 	atomIdx  []int32 // atomic segment sort
+
+	prog []factorNode // recorded nodes, copied out at the end
 }
 
 // exactPool recycles factoring contexts across every compiled structure, so

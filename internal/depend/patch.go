@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"upsim/internal/obs"
 )
@@ -70,6 +71,9 @@ func (cs *CompiledStructure) PatchRemoveComponent(component string) (int, error)
 		}
 		a.sets = kept
 	}
+	// The factoring program encodes the old sets; the next exact
+	// evaluation records a new one.
+	cs.progOnce, cs.prog = sync.Once{}, nil
 	// Recompute the patch-induced death error from scratch each time: a
 	// recompilation blames the first empty atomic in declaration order, not
 	// the first one that happened to die, so later removals may move the

@@ -146,6 +146,12 @@ func Responsiveness(res *core.Result, model AvailabilityModel, maxHops int) (*Re
 		}
 		restricted.AtomicServices = append(restricted.AtomicServices, atomic)
 	}
+	if rep.PathsWithinBudget == rep.PathsTotal {
+		// The budget kept every path: the restricted structure is the full
+		// one, and so is its exact availability.
+		rep.Responsiveness = full
+		return rep, nil
+	}
 	r, err := Compile(restricted).Exact(avail)
 	if err != nil {
 		return nil, err

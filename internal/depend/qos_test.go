@@ -187,3 +187,46 @@ func TestResponsivenessMonotone(t *testing.T) {
 			rep4.Responsiveness, rep4.Availability)
 	}
 }
+
+// TestResponsivenessFullBudgetSkipsCompile pins the shortcut for a budget
+// that keeps every path: the restricted structure would be the full one, so
+// responsiveness is the full availability (==) and the analysis compiles
+// one structure, not two. USI at the default budget of 8 hops is that case.
+func TestResponsivenessFullBudgetSkipsCompile(t *testing.T) {
+	res := usiResult(t)
+	before := mDependCompile.With().Value()
+	rep, err := Responsiveness(res, ModelExact, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mDependCompile.With().Value() - before; got != 1 {
+		t.Errorf("Responsiveness compiled %d structures, want 1", got)
+	}
+	if rep.PathsWithinBudget != 10 || rep.PathsTotal != 10 {
+		t.Errorf("paths within budget %d of %d, want 10 of 10", rep.PathsWithinBudget, rep.PathsTotal)
+	}
+	if rep.Responsiveness != rep.Availability {
+		t.Errorf("responsiveness %.17g != availability %.17g", rep.Responsiveness, rep.Availability)
+	}
+}
+
+// TestResponsivenessDroppedPathsRecompile checks that a budget dropping
+// some paths still evaluates the restricted structure: a second compile,
+// whose exact value is the responsiveness.
+func TestResponsivenessDroppedPathsRecompile(t *testing.T) {
+	res := usiResult(t)
+	before := mDependCompile.With().Value()
+	rep, err := Responsiveness(res, ModelExact, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mDependCompile.With().Value() - before; got != 2 {
+		t.Errorf("Responsiveness compiled %d structures, want 2", got)
+	}
+	if rep.PathsWithinBudget == 0 || rep.PathsWithinBudget >= rep.PathsTotal {
+		t.Fatalf("budget 5 keeps %d of %d paths, want some but not all", rep.PathsWithinBudget, rep.PathsTotal)
+	}
+	if !(rep.Responsiveness < rep.Availability) {
+		t.Errorf("responsiveness %.17g not below availability %.17g with paths dropped", rep.Responsiveness, rep.Availability)
+	}
+}
