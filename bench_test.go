@@ -418,9 +418,13 @@ func BenchmarkVTCL(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	space, err := gen.Space()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("match", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ms, err := pats[0].Match(gen.Space(), nil)
+			ms, err := pats[0].Match(space, nil)
 			if err != nil || len(ms) != 3 {
 				b.Fatalf("matches = %d, %v", len(ms), err)
 			}

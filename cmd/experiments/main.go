@@ -259,7 +259,10 @@ func expContext() error {
 	if _, err := gen.Generate(svc, upsim.USITableIMapping(), "ctx", upsim.Options{}); err != nil {
 		return err
 	}
-	s := gen.Space()
+	s, err := gen.Space()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("  model space after Steps 5-8: %d entities, %d relations\n",
 		s.NumEntities(), s.NumRelations())
 	for _, fqn := range []string{
@@ -401,7 +404,11 @@ func expRBD() error {
 		}
 		avail[inst.Name()] = a
 	}
-	root, err := rbdgen.Transform(gen.Space(), "rbd-demo", avail)
+	space, err := gen.Space()
+	if err != nil {
+		return err
+	}
+	root, err := rbdgen.Transform(space, "rbd-demo", avail)
 	if err != nil {
 		return err
 	}

@@ -28,12 +28,11 @@ import (
 // switch (dependSmoke) with expDepend/expWhatIf.
 var warmOut string
 
-// warmGenWorkload is one row of the cold-generate comparison: the pre-PR
-// per-request build (XML decode + Step 5 import + topology extraction + CSR
-// compile + generation) against the pooled path (generator-pool acquire +
-// generation), best-of-reps nanoseconds per request. The fresh baseline is
-// conservative: it already benefits from the vpm space pool's recycled
-// arenas, which the true pre-PR code lacked.
+// warmGenWorkload is one row of the cold-generate comparison: the
+// per-request build without a generator pool (XML decode + Step 5 check +
+// topology extraction + CSR compile + generation) against the pooled path
+// (generator-pool acquire + generation), best-of-reps nanoseconds per
+// request. Neither side builds a model space: generation never reads one.
 type warmGenWorkload struct {
 	Model      string  `json:"model"`
 	XMLBytes   int     `json:"modelXmlBytes"`
@@ -249,7 +248,6 @@ func expWarm() error {
 			if err != nil {
 				return err
 			}
-			defer g.Close()
 			return generate(g, x)
 		}
 		pooled := func() error {

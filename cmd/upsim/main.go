@@ -770,7 +770,11 @@ func cmdQuery(args []string) error {
 			return fmt.Errorf("query: pattern %q not in %s", *name, *patternPath)
 		}
 	}
-	matches, err := pat.Match(gen.Space(), nil)
+	space, err := gen.Space()
+	if err != nil {
+		return err
+	}
+	matches, err := pat.Match(space, nil)
 	if err != nil {
 		return err
 	}

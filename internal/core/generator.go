@@ -13,6 +13,13 @@
 //  8. merge the paths into a single UML object diagram — the UPSIM
 //     (Definition 2) — preserving the instance signatures and therefore all
 //     static class properties for downstream dependability analysis.
+//
+// The pipeline itself runs on the UML model: Step 7 searches the object
+// diagram's compiled topology, and Steps 5 and 6 check the model and the
+// mapping pairs with exactly the errors the importers would report. The
+// model space of Steps 5–7 is the view the paper's VIATRA2 tooling reads;
+// a Generator builds it on the first Space call, replaying the imports and
+// stored paths of its live generations, and keeps it current from then on.
 package core
 
 import (
@@ -184,11 +191,17 @@ func (r *Result) PathsFor(atomicService string) ([]pathdisc.Path, bool) {
 // NodeNames returns the sorted node names of the UPSIM.
 func (r *Result) NodeNames() []string { return r.Graph.NodeNames() }
 
-// Generator owns the model space for one infrastructure model and runs the
-// Step 5–8 pipeline. A Generator is reusable: Generate may be called many
-// times with different services, mappings and perspectives against the same
-// imported infrastructure, which is exactly the dynamicity argument of
-// Section V-A3 (only the mapping changes between user perspectives).
+// Generator runs the Step 5–8 pipeline for one infrastructure model. A
+// Generator is reusable: Generate may be called many times with different
+// services, mappings and perspectives against the same infrastructure,
+// which is exactly the dynamicity argument of Section V-A3 (only the
+// mapping changes between user perspectives).
+//
+// The model space is built on the first Space call, not by NewGenerator:
+// generation itself never reads it. It imports the model's elements as
+// NewGenerator listed them (importers.View), so elements added to the
+// model later — Generate's own output diagrams included — stay out of it,
+// as they stayed out of an import at construction.
 //
 // A Generator is safe for concurrent use: an internal mutex serialises the
 // pipeline's model-space and model mutations, so concurrent Generate calls
@@ -198,41 +211,64 @@ func (r *Result) NodeNames() []string { return r.Graph.NodeNames() }
 type Generator struct {
 	model       *uml.Model
 	diagramName string
-	space       *vpm.ModelSpace
+	diagram     *uml.ObjectDiagram // the infrastructure diagram
+	view        importers.View     // the model's elements at construction: what Step 5 imports
 	graph       *topology.Graph
 	compiled    *pathdisc.Compiled // CSR kernel, built once per model, immutable
 
-	mu          sync.Mutex // guards the fields below and the pipeline's mutations
+	mu          sync.Mutex      // guards the fields below and the pipeline's mutations
+	space       *vpm.ModelSpace // built by the first Space call
 	mappingSeq  int
 	cache       *cache.Cache
 	modelDigest string // canonical model hash, taken by the first CacheKey
 	digestErr   error
 
-	// derived names every artifact a Generate call grafted onto the shared
-	// model and model space (output diagram, mapping subtree, paths
+	// derived records every artifact a Generate call grafted onto the
+	// shared model and model space (output diagram, mapping subtree, paths
 	// subtree), so ResetDerived can unhook them when the generator returns
-	// to a GeneratorPool.
-	derived []derivedNames
+	// to a GeneratorPool, and so the first Space call can replay them.
+	derived []derivedGen
+	// shared is the deepest shared model-space subtree any generation
+	// created; ResetDerived empties these subtrees but never removes them.
+	shared  sharedSubtree
 	poolKey string // set by GeneratorPool.Acquire; empty for unpooled use
 }
 
-// derivedNames records the per-generation artifact names: the UPSIM output
-// diagram (which also names the paths.<name> subtree) and the sequenced
-// mapping import.
-type derivedNames struct {
-	diagram string
-	mapping string
+// derivedGen records one generation: the UPSIM output diagram (which also
+// names the paths.<name> subtree), the sequenced mapping import, and what a
+// lazily built space replays — the imported pairs, nil when Step 6 failed,
+// and the stored path sets, nil until Step 8 stored them.
+type derivedGen struct {
+	diagram  string
+	mapping  string
+	pairs    []mapping.Pair
+	services []ServicePaths
 }
 
-// NewGenerator imports the model into a fresh model space (Step 5) and
-// prepares the graph view of the named infrastructure object diagram.
+// sharedSubtree orders the shared model-space subtrees in the order the
+// pipeline creates them; each implies the ones before it.
+type sharedSubtree uint8
+
+const (
+	sharedNone     sharedSubtree = iota
+	sharedPairType               // metamodel.mapping.ServiceMappingPair: Step 6 began
+	sharedMappings               // mappings: a mapping with a valid name was imported, its pairs or not
+	sharedPaths                  // paths: Step 8 stored a path set
+)
+
+// pathsRoot is the reserved model-space subtree of Step 7's stored paths.
+const pathsRoot = "paths"
+
+// NewGenerator checks the model against Step 5 and prepares the graph view
+// of the named infrastructure object diagram.
 func NewGenerator(m *uml.Model, diagramName string) (*Generator, error) {
 	return NewGeneratorContext(context.Background(), m, diagramName)
 }
 
 // NewGeneratorContext is NewGenerator under a context: when ctx carries an
-// obs span, Step 5 (UML import) is recorded as a child span with the
-// imported topology size.
+// obs span, Step 5 is recorded as a child span with the imported topology
+// size. Step 5 fails exactly when importing the model into a model space
+// would (importers.Check), but builds no space.
 func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) (*Generator, error) {
 	_, sp := obs.StartSpan(ctx, "step5.import_uml")
 	defer sp.End()
@@ -246,18 +282,8 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid model: %w", err)
 	}
-	// The space comes from the package pool: a recycled space keeps the
-	// arena blocks and index buckets of its previous life, so the
-	// one-entity-per-UML-element import below bump-allocates instead of
-	// hitting the heap per element (DESIGN.md §14).
-	space := vpm.GetSpace()
-	im, err := importers.NewUMLImporter(space)
-	if err != nil {
-		vpm.PutSpace(space)
-		return nil, err
-	}
-	if err := im.Import(m); err != nil {
-		vpm.PutSpace(space)
+	view := importers.ViewOf(m)
+	if err := importers.CheckView(view); err != nil {
 		return nil, err
 	}
 	g := topology.FromObjectDiagram(d)
@@ -285,15 +311,80 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 	return &Generator{
 		model:       m,
 		diagramName: diagramName,
-		space:       space,
+		diagram:     d,
+		view:        view,
 		graph:       g,
 		compiled:    compiled,
 	}, nil
 }
 
-// Space exposes the underlying model space (read-mostly; used by tests and
-// by tooling that wants to inspect imported entities and stored paths).
-func (g *Generator) Space() *vpm.ModelSpace { return g.space }
+// Space returns the model space of Steps 5–7: the UML import of the model,
+// the mapping import and stored paths of every live generation, and
+// whatever tooling (rbdgen, VTCL patterns) added since. The first
+// successful call builds it, replaying the generations in order; later
+// Generate calls write into it directly. It is read-mostly; callers must
+// not use it concurrently with Generate or ResetDerived.
+//
+// The import covers the profiles, classes, associations, diagrams and
+// activities the model had when NewGenerator checked it; elements added
+// later are not in the space. An element of those changed in place since
+// is imported as it is now, and the build fails with the import's error
+// when that change broke the import (an instance with a dotted name, say).
+func (g *Generator) Space() (*vpm.ModelSpace, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.space == nil {
+		s, err := g.buildSpace()
+		if err != nil {
+			return nil, fmt.Errorf("core: building the model space: %w", err)
+		}
+		g.space = s
+	}
+	return g.space, nil
+}
+
+// buildSpace imports the model as of construction (Step 5), recreates the
+// shared subtrees, then replays each live generation's mapping import
+// (Step 6) and stored paths (Step 7). Callers hold g.mu.
+func (g *Generator) buildSpace() (*vpm.ModelSpace, error) {
+	s := vpm.NewSpace()
+	im, err := importers.NewUMLImporter(s)
+	if err != nil {
+		return nil, err
+	}
+	if err := im.ImportView(g.view); err != nil {
+		return nil, err
+	}
+	if g.shared < sharedPairType {
+		return s, nil
+	}
+	mi, err := importers.NewMappingImporter(s)
+	if err != nil {
+		return nil, err
+	}
+	if g.shared >= sharedMappings {
+		if _, err := s.EnsureEntity(importers.NSMappings); err != nil {
+			return nil, err
+		}
+	}
+	if g.shared >= sharedPaths {
+		if _, err := s.EnsureEntity(pathsRoot); err != nil {
+			return nil, err
+		}
+	}
+	diagramFQN := importers.DiagramFQN(g.model.Name(), g.diagramName)
+	for _, d := range g.derived {
+		if d.pairs != nil {
+			if err := mi.ImportPairs(d.mapping, d.pairs, diagramFQN); err != nil {
+				return nil, err
+			}
+		}
+		if err := storePaths(s, d.diagram, d.services); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
 
 // Graph returns the graph view of the infrastructure diagram.
 func (g *Generator) Graph() *topology.Graph { return g.graph }
@@ -375,27 +466,24 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 		return nil, err
 	}
 
-	// Step 6: import the service mapping pairs. The importer verifies every
-	// referenced component against the infrastructure diagram.
+	// Step 6: import the service mapping pairs, verifying every referenced
+	// component against the infrastructure diagram.
 	_, span6 := obs.StartSpan(ctx, "step6.import_mapping")
 	g.mappingSeq++
 	mappingName := fmt.Sprintf("%s-%d", name, g.mappingSeq)
-	// Record the artifact names before any state is created: a failed step
-	// may leave a partial graft (an imported mapping whose discovery then
+	// Record the generation before any state is created: a failed step may
+	// leave a partial graft (an imported mapping whose discovery then
 	// fails), and ResetDerived must unhook those too. Cleanup of names that
 	// never materialised is a no-op.
-	g.derived = append(g.derived, derivedNames{diagram: name, mapping: mappingName})
-	mi, err := importers.NewMappingImporter(g.space)
-	if err != nil {
+	g.derived = append(g.derived, derivedGen{diagram: name, mapping: mappingName})
+	rec := &g.derived[len(g.derived)-1]
+	pairs := mp.Pairs() // a copy: the caller may change mp after Generate
+	if err := g.importPairs(mappingName, pairs); err != nil {
 		span6.End()
 		return nil, err
 	}
-	diagramFQN := importers.DiagramFQN(g.model.Name(), g.diagramName)
-	if err := mi.Import(mappingName, mp, diagramFQN); err != nil {
-		span6.End()
-		return nil, err
-	}
-	span6.SetAttr("pairs", len(mp.Pairs()))
+	rec.pairs = pairs
+	span6.SetAttr("pairs", len(pairs))
 	span6.End()
 
 	// Step 7: path discovery per atomic service, in execution order. Each
@@ -413,11 +501,7 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 		if err := ctx7.Err(); err != nil {
 			return nil, err
 		}
-		req, prov, err := importers.ResolvePair(g.space, mappingName, p.AtomicService)
-		if err != nil {
-			return nil, err
-		}
-		sp := ServicePaths{AtomicService: p.AtomicService, Requester: req.Name(), Provider: prov.Name()}
+		sp := ServicePaths{AtomicService: p.AtomicService, Requester: p.Requester, Provider: p.Provider}
 		_, svcSpan := obs.StartSpan(ctx7, sp.AtomicService)
 		sp.Paths, sp.Stats, err = g.discover(sp.Requester, sp.Provider, opts)
 		svcSpan.SetAttr("paths", sp.Stats.Paths)
@@ -447,8 +531,14 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	// further manipulation", Step 7) is part of the same stage.
 	_, span8 := obs.StartSpan(ctx, "step8.merge")
 	defer span8.End()
-	if err := g.storePaths(name, res.Services); err != nil {
-		return nil, err
+	if len(res.Services) > 0 {
+		g.shared = max(g.shared, sharedPaths)
+	}
+	rec.services = res.Services
+	if g.space != nil {
+		if err := storePaths(g.space, name, res.Services); err != nil {
+			return nil, err
+		}
 	}
 	if err := g.merge(res, opts); err != nil {
 		return nil, err
@@ -521,16 +611,36 @@ func (g *Generator) discover(req, prov string, opts Options) ([]pathdisc.Path, p
 	}
 }
 
+// importPairs runs Step 6 for one generation: into the model space when it
+// exists, else as importers.CheckPairs, which fails exactly where the
+// import would. Either way it records the shared subtrees the import
+// creates, for a later buildSpace. Callers hold g.mu.
+func (g *Generator) importPairs(mappingName string, pairs []mapping.Pair) error {
+	g.shared = max(g.shared, sharedPairType)
+	if importers.CheckMappingName(mappingName) == nil {
+		g.shared = max(g.shared, sharedMappings)
+	}
+	diagramFQN := importers.DiagramFQN(g.model.Name(), g.diagramName)
+	if g.space == nil {
+		return importers.CheckPairs(mappingName, pairs, g.diagram, diagramFQN)
+	}
+	mi, err := importers.NewMappingImporter(g.space)
+	if err != nil {
+		return err
+	}
+	return mi.ImportPairs(mappingName, pairs, diagramFQN)
+}
+
 // storePaths materialises paths under paths.<name>.<atomic service>.p<i>,
 // each entity valued with the paper-style path string.
-func (g *Generator) storePaths(name string, services []ServicePaths) error {
+func storePaths(s *vpm.ModelSpace, name string, services []ServicePaths) error {
 	for _, sp := range services {
-		parent, err := g.space.EnsureEntity("paths." + name + "." + sp.AtomicService)
+		parent, err := s.EnsureEntity(pathsRoot + "." + name + "." + sp.AtomicService)
 		if err != nil {
 			return err
 		}
 		for i, p := range sp.Paths {
-			pe, err := g.space.NewEntity(parent, fmt.Sprintf("p%d", i))
+			pe, err := s.NewEntity(parent, fmt.Sprintf("p%d", i))
 			if err != nil {
 				return err
 			}
@@ -594,36 +704,28 @@ func (g *Generator) merge(res *Result, opts Options) error {
 
 // ResetDerived unhooks every artifact previous Generate calls grafted onto
 // the shared model and model space: output diagrams detach from the model
-// (staying valid inside cached Results), and the mapping and paths subtrees
-// are deleted, returning their entities to the space's arena free lists. The
-// infrastructure import (Step 5) is untouched, so the generator is ready for
-// a fresh sequence of generations against the same model — this is what
+// (staying valid inside cached Results), the generation records go, and —
+// when the space was built — the mapping and paths subtrees are deleted.
+// The infrastructure (Step 5) is untouched, so the generator is ready for a
+// fresh sequence of generations against the same model — this is what
 // makes a Generator reusable through a GeneratorPool without name
-// collisions or unbounded model-space growth.
+// collisions or unbounded growth.
 func (g *Generator) ResetDerived() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, d := range g.derived {
 		g.model.RemoveDiagram(d.diagram)
+		if g.space == nil {
+			continue
+		}
 		if e, ok := g.space.Lookup(importers.NSMappings + "." + d.mapping); ok {
 			// The subtree exists and is not the root; deletion cannot fail.
 			_ = g.space.DeleteEntity(e)
 		}
-		if e, ok := g.space.Lookup("paths." + d.diagram); ok {
+		if e, ok := g.space.Lookup(pathsRoot + "." + d.diagram); ok {
 			_ = g.space.DeleteEntity(e)
 		}
 	}
+	clear(g.derived)
 	g.derived = g.derived[:0]
-}
-
-// Close releases the generator's model space back to the package pool. The
-// generator must not be used afterwards; only pool-managed lifecycles (and
-// tests) should call it — an unpooled Generator can simply be dropped.
-func (g *Generator) Close() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.space != nil {
-		vpm.PutSpace(g.space)
-		g.space = nil
-	}
 }

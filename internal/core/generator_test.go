@@ -9,9 +9,12 @@ import (
 
 	"upsim/internal/casestudy"
 	"upsim/internal/mapping"
+	"upsim/internal/modelgen"
 	"upsim/internal/obs"
 	"upsim/internal/pathdisc"
 	"upsim/internal/service"
+	"upsim/internal/testutil"
+	"upsim/internal/topology"
 	"upsim/internal/uml"
 )
 
@@ -206,7 +209,11 @@ func TestPathsStoredInModelSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, ok := g.Space().Lookup("paths.stored.fetch")
+	space, err := g.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, ok := space.Lookup("paths.stored.fetch")
 	if !ok {
 		t.Fatal("stored path subtree missing")
 	}
@@ -487,5 +494,83 @@ func TestGenerateContextSpans(t *testing.T) {
 	// Untraced generation still works (plain Generate, background context).
 	if _, err := g.Generate(f.svc, f.mp, "untraced", Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGenerateNeverBuildsSpace: the request path — a pooled or fresh
+// generator, generations that succeed or fail, resets — builds no model
+// space; only Space does.
+func TestGenerateNeverBuildsSpace(t *testing.T) {
+	f := buildFixture(t)
+	g, err := NewGenerator(f.model, "infrastructure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Generate(f.svc, f.mp, "a", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ghost := f.mp.Clone()
+	if err := ghost.Remap("fetch", "ghost", "srv"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Generate(f.svc, ghost, "b", Options{}); err == nil {
+		t.Fatal("a ghost requester passed Step 6")
+	}
+	g.ResetDerived()
+	if _, err := g.Generate(f.svc, f.mp, "a", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if g.space != nil {
+		t.Fatal("NewGenerator, Generate and ResetDerived built a model space")
+	}
+	pool := NewGeneratorPool(nil, 0, 0)
+	xml := fixtureXML(t)
+	for i := 0; i < 3; i++ {
+		pg, err := pool.Acquire(context.Background(), xml, "infrastructure")
+		if err != nil {
+			t.Fatal(err)
+		}
+		poolGenerate(t, pg, "p")
+		pool.Release(pg)
+		if pg.space != nil {
+			t.Fatal("a pooled generator built a model space")
+		}
+	}
+	space, err := g.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := space.Lookup("paths.a.fetch"); !ok {
+		t.Fatal("Space lacks the stored paths of the live generation")
+	}
+}
+
+// TestNewGeneratorAllocs caps the allocations of a cold NewGenerator on a
+// 10-edge-switch campus: Step 5 checks the model instead of importing one
+// entity per UML element, so the count stays near that of the topology and
+// kernel build (185 on go1.24; an eager import took 560 with pooled spaces).
+func TestNewGeneratorAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts counts")
+	}
+	tg, err := topology.Campus(topology.CampusParams{EdgeSwitches: 10, ClientsPerEdge: 6, ServersPerSwitch: 4, RedundantCore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := modelgen.Build("campus", tg, modelgen.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := service.NewSequential(m, "rpc", "request", "process", "reply"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewGenerator(m, "infrastructure"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold NewGenerator on a %d-node, %d-link campus: %.0f allocs", tg.NumNodes(), tg.NumEdges(), allocs)
+	if allocs > 220 {
+		t.Fatalf("cold NewGenerator allocates %.0f objects, want <= 220", allocs)
 	}
 }

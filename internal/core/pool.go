@@ -2,13 +2,12 @@ package core
 
 // GeneratorPool recycles Generators across requests of the same model. The
 // stateless HTTP API ships the model XML in every request, so before this
-// pool each warmish request paid the full cold build: XML decode, Step 5
-// import (one VPM entity per UML element), topology extraction and CSR
-// compilation. The pool keys built generators by a digest of the raw model
-// XML and diagram name; a hit skips all of that and reuses the imported
-// model space, whose derived artifacts were unhooked at Release time
-// (Generator.ResetDerived). Misses build cold and still benefit from the
-// vpm space pool's recycled arenas.
+// pool each warmish request paid the full cold build: XML decode, the Step 5
+// check, topology extraction and CSR compilation. The pool keys built
+// generators by a digest of the raw model XML and diagram name; a hit skips
+// all of that and reuses the generator, whose derived artifacts were
+// unhooked at Release time (Generator.ResetDerived). No request reads a
+// generator's model space, so pooled generators park without one.
 //
 // Concurrency: concurrent Acquires of the same model get distinct Generator
 // instances (each generator serialises its own pipeline internally), so
@@ -127,8 +126,7 @@ func (p *GeneratorPool) Acquire(ctx context.Context, modelXML, diagram string) (
 }
 
 // Release resets the generator's derived state and parks it for reuse; when
-// the per-model idle bound is reached the generator is closed instead (its
-// model space returns to the vpm pool).
+// the per-model idle bound is reached the generator is dropped instead.
 func (p *GeneratorPool) Release(g *Generator) {
 	if g == nil {
 		return
@@ -136,23 +134,17 @@ func (p *GeneratorPool) Release(g *Generator) {
 	g.ResetDerived()
 	key := g.poolKey
 	if key == "" {
-		g.Close()
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if len(p.idle[key]) < p.maxIdle {
 		p.idle[key] = append(p.idle[key], g)
 		p.touchLocked(key)
-		evicted := p.evictLocked()
-		p.mu.Unlock()
-		for _, e := range evicted {
-			e.Close()
-		}
+		p.evictLocked()
 		return
 	}
-	p.mu.Unlock()
 	mPoolEvictions.With().Inc()
-	g.Close()
 }
 
 // touchLocked marks the model as most recently used, creating its LRU entry
@@ -165,22 +157,17 @@ func (p *GeneratorPool) touchLocked(key string) {
 	p.elems[key] = p.order.PushFront(key)
 }
 
-// evictLocked trims least-recently-used models beyond the bound, returning
-// their idle generators for the caller to close outside the lock.
-func (p *GeneratorPool) evictLocked() []*Generator {
-	var out []*Generator
+// evictLocked trims least-recently-used models beyond the bound, dropping
+// their idle generators. Callers hold p.mu.
+func (p *GeneratorPool) evictLocked() {
 	for p.order.Len() > p.maxModels {
 		el := p.order.Back()
 		key := el.Value.(string)
 		p.order.Remove(el)
 		delete(p.elems, key)
-		out = append(out, p.idle[key]...)
+		mPoolEvictions.With().Add(uint64(len(p.idle[key])))
 		delete(p.idle, key)
 	}
-	for range out {
-		mPoolEvictions.With().Inc()
-	}
-	return out
 }
 
 // IdleLen reports the idle generators currently parked for the model, for

@@ -248,15 +248,15 @@ func TestMappingImport(t *testing.T) {
 	if !pe.IsInstanceOf(NSMappingMetamodel + "." + MetaPair) {
 		t.Error("pair not typed by mapping metamodel")
 	}
-	req, prov, err := ResolvePair(s, "printing-t1", "Request printing")
-	if err != nil {
-		t.Fatal(err)
+	reqs, provs := s.RelationsFrom(pe, RelRequester), s.RelationsFrom(pe, RelProvider)
+	if len(reqs) != 1 || len(provs) != 1 {
+		t.Fatalf("pair has %d requesters, %d providers", len(reqs), len(provs))
 	}
-	if req.Name() != "t1" || prov.Name() != "printS" {
+	if req, prov := reqs[0].To(), provs[0].To(); req.Name() != "t1" || prov.Name() != "printS" {
 		t.Errorf("resolved pair = %s, %s", req, prov)
 	}
-	if req.FQN() != InstanceFQN("campus", "infrastructure", "t1") {
-		t.Errorf("requester resolves to %s", req.FQN())
+	if got := reqs[0].To().FQN(); got != InstanceFQN("campus", "infrastructure", "t1") {
+		t.Errorf("requester resolves to %s", got)
 	}
 }
 
@@ -303,25 +303,5 @@ func TestMappingImportErrors(t *testing.T) {
 	}
 	if _, err := NewMappingImporter(nil); err == nil {
 		t.Error("nil space should fail")
-	}
-}
-
-func TestResolvePairErrors(t *testing.T) {
-	s, _ := importFixture(t)
-	if _, _, err := ResolvePair(s, "ghost", "x"); err == nil {
-		t.Error("unknown pair should fail")
-	}
-	// A malformed pair (extra requester relation) is reported.
-	mi, _ := NewMappingImporter(s)
-	if err := mi.Import("m", tableIMapping(t), DiagramFQN("campus", "infrastructure")); err != nil {
-		t.Fatal(err)
-	}
-	pe := s.MustLookup(PairFQN("m", "Request printing"))
-	t2 := s.MustLookup(InstanceFQN("campus", "infrastructure", "t2"))
-	if _, err := s.NewRelation(RelRequester, pe, t2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ResolvePair(s, "m", "Request printing"); err == nil {
-		t.Error("pair with two requesters should fail")
 	}
 }

@@ -2,7 +2,6 @@ package importers
 
 import (
 	"fmt"
-	"strings"
 
 	"upsim/internal/mapping"
 	"upsim/internal/vpm"
@@ -45,8 +44,13 @@ func (im *MappingImporter) Import(name string, m *mapping.Mapping, diagramFQN st
 	if m == nil {
 		return fmt.Errorf("importers: nil mapping")
 	}
-	if name == "" || strings.Contains(name, ".") {
-		return fmt.Errorf("importers: invalid mapping name %q", name)
+	return im.ImportPairs(name, m.Pairs(), diagramFQN)
+}
+
+// ImportPairs is Import of a mapping given by its pairs, in mapping order.
+func (im *MappingImporter) ImportPairs(name string, pairs []mapping.Pair, diagramFQN string) error {
+	if err := CheckMappingName(name); err != nil {
+		return err
 	}
 	s := im.space
 	diagram, ok := s.Lookup(diagramFQN)
@@ -71,7 +75,7 @@ func (im *MappingImporter) Import(name string, m *mapping.Mapping, diagramFQN st
 		_ = s.DeleteEntity(root)
 		return cause
 	}
-	for _, p := range m.Pairs() {
+	for _, p := range pairs {
 		pe, err := s.NewEntity(root, p.AtomicService)
 		if err != nil {
 			return abort(err)
@@ -102,20 +106,4 @@ func (im *MappingImporter) Import(name string, m *mapping.Mapping, diagramFQN st
 // PairFQN returns the model-space FQN of an imported service mapping pair.
 func PairFQN(mappingName, atomicService string) string {
 	return NSMappings + "." + mappingName + "." + atomicService
-}
-
-// ResolvePair returns the requester and provider instance entities of an
-// imported pair.
-func ResolvePair(s *vpm.ModelSpace, mappingName, atomicService string) (req, prov *vpm.Entity, err error) {
-	pe, ok := s.Lookup(PairFQN(mappingName, atomicService))
-	if !ok {
-		return nil, nil, fmt.Errorf("importers: pair %q/%q not in model space", mappingName, atomicService)
-	}
-	reqs := s.RelationsFrom(pe, RelRequester)
-	provs := s.RelationsFrom(pe, RelProvider)
-	if len(reqs) != 1 || len(provs) != 1 {
-		return nil, nil, fmt.Errorf("importers: pair %q/%q malformed: %d requesters, %d providers",
-			mappingName, atomicService, len(reqs), len(provs))
-	}
-	return reqs[0].To(), provs[0].To(), nil
 }

@@ -23,7 +23,6 @@ package importers
 
 import (
 	"fmt"
-	"strings"
 
 	"upsim/internal/uml"
 	"upsim/internal/vpm"
@@ -109,240 +108,89 @@ func NewUMLImporter(s *vpm.ModelSpace) (*UMLImporter, error) {
 // Import materialises the model under models.<model name>. Importing two
 // models with the same name is an error.
 func (im *UMLImporter) Import(m *uml.Model) error {
-	if m == nil {
-		return fmt.Errorf("importers: nil model")
-	}
-	if m.Name() == "" {
-		return fmt.Errorf("importers: model without name")
-	}
-	if strings.Contains(m.Name(), ".") {
-		return fmt.Errorf("importers: model name %q contains namespace separator", m.Name())
+	return im.ImportView(ViewOf(m))
+}
+
+// ImportView is Import of the elements v lists: a caller that imports a
+// model after adding elements of its own imports the model as it was when
+// it took the View.
+func (im *UMLImporter) ImportView(v View) error {
+	if err := v.nameError(); err != nil {
+		return err
 	}
 	s := im.space
 	modelsRoot, err := s.EnsureEntity(NSModels)
 	if err != nil {
 		return err
 	}
-	if _, dup := modelsRoot.Child(m.Name()); dup {
-		return fmt.Errorf("importers: model %q already imported", m.Name())
+	if _, dup := modelsRoot.Child(v.model.Name()); dup {
+		return fmt.Errorf("importers: model %q already imported", v.model.Name())
 	}
-	modelRoot, err := s.NewEntity(modelsRoot, m.Name())
+	modelRoot, err := s.NewEntity(modelsRoot, v.model.Name())
 	if err != nil {
 		return err
 	}
 
-	typeOf := func(inst *vpm.Entity, meta string) error {
-		return s.SetInstanceOf(inst, s.MustLookup(NSUMLMetamodel+"."+meta))
-	}
-
-	// Profiles and stereotypes.
-	profilesRoot, err := s.NewEntity(modelRoot, "profiles")
-	if err != nil {
-		return err
-	}
-	stereoEnt := make(map[*uml.Stereotype]*vpm.Entity)
-	for _, p := range m.Profiles() {
-		pe, err := s.NewEntity(profilesRoot, p.Name())
-		if err != nil {
-			return err
-		}
-		if err := typeOf(pe, MetaProfile); err != nil {
-			return err
-		}
-		for _, st := range p.Stereotypes() {
-			se, err := s.NewEntity(pe, st.Name())
-			if err != nil {
+	var (
+		last      [3]*vpm.Entity // the entity last created at each depth
+		stereoEnt = make(map[*uml.Stereotype]*vpm.Entity)
+		classEnt  = make(map[*uml.Class]*vpm.Entity)
+		instEnt   = make(map[string]*vpm.Entity) // the current diagram's instances
+		nodeEnt   = make(map[*uml.ActivityNode]*vpm.Entity)
+	)
+	return v.walk(true, func(st step) error {
+		var (
+			e   *vpm.Entity
+			err error
+		)
+		if d := st.kind.depth(); d >= 0 {
+			parent := modelRoot
+			if d > 0 {
+				parent = last[d-1]
+			}
+			if e, err = s.NewEntity(parent, st.name); err != nil {
 				return err
 			}
-			if err := typeOf(se, MetaStereotype); err != nil {
-				return err
+			last[d] = e
+			if st.kind == stepAttribute {
+				e.SetValue(st.value.String())
 			}
-			stereoEnt[st] = se
-		}
-	}
-
-	// Classes with their static attribute values.
-	classesRoot, err := s.NewEntity(modelRoot, "classes")
-	if err != nil {
-		return err
-	}
-	classEnt := make(map[*uml.Class]*vpm.Entity)
-	for _, c := range m.Classes() {
-		ce, err := s.NewEntity(classesRoot, c.Name())
-		if err != nil {
-			return err
-		}
-		if err := typeOf(ce, MetaClass); err != nil {
-			return err
-		}
-		classEnt[c] = ce
-		for _, app := range c.Applications() {
-			se, ok := stereoEnt[app.Stereotype()]
-			if !ok {
-				return fmt.Errorf("importers: class %s applies stereotype %s from an unregistered profile",
-					c.Name(), app.Stereotype().Name())
-			}
-			if _, err := s.NewRelation(RelStereotype, ce, se); err != nil {
-				return err
-			}
-		}
-		if err := im.importAttributes(ce, c.PropertyNames(), c.Property); err != nil {
-			return err
-		}
-	}
-
-	// Associations.
-	assocRoot, err := s.NewEntity(modelRoot, "associations")
-	if err != nil {
-		return err
-	}
-	for _, a := range m.Associations() {
-		ae, err := s.NewEntity(assocRoot, a.Name())
-		if err != nil {
-			return err
-		}
-		if err := typeOf(ae, MetaAssociation); err != nil {
-			return err
-		}
-		endA, endB := a.Ends()
-		if _, err := s.NewRelation(RelEndA, ae, classEnt[endA]); err != nil {
-			return err
-		}
-		if _, err := s.NewRelation(RelEndB, ae, classEnt[endB]); err != nil {
-			return err
-		}
-		for _, app := range a.Applications() {
-			se, ok := stereoEnt[app.Stereotype()]
-			if !ok {
-				return fmt.Errorf("importers: association %s applies stereotype %s from an unregistered profile",
-					a.Name(), app.Stereotype().Name())
-			}
-			if _, err := s.NewRelation(RelStereotype, ae, se); err != nil {
-				return err
-			}
-		}
-		var names []string
-		for _, app := range a.Applications() {
-			for _, def := range app.Stereotype().AllAttributes() {
-				names = append(names, def.Name)
-			}
-		}
-		if err := im.importAttributes(ae, names, a.Property); err != nil {
-			return err
-		}
-	}
-
-	// Object diagrams: instances and links.
-	diagramsRoot, err := s.NewEntity(modelRoot, "diagrams")
-	if err != nil {
-		return err
-	}
-	for _, d := range m.Diagrams() {
-		de, err := s.NewEntity(diagramsRoot, d.Name())
-		if err != nil {
-			return err
-		}
-		instEnt := make(map[string]*vpm.Entity, d.NumInstances())
-		for _, inst := range d.Instances() {
-			ie, err := s.NewEntity(de, inst.Name())
-			if err != nil {
-				return err
-			}
-			if err := typeOf(ie, MetaInstance); err != nil {
-				return err
-			}
-			if _, err := s.NewRelation(RelClassifier, ie, classEnt[inst.Classifier()]); err != nil {
-				return err
-			}
-			instEnt[inst.Name()] = ie
-		}
-		for _, l := range d.Links() {
-			a, b := l.Ends()
-			r, err := s.NewRelation(RelLink, instEnt[a.Name()], instEnt[b.Name()])
-			if err != nil {
-				return err
-			}
-			r.SetValue(l.Association().Name())
-		}
-	}
-
-	// Activities: atomic services become entities of the model space
-	// ("Also, atomic services are transformed into entities of the model
-	// space", Step 5).
-	activitiesRoot, err := s.NewEntity(modelRoot, "activities")
-	if err != nil {
-		return err
-	}
-	for _, act := range m.Activities() {
-		ae, err := s.NewEntity(activitiesRoot, act.Name())
-		if err != nil {
-			return err
-		}
-		if err := typeOf(ae, MetaActivity); err != nil {
-			return err
-		}
-		nodeEnt := make(map[*uml.ActivityNode]*vpm.Entity)
-		counters := map[uml.NodeKind]int{}
-		for _, n := range act.Nodes() {
-			var name, meta string
-			switch n.Kind() {
-			case uml.NodeAction:
-				name, meta = n.Name(), MetaAction
-			case uml.NodeInitial:
-				name, meta = "initial", MetaInitial
-			case uml.NodeFinal:
-				counters[uml.NodeFinal]++
-				name, meta = fmt.Sprintf("final%d", counters[uml.NodeFinal]), MetaFinal
-			case uml.NodeFork:
-				counters[uml.NodeFork]++
-				name, meta = fmt.Sprintf("fork%d", counters[uml.NodeFork]), MetaFork
-			case uml.NodeJoin:
-				counters[uml.NodeJoin]++
-				name, meta = fmt.Sprintf("join%d", counters[uml.NodeJoin]), MetaJoin
-			}
-			ne, err := s.NewEntity(ae, name)
-			if err != nil {
-				return err
-			}
-			if err := typeOf(ne, meta); err != nil {
-				return err
-			}
-			nodeEnt[n] = ne
-		}
-		for _, n := range act.Nodes() {
-			for _, tgt := range n.Outgoing() {
-				if _, err := s.NewRelation(RelFlow, nodeEnt[n], nodeEnt[tgt]); err != nil {
+			if st.meta != "" {
+				if err := s.SetInstanceOf(e, s.MustLookup(NSUMLMetamodel+"."+st.meta)); err != nil {
 					return err
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// importAttributes materialises named attribute values as child entities
-// typed Attribute, with the value as entity payload.
-func (im *UMLImporter) importAttributes(parent *vpm.Entity, names []string, get func(string) (uml.Value, bool)) error {
-	seen := make(map[string]bool)
-	for _, n := range names {
-		if seen[n] {
-			continue
+		switch st.kind {
+		case stepStereotype:
+			stereoEnt[st.stereo] = e
+		case stepClass:
+			classEnt[st.class] = e
+		case stepAssociation:
+			endA, endB := st.assoc.Ends()
+			if _, err = s.NewRelation(RelEndA, e, classEnt[endA]); err == nil {
+				_, err = s.NewRelation(RelEndB, e, classEnt[endB])
+			}
+		case stepDiagram:
+			clear(instEnt)
+		case stepInstance:
+			instEnt[st.name] = e
+			_, err = s.NewRelation(RelClassifier, e, classEnt[st.class])
+		case stepNode:
+			nodeEnt[st.node] = e
+		case stepApply:
+			_, err = s.NewRelation(RelStereotype, last[1], stereoEnt[st.stereo])
+		case stepLink:
+			a, b := st.link.Ends()
+			var r *vpm.Relation
+			if r, err = s.NewRelation(RelLink, instEnt[a.Name()], instEnt[b.Name()]); err == nil {
+				r.SetValue(st.link.Association().Name())
+			}
+		case stepFlow:
+			_, err = s.NewRelation(RelFlow, nodeEnt[st.node], nodeEnt[st.to])
 		}
-		seen[n] = true
-		v, ok := get(n)
-		if !ok {
-			continue
-		}
-		ae, err := im.space.NewEntity(parent, n)
-		if err != nil {
-			return err
-		}
-		ae.SetValue(v.String())
-		if err := im.space.SetInstanceOf(ae, im.space.MustLookup(NSUMLMetamodel+"."+MetaAttribute)); err != nil {
-			return err
-		}
-	}
-	return nil
+		return err
+	})
 }
 
 // InstanceFQN returns the model-space FQN of an instance specification

@@ -44,9 +44,19 @@ func generated(t *testing.T) (*core.Generator, *core.Result, map[string]float64)
 	return gen, res, avail
 }
 
+// spaceOf is the generator's model space, built on first use.
+func spaceOf(t *testing.T, gen *core.Generator) *vpm.ModelSpace {
+	t.Helper()
+	s, err := gen.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestTransform(t *testing.T) {
 	gen, res, avail := generated(t)
-	root, err := Transform(gen.Space(), "u", avail)
+	root, err := Transform(spaceOf(t, gen), "u", avail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,19 +91,19 @@ func TestTransform(t *testing.T) {
 		}
 	}
 	// Provenance relation back to the stored path store.
-	derived := gen.Space().RelationsFrom(first, "derivedFrom")
+	derived := spaceOf(t, gen).RelationsFrom(first, "derivedFrom")
 	if len(derived) != 1 || derived[0].To().FQN() != "paths.u.Request printing" {
 		t.Errorf("derivedFrom = %v", derived)
 	}
 	// Regenerating is rejected.
-	if _, err := Transform(gen.Space(), "u", avail); err == nil {
+	if _, err := Transform(spaceOf(t, gen), "u", avail); err == nil {
 		t.Error("duplicate transform should fail")
 	}
 }
 
 func TestToBlockEvaluates(t *testing.T) {
 	gen, res, avail := generated(t)
-	root, err := Transform(gen.Space(), "u", avail)
+	root, err := Transform(spaceOf(t, gen), "u", avail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +140,7 @@ func TestToBlockEvaluates(t *testing.T) {
 
 func TestRender(t *testing.T) {
 	gen, _, avail := generated(t)
-	root, err := Transform(gen.Space(), "u", avail)
+	root, err := Transform(spaceOf(t, gen), "u", avail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +163,10 @@ func TestTransformErrors(t *testing.T) {
 	// Missing availability for a component aborts and leaves no residue.
 	gen, _, avail := generated(t)
 	delete(avail, "t1")
-	if _, err := Transform(gen.Space(), "u", avail); err == nil || !strings.Contains(err.Error(), "t1") {
+	if _, err := Transform(spaceOf(t, gen), "u", avail); err == nil || !strings.Contains(err.Error(), "t1") {
 		t.Errorf("missing availability error = %v", err)
 	}
-	if _, ok := gen.Space().Lookup(RootFQN("u")); ok {
+	if _, ok := spaceOf(t, gen).Lookup(RootFQN("u")); ok {
 		t.Error("failed transform left residue")
 	}
 	// Empty path store.

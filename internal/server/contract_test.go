@@ -266,6 +266,20 @@ func contractCases(t testing.TB) []contractCase {
 		small := raw(nil, `"name":""`)
 		post("oversize body", d.route, raw(nil, `"name":"`+strings.Repeat("x", MaxRequestBytes+1024-len(small))+`"`))
 	}
+
+	// Step 5 and Step 6 rejections: names the model space cannot hold and
+	// mapping pairs that reference no instance of the diagram.
+	post("unknown requester", "/api/v1/generate", with(gen, obj{
+		"mappingXml": strings.Replace(mappingXML, `<requester id="t1">`, `<requester id="ghost">`, 1)}))
+	post("unknown provider", "/api/v1/generate", with(gen, obj{
+		"mappingXml": strings.Replace(mappingXML, `<provider id="printS">`, `<provider id="ghost">`, 1)}))
+	post("dotted atomic service", "/api/v1/generate", with(gen, obj{
+		"mappingXml": strings.Replace(mappingXML, "</servicemapping>",
+			`<atomicservice id="Print.again"><requester id="t1"></requester><provider id="printS"></provider></atomicservice></servicemapping>`, 1)}))
+	post("dotted upsim name", "/api/v1/generate", with(gen, obj{"name": "fig.11"}))
+	dotted := strings.ReplaceAll(modelXML, `"d4"`, `"d.4"`)
+	post("dotted instance name", "/api/v1/paths", with(paths, obj{"modelXml": dotted}))
+	post("dotted instance name", "/api/v1/generate", with(gen, obj{"modelXml": dotted}))
 	return cases
 }
 

@@ -256,7 +256,7 @@ func serve[T any](a *api, h func(context.Context, *T) (any, error)) func(route s
 				defer wr.recycle()
 				// A failed read is replayed with its error, which the
 				// decode below then reports.
-				_ = wr.fill(r.Body)
+				_ = wr.fill(r.Body, r.ContentLength)
 				wr.replay(r)
 			}
 			var req T

@@ -121,15 +121,21 @@ func (wr *warmReq) shrink() {
 
 // fill reads the request body into the reusable buffer, up to one byte past
 // the request size bound (the overflow byte lets the replayed decode fail
-// with the same "body too large" error the cold path produces). It clears
-// the previous request's key; the returned error is also kept in wr.err.
+// with the same "body too large" error the cold path produces). size is the
+// request's Content-Length, or -1 when unknown: a known length sizes the
+// buffer in one allocation instead of doubling it up from 4 KB, which a
+// large batch body would otherwise repeat every time the pool drops its
+// warmReq. The header is the client's claim, not bytes received, so the
+// presize stops at maxPooledBody; a longer body doubles past it as its
+// bytes arrive. It clears the previous request's key; the returned error is
+// also kept in wr.err.
 //
 //upsim:hotpath
-func (wr *warmReq) fill(r io.Reader) error {
+func (wr *warmReq) fill(r io.Reader, size int64) error {
 	wr.key = wr.key[:0]
 	buf := wr.buf[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
+	if want := max(int(min(size, maxPooledBody))+1, 4096); cap(buf) < want {
+		buf = make([]byte, 0, want)
 	}
 	for {
 		if len(buf) == cap(buf) {
@@ -199,7 +205,7 @@ func writeWarm(w http.ResponseWriter, r *http.Request, resp *encodedResponse) {
 //
 //upsim:hotpath
 func (a *api) tryWarm(wr *warmReq, prefix string, w http.ResponseWriter, r *http.Request) bool {
-	if err := wr.fill(r.Body); err != nil {
+	if err := wr.fill(r.Body, r.ContentLength); err != nil {
 		wr.replay(r)
 		return false
 	}

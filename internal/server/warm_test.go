@@ -281,3 +281,51 @@ func TestWarmFillBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmFillPresized: a body whose Content-Length is known is read into
+// a buffer allocated once at that size, not doubled up from 4 KB; an
+// unknown length still reads the whole body.
+func TestWarmFillPresized(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts exact counts")
+	}
+	body := strings.Repeat("x", 256<<10)
+	rd := strings.NewReader(body)
+	wr := new(warmReq)
+	allocs := testing.AllocsPerRun(20, func() {
+		wr.buf = nil
+		rd.Reset(body)
+		if err := wr.fill(rd, int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("filling a fresh warmReq from a %d-byte body with its length allocates %.1f objects, want 1", len(body), allocs)
+	}
+	for _, size := range []int64{int64(len(body)), -1, 10, MaxRequestBytes} {
+		wr.buf = nil
+		rd.Reset(body)
+		if err := wr.fill(rd, size); err != nil || string(wr.buf) != body {
+			t.Errorf("size %d: read %d bytes (err %v), want the whole %d-byte body", size, len(wr.buf), err, len(body))
+		}
+	}
+}
+
+// TestWarmFillDeclaredLengthBounded: Content-Length is the client's claim,
+// so a request declaring the maximum size and sending one byte gets a
+// buffer of at most maxPooledBody+1 bytes, and a body longer than that
+// bound is still read whole.
+func TestWarmFillDeclaredLengthBounded(t *testing.T) {
+	wr := new(warmReq)
+	if err := wr.fill(strings.NewReader("x"), MaxRequestBytes); err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(wr.buf); got > maxPooledBody+1 {
+		t.Errorf("declared length %d with a 1-byte body allocates a %d-byte buffer, want at most %d", MaxRequestBytes, got, maxPooledBody+1)
+	}
+	body := strings.Repeat("y", maxPooledBody+maxPooledBody/2)
+	wr.buf = nil
+	if err := wr.fill(strings.NewReader(body), int64(len(body))); err != nil || string(wr.buf) != body {
+		t.Errorf("read %d bytes (err %v), want the whole %d-byte body", len(wr.buf), err, len(body))
+	}
+}

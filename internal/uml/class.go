@@ -58,6 +58,14 @@ func (c *Class) Applications() []*StereotypeApplication {
 	return out
 }
 
+// EachApplication calls fn with each stereotype application in application
+// order, without copying the list.
+func (c *Class) EachApplication(fn func(*StereotypeApplication)) {
+	for _, app := range c.applications {
+		fn(app)
+	}
+}
+
 // Application returns the application of the named stereotype, if present.
 // The name matches the applied stereotype or any of its ancestors, so
 // Application("Component") finds a class stereotyped <<Device>> when Device
@@ -126,22 +134,26 @@ func (c *Class) Property(name string) (Value, bool) {
 func (c *Class) PropertyNames() []string {
 	seen := make(map[string]bool)
 	var names []string
-	add := func(n string) {
+	c.EachPropertyName(func(n string) {
 		if !seen[n] {
 			seen[n] = true
 			names = append(names, n)
 		}
-	}
-	for _, n := range c.propOrder {
-		add(n)
-	}
-	for _, app := range c.applications {
-		for _, def := range app.stereotype.AllAttributes() {
-			add(def.Name)
-		}
-	}
+	})
 	sort.Strings(names)
 	return names
+}
+
+// EachPropertyName calls fn with every name PropertyNames returns — owned
+// properties in definition order, then the attributes of each applied
+// stereotype — unsorted, repeats included, without allocating.
+func (c *Class) EachPropertyName(fn func(string)) {
+	for _, n := range c.propOrder {
+		fn(n)
+	}
+	for _, app := range c.applications {
+		app.stereotype.EachAttribute(func(def AttributeDef) { fn(def.Name) })
+	}
 }
 
 // String renders the class header as it appears in a diagram, e.g.
@@ -205,6 +217,14 @@ func (a *Association) Applications() []*StereotypeApplication {
 	out := make([]*StereotypeApplication, len(a.applications))
 	copy(out, a.applications)
 	return out
+}
+
+// EachApplication calls fn with each stereotype application in application
+// order, without copying the list.
+func (a *Association) EachApplication(fn func(*StereotypeApplication)) {
+	for _, app := range a.applications {
+		fn(app)
+	}
 }
 
 // Application returns the application of the named stereotype (or a

@@ -103,15 +103,20 @@ func (s *Stereotype) OwnAttributes() []AttributeDef {
 // AllAttributes returns the attributes of the stereotype including every
 // inherited attribute, parents first, in declaration order.
 func (s *Stereotype) AllAttributes() []AttributeDef {
-	var chain []*Stereotype
-	for st := s; st != nil; st = st.parent {
-		chain = append(chain, st)
-	}
 	var out []AttributeDef
-	for i := len(chain) - 1; i >= 0; i-- {
-		out = append(out, chain[i].attributes...)
-	}
+	s.EachAttribute(func(def AttributeDef) { out = append(out, def) })
 	return out
+}
+
+// EachAttribute calls fn with each attribute AllAttributes returns, in the
+// same order, without allocating.
+func (s *Stereotype) EachAttribute(fn func(AttributeDef)) {
+	if s.parent != nil {
+		s.parent.EachAttribute(fn)
+	}
+	for _, def := range s.attributes {
+		fn(def)
+	}
 }
 
 // Attribute looks up an attribute definition by name, searching the

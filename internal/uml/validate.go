@@ -60,24 +60,24 @@ func (m *Model) Validate() error {
 	}
 
 	for _, c := range m.Classes() {
-		for _, app := range c.Applications() {
-			for _, def := range app.Stereotype().AllAttributes() {
+		c.EachApplication(func(app *StereotypeApplication) {
+			app.Stereotype().EachAttribute(func(def AttributeDef) {
 				if _, ok := app.Get(def.Name); !ok {
 					add(fmt.Sprintf("class %q", c.Name()),
 						"stereotype %s attribute %s has no value", app.Stereotype().Name(), def.Name)
 				}
-			}
-		}
+			})
+		})
 	}
 	for _, a := range m.Associations() {
-		for _, app := range a.Applications() {
-			for _, def := range app.Stereotype().AllAttributes() {
+		a.EachApplication(func(app *StereotypeApplication) {
+			app.Stereotype().EachAttribute(func(def AttributeDef) {
 				if _, ok := app.Get(def.Name); !ok {
 					add(fmt.Sprintf("association %q", a.Name()),
 						"stereotype %s attribute %s has no value", app.Stereotype().Name(), def.Name)
 				}
-			}
-		}
+			})
+		})
 	}
 	for _, act := range m.Activities() {
 		if err := act.Validate(); err != nil {

@@ -211,32 +211,6 @@ type ModelSpace struct {
 	listeners []func(Event)
 	entities  int
 	deadRels  int // deleted relations still occupying relSeq slots
-	entArena  entityArena
-	relArena  relationArena
-	relSlices [][]*Relation // recycled fromIdx/toIdx backing slices
-}
-
-// getRelSlice returns an empty index slice, reusing a recycled backing
-// array when available so per-entity index entries survive space reuse.
-func (s *ModelSpace) getRelSlice() []*Relation {
-	if n := len(s.relSlices); n > 0 {
-		sl := s.relSlices[n-1]
-		s.relSlices[n-1] = nil
-		s.relSlices = s.relSlices[:n-1]
-		return sl
-	}
-	return make([]*Relation, 0, 4)
-}
-
-func (s *ModelSpace) putRelSlice(sl []*Relation) {
-	if cap(sl) == 0 {
-		return
-	}
-	sl = sl[:cap(sl)]
-	for i := range sl {
-		sl[i] = nil
-	}
-	s.relSlices = append(s.relSlices, sl[:0])
 }
 
 // NewSpace creates an empty model space with a root entity.
@@ -278,22 +252,10 @@ func (s *ModelSpace) NewEntity(parent *Entity, name string) (*Entity, error) {
 	if parent.space != s || parent.deleted {
 		return nil, fmt.Errorf("vpm: parent %q not live in this space", parent)
 	}
-	if name == "" {
-		return nil, fmt.Errorf("vpm: empty entity name under %q", parent)
+	if _, dup := parent.children[name]; dup || name == "" || strings.Contains(name, ".") {
+		return nil, NameError(parent.String(), name, dup)
 	}
-	if strings.Contains(name, ".") {
-		return nil, fmt.Errorf("vpm: entity name %q contains FQN separator", name)
-	}
-	if _, dup := parent.children[name]; dup {
-		return nil, fmt.Errorf("vpm: duplicate entity %q under %q", name, parent)
-	}
-	e := s.entArena.get()
-	e.space, e.name, e.parent = s, name, parent
-	e.value = ""
-	e.deleted = false
-	e.childSeq = e.childSeq[:0]
-	e.types = e.types[:0]
-	clear(e.children) // lazily created; a recycled entity keeps its buckets
+	e := &Entity{space: s, name: name, parent: parent}
 	if parent.children == nil {
 		parent.children = make(map[string]*Entity)
 	}
@@ -302,6 +264,23 @@ func (s *ModelSpace) NewEntity(parent *Entity, name string) (*Entity, error) {
 	s.entities++
 	s.notify(Event{Kind: EntityCreated, Entity: e})
 	return e, nil
+}
+
+// NameError returns the error NewEntity reports for a child named name under
+// the entity whose FQN is parentFQN, or nil when the name is valid; dup says
+// whether the parent already has a child of that name. Checks that vet names
+// without building a space (package importers) call it to report the same
+// text.
+func NameError(parentFQN, name string, dup bool) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("vpm: empty entity name under %q", parentFQN)
+	case strings.Contains(name, "."):
+		return fmt.Errorf("vpm: entity name %q contains FQN separator", name)
+	case dup:
+		return fmt.Errorf("vpm: duplicate entity %q under %q", name, parentFQN)
+	}
+	return nil
 }
 
 // EnsureEntity returns the entity at the given FQN, creating any missing
@@ -386,11 +365,6 @@ func (s *ModelSpace) DeleteEntity(e *Entity) error {
 		x.deleted = true
 		s.entities--
 		s.notify(Event{Kind: EntityDeleted, Entity: x})
-		// Recycle the slot; the next NewEntity re-initialises every field.
-		// Callers must not retain pointers into a deleted subtree.
-		x.parent = nil
-		x.types = x.types[:0]
-		s.entArena.put(x)
 	}
 	drop(e)
 	return nil
@@ -407,22 +381,11 @@ func (s *ModelSpace) NewRelation(name string, from, to *Entity) (*Relation, erro
 	if from.deleted || to.deleted {
 		return nil, fmt.Errorf("vpm: relation %q: deleted end", name)
 	}
-	r := s.relArena.get()
-	r.space, r.name, r.from, r.to = s, name, from, to
-	r.value = ""
-	r.deleted = false
+	r := &Relation{space: s, name: name, from: from, to: to}
 	s.relations[r] = struct{}{}
 	s.relSeq = append(s.relSeq, r)
-	fs, ok := s.fromIdx[from]
-	if !ok {
-		fs = s.getRelSlice()
-	}
-	s.fromIdx[from] = append(fs, r)
-	ts, ok := s.toIdx[to]
-	if !ok {
-		ts = s.getRelSlice()
-	}
-	s.toIdx[to] = append(ts, r)
+	s.fromIdx[from] = append(s.fromIdx[from], r)
+	s.toIdx[to] = append(s.toIdx[to], r)
 	s.notify(Event{Kind: RelationCreated, Relation: r})
 	return r, nil
 }
@@ -436,13 +399,11 @@ func (s *ModelSpace) DeleteRelation(r *Relation) {
 	r.deleted = true
 	delete(s.relations, r)
 	if rs := removeRel(s.fromIdx[r.from], r); len(rs) == 0 {
-		s.putRelSlice(rs)
 		delete(s.fromIdx, r.from)
 	} else {
 		s.fromIdx[r.from] = rs
 	}
 	if rs := removeRel(s.toIdx[r.to], r); len(rs) == 0 {
-		s.putRelSlice(rs)
 		delete(s.toIdx, r.to)
 	} else {
 		s.toIdx[r.to] = rs
@@ -450,9 +411,7 @@ func (s *ModelSpace) DeleteRelation(r *Relation) {
 	s.deadRels++
 	s.notify(Event{Kind: RelationDeleted, Relation: r})
 	// Compact the creation-order log once deleted slots outnumber live
-	// relations; compaction is the only point where relation slots are
-	// recycled, so a deleted relation still listed in relSeq can never be
-	// resurrected as a different edge.
+	// relations, so create/delete churn does not grow it without bound.
 	if s.deadRels >= 64 && s.deadRels > len(s.relations) {
 		s.compactRelSeq()
 	}
@@ -462,8 +421,6 @@ func (s *ModelSpace) compactRelSeq() {
 	w := 0
 	for _, r := range s.relSeq {
 		if r.deleted {
-			r.from, r.to = nil, nil
-			s.relArena.put(r)
 			continue
 		}
 		s.relSeq[w] = r

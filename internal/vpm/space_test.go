@@ -1,6 +1,7 @@
 package vpm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -390,6 +391,90 @@ func TestDump(t *testing.T) {
 	for _, want := range []string{"meta\n", "  Device\n", "net\n", `  t1 = "requester" : Device`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Dump missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestDeleteEntityRecyclesSlots(t *testing.T) {
+	s := NewSpace()
+	parent, err := s.EnsureEntity("models.m")
+	if err != nil {
+		t.Fatalf("EnsureEntity: %v", err)
+	}
+	for i := 0; i < 1000; i++ {
+		e, err := s.NewEntity(parent, "scratch")
+		if err != nil {
+			t.Fatalf("NewEntity %d: %v", i, err)
+		}
+		if err := s.DeleteEntity(e); err != nil {
+			t.Fatalf("DeleteEntity: %v", err)
+		}
+	}
+	// The parent's child slot is freed on delete: churn neither blocks the
+	// name nor grows the creation-order list.
+	if len(parent.children) != 0 || len(parent.childSeq) != 0 {
+		t.Fatalf("churn left %d children, %d ordered names under models.m", len(parent.children), len(parent.childSeq))
+	}
+	if s.NumEntities() != 2 { // "models" and "models.m"
+		t.Fatalf("NumEntities = %d, want 2", s.NumEntities())
+	}
+}
+
+func TestRelationChurnCompactsRelSeq(t *testing.T) {
+	s := NewSpace()
+	a, _ := s.EnsureEntity("a")
+	b, _ := s.EnsureEntity("b")
+	for i := 0; i < 5000; i++ {
+		r, err := s.NewRelation("link", a, b)
+		if err != nil {
+			t.Fatalf("NewRelation: %v", err)
+		}
+		s.DeleteRelation(r)
+	}
+	if got := len(s.relSeq); got > 2*64 {
+		t.Fatalf("relSeq retained %d slots after churn, want compaction to bound it", got)
+	}
+	if s.NumRelations() != 0 {
+		t.Fatalf("NumRelations = %d, want 0", s.NumRelations())
+	}
+}
+
+func TestDeletedSubtreeRelationsGone(t *testing.T) {
+	s := NewSpace()
+	keep, _ := s.EnsureEntity("keep")
+	sub, _ := s.EnsureEntity("tmp.child")
+	if _, err := s.NewRelation("link", keep, sub); err != nil {
+		t.Fatalf("NewRelation: %v", err)
+	}
+	tmp, _ := s.Lookup("tmp")
+	if err := s.DeleteEntity(tmp); err != nil {
+		t.Fatalf("DeleteEntity: %v", err)
+	}
+	if got := s.RelationsFrom(keep, ""); len(got) != 0 {
+		t.Fatalf("RelationsFrom(keep) = %v after subtree delete, want none", got)
+	}
+	if got := len(s.Relations("")); got != 0 {
+		t.Fatalf("Relations() = %d live after subtree delete, want 0", got)
+	}
+	// The index entry for keep must be gone, not an empty slice, so index
+	// maps do not accumulate keys of entities whose relations all went.
+	if _, ok := s.fromIdx[keep]; ok {
+		t.Fatal("fromIdx retains an empty entry after its last relation was deleted")
+	}
+}
+
+func TestNameErrorMatchesNewEntity(t *testing.T) {
+	s := NewSpace()
+	parent, _ := s.EnsureEntity("models.m")
+	if _, err := s.NewEntity(parent, "taken"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", "a.b", "taken", "free"} {
+		_, dup := parent.Child(name)
+		want := NameError("models.m", name, dup)
+		_, got := s.NewEntity(parent, name)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("name %q: NewEntity error %v, NameError %v", name, got, want)
 		}
 	}
 }

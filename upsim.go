@@ -208,7 +208,11 @@ type PatternBinding = vpm.Binding
 // availabilities (see StructureOf for the full component model including
 // connectors).
 func GenerateRBD(gen *Generator, upsimName string, avail map[string]float64) (*RBDEntity, Block, error) {
-	root, err := rbdgen.Transform(gen.Space(), upsimName, avail)
+	space, err := gen.Space()
+	if err != nil {
+		return nil, nil, err
+	}
+	root, err := rbdgen.Transform(space, upsimName, avail)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -361,14 +365,15 @@ func ServiceFromActivity(act *Activity) (*Composite, error) {
 	return service.FromActivity(act)
 }
 
-// NewGenerator imports the model into a fresh model space (Step 5) and
-// prepares generation against the named infrastructure object diagram.
+// NewGenerator checks the model against Step 5 and prepares generation
+// against the named infrastructure object diagram. The generator imports
+// the model into its model space when Generator.Space is first called.
 func NewGenerator(m *Model, diagramName string) (*Generator, error) {
 	return core.NewGenerator(m, diagramName)
 }
 
 // NewGeneratorContext is NewGenerator with trace propagation: when ctx
-// carries a span (see StartSpan) the model import records a child span.
+// carries a span (see StartSpan) the Step 5 check records a child span.
 func NewGeneratorContext(ctx context.Context, m *Model, diagramName string) (*Generator, error) {
 	return core.NewGeneratorContext(ctx, m, diagramName)
 }

@@ -202,7 +202,11 @@ func TestFacadePatternsAndRBD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := pats[0].Match(gen.Space(), nil)
+	space, err := gen.Space()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := pats[0].Match(space, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
