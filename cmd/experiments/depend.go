@@ -37,29 +37,27 @@ type dependFamily struct {
 
 // dependWorkload is one row of the BENCH_depend.json record: one service
 // structure measured under both kernels across the §VII algorithm families.
-// InclusionExclusion is omitted where the service path-set count exceeds the
-// 2^20-term budget (the legacy engine refuses those too). ExactFactoring and
-// Importances time what a request pays on the compiled side: a fresh
-// Compile plus the first evaluation, which records the factoring program.
+// ExactFactoring and Importances time what a request pays on the compiled
+// side: a fresh Compile plus the first evaluation, which records the
+// factoring program.
 type dependWorkload struct {
-	Structure          string        `json:"structure"`
-	Components         int           `json:"components"`
-	Words              int           `json:"bitsetWords"`
-	ServiceSets        int           `json:"servicePathSets"`
-	CutSets            int           `json:"minimalCutSets"`
-	InclusionExclusion *dependFamily `json:"inclusionExclusion,omitempty"`
-	MinimalCuts        dependFamily  `json:"minimalCuts"`
-	ExactFactoring     dependFamily  `json:"exactFactoring"`
-	Importances        dependFamily  `json:"importances"`
-	MonteCarlo         dependFamily  `json:"monteCarlo"`
-	MCLegacyNsPerSamp  float64       `json:"mcLegacyNsPerSample"`
-	MCCompNsPerSamp    float64       `json:"mcCompiledNsPerSample"`
+	Structure         string       `json:"structure"`
+	Components        int          `json:"components"`
+	Words             int          `json:"bitsetWords"`
+	ServiceSets       int          `json:"servicePathSets"`
+	CutSets           int          `json:"minimalCutSets"`
+	MinimalCuts       dependFamily `json:"minimalCuts"`
+	ExactFactoring    dependFamily `json:"exactFactoring"`
+	Importances       dependFamily `json:"importances"`
+	MonteCarlo        dependFamily `json:"monteCarlo"`
+	MCLegacyNsPerSamp float64      `json:"mcLegacyNsPerSample"`
+	MCCompNsPerSamp   float64      `json:"mcCompiledNsPerSample"`
 }
 
 // dependBench is the BENCH_depend.json schema. The floors mirror the
-// acceptance criteria: >=3x on inclusion-exclusion and minimal-cut-set
-// enumeration for structures with >=12 components, >=2x per Monte Carlo
-// sample, and no Mann-Whitney-confirmed regression in any measured family.
+// acceptance criteria: >=3x on minimal-cut-set enumeration for structures
+// with >=12 components, >=2x per Monte Carlo sample, and no
+// Mann-Whitney-confirmed regression in any measured family.
 type dependBench struct {
 	Host            string           `json:"host"`
 	GOMAXPROCS      int              `json:"gomaxprocs"`
@@ -68,7 +66,6 @@ type dependBench struct {
 	MCSamples       int              `json:"mcSamplesPerRun"`
 	Smoke           bool             `json:"smoke,omitempty"`
 	Workloads       []dependWorkload `json:"workloads"`
-	IEFloorSpeedup  float64          `json:"ieFloorSpeedup"`
 	CutFloorSpeedup float64          `json:"cutFloorSpeedup"`
 	MCFloorSpeedup  float64          `json:"mcFloorSpeedup"`
 	Regression      bool             `json:"regression"`
@@ -78,7 +75,7 @@ type dependBench struct {
 // `atomics` services in series, each reachable over `width` parallel paths
 // that share one hub component and continue over `tail` private components.
 // It is the §VII shape dial: service path sets = width^atomics (the
-// inclusion-exclusion load), minimal cut sets = atomics·(1 + tail^width)
+// cross-product load), minimal cut sets = atomics·(1 + tail^width)
 // (the transversal load), components = atomics·(1 + width·tail) (the
 // Monte Carlo and interning load).
 func dependChain(atomics, width, tail int) (*depend.ServiceStructure, map[string]float64) {
@@ -120,7 +117,7 @@ func expDepend() error {
 	add("series a=2 w=4 t=2", 2, 4, 2) // 18 components, 16 service sets
 	add("series a=2 w=4 t=3", 2, 4, 3) // 26 components, 16 sets, 164 cuts
 	if !dependSmoke {
-		add("wide   a=4 w=4 t=4", 4, 4, 4) // 68 components (2 words), IE skipped
+		add("wide   a=4 w=4 t=4", 4, 4, 4) // 68 components (2 words)
 		// The USI case study: the real pipeline output, 20 components.
 		m, err := upsim.USIModel()
 		if err != nil {
@@ -152,7 +149,6 @@ func expDepend() error {
 		Reps:            9,
 		MCSamples:       20000,
 		Smoke:           dependSmoke,
-		IEFloorSpeedup:  math.Inf(1),
 		CutFloorSpeedup: math.Inf(1),
 		MCFloorSpeedup:  math.Inf(1),
 	}
@@ -162,8 +158,8 @@ func expDepend() error {
 	b.WindowNs = window.Nanoseconds()
 	fmt.Printf("  %s, GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, %d MC samples/run\n",
 		b.Host, b.GOMAXPROCS, b.Reps, window, b.MCSamples)
-	fmt.Printf("  %-20s %5s %5s %5s %6s %8s %8s %8s %8s %8s\n",
-		"structure", "comps", "words", "sets", "cuts", "IE x", "cuts x", "exact x", "import x", "MC x")
+	fmt.Printf("  %-20s %5s %5s %5s %6s %8s %8s %8s %8s\n",
+		"structure", "comps", "words", "sets", "cuts", "cuts x", "exact x", "import x", "MC x")
 
 	// One sample = collect the heap, one untimed warm-up, then `batch` timed
 	// runs averaged into a per-run figure (see expPathdisc for why single-shot
@@ -245,23 +241,6 @@ func expDepend() error {
 		}
 		avail := x.avail
 
-		ieCol := "skip"
-		if len(sets) <= 20 {
-			fam, err := benchPair(
-				func() error { _, err := x.st.ExactInclusionExclusion(avail, 0); return err },
-				func() error { _, err := cs.ExactInclusionExclusion(avail, 0); return err },
-			)
-			if err != nil {
-				return err
-			}
-			w.InclusionExclusion = &fam
-			ieCol = fmt.Sprintf("%.2fx", fam.Speedup)
-			if w.Components >= 12 {
-				b.IEFloorSpeedup = min(b.IEFloorSpeedup, fam.Speedup)
-			}
-			b.Regression = b.Regression || (!fam.Parity && fam.Speedup < 1)
-		}
-
 		w.MinimalCuts, err = benchPair(
 			func() error { _, err := x.st.MinimalCutSets(0); return err },
 			func() error { _, err := cs.MinimalCutSets(0); return err },
@@ -322,23 +301,23 @@ func expDepend() error {
 		b.Regression = b.Regression || (!w.MonteCarlo.Parity && w.MonteCarlo.Speedup < 1)
 
 		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-20s %5d %5d %5d %6d %8s %7.2fx %7.2fx %7.2fx %7.2fx\n",
+		fmt.Printf("  %-20s %5d %5d %5d %6d %7.2fx %7.2fx %7.2fx %7.2fx\n",
 			w.Structure, w.Components, w.Words, w.ServiceSets, w.CutSets,
-			ieCol, w.MinimalCuts.Speedup, w.ExactFactoring.Speedup, w.Importances.Speedup, w.MonteCarlo.Speedup)
+			w.MinimalCuts.Speedup, w.ExactFactoring.Speedup, w.Importances.Speedup, w.MonteCarlo.Speedup)
 	}
 
 	// A floor with no qualifying row (possible only if the workload list is
 	// trimmed) records 0, which JSON can carry and any checker flags.
-	for _, f := range []*float64{&b.IEFloorSpeedup, &b.CutFloorSpeedup, &b.MCFloorSpeedup} {
+	for _, f := range []*float64{&b.CutFloorSpeedup, &b.MCFloorSpeedup} {
 		if math.IsInf(*f, 0) {
 			*f = 0
 		}
 	}
-	fmt.Printf("  floors (>=12 components): IE %.2fx (floor 3x), cut sets %.2fx (floor 3x, combinatorial rows), Monte Carlo %.2fx (floor 2x)\n",
-		b.IEFloorSpeedup, b.CutFloorSpeedup, b.MCFloorSpeedup)
+	fmt.Printf("  floors (>=12 components): cut sets %.2fx (floor 3x, combinatorial rows), Monte Carlo %.2fx (floor 2x)\n",
+		b.CutFloorSpeedup, b.MCFloorSpeedup)
 	fmt.Printf("  Mann-Whitney-confirmed regression in any family: %t\n", b.Regression)
 	fmt.Println("  (interning pays most where sets are re-compared combinatorially: the")
-	fmt.Println("   2^n inclusion-exclusion unions and the transversal dominance checks)")
+	fmt.Println("   transversal dominance checks)")
 
 	if dependOut != "" {
 		data, err := json.MarshalIndent(b, "", "  ")

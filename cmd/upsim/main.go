@@ -892,7 +892,6 @@ func cmdWhatIf(args []string) error {
 	fail := fs.String("fail", "", "comma-separated failed components (node names or a--b#edge link ids)")
 	failLink := fs.String("fail-link", "", "comma-separated failed links by endpoints (a--b, all parallel edges)")
 	top := fs.Int("top", 10, "rows of the critical-component ranking (0 = all)")
-	cutLimit := fs.Int("cutlimit", 0, "cut-set expansion budget for the importance join (0 = default)")
 	formula1 := fs.Bool("formula1", false, "use the paper's Formula 1 instead of the exact component availability")
 	jsonOut := fs.Bool("json", false, "emit the reports as JSON instead of text")
 	trace := fs.Bool("trace", false, "print the span tree with per-stage timings after the run")
@@ -938,7 +937,7 @@ func cmdWhatIf(args []string) error {
 			return err
 		}
 	}
-	crit, err := eng.Critical(ctx, *top, *cutLimit)
+	crit, err := eng.Critical(*top)
 	if err != nil {
 		return err
 	}

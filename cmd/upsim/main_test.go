@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -276,7 +275,7 @@ func TestCLIWhatIf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crit, err := eng.Critical(context.Background(), 10, 0)
+	crit, err := eng.Critical(10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,6 +176,9 @@ type Result struct {
 	// pass skipped in Step 7 (always 0 for ranked discovery and
 	// AlgoShortest).
 	Pruned int
+	// Key is the generation's content address (CacheKey) when it was
+	// produced through an attached cache, and empty otherwise.
+	Key string
 }
 
 // PathsFor returns the discovered paths of one atomic service.
@@ -415,7 +418,8 @@ func (g *Generator) Generate(svc *service.Composite, mp *mapping.Mapping, name s
 // (CacheKey): a hit returns the shared, immutable Result without running
 // any pipeline step — the trace then carries a single "cache" span instead
 // of the step6/step7/step8 stages — and concurrent identical misses compute
-// once (singleflight). Errors are never cached.
+// once (singleflight). The Result carries its key in Key. Errors are never
+// cached.
 func (g *Generator) GenerateContext(ctx context.Context, svc *service.Composite, mp *mapping.Mapping, name string, opts Options) (*Result, error) {
 	if svc == nil {
 		return nil, fmt.Errorf("core: nil service")
@@ -429,7 +433,12 @@ func (g *Generator) GenerateContext(ctx context.Context, svc *service.Composite,
 			return nil, err
 		}
 		v, outcome, err := c.Do(ctx, key, func() (any, error) {
-			return g.generate(ctx, svc, mp, name, opts)
+			res, err := g.generate(ctx, svc, mp, name, opts)
+			if err != nil {
+				return nil, err
+			}
+			res.Key = key // before the cache publishes res
+			return res, nil
 		})
 		if err != nil {
 			return nil, err

@@ -18,8 +18,8 @@ const (
 	BudgetTransversal BudgetKind = "transversal"
 )
 
-// BudgetError reports an exhausted set-expansion budget. Both kernels
-// (legacy and compiled) return it from ServicePathSets and MinimalCutSets,
+// BudgetError reports an exhausted set-expansion budget. The map-based
+// ServicePathSets and both kernels' MinimalCutSets return it,
 // so callers can distinguish "the analysis is too large for this limit"
 // from a malformed input and surface the offending atomic service and the
 // budget that was hit — instead of parsing the error string. Error()

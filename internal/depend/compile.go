@@ -5,11 +5,9 @@ package depend
 // []uint64 bitset path sets, over which the §VII analysis algorithms run
 // without string hashing or per-candidate map allocation. Subset tests and
 // transversal hits become AND/AND-NOT word operations, Minimalize compares
-// popcounts and lowest differing bits instead of joined strings, the
-// inclusion–exclusion sum keeps an incremental union (counts vector +
-// presence bitset) across the binary subset enumeration, exact evaluation
-// replays a recorded factoring program (program.go), and Monte Carlo
-// sampling evaluates the structure function on 64 samples per word
+// popcounts and lowest differing bits instead of joined strings, exact
+// evaluation replays a recorded factoring program (program.go), and Monte
+// Carlo sampling evaluates the structure function on 64 samples per word
 // (montecarlo.go). Every algorithm reproduces the legacy map implementation
 // exactly: same sets in the same canonical (cardinality, then element-wise
 // lexicographic) order, same error messages, and bit-identical floats —
@@ -305,53 +303,6 @@ func (cs *CompiledStructure) toPathSets(sets []bitset) []PathSet {
 	return out
 }
 
-// ServicePathSets is the compiled form of ServiceStructure.ServicePathSets:
-// the minimal path sets of the composite service, as the minimalised
-// cross-product of the per-atomic path sets.
-func (cs *CompiledStructure) ServicePathSets(limit int) ([]PathSet, error) {
-	sets, ar, err := cs.servicePathBits(limit)
-	if err != nil {
-		return nil, err
-	}
-	out := cs.toPathSets(sets)
-	putArena(ar)
-	return out, nil
-}
-
-// servicePathBits returns the minimal service path sets as arena-allocated
-// bitsets; the caller must putArena the returned arena when done with them.
-func (cs *CompiledStructure) servicePathBits(limit int) ([]bitset, *bitArena, error) {
-	if cs.validErr != nil {
-		return nil, nil, cs.validErr
-	}
-	if limit <= 0 {
-		limit = DefaultSetLimit
-	}
-	raw := 1
-	for _, a := range cs.atomics {
-		raw *= len(a.sets)
-		if raw > limit {
-			return nil, nil, &BudgetError{Kind: BudgetServicePathSets, Need: raw, Limit: limit}
-		}
-	}
-	ar := getArena()
-	unions := []bitset{ar.alloc(cs.words)}
-	for _, a := range cs.atomics {
-		next := make([]bitset, 0, len(unions)*len(a.sets))
-		for _, u := range unions {
-			for _, ps := range a.sets {
-				nu := ar.alloc(cs.words)
-				for w := range nu {
-					nu[w] = u[w] | ps[w]
-				}
-				next = append(next, nu)
-			}
-		}
-		unions = next
-	}
-	return minimalizeBits(unions, make([]bitset, 0, len(unions))), ar, nil
-}
-
 // MinimalCutSets is the compiled form of ServiceStructure.MinimalCutSets:
 // minimal hitting sets of each atomic service's path sets, minimalised
 // across atomic services.
@@ -424,122 +375,6 @@ func transversalsBits(sets []bitset, words, limit int, ar *bitArena) ([]bitset, 
 	}
 	ar.cur, ar.next = cur, next
 	return cur, nil
-}
-
-// EsaryProschan is the compiled form of ServiceStructure.EsaryProschan.
-// Cut/path products run over ascending ids — the sorted component order of
-// the legacy loops — so the bounds are bit-identical.
-func (cs *CompiledStructure) EsaryProschan(avail map[string]float64, limit int) (Bounds, error) {
-	pa, err := cs.packAvail(avail)
-	if err != nil {
-		return Bounds{}, err
-	}
-	paths, arPaths, err := cs.servicePathBits(limit)
-	if err != nil {
-		return Bounds{}, err
-	}
-	defer putArena(arPaths)
-	cuts, arCuts, err := cs.minimalCutBits(limit)
-	if err != nil {
-		return Bounds{}, err
-	}
-	defer putArena(arCuts)
-	lower := 1.0
-	for _, k := range cuts {
-		qAll := 1.0
-		for w, word := range k {
-			for word != 0 {
-				qAll *= 1 - pa[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-			}
-		}
-		lower *= 1 - qAll
-	}
-	upperFail := 1.0
-	for _, p := range paths {
-		aAll := 1.0
-		for w, word := range p {
-			for word != 0 {
-				aAll *= pa[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-			}
-		}
-		upperFail *= 1 - aAll
-	}
-	return Bounds{Lower: lower, Upper: 1 - upperFail}, nil
-}
-
-// ExactInclusionExclusion is the compiled form of
-// ServiceStructure.ExactInclusionExclusion. Subsets are enumerated in the
-// same ascending binary mask order as the legacy loop — not reflected Gray
-// order, which would reorder the alternating-sign summation and break the
-// 1-ulp equivalence bound — but the union is maintained incrementally: a
-// mask increment toggles exactly the trailing-run paths (the binary-carry
-// ruler sequence, amortised O(1) toggles per step), updating a per-component
-// membership count vector and a presence bitset instead of rebuilding a map
-// per subset. The availability product runs over present ids ascending,
-// which is the determinized legacy order, so the sum is bit-identical.
-func (cs *CompiledStructure) ExactInclusionExclusion(avail map[string]float64, limit int) (float64, error) {
-	pa, err := cs.packAvail(avail)
-	if err != nil {
-		return 0, err
-	}
-	paths, ar, err := cs.servicePathBits(0)
-	if err != nil {
-		return 0, err
-	}
-	defer putArena(ar)
-	if limit <= 0 {
-		limit = 20
-	}
-	n := len(paths)
-	if n > limit {
-		return 0, fmt.Errorf(errFmtInclExclLimit, n, limit)
-	}
-	counts := make([]int32, len(cs.names))
-	present := make(bitset, cs.words)
-	toggle := func(i int, add bool) {
-		for w, word := range paths[i] {
-			for word != 0 {
-				c := w<<6 + bits.TrailingZeros64(word)
-				if add {
-					counts[c]++
-					if counts[c] == 1 {
-						present[w] |= word & -word
-					}
-				} else {
-					counts[c]--
-					if counts[c] == 0 {
-						present[w] &^= word & -word
-					}
-				}
-				word &= word - 1
-			}
-		}
-	}
-	total := 0.0
-	for mask := 1; mask < 1<<uint(n); mask++ {
-		// mask-1 → mask flips bits 0..k where k = trailing zeros of mask:
-		// paths 0..k-1 leave the subset, path k enters it.
-		k := bits.TrailingZeros(uint(mask))
-		for i := 0; i < k; i++ {
-			toggle(i, false)
-		}
-		toggle(k, true)
-		prod := 1.0
-		for w, word := range present {
-			for word != 0 {
-				prod *= pa[w<<6+bits.TrailingZeros64(word)]
-				word &= word - 1
-			}
-		}
-		if bits.OnesCount(uint(mask))%2 == 1 {
-			total += prod
-		} else {
-			total -= prod
-		}
-	}
-	return total, nil
 }
 
 // Exact is the compiled form of ServiceStructure.Exact: Shannon factoring
@@ -692,4 +527,24 @@ func (cs *CompiledStructure) Importances(avail map[string]float64) (up, down []f
 	down = make([]float64, len(pa))
 	cs.importances(pa, up, down)
 	return up, down, nil
+}
+
+// BirnbaumFussellVesely returns the Birnbaum and Fussell–Vesely importance
+// of every component in id order, by the formulas of Importances, from one
+// Importances pass; base is the exact service availability (Exact).
+func (cs *CompiledStructure) BirnbaumFussellVesely(avail map[string]float64, base float64) (birnbaum, fussellVesely []float64, err error) {
+	up, down, err := cs.Importances(avail)
+	if err != nil {
+		return nil, nil, err
+	}
+	// down becomes the Birnbaum vector and up the Fussell–Vesely one.
+	qSys := 1 - base
+	for i, u := range up {
+		down[i] = u - down[i]
+		up[i] = 0
+		if qSys != 0 { // a perfect system attributes no unavailability
+			up[i] = ((1 - base) - (1 - u)) / qSys
+		}
+	}
+	return down, up, nil
 }

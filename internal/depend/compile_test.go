@@ -95,31 +95,10 @@ func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[strin
 		return true
 	}
 
-	lp, lerr := s.ServicePathSets(0)
-	cp, cerr := cs.ServicePathSets(0)
-	if !checkErr("ServicePathSets", lerr, cerr) && !reflect.DeepEqual(lp, cp) {
-		t.Fatalf("ServicePathSets: legacy %v, compiled %v", lp, cp)
-	}
-
 	lc, lerr := s.MinimalCutSets(0)
 	cc, cerr := cs.MinimalCutSets(0)
 	if !checkErr("MinimalCutSets", lerr, cerr) && !reflect.DeepEqual(lc, cc) {
 		t.Fatalf("MinimalCutSets: legacy %v, compiled %v", lc, cc)
-	}
-
-	lb, lerr := s.EsaryProschan(avail, 0)
-	cb, cerr := cs.EsaryProschan(avail, 0)
-	if !checkErr("EsaryProschan", lerr, cerr) &&
-		(!withinOneUlp(lb.Lower, cb.Lower) || !withinOneUlp(lb.Upper, cb.Upper)) {
-		t.Fatalf("EsaryProschan: legacy %+v, compiled %+v", lb, cb)
-	}
-
-	// Limit 14 keeps the 2^paths sum affordable for a property test; beyond
-	// it both kernels must fail with the identical limit error.
-	lie, lerr := s.ExactInclusionExclusion(avail, 14)
-	cie, cerr := cs.ExactInclusionExclusion(avail, 14)
-	if !checkErr("ExactInclusionExclusion", lerr, cerr) && !withinOneUlp(lie, cie) {
-		t.Fatalf("ExactInclusionExclusion: legacy %.17g, compiled %.17g", lie, cie)
 	}
 
 	lex, lerr := s.Exact(avail)
@@ -135,17 +114,17 @@ func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[strin
 	}
 
 	// The per-component legacy importances against the compiled kernel's
-	// one Importances pass.
-	up, down, ierr := cs.Importances(avail)
+	// one BirnbaumFussellVesely pass.
+	birnbaum, fv, ierr := cs.BirnbaumFussellVesely(avail, cex)
 	for i, c := range wantComps[:1] {
 		lbi, lerr := s.Birnbaum(avail, c)
-		if !checkErr("Birnbaum", lerr, ierr) && !withinOneUlp(lbi, up[i]-down[i]) {
-			t.Fatalf("Birnbaum(%q): legacy %.17g, compiled %.17g", c, lbi, up[i]-down[i])
+		if !checkErr("Birnbaum", lerr, ierr) && !withinOneUlp(lbi, birnbaum[i]) {
+			t.Fatalf("Birnbaum(%q): legacy %.17g, compiled %.17g", c, lbi, birnbaum[i])
 		}
 
 		lfv, lerr := s.FussellVesely(avail, c)
-		if !checkErr("FussellVesely", lerr, ierr) && !withinOneUlp(lfv, fussellVesely(cex, up[i])) {
-			t.Fatalf("FussellVesely(%q): legacy %.17g, compiled %.17g", c, lfv, fussellVesely(cex, up[i]))
+		if !checkErr("FussellVesely", lerr, ierr) && !withinOneUlp(lfv, fv[i]) {
+			t.Fatalf("FussellVesely(%q): legacy %.17g, compiled %.17g", c, lfv, fv[i])
 		}
 
 		lwi, lerr := s.WhatIf(avail, map[string]bool{c: false})
@@ -204,8 +183,8 @@ func TestCompiledErrorParity(t *testing.T) {
 	// Invalid structure: the Validate error is preserved by Compile.
 	bad := &ServiceStructure{AtomicServices: []AtomicStructure{{Name: "s"}}}
 	cbad := Compile(bad)
-	_, lerr := bad.ServicePathSets(0)
-	_, cerr := cbad.ServicePathSets(0)
+	_, lerr := bad.MinimalCutSets(0)
+	_, cerr := cbad.MinimalCutSets(0)
 	sameErr("invalid structure", lerr, cerr)
 	if cbad.Err() == nil {
 		t.Fatalf("Err() should report the Validate failure")
@@ -223,25 +202,10 @@ func TestCompiledErrorParity(t *testing.T) {
 	_, cerr = cs.Exact(overAv)
 	sameErr("bad prob", lerr, cerr)
 
-	// Expansion limit on the cross product.
-	_, lerr = s.ServicePathSets(1)
-	_, cerr = cs.ServicePathSets(1)
-	sameErr("pathset limit", lerr, cerr)
-
 	// Transversal limit.
 	_, lerr = s.MinimalCutSets(1)
 	_, cerr = cs.MinimalCutSets(1)
 	sameErr("cutset limit", lerr, cerr)
-
-	// Inclusion–exclusion limit: needs more paths than the limit allows.
-	wide := &ServiceStructure{AtomicServices: []AtomicStructure{{
-		Name:     "w",
-		PathSets: []PathSet{{"a"}, {"b"}, {"x"}},
-	}}}
-	cwide := Compile(wide)
-	_, lerr = wide.ExactInclusionExclusion(av, 2)
-	_, cerr = cwide.ExactInclusionExclusion(av, 2)
-	sameErr("IE limit", lerr, cerr)
 
 	// Unknown component in WhatIf.
 	_, lerr = s.WhatIf(av, map[string]bool{"ghost": true})

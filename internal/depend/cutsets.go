@@ -287,11 +287,10 @@ func (s *ServiceStructure) ExactInclusionExclusion(avail map[string]float64, lim
 		limit = 20
 	}
 	if len(paths) > limit {
-		return 0, fmt.Errorf(errFmtInclExclLimit, len(paths), limit)
+		return 0, fmt.Errorf("depend: inclusion-exclusion over %d path sets exceeds limit %d", len(paths), limit)
 	}
-	// The product over the union must run in a deterministic component
-	// order: map iteration would reorder the float multiplies from call to
-	// call, and the compiled kernel pins itself bit-identical to this path.
+	// The product over the union runs in sorted component order, so the
+	// float multiplies do not reorder from call to call with map iteration.
 	comps := s.Components()
 	total := 0.0
 	n := len(paths)

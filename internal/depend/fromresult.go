@@ -55,7 +55,7 @@ func LinkComponentID(a, b string, edgeID int) string {
 
 // ReservedNameError reports a device whose instance name has the
 // LinkComponentID form "a--b#<edge>". Such a name would read back as a link
-// (ParseLinkComponentID), and would share the availability entry of the real
+// (ComponentSource), and would share the availability entry of the real
 // link with that ID, so the analysis rejects it instead of answering for the
 // wrong component.
 type ReservedNameError struct {

@@ -10,7 +10,6 @@ package depend
 const (
 	errFmtNoAvailability    = "depend: no availability for component %q"
 	errFmtAtomicService     = "depend: atomic service %q: %w"
-	errFmtInclExclLimit     = "depend: inclusion-exclusion over %d path sets exceeds limit %d"
 	errFmtMonteCarloSamples = "depend: MonteCarlo needs at least 1 sample, got %d"
 	errFmtForcedNotInStruct = "depend: forced component %q not in structure"
 	errFmtCompNotInStruct   = "depend: component %q not in structure"

@@ -77,26 +77,9 @@ func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*Sensi
 	links := res.Source.Links()
 	agg := make(map[string]*ClassSensitivity)
 	for i, comp := range comps {
-		var (
-			cls          string
-			mtbfV, mttrV uml.Value
-		)
-		if edgeID, isLink := parseLinkComponent(comp); isLink {
-			if edgeID < 0 || edgeID >= len(links) {
-				return nil, fmt.Errorf("depend: link component %q references unknown edge", comp)
-			}
-			l := links[edgeID]
-			cls = l.Association().Name()
-			mtbfV, _ = l.Property("MTBF")
-			mttrV, _ = l.Property("MTTR")
-		} else {
-			inst, ok := res.Source.Instance(comp)
-			if !ok {
-				return nil, fmt.Errorf("depend: component %q not in source diagram", comp)
-			}
-			cls = inst.Classifier().Name()
-			mtbfV, _ = inst.Property("MTBF")
-			mttrV, _ = inst.Property("MTTR")
+		cls, mtbfV, mttrV, err := ComponentSource(res.Source, links, comp)
+		if err != nil {
+			return nil, err
 		}
 		mtbf, mttr := mtbfV.AsReal(), mttrV.AsReal()
 		denom := (mtbf + mttr) * (mtbf + mttr)
@@ -126,11 +109,28 @@ func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*Sensi
 	return rep, nil
 }
 
-// ParseLinkComponentID recognises the LinkComponentID format "a--b#<edge>"
-// and returns the source-diagram edge index. ok is false for device
-// components (plain instance names).
-func ParseLinkComponentID(comp string) (edgeID int, ok bool) {
-	return parseLinkComponent(comp)
+// ComponentSource resolves a structure component id against the source
+// diagram src, whose link list links is (src.Links(), taken once by the
+// caller): a LinkComponentID names the link with that edge index, any other
+// id an instance. It returns the link's association or the instance's class
+// name, and the element's MTBF and MTTR attribute values.
+func ComponentSource(src *uml.ObjectDiagram, links []*uml.Link, comp string) (class string, mtbf, mttr uml.Value, err error) {
+	if edgeID, isLink := parseLinkComponent(comp); isLink {
+		if edgeID < 0 || edgeID >= len(links) {
+			return "", mtbf, mttr, fmt.Errorf("depend: link component %q references unknown edge", comp)
+		}
+		l := links[edgeID]
+		mtbf, _ = l.Property("MTBF")
+		mttr, _ = l.Property("MTTR")
+		return l.Association().Name(), mtbf, mttr, nil
+	}
+	inst, ok := src.Instance(comp)
+	if !ok {
+		return "", mtbf, mttr, fmt.Errorf("depend: component %q not in source diagram", comp)
+	}
+	mtbf, _ = inst.Property("MTBF")
+	mttr, _ = inst.Property("MTTR")
+	return inst.Classifier().Name(), mtbf, mttr, nil
 }
 
 // parseLinkComponent recognises the LinkComponentID format "a--b#<edge>".

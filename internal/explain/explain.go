@@ -476,14 +476,9 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	}
 	imps := make([]ComponentImportance, 0, len(comps))
 	for i, c := range comps {
-		class := ""
-		if edgeID, isLink := depend.ParseLinkComponentID(c); isLink {
-			if edgeID < 0 || edgeID >= len(links) {
-				return nil, fmt.Errorf("explain: link component %q references unknown edge", c)
-			}
-			class = links[edgeID].Association().Name()
-		} else if inst, ok := res.Source.Instance(c); ok {
-			class = inst.Classifier().Name()
+		class, _, _, err := depend.ComponentSource(res.Source, links, c)
+		if err != nil {
+			return nil, err
 		}
 		imps = append(imps, ComponentImportance{
 			Component:     c,
@@ -529,28 +524,17 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 // per-component calls.
 func importances(st *depend.ServiceStructure, cs *depend.CompiledStructure, avail map[string]float64,
 	comps []string, base float64, legacy bool) (birnbaum, fussellVesely []float64, err error) {
+	if !legacy {
+		return cs.BirnbaumFussellVesely(avail, base)
+	}
 	birnbaum = make([]float64, len(comps))
 	fussellVesely = make([]float64, len(comps))
-	if legacy {
-		for i, c := range comps {
-			if birnbaum[i], err = st.Birnbaum(avail, c); err != nil {
-				return nil, nil, err
-			}
-			if fussellVesely[i], err = st.FussellVesely(avail, c); err != nil {
-				return nil, nil, err
-			}
+	for i, c := range comps {
+		if birnbaum[i], err = st.Birnbaum(avail, c); err != nil {
+			return nil, nil, err
 		}
-		return birnbaum, fussellVesely, nil
-	}
-	up, down, err := cs.Importances(avail)
-	if err != nil {
-		return nil, nil, err
-	}
-	qSys := 1 - base
-	for i := range comps {
-		birnbaum[i] = up[i] - down[i]
-		if qSys != 0 { // a perfect system attributes no unavailability
-			fussellVesely[i] = ((1 - base) - (1 - up[i])) / qSys
+		if fussellVesely[i], err = st.FussellVesely(avail, c); err != nil {
+			return nil, nil, err
 		}
 	}
 	return birnbaum, fussellVesely, nil

@@ -23,8 +23,8 @@ import (
 //   - Wrapper pairs: a function getX that acquires from a pool is paired
 //     with the releaser putX by name. Every caller of getX must call putX in
 //     the same function (deferred or direct) or return the acquired value to
-//     its own caller — the pattern servicePathBits uses to hand its arena to
-//     ServicePathSets.
+//     its own caller — the pattern minimalCutBits uses to hand its arena to
+//     MinimalCutSets.
 type poolreturnRule struct{}
 
 func (poolreturnRule) ID() string         { return "poolreturn" }

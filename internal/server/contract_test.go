@@ -280,6 +280,15 @@ func contractCases(t testing.TB) []contractCase {
 	dotted := strings.ReplaceAll(modelXML, `"d4"`, `"d.4"`)
 	post("dotted instance name", "/api/v1/paths", with(paths, obj{"modelXml": dotted}))
 	post("dotted instance name", "/api/v1/generate", with(gen, obj{"modelXml": dotted}))
+
+	// remove-link without an edgeId removes every parallel edge of the pair
+	// (the ranking then reads the patched kernel); an explicit edgeId must
+	// join exactly the named pair.
+	removeLink := func(d obj) obj { return with(whatif, obj{"mode": WhatIfModeApply, "deltas": []obj{d}}) }
+	post("remove-link all parallels", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "c1", "b": "d4"}))
+	post("remove-link edge id", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "c1", "b": "d4", "edgeId": 4}))
+	post("remove-link edge of another pair", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "c1", "b": "d4", "edgeId": 0}))
+	post("remove-link unknown endpoint", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "ghost", "b": "d4", "edgeId": 4}))
 	return cases
 }
 

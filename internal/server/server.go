@@ -713,43 +713,34 @@ func (req *generateRequest) gen() *generateRequest { return req }
 // used, which stays valid because derived diagrams are detached, not
 // destroyed. The cache key derives from the request content, so identical
 // requests hit the same entry whichever generator computes them. The
-// returned key is that generation content hash; the analysis memo keys
+// result's Key is that generation content hash; the analysis memo keys
 // extend it, so replays skip recompilation, not just regeneration.
-func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result, string, error) {
+func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result, error) {
 	if err := req.validate(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	gen, err := a.generators.Acquire(ctx, req.ModelXML, req.Diagram)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer a.generators.Release(gen)
 	act, ok := gen.Model().Activity(req.Service)
 	if !ok {
-		return nil, "", fmt.Errorf("model has no activity %q", req.Service)
+		return nil, fmt.Errorf("model has no activity %q", req.Service)
 	}
 	svc, err := service.FromActivity(act)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	mp, err := mapping.Parse(strings.NewReader(req.MappingXML))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	name := req.Name
 	if name == "" {
 		name = "upsim"
 	}
-	opts := core.Options{AllowDisconnected: req.AllowDisconnected}
-	key, err := gen.CacheKey(svc, mp, name, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	res, err := gen.GenerateContext(ctx, svc, mp, name, opts)
-	if err != nil {
-		return nil, "", err
-	}
-	return res, key, nil
+	return gen.GenerateContext(ctx, svc, mp, name, core.Options{AllowDisconnected: req.AllowDisconnected})
 }
 
 // linkJSON is one UPSIM link.
@@ -792,7 +783,7 @@ type generateResponse struct {
 
 // handleGenerate serves the generate route and the batch "generate" op.
 func (a *api) handleGenerate(ctx context.Context, req *generateRequest) (any, error) {
-	res, _, err := a.generate(ctx, req)
+	res, err := a.generate(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -852,19 +843,19 @@ type analysisRequest interface {
 
 // analyze generates q's UPSIM, then answers q through memo.
 func (a *api) analyze(ctx context.Context, q analysisRequest) (*encodedResponse, error) {
-	res, genKey, err := a.generate(ctx, q.gen())
+	res, err := a.generate(ctx, q.gen())
 	if err != nil {
 		return nil, err
 	}
-	return a.memo(ctx, q, res, genKey)
+	return a.memo(ctx, q, res)
 }
 
 // memo runs q's analysis of res and its JSON encoding once per cache key.
 // The shared cache holds the encoded reply, so a replay skips structure
 // extraction, kernel compilation and re-marshalling alike, and a warm hit
 // writes the stored bytes straight to the wire.
-func (a *api) memo(ctx context.Context, q analysisRequest, res *core.Result, genKey string) (*encodedResponse, error) {
-	v, _, err := a.cache.Do(ctx, q.cacheKey(genKey), func() (any, error) {
+func (a *api) memo(ctx context.Context, q analysisRequest, res *core.Result) (*encodedResponse, error) {
+	v, _, err := a.cache.Do(ctx, q.cacheKey(res.Key), func() (any, error) {
 		val, err := q.compute(ctx, res)
 		if err != nil {
 			return nil, err
@@ -1114,13 +1105,13 @@ type explainRequest struct {
 // handleExplain answers mode "report" through the analysis memo and mode
 // "validate" with the generation's freshness against the current topology.
 func (a *api) handleExplain(ctx context.Context, req *explainRequest) (any, error) {
-	res, genKey, err := a.generate(ctx, &req.generateRequest)
+	res, err := a.generate(ctx, &req.generateRequest)
 	if err != nil {
 		return nil, err
 	}
 	switch req.Mode {
 	case "", ExplainModeReport:
-		return a.memo(ctx, req, res, genKey)
+		return a.memo(ctx, req, res)
 	case ExplainModeValidate:
 		d, err := req.currentDiagram(req.CurrentModelXML, req.CurrentDiagram)
 		if err != nil {

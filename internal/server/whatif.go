@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"strings"
 
+	"upsim/internal/core"
+	"upsim/internal/explain"
 	"upsim/internal/whatif"
 )
 
@@ -52,10 +54,6 @@ type whatifRequest struct {
 	// Top bounds the critical-component ranking (0 disables the ranking for
 	// modes "failure"/"apply"; mode "critical" defaults to everything).
 	Top int `json:"top,omitempty"`
-	// CutLimit bounds the per-service attribution's cut-set expansion
-	// backing the ranking's importance join; exceeding it yields the
-	// structured 422 budget error.
-	CutLimit int `json:"cutLimit,omitempty"`
 	// Formula1 selects the paper's approximation for component
 	// availability.
 	Formula1 bool `json:"formula1,omitempty"`
@@ -67,6 +65,15 @@ type whatifRequest struct {
 	// CurrentDiagram names the current topology diagram (defaults to the
 	// request diagram name).
 	CurrentDiagram string `json:"currentDiagram,omitempty"`
+}
+
+// whatifValidation is one registration's freshness verdict.
+type whatifValidation struct {
+	Service string `json:"service"`
+	GenKey  string `json:"genKey"`
+	Fresh   bool   `json:"fresh"`
+	// Issues lists the drift explain.Validate found (empty when fresh).
+	Issues []explain.Issue `json:"issues,omitempty"`
 }
 
 // whatifResponse is the 200 body.
@@ -82,7 +89,7 @@ type whatifResponse struct {
 	Critical []whatif.CriticalComponent `json:"critical,omitempty"`
 	// Validations reports the freshness check when currentModelXml was
 	// given (every entry fresh, or the request would have been a 409).
-	Validations []whatif.ServiceValidation `json:"validations,omitempty"`
+	Validations []whatifValidation `json:"validations,omitempty"`
 }
 
 // staleGenerationResponse is the 409 body: the topology drifted underneath
@@ -91,7 +98,7 @@ type staleGenerationResponse struct {
 	errorResponse
 	// Validations carries the per-service freshness verdicts with the
 	// concrete drift issues.
-	Validations []whatif.ServiceValidation `json:"validations"`
+	Validations []whatifValidation `json:"validations"`
 	// InvalidatedKeys counts the cache entries of the stale generations
 	// that were evicted (self-invalidation).
 	InvalidatedKeys int `json:"invalidatedKeys"`
@@ -114,6 +121,7 @@ func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error)
 		return nil, err
 	}
 	eng := whatif.New(gen.Graph(), a.cache)
+	results := make(map[string]*core.Result, len(req.Services))
 	for _, s := range req.Services {
 		gr := generateRequest{
 			modelInput: req.modelInput,
@@ -124,13 +132,14 @@ func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error)
 		if gr.Name == "" {
 			gr.Name = s.Service
 		}
-		res, genKey, err := a.generate(ctx, &gr)
+		res, err := a.generate(ctx, &gr)
 		if err != nil {
 			return nil, fmt.Errorf("service %q: %w", s.Service, err)
 		}
-		if err := eng.Register(gr.Name, genKey, res, model); err != nil {
+		if err := eng.Register(gr.Name, res.Key, res, model); err != nil {
 			return nil, unprocessable(err)
 		}
+		results[gr.Name] = res
 	}
 
 	resp := whatifResponse{Mode: mode}
@@ -142,18 +151,23 @@ func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error)
 		if err != nil {
 			return nil, err
 		}
-		vals, evicted, err := eng.Revalidate(ctx, d)
-		if err != nil {
-			return nil, unprocessable(err)
-		}
-		stale := 0
-		for _, v := range vals {
+		var (
+			vals  []whatifValidation
+			stale []string
+		)
+		for _, s := range eng.Services() {
+			v, err := explain.Validate(ctx, results[s.Service], d)
+			if err != nil {
+				return nil, unprocessable(fmt.Errorf("whatif: validate %q: %w", s.Service, err))
+			}
+			vals = append(vals, whatifValidation{Service: s.Service, GenKey: s.GenKey, Fresh: v.Fresh, Issues: v.Issues})
 			if !v.Fresh {
-				stale++
+				stale = append(stale, s.Service)
 			}
 		}
-		if stale > 0 {
-			msg := fmt.Sprintf("%d of %d registered generations are stale against the current topology", stale, len(vals))
+		if len(stale) > 0 {
+			evicted := eng.Invalidate("generation fingerprint drifted from current topology", stale...)
+			msg := fmt.Sprintf("%d of %d registered generations are stale against the current topology", len(stale), len(vals))
 			return nil, &statusError{status: http.StatusConflict, err: errors.New(msg), body: staleGenerationResponse{
 				errorResponse:   errorResponse{Error: msg},
 				Validations:     vals,
@@ -187,11 +201,8 @@ func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error)
 	}
 
 	if mode == WhatIfModeCritical || req.Top > 0 {
-		crit, err := eng.Critical(ctx, req.Top, req.CutLimit)
+		crit, err := eng.Critical(req.Top)
 		if err != nil {
-			// The importance join expands minimal cut sets under the
-			// request's budget: overflow surfaces as the structured 422,
-			// never a bare 500.
 			return nil, unprocessable(err)
 		}
 		resp.Critical = crit

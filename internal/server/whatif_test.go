@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"upsim/internal/casestudy"
-	"upsim/internal/depend"
 	"upsim/internal/whatif"
 )
 
@@ -137,7 +136,7 @@ func TestWhatIfStale409(t *testing.T) {
 		t.Fatalf("fresh whatif = %d: %s", resp.StatusCode, body)
 	}
 	var fresh struct {
-		Validations []whatif.ServiceValidation `json:"validations"`
+		Validations []whatifValidation `json:"validations"`
 	}
 	if err := json.Unmarshal(body, &fresh); err != nil {
 		t.Fatal(err)
@@ -162,9 +161,9 @@ func TestWhatIfStale409(t *testing.T) {
 		t.Fatalf("stale whatif = %d, want 409: %s", resp.StatusCode, body)
 	}
 	var out struct {
-		Error           string                     `json:"error"`
-		Validations     []whatif.ServiceValidation `json:"validations"`
-		InvalidatedKeys int                        `json:"invalidatedKeys"`
+		Error           string             `json:"error"`
+		Validations     []whatifValidation `json:"validations"`
+		InvalidatedKeys int                `json:"invalidatedKeys"`
 	}
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
@@ -183,35 +182,6 @@ func TestWhatIfStale409(t *testing.T) {
 	}
 	if out.InvalidatedKeys == 0 {
 		t.Error("stale generation kept its cache entries")
-	}
-}
-
-// TestWhatIfBudget422 pins the structured budget error through the what-if
-// surface: the critical ranking's importance join expands cut sets under
-// the request budget, and overflow is the depend.BudgetError 422 — never a
-// bare 500.
-func TestWhatIfBudget422(t *testing.T) {
-	ts := httptest.NewServer(New())
-	defer ts.Close()
-	req := usiWhatIfRequest(t, ts)
-	req["mode"] = "critical"
-	req["cutLimit"] = 1
-
-	resp, body := postJSON(t, ts, "/api/v1/whatif", req)
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("whatif critical cutLimit=1 = %d: %s", resp.StatusCode, body)
-	}
-	var out struct {
-		Error         string `json:"error"`
-		Kind          string `json:"kind"`
-		AtomicService string `json:"atomicService"`
-		Limit         int    `json:"limit"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind != string(depend.BudgetTransversal) || out.Limit != 1 || out.Error == "" {
-		t.Fatalf("budget 422 = %+v", out)
 	}
 }
 

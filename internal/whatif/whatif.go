@@ -26,12 +26,12 @@
 // Critical-component ranking (Critical) joins size-1/size-2 minimal-cut
 // queries on the compiled kernels (depend.SmallCuts — single points of
 // failure and fragile pairs) with the Birnbaum and Fussell–Vesely
-// importances from internal/explain.
+// importances of the same, possibly patched, kernels.
 //
-// Revalidate wires explain.Validate into the cache layer: registered
-// generations are fingerprinted against a current object diagram, and
-// stale ones are evicted from the shared cache so they self-invalidate
-// instead of serving results for a topology that no longer exists.
+// Invalidate marks registered generations stale on a caller's verdict (the
+// HTTP route fingerprints them with explain.Validate against a current
+// object diagram) and evicts them from the shared cache, so they do not
+// serve results for a topology that no longer exists.
 //
 // All methods are safe for concurrent use; mutation and analysis are
 // serialised behind one mutex because kernel patching is not safe
@@ -39,8 +39,8 @@
 package whatif
 
 import (
-	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,11 +49,9 @@ import (
 	"upsim/internal/cache"
 	"upsim/internal/core"
 	"upsim/internal/depend"
-	"upsim/internal/explain"
 	"upsim/internal/obs"
 	"upsim/internal/pathdisc"
 	"upsim/internal/topology"
-	"upsim/internal/uml"
 )
 
 var (
@@ -64,7 +62,7 @@ var (
 	mRecompiled = obs.NewCounter("upsim_whatif_recompile_total",
 		"Service registrations invalidated for re-generation (compile-vs-patch boundary crossed).")
 	mStale = obs.NewCounter("upsim_whatif_stale_generations_total",
-		"Registered generations found stale by Revalidate and evicted from the cache.")
+		"Registered generations found stale against the current topology and evicted from the cache.")
 )
 
 // registered is one service generation under management.
@@ -72,7 +70,6 @@ type registered struct {
 	name     string
 	genKey   string
 	res      *core.Result
-	model    depend.AvailabilityModel
 	cs       *depend.CompiledStructure
 	avail    map[string]float64
 	baseline float64
@@ -80,7 +77,7 @@ type registered struct {
 	// component ids of this service's structure, so endpoint-addressed
 	// failures resolve to the right parallel links.
 	links map[string][]string
-	// stale: an addition crossed the patch boundary or Revalidate flagged
+	// stale: an addition crossed the patch boundary or Invalidate flagged
 	// drift; the service needs re-generation and is excluded from analyses.
 	stale       bool
 	staleReason string
@@ -102,7 +99,7 @@ type Engine struct {
 
 // New builds an engine over the given topology. The compiled CSR view is
 // built once and patched incrementally afterwards. c may be nil; when set,
-// Apply and Revalidate evict affected generations from it.
+// Apply and Invalidate evict affected generations from it.
 func New(g *topology.Graph, c *cache.Cache) *Engine {
 	return &Engine{
 		graph: g,
@@ -135,7 +132,6 @@ func (e *Engine) Register(name, genKey string, res *core.Result, model depend.Av
 		name:     name,
 		genKey:   genKey,
 		res:      res,
-		model:    model,
 		cs:       cs,
 		avail:    avail,
 		baseline: baseline,
@@ -357,12 +353,12 @@ type Delta struct {
 	Node  string `json:"node,omitempty"`
 	Class string `json:"class,omitempty"`
 	// A and B are the link endpoints for OpAddLink/OpRemoveLink. For
-	// OpRemoveLink, EdgeID selects one specific parallel edge; leave it
-	// negative to remove every edge between the endpoints. Label is the
-	// association label for OpAddLink.
+	// OpRemoveLink, EdgeID selects one specific parallel edge, which must
+	// join A and B; nil removes every edge between the endpoints. Label is
+	// the association label for OpAddLink.
 	A      string `json:"a,omitempty"`
 	B      string `json:"b,omitempty"`
-	EdgeID int    `json:"edgeId,omitempty"`
+	EdgeID *int   `json:"edgeId,omitempty"`
 	Label  string `json:"label,omitempty"`
 }
 
@@ -412,9 +408,6 @@ func (e *Engine) Apply(deltas ...Delta) (*ApplyReport, error) {
 		}
 		rep.Applied = append(rep.Applied, desc)
 	}
-	// Targeted cache invalidation: evict exactly the affected generations'
-	// key families (the genKey itself plus every derived "…|<genKey>|…"
-	// analysis and response-bytes entry).
 	genKeys := make(map[string]bool)
 	for r := range affected {
 		if r.genKey != "" {
@@ -425,16 +418,7 @@ func (e *Engine) Apply(deltas ...Delta) (*ApplyReport, error) {
 		rep.AffectedGenerations = append(rep.AffectedGenerations, k)
 	}
 	sort.Strings(rep.AffectedGenerations)
-	if e.cache != nil && len(genKeys) > 0 {
-		rep.InvalidatedKeys = e.cache.RemoveMatching(func(key string) bool {
-			for k := range genKeys {
-				if strings.Contains(key, k) {
-					return true
-				}
-			}
-			return false
-		})
-	}
+	rep.InvalidatedKeys = e.evict(genKeys)
 	for _, r := range e.services {
 		d := ServiceDelta{Service: r.name, GenKey: r.genKey, Baseline: r.baseline, Failed: r.baseline}
 		if r.stale {
@@ -508,18 +492,18 @@ func (e *Engine) applyOne(d Delta, rep *ApplyReport, affected map[*registered]bo
 		return fmt.Sprintf("add-link %s--%s#%d", d.A, d.B, id), nil
 
 	case OpRemoveLink:
-		ids := []int{d.EdgeID}
-		if d.EdgeID < 0 {
-			ids = e.graph.EdgesBetween(d.A, d.B)
-			if len(ids) == 0 {
-				return "", fmt.Errorf("whatif: no link between %q and %q", d.A, d.B)
+		var ids []int
+		if d.EdgeID != nil {
+			edge, ok := e.graph.Edge(*d.EdgeID)
+			if !ok || endpointKey(edge.A, edge.B) != endpointKey(d.A, d.B) {
+				return "", fmt.Errorf("whatif: edge %d does not join %q and %q", *d.EdgeID, d.A, d.B)
 			}
+			ids = []int{*d.EdgeID}
+		} else if ids = e.graph.EdgesBetween(d.A, d.B); len(ids) == 0 {
+			return "", fmt.Errorf("whatif: no link between %q and %q", d.A, d.B)
 		}
 		for _, id := range ids {
-			edge, ok := e.graph.Edge(id)
-			if !ok || (edge.A != d.A && edge.A != d.B) {
-				return "", fmt.Errorf("whatif: edge %d does not join %q and %q", id, d.A, d.B)
-			}
+			edge, _ := e.graph.Edge(id)
 			if err := e.graph.RemoveEdge(id); err != nil {
 				return "", err
 			}
@@ -596,57 +580,45 @@ func (e *Engine) markStaleReachable(start, reason string, rep *ApplyReport, affe
 	}
 }
 
-// ServiceValidation is one service's Revalidate outcome.
-type ServiceValidation struct {
-	Service string `json:"service"`
-	GenKey  string `json:"genKey"`
-	Fresh   bool   `json:"fresh"`
-	// Issues lists the drift explain.Validate found (empty when fresh).
-	Issues []explain.Issue `json:"issues,omitempty"`
-}
-
-// Revalidate fingerprints every registered generation against the given
-// current object diagram via explain.Validate. Stale generations are
-// marked (excluded from analyses until re-registered) and their cache-key
-// families evicted, so a drifted topology self-invalidates instead of
-// serving cached answers for infrastructure that no longer exists. It
-// returns one validation per service and the number of cache entries
-// evicted.
-func (e *Engine) Revalidate(ctx context.Context, cur *uml.ObjectDiagram) ([]ServiceValidation, int, error) {
-	start := time.Now()
-	defer func() { mSeconds.With("revalidate").Observe(time.Since(start).Seconds()) }()
+// Invalidate marks the named registrations stale, for the given reason:
+// their generations no longer describe the live topology, so analyses skip
+// them until they are re-registered. Their cache-key families are evicted;
+// Invalidate returns the number of cache entries evicted. Names that are
+// not registered are ignored.
+func (e *Engine) Invalidate(reason string, services ...string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var out []ServiceValidation
-	staleKeys := make(map[string]bool)
+	genKeys := make(map[string]bool)
 	for _, r := range e.services {
-		v, err := explain.Validate(ctx, r.res, cur)
-		if err != nil {
-			return nil, 0, fmt.Errorf("whatif: validate %q: %w", r.name, err)
+		if !slices.Contains(services, r.name) {
+			continue
 		}
-		sv := ServiceValidation{Service: r.name, GenKey: r.genKey, Fresh: v.Fresh, Issues: v.Issues}
-		if !v.Fresh {
-			r.stale = true
-			r.staleReason = "generation fingerprint drifted from current topology"
-			if r.genKey != "" {
-				staleKeys[r.genKey] = true
-			}
-			mStale.With().Inc()
+		r.stale = true
+		r.staleReason = reason
+		if r.genKey != "" {
+			genKeys[r.genKey] = true
 		}
-		out = append(out, sv)
+		mStale.With().Inc()
 	}
-	evicted := 0
-	if e.cache != nil && len(staleKeys) > 0 {
-		evicted = e.cache.RemoveMatching(func(key string) bool {
-			for k := range staleKeys {
-				if strings.Contains(key, k) {
-					return true
-				}
+	return e.evict(genKeys)
+}
+
+// evict removes exactly the given generations' cache-key families — the
+// genKey itself plus every derived "…|<genKey>|…" analysis and
+// response-bytes entry — and returns the number of entries removed (under
+// e.mu).
+func (e *Engine) evict(genKeys map[string]bool) int {
+	if e.cache == nil || len(genKeys) == 0 {
+		return 0
+	}
+	return e.cache.RemoveMatching(func(key string) bool {
+		for k := range genKeys {
+			if strings.Contains(key, k) {
+				return true
 			}
-			return false
-		})
-	}
-	return out, evicted, nil
+		}
+		return false
+	})
 }
 
 // CriticalComponent is one entry of the critical-component ranking.
@@ -662,8 +634,8 @@ type CriticalComponent struct {
 	// PairCuts counts the size-2 minimal cuts the component appears in,
 	// summed over services.
 	PairCuts int `json:"pairCuts"`
-	// Birnbaum and FussellVesely are the maxima over the services' rankings
-	// (internal/explain).
+	// Birnbaum and FussellVesely are the maxima over the services'
+	// importance measures on their live kernels.
 	Birnbaum      float64 `json:"birnbaum"`
 	FussellVesely float64 `json:"fussellVesely"`
 }
@@ -671,10 +643,9 @@ type CriticalComponent struct {
 // Critical ranks components by how close they are to taking a registered
 // service down: single points of failure first (size-1 minimal cuts on the
 // compiled kernel), then members of size-2 cuts, tie-broken by Birnbaum
-// importance. top bounds the result (0 keeps everything). cutLimit bounds
-// the per-service attribution's minimal-cut expansion and surfaces as a
-// depend.BudgetError when exceeded.
-func (e *Engine) Critical(ctx context.Context, top, cutLimit int) ([]CriticalComponent, error) {
+// importance. Cuts and importances both come from each service's kernel as
+// patched by Apply. top bounds the result (0 keeps everything).
+func (e *Engine) Critical(top int) ([]CriticalComponent, error) {
 	start := time.Now()
 	defer func() { mSeconds.With("critical").Observe(time.Since(start).Seconds()) }()
 	e.mu.Lock()
@@ -714,27 +685,8 @@ func (e *Engine) Critical(ctx context.Context, top, cutLimit int) ([]CriticalCom
 		if len(inService) == 0 {
 			continue
 		}
-		// Join with the existing importance measures from internal/explain.
-		repo, err := explain.Explain(ctx, r.res, explain.Options{Model: r.model, CutLimit: cutLimit})
-		if err != nil {
+		if err := r.joinImportances(byComp, inService); err != nil {
 			return nil, fmt.Errorf("whatif: service %q: %w", r.name, err)
-		}
-		if repo.Attribution != nil {
-			for _, imp := range repo.Attribution.Components {
-				cc, ok := byComp[imp.Component]
-				if !ok || !inService[imp.Component] {
-					continue
-				}
-				if imp.Birnbaum > cc.Birnbaum {
-					cc.Birnbaum = imp.Birnbaum
-				}
-				if imp.FussellVesely > cc.FussellVesely {
-					cc.FussellVesely = imp.FussellVesely
-				}
-				if cc.Class == "" {
-					cc.Class = imp.Class
-				}
-			}
 		}
 	}
 	out := make([]CriticalComponent, 0, len(byComp))
@@ -758,6 +710,35 @@ func (e *Engine) Critical(ctx context.Context, top, cutLimit int) ([]CriticalCom
 		out = out[:top]
 	}
 	return out, nil
+}
+
+// joinImportances raises the Birnbaum and Fussell–Vesely entries of the
+// service's cut members in byComp to r's measures on its current kernel,
+// and names the class of members that have none yet.
+func (r *registered) joinImportances(byComp map[string]*CriticalComponent, inService map[string]bool) error {
+	base, err := r.cs.Exact(r.avail)
+	if err != nil {
+		return err
+	}
+	birnbaum, fussellVesely, err := r.cs.BirnbaumFussellVesely(r.avail, base)
+	if err != nil {
+		return err
+	}
+	links := r.res.Source.Links()
+	for i, c := range r.cs.Components() {
+		if !inService[c] {
+			continue
+		}
+		cc := byComp[c]
+		cc.Birnbaum = max(cc.Birnbaum, birnbaum[i])
+		cc.FussellVesely = max(cc.FussellVesely, fussellVesely[i])
+		if cc.Class == "" {
+			if cc.Class, _, _, err = depend.ComponentSource(r.res.Source, links, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Services returns the registered service names in registration order,

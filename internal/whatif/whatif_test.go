@@ -1,9 +1,9 @@
 package whatif
 
 import (
-	"context"
-	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +26,7 @@ type fixture struct {
 	backup   *core.Result
 }
 
-func buildFixture(t *testing.T) *fixture {
+func buildFixture(t testing.TB) *fixture {
 	t.Helper()
 	m, err := casestudy.BuildModel()
 	if err != nil {
@@ -181,7 +181,7 @@ func TestApplyMatchesImpact(t *testing.T) {
 		}
 		for _, l := range f.Links {
 			a, b, _ := strings.Cut(l, "--")
-			deltas = append(deltas, Delta{Op: OpRemoveLink, A: a, B: b, EdgeID: -1})
+			deltas = append(deltas, Delta{Op: OpRemoveLink, A: a, B: b})
 		}
 		got, err := eApply.Apply(deltas...)
 		if err != nil {
@@ -345,15 +345,19 @@ func TestApplyErrors(t *testing.T) {
 	if _, err := e.Apply(Delta{Op: OpRemoveNode, Node: "nosuch"}); err == nil {
 		t.Fatal("removing unknown node accepted")
 	}
-	if _, err := e.Apply(Delta{Op: OpRemoveLink, A: "t1", B: "p2", EdgeID: -1}); err == nil {
+	if _, err := e.Apply(Delta{Op: OpRemoveLink, A: "t1", B: "p2"}); err == nil {
 		t.Fatal("removing non-existent link accepted")
+	}
+	c1c2 := 0 // edge 0 joins c1 and c2
+	if _, err := e.Apply(Delta{Op: OpRemoveLink, A: "c1", B: "d4", EdgeID: &c1c2}); err == nil {
+		t.Fatal("removing an edge of another pair accepted")
 	}
 }
 
 func TestCriticalRanking(t *testing.T) {
 	f := buildFixture(t)
 	e := newEngine(t, f, nil)
-	crit, err := e.Critical(context.Background(), 0, 0)
+	crit, err := e.Critical(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +396,7 @@ func TestCriticalRanking(t *testing.T) {
 		}
 	}
 	// top bounds the result.
-	top3, err := e.Critical(context.Background(), 3, 0)
+	top3, err := e.Critical(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,71 +405,36 @@ func TestCriticalRanking(t *testing.T) {
 	}
 }
 
-func TestCriticalBudgetError(t *testing.T) {
-	f := buildFixture(t)
-	e := newEngine(t, f, nil)
-	_, err := e.Critical(context.Background(), 0, 1)
-	var be *depend.BudgetError
-	if err == nil {
-		t.Skip("cut-set expansion fits in budget 1 on this fixture")
-	}
-	if !errors.As(err, &be) {
-		t.Fatalf("Critical(cutLimit=1) error = %v, want depend.BudgetError", err)
-	}
-}
-
-func TestRevalidate(t *testing.T) {
+func TestInvalidate(t *testing.T) {
 	f := buildFixture(t)
 	c := cache.New(32)
 	c.Add("avail|genP|model=exact", 1)
-	c.Add("avail|genB|model=exact", 2)
+	c.Add("explain|genP|model=exact|top=5", 2)
+	c.Add("avail|genB|model=exact", 3)
 	e := newEngine(t, f, c)
 
-	// Against an identical rebuild of the infrastructure, every generation
-	// is fresh and nothing evicts.
-	m2, err := casestudy.BuildModel()
-	if err != nil {
-		t.Fatal(err)
+	// Unknown names mark and evict nothing.
+	if n := e.Invalidate("drift", "ghost"); n != 0 {
+		t.Fatalf("invalidating an unknown service evicted %d entries", n)
 	}
-	cur, ok := m2.Diagram(casestudy.DiagramName)
-	if !ok {
-		t.Fatal("case study diagram missing")
+	if n := e.Invalidate("drift", "printing"); n != 2 {
+		t.Fatalf("evicted = %d, want the printing generation's 2 entries", n)
 	}
-	vals, evicted, err := e.Revalidate(context.Background(), cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evicted != 0 {
-		t.Fatalf("fresh revalidation evicted %d entries", evicted)
-	}
-	for _, v := range vals {
-		if !v.Fresh {
-			t.Fatalf("generation %q stale against identical topology: %+v", v.Service, v.Issues)
-		}
-	}
-
-	// Against a diagram the generations no longer describe, every service
-	// goes stale and its cache family self-invalidates.
-	empty := m2.NewObjectDiagram("drifted")
-	vals, evicted, err = e.Revalidate(context.Background(), empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evicted != 2 {
-		t.Fatalf("evicted = %d, want both generations' entries", evicted)
-	}
-	for _, v := range vals {
-		if v.Fresh || len(v.Issues) == 0 {
-			t.Fatalf("generation %q fresh against empty topology", v.Service)
-		}
-	}
-	if _, ok := c.Get("avail|genP|model=exact"); ok {
-		t.Fatal("stale generation entry survived")
+	if _, ok := c.Get("avail|genB|model=exact"); !ok {
+		t.Fatal("the backup generation's entry was evicted")
 	}
 	for _, s := range e.Services() {
-		if !s.Stale {
-			t.Fatalf("service %q not marked stale", s.Service)
+		if stale := s.Service == "printing"; s.Stale != stale || (stale && s.StaleReason != "drift") {
+			t.Fatalf("service %+v after invalidating printing", s)
 		}
+	}
+	// A stale service is excluded from analyses until re-registered.
+	imp, err := e.Impact(Failure{Components: []string{"p2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := delta(t, imp.Services, "printing"); !d.RecompileRequired || d.Affected {
+		t.Fatalf("stale service analysed anyway: %+v", d)
 	}
 }
 
@@ -497,4 +466,138 @@ func TestRegisterReplaces(t *testing.T) {
 	if err := e.Register("bad", "k", &core.Result{}, depend.ModelExact); err == nil {
 		t.Fatal("registering empty result succeeded")
 	}
+}
+
+// FuzzApplyDeltas drives Apply with short delta sequences over the case
+// study: each delta is four bytes (op, two names from the fixture's nodes
+// plus a bogus and an empty one, an edge ID that is omitted or explicit and
+// possibly unknown). Per delta, a rejected Apply must leave the graph as it
+// was, and an accepted one may remove only edges that join the named pair
+// or touch the removed node. After the sequence, every live service's
+// post-change availability must equal Impact of the same removals on a
+// fresh engine, and Critical must report the importances of the patched
+// kernels.
+func FuzzApplyDeltas(f *testing.F) {
+	names := append(buildFixture(f).graph.NodeNames(), "ghost", "")
+	idx := func(name string) byte {
+		for i, n := range names {
+			if n == name {
+				return byte(i)
+			}
+		}
+		panic("fixture has no node " + name)
+	}
+	const omitted = 0xff
+	f.Add([]byte{1, idx("c1"), idx("d4"), omitted}) // every parallel of a pair
+	f.Add([]byte{1, idx("c1"), idx("d4"), 0})       // edge 0 joins c1 and c2
+	f.Add([]byte{1, idx("ghost"), idx("d4"), 4})    // edge 4 joins c1 and d4
+	f.Add([]byte{1, idx("d4"), idx("c1"), 4, 0, idx("p2"), 0, 0})
+	f.Add([]byte{0, idx("d2"), 0, 0, 3, idx("c1"), idx("c2"), 0, 1, idx("c1"), idx("c2"), omitted})
+	f.Add([]byte{2, idx("ghost"), 0, 0, 5, 0, 0, 0, 0, idx("ghost"), 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fx := buildFixture(t)
+		e := newEngine(t, fx, nil)
+		current := map[string]float64{}
+		for _, s := range e.Services() {
+			current[s.Service] = s.Baseline
+		}
+		var removed []string
+		for i := 0; i+4 <= len(data) && i < 16; i += 4 {
+			op, a, b := data[i]%6, names[int(data[i+1])%len(names)], names[int(data[i+2])%len(names)]
+			var d Delta
+			switch op {
+			case 0:
+				d = Delta{Op: OpRemoveNode, Node: a}
+			case 1:
+				d = Delta{Op: OpRemoveLink, A: a, B: b}
+				if data[i+3] != omitted {
+					id := int(data[i+3]) % 40
+					d.EdgeID = &id
+				}
+			case 2:
+				d = Delta{Op: OpAddNode, Node: a + "x", Class: "Device"}
+			case 3:
+				d = Delta{Op: OpAddLink, A: a, B: b, Label: "utp"}
+			case 4:
+				d = Delta{Op: "explode", Node: a}
+			default:
+				d = Delta{Op: OpRemoveNode, Node: a + "?"}
+			}
+			before := fx.graph.Edges()
+			nodesBefore := fx.graph.NodeNames()
+			rep, err := e.Apply(d)
+			if err != nil {
+				if got := fx.graph.Edges(); !reflect.DeepEqual(got, before) || !reflect.DeepEqual(fx.graph.NodeNames(), nodesBefore) {
+					t.Fatalf("rejected %+v (%v) changed the graph", d, err)
+				}
+				continue
+			}
+			for _, edge := range before {
+				if _, ok := fx.graph.Edge(edge.ID); ok {
+					continue
+				}
+				switch {
+				case d.Op == OpRemoveLink && endpointKey(edge.A, edge.B) == endpointKey(d.A, d.B):
+				case d.Op == OpRemoveNode && (edge.A == d.Node || edge.B == d.Node):
+				default:
+					t.Fatalf("%+v removed edge %d (%s--%s)", d, edge.ID, edge.A, edge.B)
+				}
+				removed = append(removed, depend.LinkComponentID(edge.A, edge.B, edge.ID))
+			}
+			if d.Op == OpRemoveNode {
+				removed = append(removed, d.Node)
+			}
+			for _, s := range rep.Services {
+				if s.Affected && !s.RecompileRequired {
+					current[s.Service] = s.Failed
+				}
+			}
+		}
+
+		live := map[string]bool{}
+		for _, s := range e.Services() {
+			live[s.Service] = !s.Stale
+		}
+		if len(removed) > 0 {
+			want, err := newEngine(t, buildFixture(t), nil).Impact(Failure{Components: removed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range want.Services {
+				if live[w.Service] && math.Abs(current[w.Service]-w.Failed) > 1e-12 {
+					t.Errorf("after removing %v: %s = %v by Apply, %v by Impact", removed, w.Service, current[w.Service], w.Failed)
+				}
+			}
+		}
+
+		crit, err := e.Critical(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cc := range crit {
+			var birnbaum, fv float64
+			for _, r := range e.services {
+				if r.stale || r.cs.Err() != nil || !slices.Contains(cc.Services, r.name) {
+					continue
+				}
+				up, down, err := r.cs.Importances(r.avail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base, err := r.cs.Exact(r.avail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := slices.Index(r.cs.Components(), cc.Component)
+				birnbaum = max(birnbaum, up[i]-down[i])
+				if base != 1 {
+					fv = max(fv, ((1-base)-(1-up[i]))/(1-base))
+				}
+			}
+			if cc.Birnbaum != birnbaum || cc.FussellVesely != fv {
+				t.Errorf("after removing %v: %s ranked at Birnbaum %v, Fussell–Vesely %v; live kernels give %v, %v",
+					removed, cc.Component, cc.Birnbaum, cc.FussellVesely, birnbaum, fv)
+			}
+		}
+	})
 }
