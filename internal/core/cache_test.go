@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,8 +11,11 @@ import (
 	"testing"
 
 	"upsim/internal/cache"
+	"upsim/internal/mapping"
 	"upsim/internal/obs"
 	"upsim/internal/pathdisc"
+	"upsim/internal/service"
+	"upsim/internal/testutil"
 )
 
 func TestWithCacheHitSkipsPipeline(t *testing.T) {
@@ -282,5 +287,95 @@ func TestCacheErrorNotCached(t *testing.T) {
 	// The same generator still serves good requests afterwards.
 	if _, err := g.Generate(f.svc, f.mp, "good", Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// formattedKey is the fmt-formatted derivation appendKeyText replaced:
+// the oracle that keeps every key, and so every genKey, unchanged.
+func formattedKey(t *testing.T, g *Generator, svc *service.Composite, mp *mapping.Mapping, name string, opts Options) string {
+	t.Helper()
+	digest, err := modelDigest(g.model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "model=%s\ndiagram=%s\nname=%s\n", digest, g.diagramName, name)
+	fmt.Fprintf(h, "service=%s stages=%v\n", svc.Name(), svc.Stages())
+	if err := mp.Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(h, "\nopts=%s/%s paths={d=%d p=%d c=false k=%d cost=%s work=%d} disc=%t lint=%s legacy=false\n",
+		opts.Algorithm, opts.Merge,
+		opts.Paths.MaxDepth, opts.Paths.MaxPaths,
+		opts.Paths.K, opts.Paths.CostMetric, opts.Paths.MaxWork,
+		opts.AllowDisconnected, opts.Lint)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCacheKeyMatchesFormatted holds CacheKey to the fmt-formatted
+// derivation across option values, a staged service with a parallel
+// stage, escaped mapping ids, names and an empty mapping.
+func TestCacheKeyMatchesFormatted(t *testing.T) {
+	f := buildFixture(t)
+	staged, err := service.NewStaged(f.model, "staged <&>", [][]string{{"fetch"}, {"a", "b", "c"}, {"deliver"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(f.model, "infrastructure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := mapping.New()
+	if err := odd.Add(mapping.Pair{AtomicService: "q\"'&<>\t\n", Requester: "é", Provider: "\xff"}); err != nil {
+		t.Fatal(err)
+	}
+	opts := []Options{
+		{},
+		{Algorithm: AlgoShortest, Merge: MergeTraversed, AllowDisconnected: true, Lint: LintFail},
+		{Paths: pathdisc.Options{MaxDepth: 7, MaxPaths: -3, K: 4, CostMetric: pathdisc.CostMetric(1), MaxWork: 1 << 40}},
+		{Algorithm: Algorithm(9), Merge: MergeSemantics(9), Lint: LintMode(9), Paths: pathdisc.Options{CostMetric: pathdisc.CostMetric(9)}},
+	}
+	for _, svc := range []*service.Composite{f.svc, staged} {
+		for _, mp := range []*mapping.Mapping{f.mp, odd, mapping.New()} {
+			for _, name := range []string{"u", "", "ü %v"} {
+				for _, o := range opts {
+					got, err := g.CacheKey(svc, mp, name, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := formattedKey(t, g, svc, mp, name, o); got != want {
+						t.Errorf("CacheKey(%s, %d pairs, %q, %+v) = %s, formatted %s",
+							svc.Name(), mp.Len(), name, o, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCacheKeyAllocs pins a warm CacheKey (model digest taken): the stage
+// copy Composite.Stages returns (three objects for the fixture's two
+// stages) and the key string. The fmt and encoding/xml derivation took 34.
+func TestCacheKeyAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	f := buildFixture(t)
+	g, err := NewGenerator(f.model, "infrastructure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.CacheKey(f.svc, f.mp, "u", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := g.CacheKey(f.svc, f.mp, "u", Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 4
+	t.Logf("CacheKey: %.0f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("CacheKey allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 
 	"upsim/internal/cache"
 	"upsim/internal/mapping"
@@ -74,12 +75,46 @@ func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name s
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "model=%s\ndiagram=%s\nname=%s\n", digest, g.diagramName, name)
-	fmt.Fprintf(h, "service=%s stages=%v\n", svc.Name(), svc.Stages())
-	if err := mp.Encode(h); err != nil {
-		return "", fmt.Errorf("core: cache key: encoding mapping: %w", err)
+	var buf [2048]byte
+	sum := sha256.Sum256(appendKeyText(buf[:0], digest, g.diagramName, name, svc, mp, opts))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
+}
+
+// appendKeyText appends the text CacheKey hashes:
+// "model=…\ndiagram=…\nname=…\n", "service=… stages=[[a b] [c]]\n" (the
+// stages as %v prints a [][]string), the mapping's Figure 3 encoding, then
+// the option fields. Keys reach response bodies as genKey, so the text
+// must not change; TestCacheKeyMatchesFormatted holds it to the equivalent
+// fmt.Fprintf derivation.
+//
+//upsim:hotpath once per generation request
+func appendKeyText(b []byte, digest, diagram, name string, svc *service.Composite, mp *mapping.Mapping, opts Options) []byte {
+	b = append(b, "model="...)
+	b = append(b, digest...)
+	b = append(b, "\ndiagram="...)
+	b = append(b, diagram...)
+	b = append(b, "\nname="...)
+	b = append(b, name...)
+	b = append(b, "\nservice="...)
+	b = append(b, svc.Name()...)
+	b = append(b, " stages=["...)
+	for i, stage := range svc.Stages() {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, '[')
+		for j, a := range stage {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, a...)
+		}
+		b = append(b, ']')
 	}
+	b = append(b, "]\n"...)
+	b = mp.AppendXML(b)
 	// K, CostMetric and MaxWork all change the produced path set (ranked
 	// top-k under a metric vs full enumeration; the work budget decides
 	// whether the request errors), so they key the cache like the other
@@ -87,10 +122,23 @@ func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name s
 	// c=false and legacy=false are the slots of the retired parallel-edge
 	// collapsing and map-based-kernel switches, kept literal so every key
 	// (and the genKey in response bodies) is unchanged.
-	fmt.Fprintf(h, "\nopts=%s/%s paths={d=%d p=%d c=false k=%d cost=%s work=%d} disc=%t lint=%s legacy=false\n",
-		opts.Algorithm, opts.Merge,
-		opts.Paths.MaxDepth, opts.Paths.MaxPaths,
-		opts.Paths.K, opts.Paths.CostMetric, opts.Paths.MaxWork,
-		opts.AllowDisconnected, opts.Lint)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b = append(b, "\nopts="...)
+	b = append(b, opts.Algorithm.String()...)
+	b = append(b, '/')
+	b = append(b, opts.Merge.String()...)
+	b = append(b, " paths={d="...)
+	b = strconv.AppendInt(b, int64(opts.Paths.MaxDepth), 10)
+	b = append(b, " p="...)
+	b = strconv.AppendInt(b, int64(opts.Paths.MaxPaths), 10)
+	b = append(b, " c=false k="...)
+	b = strconv.AppendInt(b, int64(opts.Paths.K), 10)
+	b = append(b, " cost="...)
+	b = append(b, opts.Paths.CostMetric.String()...)
+	b = append(b, " work="...)
+	b = strconv.AppendInt(b, int64(opts.Paths.MaxWork), 10)
+	b = append(b, "} disc="...)
+	b = strconv.AppendBool(b, opts.AllowDisconnected)
+	b = append(b, " lint="...)
+	b = append(b, opts.Lint.String()...)
+	return append(b, " legacy=false\n"...)
 }

@@ -36,6 +36,7 @@ import (
 
 	"upsim/internal/core"
 	"upsim/internal/depend"
+	"upsim/internal/jsonenc"
 	"upsim/internal/obs"
 	"upsim/internal/pathdisc"
 	"upsim/internal/uml"
@@ -108,9 +109,24 @@ type PathRecord struct {
 	// in first-traversed order.
 	Channels []string `json:"channels,omitempty"`
 	// Classes counts the path's nodes by class name.
-	Classes map[string]int `json:"classes"`
+	Classes Counts `json:"classes"`
 	// Links counts the path's links by association name.
-	Links map[string]int `json:"links,omitempty"`
+	Links Counts `json:"links,omitempty"`
+}
+
+// Counts is a count per name. It encodes to the JSON encoding/json writes
+// for a map[string]int, without reflection.
+type Counts map[string]int
+
+// MarshalJSON implements json.Marshaler.
+func (c Counts) MarshalJSON() ([]byte, error) {
+	// Braces, then per entry the key, two quotes, a colon, a comma and at
+	// most 20 digits: the exact bound unless a key needs escaping.
+	n := 2
+	for k := range c {
+		n += len(k) + 24
+	}
+	return jsonenc.AppendMap(make([]byte, 0, n), c, jsonenc.AppendInt), nil
 }
 
 // PathStatistics aggregates path-length statistics over one path set.
@@ -333,7 +349,7 @@ func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenanc
 			Nodes:   append([]string(nil), p.Nodes...),
 			Length:  p.Len(),
 			Type:    PathTransitive,
-			Classes: make(map[string]int, len(p.Nodes)),
+			Classes: make(Counts, len(p.Nodes)),
 		}
 		if rec.Length <= 1 {
 			rec.Type = PathDirect
@@ -350,7 +366,7 @@ func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenanc
 				return out, fmt.Errorf("explain: path references unknown edge %d", id)
 			}
 			if rec.Links == nil {
-				rec.Links = make(map[string]int)
+				rec.Links = make(Counts)
 			}
 			rec.Links[links[id].Association().Name()]++
 		}

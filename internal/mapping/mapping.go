@@ -24,6 +24,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
+
+	"upsim/internal/obs"
 )
 
 // Pair is one service mapping pair: an atomic service bound to the
@@ -184,6 +187,14 @@ func (m *Mapping) Components() []string {
 
 // --- XML wire format (Figure 3) ---
 
+// Decode metrics: which parser served each mapping (Parse).
+var (
+	mDecode = obs.NewCounter("upsim_mapping_decode_total",
+		"Service mappings decoded, by parser: the scanner or the encoding/xml fallback.", "path")
+	mDecodeScan   = mDecode.With("scan")
+	mDecodeStdlib = mDecode.With("stdlib")
+)
+
 type xmlMapping struct {
 	XMLName xml.Name     `xml:"servicemapping"`
 	Pairs   []xmlService `xml:"atomicservice"`
@@ -199,43 +210,144 @@ type xmlRef struct {
 	ID string `xml:"id,attr"`
 }
 
-// Encode writes the mapping as indented XML in the Figure 3 dialect.
+// Encode writes the mapping as indented XML in the Figure 3 dialect: the
+// bytes AppendXML appends.
 func (m *Mapping) Encode(w io.Writer) error {
-	x := xmlMapping{}
-	for _, p := range m.pairs {
-		x.Pairs = append(x.Pairs, xmlService{
-			ID:        p.AtomicService,
-			Requester: xmlRef{ID: p.Requester},
-			Provider:  xmlRef{ID: p.Provider},
-		})
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(x); err != nil {
+	if _, err := w.Write(m.AppendXML(nil)); err != nil {
 		return fmt.Errorf("mapping: encode: %w", err)
 	}
-	return enc.Flush()
+	return nil
+}
+
+// AppendXML appends the mapping's Figure 3 encoding to b and returns the
+// extended buffer. The bytes are those encoding/xml's Encoder writes for
+// the dialect with a two-space indent, the escaping of attribute values
+// included; FuzzEncodeAgreesWithXML holds the two equal. The generation
+// cache key hashes this text, so it must not change.
+//
+//upsim:hotpath once per cache-key derivation
+func (m *Mapping) AppendXML(b []byte) []byte {
+	if len(m.pairs) == 0 {
+		return append(b, "<servicemapping></servicemapping>"...)
+	}
+	b = append(b, "<servicemapping>"...)
+	for _, p := range m.pairs {
+		b = append(b, "\n  <atomicservice id=\""...)
+		b = appendAttr(b, p.AtomicService)
+		b = append(b, "\">\n    <requester id=\""...)
+		b = appendAttr(b, p.Requester)
+		b = append(b, "\"></requester>\n    <provider id=\""...)
+		b = appendAttr(b, p.Provider)
+		b = append(b, "\"></provider>\n  </atomicservice>"...)
+	}
+	return append(b, "\n</servicemapping>"...)
+}
+
+// appendAttr appends s escaped as encoding/xml escapes an attribute value:
+// the five markup characters and tab, newline and carriage return become
+// character references, and invalid UTF-8 and characters outside XML's
+// range become U+FFFD.
+func appendAttr(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); {
+		r, width := utf8.DecodeRuneInString(s[i:])
+		i += width
+		var esc string
+		switch r {
+		case '"':
+			esc = "&#34;"
+		case '\'':
+			esc = "&#39;"
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '\t':
+			esc = "&#x9;"
+		case '\n':
+			esc = "&#xA;"
+		case '\r':
+			esc = "&#xD;"
+		default:
+			if isXMLChar(r) && (r != utf8.RuneError || width > 1) {
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b = append(b, s[last:i-width]...)
+		b = append(b, esc...)
+		last = i
+	}
+	return append(b, s[last:]...)
 }
 
 // Parse reads a mapping from the Figure 3 XML dialect. Every pair is
 // validated at import time: empty or whitespace-only atomic service,
 // requester and provider ids and duplicate atomic-service entries are
 // rejected with an error naming the offending pair's position in the file.
+//
+// Parse reads r to its end. A document in the dialect AppendXML writes
+// (whitespace between tags is free) is scanned in one pass (scan.go); any
+// other input is decoded by encoding/xml, which then also owns every
+// syntax error. Both paths yield the same pairs and the same errors.
 func Parse(r io.Reader) (*Mapping, error) {
-	var x xmlMapping
-	if err := xml.NewDecoder(r).Decode(&x); err != nil {
-		return nil, fmt.Errorf("mapping: parse: %w", err)
+	doc, readErr := readAll(r)
+	var pairs []Pair
+	if ok := readErr == nil && scanPairs(doc, &pairs); ok {
+		mDecodeScan.Inc()
+	} else {
+		mDecodeStdlib.Inc()
+		src := io.Reader(strings.NewReader(doc))
+		if readErr != nil {
+			// encoding/xml sees the bytes r delivered, then r's error,
+			// exactly as if it had read r itself.
+			src = io.MultiReader(src, errReader{readErr})
+		}
+		var err error
+		if pairs, err = decodeStdlib(src); err != nil {
+			return nil, err
+		}
 	}
-	m := New()
-	for i, s := range x.Pairs {
-		if err := m.Add(Pair{
-			AtomicService: s.ID,
-			Requester:     s.Requester.ID,
-			Provider:      s.Provider.ID,
-		}); err != nil {
+	// The mapping keeps the parsed slice: Add writes pair i back to index
+	// i or lower, after the loop has read it.
+	m := &Mapping{pairs: pairs[:0], index: make(map[string]int, len(pairs))}
+	for i, p := range pairs {
+		if err := m.Add(p); err != nil {
 			return nil, fmt.Errorf("mapping: parse: <atomicservice> element %d of %d: %w",
-				i+1, len(x.Pairs), err)
+				i+1, len(pairs), err)
 		}
 	}
 	return m, nil
 }
+
+// decodeStdlib parses a document with encoding/xml: the fallback for input
+// the scanner does not accept, and the oracle its tests compare against.
+func decodeStdlib(r io.Reader) ([]Pair, error) {
+	var x xmlMapping
+	if err := xml.NewDecoder(r).Decode(&x); err != nil {
+		return nil, fmt.Errorf("mapping: parse: %w", err)
+	}
+	pairs := make([]Pair, len(x.Pairs))
+	for i, s := range x.Pairs {
+		pairs[i] = Pair{AtomicService: s.ID, Requester: s.Requester.ID, Provider: s.Provider.ID}
+	}
+	return pairs, nil
+}
+
+// readAll reads r to its end into one string, sized up front when r
+// reports its length (strings.Reader, bytes.Reader, bytes.Buffer).
+func readAll(r io.Reader) (string, error) {
+	var b strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len())
+	}
+	_, err := io.Copy(&b, r)
+	return b.String(), err
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }

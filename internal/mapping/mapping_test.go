@@ -2,10 +2,17 @@ package mapping
 
 import (
 	"bytes"
+	"encoding/xml"
+	"errors"
+	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+
+	"upsim/internal/testutil"
 )
 
 // tableI builds the paper's Table I mapping for the printing service from
@@ -311,4 +318,182 @@ func FuzzMappingParse(f *testing.F) {
 			t.Fatalf("round trip changed the pairs: %v -> %v", m.Pairs(), again.Pairs())
 		}
 	})
+}
+
+// encodeStdlib is the encoding/xml writer Encode replaced: the oracle
+// FuzzEncodeAgreesWithXML holds AppendXML to.
+func encodeStdlib(t testing.TB, m *Mapping) string {
+	t.Helper()
+	x := xmlMapping{}
+	for _, p := range m.pairs {
+		x.Pairs = append(x.Pairs, xmlService{
+			ID:        p.AtomicService,
+			Requester: xmlRef{ID: p.Requester},
+			Provider:  xmlRef{ID: p.Provider},
+		})
+	}
+	var b strings.Builder
+	enc := xml.NewEncoder(&b)
+	enc.Indent("", "  ")
+	if err := enc.Encode(x); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// parseStdlib is Parse as it was before the scanner: encoding/xml reading
+// r, then the shared pair validation.
+func parseStdlib(r io.Reader) ([]Pair, error) {
+	pairs, err := decodeStdlib(r)
+	if err != nil {
+		return nil, err
+	}
+	m := New()
+	for i, p := range pairs {
+		if err := m.Add(p); err != nil {
+			return nil, fmt.Errorf("mapping: parse: <atomicservice> element %d of %d: %w",
+				i+1, len(pairs), err)
+		}
+	}
+	return m.Pairs(), nil
+}
+
+var errBoom = errors.New("boom")
+
+// cutReader delivers doc[:cut] and then fails with errBoom; a cut outside
+// the document delivers it whole.
+func cutReader(doc string, cut int) io.Reader {
+	if cut < 0 || cut >= len(doc) {
+		return strings.NewReader(doc)
+	}
+	return io.MultiReader(strings.NewReader(doc[:cut]), iotest.ErrReader(errBoom))
+}
+
+// FuzzParseAgreesWithXML: Parse gives the same pairs or the same error
+// text as encoding/xml reading the same bytes, and whenever the scanner
+// accepts a document, encoding/xml parses it into the same pairs.
+func FuzzParseAgreesWithXML(f *testing.F) {
+	var buf bytes.Buffer
+	if err := tableI(f).Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	enc := buf.String()
+	f.Add(enc, -1)
+	for _, s := range []string{
+		strings.ReplaceAll(enc, "\n", "\r\n"), // CRLF
+		`<servicemapping><atomicservice id="s &amp; t"><requester id="&#x41;"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice id="s"><requester id="a"/><provider id="b"/></atomicservice></servicemapping>`,
+		`<?xml version="1.0" encoding="UTF-8"?>` + "\n" + enc,
+		`<servicemapping><!-- c --><atomicservice id="s"><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		enc + "\n<trailing/>",
+		enc + "trailing text",
+		`<servicemapping><atomicservice id="s" id="t"><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice id="Dienst ü"><requester id="客户"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		"<servicemapping><atomicservice id=\"s\xff\"><requester id=\"a\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
+		`<servicemapping></servicemapping>`,
+		"  <servicemapping >\n\t<atomicservice\n id = 's' >\n<requester id='a' >\n</requester >\n<provider id=\"b\"></provider></atomicservice></servicemapping>\n",
+		`<servicemapping><atomicservice id="s"><requester id="a"></requester><provider id="a"></provider></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice id=" "><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice id="s"><provider id="b"></provider><requester id="a"></requester></atomicservice></servicemapping>`,
+		`<servicemapping xmlns="urn:x"><atomicservice id="s"><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		`<mapping></mapping>`,
+		`<servicemapping><atomicservice`,
+		"<servicemapping><atomicservice id=\"a\tb\nc\"><requester id=\"x>y\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
+		"<servicemapping><atomicservice id=\"\x01\"><requester id=\"a\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
+		"<servicemapping><atomicservice id=\"\uFFFE\"><requester id=\"a\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
+	} {
+		f.Add(s, -1)
+	}
+	f.Add(enc, len(enc)/2) // a reader that fails mid-document
+	f.Add(enc, len(enc)-1)
+	f.Fuzz(func(t *testing.T, doc string, cut int) {
+		want, wantErr := parseStdlib(cutReader(doc, cut))
+		m, err := Parse(cutReader(doc, cut))
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("Parse error %v, encoding/xml error %v", err, wantErr)
+		case err != nil:
+			if err.Error() != wantErr.Error() {
+				t.Fatalf("error text differs:\n scan: %v\n  xml: %v", err, wantErr)
+			}
+		case !slices.Equal(m.Pairs(), want):
+			t.Fatalf("pairs differ:\n scan: %v\n  xml: %v", m.Pairs(), want)
+		}
+		var pairs []Pair
+		if scanPairs(doc, &pairs) {
+			xp, err := decodeStdlib(strings.NewReader(doc))
+			if err != nil || !slices.Equal(pairs, xp) {
+				t.Fatalf("scanner accepted %q as %v; encoding/xml: %v, %v", doc, pairs, xp, err)
+			}
+		}
+	})
+}
+
+// FuzzEncodeAgreesWithXML: AppendXML writes the bytes encoding/xml's
+// Encoder writes, for any ids (Encode never validates them).
+func FuzzEncodeAgreesWithXML(f *testing.F) {
+	f.Add("Request printing", "t1", "printS", uint8(1))
+	f.Add(`a"b'c&d<e>f`, "tab\there", "nl\ncr\r", uint8(2))
+	f.Add("\xff\xfe", " \uFFFE\x00", "ok\uFFFD", uint8(3))
+	f.Add("", "", "", uint8(0))
+	f.Fuzz(func(t *testing.T, s, r, p string, n uint8) {
+		m := New()
+		for i := 0; i < int(n%4); i++ {
+			m.pairs = append(m.pairs, Pair{s, r, p})
+			s, r, p = r, p, s
+		}
+		if got, want := string(m.AppendXML(nil)), encodeStdlib(t, m); got != want {
+			t.Fatalf("AppendXML:\n%s\nencoding/xml:\n%s", got, want)
+		}
+	})
+}
+
+// TestParseCountsParser: Table I as Encode writes it takes the scan path,
+// and the same document with CRLF line ends takes encoding/xml.
+func TestParseCountsParser(t *testing.T) {
+	var buf bytes.Buffer
+	if err := tableI(t).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	scan, stdlib := mDecodeScan.Value(), mDecodeStdlib.Value()
+	if _, err := Parse(strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	if mDecodeScan.Value() != scan+1 || mDecodeStdlib.Value() != stdlib {
+		t.Errorf("Table I: scan %d→%d, stdlib %d→%d; want the scanner",
+			scan, mDecodeScan.Value(), stdlib, mDecodeStdlib.Value())
+	}
+	crlf := strings.ReplaceAll(doc, "\n", "\r\n")
+	if _, err := Parse(strings.NewReader(crlf)); err != nil {
+		t.Fatal(err)
+	}
+	if mDecodeStdlib.Value() != stdlib+1 {
+		t.Errorf("CRLF mapping did not take the encoding/xml path")
+	}
+}
+
+// TestParseAllocs pins the scan path's allocations for Table I: the
+// caller's reader, the string builder and its document copy, the pair
+// slice, the index map (two objects) and the mapping. The encoding/xml
+// path takes 229.
+func TestParseAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	var buf bytes.Buffer
+	if err := tableI(t).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	doc := buf.String()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := Parse(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 7
+	t.Logf("Parse(Table I): %.0f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("Parse(Table I) allocates %.0f objects, ceiling %d", allocs, ceiling)
+	}
 }

@@ -68,6 +68,7 @@ import (
 	"upsim/internal/core"
 	"upsim/internal/depend"
 	"upsim/internal/explain"
+	"upsim/internal/jsonenc"
 	"upsim/internal/lint"
 	"upsim/internal/mapping"
 	"upsim/internal/obs"
@@ -767,18 +768,28 @@ type serviceStatsJSON struct {
 
 // generateResponse returns the UPSIM plus the per-service discovery stats.
 type generateResponse struct {
-	Name       string              `json:"name"`
-	Nodes      []string            `json:"nodes"`
-	Links      []linkJSON          `json:"links"`
-	Paths      map[string][]string `json:"pathsByService"`
-	TotalPaths int                 `json:"totalPaths"`
-	EdgeVisits int                 `json:"edgeVisits"`
-	Services   []serviceStatsJSON  `json:"serviceStats"`
+	Name       string             `json:"name"`
+	Nodes      []string           `json:"nodes"`
+	Links      []linkJSON         `json:"links"`
+	Paths      pathsByService     `json:"pathsByService"`
+	TotalPaths int                `json:"totalPaths"`
+	EdgeVisits int                `json:"edgeVisits"`
+	Services   []serviceStatsJSON `json:"serviceStats"`
 	// PathStats aggregates all services' discovered paths.
 	PathStats explain.PathStatistics `json:"pathStats"`
 	// Truncated is true when any atomic service hit its MaxPaths budget, so
 	// the UPSIM (and every analysis derived from it) is a lower bound.
 	Truncated bool `json:"truncated"`
+}
+
+// pathsByService maps each atomic service to its rendered paths. It
+// encodes to the JSON encoding/json writes for a map[string][]string,
+// without reflection.
+type pathsByService map[string][]string
+
+// MarshalJSON implements json.Marshaler.
+func (p pathsByService) MarshalJSON() ([]byte, error) {
+	return jsonenc.AppendMap(nil, p, jsonenc.AppendStrings), nil
 }
 
 // handleGenerate serves the generate route and the batch "generate" op.
@@ -795,7 +806,7 @@ func buildGenerateResponse(res *core.Result) generateResponse {
 	resp := generateResponse{
 		Name:       res.Name,
 		Nodes:      res.NodeNames(),
-		Paths:      make(map[string][]string, len(res.Services)),
+		Paths:      make(pathsByService, len(res.Services)),
 		TotalPaths: res.TotalPaths,
 		EdgeVisits: res.EdgeVisits,
 	}

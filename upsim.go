@@ -342,10 +342,14 @@ func CloneModel(m *Model) (*Model, error) {
 func NewMapping() *Mapping { return mapping.New() }
 
 // ReadMapping decodes a service mapping from the paper's Figure 3 XML
-// dialect.
+// dialect. It reads r to its end. What WriteMapping writes (with any
+// whitespace between tags) is scanned without encoding/xml; any other XML
+// is parsed by encoding/xml, with the same pairs and the same errors.
 func ReadMapping(r io.Reader) (*Mapping, error) { return mapping.Parse(r) }
 
-// WriteMapping encodes a service mapping as XML.
+// WriteMapping encodes a service mapping in the Figure 3 dialect: indented
+// XML, byte-identical to encoding/xml's Encoder output with a two-space
+// indent, which is also the text the generation cache key hashes.
 func WriteMapping(w io.Writer, m *Mapping) error { return m.Encode(w) }
 
 // NewSequentialService builds a strictly sequential composite service.
