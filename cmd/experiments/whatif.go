@@ -20,7 +20,7 @@ var whatifOut string
 
 // whatifFamily is one measured update path on one workload: patch (the
 // in-place delta application of DESIGN.md §13) vs recompile (rebuilding the
-// same compiled state from scratch), best-of-reps nanoseconds per delta.
+// same compiled kernel from scratch), best-of-reps nanoseconds per delta.
 // Parity follows the expPathdisc convention: statistically
 // indistinguishable sample sets (two-sided Mann-Whitney U, alpha 0.05)
 // report a speedup of exactly 1.
@@ -33,8 +33,8 @@ type whatifFamily struct {
 }
 
 // whatifWorkload is one row of the BENCH_whatif.json record: one (topology,
-// service) pair measured under both update paths for each compiled layer
-// and for the combined delta update the what-if engine performs.
+// service) pair measured under both update paths of the compiled
+// dependability kernel, the engine's whole per-delta compiled work.
 type whatifWorkload struct {
 	Topology string `json:"topology"`
 	Nodes    int    `json:"nodes"`
@@ -44,22 +44,16 @@ type whatifWorkload struct {
 	// size (devices plus link components).
 	PathSets   int `json:"servicePathSets"`
 	Components int `json:"components"`
-	// CSR measures the pathdisc layer: PatchRemoveEdge+PatchAddEdge (one
-	// link flap) vs a full Compile of the graph.
-	CSR whatifFamily `json:"csr"`
 	// Kernel measures the depend layer: PatchRemoveComponent vs a full
-	// Compile of the equivalently filtered structure.
+	// Compile of the equivalently filtered structure, the figure the >=3x
+	// acceptance floor ranges over.
 	Kernel whatifFamily `json:"kernel"`
-	// DeltaUpdate measures the combined per-delta work (both layers), the
-	// figure the >=3x acceptance floor ranges over.
-	DeltaUpdate whatifFamily `json:"deltaUpdate"`
 }
 
 // whatifBench is the BENCH_whatif.json schema. PatchFloorSpeedup is the
-// worst combined patch-vs-recompile ratio across the fat-tree and mesh
-// workloads (the acceptance floor is 3x); the ladder row is informational
-// (its kernel is too small for the ratio to be meaningful). Regression
-// flags any Mann-Whitney-confirmed slowdown in any measured family.
+// worst kernel patch-vs-recompile ratio across the fat-tree and mesh
+// workloads (the acceptance floor is 3x); the ladder row is informational.
+// Regression flags any Mann-Whitney-confirmed slowdown on any workload.
 type whatifBench struct {
 	GOMAXPROCS        int              `json:"gomaxprocs"`
 	Reps              int              `json:"repsPerVariant"`
@@ -166,13 +160,12 @@ func whatifFilter(st *depend.ServiceStructure, victim string) *depend.ServiceStr
 }
 
 // expWhatIf benchmarks the incremental update path of the live-topology
-// what-if engine against cold recompilation: after one topology delta (a
-// link flap plus one component conditioned permanently failed), how long
-// until the compiled CSR and the compiled dependability kernel are current
-// again? The recompile baseline is deliberately minimal — it re-runs only
-// the two Compile passes on already-known inputs, not path re-enumeration
-// or UPSIM regeneration — so the reported speedups are a conservative floor
-// on what the engine actually saves.
+// what-if engine against cold recompilation: after one topology delta (one
+// component conditioned permanently failed), how long until the compiled
+// dependability kernel is current again? The recompile baseline is
+// deliberately minimal — it re-runs only depend.Compile on already-known
+// inputs, not path re-enumeration or UPSIM regeneration — so the reported
+// speedups are a conservative floor on what the engine actually saves.
 func expWhatIf() error {
 	type workload struct {
 		name    string
@@ -233,8 +226,8 @@ func expWhatIf() error {
 	b.WindowNs = window.Nanoseconds()
 	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample\n",
 		b.GOMAXPROCS, b.Reps, window)
-	fmt.Printf("  %-14s %6s %6s %6s %6s %9s %9s %9s\n",
-		"topology", "nodes", "edges", "sets", "comps", "csr x", "kernel x", "delta x")
+	fmt.Printf("  %-14s %6s %6s %6s %6s %9s\n",
+		"topology", "nodes", "edges", "sets", "comps", "kernel x")
 
 	// The expDepend/expPathdisc methodology: one sample = GC + untimed
 	// warm-up + a calibrated batch of timed runs; variants interleave with
@@ -298,8 +291,7 @@ func expWhatIf() error {
 		if err != nil {
 			return err
 		}
-		csr := pathdisc.Compile(g)
-		st, _, firstPaths, err := whatifStructure(csr, x.pairs, x.opts)
+		st, _, firstPaths, err := whatifStructure(pathdisc.Compile(g), x.pairs, x.opts)
 		if err != nil {
 			return err
 		}
@@ -309,16 +301,11 @@ func expWhatIf() error {
 			sets += len(a.PathSets)
 		}
 
-		// The flapping link: the middle hop of the first enumerated path.
-		fp := firstPaths[0]
-		mid := len(fp.Nodes) / 2
-		la, lb, lid := fp.Nodes[mid-1], fp.Nodes[mid], fp.Edges[mid-1]
-
 		// The permanently failed component, pre-dropped once so every timed
 		// patch run measures the steady-state full-scan cost (same asymptotic
 		// work, no state drift across runs), and pre-filtered once so the
 		// recompile variant rebuilds the identical post-delta kernel.
-		victim, err := whatifVictim(st, fp)
+		victim, err := whatifVictim(st, firstPaths[0])
 		if err != nil {
 			return fmt.Errorf("%s: %w", x.name, err)
 		}
@@ -335,41 +322,13 @@ func expWhatIf() error {
 			Components: cs.NumComponents(),
 		}
 
-		patchCSR := func() error {
-			if err := csr.PatchRemoveEdge(la, lb, lid); err != nil {
-				return err
-			}
-			return csr.PatchAddEdge(la, lb, lid)
-		}
-		recompileCSR := func() error {
-			pathdisc.Compile(g)
-			return nil
-		}
-		patchKernel := func() error {
-			_, err := cs.PatchRemoveComponent(victim)
-			return err
-		}
-		recompileKernel := func() error {
-			depend.Compile(filtered)
-			return nil
-		}
-
-		if w.CSR, err = benchPair(patchCSR, recompileCSR); err != nil {
-			return err
-		}
-		if w.Kernel, err = benchPair(patchKernel, recompileKernel); err != nil {
-			return err
-		}
-		w.DeltaUpdate, err = benchPair(
+		w.Kernel, err = benchPair(
 			func() error {
-				if err := patchCSR(); err != nil {
-					return err
-				}
-				return patchKernel()
+				_, err := cs.PatchRemoveComponent(victim)
+				return err
 			},
 			func() error {
-				recompileCSR()
-				recompileKernel()
+				depend.Compile(filtered)
 				return nil
 			},
 		)
@@ -378,23 +337,20 @@ func expWhatIf() error {
 		}
 
 		if x.floored {
-			b.PatchFloorSpeedup = min(b.PatchFloorSpeedup, w.DeltaUpdate.Speedup)
+			b.PatchFloorSpeedup = min(b.PatchFloorSpeedup, w.Kernel.Speedup)
 		}
-		for _, fam := range []whatifFamily{w.CSR, w.Kernel, w.DeltaUpdate} {
-			b.Regression = b.Regression || (!fam.Parity && fam.Speedup < 1)
-		}
+		b.Regression = b.Regression || (!w.Kernel.Parity && w.Kernel.Speedup < 1)
 		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-14s %6d %6d %6d %6d %8.2fx %8.2fx %8.2fx\n",
-			w.Topology, w.Nodes, w.Edges, w.PathSets, w.Components,
-			w.CSR.Speedup, w.Kernel.Speedup, w.DeltaUpdate.Speedup)
+		fmt.Printf("  %-14s %6d %6d %6d %6d %8.2fx\n",
+			w.Topology, w.Nodes, w.Edges, w.PathSets, w.Components, w.Kernel.Speedup)
 	}
 
 	if math.IsInf(b.PatchFloorSpeedup, 0) {
 		b.PatchFloorSpeedup = 0
 	}
-	fmt.Printf("  patch floor (fat-tree/mesh rows, combined delta): %.2fx (acceptance floor 3x)\n",
+	fmt.Printf("  patch floor (fat-tree/mesh rows, kernel): %.2fx (acceptance floor 3x)\n",
 		b.PatchFloorSpeedup)
-	fmt.Printf("  Mann-Whitney-confirmed regression in any family: %t\n", b.Regression)
+	fmt.Printf("  Mann-Whitney-confirmed regression on any workload: %t\n", b.Regression)
 	fmt.Println("  (the recompile baseline excludes path re-enumeration and UPSIM")
 	fmt.Println("   regeneration, so live speedups are strictly larger than reported)")
 

@@ -161,7 +161,9 @@ func ExampleWhatIf() {
 }
 
 // ExampleNewWhatIfEngine applies a permanent topology change: the engine
-// patches the compiled kernels in place and reports the new availability.
+// mutates its graph, patches the service's compiled kernel in place and
+// reports the new availability. The generator is not used again, so the
+// engine may own its graph.
 func ExampleNewWhatIfEngine() {
 	m, _ := upsim.USIModel()
 	svc, _ := upsim.USIPrintingService(m)

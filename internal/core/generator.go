@@ -298,9 +298,8 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 	compiled := pathdisc.Compile(g)
 	// Install the ranked-discovery cost view from the diagram's stereotype
 	// attributes, resolved once here, never during search. Edge ID i is
-	// links[i] (topology.FromObjectDiagram), so patched-in edges with IDs
-	// beyond the diagram resolve to the hop fallback — identically on a
-	// patched kernel and on a recompile of the mutated graph.
+	// links[i] (topology.FromObjectDiagram); a diagram without links still
+	// resolves edge ID 0, which the bound check sends to the hop fallback.
 	links := d.Links()
 	compiled.SetEdgeCosts(func(edgeID int) (float64, bool) {
 		if edgeID < 0 || edgeID >= len(links) {

@@ -9,9 +9,9 @@
 // reproduction. Metric families are registered once, at package init of the
 // instrumented package, against the Default registry:
 //
-//	var mPatch = obs.NewCounter("upsim_pathdisc_patch_total",
-//	        "Incremental CSR patch operations applied to compiled graphs.", "op")
-//	mPatch.With("remove-edge").Inc()
+//	var mPatched = obs.NewCounter("upsim_whatif_patch_total",
+//	        "Topology deltas applied to the live graph.", "op")
+//	mPatched.With("remove-node").Inc()
 //
 // and exposed by mounting obs.Handler() (see internal/server, GET /metrics).
 package obs

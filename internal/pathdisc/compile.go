@@ -50,24 +50,19 @@ type Compiled struct {
 	adjEdge  []int32
 
 	numEdges  int
-	liveNodes int // names minus tombstoned slots (see patch.go)
 	maxDegree int
 	maxEdgeID int     // largest topology edge ID seen (IDs are never reused)
 	branching float64 // mean adjacency entries per node (2E/N)
 
 	// Stereotype cost view of ranked discovery (kbest.go): per-edge-ID
-	// traversal cost and throughput, resolved once by SetEdgeCosts (and per
-	// patched-in edge via the retained resolver), indexed by topology edge
-	// ID. Nil until SetEdgeCosts installs a view; CostThroughput then falls
-	// back to hop costs.
+	// traversal cost and throughput, resolved once by SetEdgeCosts and
+	// indexed by topology edge ID. Nil until SetEdgeCosts installs a view;
+	// CostThroughput then falls back to hop costs.
 	costOf   []float64
 	costMbps []float64
-	costFn   EdgeCostFunc
 
-	// pool holds *scratch sized for the current node count. It is a pointer
-	// so PatchAddNode can swap in a freshly-sized pool when the node count
-	// grows (assigning a sync.Pool value would copy its internal lock).
-	pool *sync.Pool
+	// pool holds *scratch sized for the node count; Compile sets its New.
+	pool sync.Pool
 }
 
 // scratch is the reusable per-enumeration state: the visited bitset, the
@@ -139,39 +134,11 @@ func Compile(g *topology.Graph) *Compiled {
 			}
 		}
 	}
-	c.liveNodes = n
 	if n > 0 {
 		c.branching = float64(total) / float64(n)
 	}
-	c.resetPool()
-	mCompile.With().Inc()
-	mCompiledNodes.With().Set(int64(n))
-	mCompiledEdges.With().Set(int64(c.numEdges))
-	return c
-}
-
-// NumNodes returns the compiled node count (excluding slots tombstoned by
-// PatchRemoveNode).
-func (c *Compiled) NumNodes() int { return c.liveNodes }
-
-// NumEdges returns the compiled edge count (parallel edges counted).
-func (c *Compiled) NumEdges() int { return c.numEdges }
-
-// Branching returns the mean adjacency entries per node (2E/N), the
-// branching-factor column of the scalability experiment.
-func (c *Compiled) Branching() float64 { return c.branching }
-
-// MaxDegree returns the largest node degree.
-func (c *Compiled) MaxDegree() int { return c.maxDegree }
-
-// resetPool installs a scratch pool sized for the current node count.
-// Called by Compile and again by PatchAddNode when the universe grows (the
-// visited bitset and dist table are indexed by dense node ID, so old
-// scratch would be too small).
-func (c *Compiled) resetPool() {
-	n := len(c.names)
 	words := (n + 63) / 64
-	c.pool = &sync.Pool{New: func() any {
+	c.pool.New = func() any {
 		return &scratch{
 			visited: make([]uint64, words),
 			dist:    make([]int32, n),
@@ -184,8 +151,25 @@ func (c *Compiled) resetPool() {
 			kacc:   make([]kpath, 0, 16),
 			fdist:  make([]float64, n),
 		}
-	}}
+	}
+	mCompile.With().Inc()
+	mCompiledNodes.With().Set(int64(n))
+	mCompiledEdges.With().Set(int64(c.numEdges))
+	return c
 }
+
+// NumNodes returns the compiled node count.
+func (c *Compiled) NumNodes() int { return len(c.names) }
+
+// NumEdges returns the compiled edge count (parallel edges counted).
+func (c *Compiled) NumEdges() int { return c.numEdges }
+
+// Branching returns the mean adjacency entries per node (2E/N), the
+// branching-factor column of the scalability experiment.
+func (c *Compiled) Branching() float64 { return c.branching }
+
+// MaxDegree returns the largest node degree.
+func (c *Compiled) MaxDegree() int { return c.maxDegree }
 
 // getScratch takes a clean scratch from the pool.
 func (c *Compiled) getScratch() *scratch { return c.pool.Get().(*scratch) }

@@ -67,45 +67,28 @@ func ParseCostMetric(s string) (CostMetric, error) {
 
 // EdgeCostFunc resolves the throughput (in Mbps) of one topology edge ID.
 // ok reports whether the edge carries a positive throughput attribute;
-// edges that resolve to false cost 1 (the hop fallback). The function is
-// retained by SetEdgeCosts so incremental patches (PatchAddEdge) keep the
-// cost view coherent with a fresh compile of the mutated graph.
+// edges that resolve to false cost 1 (the hop fallback).
 type EdgeCostFunc func(edgeID int) (mbps float64, ok bool)
 
 // SetEdgeCosts installs the stereotype cost view: fn is resolved once per
-// compiled edge (and once per subsequently patched-in edge), never during
-// search. Passing nil removes the view, reverting CostThroughput to the
-// hop fallback. Not safe concurrently with searches — like patching,
-// callers serialise it against enumeration (Generators install the view at
-// construction time).
+// edge ID here, never during search. Passing nil removes the view,
+// reverting CostThroughput to the hop fallback. Not safe concurrently with
+// searches: callers install the view before the kernel is shared
+// (Generators do it at construction time).
 func (c *Compiled) SetEdgeCosts(fn EdgeCostFunc) {
-	c.costFn = fn
 	if fn == nil {
 		c.costOf, c.costMbps = nil, nil
 		return
 	}
 	c.costOf = make([]float64, c.maxEdgeID+1)
 	c.costMbps = make([]float64, c.maxEdgeID+1)
-	for i := range c.costOf {
-		c.costOf[i] = 1
-	}
-	for _, e := range c.adjEdge {
-		c.resolveCost(int(e))
-	}
-}
-
-// resolveCost fills the cost-view slot of one edge ID from the retained
-// resolver. Slots default to the hop cost 1 / throughput 0.
-func (c *Compiled) resolveCost(edgeID int) {
-	if c.costFn == nil || edgeID < 0 || edgeID >= len(c.costOf) {
-		return
-	}
-	if mbps, ok := c.costFn(edgeID); ok && mbps > 0 {
-		c.costOf[edgeID] = 1 / mbps
-		c.costMbps[edgeID] = mbps
-	} else {
-		c.costOf[edgeID] = 1
-		c.costMbps[edgeID] = 0
+	for id := range c.costOf {
+		if mbps, ok := fn(id); ok && mbps > 0 {
+			c.costOf[id] = 1 / mbps
+			c.costMbps[id] = mbps
+		} else {
+			c.costOf[id] = 1
+		}
 	}
 }
 
@@ -118,10 +101,7 @@ func (c *Compiled) edgeCost(metric CostMetric, e int32) float64 {
 	if metric == CostHops || c.costOf == nil {
 		return 1
 	}
-	if int(e) < len(c.costOf) {
-		return c.costOf[e]
-	}
-	return 1 // edge patched in after SetEdgeCosts with no resolution: hop fallback
+	return c.costOf[e]
 }
 
 // EdgeMbps returns the resolved throughput of one topology edge ID (0 when
@@ -422,7 +402,7 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 		// path node, each Dijkstra O(E log V) — estimated as K·V·E, the
 		// coarse bound documented in docs/API.md. Estimated before any
 		// search so an over-budget request costs nothing.
-		if est := opts.K * c.liveNodes * c.numEdges; est > opts.MaxWork {
+		if est := opts.K * len(c.names) * c.numEdges; est > opts.MaxWork {
 			return nil, Stats{}, &LimitError{
 				Src: src, Dst: dst, Kind: LimitKBest, Need: est, Limit: opts.MaxWork,
 			}
@@ -430,12 +410,8 @@ func (c *Compiled) KShortest(src, dst string, opts Options) ([]Path, Stats, erro
 	}
 	s := c.getScratch()
 	defer c.putScratch(s)
-	// The float distance table and the blocked-edge bitset are sized
-	// lazily: node growth swaps the whole pool (resetPool), but patched-in
-	// edges grow maxEdgeID without a pool swap.
-	if len(s.fdist) < len(c.names) {
-		s.fdist = make([]float64, len(c.names))
-	}
+	// The blocked-edge bitset is sized on first use: only ranked discovery
+	// needs it.
 	if words := (c.maxEdgeID + 64) / 64; len(s.eblock) < words {
 		s.eblock = make([]uint64, words)
 	}

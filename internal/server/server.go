@@ -457,20 +457,6 @@ func (in *modelInput) validate() error {
 	return nil
 }
 
-// load decodes the model and builds a fresh generator. Only the what-if
-// route uses it: its engine takes ownership of the generator's live
-// topology, so the generator must not come from the pool.
-func (in *modelInput) load(ctx context.Context) (*core.Generator, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	m, err := uml.DecodeString(in.ModelXML)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewGeneratorContext(ctx, m, in.Diagram)
-}
-
 // currentDiagram resolves the topology a generation is validated against:
 // the diagram currentName (default: the request diagram) of the model
 // currentXML (default: the request model).

@@ -17,6 +17,7 @@ import (
 
 	"upsim/internal/core"
 	"upsim/internal/explain"
+	"upsim/internal/topology"
 	"upsim/internal/whatif"
 )
 
@@ -114,13 +115,18 @@ func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error)
 	}
 	model := availabilityModel(req.Formula1)
 
-	// The engine owns the live topology: one generator load gives the graph
-	// the registrations were (re)generated against.
-	gen, err := req.load(ctx)
+	// The engine owns and mutates its live topology: a copy of the pooled
+	// model's diagram, the graph the registrations are generated against.
+	if err := req.modelInput.validate(); err != nil {
+		return nil, err
+	}
+	gen, err := a.generators.Acquire(ctx, req.ModelXML, req.Diagram)
 	if err != nil {
 		return nil, err
 	}
-	eng := whatif.New(gen.Graph(), a.cache)
+	d, _ := gen.Model().Diagram(req.Diagram)
+	eng := whatif.New(topology.FromObjectDiagram(d), a.cache)
+	a.generators.Release(gen)
 	results := make(map[string]*core.Result, len(req.Services))
 	for _, s := range req.Services {
 		gr := generateRequest{

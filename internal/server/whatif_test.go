@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"upsim/internal/casestudy"
+	"upsim/internal/obs"
 	"upsim/internal/whatif"
 )
 
@@ -212,4 +213,115 @@ func TestWhatIfBadRequests(t *testing.T) {
 	if resp, body := postJSON(t, ts, "/api/v1/whatif", emptyFailure); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("empty failure = %d: %s", resp.StatusCode, body)
 	}
+}
+
+// counterTotal sums every label set of a counter family in the process
+// registry (0 when the family has recorded nothing yet).
+func counterTotal(t *testing.T, name string) uint64 {
+	t.Helper()
+	vals, _ := obs.DefaultRegistry().Snapshot()[name].(map[string]any)
+	var n uint64
+	for _, v := range vals {
+		c, ok := v.(uint64)
+		if !ok {
+			t.Fatalf("%s is not a counter family", name)
+		}
+		n += c
+	}
+	return n
+}
+
+// TestWhatIfReadsPooledModel pins that the what-if route reads its model
+// through the generator pool: once a request has warmed the model, further
+// failure and apply requests decode no XML, build no generator and compile
+// no path kernel. The engine mutates its own copy of the topology, so an
+// apply leaves the pooled model as it was: /api/v1/paths answers the same
+// bytes before and after it.
+func TestWhatIfReadsPooledModel(t *testing.T) {
+	ts := httptest.NewServer(New())
+	defer ts.Close()
+	req := usiWhatIfRequest(t, ts)
+	post := func(mode string, fields map[string]any) *whatif.ApplyReport {
+		t.Helper()
+		body := map[string]any{"mode": mode}
+		for k, v := range req {
+			body[k] = v
+		}
+		for k, v := range fields {
+			body[k] = v
+		}
+		resp, out := postJSON(t, ts, "/api/v1/whatif", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("whatif %s = %d: %s", mode, resp.StatusCode, out)
+		}
+		var rep struct {
+			Apply *whatif.ApplyReport `json:"apply"`
+		}
+		if err := json.Unmarshal(out, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep.Apply
+	}
+	paths := func() []byte {
+		t.Helper()
+		resp, out := postJSON(t, ts, "/api/v1/paths", map[string]any{
+			"modelXml": req["modelXml"], "diagram": req["diagram"], "from": "t1", "to": "printS",
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("paths = %d: %s", resp.StatusCode, out)
+		}
+		return out
+	}
+
+	post(WhatIfModeFailure, map[string]any{"failure": map[string]any{"components": []string{"p2"}}})
+	before := paths()
+	counters := []string{"upsim_uml_decode_total", "upsim_genpool_misses_total", "upsim_pathdisc_compile_total"}
+	want := make([]uint64, len(counters))
+	for i, name := range counters {
+		want[i] = counterTotal(t, name)
+	}
+
+	post(WhatIfModeFailure, map[string]any{"failure": map[string]any{"links": []string{"c1--d4"}}})
+	rep := post(WhatIfModeApply, map[string]any{"deltas": []map[string]any{{"op": "remove-node", "node": "p2"}}})
+	if rep == nil || rep.PatchOps != 1 || rep.PatchedServices != 1 {
+		t.Fatalf("apply report = %+v, want one graph mutation patching one service", rep)
+	}
+	for i, name := range counters {
+		if got := counterTotal(t, name); got != want[i] {
+			t.Errorf("%s moved %d -> %d over two what-if requests on a warm model", name, want[i], got)
+		}
+	}
+	if after := paths(); !bytes.Equal(before, after) {
+		t.Errorf("paths after an apply removing p2 differ:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// FuzzWhatIfRoute drives POST /api/v1/whatif end to end with arbitrary
+// bodies, seeded with the route-contract what-if bodies. Whatever the body,
+// the route answers one of its documented statuses — never a 500 or a
+// panic — and every refusal is a JSON object with a non-empty "error".
+func FuzzWhatIfRoute(f *testing.F) {
+	for _, c := range contractCases(f) {
+		if c.method == http.MethodPost && c.target == "/api/v1/whatif" {
+			f.Add([]byte(c.body))
+		}
+	}
+	h := New()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/whatif", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK:
+			return
+		case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+		}
+		var refusal struct {
+			Error *string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &refusal); err != nil || refusal.Error == nil || *refusal.Error == "" {
+			t.Fatalf("status %d body is not {\"error\": …} with a message (%v): %s", w.Code, err, w.Body.Bytes())
+		}
+	})
 }

@@ -7,14 +7,9 @@ import "fmt"
 // infrastructure; a production deployment churns, so node/link removal must
 // be as first-class as insertion. Removal uses tombstones: the edge slice
 // never shrinks, removed slots are marked dead, and edge IDs are never
-// reused — this keeps every previously handed-out ID (paths, UPSIMs,
-// compiled CSR entries) unambiguous, at the cost of a little slack in the
-// slice until the next full Compile.
-
-// Generation returns a monotonic counter bumped by every mutation (AddNode,
-// AddEdge, RemoveNode, RemoveEdge). Compiled views and caches record the
-// generation they were built from and compare it to detect drift.
-func (g *Graph) Generation() uint64 { return g.generation }
+// reused — this keeps every previously handed-out ID (paths, UPSIMs, the
+// link components of compiled dependability kernels) unambiguous, at the
+// cost of a little slack in the slice for the graph's lifetime.
 
 // RemoveEdge removes the edge with the given ID. The slot is tombstoned:
 // the ID is never reused, Edge(id) reports !ok, and Edges()/NumEdges() skip
@@ -29,7 +24,6 @@ func (g *Graph) RemoveEdge(id int) error {
 	g.adj[e.B] = removeFirstID(g.adj[e.B], id)
 	g.dead[id] = true
 	g.liveEdges--
-	g.generation++
 	return nil
 }
 
@@ -55,7 +49,6 @@ func (g *Graph) RemoveNode(name string) error {
 			break
 		}
 	}
-	g.generation++
 	return nil
 }
 

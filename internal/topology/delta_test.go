@@ -118,36 +118,6 @@ func TestRemoveNode(t *testing.T) {
 	}
 }
 
-func TestGenerationCounter(t *testing.T) {
-	g := New()
-	if g.Generation() != 0 {
-		t.Fatalf("fresh graph generation = %d", g.Generation())
-	}
-	last := g.Generation()
-	step := func(what string, f func() error) {
-		t.Helper()
-		if err := f(); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if g.Generation() <= last {
-			t.Fatalf("%s did not advance generation (%d -> %d)", what, last, g.Generation())
-		}
-		last = g.Generation()
-	}
-	step("AddNode a", func() error { return g.AddNode("a", "") })
-	step("AddNode b", func() error { return g.AddNode("b", "") })
-	step("AddEdge", func() error { _, err := g.AddEdge("a", "b", ""); return err })
-	step("RemoveEdge", func() error { return g.RemoveEdge(0) })
-	step("RemoveNode", func() error { return g.RemoveNode("a") })
-	// Failed mutations do not advance the generation.
-	if err := g.RemoveNode("a"); err == nil {
-		t.Fatal("expected error")
-	}
-	if g.Generation() != last {
-		t.Fatal("failed mutation advanced generation")
-	}
-}
-
 func TestEdgesBetween(t *testing.T) {
 	g := New()
 	mustNode(t, g, "a", "")

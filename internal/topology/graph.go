@@ -60,18 +60,15 @@ func (e Edge) Other(name string) string {
 // Graphs are mutable: nodes and edges can be added at any time, and — since
 // the live-topology what-if engine (DESIGN.md §13) — removed again via
 // RemoveNode/RemoveEdge (see delta.go). Removal tombstones the edge slot so
-// edge IDs stay stable and are never reused; every mutation bumps the
-// Generation counter so compiled views (internal/pathdisc) and caches can
-// detect drift.
+// edge IDs stay stable and are never reused.
 type Graph struct {
 	nodes map[string]Node
 	order []string
 	edges []Edge
 	adj   map[string][]int // node -> incident edge IDs, insertion order
 
-	dead       []bool // parallel to edges; true = removed (tombstoned slot)
-	liveEdges  int
-	generation uint64 // bumped by every mutation
+	dead      []bool // parallel to edges; true = removed (tombstoned slot)
+	liveEdges int
 }
 
 // New creates an empty graph.
@@ -92,7 +89,6 @@ func (g *Graph) AddNode(name, class string) error {
 	}
 	g.nodes[name] = Node{Name: name, Class: class}
 	g.order = append(g.order, name)
-	g.generation++
 	return nil
 }
 
@@ -115,7 +111,6 @@ func (g *Graph) AddEdge(a, b, label string) (int, error) {
 	g.adj[a] = append(g.adj[a], id)
 	g.adj[b] = append(g.adj[b], id)
 	g.liveEdges++
-	g.generation++
 	return id, nil
 }
 

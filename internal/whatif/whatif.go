@@ -3,25 +3,24 @@
 // set of registered service generations.
 //
 // The paper evaluates user-perceived properties on a fixed infrastructure;
-// production networks churn. The engine owns a mutable topology.Graph, its
-// compiled CSR view (internal/pathdisc) and one compiled dependability
-// kernel (internal/depend) per registered service, and answers two
-// questions without re-running the Steps 5–8 pipeline:
+// production networks churn. The engine owns a mutable topology.Graph and
+// one compiled dependability kernel (internal/depend) per registered
+// service, and answers two questions without re-running the Steps 5–8
+// pipeline:
 //
 //   - Impact: "component X / link Y fails" → the availability delta for
 //     every registered service, computed by forcing the failed components
 //     down in each compiled structure (depend.CompiledStructure.WhatIf).
 //     Transient — nothing is mutated or invalidated.
 //
-//   - Apply: "component X / link Y is gone (or added)" → the topology and
-//     the compiled kernels are patched in place, and only the cache
-//     entries of affected generations are evicted, found through a
+//   - Apply: "component X / link Y is gone (or added)" → the topology is
+//     mutated and the compiled kernels are patched in place, and only the
+//     cache entries of affected generations are evicted, found through a
 //     reverse index from component/link → registered services. Removals
-//     patch (pathdisc patch.go, depend patch.go); additions cross the
-//     compile-vs-patch boundary — a new node or link can create paths the
-//     original discovery never saw — so affected services are marked
-//     stale for re-generation instead, and counted separately on
-//     /metrics.
+//     patch (depend patch.go); additions cross the compile-vs-patch
+//     boundary — a new node or link can create paths the original
+//     discovery never saw — so affected services are marked stale for
+//     re-generation instead, and counted separately on /metrics.
 //
 // Critical-component ranking (Critical) joins size-1/size-2 minimal-cut
 // queries on the compiled kernels (depend.SmallCuts — single points of
@@ -50,7 +49,6 @@ import (
 	"upsim/internal/core"
 	"upsim/internal/depend"
 	"upsim/internal/obs"
-	"upsim/internal/pathdisc"
 	"upsim/internal/topology"
 )
 
@@ -58,7 +56,7 @@ var (
 	mSeconds = obs.NewHistogram("upsim_whatif_seconds",
 		"Latency of what-if engine operations.", obs.LatencyBuckets, "op")
 	mPatched = obs.NewCounter("upsim_whatif_patch_total",
-		"Topology deltas applied by in-place kernel patching.", "op")
+		"Topology deltas applied to the live graph.", "op")
 	mRecompiled = obs.NewCounter("upsim_whatif_recompile_total",
 		"Service registrations invalidated for re-generation (compile-vs-patch boundary crossed).")
 	mStale = obs.NewCounter("upsim_whatif_stale_generations_total",
@@ -88,7 +86,6 @@ type registered struct {
 type Engine struct {
 	mu       sync.Mutex
 	graph    *topology.Graph
-	csr      *pathdisc.Compiled
 	cache    *cache.Cache // optional; targeted invalidation when set
 	services []*registered
 	// rev is the reverse index: component id (node name or link id) →
@@ -97,13 +94,12 @@ type Engine struct {
 	rev map[string][]*registered
 }
 
-// New builds an engine over the given topology. The compiled CSR view is
-// built once and patched incrementally afterwards. c may be nil; when set,
-// Apply and Invalidate evict affected generations from it.
+// New builds an engine over the given topology. Apply mutates g, so the
+// caller hands over a graph it owns. c may be nil; when set, Apply and
+// Invalidate evict affected generations from it.
 func New(g *topology.Graph, c *cache.Cache) *Engine {
 	return &Engine{
 		graph: g,
-		csr:   pathdisc.Compile(g),
 		cache: c,
 		rev:   make(map[string][]*registered),
 	}
@@ -111,9 +107,6 @@ func New(g *topology.Graph, c *cache.Cache) *Engine {
 
 // Graph returns the engine's live topology.
 func (e *Engine) Graph() *topology.Graph { return e.graph }
-
-// Compiled returns the engine's (patched) CSR view of the topology.
-func (e *Engine) Compiled() *pathdisc.Compiled { return e.csr }
 
 // Register adds (or replaces) a service generation. genKey is the
 // generation content hash — the root of the cache-key family that
@@ -366,7 +359,8 @@ type Delta struct {
 type ApplyReport struct {
 	// Applied describes the deltas in application order.
 	Applied []string `json:"applied"`
-	// PatchOps counts individual kernel patch operations.
+	// PatchOps counts the graph mutations applied: one per added node or
+	// link, one per removed edge, one per removed node.
 	PatchOps int `json:"patchOps"`
 	// PatchedServices counts compiled structures updated in place.
 	PatchedServices int `json:"patchedServices"`
@@ -383,11 +377,10 @@ type ApplyReport struct {
 	Services []ServiceDelta `json:"services"`
 }
 
-// Apply permanently mutates the topology. Removals patch the CSR adjacency
-// and every affected compiled dependability structure in place; additions
-// patch the CSR but mark services whose partition gains the new
-// node/link as stale for re-generation (the compile-vs-patch decision
-// boundary, DESIGN.md §13). Affected generations — and only those — are
+// Apply permanently mutates the topology. Removals patch every affected
+// compiled dependability structure in place; additions mark services
+// whose partition gains the new node/link as stale for re-generation (the
+// compile-vs-patch decision boundary, DESIGN.md §13). Affected generations — and only those — are
 // evicted from the cache.
 //
 // Apply is not transactional: on error, deltas already applied remain.
@@ -467,9 +460,6 @@ func (e *Engine) applyOne(d Delta, rep *ApplyReport, affected map[*registered]bo
 		if err := e.graph.AddNode(d.Node, d.Class); err != nil {
 			return "", err
 		}
-		if err := e.csr.PatchAddNode(d.Node); err != nil {
-			return "", err
-		}
 		rep.PatchOps++
 		mPatched.With(string(OpAddNode)).Inc()
 		// An isolated node creates no paths; nothing invalidates.
@@ -478,9 +468,6 @@ func (e *Engine) applyOne(d Delta, rep *ApplyReport, affected map[*registered]bo
 	case OpAddLink:
 		id, err := e.graph.AddEdge(d.A, d.B, d.Label)
 		if err != nil {
-			return "", err
-		}
-		if err := e.csr.PatchAddEdge(d.A, d.B, id); err != nil {
 			return "", err
 		}
 		rep.PatchOps++
@@ -507,9 +494,6 @@ func (e *Engine) applyOne(d Delta, rep *ApplyReport, affected map[*registered]bo
 			if err := e.graph.RemoveEdge(id); err != nil {
 				return "", err
 			}
-			if err := e.csr.PatchRemoveEdge(edge.A, edge.B, id); err != nil {
-				return "", err
-			}
 			rep.PatchOps++
 			mPatched.With(string(OpRemoveLink)).Inc()
 			patchService(depend.LinkComponentID(edge.A, edge.B, id))
@@ -526,9 +510,6 @@ func (e *Engine) applyOne(d Delta, rep *ApplyReport, affected map[*registered]bo
 			}
 		}
 		if err := e.graph.RemoveNode(d.Node); err != nil {
-			return "", err
-		}
-		if err := e.csr.PatchRemoveNode(d.Node); err != nil {
 			return "", err
 		}
 		rep.PatchOps++

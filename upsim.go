@@ -652,9 +652,11 @@ const (
 	WhatIfRemoveLink = whatif.OpRemoveLink
 )
 
-// NewWhatIfEngine builds a what-if engine over a live topology. c may be
-// nil; when set, permanent changes and revalidation evict exactly the
-// affected generations' cache-key families.
+// NewWhatIfEngine builds a what-if engine over a live topology. The
+// engine's Apply mutates g, so pass a graph the caller owns (not one a
+// Generator still generates against). c may be nil; when set, permanent
+// changes and revalidation evict exactly the affected generations'
+// cache-key families.
 func NewWhatIfEngine(g *Graph, c *Cache) *WhatIfEngine { return whatif.New(g, c) }
 
 // WhatIf answers the one-shot transient question — "if these components or
