@@ -14,7 +14,7 @@
 //	upsim avail      -model usi.xml -diagram infrastructure -service printing \
 //	                 -mapping table1.xml [-formula1] [-mc 200000] [-trace]
 //	upsim explain    -model usi.xml -diagram infrastructure -service printing \
-//	                 -mapping table1.xml [-top 5] [-formula1] [-legacy] [-cutlimit N] [-json] [-trace]
+//	                 -mapping table1.xml [-top 5] [-formula1] [-cutlimit N] [-json] [-trace]
 //	upsim explain    -casestudy
 //	upsim dot        -model usi.xml -diagram infrastructure
 //	upsim lint       -model usi.xml -diagram infrastructure -service printing \
@@ -503,7 +503,6 @@ func cmdExplain(args []string) error {
 	sf := addServiceFlags(fs, "explain the built-in USI case study (printing service, Table I mapping)")
 	top := fs.Int("top", 5, "rows per ranking table (0 = all)")
 	formula1 := fs.Bool("formula1", false, "use the paper's Formula 1 instead of the exact component availability")
-	legacy := fs.Bool("legacy", false, "attribute through the legacy map-based kernel (numbers are identical)")
 	cutLimit := fs.Int("cutlimit", 0, "cut-set expansion budget (0 = default)")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
 	trace := fs.Bool("trace", false, "print the span tree with per-stage timings after the run")
@@ -528,7 +527,6 @@ func cmdExplain(args []string) error {
 		model = upsim.ModelFormula1
 	}
 	rep, err := upsim.Explain(ctx, res, upsim.ExplainOptions{
-		Legacy:   *legacy,
 		Model:    model,
 		TopN:     *top,
 		CutLimit: *cutLimit,

@@ -438,18 +438,6 @@ func TestCLIExplain(t *testing.T) {
 		}
 	}
 
-	// -legacy renders the identical report apart from the kernel tag.
-	legacy, err := capture(t, func() error {
-		return run([]string{"explain", "-model", modelPath, "-diagram", "infrastructure",
-			"-service", "printing", "-mapping", mappingPath, "-top", "3", "-legacy"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Replace(legacy, "legacy kernel", "compiled kernel", 1) != out {
-		t.Error("legacy explain output differs from compiled beyond the kernel tag")
-	}
-
 	// -casestudy needs no files; -json emits the machine-readable report.
 	jsonOut, err := capture(t, func() error {
 		return run([]string{"explain", "-casestudy", "-json"})

@@ -47,12 +47,12 @@ func TestAnalyzeAllocCeiling(t *testing.T) {
 	res := usiResult(t)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := AnalyzeWithOptions(ctx, res, ModelExact, 1000, 1, AnalyzeOptions{}); err != nil {
+		if _, err := AnalyzeContext(ctx, res, ModelExact, 1000, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > analyzeAllocCeiling {
-		t.Errorf("AnalyzeWithOptions allocates %.0f objects per run, ceiling %d", allocs, analyzeAllocCeiling)
+		t.Errorf("AnalyzeContext allocates %.0f objects per run, ceiling %d", allocs, analyzeAllocCeiling)
 	}
 
 	st, avail, err := fromResult(res, ModelExact)

@@ -11,12 +11,11 @@ import (
 	"upsim/internal/uml"
 )
 
-// mAnalyzeAlg times each §VII analysis stage, split by the kernel that ran
-// it, so a /metrics scrape shows where analysis time goes and what the
-// compiled kernel buys.
+// mAnalyzeAlg times each §VII analysis stage, so a /metrics scrape shows
+// where analysis time goes.
 var mAnalyzeAlg = obs.NewHistogram("upsim_depend_algorithm_seconds",
 	"Wall time of §VII dependability analysis stages.",
-	obs.LatencyBuckets, "algorithm", "kernel")
+	obs.LatencyBuckets, "algorithm")
 
 // AvailabilityModel selects how per-component availability is derived from
 // the MTBF/MTTR attributes.
@@ -76,7 +75,7 @@ func (e *ReservedNameError) Error() string {
 // components of the UPSIM" and "the availability for individual components
 // can be calculated using the component attributes MTBF and MTTR, as seen
 // in Formula 1".
-// It returns the legacy structure, its compiled (bitset-kernel) form and
+// It returns the map-based structure, its compiled (bitset-kernel) form and
 // the availability table; the compiled form shares the validation outcome
 // and produces bit-identical analyses (see compile.go).
 func FromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, *CompiledStructure, map[string]float64, error) {
@@ -87,8 +86,8 @@ func FromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, *
 	return st, compile(st, st.Components(), nil), avail, nil
 }
 
-// fromResult builds the legacy structure and availability table only — the
-// shared half of FromResult, kept separate so AnalyzeWithOptions can put the
+// fromResult builds the map-based structure and availability table only —
+// the shared half of FromResult, kept separate so AnalyzeContext can put the
 // compile step under its own span.
 func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, map[string]float64, error) {
 	if res == nil || res.Source == nil {
@@ -206,12 +205,12 @@ type Report struct {
 }
 
 // AnalyzeOptions tunes the analysis pipeline.
+//
+// Deprecated: the analysis always runs on the compiled kernel. The type
+// remains only because the benchmark ladder (bench/ladder.go) builds it.
 type AnalyzeOptions struct {
-	// Legacy routes the evaluation through the map-based implementation
-	// instead of the compiled bitset kernel. The results are bit-identical
-	// (pinned by the equivalence property tests); the flag exists as the
-	// ablation escape hatch and participates in the server's analysis cache
-	// key.
+	// Legacy is ignored; the map-based evaluation is the test oracle, not
+	// a selectable kernel.
 	Legacy bool
 }
 
@@ -222,29 +221,27 @@ func Analyze(res *core.Result, model AvailabilityModel, mcSamples int, seed int6
 	return AnalyzeContext(context.Background(), res, model, mcSamples, seed)
 }
 
+// AnalyzeWithOptions is AnalyzeContext; opts is ignored.
+//
+// Deprecated: use AnalyzeContext. It remains only because the benchmark
+// ladder (bench/ladder.go) calls it.
+func AnalyzeWithOptions(ctx context.Context, res *core.Result, model AvailabilityModel, mcSamples int, seed int64, _ AnalyzeOptions) (*Report, error) {
+	return AnalyzeContext(ctx, res, model, mcSamples, seed)
+}
+
 // AnalyzeContext is Analyze under a context: when ctx carries an obs span,
 // the analysis is recorded as an "avail.analyze" span with one child per
 // evaluation method (structure extraction, kernel compilation, exact, RBD,
 // fault tree, Monte Carlo). It evaluates on the compiled kernel.
 func AnalyzeContext(ctx context.Context, res *core.Result, model AvailabilityModel, mcSamples int, seed int64) (*Report, error) {
-	return AnalyzeWithOptions(ctx, res, model, mcSamples, seed, AnalyzeOptions{})
-}
-
-// AnalyzeWithOptions is AnalyzeContext with explicit kernel selection.
-func AnalyzeWithOptions(ctx context.Context, res *core.Result, model AvailabilityModel, mcSamples int, seed int64, opts AnalyzeOptions) (*Report, error) {
 	ctx, span := obs.StartSpan(ctx, "avail.analyze")
 	defer span.End()
-	kernel := "compiled"
-	if opts.Legacy {
-		kernel = "legacy"
-	}
-	span.SetAttr("kernel", kernel)
 	stage := func(name string) *obs.Span {
 		_, sp := obs.StartSpan(ctx, name)
 		return sp
 	}
 	observe := func(alg string, start time.Time) {
-		mAnalyzeAlg.With(alg, kernel).Observe(time.Since(start).Seconds())
+		mAnalyzeAlg.With(alg).Observe(time.Since(start).Seconds())
 	}
 
 	sp, t0 := stage("avail.structure"), time.Now()
@@ -258,21 +255,13 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 	names := st.Components()
 	span.SetAttr("components", len(names))
 
-	var cs *CompiledStructure
-	if !opts.Legacy {
-		sp, t0 = stage("depend.compile"), time.Now()
-		cs = compile(st, names, nil)
-		sp.End()
-		observe("compile", t0)
-	}
+	sp, t0 = stage("depend.compile"), time.Now()
+	cs := compile(st, names, nil)
+	sp.End()
+	observe("compile", t0)
 
 	sp, t0 = stage("avail.exact"), time.Now()
-	var exact float64
-	if cs != nil {
-		exact, err = cs.Exact(avail)
-	} else {
-		exact, err = st.Exact(avail)
-	}
+	exact, err := cs.Exact(avail)
 	sp.End()
 	observe("exact", t0)
 	if err != nil {
@@ -293,12 +282,7 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 
 	sp, t0 = stage("avail.montecarlo"), time.Now()
 	sp.SetAttr("samples", mcSamples)
-	var mc, se float64
-	if cs != nil {
-		mc, se, err = cs.MonteCarlo(avail, mcSamples, seed)
-	} else {
-		mc, se, err = st.MonteCarlo(avail, mcSamples, seed)
-	}
+	mc, se, err := cs.MonteCarlo(avail, mcSamples, seed)
 	sp.End()
 	observe("montecarlo", t0)
 	if err != nil {

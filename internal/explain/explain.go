@@ -22,10 +22,10 @@
 //     freshness gate: a stale verdict evicts the generation's cached
 //     response family and fails POST /api/v1/whatif with a structured 409.
 //
-// Explain runs on either dependability kernel (compiled bitset or legacy
-// map); the reports are identical either way, pinned by the kernel-parity
-// test. Everything is exported through the upsim facade (upsim.Explain) and
-// served as POST /api/v1/explain and the `upsim explain` subcommand.
+// Attribution runs on the compiled dependability kernel; the kernel-parity
+// test pins it against the map-based ServiceStructure methods. Everything is
+// exported through the upsim facade (upsim.Explain) and served as
+// POST /api/v1/explain and the `upsim explain` subcommand.
 package explain
 
 import (
@@ -42,14 +42,14 @@ import (
 	"upsim/internal/uml"
 )
 
-// Explain metrics: report assembly latency by mode and kernel, the path-type
+// Explain metrics: report assembly latency by mode, the path-type
 // split, and the hop-depth distribution of every path the provenance layer
 // classifies. Exposed on GET /metrics next to the pathdisc and depend
 // families.
 var (
 	mExplainSeconds = obs.NewHistogram("upsim_explain_seconds",
 		"Wall time of explain report assembly.",
-		obs.LatencyBuckets, "mode", "kernel")
+		obs.LatencyBuckets, "mode")
 	mExplainPaths = obs.NewCounter("upsim_explain_paths_total",
 		"Paths classified by the provenance layer, by path type.", "type")
 	mExplainDepth = obs.NewHistogram("upsim_explain_path_depth",
@@ -66,10 +66,10 @@ const (
 
 // Options tunes an Explain run.
 type Options struct {
-	// Legacy routes the attribution through the map-based dependability
-	// kernel instead of the compiled bitset kernel. The report is identical
-	// either way (kernel-parity test); the flag is the ablation escape
-	// hatch, mirroring depend.AnalyzeOptions.Legacy.
+	// Legacy is ignored: attribution always runs on the compiled kernel.
+	//
+	// Deprecated: it remains only because the benchmark ladder
+	// (bench/ladder.go) sets it.
 	Legacy bool
 	// Model selects the component availability model (default ModelExact).
 	Model depend.AvailabilityModel
@@ -139,7 +139,18 @@ type PathStatistics struct {
 	Direct     int `json:"direct"`
 	Transitive int `json:"transitive"`
 	// DepthHistogram counts paths by hop count.
-	DepthHistogram map[int]int `json:"depthHistogram,omitempty"`
+	DepthHistogram Histogram `json:"depthHistogram,omitempty"`
+}
+
+// Histogram is a count per int key. It encodes to the JSON encoding/json
+// writes for a map[int]int, without reflection.
+type Histogram map[int]int
+
+// MarshalJSON implements json.Marshaler.
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	// Braces, then per entry two quotes, a colon, a comma and at most 20
+	// digits each for the key and the count.
+	return jsonenc.AppendIntMap(make([]byte, 0, 2+44*len(h)), h), nil
 }
 
 // Statistics computes the aggregate path statistics of one path set.
@@ -148,7 +159,7 @@ func Statistics(paths []pathdisc.Path) PathStatistics {
 	if len(paths) == 0 {
 		return st
 	}
-	st.DepthHistogram = make(map[int]int)
+	st.DepthHistogram = make(Histogram)
 	total := 0
 	for i, p := range paths {
 		n := p.Len()
@@ -247,8 +258,9 @@ type Attribution struct {
 type Report struct {
 	// Name is the UPSIM name.
 	Name string `json:"name"`
-	// Kernel records which dependability kernel produced the attribution
-	// ("compiled" or "legacy"); the numbers are identical either way.
+	// Kernel names the dependability kernel that produced the attribution;
+	// it is always "compiled", and stays in the JSON so response bytes are
+	// unchanged.
 	Kernel string `json:"kernel"`
 	// Model is the component availability model ("exact" or "formula1").
 	Model string `json:"model"`
@@ -272,10 +284,6 @@ func Explain(ctx context.Context, res *core.Result, opts Options) (*Report, erro
 	if res == nil || res.Source == nil {
 		return nil, fmt.Errorf("explain: nil generation result")
 	}
-	kernel := "compiled"
-	if opts.Legacy {
-		kernel = "legacy"
-	}
 	mode := "explain"
 	if opts.SkipAttribution {
 		mode = "paths"
@@ -283,11 +291,10 @@ func Explain(ctx context.Context, res *core.Result, opts Options) (*Report, erro
 	start := time.Now()
 	ctx, span := obs.StartSpan(ctx, "explain.report")
 	defer span.End()
-	span.SetAttr("kernel", kernel)
 	span.SetAttr("mode", mode)
 
 	_, psp := obs.StartSpan(ctx, "explain.paths")
-	rep := &Report{Name: res.Name, Kernel: kernel, Model: opts.Model.String()}
+	rep := &Report{Name: res.Name, Kernel: "compiled", Model: opts.Model.String()}
 	allPaths := make([]pathdisc.Path, 0, res.TotalPaths)
 	for _, sp := range res.Services {
 		svc, err := serviceProvenance(res, sp)
@@ -316,7 +323,7 @@ func Explain(ctx context.Context, res *core.Result, opts Options) (*Report, erro
 		span.SetAttr("cut_sets", attr.CutSetsTotal)
 		span.SetAttr("components", attr.ComponentsTotal)
 	}
-	mExplainSeconds.With(mode, kernel).Observe(time.Since(start).Seconds())
+	mExplainSeconds.With(mode).Observe(time.Since(start).Seconds())
 	return rep, nil
 }
 
@@ -430,33 +437,19 @@ func PathMetrics(links []*uml.Link, p pathdisc.Path) (cost, bottleneckMbps float
 	return cost, bottleneckMbps, channels
 }
 
-// attribute runs the availability attribution on the selected kernel.
+// attribute runs the availability attribution on the compiled kernel.
 func attribute(res *core.Result, opts Options) (*Attribution, error) {
-	st, cs, avail, err := depend.FromResult(res, opts.Model)
+	_, cs, avail, err := depend.FromResult(res, opts.Model)
 	if err != nil {
 		return nil, err
 	}
-	// Kernel dispatch: the two implementations are pinned bit-identical, so
-	// the report does not depend on the choice (kernel-parity test).
-	exact := func() (float64, error) {
-		if opts.Legacy {
-			return st.Exact(avail)
-		}
-		return cs.Exact(avail)
-	}
-	cutSets := func() ([]depend.PathSet, error) {
-		if opts.Legacy {
-			return st.MinimalCutSets(opts.CutLimit)
-		}
-		return cs.MinimalCutSets(opts.CutLimit)
-	}
-	base, err := exact()
+	base, err := cs.Exact(avail)
 	if err != nil {
 		return nil, err
 	}
 	attr := &Attribution{Availability: base, Unavailability: 1 - base}
 
-	cuts, err := cutSets()
+	cuts, err := cs.MinimalCutSets(opts.CutLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +479,7 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	links := res.Source.Links()
 	comps := cs.Components()
 	attr.ComponentsTotal = len(comps)
-	birnbaum, fussellVesely, err := importances(st, cs, avail, comps, base, opts.Legacy)
+	birnbaum, fussellVesely, err := cs.BirnbaumFussellVesely(avail, base)
 	if err != nil {
 		return nil, err
 	}
@@ -531,29 +524,6 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 		})
 	}
 	return attr, nil
-}
-
-// importances returns the Birnbaum and Fussell–Vesely importance of each of
-// comps, the structure's components in sorted order; base is the exact
-// service availability. The compiled kernel derives both measures from one
-// up/down factoring pair per component; the legacy kernel keeps its
-// per-component calls.
-func importances(st *depend.ServiceStructure, cs *depend.CompiledStructure, avail map[string]float64,
-	comps []string, base float64, legacy bool) (birnbaum, fussellVesely []float64, err error) {
-	if !legacy {
-		return cs.BirnbaumFussellVesely(avail, base)
-	}
-	birnbaum = make([]float64, len(comps))
-	fussellVesely = make([]float64, len(comps))
-	for i, c := range comps {
-		if birnbaum[i], err = st.Birnbaum(avail, c); err != nil {
-			return nil, nil, err
-		}
-		if fussellVesely[i], err = st.FussellVesely(avail, c); err != nil {
-			return nil, nil, err
-		}
-	}
-	return birnbaum, fussellVesely, nil
 }
 
 // truncate keeps the first n elements (n <= 0 keeps all).

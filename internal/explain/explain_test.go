@@ -62,11 +62,11 @@ func TestExplainAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestExplainKernelParity is the acceptance gate: the full report —
-// per-path statistics, discovery trees, cut-set ranking, Birnbaum and
-// Fussell–Vesely importances, class sensitivities — must be identical under
-// the compiled and legacy dependability kernels, for both availability
-// models.
+// TestExplainKernelParity is the acceptance gate of the attribution: the
+// compiled report's availability, minimal cut sets (with their
+// unavailability and share) and Birnbaum and Fussell–Vesely importances must
+// equal the map-based ServiceStructure methods called directly, bit for bit,
+// under both availability models.
 func TestExplainKernelParity(t *testing.T) {
 	res := usiResult(t)
 	for _, model := range []depend.AvailabilityModel{depend.ModelExact, depend.ModelFormula1} {
@@ -74,16 +74,66 @@ func TestExplainKernelParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := Explain(context.Background(), res, Options{Model: model, Legacy: true})
+		if compiled.Kernel != "compiled" {
+			t.Fatalf("kernel = %q", compiled.Kernel)
+		}
+		st, _, avail, err := depend.FromResult(res, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if compiled.Kernel != "compiled" || legacy.Kernel != "legacy" {
-			t.Fatalf("kernels = %q, %q", compiled.Kernel, legacy.Kernel)
+		attr := compiled.Attribution
+		want, err := st.Exact(avail)
+		if err != nil {
+			t.Fatal(err)
 		}
-		compiled.Kernel, legacy.Kernel = "", ""
-		if !reflect.DeepEqual(compiled, legacy) {
-			t.Fatalf("%s: compiled and legacy explain reports differ:\ncompiled: %+v\nlegacy:   %+v", model, compiled, legacy)
+		if attr.Availability != want || attr.Unavailability != 1-want {
+			t.Fatalf("%s: availability %v, map-based Exact %v", model, attr.Availability, want)
+		}
+
+		cuts, err := st.MinimalCutSets(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attr.CutSetsTotal != len(cuts) || len(attr.CutSets) != len(cuts) {
+			t.Fatalf("%s: %d/%d cut sets, map-based MinimalCutSets has %d", model, len(attr.CutSets), attr.CutSetsTotal, len(cuts))
+		}
+		wantQ := make(map[string]float64, len(cuts))
+		sum := 0.0
+		for _, k := range cuts {
+			q := 1.0
+			for _, c := range k {
+				q *= 1 - avail[c]
+			}
+			wantQ[strings.Join(k, ",")] = q
+			sum += q
+		}
+		for i, rec := range attr.CutSets {
+			q, ok := wantQ[strings.Join(rec.Components, ",")]
+			if !ok || rec.Unavailability != q || rec.Share != q/sum {
+				t.Fatalf("%s: cut set %v = %+v, map-based unavailability %v (found %v), share %v", model, rec.Components, rec, q, ok, q/sum)
+			}
+			if i > 0 && rec.Unavailability > attr.CutSets[i-1].Unavailability {
+				t.Fatalf("%s: cut sets not ranked by unavailability at %d", model, i)
+			}
+		}
+
+		comps := st.Components()
+		if attr.ComponentsTotal != len(comps) || len(attr.Components) != len(comps) {
+			t.Fatalf("%s: %d components, map-based structure has %d", model, attr.ComponentsTotal, len(comps))
+		}
+		for _, ci := range attr.Components {
+			b, err := st.Birnbaum(avail, ci.Component)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fv, err := st.FussellVesely(avail, ci.Component)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ci.Birnbaum != b || ci.FussellVesely != fv || ci.Availability != avail[ci.Component] {
+				t.Fatalf("%s: %s = %+v, map-based Birnbaum %v, Fussell–Vesely %v, availability %v",
+					model, ci.Component, ci, b, fv, avail[ci.Component])
+			}
 		}
 		// The class report reuses the ranking's Birnbaum factors under the
 		// exact model and recomputes them otherwise; either way it is
@@ -273,10 +323,14 @@ func TestExplainBudgetError(t *testing.T) {
 	if !strings.Contains(err.Error(), "transversal expansion exceeds limit 1") {
 		t.Fatalf("budget error message changed: %v", err)
 	}
-	// Legacy kernel reports the identical error.
-	_, lerr := Explain(context.Background(), res, Options{CutLimit: 1, Legacy: true})
+	// The map-based MinimalCutSets reports the identical error.
+	st, _, _, serr := depend.FromResult(res, depend.ModelExact)
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	_, lerr := st.MinimalCutSets(1)
 	if lerr == nil || lerr.Error() != err.Error() {
-		t.Fatalf("legacy budget error %q != compiled %q", lerr, err)
+		t.Fatalf("map-based budget error %q != compiled %q", lerr, err)
 	}
 }
 

@@ -198,6 +198,6 @@ func Validate(ctx context.Context, res *core.Result, cur *uml.ObjectDiagram) (*V
 	span.SetAttr("links", v.LinksChecked)
 	span.SetAttr("fresh", v.Fresh)
 	span.SetAttr("issues", len(v.Issues))
-	mExplainSeconds.With("validate", "-").Observe(time.Since(start).Seconds())
+	mExplainSeconds.With("validate").Observe(time.Since(start).Seconds())
 	return v, nil
 }

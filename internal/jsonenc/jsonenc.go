@@ -1,12 +1,13 @@
 // Package jsonenc appends JSON text without reflection for the few value
-// shapes whose encoding/json cost shows on the request path: strings and
-// string-keyed maps. Every function writes exactly the bytes json.Marshal
-// writes for the same Go value, so a MarshalJSON method built from them
-// leaves response bytes unchanged; TestMatchesEncodingJSON holds the two
-// equal.
+// shapes whose encoding/json cost shows on the request path: strings,
+// string-keyed maps and int-keyed counts. Every function writes exactly the
+// bytes json.Marshal writes for the same Go value, so a MarshalJSON method
+// built from them leaves response bytes unchanged; TestMatchesEncodingJSON
+// holds the two equal.
 package jsonenc
 
 import (
+	"bytes"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -89,6 +90,35 @@ func AppendMap[V any](dst []byte, m map[string]V, value func([]byte, V) []byte) 
 		dst = AppendString(dst, k)
 		dst = append(dst, ':')
 		dst = value(dst, m[k])
+	}
+	return append(dst, '}')
+}
+
+// AppendIntMap appends m as encoding/json writes a map[int]int: null for a
+// nil map, otherwise an object whose keys are the decimal strings in byte
+// order ("10" before "2").
+func AppendIntMap(dst []byte, m map[int]int) []byte {
+	if m == nil {
+		return append(dst, "null"...)
+	}
+	var stack [16]int
+	keys := stack[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b int) int {
+		var x, y [20]byte
+		return bytes.Compare(strconv.AppendInt(x[:0], int64(a), 10), strconv.AppendInt(y[:0], int64(b), 10))
+	})
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '"')
+		dst = strconv.AppendInt(dst, int64(k), 10)
+		dst = append(dst, '"', ':')
+		dst = AppendInt(dst, m[k])
 	}
 	return append(dst, '}')
 }

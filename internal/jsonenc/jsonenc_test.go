@@ -42,6 +42,11 @@ func TestMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("AppendMap(%v) = %s, json.Marshal %s", m, got, want)
 		}
 	}
+	for _, m := range []map[int]int{nil, {}, {2: 1, 10: 3, -1: 4, 0: 0, 9: -2, 100: 5, 19: 6}} {
+		if got, want := string(AppendIntMap(nil, m)), marshal(t, m); got != want {
+			t.Errorf("AppendIntMap(%v) = %s, json.Marshal %s", m, got, want)
+		}
+	}
 	for _, m := range []map[string][]string{nil, {}, lists} {
 		if got, want := string(AppendMap(nil, m, AppendStrings)), marshal(t, m); got != want {
 			t.Errorf("AppendMap(%v) = %s, json.Marshal %s", m, got, want)
@@ -51,7 +56,8 @@ func TestMatchesEncodingJSON(t *testing.T) {
 
 // FuzzMapAgreesWithJSON: a map built from fuzzed keys and values encodes
 // to json.Marshal's bytes, more keys than the sort's stack buffer holds
-// included.
+// included. The int-keyed map takes keys from -n to beyond 10, where the
+// decimal-string order departs from the numeric one.
 func FuzzMapAgreesWithJSON(f *testing.F) {
 	for _, s := range strs {
 		f.Add(s, 3)
@@ -60,10 +66,15 @@ func FuzzMapAgreesWithJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, n int) {
 		counts := map[string]int{}
 		lists := map[string][]string{}
+		depths := map[int]int{}
 		for i := 0; i < n%40; i++ {
 			k := s[:i%(len(s)+1)] + string(rune('a'+i%26))
 			counts[k] = n - i
 			lists[k] = []string{s, k}
+			depths[i*len(s)-n%7] = n - i
+		}
+		if got, want := string(AppendIntMap(nil, depths)), marshal(t, depths); got != want {
+			t.Fatalf("AppendIntMap = %s, json.Marshal %s", got, want)
 		}
 		if got, want := string(AppendMap(nil, counts, AppendInt)), marshal(t, counts); got != want {
 			t.Fatalf("AppendMap = %s, json.Marshal %s", got, want)

@@ -32,7 +32,9 @@ const (
 // mcSamples, seed) and the qos knob (maxHops) apply only to their
 // respective ops; op "paths" takes from/to plus the discovery knobs
 // (maxDepth, maxPaths — or k and cost for ranked discovery) and needs no
-// service or mapping.
+// service or mapping. LegacyKernel is accepted and ignored, like the
+// availability route's field: every analysis runs on the compiled kernel.
+// It stays because the benchmark ladder (bench/ladder.go) reads it.
 type BatchItem struct {
 	Op                string `json:"op,omitempty"`
 	ModelXML          string `json:"modelXml"`
@@ -185,7 +187,7 @@ func (a *api) itemWarmKey(op string, it *BatchItem) string {
 	for _, n := range [...]int64{int64(it.MCSamples), it.Seed, int64(it.MaxHops), int64(it.MaxDepth), int64(it.MaxPaths), int64(it.K)} {
 		num(n)
 	}
-	for _, b := range [...]bool{it.AllowDisconnected, it.Formula1, it.LegacyKernel} {
+	for _, b := range [...]bool{it.AllowDisconnected, it.Formula1} {
 		flag(b)
 	}
 	var key [len(warmPrefixItem) + 2*sha256.Size]byte
@@ -258,7 +260,7 @@ func (a *api) batchItem(ctx context.Context, op string, it *BatchItem) (any, err
 	switch op {
 	case OpAvailability:
 		q = &availabilityRequest{generateRequest: g, Formula1: it.Formula1,
-			MCSamples: it.MCSamples, Seed: it.Seed, LegacyKernel: it.LegacyKernel}
+			MCSamples: it.MCSamples, Seed: it.Seed}
 	case OpQoS:
 		q = &qosRequest{generateRequest: g, MaxHops: it.MaxHops}
 	default:

@@ -12,6 +12,8 @@ import (
 
 	"upsim/internal/cache"
 	"upsim/internal/casestudy"
+	"upsim/internal/core"
+	"upsim/internal/depend"
 )
 
 func batchItem(modelXML, mappingXML, op, name string) map[string]any {
@@ -239,8 +241,9 @@ func TestRunBatchLimits(t *testing.T) {
 
 // TestAnalysisCacheReplay asserts the §VII analysis itself is cached per
 // generation content hash: a replayed availability/qos item is served
-// without recompiling the dependability kernel, and the legacyKernel
-// ablation flag keys its own entry while producing bit-identical numbers.
+// without recompiling the dependability kernel, an item that sends the
+// ignored legacyKernel flag shares the entry, and the numbers equal the
+// map-based ServiceStructure methods called directly.
 func TestAnalysisCacheReplay(t *testing.T) {
 	ts := httptest.NewServer(New())
 	defer ts.Close()
@@ -268,10 +271,10 @@ func TestAnalysisCacheReplay(t *testing.T) {
 	if cold.Errors != 0 {
 		t.Fatalf("cold batch errors: %+v", cold.Results)
 	}
-	// 1 generation miss + 3 analysis misses (compiled and legacy
-	// availability key separately, qos once).
-	if cold.Cache.Misses != 4 {
-		t.Errorf("cold misses = %d, want 4", cold.Cache.Misses)
+	// 1 generation miss + 2 analysis misses (availability once, whatever
+	// legacyKernel says; qos once).
+	if cold.Cache.Misses != 3 {
+		t.Errorf("cold misses = %d, want 3", cold.Cache.Misses)
 	}
 
 	warm, err := RunBatch(context.Background(), c, 1, req)
@@ -281,20 +284,52 @@ func TestAnalysisCacheReplay(t *testing.T) {
 	if warm.Errors != 0 {
 		t.Fatalf("warm batch errors: %+v", warm.Results)
 	}
-	if warm.Cache.Misses != 4 {
-		t.Errorf("warm replay recomputed: misses = %d, want still 4", warm.Cache.Misses)
+	if warm.Cache.Misses != 3 {
+		t.Errorf("warm replay recomputed: misses = %d, want still 3", warm.Cache.Misses)
 	}
 
-	// The two kernels must agree bit-for-bit through the whole pipeline.
 	cr := cold.Results[0].Result.(availabilityResponse)
-	lr := cold.Results[1].Result.(availabilityResponse)
-	if cr != lr {
-		t.Errorf("compiled %+v != legacy %+v", cr, lr)
+	if lr := cold.Results[1].Result.(availabilityResponse); cr != lr {
+		t.Errorf("legacyKernel item %+v != %+v", lr, cr)
+	}
+	// The map-based oracle agrees bit for bit through the whole pipeline.
+	m, err := casestudy.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := casestudy.PrintingService(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := core.NewGenerator(m, casestudy.DiagramName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := gen.Generate(svc, casestudy.TableIMapping(), "upsim", core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _, avail, err := depend.FromResult(res, depend.ModelExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := st.Exact(avail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, se, err := st.MonteCarlo(avail, 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.Exact != exact || cr.MonteCarlo != mc || cr.MCStdErr != se || cr.Components != len(st.Components()) {
+		t.Errorf("availability %+v, map-based exact %v, Monte Carlo %v ± %v, %d components",
+			cr, exact, mc, se, len(st.Components()))
 	}
 }
 
-// TestBatchItemWarmKeyFields: an item's warm key changes with every field,
-// and with bytes moved across a field boundary.
+// TestBatchItemWarmKeyFields: an item's warm key changes with every field
+// but the ignored LegacyKernel, and with bytes moved across a field
+// boundary.
 func TestBatchItemWarmKeyFields(t *testing.T) {
 	a := &api{warm: cache.New(0)}
 	key := func(it BatchItem) string { return a.itemWarmKey(it.Op, &it) }
@@ -318,6 +353,13 @@ func TestBatchItemWarmKeyFields(t *testing.T) {
 			t.Fatalf("field %s: unhandled kind %s", v.Type().Field(i).Name, f.Kind())
 		}
 		name := v.Type().Field(i).Name
+		if name == "LegacyKernel" {
+			// Accepted and ignored: it must not split the warm entry.
+			if key(it) != key(base) {
+				t.Error("LegacyKernel changes the item key")
+			}
+			continue
+		}
 		if prev, dup := seen[key(it)]; dup {
 			t.Errorf("changing %s keeps the key of %s", name, prev)
 		}
@@ -335,4 +377,91 @@ func TestBatchItemWarmKeyFields(t *testing.T) {
 	if !strings.HasPrefix(key(base), warmPrefixItem) || len(key(base)) != len(warmPrefixItem)+64 {
 		t.Errorf("key %q is not the item prefix and a hex SHA-256", key(base))
 	}
+}
+
+// FuzzBatchRoute drives POST /api/v1/batch end to end with arbitrary
+// bodies, seeded with the route-contract batch bodies. The route answers
+// 200 or 400 — never a 500 or a panic; every 400 is {"error": …} with a
+// message; a 200 carries one result per item, each with exactly one of
+// result and error; and sending the ignored legacyKernel on every item of
+// an accepted body returns the same results bytes.
+func FuzzBatchRoute(f *testing.F) {
+	for _, c := range contractCases(f) {
+		// The oversize-body seed is left out: mutating 8 MiB inputs stalls
+		// the fuzzer, and the contract pins that 400.
+		if c.method == http.MethodPost && c.target == "/api/v1/batch" && len(c.body) <= MaxRequestBytes {
+			f.Add([]byte(c.body))
+		}
+	}
+	h := New()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// Bound each input's work. The route decodes strictly, so a body it
+		// accepts decodes to the same items here.
+		var req BatchRequest
+		if json.Unmarshal(body, &req) == nil {
+			if len(req.Items) > 4 {
+				return
+			}
+			for _, it := range req.Items {
+				if it.Op == OpAvailability && (it.MCSamples <= 0 || it.MCSamples > 20000) {
+					return
+				}
+			}
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest:
+			var refusal struct {
+				Error *string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &refusal); err != nil || refusal.Error == nil || *refusal.Error == "" {
+				t.Fatalf("400 body is not {\"error\": …} with a message (%v): %s", err, w.Body.Bytes())
+			}
+			return
+		default:
+			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+		}
+		var resp struct {
+			Results []map[string]json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Results) != len(req.Items) {
+			t.Fatalf("%d results for %d items (%v): %s", len(resp.Results), len(req.Items), err, w.Body.Bytes())
+		}
+		for i, r := range resp.Results {
+			_, hasResult := r["result"]
+			_, hasError := r["error"]
+			if hasResult == hasError {
+				t.Fatalf("result %d carries result=%t error=%t: %s", i, hasResult, hasError, w.Body.Bytes())
+			}
+		}
+
+		// A Step 6 error names the pooled generator's running mapping
+		// sequence number, so the comparison runs each body on a fresh
+		// handler with one worker.
+		req.Workers = 1
+		results := func(r *BatchRequest) []byte {
+			body, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := httptest.NewRecorder()
+			New().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader(body)))
+			var resp struct {
+				Results json.RawMessage `json:"results"`
+			}
+			if w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil {
+				t.Fatalf("re-encoded body answers %d: %s", w.Code, w.Body.Bytes())
+			}
+			return resp.Results
+		}
+		want := results(&req)
+		for i := range req.Items {
+			req.Items[i].LegacyKernel = true
+		}
+		if got := results(&req); !bytes.Equal(got, want) {
+			t.Fatalf("legacyKernel changed the results:\n%s\nwant:\n%s", got, want)
+		}
+	})
 }

@@ -289,7 +289,29 @@ func contractCases(t testing.TB) []contractCase {
 	post("remove-link edge id", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "c1", "b": "d4", "edgeId": 4}))
 	post("remove-link edge of another pair", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "c1", "b": "d4", "edgeId": 0}))
 	post("remove-link unknown endpoint", "/api/v1/whatif", removeLink(obj{"op": "remove-link", "a": "ghost", "b": "d4", "edgeId": 4}))
+
+	// legacyKernel is accepted and ignored (TestLegacyKernelIgnored).
+	for _, l := range legacyKernelBodies(gen, batch, obj{"legacyKernel": true}) {
+		post("legacyKernel ignored", l.route, l.body)
+	}
 	return cases
+}
+
+// legacyKernelBodies are the bodies that once could select the map-based
+// dependability kernel: availability, explain and a one-item batch. extra
+// is merged into the analysis fields, on the item for the batch.
+func legacyKernelBodies(gen obj, batch func(...obj) obj, extra obj) []struct {
+	route string
+	body  obj
+} {
+	return []struct {
+		route string
+		body  obj
+	}{
+		{"/api/v1/availability", with(with(gen, obj{"mcSamples": 1000, "seed": 7}), extra)},
+		{"/api/v1/explain", with(gen, extra)},
+		{"/api/v1/batch", batch(with(with(gen, obj{"op": OpAvailability, "mcSamples": 1000}), extra))},
+	}
 }
 
 // render serves one case on a fresh handler, so no case sees another's
@@ -342,6 +364,31 @@ func TestRouteContract(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("case %d differs from %s:\n--- want\n%s--- got\n%s", i, contractGolden, want[i], got[i])
+		}
+	}
+}
+
+// TestLegacyKernelIgnored: a body that sends legacyKernel answers the same
+// status, Content-Type and bytes as the body without it, and explain still
+// names the compiled kernel.
+func TestLegacyKernelIgnored(t *testing.T) {
+	modelXML, mappingXML := warmFixture(t)
+	gen := obj{"modelXml": modelXML, "diagram": casestudy.DiagramName,
+		"service": casestudy.PrintingServiceName, "mappingXml": mappingXML}
+	batch := func(items ...obj) obj { return obj{"items": items, "workers": 1} }
+	plain := legacyKernelBodies(gen, batch, nil)
+	for i, l := range legacyKernelBodies(gen, batch, obj{"legacyKernel": true}) {
+		got := contractCase{"legacyKernel", http.MethodPost, l.route, mustJSON(t, l.body)}.render()
+		want := contractCase{"legacyKernel", http.MethodPost, l.route, mustJSON(t, plain[i].body)}.render()
+		if !strings.Contains(got, "status: 200\n") || got != want {
+			t.Errorf("%s with legacyKernel:\n%s\nwithout:\n%s", l.route, got, want)
+		}
+		if l.route == "/api/v1/explain" {
+			w := httptest.NewRecorder()
+			New().ServeHTTP(w, httptest.NewRequest(http.MethodPost, l.route, strings.NewReader(mustJSON(t, l.body))))
+			if !strings.Contains(w.Body.String(), `"kernel":"compiled"`) {
+				t.Errorf("explain with legacyKernel does not name the compiled kernel:\n%.300s", w.Body)
+			}
 		}
 	}
 }

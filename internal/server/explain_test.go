@@ -65,15 +65,14 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("attribution incomplete: %+v", attr)
 	}
 
-	// The legacy kernel reports the identical provenance and attribution.
+	// legacyKernel is accepted and ignored: the same bytes come back.
 	req["legacyKernel"] = true
 	resp, lbody := postJSON(t, ts, "/api/v1/explain", req)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy explain = %d: %s", resp.StatusCode, lbody)
+		t.Fatalf("explain with legacyKernel = %d: %s", resp.StatusCode, lbody)
 	}
-	want := bytes.Replace(body, []byte(`"kernel":"compiled"`), []byte(`"kernel":"legacy"`), 1)
-	if !bytes.Equal(lbody, want) {
-		t.Error("legacy explain response differs from compiled beyond the kernel tag")
+	if !bytes.Equal(lbody, body) {
+		t.Error("legacyKernel changed the explain response")
 	}
 }
 

@@ -884,10 +884,9 @@ type availabilityRequest struct {
 	MCSamples int `json:"mcSamples,omitempty"`
 	// Seed sets the Monte-Carlo seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// LegacyKernel routes the analysis through the map-based implementation
-	// instead of the compiled bitset kernel (the ablation escape hatch). The
-	// numbers are bit-identical either way; the flag participates in the
-	// analysis cache key so the two variants never share an entry.
+	// LegacyKernel is accepted and ignored: the analysis always runs on the
+	// compiled kernel. The field stays so bodies that still send it decode
+	// under DisallowUnknownFields and answer the same bytes.
 	LegacyKernel bool `json:"legacyKernel,omitempty"`
 }
 
@@ -922,13 +921,12 @@ func (req *availabilityRequest) knobs() (model depend.AvailabilityModel, samples
 
 func (req *availabilityRequest) cacheKey(genKey string) string {
 	model, samples, seed := req.knobs()
-	return fmt.Sprintf("avail|%s|model=%s|mc=%d|seed=%d|legacy=%t", genKey, model, samples, seed, req.LegacyKernel)
+	return fmt.Sprintf("avail|%s|model=%s|mc=%d|seed=%d", genKey, model, samples, seed)
 }
 
 func (req *availabilityRequest) compute(ctx context.Context, res *core.Result) (any, error) {
 	model, samples, seed := req.knobs()
-	rep, err := depend.AnalyzeWithOptions(ctx, res, model, samples, seed,
-		depend.AnalyzeOptions{Legacy: req.LegacyKernel})
+	rep, err := depend.AnalyzeContext(ctx, res, model, samples, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -1085,8 +1083,9 @@ type explainRequest struct {
 	CutLimit int `json:"cutLimit,omitempty"`
 	// Formula1 selects the paper's approximation for component availability.
 	Formula1 bool `json:"formula1,omitempty"`
-	// LegacyKernel attributes through the map-based dependability
-	// implementation; the report is bit-identical to the compiled kernel's.
+	// LegacyKernel is accepted and ignored: attribution always runs on the
+	// compiled kernel. The field stays so bodies that still send it decode
+	// under DisallowUnknownFields and answer the same bytes.
 	LegacyKernel bool `json:"legacyKernel,omitempty"`
 	// SkipAttribution returns path provenance only (no cut sets or
 	// importance measures).
@@ -1126,13 +1125,12 @@ func (a *api) handleExplain(ctx context.Context, req *explainRequest) (any, erro
 func (req *explainRequest) route() string { return "/api/v1/explain" }
 
 func (req *explainRequest) cacheKey(genKey string) string {
-	return fmt.Sprintf("explain|%s|model=%s|top=%d|cut=%d|legacy=%t|skipattr=%t",
-		genKey, availabilityModel(req.Formula1), req.Top, req.CutLimit, req.LegacyKernel, req.SkipAttribution)
+	return fmt.Sprintf("explain|%s|model=%s|top=%d|cut=%d|skipattr=%t",
+		genKey, availabilityModel(req.Formula1), req.Top, req.CutLimit, req.SkipAttribution)
 }
 
 func (req *explainRequest) compute(ctx context.Context, res *core.Result) (any, error) {
 	return explain.Explain(ctx, res, explain.Options{
-		Legacy:          req.LegacyKernel,
 		Model:           availabilityModel(req.Formula1),
 		TopN:            req.Top,
 		CutLimit:        req.CutLimit,

@@ -71,10 +71,6 @@ type registered struct {
 	cs       *depend.CompiledStructure
 	avail    map[string]float64
 	baseline float64
-	// links maps "a--b" endpoint pairs (canonical order) to the link
-	// component ids of this service's structure, so endpoint-addressed
-	// failures resolve to the right parallel links.
-	links map[string][]string
 	// stale: an addition crossed the patch boundary or Invalidate flagged
 	// drift; the service needs re-generation and is excluded from analyses.
 	stale       bool
@@ -128,7 +124,6 @@ func (e *Engine) Register(name, genKey string, res *core.Result, model depend.Av
 		cs:       cs,
 		avail:    avail,
 		baseline: baseline,
-		links:    make(map[string][]string),
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -144,8 +139,8 @@ func (e *Engine) Register(name, genKey string, res *core.Result, model depend.Av
 	return nil
 }
 
-// indexService populates the reverse index and the endpoint→link-id table
-// from the service's discovered paths (under e.mu).
+// indexService populates the reverse index from the service's discovered
+// paths (under e.mu).
 func (e *Engine) indexService(r *registered) {
 	seen := make(map[string]bool)
 	add := func(token string) {
@@ -160,20 +155,7 @@ func (e *Engine) indexService(r *registered) {
 				add(n)
 			}
 			for i, id := range p.Edges {
-				a, b := p.Nodes[i], p.Nodes[i+1]
-				link := depend.LinkComponentID(a, b, id)
-				add(link)
-				ep := endpointKey(a, b)
-				dup := false
-				for _, l := range r.links[ep] {
-					if l == link {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					r.links[ep] = append(r.links[ep], link)
-				}
+				add(depend.LinkComponentID(p.Nodes[i], p.Nodes[i+1], id))
 			}
 		}
 	}
@@ -248,10 +230,8 @@ func (e *Engine) resolve(f Failure) ([]string, error) {
 		if !ok {
 			return nil, fmt.Errorf("whatif: link %q: want \"a--b\" endpoints or a full \"a--b#edge\" component id", l)
 		}
-		if rest, id, hasID := strings.Cut(b, "#"); hasID {
+		if strings.Contains(b, "#") {
 			// Fully-qualified link id: pass through as a component.
-			_ = rest
-			_ = id
 			tokens = append(tokens, l)
 			continue
 		}

@@ -288,8 +288,6 @@ type (
 	// CompiledStructure is the interned bitset form of a ServiceStructure:
 	// same analyses, bit-identical results, compiled once.
 	CompiledStructure = depend.CompiledStructure
-	// AnalyzeOptions selects the analysis kernel.
-	AnalyzeOptions = depend.AnalyzeOptions
 	// Report is the end-to-end availability analysis of one UPSIM.
 	Report = depend.Report
 	// Block is an RBD node (Basic, Series, Parallel, KofN).
@@ -392,15 +390,9 @@ func Analyze(res *Result, model depend.AvailabilityModel, mcSamples int, seed in
 // AnalyzeContext is Analyze with trace propagation: each analysis stage
 // (structure extraction, kernel compilation, exact, RBD, fault tree, Monte
 // Carlo) records a child span on the ctx span. Evaluation runs on the
-// compiled bitset kernel; use AnalyzeWithOptions to opt out.
+// compiled bitset kernel.
 func AnalyzeContext(ctx context.Context, res *Result, model depend.AvailabilityModel, mcSamples int, seed int64) (*Report, error) {
 	return depend.AnalyzeContext(ctx, res, model, mcSamples, seed)
-}
-
-// AnalyzeWithOptions is AnalyzeContext with explicit kernel selection (the
-// legacy ablation flag).
-func AnalyzeWithOptions(ctx context.Context, res *Result, model depend.AvailabilityModel, mcSamples int, seed int64, opts AnalyzeOptions) (*Report, error) {
-	return depend.AnalyzeWithOptions(ctx, res, model, mcSamples, seed, opts)
 }
 
 // StructureOf extracts the service structure function and component
@@ -411,7 +403,7 @@ func StructureOf(res *Result, model depend.AvailabilityModel) (*ServiceStructure
 }
 
 // CompiledStructureOf is StructureOf returning the compiled bitset kernel
-// alongside the legacy structure.
+// alongside the map-based structure.
 func CompiledStructureOf(res *Result, model depend.AvailabilityModel) (*ServiceStructure, *CompiledStructure, map[string]float64, error) {
 	return depend.FromResult(res, model)
 }
@@ -598,8 +590,8 @@ type (
 )
 
 // Explain builds the provenance & attribution report for a generation: where
-// every availability number comes from. The report is bit-identical under the
-// compiled and legacy kernels.
+// every availability number comes from. The attribution runs on the compiled
+// kernel.
 func Explain(ctx context.Context, res *Result, opts ExplainOptions) (*ExplainReport, error) {
 	return explain.Explain(ctx, res, opts)
 }
