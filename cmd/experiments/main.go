@@ -256,7 +256,11 @@ func expContext() error {
 	if err != nil {
 		return err
 	}
-	if _, err := gen.Generate(svc, upsim.USITableIMapping(), "ctx", upsim.Options{}); err != nil {
+	res, err := gen.Generate(svc, upsim.USITableIMapping(), "ctx", upsim.Options{})
+	if err != nil {
+		return err
+	}
+	if err := gen.Record(res); err != nil {
 		return err
 	}
 	s, err := gen.Space()
@@ -392,6 +396,9 @@ func expRBD() error {
 	}
 	res, err := gen.Generate(svc, upsim.USITableIMapping(), "rbd-demo", upsim.Options{})
 	if err != nil {
+		return err
+	}
+	if err := gen.Record(res); err != nil {
 		return err
 	}
 	avail := map[string]float64{}

@@ -255,7 +255,6 @@ func expWarm() error {
 			if err != nil {
 				return err
 			}
-			defer pool.Release(g)
 			return generate(g, x)
 		}
 		w := warmGenWorkload{Model: x.name, XMLBytes: len(x.modelXML)}

@@ -435,6 +435,9 @@ func cmdGenerate(args []string) error {
 		fmt.Println("wrote", *dotOut)
 	}
 	if *modelOut != "" {
+		if err := gen.Record(res); err != nil {
+			return err
+		}
 		f, err := os.Create(*modelOut)
 		if err != nil {
 			return err
@@ -848,6 +851,9 @@ func cmdRBD(args []string) error {
 	}
 	res, err := gen.Generate(in.svc, in.mapping, "rbd", upsim.Options{})
 	if err != nil {
+		return err
+	}
+	if err := gen.Record(res); err != nil {
 		return err
 	}
 	avail := map[string]float64{}

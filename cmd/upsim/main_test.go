@@ -14,6 +14,7 @@ import (
 
 	"upsim"
 	"upsim/internal/server"
+	"upsim/internal/uml"
 )
 
 // withArtifacts writes the built-in case-study artifacts into a temp dir and
@@ -170,8 +171,18 @@ func TestCLIGenerateAndAvail(t *testing.T) {
 	if _, err := os.Stat(dotOut); err != nil {
 		t.Error("DOT not written")
 	}
-	if _, err := os.Stat(modelOut); err != nil {
-		t.Error("model not written")
+	// -out writes the model with the UPSIM recorded in it.
+	f, err := os.Open(modelOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	written, err := uml.Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := written.Diagram("fig11"); !ok || d.NumInstances() != 10 {
+		t.Errorf("-out model lacks the 10-instance fig11 diagram (found %t)", ok)
 	}
 	out, err = capture(t, func() error {
 		return run([]string{"avail", "-model", modelPath, "-diagram", "infrastructure",

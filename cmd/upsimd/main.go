@@ -15,8 +15,8 @@
 // byte-level lane (repeated analysis bodies replayed without JSON decode)
 // holds its responses in a dedicated LRU of -warm-size entries; watch
 // upsim_server_warm_{hits_total,entries,capacity}. With -prewarm (default
-// on) a generator for the built-in case-study model is parked in the pool
-// at boot, so the first request against it skips model import and kernel
+// on) a generator for the built-in case-study model is made resident in
+// the pool at boot, so the first request against it skips model import and kernel
 // compilation.
 //
 // Observability:
@@ -80,7 +80,7 @@ func main() {
 	flag.IntVar(&cfg.cacheSize, "cache-size", 0, "generation cache capacity in entries (0 = default 128)")
 	flag.IntVar(&cfg.warmSize, "warm-size", 0, "warm-lane response cache capacity in entries (0 = default 128)")
 	flag.IntVar(&cfg.batchWorkers, "batch-workers", 0, "worker pool bound for /api/v1/batch (0 = GOMAXPROCS)")
-	flag.BoolVar(&cfg.prewarm, "prewarm", true, "park a ready case-study generator in the pool at boot")
+	flag.BoolVar(&cfg.prewarm, "prewarm", true, "make a ready case-study generator resident in the pool at boot")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn or error")

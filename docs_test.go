@@ -271,3 +271,46 @@ func TestDocsCoverRoutes(t *testing.T) {
 		t.Fatalf("found only %d route patterns in internal/server", routes)
 	}
 }
+
+// TestDocsCoverDaemonFlags checks that every flag cmd/upsimd defines — the
+// name argument of each flag.XxxVar(&field, "name", …) call — appears as
+// -name in README.md.
+func TestDocsCoverDaemonFlags(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, files := parseGo(t, "cmd/upsimd")
+	flags := 0
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !strings.HasSuffix(sel.Sel.Name, "Var") {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			lit, ok := call.Args[1].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				return true
+			}
+			flags++
+			if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(name) + `([^\w-]|$)`).Match(readme) {
+				t.Errorf("upsimd flag -%s is not documented in README.md", name)
+			}
+			return true
+		})
+	}
+	if flags < 5 {
+		t.Fatalf("found only %d flag definitions in cmd/upsimd", flags)
+	}
+}

@@ -159,7 +159,11 @@ func run() error {
 	fmt.Printf("user-perceived availability: %.6f (≈ %.1f h downtime/year)\n",
 		rep.Exact, rep.DowntimePerYearHours)
 
-	// 6. The UPSIM is a regular object diagram: export the whole model.
+	// 6. The UPSIM is a regular object diagram: record it in the model,
+	// then export the whole model.
+	if err := gen.Record(res); err != nil {
+		return err
+	}
 	fmt.Println("\nModel XML written to quickstart-model.xml")
 	f, err := os.Create("quickstart-model.xml")
 	if err != nil {

@@ -54,11 +54,10 @@ func modelDigest(m *uml.Model) (string, error) {
 //
 // The model digest is taken by the first CacheKey and kept for the
 // generator's life, so a generator that never builds a key (a pooled one
-// serving only path queries) never re-encodes its model. With a cache
-// attached every generation takes its key before it grafts its output onto
-// the model, and a pooled generator is back to its imported state after
-// ResetDerived, so the digest always covers the model as imported; the
-// model must therefore not be mutated by anyone else after NewGenerator.
+// serving only path queries) never re-encodes its model. Generate never
+// changes the model, so the digest covers the model as imported unless
+// Record listed a diagram before the first key was taken; the model must
+// not be mutated by anyone else after NewGenerator.
 func (g *Generator) CacheKey(svc *service.Composite, mp *mapping.Mapping, name string, opts Options) (string, error) {
 	if svc == nil {
 		return "", fmt.Errorf("core: cache key: nil service")

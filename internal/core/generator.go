@@ -16,10 +16,12 @@
 //
 // The pipeline itself runs on the UML model: Step 7 searches the object
 // diagram's compiled topology, and Steps 5 and 6 check the model and the
-// mapping pairs with exactly the errors the importers would report. The
-// model space of Steps 5–7 is the view the paper's VIATRA2 tooling reads;
-// a Generator builds it on the first Space call, replaying the imports and
-// stored paths of its live generations, and keeps it current from then on.
+// mapping pairs with exactly the errors the importers would report. A
+// generation is a function of its request: it reads only what NewGenerator
+// built and changes neither the model nor the generator. The model space
+// of Steps 5–7 is the view the paper's VIATRA2 tooling reads; a Generator
+// builds it on the first Space call, and Record adds a generation's
+// mapping import and stored paths to it, and its UPSIM diagram to the model.
 package core
 
 import (
@@ -156,9 +158,10 @@ type ServicePaths struct {
 type Result struct {
 	// Name is the UPSIM (and diagram) name.
 	Name string
-	// UPSIM is the generated UML object diagram, living in the source
-	// model; its instances share the classifiers of the infrastructure so
-	// every dependability property remains reachable (Section V-E).
+	// UPSIM is the generated UML object diagram over the source model's
+	// classes; its instances share the classifiers of the infrastructure so
+	// every dependability property remains reachable (Section V-E). The
+	// model lists it only once Generator.Record attached it.
 	UPSIM *uml.ObjectDiagram
 	// Source is the infrastructure object diagram the UPSIM was generated
 	// from. Path edge IDs in Services index into Source.Links().
@@ -179,6 +182,8 @@ type Result struct {
 	// Key is the generation's content address (CacheKey) when it was
 	// produced through an attached cache, and empty otherwise.
 	Key string
+
+	pairs []mapping.Pair // Step 6's copy of the mapping pairs, which Record imports
 }
 
 // PathsFor returns the discovered paths of one atomic service.
@@ -203,64 +208,40 @@ func (r *Result) NodeNames() []string { return r.Graph.NodeNames() }
 // The model space is built on the first Space call, not by NewGenerator:
 // generation itself never reads it. It imports the model's elements as
 // NewGenerator listed them (importers.View), so elements added to the
-// model later — Generate's own output diagrams included — stay out of it,
-// as they stayed out of an import at construction.
+// model later — recorded UPSIM diagrams included — stay out of it, as they
+// stayed out of an import at construction.
 //
-// A Generator is safe for concurrent use: an internal mutex serialises the
-// pipeline's model-space and model mutations, so concurrent Generate calls
-// with distinct inputs queue, while — with a cache attached (WithCache) —
-// concurrent identical calls collapse into one computation via singleflight
-// and the rest share the cached Result.
+// A Generator is safe for concurrent use by Generate, CacheKey, WithCache
+// and Space: Generate holds no lock and writes nothing the generator or
+// its model holds, so concurrent generations run in parallel, and — with a
+// cache attached (WithCache) — concurrent identical calls collapse into
+// one computation via singleflight and share the cached Result. Record
+// writes the model and the space; it must not run concurrently with
+// Generate or with readers of the space.
 type Generator struct {
 	model       *uml.Model
 	diagramName string
 	diagram     *uml.ObjectDiagram // the infrastructure diagram
+	diagramFQN  string             // its model-space FQN, which Step 6 errors name
 	view        importers.View     // the model's elements at construction: what Step 5 imports
 	graph       *topology.Graph
 	compiled    *pathdisc.Compiled // CSR kernel, built once per model, immutable
 
-	mu          sync.Mutex      // guards the fields below and the pipeline's mutations
+	mu          sync.Mutex      // guards the fields below; never held across a pipeline step
 	space       *vpm.ModelSpace // built by the first Space call
-	mappingSeq  int
+	recorded    []*Result       // Record's generations, in order: what a first Space call replays
 	cache       *cache.Cache
 	modelDigest string // canonical model hash, taken by the first CacheKey
 	digestErr   error
-
-	// derived records every artifact a Generate call grafted onto the
-	// shared model and model space (output diagram, mapping subtree, paths
-	// subtree), so ResetDerived can unhook them when the generator returns
-	// to a GeneratorPool, and so the first Space call can replay them.
-	derived []derivedGen
-	// shared is the deepest shared model-space subtree any generation
-	// created; ResetDerived empties these subtrees but never removes them.
-	shared  sharedSubtree
-	poolKey string // set by GeneratorPool.Acquire; empty for unpooled use
 }
-
-// derivedGen records one generation: the UPSIM output diagram (which also
-// names the paths.<name> subtree), the sequenced mapping import, and what a
-// lazily built space replays — the imported pairs, nil when Step 6 failed,
-// and the stored path sets, nil until Step 8 stored them.
-type derivedGen struct {
-	diagram  string
-	mapping  string
-	pairs    []mapping.Pair
-	services []ServicePaths
-}
-
-// sharedSubtree orders the shared model-space subtrees in the order the
-// pipeline creates them; each implies the ones before it.
-type sharedSubtree uint8
-
-const (
-	sharedNone     sharedSubtree = iota
-	sharedPairType               // metamodel.mapping.ServiceMappingPair: Step 6 began
-	sharedMappings               // mappings: a mapping with a valid name was imported, its pairs or not
-	sharedPaths                  // paths: Step 8 stored a path set
-)
 
 // pathsRoot is the reserved model-space subtree of Step 7's stored paths.
 const pathsRoot = "paths"
+
+// mappingSuffix turns a UPSIM name into the name of its Step 6 mapping
+// import. Every Step 6 error text carries it, so it never varies: the same
+// request always fails with the same bytes.
+const mappingSuffix = "-1"
 
 // NewGenerator checks the model against Step 5 and prepares the graph view
 // of the named infrastructure object diagram.
@@ -314,6 +295,7 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 		model:       m,
 		diagramName: diagramName,
 		diagram:     d,
+		diagramFQN:  importers.DiagramFQN(m.Name(), diagramName),
 		view:        view,
 		graph:       g,
 		compiled:    compiled,
@@ -321,11 +303,11 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 }
 
 // Space returns the model space of Steps 5–7: the UML import of the model,
-// the mapping import and stored paths of every live generation, and
+// the mapping import and stored paths of every recorded generation, and
 // whatever tooling (rbdgen, VTCL patterns) added since. The first
-// successful call builds it, replaying the generations in order; later
-// Generate calls write into it directly. It is read-mostly; callers must
-// not use it concurrently with Generate or ResetDerived.
+// successful call builds it, replaying the recorded generations in order;
+// later Record calls write into it directly. Generate never touches it.
+// Callers must not use it concurrently with Record.
 //
 // The import covers the profiles, classes, associations, diagrams and
 // activities the model had when NewGenerator checked it; elements added
@@ -345,9 +327,9 @@ func (g *Generator) Space() (*vpm.ModelSpace, error) {
 	return g.space, nil
 }
 
-// buildSpace imports the model as of construction (Step 5), recreates the
-// shared subtrees, then replays each live generation's mapping import
-// (Step 6) and stored paths (Step 7). Callers hold g.mu.
+// buildSpace imports the model as of construction (Step 5), then replays
+// each recorded generation's mapping import (Step 6) and stored paths
+// (Step 7). Callers hold g.mu.
 func (g *Generator) buildSpace() (*vpm.ModelSpace, error) {
 	s := vpm.NewSpace()
 	im, err := importers.NewUMLImporter(s)
@@ -357,31 +339,8 @@ func (g *Generator) buildSpace() (*vpm.ModelSpace, error) {
 	if err := im.ImportView(g.view); err != nil {
 		return nil, err
 	}
-	if g.shared < sharedPairType {
-		return s, nil
-	}
-	mi, err := importers.NewMappingImporter(s)
-	if err != nil {
-		return nil, err
-	}
-	if g.shared >= sharedMappings {
-		if _, err := s.EnsureEntity(importers.NSMappings); err != nil {
-			return nil, err
-		}
-	}
-	if g.shared >= sharedPaths {
-		if _, err := s.EnsureEntity(pathsRoot); err != nil {
-			return nil, err
-		}
-	}
-	diagramFQN := importers.DiagramFQN(g.model.Name(), g.diagramName)
-	for _, d := range g.derived {
-		if d.pairs != nil {
-			if err := mi.ImportPairs(d.mapping, d.pairs, diagramFQN); err != nil {
-				return nil, err
-			}
-		}
-		if err := storePaths(s, d.diagram, d.services); err != nil {
+	for _, res := range g.recorded {
+		if err := g.importRecorded(s, res); err != nil {
 			return nil, err
 		}
 	}
@@ -402,8 +361,11 @@ func (g *Generator) Compiled() *pathdisc.Compiled { return g.compiled }
 func (g *Generator) Model() *uml.Model { return g.model }
 
 // Generate runs Steps 6–8 for one composite service, mapping and UPSIM name.
-// The name must be unique per generator invocation (it names the mapping
-// import, the stored path subtree and the output object diagram).
+// The name names the output object diagram and, once recorded, the mapping
+// import (<name>-1) and the stored path subtree; it must not name a
+// diagram the model lists (the infrastructure's, or a recorded UPSIM's).
+// Generate leaves the model and the model space as it found them: Record
+// adds a result to both.
 func (g *Generator) Generate(svc *service.Composite, mp *mapping.Mapping, name string, opts Options) (*Result, error) {
 	return g.GenerateContext(context.Background(), svc, mp, name, opts)
 }
@@ -453,10 +415,9 @@ func (g *Generator) GenerateContext(ctx context.Context, svc *service.Composite,
 	return g.generate(ctx, svc, mp, name, opts)
 }
 
-// generate runs the actual Step 6–8 pipeline under the generator mutex.
+// generate runs the actual Step 6–8 pipeline. It takes no lock: it reads
+// only what NewGenerator built and writes only the Result it returns.
 func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *mapping.Mapping, name string, opts Options) (*Result, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if _, taken := g.model.Diagram(name); taken {
 		return nil, fmt.Errorf("core: model already has an object diagram named %q", name)
 	}
@@ -474,23 +435,15 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 		return nil, err
 	}
 
-	// Step 6: import the service mapping pairs, verifying every referenced
-	// component against the infrastructure diagram.
+	// Step 6: check the service mapping pairs as their import would,
+	// verifying every referenced component against the infrastructure
+	// diagram.
 	_, span6 := obs.StartSpan(ctx, "step6.import_mapping")
-	g.mappingSeq++
-	mappingName := fmt.Sprintf("%s-%d", name, g.mappingSeq)
-	// Record the generation before any state is created: a failed step may
-	// leave a partial graft (an imported mapping whose discovery then
-	// fails), and ResetDerived must unhook those too. Cleanup of names that
-	// never materialised is a no-op.
-	g.derived = append(g.derived, derivedGen{diagram: name, mapping: mappingName})
-	rec := &g.derived[len(g.derived)-1]
 	pairs := mp.Pairs() // a copy: the caller may change mp after Generate
-	if err := g.importPairs(mappingName, pairs); err != nil {
+	if err := importers.CheckPairs(name+mappingSuffix, pairs, g.diagram, g.diagramFQN); err != nil {
 		span6.End()
 		return nil, err
 	}
-	rec.pairs = pairs
 	span6.SetAttr("pairs", len(pairs))
 	span6.End()
 
@@ -500,12 +453,12 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	ctx7, span7 := obs.StartSpan(ctx, "step7.pathdisc")
 	defer span7.End()
 	span7.SetAttr("algorithm", opts.Algorithm.String())
-	pairs, err := svc.RelevantPairs(mp)
+	relevant, err := svc.RelevantPairs(mp)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Name: name, Services: make([]ServicePaths, 0, len(pairs))}
-	for _, p := range pairs {
+	res := &Result{Name: name, Services: make([]ServicePaths, 0, len(relevant)), pairs: pairs}
+	for _, p := range relevant {
 		if err := ctx7.Err(); err != nil {
 			return nil, err
 		}
@@ -534,20 +487,9 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	span7.End()
 
 	// Step 8: merge all paths of all atomic services into one object
-	// diagram. Storing the discovered paths in the reserved model-space
-	// subtree ("Resulting paths are stored separately in the model space for
-	// further manipulation", Step 7) is part of the same stage.
+	// diagram.
 	_, span8 := obs.StartSpan(ctx, "step8.merge")
 	defer span8.End()
-	if len(res.Services) > 0 {
-		g.shared = max(g.shared, sharedPaths)
-	}
-	rec.services = res.Services
-	if g.space != nil {
-		if err := storePaths(g.space, name, res.Services); err != nil {
-			return nil, err
-		}
-	}
 	if err := g.merge(res, opts); err != nil {
 		return nil, err
 	}
@@ -563,10 +505,9 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 func (g *Generator) lintGate(ctx context.Context, svc *service.Composite, mp *mapping.Mapping, name string, mode LintMode) error {
 	_, span := obs.StartSpan(ctx, "lint.preflight")
 	defer span.End()
-	diagram, _ := g.model.Diagram(g.diagramName)
 	rep, err := lint.Default().Run(&lint.Input{
 		Model:   g.model,
-		Diagram: diagram,
+		Diagram: g.diagram,
 		Graph:   g.graph,
 		Service: svc,
 		Mapping: mp,
@@ -619,24 +560,47 @@ func (g *Generator) discover(req, prov string, opts Options) ([]pathdisc.Path, p
 	}
 }
 
-// importPairs runs Step 6 for one generation: into the model space when it
-// exists, else as importers.CheckPairs, which fails exactly where the
-// import would. Either way it records the shared subtrees the import
-// creates, for a later buildSpace. Callers hold g.mu.
-func (g *Generator) importPairs(mappingName string, pairs []mapping.Pair) error {
-	g.shared = max(g.shared, sharedPairType)
-	if importers.CheckMappingName(mappingName) == nil {
-		g.shared = max(g.shared, sharedMappings)
+// Record adds one generation to the model and the model space, for
+// tooling that reads them there: the model lists the UPSIM diagram (so
+// Diagram and WriteModel see it), and the model space — now, or when Space
+// first builds it — holds the Step 6 mapping import under
+// mappings.<name>-1 and the paths Step 7 discovered under paths.<name>
+// ("Resulting paths are stored separately in the model space for further
+// manipulation", Step 7). A server never records, so its shared
+// generators stay read-only.
+//
+// res must come from this generator. Record rejects a name the model
+// already lists; once recorded, a name also fails a later Generate. Record
+// writes the model: it must not run concurrently with Generate.
+func (g *Generator) Record(res *Result) error {
+	if res == nil || res.Source != g.diagram {
+		return fmt.Errorf("core: recording a result not generated from this generator's diagram")
 	}
-	diagramFQN := importers.DiagramFQN(g.model.Name(), g.diagramName)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := g.model.AttachDiagram(res.UPSIM); err != nil {
+		return fmt.Errorf("core: recording %q: %w", res.Name, err)
+	}
+	g.recorded = append(g.recorded, res)
 	if g.space == nil {
-		return importers.CheckPairs(mappingName, pairs, g.diagram, diagramFQN)
+		return nil
 	}
-	mi, err := importers.NewMappingImporter(g.space)
+	return g.importRecorded(g.space, res)
+}
+
+// importRecorded writes one recorded generation into a model space: its
+// mapping import (Step 6) and its stored paths (Step 7). Record and
+// buildSpace share it, so an eagerly and a lazily built space agree.
+// Callers hold g.mu.
+func (g *Generator) importRecorded(s *vpm.ModelSpace, res *Result) error {
+	mi, err := importers.NewMappingImporter(s)
 	if err != nil {
 		return err
 	}
-	return mi.ImportPairs(mappingName, pairs, diagramFQN)
+	if err := mi.ImportPairs(res.Name+mappingSuffix, res.pairs, g.diagramFQN); err != nil {
+		return err
+	}
+	return storePaths(s, res.Name, res.Services)
 }
 
 // storePaths materialises paths under paths.<name>.<atomic service>.p<i>,
@@ -673,9 +637,9 @@ func (g *Generator) merge(res *Result, opts Options) error {
 		}
 	}
 
-	src, _ := g.model.Diagram(g.diagramName)
+	src := g.diagram
 	res.Source = src
-	out := g.model.NewObjectDiagram(res.Name)
+	out := g.model.NewDetachedDiagram(res.Name)
 	for _, inst := range src.Instances() {
 		if !keep[inst.Name()] {
 			continue
@@ -708,32 +672,4 @@ func (g *Generator) merge(res *Result, opts Options) error {
 	res.UPSIM = out
 	res.Graph = topology.FromObjectDiagram(out)
 	return nil
-}
-
-// ResetDerived unhooks every artifact previous Generate calls grafted onto
-// the shared model and model space: output diagrams detach from the model
-// (staying valid inside cached Results), the generation records go, and —
-// when the space was built — the mapping and paths subtrees are deleted.
-// The infrastructure (Step 5) is untouched, so the generator is ready for a
-// fresh sequence of generations against the same model — this is what
-// makes a Generator reusable through a GeneratorPool without name
-// collisions or unbounded growth.
-func (g *Generator) ResetDerived() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, d := range g.derived {
-		g.model.RemoveDiagram(d.diagram)
-		if g.space == nil {
-			continue
-		}
-		if e, ok := g.space.Lookup(importers.NSMappings + "." + d.mapping); ok {
-			// The subtree exists and is not the root; deletion cannot fail.
-			_ = g.space.DeleteEntity(e)
-		}
-		if e, ok := g.space.Lookup(pathsRoot + "." + d.diagram); ok {
-			_ = g.space.DeleteEntity(e)
-		}
-	}
-	clear(g.derived)
-	g.derived = g.derived[:0]
 }

@@ -209,6 +209,9 @@ func TestPathsStoredInModelSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := g.Record(res); err != nil {
+		t.Fatal(err)
+	}
 	space, err := g.Space()
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +234,8 @@ func TestGenerateDifferentPerspectives(t *testing.T) {
 	// Section VI-H: changing the user perspective touches only the mapping.
 	f := buildFixture(t)
 	g, _ := NewGenerator(f.model, "infrastructure")
-	if _, err := g.Generate(f.svc, f.mp, "p1", Options{}); err != nil {
+	res1, err := g.Generate(f.svc, f.mp, "p1", Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	mp2 := f.mp.Clone()
@@ -249,12 +253,14 @@ func TestGenerateDifferentPerspectives(t *testing.T) {
 			t.Error("t1 must not appear in the sw1 perspective")
 		}
 	}
-	// Both diagrams coexist in the model.
-	if _, ok := f.model.Diagram("p1"); !ok {
-		t.Error("p1 diagram missing")
-	}
-	if _, ok := f.model.Diagram("p2"); !ok {
-		t.Error("p2 diagram missing")
+	// Both diagrams coexist in the model once recorded.
+	for _, res := range []*Result{res1, res2} {
+		if err := g.Record(res); err != nil {
+			t.Fatal(err)
+		}
+		if d, ok := f.model.Diagram(res.Name); !ok || d != res.UPSIM {
+			t.Errorf("%s diagram missing", res.Name)
+		}
 	}
 }
 
@@ -438,11 +444,30 @@ func TestGenerateNameCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Generate(f.svc, f.mp, "dup", Options{}); err != nil {
+	first, err := g.Generate(f.svc, f.mp, "dup", Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Until recorded, a name is free: generation lists nothing in the model.
+	second, err := g.Generate(f.svc, f.mp, "dup", Options{})
+	if err != nil {
+		t.Fatalf("regenerating an unrecorded name: %v", err)
+	}
+	if err := g.Record(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Record(second); err == nil || !strings.Contains(err.Error(), `already has an object diagram named "dup"`) {
+		t.Errorf("recording a taken name: %v", err)
+	}
+	other, err := NewGenerator(buildFixture(t).model, "infrastructure")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Record(second); err == nil {
+		t.Error("recorded another model's generation")
+	}
 	if _, err := g.Generate(f.svc, f.mp, "dup", Options{}); err == nil {
-		t.Error("reusing a UPSIM name must fail instead of shadowing the diagram")
+		t.Error("reusing a recorded UPSIM name must fail instead of shadowing the diagram")
 	}
 	// Colliding with the infrastructure diagram itself is also rejected.
 	if _, err := g.Generate(f.svc, f.mp, "infrastructure", Options{}); err == nil {
@@ -498,15 +523,21 @@ func TestGenerateContextSpans(t *testing.T) {
 }
 
 // TestGenerateNeverBuildsSpace: the request path — a pooled or fresh
-// generator, generations that succeed or fail, resets — builds no model
-// space; only Space does.
+// generator, generations that succeed or fail — builds no model space and
+// leaves the model's bytes as they were; only Space builds a space, and it
+// holds what Record added.
 func TestGenerateNeverBuildsSpace(t *testing.T) {
 	f := buildFixture(t)
 	g, err := NewGenerator(f.model, "infrastructure")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Generate(f.svc, f.mp, "a", Options{}); err != nil {
+	var before strings.Builder
+	if err := uml.Encode(&before, f.model); err != nil {
+		t.Fatal(err)
+	}
+	a, err := g.Generate(f.svc, f.mp, "a", Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ghost := f.mp.Clone()
@@ -516,12 +547,18 @@ func TestGenerateNeverBuildsSpace(t *testing.T) {
 	if _, err := g.Generate(f.svc, ghost, "b", Options{}); err == nil {
 		t.Fatal("a ghost requester passed Step 6")
 	}
-	g.ResetDerived()
-	if _, err := g.Generate(f.svc, f.mp, "a", Options{}); err != nil {
+	var after strings.Builder
+	if err := uml.Encode(&after, f.model); err != nil {
+		t.Fatal(err)
+	}
+	if after.String() != before.String() {
+		t.Fatal("Generate changed the model")
+	}
+	if err := g.Record(a); err != nil {
 		t.Fatal(err)
 	}
 	if g.space != nil {
-		t.Fatal("NewGenerator, Generate and ResetDerived built a model space")
+		t.Fatal("NewGenerator, Generate and Record built a model space")
 	}
 	pool := NewGeneratorPool(nil, 0, 0)
 	xml := fixtureXML(t)
@@ -531,7 +568,6 @@ func TestGenerateNeverBuildsSpace(t *testing.T) {
 			t.Fatal(err)
 		}
 		poolGenerate(t, pg, "p")
-		pool.Release(pg)
 		if pg.space != nil {
 			t.Fatal("a pooled generator built a model space")
 		}
@@ -541,7 +577,13 @@ func TestGenerateNeverBuildsSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := space.Lookup("paths.a.fetch"); !ok {
-		t.Fatal("Space lacks the stored paths of the live generation")
+		t.Fatal("Space lacks the stored paths of the recorded generation")
+	}
+	if _, ok := space.Lookup("mappings.a-1"); !ok {
+		t.Fatal("Space lacks the mapping import of the recorded generation")
+	}
+	if _, ok := space.Lookup("paths.b"); ok {
+		t.Fatal("Space holds a failed generation")
 	}
 }
 

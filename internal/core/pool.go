@@ -1,18 +1,19 @@
 package core
 
-// GeneratorPool recycles Generators across requests of the same model. The
-// stateless HTTP API ships the model XML in every request, so before this
-// pool each warmish request paid the full cold build: XML decode, the Step 5
-// check, topology extraction and CSR compilation. The pool keys built
-// generators by a digest of the raw model XML and diagram name; a hit skips
-// all of that and reuses the generator, whose derived artifacts were
-// unhooked at Release time (Generator.ResetDerived). No request reads a
-// generator's model space, so pooled generators park without one.
+// GeneratorPool shares built Generators across requests of the same model.
+// The stateless HTTP API ships the model XML in every request, so without
+// the pool each request would pay the full cold build: XML decode, the
+// Step 5 check, topology extraction and CSR compilation. The pool keys
+// built generators by a digest of the raw model XML and diagram name, and
+// keeps one generator per key in a table bounded by least-recent use; a
+// hit skips all of that and returns the resident generator.
 //
-// Concurrency: concurrent Acquires of the same model get distinct Generator
-// instances (each generator serialises its own pipeline internally), so
-// request parallelism is preserved; identical generation requests still
-// collapse through the shared result cache's singleflight.
+// Concurrency: a generation reads only what NewGenerator built and writes
+// nothing the generator holds, so every request on a model shares its one
+// generator and runs without taking turns; identical generation requests
+// still collapse through the shared result cache's singleflight. No
+// request records a generation (Generator.Record), so pooled generators
+// stay read-only and never build a model space.
 
 import (
 	"container/list"
@@ -28,48 +29,44 @@ import (
 // Pool metrics, exposed on /metrics next to the result-cache counters.
 var (
 	mPoolHits = obs.NewCounter("upsim_genpool_hits_total",
-		"Generator pool acquisitions served by an idle warm generator.")
+		"Generator pool acquisitions served by a resident warm generator.")
 	mPoolMisses = obs.NewCounter("upsim_genpool_misses_total",
 		"Generator pool acquisitions that built a generator cold.")
 	mPoolEvictions = obs.NewCounter("upsim_genpool_evictions_total",
-		"Warm generators discarded by per-model or LRU bounds.")
+		"Warm generators discarded by the pool's least-recently-used model bound.")
 )
 
-// Pool sizing defaults: a handful of idle generators per model covers batch
-// fan-out, and the model LRU bounds total retained spaces.
-const (
-	DefaultPoolIdlePerModel = 4
-	DefaultPoolModels       = 16
-)
+// DefaultPoolModels bounds the models a pool keeps resident.
+const DefaultPoolModels = 16
 
 // GeneratorPool is safe for concurrent use.
 type GeneratorPool struct {
 	cache     *cache.Cache
-	maxIdle   int
 	maxModels int
 
 	mu    sync.Mutex
-	idle  map[string][]*Generator
-	order *list.List               // model digests, most recently used in front
-	elems map[string]*list.Element // digest -> order element
+	order *list.List               // resident *poolEntry, most recently used in front
+	elems map[string]*list.Element // pool key -> order element
+}
+
+// poolEntry is one resident generator with its pool key.
+type poolEntry struct {
+	key string
+	gen *Generator
 }
 
 // NewGeneratorPool creates a pool whose generators share the given result
-// cache. maxIdle bounds idle generators retained per model, maxModels the
-// number of distinct models tracked (least recently used models are
-// discarded whole); non-positive values take the defaults.
+// cache. maxModels bounds the models kept resident (the least recently
+// used is discarded first); a non-positive value takes DefaultPoolModels.
+// maxIdle is ignored: each model has exactly one shared generator. The
+// parameter stays because the benchmark module calls this signature.
 func NewGeneratorPool(c *cache.Cache, maxIdle, maxModels int) *GeneratorPool {
-	if maxIdle <= 0 {
-		maxIdle = DefaultPoolIdlePerModel
-	}
 	if maxModels <= 0 {
 		maxModels = DefaultPoolModels
 	}
 	return &GeneratorPool{
 		cache:     c,
-		maxIdle:   maxIdle,
 		maxModels: maxModels,
-		idle:      make(map[string][]*Generator),
 		order:     list.New(),
 		elems:     make(map[string]*list.Element),
 	}
@@ -95,85 +92,67 @@ func poolKey(modelXML, diagram string) string {
 	return string(h.Sum(out[:0]))
 }
 
-// Acquire returns a generator for the model/diagram, reusing an idle warm
-// one when available and building cold otherwise. The caller owns the
-// generator until Release.
+// Acquire returns the shared generator for the model/diagram, building it
+// cold when the model is not resident. Concurrent misses each build one;
+// the first to finish becomes resident and the others return it too. The
+// generator is shared: callers must not Record on it.
 func (p *GeneratorPool) Acquire(ctx context.Context, modelXML, diagram string) (*Generator, error) {
 	key := poolKey(modelXML, diagram)
 	p.mu.Lock()
-	if gens := p.idle[key]; len(gens) > 0 {
-		g := gens[len(gens)-1]
-		gens[len(gens)-1] = nil
-		p.idle[key] = gens[:len(gens)-1]
-		p.touchLocked(key)
-		p.mu.Unlock()
+	g := p.residentLocked(key)
+	p.mu.Unlock()
+	if g != nil {
 		mPoolHits.With().Inc()
 		return g, nil
 	}
-	p.mu.Unlock()
 	mPoolMisses.With().Inc()
 	m, err := uml.DecodeString(modelXML)
 	if err != nil {
 		return nil, err
 	}
-	g, err := NewGeneratorContext(ctx, m, diagram)
+	g, err = NewGeneratorContext(ctx, m, diagram)
 	if err != nil {
 		return nil, err
 	}
 	g.WithCache(p.cache)
-	g.poolKey = key
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if resident := p.residentLocked(key); resident != nil {
+		return resident, nil
+	}
+	p.elems[key] = p.order.PushFront(&poolEntry{key: key, gen: g})
+	for p.order.Len() > p.maxModels {
+		el := p.order.Back()
+		p.order.Remove(el)
+		delete(p.elems, el.Value.(*poolEntry).key)
+		mPoolEvictions.With().Inc()
+	}
 	return g, nil
 }
 
-// Release resets the generator's derived state and parks it for reuse; when
-// the per-model idle bound is reached the generator is dropped instead.
-func (p *GeneratorPool) Release(g *Generator) {
-	if g == nil {
-		return
+// residentLocked returns the resident generator under key, marking it most
+// recently used, or nil. Callers hold p.mu.
+func (p *GeneratorPool) residentLocked(key string) *Generator {
+	el, ok := p.elems[key]
+	if !ok {
+		return nil
 	}
-	g.ResetDerived()
-	key := g.poolKey
-	if key == "" {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.idle[key]) < p.maxIdle {
-		p.idle[key] = append(p.idle[key], g)
-		p.touchLocked(key)
-		p.evictLocked()
-		return
-	}
-	mPoolEvictions.With().Inc()
+	p.order.MoveToFront(el)
+	return el.Value.(*poolEntry).gen
 }
 
-// touchLocked marks the model as most recently used, creating its LRU entry
-// if absent. Callers hold p.mu.
-func (p *GeneratorPool) touchLocked(key string) {
-	if el, ok := p.elems[key]; ok {
-		p.order.MoveToFront(el)
-		return
-	}
-	p.elems[key] = p.order.PushFront(key)
-}
+// Release does nothing: a generation leaves its generator as it found it,
+// so there is nothing to reset or hand back. It stays because the
+// benchmark module calls it.
+func (p *GeneratorPool) Release(*Generator) {}
 
-// evictLocked trims least-recently-used models beyond the bound, dropping
-// their idle generators. Callers hold p.mu.
-func (p *GeneratorPool) evictLocked() {
-	for p.order.Len() > p.maxModels {
-		el := p.order.Back()
-		key := el.Value.(string)
-		p.order.Remove(el)
-		delete(p.elems, key)
-		mPoolEvictions.With().Add(uint64(len(p.idle[key])))
-		delete(p.idle, key)
-	}
-}
-
-// IdleLen reports the idle generators currently parked for the model, for
-// tests and stats.
+// IdleLen reports 1 when a generator for the model is resident and 0
+// otherwise, for tests and stats.
 func (p *GeneratorPool) IdleLen(modelXML, diagram string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.idle[poolKey(modelXML, diagram)])
+	if _, ok := p.elems[poolKey(modelXML, diagram)]; ok {
+		return 1
+	}
+	return 0
 }

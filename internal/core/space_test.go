@@ -85,6 +85,7 @@ func deviceAvailability(t *testing.T, m *uml.Model) map[string]float64 {
 // spaceScripts are generator histories the lazily built space must
 // reproduce. Each runs once against a generator whose space was built at
 // construction and once against one whose space is built afterwards.
+// mustGenerate records each generation; a failed one records nothing.
 var spaceScripts = []struct {
 	name string
 	run  func(t *testing.T, u *usiSide)
@@ -95,13 +96,13 @@ var spaceScripts = []struct {
 		mustGenerate(t, u, u.backup, casestudy.BackupMapping(), "backup", core.Options{})
 	}},
 	{"failed generates", func(t *testing.T, u *usiSide) {
-		// Step 6 fails on a pair, after the mappings subtree exists.
+		// Step 6 fails on a pair.
 		ghost := casestudy.TableIMapping()
 		if err := ghost.Remap("Send documents", "printS", "ghost"); err != nil {
 			t.Fatal(err)
 		}
 		failGenerate(t, u, u.printing, ghost, "ghost", core.Options{})
-		// Step 7 fails after Step 6 imported the mapping: a partial graft.
+		// Step 7 fails after Step 6 passed.
 		shallow := core.Options{Paths: pathdisc.Options{MaxDepth: 1}}
 		failGenerate(t, u, u.printing, casestudy.TableIMapping(), "shallow", shallow)
 		mustGenerate(t, u, u.printing, casestudy.TableIMapping(), "after", core.Options{})
@@ -119,16 +120,6 @@ var spaceScripts = []struct {
 		if err := mp.Add(mapping.Pair{AtomicService: "Extra", Requester: "t2", Provider: "printS"}); err != nil {
 			t.Fatal(err)
 		}
-	}},
-	{"reset", func(t *testing.T, u *usiSide) {
-		mustGenerate(t, u, u.printing, casestudy.TableIMapping(), "fig11", core.Options{})
-		mustGenerate(t, u, u.backup, casestudy.BackupMapping(), "backup", core.Options{})
-		u.g.ResetDerived()
-		mustGenerate(t, u, u.printing, casestudy.T15P3Mapping(), "fig12", core.Options{})
-	}},
-	{"reset to empty", func(t *testing.T, u *usiSide) {
-		mustGenerate(t, u, u.printing, casestudy.TableIMapping(), "fig11", core.Options{})
-		u.g.ResetDerived()
 	}},
 	{"model grows after construction", func(t *testing.T, u *usiSide) {
 		mustGenerate(t, u, u.printing, casestudy.TableIMapping(), "fig11", core.Options{})
@@ -156,7 +147,6 @@ var spaceScripts = []struct {
 			t.Fatal(err)
 		}
 		mustGenerate(t, u, u.printing, casestudy.T15P3Mapping(), "fig12", core.Options{})
-		u.g.ResetDerived()
 		mustGenerate(t, u, u.backup, casestudy.BackupMapping(), "backup", core.Options{})
 	}},
 }
@@ -171,10 +161,15 @@ func spaceOf(t *testing.T, g *core.Generator) *vpm.ModelSpace {
 	return s
 }
 
+// mustGenerate generates and records.
 func mustGenerate(t *testing.T, u *usiSide, svc *service.Composite, mp *mapping.Mapping, name string, opts core.Options) {
 	t.Helper()
-	if _, err := u.g.Generate(svc, mp, name, opts); err != nil {
+	res, err := u.g.Generate(svc, mp, name, opts)
+	if err != nil {
 		t.Fatalf("Generate(%s): %v", name, err)
+	}
+	if err := u.g.Record(res); err != nil {
+		t.Fatalf("Record(%s): %v", name, err)
 	}
 }
 
@@ -186,8 +181,8 @@ func failGenerate(t *testing.T, u *usiSide, svc *service.Composite, mp *mapping.
 }
 
 // TestLazySpaceEqualsEager: a space built on first read after any history
-// of generations, failures and resets equals the space the pipeline grows
-// when it is built at construction — entity for entity and relation for
+// of recorded generations and failures equals the space Record grows when
+// it is built at construction — entity for entity and relation for
 // relation, in creation order.
 func TestLazySpaceEqualsEager(t *testing.T) {
 	for _, sc := range spaceScripts {
@@ -233,8 +228,9 @@ func firstDiff(want, got []string) string {
 }
 
 // TestFirstSpaceConcurrentWithGenerate builds the space while a
-// generation runs; whichever goes first, the result equals the space of a
-// generator that ran the generation with its space in place.
+// generation runs on the same generator; neither disturbs the other, and
+// recording the result afterwards gives the space of a generator that
+// recorded it with its space in place.
 func TestFirstSpaceConcurrentWithGenerate(t *testing.T) {
 	eager := newUSISide(t)
 	spaceOf(t, eager.g)
@@ -242,7 +238,11 @@ func TestFirstSpaceConcurrentWithGenerate(t *testing.T) {
 	want := dumpSpace(spaceOf(t, eager.g))
 	for i := 0; i < 20; i++ {
 		lazy := newUSISide(t)
-		var wg sync.WaitGroup
+		var (
+			wg  sync.WaitGroup
+			res *core.Result
+			err error
+		)
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -252,11 +252,15 @@ func TestFirstSpaceConcurrentWithGenerate(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := lazy.g.Generate(lazy.printing, casestudy.TableIMapping(), "fig11", core.Options{}); err != nil {
-				t.Error(err)
-			}
+			res, err = lazy.g.Generate(lazy.printing, casestudy.TableIMapping(), "fig11", core.Options{})
 		}()
 		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lazy.g.Record(res); err != nil {
+			t.Fatal(err)
+		}
 		if got := dumpSpace(spaceOf(t, lazy.g)); !slices.Equal(got, want) {
 			t.Fatalf("run %d: space differs:\n%s", i, firstDiff(want, got))
 		}

@@ -31,6 +31,9 @@ func generated(t *testing.T) (*core.Generator, *core.Result, map[string]float64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := gen.Record(res); err != nil {
+		t.Fatal(err)
+	}
 	avail := map[string]float64{}
 	for _, inst := range res.Source.Instances() {
 		mtbf, _ := inst.Property("MTBF")

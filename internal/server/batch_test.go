@@ -383,8 +383,9 @@ func TestBatchItemWarmKeyFields(t *testing.T) {
 // bodies, seeded with the route-contract batch bodies. The route answers
 // 200 or 400 — never a 500 or a panic; every 400 is {"error": …} with a
 // message; a 200 carries one result per item, each with exactly one of
-// result and error; and sending the ignored legacyKernel on every item of
-// an accepted body returns the same results bytes.
+// result and error; an accepted body answers the same results bytes on
+// the shared handler as on a fresh one; and sending the ignored
+// legacyKernel on every item returns the same results bytes.
 func FuzzBatchRoute(f *testing.F) {
 	for _, c := range contractCases(f) {
 		// The oversize-body seed is left out: mutating 8 MiB inputs stalls
@@ -437,17 +438,17 @@ func FuzzBatchRoute(f *testing.F) {
 			}
 		}
 
-		// A Step 6 error names the pooled generator's running mapping
-		// sequence number, so the comparison runs each body on a fresh
-		// handler with one worker.
+		// The accepted body, re-encoded with one worker, answers the same
+		// results bytes on the shared fuzz handler, whatever it served
+		// before, as on a fresh one.
 		req.Workers = 1
-		results := func(r *BatchRequest) []byte {
+		results := func(h http.Handler, r *BatchRequest) []byte {
 			body, err := json.Marshal(r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			w := httptest.NewRecorder()
-			New().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader(body)))
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/batch", bytes.NewReader(body)))
 			var resp struct {
 				Results json.RawMessage `json:"results"`
 			}
@@ -456,11 +457,14 @@ func FuzzBatchRoute(f *testing.F) {
 			}
 			return resp.Results
 		}
-		want := results(&req)
+		want := results(New(), &req)
+		if got := results(h, &req); !bytes.Equal(got, want) {
+			t.Fatalf("the shared handler's results differ from a fresh handler's:\n%s\nwant:\n%s", got, want)
+		}
 		for i := range req.Items {
 			req.Items[i].LegacyKernel = true
 		}
-		if got := results(&req); !bytes.Equal(got, want) {
+		if got := results(h, &req); !bytes.Equal(got, want) {
 			t.Fatalf("legacyKernel changed the results:\n%s\nwant:\n%s", got, want)
 		}
 	})

@@ -314,11 +314,17 @@ func legacyKernelBodies(gen obj, batch func(...obj) obj, extra obj) []struct {
 	}
 }
 
+// serve sends the case to h.
+func (c contractCase) serve(h http.Handler) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
+	return w
+}
+
 // render serves one case on a fresh handler, so no case sees another's
 // cache or warm-lane state, and records the exchange.
 func (c contractCase) render() string {
-	w := httptest.NewRecorder()
-	New().ServeHTTP(w, httptest.NewRequest(c.method, c.target, strings.NewReader(c.body)))
+	w := c.serve(New())
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== %s %s: %s\nstatus: %d\ncontent-type: %s\n",
 		c.method, c.target, c.name, w.Code, w.Header().Get("Content-Type"))
@@ -365,6 +371,52 @@ func TestRouteContract(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("case %d differs from %s:\n--- want\n%s--- got\n%s", i, contractGolden, want[i], got[i])
 		}
+	}
+}
+
+// TestRoutesHistoryIndependent: a reply depends on its request alone, not
+// on what the handler served before. Every contract case is sent to one
+// shared handler, forwards and then backwards, and each reply must equal
+// the same request's reply on a fresh handler: status, Content-Type and
+// body. The batch reply's cache snapshot reports the shared cache's
+// history by design, so it is masked; the stats routes (/metrics,
+// /debug/vars) do the same and are not in the table.
+func TestRoutesHistoryIndependent(t *testing.T) {
+	cases := contractCases(t)
+	reply := func(c contractCase, h http.Handler) string {
+		w := c.serve(h)
+		body := w.Body.Bytes()
+		if c.target == "/api/v1/batch" && w.Code == http.StatusOK {
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(body, &fields); err != nil {
+				t.Fatalf("%s %s: batch reply: %v", c.target, c.name, err)
+			}
+			fields["cache"] = json.RawMessage(`"masked"`)
+			body, _ = json.Marshal(fields) // a map of valid raw values: cannot fail
+		}
+		return fmt.Sprintf("status %d, %s\n%s", w.Code, w.Header().Get("Content-Type"), body)
+	}
+	fresh := make([]string, len(cases))
+	for i, c := range cases {
+		fresh[i] = reply(c, New())
+	}
+	shared := New()
+	differ := 0
+	for pass := 0; pass < 2; pass++ {
+		for j := range cases {
+			i := j
+			if pass == 1 {
+				i = len(cases) - 1 - j
+			}
+			if got := reply(cases[i], shared); got != fresh[i] {
+				differ++
+				t.Errorf("%s %s (%s), pass %d: shared handler replied\n%.600s\nfresh handler\n%.600s",
+					cases[i].method, cases[i].target, cases[i].name, pass+1, got, fresh[i])
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d exchanges depend on the handler's history", differ, 2*len(cases))
 	}
 }
 

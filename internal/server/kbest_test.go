@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"upsim/internal/casestudy"
+	"upsim/internal/core"
 )
 
 // postPaths serves one POST /api/v1/paths request against h.
@@ -297,10 +299,9 @@ func TestBatchItemBudgetShape(t *testing.T) {
 }
 
 // TestPrewarm pins the boot-time pool prewarm: with Config.Prewarm a ready
-// case-study generator is parked in the pool before the first request, and
-// the first GET /api/v1/paths reuses it instead of building a fresh one
-// (the pool's idle count stays flat across the request — a pool miss would
-// have grown it).
+// case-study generator is resident in the pool before the first request,
+// and the first GET /api/v1/paths reuses it instead of building a fresh
+// one (the resident generator is the same before and after the request).
 func TestPrewarm(t *testing.T) {
 	xml, err := caseStudyXML()
 	if err != nil {
@@ -309,13 +310,21 @@ func TestPrewarm(t *testing.T) {
 
 	cold := newAPI(Config{})
 	if n := cold.generators.IdleLen(xml, casestudy.DiagramName); n != 0 {
-		t.Fatalf("cold pool idle = %d, want 0", n)
+		t.Fatalf("cold pool resident = %d, want 0", n)
 	}
 
 	a := newAPI(Config{Prewarm: true})
 	if n := a.generators.IdleLen(xml, casestudy.DiagramName); n != 1 {
-		t.Fatalf("prewarmed pool idle = %d, want 1", n)
+		t.Fatalf("prewarmed pool resident = %d, want 1", n)
 	}
+	resident := func() *core.Generator {
+		g, err := a.generators.Acquire(context.Background(), xml, casestudy.DiagramName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	before := resident()
 	h := a.routes()
 	r := httptest.NewRequest(http.MethodGet, "/api/v1/paths?from=t1&to=printS&k=2", nil)
 	w := httptest.NewRecorder()
@@ -323,8 +332,8 @@ func TestPrewarm(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
 	}
-	if n := a.generators.IdleLen(xml, casestudy.DiagramName); n != 1 {
-		t.Fatalf("pool idle after first request = %d, want 1 (prewarmed generator reused)", n)
+	if resident() != before {
+		t.Fatal("the first request replaced the prewarmed generator")
 	}
 }
 

@@ -138,19 +138,14 @@ func newAPI(cfg Config) *api {
 	return a
 }
 
-// prewarm parks a ready generator for the built-in case-study model in the
-// pool. Failures are ignored: prewarming is an optimisation, and the model
-// is built from source so it cannot actually fail.
+// prewarm makes a ready generator for the built-in case-study model
+// resident in the pool. Failures are ignored: prewarming is an
+// optimisation, and the model is built from source so it cannot actually
+// fail.
 func (a *api) prewarm() {
-	xml, err := caseStudyXML()
-	if err != nil {
-		return
+	if xml, err := caseStudyXML(); err == nil {
+		_, _ = a.generators.Acquire(context.Background(), xml, casestudy.DiagramName)
 	}
-	g, err := a.generators.Acquire(context.Background(), xml, casestudy.DiagramName)
-	if err != nil {
-		return
-	}
-	a.generators.Release(g)
 }
 
 // NewWithConfig returns the HTTP handler serving the API.
@@ -573,7 +568,6 @@ func (a *api) handlePaths(ctx context.Context, req *pathsRequest) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer a.generators.Release(gen)
 	metric, err := pathdisc.ParseCostMetric(req.Cost)
 	if err != nil {
 		return nil, err
@@ -694,14 +688,14 @@ type generateRequest struct {
 // embed it.
 func (req *generateRequest) gen() *generateRequest { return req }
 
-// generate runs the pipeline for one request on a pooled generator through
-// the shared cache. A repeated model skips XML decode, VPM import and CSR
-// compilation; the generator goes back to the pool before the result is
-// used, which stays valid because derived diagrams are detached, not
-// destroyed. The cache key derives from the request content, so identical
-// requests hit the same entry whichever generator computes them. The
-// result's Key is that generation content hash; the analysis memo keys
-// extend it, so replays skip recompilation, not just regeneration.
+// generate runs the pipeline for one request on the model's shared pooled
+// generator through the shared cache. A repeated model skips XML decode,
+// the Step 5 check and CSR compilation, and the generation leaves the
+// generator as it found it, so concurrent requests share it freely. The
+// cache key derives from the request content, so identical requests hit
+// the same entry whichever generator computes them. The result's Key is
+// that generation content hash; the analysis memo keys extend it, so
+// replays skip recompilation, not just regeneration.
 func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -710,7 +704,6 @@ func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result,
 	if err != nil {
 		return nil, err
 	}
-	defer a.generators.Release(gen)
 	act, ok := gen.Model().Activity(req.Service)
 	if !ok {
 		return nil, fmt.Errorf("model has no activity %q", req.Service)

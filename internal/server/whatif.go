@@ -126,7 +126,6 @@ func (a *api) handleWhatIf(ctx context.Context, req *whatifRequest) (any, error)
 	}
 	d, _ := gen.Model().Diagram(req.Diagram)
 	eng := whatif.New(topology.FromObjectDiagram(d), a.cache)
-	a.generators.Release(gen)
 	results := make(map[string]*core.Result, len(req.Services))
 	for _, s := range req.Services {
 		gr := generateRequest{

@@ -121,16 +121,40 @@ type ObjectDiagram struct {
 	byPair    map[string][]*Link
 }
 
-// NewObjectDiagram creates an empty object diagram bound to a model.
+// NewObjectDiagram creates an empty object diagram bound to a model and
+// lists it in the model.
 func (m *Model) NewObjectDiagram(name string) *ObjectDiagram {
-	d := &ObjectDiagram{
+	d := m.NewDetachedDiagram(name)
+	m.diagrams = append(m.diagrams, d)
+	return d
+}
+
+// NewDetachedDiagram creates an empty object diagram over the model's
+// classes and associations that the model does not list: Diagram and
+// Diagrams do not find it, and Encode does not write it, until
+// AttachDiagram lists it. Generated UPSIMs are built this way, so
+// generation leaves the model as it found it.
+func (m *Model) NewDetachedDiagram(name string) *ObjectDiagram {
+	return &ObjectDiagram{
 		name:      name,
 		model:     m,
 		instances: make(map[string]*InstanceSpecification),
 		byPair:    make(map[string][]*Link),
 	}
+}
+
+// AttachDiagram lists a detached diagram of this model (NewDetachedDiagram)
+// in the model. It rejects a diagram of another model and a name the model
+// already lists.
+func (m *Model) AttachDiagram(d *ObjectDiagram) error {
+	if d.model != m {
+		return fmt.Errorf("uml: model %s: diagram %s belongs to another model", m.name, d.name)
+	}
+	if _, taken := m.Diagram(d.name); taken {
+		return fmt.Errorf("uml: model %s already has an object diagram named %q", m.name, d.name)
+	}
 	m.diagrams = append(m.diagrams, d)
-	return d
+	return nil
 }
 
 // Name returns the diagram name.

@@ -1,6 +1,7 @@
 package uml
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -205,5 +206,43 @@ func TestDiagramTopologyQueries(t *testing.T) {
 	}
 	if len(m.Diagrams()) != 1 {
 		t.Error("Diagrams should list one diagram")
+	}
+}
+
+// TestDetachedDiagram: a detached diagram instantiates the model's classes
+// but stays out of the model (lookup and encoding) until AttachDiagram
+// lists it; attaching rejects a taken name and another model's diagram.
+func TestDetachedDiagram(t *testing.T) {
+	m, d := diagramFixture(t)
+	comp, _ := d.Instance("t1")
+	out := m.NewDetachedDiagram("upsim")
+	if _, err := out.AddInstance("t1", comp.Classifier()); err != nil {
+		t.Fatal(err)
+	}
+	var before strings.Builder
+	if err := Encode(&before, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Diagram("upsim"); ok || len(m.Diagrams()) != 1 || strings.Contains(before.String(), "upsim") {
+		t.Fatal("a detached diagram is listed in the model")
+	}
+	if err := m.AttachDiagram(out); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := m.Diagram("upsim"); !ok || got != out {
+		t.Fatal("AttachDiagram did not list the diagram")
+	}
+	if err := m.AttachDiagram(out); err == nil || !strings.Contains(err.Error(), `already has an object diagram named "upsim"`) {
+		t.Errorf("re-attach: %v", err)
+	}
+	if err := m.AttachDiagram(m.NewDetachedDiagram("infra")); err == nil {
+		t.Error("attaching over the infrastructure diagram's name succeeded")
+	}
+	other, _ := diagramFixture(t)
+	if err := other.AttachDiagram(m.NewDetachedDiagram("x")); err == nil || !strings.Contains(err.Error(), "belongs to another model") {
+		t.Errorf("attaching another model's diagram: %v", err)
+	}
+	if len(other.Diagrams()) != 1 || len(m.Diagrams()) != 2 {
+		t.Errorf("diagrams = %d and %d after rejected attaches, want 1 and 2", len(other.Diagrams()), len(m.Diagrams()))
 	}
 }

@@ -187,20 +187,6 @@ func (m *Model) Diagram(name string) (*ObjectDiagram, bool) {
 	return nil, false
 }
 
-// RemoveDiagram detaches the named object diagram from the model and reports
-// whether it existed. The diagram itself stays valid — generated UPSIMs held
-// by cached results keep working after the generator resets its derived
-// state — it just no longer resolves through the model.
-func (m *Model) RemoveDiagram(name string) bool {
-	for i, d := range m.diagrams {
-		if d.name == name {
-			m.diagrams = append(m.diagrams[:i], m.diagrams[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Activities returns the activity diagrams of the model in creation order.
 func (m *Model) Activities() []*Activity {
 	out := make([]*Activity, 0, len(m.actOrder))

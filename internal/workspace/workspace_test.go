@@ -98,7 +98,10 @@ func TestWorkspaceDrivesGeneration(t *testing.T) {
 	if len(got) != len(casestudy.Figure11Nodes) {
 		t.Fatalf("UPSIM = %v", got)
 	}
-	// Persist the model including the generated UPSIM, reload, verify.
+	// Persist the model including the recorded UPSIM, reload, verify.
+	if err := gen.Record(res); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.SaveModel(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,13 @@
 //	res, _ := gen.Generate(svc, upsim.USITableIMapping(), "t1-to-p2", upsim.Options{})
 //	rep, _ := upsim.Analyze(res, upsim.ModelExact, 100000, 1)
 //	fmt.Println(res.NodeNames(), rep.Exact)
+//
+// Generate is a function of its request: it leaves the model and the
+// generator's model space as it found them, names its Step 6 mapping
+// <name>-1 every time, and a failed generation leaves nothing behind.
+// Tooling that wants the UPSIM in the model (WriteModel) or in the model
+// space (GenerateRBD, VTCL patterns) records it first with
+// gen.Record(res).
 package upsim
 
 import (
@@ -202,11 +209,12 @@ func ParsePatterns(src string) ([]*Pattern, error) { return vtcl.Parse(src) }
 type PatternBinding = vpm.Binding
 
 // GenerateRBD materialises the reliability-block-diagram model of a
-// generated UPSIM inside the generator's model space (the companion
+// recorded UPSIM inside the generator's model space (the companion
 // transformation "[20]" of the paper) and returns the RBD root entity
-// together with its evaluatable block form. avail maps device names to
-// availabilities (see StructureOf for the full component model including
-// connectors).
+// together with its evaluatable block form. The transformation reads the
+// paths stored under paths.<upsimName>, so record the generation with
+// gen.Record(res) first. avail maps device names to availabilities (see
+// StructureOf for the full component model including connectors).
 func GenerateRBD(gen *Generator, upsimName string, avail map[string]float64) (*RBDEntity, Block, error) {
 	space, err := gen.Space()
 	if err != nil {

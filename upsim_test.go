@@ -39,7 +39,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("availability = %v, implausible", rep.Exact)
 	}
 
-	// Model XML round trip keeps the generated UPSIM diagram.
+	// Model XML round trip keeps the recorded UPSIM diagram.
+	if err := gen.Record(res); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteModel(&buf, m); err != nil {
 		t.Fatal(err)
@@ -191,6 +194,9 @@ func TestFacadePatternsAndRBD(t *testing.T) {
 	gen, _ := NewGenerator(m, USIDiagramName)
 	res, err := gen.Generate(svc, USITableIMapping(), "rbd-x", Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.Record(res); err != nil {
 		t.Fatal(err)
 	}
 	// VTCL patterns run against the generator's space.
