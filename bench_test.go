@@ -283,7 +283,8 @@ func BenchmarkMergeSemantics(b *testing.B) {
 }
 
 // BenchmarkShortestAblation compares Definition 2 (all redundant paths)
-// against the shortest-path-only ablation.
+// against the shortest-path-only ablation: one minimum-hop path per atomic
+// service, ranked discovery with K = 1.
 func BenchmarkShortestAblation(b *testing.B) {
 	_, svc, gen := mustBase(b)
 	mp := USITableIMapping()
@@ -296,7 +297,7 @@ func BenchmarkShortestAblation(b *testing.B) {
 	})
 	b.Run("shortest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gen.Generate(svc, mp, benchName("bs"), Options{Algorithm: AlgoShortest}); err != nil {
+			if _, err := gen.Generate(svc, mp, benchName("bs"), Options{Paths: PathOptions{K: 1}}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -483,7 +483,7 @@ func expImportance() error {
 	if err != nil {
 		return err
 	}
-	st, avail, err := upsim.StructureOf(res, upsim.ModelExact)
+	st, cs, avail, err := upsim.CompiledStructureOf(res, upsim.ModelExact)
 	if err != nil {
 		return err
 	}
@@ -511,13 +511,13 @@ func expImportance() error {
 		comp string
 		fv   float64
 	}
+	_, fussellVesely, err := cs.BirnbaumFussellVesely(avail, exact)
+	if err != nil {
+		return err
+	}
 	var rows []row
-	for _, c := range st.Components() {
-		fv, err := st.FussellVesely(avail, c)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row{c, fv})
+	for i, c := range cs.Components() {
+		rows = append(rows, row{c, fussellVesely[i]})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].fv > rows[j].fv })
 	fmt.Println("  Fussell–Vesely importance (top 5):")

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the experiment golden files")
 
 // captureRun executes run(id) with stdout captured.
 func captureRun(t *testing.T, id string) (string, error) {
@@ -64,6 +68,30 @@ func TestFastExperiments(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestImportanceGolden pins the full stdout of -exp importance: the cut-set
+// count, the Esary–Proschan bounds, the Fussell–Vesely top 5 with its tie
+// order (c2 before c1) and the what-if lines. The marker check above only
+// sees that the sections exist; a change of kernel must leave every byte.
+func TestImportanceGolden(t *testing.T) {
+	out, err := captureRun(t, "importance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "importance.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Errorf("-exp importance output differs from %s:\n got:\n%s\nwant:\n%s", golden, out, want)
 	}
 }
 

@@ -314,3 +314,45 @@ func TestDocsCoverDaemonFlags(t *testing.T) {
 		t.Fatalf("found only %d flag definitions in cmd/upsimd", flags)
 	}
 }
+
+// TestDocsCoverPackages checks that every internal/* package and cmd/*
+// binary has a row in DESIGN.md §3, the system inventory: a table line
+// that starts with the directory in backticks.
+func TestDocsCoverPackages(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(design)
+	start := strings.Index(src, "\n## 3. ")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no section 3")
+	}
+	inventory := src[start+1:]
+	if end := strings.Index(inventory, "\n## "); end >= 0 {
+		inventory = inventory[:end]
+	}
+	dirs := 0
+	for _, parent := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !e.IsDir() {
+				continue
+			}
+			dir := parent + "/" + e.Name()
+			if gofiles, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(gofiles) == 0 {
+				continue
+			}
+			dirs++
+			if !strings.Contains(inventory, "\n| `"+dir+"` |") {
+				t.Errorf("%s has no row in DESIGN.md §3 (System inventory)", dir)
+			}
+		}
+	}
+	if dirs < 20 {
+		t.Fatalf("found only %d package directories under internal/ and cmd/", dirs)
+	}
+}

@@ -68,7 +68,7 @@ func run() error {
 	}
 
 	// Service-level evaluation.
-	st, avail, err := upsim.StructureOf(res, upsim.ModelExact)
+	st, cs, avail, err := upsim.CompiledStructureOf(res, upsim.ModelExact)
 	if err != nil {
 		return err
 	}
@@ -104,13 +104,13 @@ func run() error {
 		comp string
 		b    float64
 	}
+	birnbaum, _, err := cs.BirnbaumFussellVesely(avail, exact)
+	if err != nil {
+		return err
+	}
 	var imps []imp
-	for _, c := range st.Components() {
-		b, err := st.Birnbaum(avail, c)
-		if err != nil {
-			return err
-		}
-		imps = append(imps, imp{comp: c, b: b})
+	for i, c := range cs.Components() {
+		imps = append(imps, imp{comp: c, b: birnbaum[i]})
 	}
 	sort.Slice(imps, func(i, j int) bool { return imps[i].b > imps[j].b })
 	fmt.Println("\n== Birnbaum importance (where a failure hurts this user most) ==")

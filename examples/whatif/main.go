@@ -47,7 +47,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	st, avail, err := upsim.StructureOf(res, upsim.ModelExact)
+	st, cs, avail, err := upsim.CompiledStructureOf(res, upsim.ModelExact)
 	if err != nil {
 		return err
 	}
@@ -88,13 +88,13 @@ func run() error {
 		comp string
 		fv   float64
 	}
+	_, fussellVesely, err := cs.BirnbaumFussellVesely(avail, base)
+	if err != nil {
+		return err
+	}
 	var rows []row
-	for _, c := range st.Components() {
-		fv, err := st.FussellVesely(avail, c)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row{comp: c, fv: fv})
+	for i, c := range cs.Components() {
+		rows = append(rows, row{comp: c, fv: fussellVesely[i]})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].fv > rows[j].fv })
 	fmt.Println("== Fussell–Vesely importance (share of outages involving the component) ==")

@@ -24,8 +24,11 @@
 //
 // Every cache feeds the process-wide obs counters
 // (upsim_cache_{hits,misses,evictions,singleflight_shared,invalidations}_total),
-// which upsimd exposes on GET /metrics; per-instance numbers are available
-// via Stats.
+// which upsimd exposes on GET /metrics. The daemon runs two caches — the
+// generation cache above and the byte-level warm lane's response cache
+// (internal/server) — so the counters sum both: a warm replay is a hit, a
+// warm probe that finds nothing is a miss. Per-instance numbers are
+// available via Stats.
 package cache
 
 import (
@@ -41,11 +44,12 @@ import (
 const DefaultMaxEntries = 128
 
 // Process-wide cache metrics, aggregated over every Cache instance (the
-// daemon runs exactly one; tests may run many).
+// daemon runs two, the generation cache and the warm lane; tests may run
+// many).
 var (
-	mHits          = obs.NewCounter("upsim_cache_hits_total", "Generation cache hits.")
-	mMisses        = obs.NewCounter("upsim_cache_misses_total", "Generation cache misses (results computed).")
-	mEvictions     = obs.NewCounter("upsim_cache_evictions_total", "Generation cache LRU evictions.")
+	mHits          = obs.NewCounter("upsim_cache_hits_total", "Cache hits, summed over every cache: the generation cache and the warm lane's response cache.")
+	mMisses        = obs.NewCounter("upsim_cache_misses_total", "Cache misses, summed over every cache: results computed by the generation cache, and warm-lane probes that found no response.")
+	mEvictions     = obs.NewCounter("upsim_cache_evictions_total", "Cache LRU evictions, summed over every cache: the generation cache and the warm lane's response cache.")
 	mShared        = obs.NewCounter("upsim_cache_singleflight_shared_total", "Requests that joined an in-flight identical computation.")
 	mInvalidations = obs.NewCounter("upsim_cache_invalidations_total", "Entries removed by explicit invalidation (Remove/RemoveMatching).")
 )

@@ -96,11 +96,11 @@ func TestCacheKeyDerivation(t *testing.T) {
 	}
 	// Everything that changes the produced Result must change the key.
 	variants := map[string]Options{
-		"algorithm": {Algorithm: AlgoShortest},
-		"merge":     {Merge: MergeTraversed},
-		"depth":     {Paths: pathdisc.Options{MaxDepth: 3}},
-		"disc":      {AllowDisconnected: true},
-		"lint":      {Lint: LintWarn},
+		"ablation": {Paths: pathdisc.Options{K: 1}},
+		"merge":    {Merge: MergeTraversed},
+		"depth":    {Paths: pathdisc.Options{MaxDepth: 3}},
+		"disc":     {AllowDisconnected: true},
+		"lint":     {Lint: LintWarn},
 	}
 	seen := map[string]string{base: "base"}
 	for label, opts := range variants {
@@ -299,8 +299,8 @@ func formattedKey(t *testing.T, g *Generator, svc *service.Composite, mp *mappin
 	if err := mp.Encode(h); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "\nopts=%s/%s paths={d=%d p=%d c=false k=%d cost=%s work=%d} disc=%t lint=%s legacy=false\n",
-		opts.Algorithm, opts.Merge,
+	fmt.Fprintf(h, "\nopts=recursive-dfs/%s paths={d=%d p=%d c=false k=%d cost=%s work=%d} disc=%t lint=%s legacy=false\n",
+		opts.Merge,
 		opts.Paths.MaxDepth, opts.Paths.MaxPaths,
 		opts.Paths.K, opts.Paths.CostMetric, opts.Paths.MaxWork,
 		opts.AllowDisconnected, opts.Lint)
@@ -326,9 +326,9 @@ func TestCacheKeyMatchesFormatted(t *testing.T) {
 	}
 	opts := []Options{
 		{},
-		{Algorithm: AlgoShortest, Merge: MergeTraversed, AllowDisconnected: true, Lint: LintFail},
+		{Merge: MergeTraversed, AllowDisconnected: true, Lint: LintFail},
 		{Paths: pathdisc.Options{MaxDepth: 7, MaxPaths: -3, K: 4, CostMetric: pathdisc.CostMetric(1), MaxWork: 1 << 40}},
-		{Algorithm: Algorithm(9), Merge: MergeSemantics(9), Lint: LintMode(9), Paths: pathdisc.Options{CostMetric: pathdisc.CostMetric(9)}},
+		{Merge: MergeSemantics(9), Lint: LintMode(9), Paths: pathdisc.Options{CostMetric: pathdisc.CostMetric(9)}},
 	}
 	for _, svc := range []*service.Composite{f.svc, staged} {
 		for _, mp := range []*mapping.Mapping{f.mp, odd, mapping.New()} {

@@ -118,12 +118,11 @@ func appendKeyText(b []byte, digest, diagram, name string, svc *service.Composit
 	// top-k under a metric vs full enumeration; the work budget decides
 	// whether the request errors), so they key the cache like the other
 	// path options.
-	// c=false and legacy=false are the slots of the retired parallel-edge
-	// collapsing and map-based-kernel switches, kept literal so every key
-	// (and the genKey in response bodies) is unchanged.
-	b = append(b, "\nopts="...)
-	b = append(b, opts.Algorithm.String()...)
-	b = append(b, '/')
+	// recursive-dfs, c=false and legacy=false are the slots of the retired
+	// Step 7 algorithm selector, parallel-edge collapsing and
+	// map-based-kernel switches, kept literal so every key (and the genKey
+	// in response bodies) is unchanged.
+	b = append(b, "\nopts=recursive-dfs/"...)
 	b = append(b, opts.Merge.String()...)
 	b = append(b, " paths={d="...)
 	b = strconv.AppendInt(b, int64(opts.Paths.MaxDepth), 10)

@@ -41,30 +41,6 @@ import (
 	"upsim/internal/vpm"
 )
 
-// Algorithm selects the Step 7 path-discovery strategy.
-type Algorithm uint8
-
-const (
-	// AlgoRecursive is the paper's recursive DFS with path tracking, run on
-	// the compiled CSR kernel.
-	AlgoRecursive Algorithm = iota
-	// AlgoShortest keeps only one minimum-hop path per atomic service. It
-	// deliberately violates Definition 2 (all redundant paths) and exists
-	// for the redundancy ablation.
-	AlgoShortest
-)
-
-// String returns the algorithm name.
-func (a Algorithm) String() string {
-	switch a {
-	case AlgoRecursive:
-		return "recursive-dfs"
-	case AlgoShortest:
-		return "shortest-path"
-	}
-	return fmt.Sprintf("Algorithm(%d)", uint8(a))
-}
-
 // MergeSemantics selects how discovered paths become the UPSIM topology.
 type MergeSemantics uint8
 
@@ -121,19 +97,20 @@ func (m LintMode) String() string {
 }
 
 // Options tunes the generator. The zero value reproduces the paper: DFS all
-// simple paths (AlgoRecursive), induced merge (MergeInduced), unbounded
-// enumeration, disconnected pairs are errors, and no lint gate (LintOff).
-// Every default below is asserted by TestOptionsZeroValueDefaults.
+// simple paths, induced merge (MergeInduced), unbounded enumeration,
+// disconnected pairs are errors, and no lint gate (LintOff). Every default
+// below is asserted by TestOptionsZeroValueDefaults.
+//
+// The redundancy ablation, which drops the redundant paths Definition 2
+// keeps, is Paths.K = 1: one minimum-hop path per atomic service.
 type Options struct {
-	// Algorithm selects the Step 7 path-discovery strategy. The zero value
-	// AlgoRecursive is the paper's recursive DFS with path tracking.
-	Algorithm Algorithm
 	// Merge selects the Step 8 merge semantics. The zero value MergeInduced
 	// is the paper's Section VI-H filter (keep every infrastructure link
 	// whose both endpoints appear in some path).
 	Merge MergeSemantics
-	// Paths tunes the enumeration (depth/count bounds, ranked top-k). The
-	// zero value enumerates every simple path, parallel links included.
+	// Paths tunes Step 7: depth/count bounds on the recursive DFS, or
+	// ranked top-k discovery when K > 0. The zero value enumerates every
+	// simple path, parallel links included.
 	Paths pathdisc.Options
 	// AllowDisconnected produces a partial UPSIM instead of failing when an
 	// atomic service has no path between requester and provider. The
@@ -176,8 +153,7 @@ type Result struct {
 	// EdgeVisits aggregates the search effort of Step 7.
 	EdgeVisits int
 	// Pruned aggregates the expansions the compiled kernel's reachability
-	// pass skipped in Step 7 (always 0 for ranked discovery and
-	// AlgoShortest).
+	// pass skipped in Step 7 (always 0 for ranked discovery).
 	Pruned int
 	// Key is the generation's content address (CacheKey) when it was
 	// produced through an attached cache, and empty otherwise.
@@ -452,7 +428,6 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	// the first failing pair is the one reported.
 	ctx7, span7 := obs.StartSpan(ctx, "step7.pathdisc")
 	defer span7.End()
-	span7.SetAttr("algorithm", opts.Algorithm.String())
 	relevant, err := svc.RelevantPairs(mp)
 	if err != nil {
 		return nil, err
@@ -538,26 +513,15 @@ func (g *Generator) lintGate(ctx context.Context, svc *service.Composite, mp *ma
 }
 
 // discover runs Step 7 for one requester/provider pair: ranked discovery
-// when Paths.K > 0, the shortest-path ablation for AlgoShortest, and the
-// compiled recursive DFS otherwise.
+// when Paths.K > 0, and the compiled recursive DFS otherwise.
 func (g *Generator) discover(req, prov string, opts Options) ([]pathdisc.Path, pathdisc.Stats, error) {
-	switch {
-	case opts.Paths.K > 0:
+	if opts.Paths.K > 0 {
 		// Ranked discovery: the K cheapest paths under the stereotype cost
 		// view replace the full enumeration — Step 7 with a bounded work
 		// envelope instead of an exponential sweep.
 		return g.compiled.KShortest(req, prov, opts.Paths)
-	case opts.Algorithm == AlgoShortest:
-		p, err := pathdisc.ShortestPath(g.graph, req, prov)
-		if err != nil {
-			// Unreachable providers surface as zero paths, consistent with
-			// the DFS.
-			return nil, pathdisc.Stats{}, nil
-		}
-		return []pathdisc.Path{p}, pathdisc.Stats{Paths: 1, EdgeVisits: p.Len(), NodeVisits: len(p.Nodes)}, nil
-	default:
-		return g.compiled.AllPaths(req, prov, opts.Paths)
 	}
+	return g.compiled.AllPaths(req, prov, opts.Paths)
 }
 
 // Record adds one generation to the model and the model space, for

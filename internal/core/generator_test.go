@@ -335,6 +335,9 @@ func TestGenerateAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// TestGenerateShortestAblation: the redundancy ablation (Paths.K = 1)
+// keeps one path per atomic service and so yields a smaller UPSIM than
+// Definition 2's all redundant paths.
 func TestGenerateShortestAblation(t *testing.T) {
 	f := buildFixture(t)
 	g, _ := NewGenerator(f.model, "infrastructure")
@@ -342,7 +345,7 @@ func TestGenerateShortestAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short, err := g.Generate(f.svc, f.mp, "short", Options{Algorithm: AlgoShortest, Merge: MergeTraversed})
+	short, err := g.Generate(f.svc, f.mp, "short", Options{Merge: MergeTraversed, Paths: pathdisc.Options{K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +355,70 @@ func TestGenerateShortestAblation(t *testing.T) {
 	if short.Graph.NumNodes() >= full.Graph.NumNodes() {
 		t.Errorf("shortest UPSIM should be smaller: %d vs %d nodes",
 			short.Graph.NumNodes(), full.Graph.NumNodes())
+	}
+}
+
+// TestShortestAblationMinimumHops pins the ablation on the three USI
+// perspectives: every atomic service keeps exactly one path, that path is
+// one of the full enumeration's, and no enumerated path has fewer hops.
+func TestShortestAblationMinimumHops(t *testing.T) {
+	usi, err := casestudy.BuildModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printing, err := casestudy.PrintingService(usi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backup, err := casestudy.BackupService(usi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGenerator(usi, casestudy.DiagramName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		svc   *service.Composite
+		mp    *mapping.Mapping
+		nodes int
+	}{
+		{"t1-p2", printing, casestudy.TableIMapping(), 10},
+		{"t15-p3", printing, casestudy.T15P3Mapping(), 7},
+		{"backup", backup, casestudy.BackupMapping(), 10},
+	} {
+		full, err := g.Generate(tc.svc, tc.mp, tc.name+"-full", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		abl, err := g.Generate(tc.svc, tc.mp, tc.name+"-k1", Options{Paths: pathdisc.Options{K: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(abl.Services) != len(full.Services) {
+			t.Fatalf("%s: %d services, full enumeration %d", tc.name, len(abl.Services), len(full.Services))
+		}
+		for i, sp := range abl.Services {
+			if len(sp.Paths) != 1 {
+				t.Fatalf("%s %s: %d ablation paths, want 1", tc.name, sp.AtomicService, len(sp.Paths))
+			}
+			p := sp.Paths[0]
+			found := false
+			for _, q := range full.Services[i].Paths {
+				if q.Len() < p.Len() {
+					t.Errorf("%s %s: ablation path %s has %d hops, enumerated %s has %d",
+						tc.name, sp.AtomicService, p, p.Len(), q, q.Len())
+				}
+				found = found || q.String() == p.String() && slices.Equal(q.Edges, p.Edges)
+			}
+			if !found {
+				t.Errorf("%s %s: ablation path %s is not an enumerated path", tc.name, sp.AtomicService, p)
+			}
+		}
+		if got := abl.Graph.NumNodes(); got != tc.nodes {
+			t.Errorf("%s: ablation UPSIM has %d nodes, want %d", tc.name, got, tc.nodes)
+		}
 	}
 }
 
@@ -419,17 +486,7 @@ func TestGeneratorErrors(t *testing.T) {
 	}
 }
 
-func TestAlgorithmAndMergeStrings(t *testing.T) {
-	for algo, want := range map[Algorithm]string{
-		AlgoRecursive: "recursive-dfs", AlgoShortest: "shortest-path",
-	} {
-		if algo.String() != want {
-			t.Errorf("%d.String() = %q", algo, algo.String())
-		}
-	}
-	if !strings.Contains(Algorithm(9).String(), "Algorithm(") {
-		t.Error("unknown algorithm fallback")
-	}
+func TestMergeSemanticsStrings(t *testing.T) {
 	if MergeInduced.String() != "induced" || MergeTraversed.String() != "traversed" {
 		t.Error("merge semantics names wrong")
 	}

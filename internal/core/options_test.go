@@ -13,12 +13,6 @@ import (
 // the two in sync.
 func TestOptionsZeroValueDefaults(t *testing.T) {
 	var o Options
-	if o.Algorithm != AlgoRecursive {
-		t.Errorf("Algorithm zero value = %v, want AlgoRecursive", o.Algorithm)
-	}
-	if o.Algorithm.String() != "recursive-dfs" {
-		t.Errorf("default algorithm renders %q", o.Algorithm.String())
-	}
 	if o.Merge != MergeInduced {
 		t.Errorf("Merge zero value = %v, want MergeInduced", o.Merge)
 	}
@@ -26,7 +20,7 @@ func TestOptionsZeroValueDefaults(t *testing.T) {
 		t.Errorf("Lint zero value = %v, want LintOff", o.Lint)
 	}
 	if o.Paths != (pathdisc.Options{}) {
-		t.Errorf("Paths zero value = %+v, want unbounded discovery", o.Paths)
+		t.Errorf("Paths zero value = %+v, want unbounded recursive DFS (K = 0)", o.Paths)
 	}
 	if o.AllowDisconnected {
 		t.Error("AllowDisconnected zero value = true, want false (reject unreachable pairs)")

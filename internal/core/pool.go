@@ -11,9 +11,11 @@ package core
 // Concurrency: a generation reads only what NewGenerator built and writes
 // nothing the generator holds, so every request on a model shares its one
 // generator and runs without taking turns; identical generation requests
-// still collapse through the shared result cache's singleflight. No
-// request records a generation (Generator.Record), so pooled generators
-// stay read-only and never build a model space.
+// still collapse through the shared result cache's singleflight. Concurrent
+// misses on one model collapse the same way: the first builds, the others
+// wait for its generator. No request records a generation
+// (Generator.Record), so pooled generators stay read-only and never build
+// a model space.
 
 import (
 	"container/list"
@@ -29,7 +31,7 @@ import (
 // Pool metrics, exposed on /metrics next to the result-cache counters.
 var (
 	mPoolHits = obs.NewCounter("upsim_genpool_hits_total",
-		"Generator pool acquisitions served by a resident warm generator.")
+		"Generator pool acquisitions served by a resident warm generator or by another acquisition's in-flight build.")
 	mPoolMisses = obs.NewCounter("upsim_genpool_misses_total",
 		"Generator pool acquisitions that built a generator cold.")
 	mPoolEvictions = obs.NewCounter("upsim_genpool_evictions_total",
@@ -44,15 +46,24 @@ type GeneratorPool struct {
 	cache     *cache.Cache
 	maxModels int
 
-	mu    sync.Mutex
-	order *list.List               // resident *poolEntry, most recently used in front
-	elems map[string]*list.Element // pool key -> order element
+	mu       sync.Mutex
+	order    *list.List               // resident *poolEntry, most recently used in front
+	elems    map[string]*list.Element // pool key -> order element
+	building map[string]*poolBuild    // pool key -> the one build in flight
 }
 
 // poolEntry is one resident generator with its pool key.
 type poolEntry struct {
 	key string
 	gen *Generator
+}
+
+// poolBuild is a cold build in flight: gen and err are set before done is
+// closed.
+type poolBuild struct {
+	done chan struct{}
+	gen  *Generator
+	err  error
 }
 
 // NewGeneratorPool creates a pool whose generators share the given result
@@ -69,6 +80,7 @@ func NewGeneratorPool(c *cache.Cache, maxIdle, maxModels int) *GeneratorPool {
 		maxModels: maxModels,
 		order:     list.New(),
 		elems:     make(map[string]*list.Element),
+		building:  make(map[string]*poolBuild),
 	}
 }
 
@@ -93,41 +105,65 @@ func poolKey(modelXML, diagram string) string {
 }
 
 // Acquire returns the shared generator for the model/diagram, building it
-// cold when the model is not resident. Concurrent misses each build one;
-// the first to finish becomes resident and the others return it too. The
-// generator is shared: callers must not Record on it.
+// cold when the model is not resident. Concurrent misses on one model build
+// it once: the first decodes and builds, and the others wait and share its
+// generator or its decode/Step 5 error (errors are not kept; the next
+// Acquire builds again). The build does not observe cancellation, so a
+// waiter whose ctx ends stops waiting and returns ctx.Err() while the build
+// goes on for the others. The generator is shared: callers must not Record
+// on it.
 func (p *GeneratorPool) Acquire(ctx context.Context, modelXML, diagram string) (*Generator, error) {
 	key := poolKey(modelXML, diagram)
 	p.mu.Lock()
-	g := p.residentLocked(key)
-	p.mu.Unlock()
-	if g != nil {
+	if g := p.residentLocked(key); g != nil {
+		p.mu.Unlock()
 		mPoolHits.With().Inc()
 		return g, nil
 	}
+	if b, ok := p.building[key]; ok {
+		p.mu.Unlock()
+		mPoolHits.With().Inc()
+		select {
+		case <-b.done:
+			return b.gen, b.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	b := &poolBuild{done: make(chan struct{})}
+	p.building[key] = b
+	p.mu.Unlock()
 	mPoolMisses.With().Inc()
+
+	b.gen, b.err = p.build(ctx, modelXML, diagram)
+
+	p.mu.Lock()
+	delete(p.building, key)
+	if b.err == nil {
+		p.elems[key] = p.order.PushFront(&poolEntry{key: key, gen: b.gen})
+		for p.order.Len() > p.maxModels {
+			el := p.order.Back()
+			p.order.Remove(el)
+			delete(p.elems, el.Value.(*poolEntry).key)
+			mPoolEvictions.With().Inc()
+		}
+	}
+	p.mu.Unlock()
+	close(b.done)
+	return b.gen, b.err
+}
+
+// build decodes the model and builds its generator on the pool's cache.
+func (p *GeneratorPool) build(ctx context.Context, modelXML, diagram string) (*Generator, error) {
 	m, err := uml.DecodeString(modelXML)
 	if err != nil {
 		return nil, err
 	}
-	g, err = NewGeneratorContext(ctx, m, diagram)
+	g, err := NewGeneratorContext(ctx, m, diagram)
 	if err != nil {
 		return nil, err
 	}
-	g.WithCache(p.cache)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if resident := p.residentLocked(key); resident != nil {
-		return resident, nil
-	}
-	p.elems[key] = p.order.PushFront(&poolEntry{key: key, gen: g})
-	for p.order.Len() > p.maxModels {
-		el := p.order.Back()
-		p.order.Remove(el)
-		delete(p.elems, el.Value.(*poolEntry).key)
-		mPoolEvictions.With().Inc()
-	}
-	return g, nil
+	return g.WithCache(p.cache), nil
 }
 
 // residentLocked returns the resident generator under key, marking it most

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -346,4 +347,66 @@ func poolGenerateErr(g *Generator, name, client string) (*Result, error) {
 		return nil, err
 	}
 	return g.Generate(svc, mp, name, Options{})
+}
+
+// TestPoolConcurrentColdBuildsOnce: eight goroutines acquiring a model no
+// pool holds yet share one build. Each round starts a fresh pool, releases
+// the goroutines together and requires exactly one miss and one generator.
+func TestPoolConcurrentColdBuildsOnce(t *testing.T) {
+	xml := fixtureXML(t)
+	ctx := context.Background()
+	const goroutines = 8
+	const rounds = 50
+	for round := 0; round < rounds; round++ {
+		p := NewGeneratorPool(cache.New(8), 0, 0)
+		misses := mPoolMisses.With().Value()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		gens := make([]*Generator, goroutines)
+		errs := make([]error, goroutines)
+		for w := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				gens[w], errs[w] = p.Acquire(ctx, xml, "infrastructure")
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d, goroutine %d: %v", round, w, err)
+			}
+			if gens[w] != gens[0] {
+				t.Fatalf("round %d: goroutine %d got a different generator", round, w)
+			}
+		}
+		if got := mPoolMisses.With().Value() - misses; got != 1 {
+			t.Fatalf("round %d: %d cold builds, want 1", round, got)
+		}
+	}
+}
+
+// TestPoolWaiterCancelAndError: an acquisition that joins a build in
+// flight returns ctx.Err() when its own ctx ends first, and otherwise the
+// build's error.
+func TestPoolWaiterCancelAndError(t *testing.T) {
+	xml := fixtureXML(t)
+	p := NewGeneratorPool(cache.New(8), 0, 0)
+	b := &poolBuild{done: make(chan struct{})}
+	p.building[poolKey(xml, "infrastructure")] = b
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if g, err := p.Acquire(cancelled, xml, "infrastructure"); g != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter = %v, %v; want nil, context.Canceled", g, err)
+	}
+	want := errors.New("step 5 failed")
+	go func() {
+		b.err = want
+		close(b.done)
+	}()
+	if g, err := p.Acquire(context.Background(), xml, "infrastructure"); g != nil || !errors.Is(err, want) {
+		t.Fatalf("waiter = %v, %v; want the build's error", g, err)
+	}
 }

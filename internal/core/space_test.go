@@ -92,7 +92,7 @@ var spaceScripts = []struct {
 }{
 	{"several generates", func(t *testing.T, u *usiSide) {
 		mustGenerate(t, u, u.printing, casestudy.TableIMapping(), "fig11", core.Options{})
-		mustGenerate(t, u, u.printing, casestudy.T15P3Mapping(), "fig12", core.Options{Algorithm: core.AlgoShortest})
+		mustGenerate(t, u, u.printing, casestudy.T15P3Mapping(), "fig12", core.Options{Paths: pathdisc.Options{K: 1}})
 		mustGenerate(t, u, u.backup, casestudy.BackupMapping(), "backup", core.Options{})
 	}},
 	{"failed generates", func(t *testing.T, u *usiSide) {

@@ -510,11 +510,9 @@ func (cs *CompiledStructure) WhatIf(avail map[string]float64, forced map[string]
 
 // Importances returns, for every component in id order (the sorted order of
 // Components), the exact service availability with that component forced up
-// (up[i]) and forced down (down[i]). Birnbaum importance is up[i]−down[i]
-// and Fussell–Vesely importance is ((1−base)−(1−up[i]))/(1−base), 0 when
-// base is 1: the compiled form of ServiceStructure.Birnbaum and
-// FussellVesely for every component at once. The availability map is
-// packed once and each component costs two factorings.
+// (up[i]) and forced down (down[i]), from which BirnbaumFussellVesely
+// derives both importance measures for every component at once. The
+// availability map is packed once and each component costs two factorings.
 func (cs *CompiledStructure) Importances(avail map[string]float64) (up, down []float64, err error) {
 	if cs.validErr != nil {
 		return nil, nil, cs.validErr
@@ -530,8 +528,23 @@ func (cs *CompiledStructure) Importances(avail map[string]float64) (up, down []f
 }
 
 // BirnbaumFussellVesely returns the Birnbaum and Fussell–Vesely importance
-// of every component in id order, by the formulas of Importances, from one
-// Importances pass; base is the exact service availability (Exact).
+// of every component in id order, from one Importances pass; base is the
+// exact service availability (Exact).
+//
+// Birnbaum importance is the partial derivative of the exact service
+// availability with respect to the component's availability,
+// A(service | comp up) − A(service | comp down): it ranks which UPSIM
+// component matters most for the specific user perspective, the "quick
+// overview on where the service problem might be caused" of the paper's
+// conclusion, made quantitative. Fussell–Vesely importance is the fraction
+// of the service unavailability attributable to failures involving the
+// component,
+//
+//	FV_i = (Q_sys − Q_sys|A_i=1) / Q_sys
+//
+// where Q is the unavailability; it is 0 for every component of a perfect
+// system (base = 1). A component with FV close to 1 is involved in
+// essentially every user-visible outage.
 func (cs *CompiledStructure) BirnbaumFussellVesely(avail map[string]float64, base float64) (birnbaum, fussellVesely []float64, err error) {
 	up, down, err := cs.Importances(avail)
 	if err != nil {

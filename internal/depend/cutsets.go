@@ -339,27 +339,3 @@ func (s *ServiceStructure) WhatIf(avail map[string]float64, forced map[string]bo
 	}
 	return s.Exact(adj)
 }
-
-// FussellVesely returns the Fussell–Vesely importance of a component: the
-// fraction of the service unavailability attributable to failures involving
-// the component,
-//
-//	FV_i = (Q_sys − Q_sys|A_i=1) / Q_sys
-//
-// where Q is the unavailability. A component with FV close to 1 is involved
-// in essentially every user-visible outage.
-func (s *ServiceStructure) FussellVesely(avail map[string]float64, component string) (float64, error) {
-	base, err := s.Exact(avail)
-	if err != nil {
-		return 0, err
-	}
-	qSys := 1 - base
-	if qSys == 0 {
-		return 0, nil // a perfect system attributes no unavailability
-	}
-	perfect, err := s.WhatIf(avail, map[string]bool{component: true})
-	if err != nil {
-		return 0, err
-	}
-	return ((1 - base) - (1 - perfect)) / qSys, nil
-}

@@ -189,14 +189,8 @@ func TestFussellVesely(t *testing.T) {
 	st, avail := sharedStructure()
 	// x participates in every outage (single point of failure): removing
 	// its failures eliminates most of the unavailability.
-	fvX, err := st.FussellVesely(avail, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fvA, err := st.FussellVesely(avail, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, fv := importances(t, st, avail)
+	fvX, fvA := fv["x"], fv["a"]
 	if fvX <= fvA {
 		t.Errorf("FV(x)=%v must exceed FV(a)=%v", fvX, fvA)
 	}
@@ -211,9 +205,8 @@ func TestFussellVesely(t *testing.T) {
 	}
 	// Perfect system: FV = 0 by convention.
 	perfect := map[string]float64{"x": 1, "a": 1, "b": 1}
-	fv, err := st.FussellVesely(perfect, "x")
-	if err != nil || fv != 0 {
-		t.Errorf("FV on perfect system = %v, %v", fv, err)
+	if _, fv := importances(t, st, perfect); fv["x"] != 0 {
+		t.Errorf("FV on perfect system = %v", fv["x"])
 	}
 }
 

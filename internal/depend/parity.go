@@ -12,5 +12,4 @@ const (
 	errFmtAtomicService     = "depend: atomic service %q: %w"
 	errFmtMonteCarloSamples = "depend: MonteCarlo needs at least 1 sample, got %d"
 	errFmtForcedNotInStruct = "depend: forced component %q not in structure"
-	errFmtCompNotInStruct   = "depend: component %q not in structure"
 )

@@ -29,6 +29,9 @@ import (
 	"upsim/internal/obs"
 )
 
+// errFmtCompNotInStruct reports a component outside the interned universe.
+const errFmtCompNotInStruct = "depend: component %q not in structure"
+
 // mDependPatch counts in-place path-set filters applied to compiled
 // structures.
 var mDependPatch = obs.NewCounter("upsim_depend_patch_total",

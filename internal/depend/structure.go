@@ -365,44 +365,6 @@ func (s *ServiceStructure) MonteCarlo(avail map[string]float64, samples int, see
 	return p, math.Sqrt(p * (1 - p) / float64(samples)), nil
 }
 
-// Birnbaum returns the Birnbaum importance of a component: the partial
-// derivative of the exact service availability with respect to the
-// component's availability, i.e. A(service | comp up) − A(service | comp
-// down). It ranks which UPSIM component matters most for the specific user
-// perspective — the "quick overview on where the service problem might be
-// caused" of the paper's conclusion, made quantitative.
-func (s *ServiceStructure) Birnbaum(avail map[string]float64, component string) (float64, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	if err := checkAvail(s, avail); err != nil {
-		return 0, err
-	}
-	found := false
-	for _, c := range s.Components() {
-		if c == component {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf(errFmtCompNotInStruct, component)
-	}
-	up := cloneAvail(avail)
-	up[component] = 1
-	down := cloneAvail(avail)
-	down[component] = 0
-	aUp, err := s.Exact(up)
-	if err != nil {
-		return 0, err
-	}
-	aDown, err := s.Exact(down)
-	if err != nil {
-		return 0, err
-	}
-	return aUp - aDown, nil
-}
-
 func cloneAvail(m map[string]float64) map[string]float64 {
 	c := make(map[string]float64, len(m))
 	for k, v := range m {

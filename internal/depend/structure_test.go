@@ -178,30 +178,47 @@ func TestMonteCarloDeterministic(t *testing.T) {
 	}
 }
 
-func TestBirnbaum(t *testing.T) {
-	st, avail := sharedStructure()
-	// x is a single point of failure: importance = A(up) - A(down) =
-	// (1-0.04) - 0 = 0.96.
-	bx, err := st.Birnbaum(avail, "x")
+// importances runs the compiled BirnbaumFussellVesely pass and keys both
+// vectors by component name.
+func importances(t *testing.T, st *ServiceStructure, avail map[string]float64) (birnbaum, fussellVesely map[string]float64) {
+	t.Helper()
+	cs := Compile(st)
+	base, err := cs.Exact(avail)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, fv, err := cs.BirnbaumFussellVesely(avail, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	birnbaum = make(map[string]float64, len(b))
+	fussellVesely = make(map[string]float64, len(fv))
+	for i, c := range cs.Components() {
+		birnbaum[c], fussellVesely[c] = b[i], fv[i]
+	}
+	return birnbaum, fussellVesely
+}
+
+func TestBirnbaum(t *testing.T) {
+	st, avail := sharedStructure()
+	birnbaum, _ := importances(t, st, avail)
+	// x is a single point of failure: importance = A(up) - A(down) =
+	// (1-0.04) - 0 = 0.96.
+	bx := birnbaum["x"]
 	if math.Abs(bx-0.96) > 1e-12 {
 		t.Errorf("Birnbaum(x) = %v, want 0.96", bx)
 	}
 	// a is redundant with b: importance = 0.9*(1) - 0.9*0.8 = 0.18.
-	ba, err := st.Birnbaum(avail, "a")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ba := birnbaum["a"]
 	if math.Abs(ba-0.18) > 1e-12 {
 		t.Errorf("Birnbaum(a) = %v, want 0.18", ba)
 	}
 	if bx <= ba {
 		t.Error("single point of failure must dominate redundant component")
 	}
-	if _, err := st.Birnbaum(avail, "ghost"); err == nil {
-		t.Error("unknown component should fail")
+	delete(avail, "a")
+	if _, _, err := Compile(st).BirnbaumFussellVesely(avail, 0.9); err == nil {
+		t.Error("a component without availability should fail")
 	}
 }
 

@@ -121,14 +121,26 @@ func TestExplainKernelParity(t *testing.T) {
 		if attr.ComponentsTotal != len(comps) || len(attr.Components) != len(comps) {
 			t.Fatalf("%s: %d components, map-based structure has %d", model, attr.ComponentsTotal, len(comps))
 		}
+		exact, err := st.Exact(avail)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ci := range attr.Components {
-			b, err := st.Birnbaum(avail, ci.Component)
+			// The map-based importances: Birnbaum is the availability with
+			// the component forced up minus forced down, Fussell–Vesely
+			// the share of the unavailability the component's failures
+			// cause.
+			up, err := st.WhatIf(avail, map[string]bool{ci.Component: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fv, err := st.FussellVesely(avail, ci.Component)
+			down, err := st.WhatIf(avail, map[string]bool{ci.Component: false})
 			if err != nil {
 				t.Fatal(err)
+			}
+			b, fv := up-down, 0.0
+			if qSys := 1 - exact; qSys != 0 {
+				fv = ((1 - exact) - (1 - up)) / qSys
 			}
 			if ci.Birnbaum != b || ci.FussellVesely != fv || ci.Availability != avail[ci.Component] {
 				t.Fatalf("%s: %s = %+v, map-based Birnbaum %v, Fussell–Vesely %v, availability %v",

@@ -8,8 +8,8 @@
 // counterpart (Compiled.KShortest); the map-based recursive AllPaths in this
 // file is the reference walker the property and fuzz tests compare the
 // compiled kernel against. CountPaths enumerates without storing paths for
-// the dense-graph scaling study, and ShortestPath is the BFS baseline of the
-// redundancy ablation.
+// the dense-graph scaling study. The redundancy ablation's one minimum-hop
+// path per pair is ranked discovery with K = 1.
 package pathdisc
 
 import (
@@ -351,56 +351,6 @@ func CountPaths(g *topology.Graph, src, dst string, opts Options) (int, Stats, e
 	stats.NodeVisits = stats.EdgeVisits + 1
 	observe("count", stats)
 	return count, stats, nil
-}
-
-// ShortestPath returns one minimum-hop path from src to dst via BFS, or an
-// error when dst is unreachable. It is the baseline the redundancy ablation
-// compares against: a UPSIM built from shortest paths only drops the
-// redundant paths Definition 2 requires.
-func ShortestPath(g *topology.Graph, src, dst string) (Path, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return Path{}, err
-	}
-	type hop struct {
-		prev string
-		edge int
-	}
-	prev := map[string]hop{src: {}}
-	queue := []string{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == dst {
-			break
-		}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if _, seen := prev[next]; seen {
-				continue
-			}
-			prev[next] = hop{prev: cur, edge: id}
-			queue = append(queue, next)
-		}
-	}
-	if _, ok := prev[dst]; !ok {
-		return Path{}, fmt.Errorf("pathdisc: no path from %q to %q", src, dst)
-	}
-	var revNodes []string
-	var revEdges []int
-	for cur := dst; cur != src; {
-		h := prev[cur]
-		revNodes = append(revNodes, cur)
-		revEdges = append(revEdges, h.edge)
-		cur = h.prev
-	}
-	p := Path{Nodes: make([]string, 0, len(revNodes)+1), Edges: make([]int, 0, len(revEdges))}
-	p.Nodes = append(p.Nodes, src)
-	for i := len(revNodes) - 1; i >= 0; i-- {
-		p.Nodes = append(p.Nodes, revNodes[i])
-		p.Edges = append(p.Edges, revEdges[i])
-	}
-	return p, nil
 }
 
 // NodeSet returns the union of nodes over the given paths — the filter set

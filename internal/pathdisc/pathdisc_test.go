@@ -154,7 +154,7 @@ func TestEndpointValidation(t *testing.T) {
 	if _, _, err := AllPaths(g, "a", "a", Options{}); err == nil {
 		t.Error("identical endpoints should fail")
 	}
-	if _, err := ShortestPath(g, "ghost", "a"); err == nil {
+	if _, _, err := Compile(g).KShortest("ghost", "a", Options{K: 1}); err == nil {
 		t.Error("shortest path endpoint validation missing")
 	}
 }
@@ -170,26 +170,33 @@ func TestDisconnectedPair(t *testing.T) {
 	if len(paths) != 0 || stats.Paths != 0 {
 		t.Error("disconnected pair must yield zero paths without error")
 	}
-	if _, err := ShortestPath(g, "a", "b"); err == nil {
-		t.Error("shortest path on disconnected pair should fail")
+	if paths, _, err := Compile(g).KShortest("a", "b", Options{K: 1}); err != nil || len(paths) != 0 {
+		t.Errorf("shortest path on disconnected pair = %v, %v; want no path and no error", paths, err)
 	}
 }
 
+// TestShortestPath: the redundancy ablation's one minimum-hop path per
+// pair is ranked discovery with K = 1.
 func TestShortestPath(t *testing.T) {
 	g := diamond(t)
-	p, err := ShortestPath(g, "a", "d")
-	if err != nil {
-		t.Fatal(err)
+	shortest := func(g *topology.Graph, src, dst string) Path {
+		t.Helper()
+		paths, _, err := Compile(g).KShortest(src, dst, Options{K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) != 1 {
+			t.Fatalf("K=1 returned %d paths", len(paths))
+		}
+		return paths[0]
 	}
+	p := shortest(g, "a", "d")
 	if p.Len() != 2 || p.Nodes[0] != "a" || p.Nodes[2] != "d" {
 		t.Errorf("shortest = %s", p)
 	}
 	// Chain: the unique path.
 	c, _ := topology.Chain(6)
-	p, err = ShortestPath(c, "n0", "n5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = shortest(c, "n0", "n5")
 	if p.String() != "n0—n1—n2—n3—n4—n5" {
 		t.Errorf("chain shortest = %s", p)
 	}

@@ -36,8 +36,12 @@
 // The generation-backed routes (generate, availability, qos, batch) run
 // through one shared internal/cache.Cache (capacity Config.CacheSize):
 // repeated identical requests skip Steps 6–8 entirely and concurrent
-// identical requests compute once (singleflight). Cache traffic is visible
-// on GET /metrics as upsim_cache_{hits,misses,evictions,singleflight_shared}_total.
+// identical requests compute once (singleflight). The warm lane keeps its
+// replies in a second cache.Cache (capacity Config.WarmSize). Cache
+// traffic is visible on GET /metrics as
+// upsim_cache_{hits,misses,evictions,singleflight_shared}_total, summed
+// over both caches: every warm replay counts as a hit and every warm probe
+// that finds nothing as a miss.
 //
 // Every JSON POST route runs one request pipeline (serve): a strict decode
 // of the body — by the single-pass scanner of scan.go where it applies, by
@@ -108,9 +112,9 @@ type Config struct {
 
 // api is the per-handler shared state: the content-addressed result cache
 // every generation-backed route runs through, the dedicated warm-lane
-// response cache (nil turns the lane off), the generator pool that recycles
-// imported model spaces across requests of the same model — its generators
-// carry the result cache — and the batch pool bound.
+// response cache (nil turns the lane off), the generator pool that shares
+// one built generator per model across requests — its generators carry the
+// result cache — and the batch pool bound.
 type api struct {
 	cache        *cache.Cache
 	warm         *cache.Cache

@@ -35,9 +35,9 @@ import (
 )
 
 // mWarmHits counts analysis responses replayed by the warm byte-level lane,
-// by route. The difference between this and upsim_cache_hits_total is the
-// requests that hit the analysis cache but still paid JSON decode + generator
-// acquisition.
+// by route. upsim_cache_hits_total counts each of these too, next to the
+// generation-cache hits of requests that still paid JSON decode and
+// generator acquisition.
 var mWarmHits = obs.NewCounter("upsim_server_warm_hits_total",
 	"Analysis responses served by the warm byte-level lane (no JSON decode, no generation).", "route")
 

@@ -304,11 +304,8 @@ type (
 	FTNode = depend.FTNode
 )
 
-// Algorithm and merge-semantics selectors for Options.
+// Merge-semantics selectors for Options.
 const (
-	AlgoRecursive = core.AlgoRecursive
-	AlgoShortest  = core.AlgoShortest
-
 	MergeInduced   = core.MergeInduced
 	MergeTraversed = core.MergeTraversed
 )
