@@ -255,14 +255,14 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 	compiled := pathdisc.Compile(g)
 	// Install the ranked-discovery cost view from the diagram's stereotype
 	// attributes, resolved once here, never during search. Edge ID i is
-	// links[i] (topology.FromObjectDiagram); a diagram without links still
-	// resolves edge ID 0, which the bound check sends to the hop fallback.
-	links := d.Links()
+	// d.LinkAt(i) (topology.FromObjectDiagram); a diagram without links
+	// still resolves edge ID 0, which the bound check sends to the hop
+	// fallback.
 	compiled.SetEdgeCosts(func(edgeID int) (float64, bool) {
-		if edgeID < 0 || edgeID >= len(links) {
+		if edgeID < 0 || edgeID >= d.NumLinks() {
 			return 0, false
 		}
-		if tp, ok := links[edgeID].Property("throughput"); ok && tp.AsReal() > 0 {
+		if tp, ok := d.LinkAt(edgeID).Property("throughput"); ok && tp.AsReal() > 0 {
 			return tp.AsReal(), true
 		}
 		return 0, false
@@ -335,6 +335,10 @@ func (g *Generator) Compiled() *pathdisc.Compiled { return g.compiled }
 
 // Model returns the source UML model.
 func (g *Generator) Model() *uml.Model { return g.model }
+
+// Diagram returns the infrastructure object diagram the generator was built
+// on. Edge ID i of Graph and Compiled is its LinkAt(i).
+func (g *Generator) Diagram() *uml.ObjectDiagram { return g.diagram }
 
 // Generate runs Steps 6–8 for one composite service, mapping and UPSIM name.
 // The name names the output object diagram and, once recorded, the mapping
@@ -604,7 +608,8 @@ func (g *Generator) merge(res *Result, opts Options) error {
 	src := g.diagram
 	res.Source = src
 	out := g.model.NewDetachedDiagram(res.Name)
-	for _, inst := range src.Instances() {
+	for i := 0; i < src.NumInstances(); i++ {
+		inst := src.InstanceAt(i)
 		if !keep[inst.Name()] {
 			continue
 		}
@@ -613,9 +618,9 @@ func (g *Generator) merge(res *Result, opts Options) error {
 		}
 	}
 	// The topology graph was built from src in link order, so edge ID i is
-	// src.Links()[i].
-	links := src.Links()
-	for i, l := range links {
+	// src.LinkAt(i).
+	for i := 0; i < src.NumLinks(); i++ {
+		l := src.LinkAt(i)
 		a, b := l.Ends()
 		include := false
 		switch opts.Merge {

@@ -644,32 +644,74 @@ func TestGenerateNeverBuildsSpace(t *testing.T) {
 	}
 }
 
-// TestNewGeneratorAllocs caps the allocations of a cold NewGenerator on a
-// 10-edge-switch campus: Step 5 checks the model instead of importing one
-// entity per UML element, so the count stays near that of the topology and
-// kernel build (185 on go1.24; an eager import took 560 with pooled spaces).
-func TestNewGeneratorAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race instrumentation allocates; the guard asserts counts")
-	}
+// churnCampus builds the 10-edge-switch campus of the churn traffic, with
+// the campus service.
+func churnCampus(t *testing.T) (*topology.Graph, *uml.Model) {
+	t.Helper()
 	tg, err := topology.Campus(topology.CampusParams{EdgeSwitches: 10, ClientsPerEdge: 6, ServersPerSwitch: 4, RedundantCore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := modelgen.Build("campus", tg, modelgen.Params{})
+	m, err := modelgen.Build("campus", tg, modelgen.Params{Classes: map[string]modelgen.ClassParams{
+		"Client": {MTBF: 31415.926535, MTTR: 24},
+		"Server": {MTBF: 27182.818284, MTTR: 0.5},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := service.NewSequential(m, "rpc", "request", "process", "reply"); err != nil {
 		t.Fatal(err)
 	}
+	return tg, m
+}
+
+// TestNewGeneratorAllocs caps the allocations of a cold NewGenerator on a
+// 10-edge-switch campus: Step 5 checks the model instead of importing one
+// entity per UML element, and the topology carves its adjacency lists from
+// one array, so the count stays near that of the kernel build (48 on
+// go1.24; 184 with one adjacency list grown per node, and an eager import
+// took 560 with pooled spaces).
+func TestNewGeneratorAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts counts")
+	}
+	tg, m := churnCampus(t)
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := NewGenerator(m, "infrastructure"); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Logf("cold NewGenerator on a %d-node, %d-link campus: %.0f allocs", tg.NumNodes(), tg.NumEdges(), allocs)
-	if allocs > 220 {
-		t.Fatalf("cold NewGenerator allocates %.0f objects, want <= 220", allocs)
+	if allocs > 55 {
+		t.Fatalf("cold NewGenerator allocates %.0f objects, want <= 55", allocs)
+	}
+}
+
+// TestColdBuildAllocs caps the allocations of the whole cold model build a
+// never-seen model costs upsimd: DecodeString of the 10-edge-switch churn
+// campus, then NewGenerator (265 on go1.24; 864 with one heap object per
+// UML element and per adjacency list).
+func TestColdBuildAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts counts")
+	}
+	_, m := churnCampus(t)
+	var b strings.Builder
+	if err := uml.Encode(&b, m); err != nil {
+		t.Fatal(err)
+	}
+	doc := b.String()
+	allocs := testing.AllocsPerRun(20, func() {
+		dm, err := uml.DecodeString(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewGenerator(dm, "infrastructure"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cold DecodeString + NewGenerator on the %d-byte campus: %.0f allocs", len(doc), allocs)
+	if allocs > 290 {
+		t.Fatalf("cold build allocates %.0f objects, want <= 290", allocs)
 	}
 }

@@ -140,7 +140,7 @@ func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[strin
 	// The per-component legacy importances against the compiled kernel's
 	// one BirnbaumFussellVesely pass.
 	birnbaum, fv, ierr := cs.BirnbaumFussellVesely(avail, cex)
-	for i, c := range wantComps[:1] {
+	for i, c := range wantComps {
 		lbi, lfv, lerr := mapImportance(s, avail, c)
 		if !checkErr("Birnbaum", lerr, ierr) && !withinOneUlp(lbi, birnbaum[i]) {
 			t.Fatalf("Birnbaum(%q): legacy %.17g, compiled %.17g", c, lbi, birnbaum[i])

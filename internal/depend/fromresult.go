@@ -94,10 +94,10 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 		return nil, nil, fmt.Errorf("depend: nil generation result")
 	}
 	avail := make(map[string]float64)
-	links := res.Source.Links()
+	src := res.Source
 	// An edge has fixed endpoints, so its component ID is minted once and
 	// shared by every path that crosses it.
-	linkIDs := make([]string, len(links))
+	linkIDs := make([]string, src.NumLinks())
 
 	compute := func(mtbf, mttr float64) (float64, error) {
 		if model == ModelFormula1 {
@@ -132,14 +132,14 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 				ps = append(ps, n)
 			}
 			for i, id := range p.Edges {
-				if id < 0 || id >= len(links) {
+				if id < 0 || id >= len(linkIDs) {
 					return nil, nil, fmt.Errorf("depend: path references unknown edge %d", id)
 				}
 				cid := linkIDs[id]
 				if cid == "" {
 					cid = LinkComponentID(p.Nodes[i], p.Nodes[i+1], id)
 					linkIDs[id] = cid
-					a, err := linkAvailability(links[id], compute)
+					a, err := linkAvailability(src.LinkAt(id), compute)
 					if err != nil {
 						return nil, nil, err
 					}

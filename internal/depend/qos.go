@@ -50,25 +50,26 @@ func Throughput(res *core.Result) (*ThroughputReport, error) {
 	if res == nil || res.Source == nil {
 		return nil, fmt.Errorf("depend: nil generation result")
 	}
-	links := res.Source.Links()
+	src := res.Source
 	rep := &ThroughputReport{Service: math.Inf(1)}
 	for _, sp := range res.Services {
 		at := AtomicThroughput{AtomicService: sp.AtomicService}
 		for _, p := range sp.Paths {
 			bottleneck := math.Inf(1)
 			for _, id := range p.Edges {
-				if id < 0 || id >= len(links) {
+				if id < 0 || id >= src.NumLinks() {
 					return nil, fmt.Errorf("depend: path references unknown edge %d", id)
 				}
-				v, ok := links[id].Property("throughput")
+				l := src.LinkAt(id)
+				v, ok := l.Property("throughput")
 				if !ok {
 					return nil, fmt.Errorf("depend: link %s has no throughput attribute (network profile not applied?)",
-						links[id].Signature())
+						l.Signature())
 				}
 				tp := v.AsReal()
 				if tp <= 0 {
 					return nil, fmt.Errorf("depend: link %s has non-positive throughput %v",
-						links[id].Signature(), tp)
+						l.Signature(), tp)
 				}
 				if tp < bottleneck {
 					bottleneck = tp

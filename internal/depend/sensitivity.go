@@ -74,10 +74,9 @@ func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*Sensi
 	if len(birnbaum) != len(comps) {
 		return nil, fmt.Errorf("depend: %d Birnbaum importances for %d components", len(birnbaum), len(comps))
 	}
-	links := res.Source.Links()
 	agg := make(map[string]*ClassSensitivity)
 	for i, comp := range comps {
-		cls, mtbfV, mttrV, err := ComponentSource(res.Source, links, comp)
+		cls, mtbfV, mttrV, err := ComponentSource(res.Source, comp)
 		if err != nil {
 			return nil, err
 		}
@@ -110,16 +109,16 @@ func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*Sensi
 }
 
 // ComponentSource resolves a structure component id against the source
-// diagram src, whose link list links is (src.Links(), taken once by the
-// caller): a LinkComponentID names the link with that edge index, any other
-// id an instance. It returns the link's association or the instance's class
-// name, and the element's MTBF and MTTR attribute values.
-func ComponentSource(src *uml.ObjectDiagram, links []*uml.Link, comp string) (class string, mtbf, mttr uml.Value, err error) {
+// diagram src: a LinkComponentID names the link with that edge index
+// (src.LinkAt), any other id an instance. It returns the link's association
+// or the instance's class name, and the element's MTBF and MTTR attribute
+// values.
+func ComponentSource(src *uml.ObjectDiagram, comp string) (class string, mtbf, mttr uml.Value, err error) {
 	if edgeID, isLink := parseLinkComponent(comp); isLink {
-		if edgeID < 0 || edgeID >= len(links) {
+		if edgeID < 0 || edgeID >= src.NumLinks() {
 			return "", mtbf, mttr, fmt.Errorf("depend: link component %q references unknown edge", comp)
 		}
-		l := links[edgeID]
+		l := src.LinkAt(edgeID)
 		mtbf, _ = l.Property("MTBF")
 		mttr, _ = l.Property("MTTR")
 		return l.Association().Name(), mtbf, mttr, nil

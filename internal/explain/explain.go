@@ -349,7 +349,7 @@ func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenanc
 		Stats:         Statistics(sp.Paths),
 		Truncated:     sp.Stats.Truncated,
 	}
-	links := res.Source.Links()
+	src := res.Source
 	for i, p := range sp.Paths {
 		rec := PathRecord{
 			Index:   i,
@@ -369,15 +369,15 @@ func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenanc
 			rec.Classes[node.Class]++
 		}
 		for _, id := range p.Edges {
-			if id < 0 || id >= len(links) {
+			if id < 0 || id >= src.NumLinks() {
 				return out, fmt.Errorf("explain: path references unknown edge %d", id)
 			}
 			if rec.Links == nil {
 				rec.Links = make(Counts)
 			}
-			rec.Links[links[id].Association().Name()]++
+			rec.Links[src.LinkAt(id).Association().Name()]++
 		}
-		rec.Cost, rec.BottleneckMbps, rec.Channels = PathMetrics(links, p)
+		rec.Cost, rec.BottleneckMbps, rec.Channels = DiagramPathMetrics(src, p)
 		out.Paths = append(out.Paths, rec)
 	}
 	tree, err := BuildTree(res, sp)
@@ -406,13 +406,37 @@ func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenanc
 // have no diagram counterpart) fall back to hop cost 1, exactly like the
 // kernel's fallback.
 func PathMetrics(links []*uml.Link, p pathdisc.Path) (cost, bottleneckMbps float64, channels []string) {
+	return pathMetrics(linkSlice(links), p)
+}
+
+// DiagramPathMetrics is PathMetrics against d's link list, without copying
+// it.
+func DiagramPathMetrics(d *uml.ObjectDiagram, p pathdisc.Path) (cost, bottleneckMbps float64, channels []string) {
+	return pathMetrics(d, p)
+}
+
+// linkList is an indexed list of links: an object diagram's, or a copy of
+// it. Request paths pass the diagram; PathMetrics keeps its slice form
+// because the benchmark module calls it.
+type linkList interface {
+	NumLinks() int
+	LinkAt(i int) *uml.Link
+}
+
+type linkSlice []*uml.Link
+
+func (s linkSlice) NumLinks() int          { return len(s) }
+func (s linkSlice) LinkAt(i int) *uml.Link { return s[i] }
+
+func pathMetrics(links linkList, p pathdisc.Path) (cost, bottleneckMbps float64, channels []string) {
+	n := links.NumLinks()
 	for i := len(p.Edges) - 1; i >= 0; i-- {
 		id := p.Edges[i]
-		if id < 0 || id >= len(links) {
+		if id < 0 || id >= n {
 			cost = 1 + cost
 			continue
 		}
-		if tp, ok := links[id].Property("throughput"); ok && tp.AsReal() > 0 {
+		if tp, ok := links.LinkAt(id).Property("throughput"); ok && tp.AsReal() > 0 {
 			cost = 1/tp.AsReal() + cost
 			if bottleneckMbps == 0 || tp.AsReal() < bottleneckMbps {
 				bottleneckMbps = tp.AsReal()
@@ -423,10 +447,10 @@ func PathMetrics(links []*uml.Link, p pathdisc.Path) (cost, bottleneckMbps float
 	}
 	var seenChannel map[string]bool
 	for _, id := range p.Edges {
-		if id < 0 || id >= len(links) {
+		if id < 0 || id >= n {
 			continue
 		}
-		if ch, ok := links[id].Property("channel"); ok && ch.AsString() != "" && !seenChannel[ch.AsString()] {
+		if ch, ok := links.LinkAt(id).Property("channel"); ok && ch.AsString() != "" && !seenChannel[ch.AsString()] {
 			if seenChannel == nil {
 				seenChannel = make(map[string]bool)
 			}
@@ -476,7 +500,6 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	})
 	attr.CutSets = truncate(recs, opts.TopN)
 
-	links := res.Source.Links()
 	comps := cs.Components()
 	attr.ComponentsTotal = len(comps)
 	birnbaum, fussellVesely, err := cs.BirnbaumFussellVesely(avail, base)
@@ -485,7 +508,7 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	}
 	imps := make([]ComponentImportance, 0, len(comps))
 	for i, c := range comps {
-		class, _, _, err := depend.ComponentSource(res.Source, links, c)
+		class, _, _, err := depend.ComponentSource(res.Source, c)
 		if err != nil {
 			return nil, err
 		}

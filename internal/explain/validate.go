@@ -130,7 +130,7 @@ func Validate(ctx context.Context, res *core.Result, cur *uml.ObjectDiagram) (*V
 	// layer supports parallel redundant links, so n used parallels need n
 	// surviving parallels — a bare "some link still exists" test would miss
 	// the removal of one of two redundant connections.
-	links := res.Source.Links()
+	src := res.Source
 	sortedEdges := make([]int, 0, len(edges))
 	for id := range edges {
 		sortedEdges = append(sortedEdges, id)
@@ -143,10 +143,10 @@ func Validate(ctx context.Context, res *core.Result, cur *uml.ObjectDiagram) (*V
 	groups := make(map[string]*group)
 	order := make([]string, 0, len(sortedEdges))
 	for _, id := range sortedEdges {
-		if id < 0 || id >= len(links) {
+		if id < 0 || id >= src.NumLinks() {
 			return nil, fmt.Errorf("explain: path references unknown edge %d", id)
 		}
-		l := links[id]
+		l := src.LinkAt(id)
 		a, b := l.Ends()
 		an, bn := a.Name(), b.Name()
 		if bn < an {

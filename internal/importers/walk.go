@@ -208,7 +208,8 @@ func (v *View) walk(rel bool, visit func(step) error) error {
 		if err := visit(step{kind: stepDiagram, name: d.Name()}); err != nil {
 			return err
 		}
-		for _, inst := range d.Instances() {
+		for i := 0; i < d.NumInstances(); i++ {
+			inst := d.InstanceAt(i)
 			if err := visit(step{kind: stepInstance, name: inst.Name(), meta: MetaInstance, class: inst.Classifier()}); err != nil {
 				return err
 			}
@@ -216,8 +217,8 @@ func (v *View) walk(rel bool, visit func(step) error) error {
 		if !rel {
 			continue
 		}
-		for _, l := range d.Links() {
-			if err := visit(step{kind: stepLink, link: l}); err != nil {
+		for i := 0; i < d.NumLinks(); i++ {
+			if err := visit(step{kind: stepLink, link: d.LinkAt(i)}); err != nil {
 				return err
 			}
 		}

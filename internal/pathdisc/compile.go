@@ -97,17 +97,16 @@ type scratch struct {
 // enumeration: the Generator compiles once per model and reuses the kernel
 // for all mapping pairs, batch items and perspectives.
 func Compile(g *topology.Graph) *Compiled {
-	nodes := g.Nodes()
+	n := g.NumNodes()
 	c := &Compiled{
-		names:    make([]string, len(nodes)),
-		index:    make(map[string]int32, len(nodes)),
+		names:    make([]string, n),
+		index:    make(map[string]int32, n),
 		numEdges: g.NumEdges(),
 	}
-	for i, n := range nodes {
-		c.names[i] = n.Name
-		c.index[n.Name] = int32(i)
+	for i := range c.names {
+		c.names[i] = g.NodeNameAt(i)
+		c.index[c.names[i]] = int32(i)
 	}
-	n := len(nodes)
 	c.adjStart = make([]int32, n+1)
 	total := 0
 	for i := 0; i < n; i++ {

@@ -607,12 +607,8 @@ func (a *api) handlePaths(ctx context.Context, req *pathsRequest) (any, error) {
 	}
 	if req.K > 0 {
 		resp.CostMetric = metric.String()
-		var links []*uml.Link
-		if d, ok := gen.Model().Diagram(req.Diagram); ok {
-			links = d.Links()
-		}
 		for i, p := range paths {
-			_, bottleneck, channels := explain.PathMetrics(links, p)
+			_, bottleneck, channels := explain.DiagramPathMetrics(gen.Diagram(), p)
 			resp.Ranked = append(resp.Ranked, rankedPathJSON{
 				Path: resp.Paths[i],
 				Hops: p.Len(),

@@ -135,6 +135,10 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
+// NodeNameAt returns the name of the i-th node in insertion order
+// (Nodes()[i].Name, without copying the list), for 0 <= i < NumNodes().
+func (g *Graph) NodeNameAt(i int) string { return g.order[i] }
+
 // NodeNames returns the sorted node names.
 func (g *Graph) NodeNames() []string {
 	out := make([]string, len(g.order))
@@ -236,19 +240,40 @@ func (g *Graph) InducedSubgraph(keep map[string]bool) *Graph {
 // (association name attached). This is the hand-off point between Step 5
 // (imported models) and Step 7 (path discovery).
 func FromObjectDiagram(d *uml.ObjectDiagram) *Graph {
-	insts, links := d.Instances(), d.Links()
+	nInst, nLinks := d.NumInstances(), d.NumLinks()
 	// Sized up front: every cold model build (Step 5) passes through here.
 	g := &Graph{
-		nodes: make(map[string]Node, len(insts)),
-		order: make([]string, 0, len(insts)),
-		edges: make([]Edge, 0, len(links)),
-		dead:  make([]bool, 0, len(links)),
-		adj:   make(map[string][]int, len(insts)),
+		nodes: make(map[string]Node, nInst),
+		order: make([]string, 0, nInst),
+		edges: make([]Edge, 0, nLinks),
+		dead:  make([]bool, 0, nLinks),
+		adj:   make(map[string][]int, nInst),
 	}
-	for _, inst := range insts {
+	for i := 0; i < nInst; i++ {
+		inst := d.InstanceAt(i)
 		_ = g.AddNode(inst.Name(), inst.Classifier().Name())
 	}
-	for _, l := range links {
+	// Every adjacency list is carved from one backing array. The first
+	// pass only counts degrees: each node's entry is a prefix of back whose
+	// length is the node's degree so far.
+	back := make([]int, 2*nLinks)
+	for i := 0; i < nLinks; i++ {
+		a, b := d.LinkAt(i).Ends()
+		g.adj[a.Name()] = back[:len(g.adj[a.Name()])+1]
+		g.adj[b.Name()] = back[:len(g.adj[b.Name()])+1]
+	}
+	off := 0
+	for _, name := range g.order {
+		if deg := len(g.adj[name]); deg > 0 {
+			// The full slice expression caps the list at its own slots,
+			// so an AddEdge after this build reallocates it instead of
+			// overwriting the next node's list.
+			g.adj[name] = back[off : off : off+deg]
+			off += deg
+		}
+	}
+	for i := 0; i < nLinks; i++ {
+		l := d.LinkAt(i)
 		a, b := l.Ends()
 		_, _ = g.AddEdge(a.Name(), b.Name(), l.Association().Name())
 	}

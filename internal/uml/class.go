@@ -46,7 +46,7 @@ func (c *Class) Apply(st *Stereotype) (*StereotypeApplication, error) {
 			return nil, fmt.Errorf("uml: class %s: stereotype %s already applied", c.name, st.Name())
 		}
 	}
-	app := newApplication(st)
+	app := c.model.newApplication(st)
 	c.applications = append(c.applications, app)
 	return app, nil
 }
@@ -207,7 +207,7 @@ func (a *Association) Apply(st *Stereotype) (*StereotypeApplication, error) {
 			return nil, fmt.Errorf("uml: association %s: stereotype %s already applied", a.name, st.Name())
 		}
 	}
-	app := newApplication(st)
+	app := a.model.newApplication(st)
 	a.applications = append(a.applications, app)
 	return app, nil
 }

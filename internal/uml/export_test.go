@@ -30,12 +30,13 @@ func StdlibXMI(s string) (any, error) {
 	return x, err
 }
 
-// DecodeStdlib decodes s on the encoding/xml path alone: the oracle for
-// DecodeString.
+// DecodeStdlib is the oracle for DecodeString: it parses s with
+// encoding/xml alone and builds the model through the public construction
+// API alone (buildOracle), with no slab sizing.
 func DecodeStdlib(s string) (*Model, error) {
 	var x xmiModel
 	if err := decodeStdlib(s, &x); err != nil {
 		return nil, err
 	}
-	return x.build()
+	return x.buildOracle()
 }

@@ -54,6 +54,9 @@ type Link struct {
 	association *Association
 	a, b        *InstanceSpecification
 	model       *Model
+	// next is the following link between the same pair of instances, in
+	// insertion order (ObjectDiagram.byPair holds the first).
+	next *Link
 }
 
 // Name returns the link name (may be empty; links are usually anonymous in
@@ -98,14 +101,16 @@ func (l *Link) Signature() string {
 // String implements fmt.Stringer.
 func (l *Link) String() string { return l.Signature() }
 
-// linkKey returns a canonical, orientation-independent key for a pair of
-// instance names, used for deduplication when merging paths into the UPSIM
-// ("multiple occurrences are ignored", Section VI-H).
-func linkKey(a, b string) string {
+// pairKey is the orientation-independent key of a pair of instance names,
+// used for deduplication when merging paths into the UPSIM ("multiple
+// occurrences are ignored", Section VI-H).
+type pairKey struct{ lo, hi string }
+
+func pairOf(a, b string) pairKey {
 	if b < a {
 		a, b = b, a
 	}
-	return a + "\x00" + b
+	return pairKey{a, b}
 }
 
 // ObjectDiagram is a UML object diagram: a set of instance specifications
@@ -116,9 +121,15 @@ type ObjectDiagram struct {
 	name      string
 	model     *Model
 	instances map[string]*InstanceSpecification
-	instOrder []string
+	instOrder []*InstanceSpecification
 	links     []*Link
-	byPair    map[string][]*Link
+	byPair    map[pairKey]*Link // first link of each pair; the rest chain through Link.next
+
+	// Slabs that AddInstance and Connect take their next element from
+	// while a slot is left (reserve sizes them). They are never
+	// reallocated, so every handed-out pointer stays valid.
+	instSlab []InstanceSpecification
+	linkSlab []Link
 }
 
 // NewObjectDiagram creates an empty object diagram bound to a model and
@@ -139,8 +150,20 @@ func (m *Model) NewDetachedDiagram(name string) *ObjectDiagram {
 		name:      name,
 		model:     m,
 		instances: make(map[string]*InstanceSpecification),
-		byPair:    make(map[string][]*Link),
+		byPair:    make(map[pairKey]*Link),
 	}
+}
+
+// reserve sizes an empty diagram for nInst instances and nLinks links: the
+// lookup tables and order lists get that room, and the instances and links
+// themselves come from one slab each.
+func (d *ObjectDiagram) reserve(nInst, nLinks int) {
+	d.instances = make(map[string]*InstanceSpecification, nInst)
+	d.instOrder = make([]*InstanceSpecification, 0, nInst)
+	d.instSlab = make([]InstanceSpecification, 0, nInst)
+	d.links = make([]*Link, 0, nLinks)
+	d.byPair = make(map[pairKey]*Link, nLinks)
+	d.linkSlab = make([]Link, 0, nLinks)
 }
 
 // AttachDiagram lists a detached diagram of this model (NewDetachedDiagram)
@@ -179,9 +202,10 @@ func (d *ObjectDiagram) AddInstance(name string, class *Class) (*InstanceSpecifi
 	if _, dup := d.instances[name]; dup {
 		return nil, fmt.Errorf("uml: diagram %s: duplicate instance %s", d.name, name)
 	}
-	inst := &InstanceSpecification{name: name, classifier: class, model: d.model}
+	inst := slot(&d.instSlab)
+	*inst = InstanceSpecification{name: name, classifier: class, model: d.model}
 	d.instances[name] = inst
-	d.instOrder = append(d.instOrder, name)
+	d.instOrder = append(d.instOrder, inst)
 	return inst, nil
 }
 
@@ -193,17 +217,21 @@ func (d *ObjectDiagram) Instance(name string) (*InstanceSpecification, bool) {
 
 // Instances returns all instances in insertion order.
 func (d *ObjectDiagram) Instances() []*InstanceSpecification {
-	out := make([]*InstanceSpecification, 0, len(d.instOrder))
-	for _, n := range d.instOrder {
-		out = append(out, d.instances[n])
-	}
+	out := make([]*InstanceSpecification, len(d.instOrder))
+	copy(out, d.instOrder)
 	return out
 }
+
+// InstanceAt returns the i-th instance in insertion order (Instances()[i],
+// without copying the list), for 0 <= i < NumInstances().
+func (d *ObjectDiagram) InstanceAt(i int) *InstanceSpecification { return d.instOrder[i] }
 
 // InstanceNames returns the sorted instance names.
 func (d *ObjectDiagram) InstanceNames() []string {
 	out := make([]string, len(d.instOrder))
-	copy(out, d.instOrder)
+	for i, inst := range d.instOrder {
+		out[i] = inst.name
+	}
 	sort.Strings(out)
 	return out
 }
@@ -213,6 +241,11 @@ func (d *ObjectDiagram) NumInstances() int { return len(d.instances) }
 
 // NumLinks returns the number of links.
 func (d *ObjectDiagram) NumLinks() int { return len(d.links) }
+
+// LinkAt returns the i-th link in insertion order (Links()[i], without
+// copying the list), for 0 <= i < NumLinks(). Topology edge ID i is
+// LinkAt(i) (topology.FromObjectDiagram).
+func (d *ObjectDiagram) LinkAt(i int) *Link { return d.links[i] }
 
 // Connect creates a link between two instances as an instance of the given
 // association. The association must join the classifiers of the two ends
@@ -239,15 +272,23 @@ func (d *ObjectDiagram) Connect(a, b *InstanceSpecification, assoc *Association)
 		return nil, fmt.Errorf("uml: diagram %s: association %s (%s--%s) cannot link %s and %s",
 			d.name, assoc.name, assoc.endA.name, assoc.endB.name, a.Signature(), b.Signature())
 	}
-	key := linkKey(a.name, b.name)
-	for _, l := range d.byPair[key] {
+	key := pairOf(a.name, b.name)
+	var last *Link
+	for l := d.byPair[key]; l != nil; l = l.next {
 		if l.association == assoc {
-			return nil, fmt.Errorf("uml: diagram %s: duplicate link %s over %s", d.name, key, assoc.name)
+			return nil, fmt.Errorf("uml: diagram %s: duplicate link %s\x00%s over %s",
+				d.name, key.lo, key.hi, assoc.name)
 		}
+		last = l
 	}
-	l := &Link{association: assoc, a: a, b: b, model: d.model}
+	l := slot(&d.linkSlab)
+	*l = Link{association: assoc, a: a, b: b, model: d.model}
 	d.links = append(d.links, l)
-	d.byPair[key] = append(d.byPair[key], l)
+	if last == nil {
+		d.byPair[key] = l
+	} else {
+		last.next = l
+	}
 	return l, nil
 }
 
@@ -276,9 +317,15 @@ func (d *ObjectDiagram) Links() []*Link {
 // redundant physical connections (the paper's core switches have "redundant
 // connections").
 func (d *ObjectDiagram) LinksBetween(a, b string) []*Link {
-	ls := d.byPair[linkKey(a, b)]
-	out := make([]*Link, len(ls))
-	copy(out, ls)
+	first := d.byPair[pairOf(a, b)]
+	n := 0
+	for l := first; l != nil; l = l.next {
+		n++
+	}
+	out := make([]*Link, 0, n)
+	for l := first; l != nil; l = l.next {
+		out = append(out, l)
+	}
 	return out
 }
 

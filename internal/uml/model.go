@@ -21,6 +21,23 @@ type Model struct {
 	diagrams     []*ObjectDiagram
 	activities   map[string]*Activity
 	actOrder     []string
+
+	// Slabs that Apply takes stereotype applications and their value
+	// slices from while room is left; the decoder sizes them exactly.
+	// Like the diagram slabs, they are never reallocated.
+	appSlab []StereotypeApplication
+	valSlab []attrValue
+}
+
+// slot returns the next free element of slab, or a new one once the slab
+// is full. Slab elements never move, so the pointer stays valid.
+func slot[T any](slab *[]T) *T {
+	n := len(*slab)
+	if n == cap(*slab) {
+		return new(T)
+	}
+	*slab = (*slab)[:n+1]
+	return &(*slab)[n]
 }
 
 // NewModel creates an empty model.

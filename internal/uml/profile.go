@@ -266,17 +266,48 @@ func (p *Profile) Stereotypes() []*Stereotype {
 // instances inherit them unmodified.
 type StereotypeApplication struct {
 	stereotype *Stereotype
-	values     map[string]Value
+	// values holds the assigned attributes, defaults included, one entry
+	// per name. Its capacity is the stereotype's attribute count when the
+	// application is made, which bounds its length until an attribute is
+	// added to the stereotype later.
+	values []attrValue
 }
 
-func newApplication(st *Stereotype) *StereotypeApplication {
-	app := &StereotypeApplication{stereotype: st, values: make(map[string]Value)}
-	for _, def := range st.AllAttributes() {
-		if !def.Default.IsZero() {
-			app.values[def.Name] = def.Default
-		}
+type attrValue struct {
+	name  string
+	value Value
+}
+
+// newApplication makes an application of st holding st's defaults. The
+// application and its value slice come from the model's slabs while they
+// have room (see Model.appSlab).
+func (m *Model) newApplication(st *Stereotype) *StereotypeApplication {
+	app := slot(&m.appSlab)
+	app.stereotype = st
+	n := st.numAttributes()
+	if k := len(m.valSlab); cap(m.valSlab)-k >= n {
+		// The full slice expression caps the carve at n, so an append
+		// past it reallocates instead of overwriting the next carve.
+		app.values = m.valSlab[k : k : k+n]
+		m.valSlab = m.valSlab[:k+n]
+	} else {
+		app.values = make([]attrValue, 0, n)
 	}
+	st.EachAttribute(func(def AttributeDef) {
+		if !def.Default.IsZero() {
+			app.values = append(app.values, attrValue{def.Name, def.Default})
+		}
+	})
 	return app
+}
+
+// numAttributes returns len(AllAttributes()) without allocating.
+func (s *Stereotype) numAttributes() int {
+	n := 0
+	for st := s; st != nil; st = st.parent {
+		n += len(st.attributes)
+	}
+	return n
 }
 
 // Stereotype returns the applied stereotype.
@@ -294,7 +325,13 @@ func (a *StereotypeApplication) Set(name string, v Value) error {
 		return fmt.Errorf("uml: stereotype %s attribute %s: value is %s, want %s",
 			a.stereotype.name, name, v.Kind(), def.Kind)
 	}
-	a.values[name] = v
+	for i := range a.values {
+		if a.values[i].name == name {
+			a.values[i].value = v
+			return nil
+		}
+	}
+	a.values = append(a.values, attrValue{name, v})
 	return nil
 }
 
@@ -302,8 +339,10 @@ func (a *StereotypeApplication) Set(name string, v Value) error {
 // declared default. The second result reports whether any value (explicit or
 // default) exists.
 func (a *StereotypeApplication) Get(name string) (Value, bool) {
-	if v, ok := a.values[name]; ok {
-		return v, true
+	for _, av := range a.values {
+		if av.name == name {
+			return av.value, true
+		}
 	}
 	if def, ok := a.stereotype.Attribute(name); ok && !def.Default.IsZero() {
 		return def.Default, true
@@ -313,18 +352,10 @@ func (a *StereotypeApplication) Get(name string) (Value, bool) {
 
 // SetValues returns the explicitly assigned attribute names in sorted order.
 func (a *StereotypeApplication) SetValues() []string {
-	names := make([]string, 0, len(a.values))
-	for n := range a.values {
-		names = append(names, n)
+	names := make([]string, len(a.values))
+	for i, av := range a.values {
+		names[i] = av.name
 	}
 	sort.Strings(names)
 	return names
-}
-
-func (a *StereotypeApplication) clone() *StereotypeApplication {
-	c := &StereotypeApplication{stereotype: a.stereotype, values: make(map[string]Value, len(a.values))}
-	for k, v := range a.values {
-		c.values[k] = v
-	}
-	return c
 }

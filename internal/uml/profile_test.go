@@ -123,7 +123,7 @@ func TestStereotypeDefaults(t *testing.T) {
 	if err := st.AddAttributeDefault("throughput", KindReal, IntegerValue(100)); err == nil {
 		t.Error("default of wrong kind should fail")
 	}
-	app := newApplication(st)
+	app := new(Model).newApplication(st)
 	if v, ok := app.Get("channel"); !ok || v.AsString() != "copper" {
 		t.Errorf("default channel = %v, %v", v, ok)
 	}
@@ -137,7 +137,7 @@ func TestStereotypeDefaults(t *testing.T) {
 
 func TestApplicationSetErrors(t *testing.T) {
 	_, dev, _ := buildAvailabilityProfile(t)
-	app := newApplication(dev)
+	app := new(Model).newApplication(dev)
 	if err := app.Set("MTBF", StringValue("high")); err == nil {
 		t.Error("kind mismatch should fail")
 	}

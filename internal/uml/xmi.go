@@ -257,7 +257,10 @@ func decodeStdlib(s string, x *xmiModel) error {
 
 // build constructs the model from its parsed form: profiles, classes,
 // associations, diagrams, then activities, so that every reference resolves
-// to an element declared before it.
+// to an element declared before it. It builds through the public
+// construction API, but first sizes the model's slabs from the parsed
+// counts, so that applications, their values, instances and links come in
+// one allocation each instead of one per element.
 func (x *xmiModel) build() (*Model, error) {
 	m := NewModel(x.Name)
 	for _, xp := range x.Profiles {
@@ -308,6 +311,7 @@ func (x *xmiModel) build() (*Model, error) {
 			return nil, err
 		}
 	}
+	x.reserveApplications(m)
 	for _, xc := range x.Classes {
 		c, err := m.AddClass(xc.Name)
 		if err != nil {
@@ -357,6 +361,7 @@ func (x *xmiModel) build() (*Model, error) {
 	}
 	for _, xd := range x.Diagrams {
 		d := m.NewObjectDiagram(xd.Name)
+		d.reserve(len(xd.Instances), len(xd.Links))
 		for _, xi := range xd.Instances {
 			c, ok := m.Class(xi.Class)
 			if !ok {
@@ -423,6 +428,30 @@ func (x *xmiModel) build() (*Model, error) {
 		}
 	}
 	return m, nil
+}
+
+// reserveApplications sizes m's application and value slabs for the
+// stereotype applications of x's classes and associations: one value slot
+// per attribute of each applied stereotype, which bounds what Set can
+// assign. An unknown stereotype counts no slot; decodeApply rejects it.
+func (x *xmiModel) reserveApplications(m *Model) {
+	apps, vals := 0, 0
+	count := func(applies []xmiApply) {
+		for _, xa := range applies {
+			apps++
+			if st, ok := m.FindStereotype(xa.Stereotype); ok {
+				vals += st.numAttributes()
+			}
+		}
+	}
+	for _, xc := range x.Classes {
+		count(xc.Applies)
+	}
+	for _, xa := range x.Assocs {
+		count(xa.Applies)
+	}
+	m.appSlab = make([]StereotypeApplication, 0, apps)
+	m.valSlab = make([]attrValue, 0, vals)
 }
 
 func decodeApply(m *Model, xa xmiApply, apply func(*Stereotype) (*StereotypeApplication, error)) error {

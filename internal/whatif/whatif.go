@@ -685,7 +685,6 @@ func (r *registered) joinImportances(byComp map[string]*CriticalComponent, inSer
 	if err != nil {
 		return err
 	}
-	links := r.res.Source.Links()
 	for i, c := range r.cs.Components() {
 		if !inService[c] {
 			continue
@@ -694,7 +693,7 @@ func (r *registered) joinImportances(byComp map[string]*CriticalComponent, inSer
 		cc.Birnbaum = max(cc.Birnbaum, birnbaum[i])
 		cc.FussellVesely = max(cc.FussellVesely, fussellVesely[i])
 		if cc.Class == "" {
-			if cc.Class, _, _, err = depend.ComponentSource(r.res.Source, links, c); err != nil {
+			if cc.Class, _, _, err = depend.ComponentSource(r.res.Source, c); err != nil {
 				return err
 			}
 		}
