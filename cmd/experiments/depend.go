@@ -22,53 +22,33 @@ var (
 	dependSmoke bool
 )
 
-// dependFamily is one measured algorithm family on one workload: legacy
-// (map/string sets) vs compiled (interned bitset kernel), best-of-reps
-// nanoseconds per run. Parity means the two sample sets are statistically
-// indistinguishable (two-sided Mann-Whitney U, alpha 0.05) and the speedup
-// is reported as exactly 1, the same convention expPathdisc uses.
-type dependFamily struct {
-	LegacyNs   int64   `json:"legacyNs"`
-	CompiledNs int64   `json:"compiledNs"`
-	Speedup    float64 `json:"speedup"`
-	Parity     bool    `json:"parity,omitempty"`
-	RunsPerRep int     `json:"runsPerRep"`
-}
-
 // dependWorkload is one row of the BENCH_depend.json record: one service
-// structure measured under both kernels across the §VII algorithm families.
-// ExactFactoring and Importances time what a request pays on the compiled
-// side: a fresh Compile plus the first evaluation, which records the
-// factoring program.
+// structure measured under the compiled kernel across the §VII algorithm
+// families. ExactFactoring and Importances time what a request pays: a
+// fresh Compile plus the first evaluation, which records the factoring
+// program. MCNsPerSample is the best Monte Carlo run per sample.
 type dependWorkload struct {
-	Structure         string       `json:"structure"`
-	Components        int          `json:"components"`
-	Words             int          `json:"bitsetWords"`
-	ServiceSets       int          `json:"servicePathSets"`
-	CutSets           int          `json:"minimalCutSets"`
-	MinimalCuts       dependFamily `json:"minimalCuts"`
-	ExactFactoring    dependFamily `json:"exactFactoring"`
-	Importances       dependFamily `json:"importances"`
-	MonteCarlo        dependFamily `json:"monteCarlo"`
-	MCLegacyNsPerSamp float64      `json:"mcLegacyNsPerSample"`
-	MCCompNsPerSamp   float64      `json:"mcCompiledNsPerSample"`
+	Structure      string  `json:"structure"`
+	Components     int     `json:"components"`
+	Words          int     `json:"bitsetWords"`
+	ServiceSets    int     `json:"servicePathSets"`
+	CutSets        int     `json:"minimalCutSets"`
+	MinimalCuts    timing  `json:"minimalCuts"`
+	ExactFactoring timing  `json:"exactFactoring"`
+	Importances    timing  `json:"importances"`
+	MonteCarlo     timing  `json:"monteCarlo"`
+	MCNsPerSample  float64 `json:"mcNsPerSample"`
 }
 
-// dependBench is the BENCH_depend.json schema. The floors mirror the
-// acceptance criteria: >=3x on minimal-cut-set enumeration for structures
-// with >=12 components, >=2x per Monte Carlo sample, and no
-// Mann-Whitney-confirmed regression in any measured family.
+// dependBench is the BENCH_depend.json schema.
 type dependBench struct {
-	Host            string           `json:"host"`
-	GOMAXPROCS      int              `json:"gomaxprocs"`
-	Reps            int              `json:"repsPerVariant"`
-	WindowNs        int64            `json:"minSampleWindowNs"`
-	MCSamples       int              `json:"mcSamplesPerRun"`
-	Smoke           bool             `json:"smoke,omitempty"`
-	Workloads       []dependWorkload `json:"workloads"`
-	CutFloorSpeedup float64          `json:"cutFloorSpeedup"`
-	MCFloorSpeedup  float64          `json:"mcFloorSpeedup"`
-	Regression      bool             `json:"regression"`
+	Host       string           `json:"host"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	Reps       int              `json:"repsPerFamily"`
+	WindowNs   int64            `json:"minSampleWindowNs"`
+	MCSamples  int              `json:"mcSamplesPerRun"`
+	Smoke      bool             `json:"smoke,omitempty"`
+	Workloads  []dependWorkload `json:"workloads"`
 }
 
 // dependChain builds a synthetic series-of-redundant-stages structure:
@@ -99,9 +79,10 @@ func dependChain(atomics, width, tail int) (*depend.ServiceStructure, map[string
 	return st, avail
 }
 
-// expDepend benchmarks the compiled dependability kernel against the legacy
-// map/string implementation across the §VII algorithm families, interleaved
-// and summarised by the best repetition (the expPathdisc methodology).
+// expDepend times the compiled dependability kernel across the §VII
+// algorithm families, each summarised by its best repetition and by the
+// median and interquartile range of all of them (the expPathdisc
+// methodology).
 func expDepend() error {
 	type workload struct {
 		name  string
@@ -144,82 +125,39 @@ func expDepend() error {
 
 	window := 20 * time.Millisecond
 	b := dependBench{
-		Host:            hostName(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Reps:            9,
-		MCSamples:       20000,
-		Smoke:           dependSmoke,
-		CutFloorSpeedup: math.Inf(1),
-		MCFloorSpeedup:  math.Inf(1),
+		Host:       hostName(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Reps:       9,
+		MCSamples:  20000,
+		Smoke:      dependSmoke,
 	}
 	if dependSmoke {
 		b.Reps, b.MCSamples, window = 3, 2000, 2*time.Millisecond
 	}
 	b.WindowNs = window.Nanoseconds()
-	fmt.Printf("  %s, GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, %d MC samples/run\n",
+	fmt.Printf("  %s, GOMAXPROCS=%d, %d reps, >=%s/sample, %d MC samples/run\n",
 		b.Host, b.GOMAXPROCS, b.Reps, window, b.MCSamples)
-	fmt.Printf("  %-20s %5s %5s %5s %6s %8s %8s %8s %8s\n",
-		"structure", "comps", "words", "sets", "cuts", "cuts x", "exact x", "import x", "MC x")
+	fmt.Printf("  %-20s %5s %5s %5s %6s  %s\n",
+		"structure", "comps", "words", "sets", "cuts", "median ±IQR: cuts | exact | importances | MC")
 
-	// One sample = collect the heap, one untimed warm-up, then `batch` timed
-	// runs averaged into a per-run figure (see expPathdisc for why single-shot
-	// timing of microsecond workloads is unsound).
-	timeIt := func(batch int, f func() error) (int64, error) {
-		runtime.GC()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for j := 0; j < batch; j++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Nanoseconds() / int64(batch), nil
-	}
-	// benchPair interleaves the two variants, flipping the order every
-	// repetition so neither always inherits the other's just-warmed state,
-	// and keeps the best repetition of each.
-	benchPair := func(legacy, compiled func() error) (dependFamily, error) {
-		fam := dependFamily{LegacyNs: math.MaxInt64, CompiledNs: math.MaxInt64}
+	// measure calibrates the batch from one cold run, then takes b.Reps
+	// samples (see timeBatch).
+	measure := func(f func() error) (timing, error) {
 		calStart := time.Now()
-		if err := compiled(); err != nil {
-			return fam, err
+		if err := f(); err != nil {
+			return timing{}, err
 		}
 		batch := int(window / max(time.Since(calStart), time.Microsecond))
-		fam.RunsPerRep = min(max(batch, 1), 512)
-		var ls, cs []int64
+		batch = min(max(batch, 1), 512)
+		samples := make([]int64, 0, b.Reps)
 		for i := 0; i < b.Reps; i++ {
-			first, second := legacy, compiled
-			if i%2 == 1 {
-				first, second = compiled, legacy
-			}
-			d1, err := timeIt(fam.RunsPerRep, first)
+			d, err := timeBatch(batch, f)
 			if err != nil {
-				return fam, err
+				return timing{}, err
 			}
-			d2, err := timeIt(fam.RunsPerRep, second)
-			if err != nil {
-				return fam, err
-			}
-			dl, dc := d1, d2
-			if i%2 == 1 {
-				dl, dc = d2, d1
-			}
-			fam.LegacyNs = min(fam.LegacyNs, dl)
-			fam.CompiledNs = min(fam.CompiledNs, dc)
-			ls = append(ls, dl)
-			cs = append(cs, dc)
+			samples = append(samples, d)
 		}
-		// Below-noise deltas round away rather than masquerading as signal;
-		// indistinguishable sample sets report parity (speedup exactly 1).
-		if mannWhitneyDistinct(ls, cs) {
-			fam.Speedup = math.Round(float64(fam.LegacyNs)/float64(fam.CompiledNs)*100) / 100
-		} else {
-			fam.Parity = true
-			fam.Speedup = 1
-		}
-		return fam, nil
+		return summarise(samples, batch), nil
 	}
 
 	for _, x := range ws {
@@ -240,84 +178,25 @@ func expDepend() error {
 			CutSets:     len(cuts),
 		}
 		avail := x.avail
-
-		w.MinimalCuts, err = benchPair(
-			func() error { _, err := x.st.MinimalCutSets(0); return err },
-			func() error { _, err := cs.MinimalCutSets(0); return err },
-		)
-		if err != nil {
-			return err
+		for _, fam := range []struct {
+			t   *timing
+			run func() error
+		}{
+			{&w.MinimalCuts, func() error { _, err := cs.MinimalCutSets(0); return err }},
+			{&w.ExactFactoring, func() error { _, err := depend.Compile(x.st).Exact(avail); return err }},
+			{&w.Importances, func() error { _, _, err := depend.Compile(x.st).Importances(avail); return err }},
+			{&w.MonteCarlo, func() error { _, _, err := cs.MonteCarlo(avail, b.MCSamples, 7); return err }},
+		} {
+			if *fam.t, err = measure(fam.run); err != nil {
+				return err
+			}
 		}
-		// The cut-set floor measures the enumeration algorithm, so it ranges
-		// over the rows where the transversal expansion is combinatorial
-		// (>=100 minimal cuts). Structures with a handful of cuts finish in
-		// microseconds under either kernel — those rows are overhead-bound
-		// and fall under the "parity allowed elsewhere" clause.
-		if w.Components >= 12 && w.CutSets >= 100 {
-			b.CutFloorSpeedup = min(b.CutFloorSpeedup, w.MinimalCuts.Speedup)
-		}
-		b.Regression = b.Regression || (!w.MinimalCuts.Parity && w.MinimalCuts.Speedup < 1)
-
-		w.ExactFactoring, err = benchPair(
-			func() error { _, err := x.st.Exact(avail); return err },
-			func() error { _, err := depend.Compile(x.st).Exact(avail); return err },
-		)
-		if err != nil {
-			return err
-		}
-		b.Regression = b.Regression || (!w.ExactFactoring.Parity && w.ExactFactoring.Speedup < 1)
-
-		// Every component forced up and forced down: the legacy kernel
-		// factors twice per component, the compiled one runs its program.
-		comps := cs.Components()
-		w.Importances, err = benchPair(
-			func() error {
-				for _, c := range comps {
-					for _, up := range []bool{true, false} {
-						if _, err := x.st.WhatIf(avail, map[string]bool{c: up}); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			},
-			func() error { _, _, err := depend.Compile(x.st).Importances(avail); return err },
-		)
-		if err != nil {
-			return err
-		}
-		b.Regression = b.Regression || (!w.Importances.Parity && w.Importances.Speedup < 1)
-
-		w.MonteCarlo, err = benchPair(
-			func() error { _, _, err := x.st.MonteCarlo(avail, b.MCSamples, 7); return err },
-			func() error { _, _, err := cs.MonteCarlo(avail, b.MCSamples, 7); return err },
-		)
-		if err != nil {
-			return err
-		}
-		w.MCLegacyNsPerSamp = math.Round(float64(w.MonteCarlo.LegacyNs)/float64(b.MCSamples)*100) / 100
-		w.MCCompNsPerSamp = math.Round(float64(w.MonteCarlo.CompiledNs)/float64(b.MCSamples)*100) / 100
-		b.MCFloorSpeedup = min(b.MCFloorSpeedup, w.MonteCarlo.Speedup)
-		b.Regression = b.Regression || (!w.MonteCarlo.Parity && w.MonteCarlo.Speedup < 1)
-
+		w.MCNsPerSample = math.Round(float64(w.MonteCarlo.BestNs)/float64(b.MCSamples)*100) / 100
 		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-20s %5d %5d %5d %6d %7.2fx %7.2fx %7.2fx %7.2fx\n",
+		fmt.Printf("  %-20s %5d %5d %5d %6d  %v | %v | %v | %v\n",
 			w.Structure, w.Components, w.Words, w.ServiceSets, w.CutSets,
-			w.MinimalCuts.Speedup, w.ExactFactoring.Speedup, w.Importances.Speedup, w.MonteCarlo.Speedup)
+			w.MinimalCuts, w.ExactFactoring, w.Importances, w.MonteCarlo)
 	}
-
-	// A floor with no qualifying row (possible only if the workload list is
-	// trimmed) records 0, which JSON can carry and any checker flags.
-	for _, f := range []*float64{&b.CutFloorSpeedup, &b.MCFloorSpeedup} {
-		if math.IsInf(*f, 0) {
-			*f = 0
-		}
-	}
-	fmt.Printf("  floors (>=12 components): cut sets %.2fx (floor 3x, combinatorial rows), Monte Carlo %.2fx (floor 2x)\n",
-		b.CutFloorSpeedup, b.MCFloorSpeedup)
-	fmt.Printf("  Mann-Whitney-confirmed regression in any family: %t\n", b.Regression)
-	fmt.Println("  (interning pays most where sets are re-compared combinatorially: the")
-	fmt.Println("   transversal dominance checks)")
 
 	if dependOut != "" {
 		data, err := json.MarshalIndent(b, "", "  ")

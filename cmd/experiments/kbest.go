@@ -110,23 +110,10 @@ func expKBest() error {
 	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, hard limit %d paths\n",
 		b.GOMAXPROCS, b.Reps, window, hardLimit)
 
-	// The expPathdisc/expWarm methodology: one sample = GC + untimed warm-up
-	// + a calibrated batch of timed runs; variants interleave with
-	// alternating order; the best repetition represents each variant; rank
-	// testing decides whether a delta is signal at all.
-	timeIt := func(batch int, f func() error) (int64, error) {
-		runtime.GC()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for j := 0; j < batch; j++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Nanoseconds() / int64(batch), nil
-	}
+	// One sample is timeBatch: GC, an untimed warm-up and a calibrated
+	// batch of timed runs. Variants interleave with alternating order; the
+	// best repetition represents each variant; rank testing decides whether
+	// a delta is signal at all.
 	benchPair := func(fast, slow func() error) (fastNs, slowNs int64, speedup float64, parity bool, runs int, err error) {
 		calStart := time.Now()
 		if err = slow(); err != nil {
@@ -141,10 +128,10 @@ func expKBest() error {
 				first, second = slow, fast
 			}
 			var d1, d2 int64
-			if d1, err = timeIt(runs, first); err != nil {
+			if d1, err = timeBatch(runs, first); err != nil {
 				return
 			}
-			if d2, err = timeIt(runs, second); err != nil {
+			if d2, err = timeBatch(runs, second); err != nil {
 				return
 			}
 			df, ds := d1, d2
@@ -270,7 +257,7 @@ func expKBest() error {
 	w.RunsPerRep = min(max(int(window/max(time.Since(calStart), time.Microsecond)), 1), 512)
 	w.KBestNs = math.MaxInt64
 	for i := 0; i < b.Reps; i++ {
-		d, err := timeIt(w.RunsPerRep, func() error {
+		d, err := timeBatch(w.RunsPerRep, func() error {
 			_, _, err := c.KShortest(src, dst, rankOpts)
 			return err
 		})

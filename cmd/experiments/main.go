@@ -77,8 +77,8 @@ func experimentsList() []experiment {
 		{"scaling", "Section V-D — path discovery scalability", expScaling},
 		{"dynamicity", "Section V-A3 — dynamicity scenarios", expDynamicity},
 		{"cache", "Extension — content-addressed cache & concurrent discovery", expCache},
-		{"pathdisc", "Extension — compiled CSR kernel vs map-based discovery", expPathdisc},
-		{"depend", "Extension — compiled dependability kernel vs map-based analysis", expDepend},
+		{"pathdisc", "Extension — compiled CSR path-discovery kernel timings", expPathdisc},
+		{"depend", "Extension — compiled dependability kernel timings", expDepend},
 		{"whatif", "Extension — live-topology patching vs cold recompilation", expWhatIf},
 		{"warm", "Extension — allocation-free warm path vs per-request cold build", expWarm},
 		{"kbest", "Extension — budgeted k-best discovery vs full enumeration", expKBest},
@@ -676,8 +676,9 @@ func expScaling() error {
 	// exhaustive store. A generous cap keeps the harness bounded.
 	const pathCap = 500_000
 	for _, c := range cases {
+		k := pathdisc.Compile(c.g)
 		start := time.Now()
-		count, stats, err := pathdisc.CountPaths(c.g, c.src, c.dst, pathdisc.Options{MaxPaths: pathCap})
+		count, stats, err := k.CountPaths(c.src, c.dst, pathdisc.Options{MaxPaths: pathCap})
 		if err != nil {
 			return err
 		}

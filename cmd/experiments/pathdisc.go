@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,24 +19,73 @@ import (
 // (the test default) skips the file. main sets it from -pathdisc-out.
 var pathdiscOut string
 
+// timing summarises one workload's timed samples in nanoseconds per run:
+// the best repetition, and the median and interquartile range over all of
+// them, so that a later record can tell drift from noise. RunsPerRep is the
+// calibrated batch size: enough consecutive runs that one timed sample
+// spans the harness's minimum window.
+type timing struct {
+	BestNs     int64 `json:"bestNs"`
+	MedianNs   int64 `json:"medianNs"`
+	IQRNs      int64 `json:"iqrNs"`
+	RunsPerRep int   `json:"runsPerRep"`
+}
+
+// summarise returns the timing of the samples, with nearest-rank quartiles.
+func summarise(samples []int64, runsPerRep int) timing {
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	q := func(p float64) int64 { return s[int(p*float64(len(s)-1)+0.5)] }
+	return timing{BestNs: s[0], MedianNs: q(0.5), IQRNs: q(0.75) - q(0.25), RunsPerRep: runsPerRep}
+}
+
+// String renders the median and interquartile range, e.g. "12µs ±0.4µs".
+func (t timing) String() string {
+	return fmt.Sprintf("%v ±%v", roundNs(t.MedianNs), roundNs(t.IQRNs))
+}
+
+// roundNs renders a nanosecond figure at three significant digits.
+func roundNs(ns int64) time.Duration {
+	d := time.Duration(ns)
+	for r := time.Duration(1); ; r *= 10 {
+		if d < 1000*r {
+			return d.Round(r)
+		}
+	}
+}
+
+// timeBatch times one sample: collect the heap, one untimed warm-up run
+// (runtime.GC purges the kernels' sync.Pools, so the first run after it
+// re-allocates scratch), then batch consecutive timed runs averaged into a
+// per-run figure. Timing a single microsecond run is unsound — one GC pause
+// or scheduler blip inside the window swamps the signal — so small
+// workloads are batched until a sample covers enough real work, the
+// strategy testing.B uses to pick b.N.
+func timeBatch(batch int, f func() error) (int64, error) {
+	runtime.GC()
+	if err := f(); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	for j := 0; j < batch; j++ {
+		if err := f(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start).Nanoseconds() / int64(batch), nil
+}
+
 // pathdiscWorkload is one row of the BENCH_pathdisc.json record: one
-// (topology, endpoint pair) workload measured under the map-based reference
-// walker and the compiled CSR kernel. Durations are best-of-reps
-// nanoseconds per full enumeration.
+// (topology, endpoint pair) workload measured under the compiled CSR
+// kernel, one full enumeration per run.
 type pathdiscWorkload struct {
-	Topology       string  `json:"topology"`
-	Nodes          int     `json:"nodes"`
-	Edges          int     `json:"edges"`
-	Branching      float64 `json:"branching"`
-	Paths          int     `json:"paths"`
-	LegacyNs       int64   `json:"legacyNs"`
-	CompiledNs     int64   `json:"compiledNs"`
-	Speedup        float64 `json:"speedup"`
-	LegacyAllocs   float64 `json:"legacyAllocsPerOp"`
-	CompiledAllocs float64 `json:"compiledAllocsPerOp"`
-	// RunsPerRep is the calibrated batch size: enough consecutive runs that
-	// one timed sample spans at least pathdiscWindow of work.
-	RunsPerRep int `json:"runsPerRep"`
+	Topology  string  `json:"topology"`
+	Nodes     int     `json:"nodes"`
+	Edges     int     `json:"edges"`
+	Branching float64 `json:"branching"`
+	Paths     int     `json:"paths"`
+	Compiled  timing  `json:"compiled"`
+	Allocs    float64 `json:"allocsPerOp"`
 }
 
 // mannWhitneyDistinct reports whether two timing sample sets are
@@ -89,19 +139,17 @@ func mannWhitneyDistinct(a, b []int64) bool {
 
 // pathdiscBench is the BENCH_pathdisc.json schema.
 type pathdiscBench struct {
+	Host       string             `json:"host"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
-	Reps       int                `json:"repsPerVariant"`
+	Reps       int                `json:"repsPerWorkload"`
 	WindowNs   int64              `json:"minSampleWindowNs"`
 	Workloads  []pathdiscWorkload `json:"workloads"`
-	// DenseMeshSpeedup is the compiled-vs-legacy speedup on the densest mesh
-	// workload (the acceptance floor is 3x).
-	DenseMeshSpeedup float64 `json:"denseMeshSpeedup"`
 }
 
-// expPathdisc is the scalability benchmark of the compiled kernel (Section
-// V-D workloads): mesh (the O(n!) dense case), ladder (the low-branching
-// "few loops" case) and random connected graphs of growing density, each
-// measured interleaved and summarised by the best repetition.
+// expPathdisc times the compiled kernel on the Section V-D workloads: mesh
+// (the O(n!) dense case), ladder (the low-branching "few loops" case) and
+// random connected graphs of growing density, each summarised by its best
+// repetition and by the median and interquartile range of all of them.
 func expPathdisc() error {
 	type workload struct {
 		name     string
@@ -134,48 +182,22 @@ func expPathdisc() error {
 		ws = append(ws, workload{fmt.Sprintf("random n=%d loops=%.2f", c.n, c.p), g, "n0", fmt.Sprintf("n%d", c.n-1)})
 	}
 
-	// pathdiscWindow is the minimum span of one timed sample. Timing a single
-	// 10-microsecond enumeration is unsound — one GC pause or scheduler blip
-	// inside the window swamps the signal — so small workloads are batched
-	// until a sample covers at least this much real work, the same strategy
-	// testing.B uses to pick b.N.
+	// pathdiscWindow is the minimum span of one timed sample (see timeBatch).
 	const pathdiscWindow = 20 * time.Millisecond
 	b := pathdiscBench{
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Reps:             9,
-		WindowNs:         pathdiscWindow.Nanoseconds(),
-		DenseMeshSpeedup: math.Inf(1),
+		Host:       hostName(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Reps:       9,
+		WindowNs:   pathdiscWindow.Nanoseconds(),
 	}
-	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample\n",
-		b.GOMAXPROCS, b.Reps, pathdiscWindow)
-	fmt.Printf("  %-22s %6s %6s %9s %11s %11s %8s %9s %9s\n",
-		"topology", "nodes", "edges", "paths", "legacy", "compiled", "speedup", "allocs", "allocs'")
-
-	// One sample = collect the heap, one untimed warm-up run (runtime.GC
-	// purges the kernel's sync.Pool, so the first run after it re-allocates
-	// scratch), then `batch` consecutive timed runs averaged into a per-run
-	// figure. Mid-window collections are driven by allocation rate, which is
-	// identical across variants of the same workload, so a >=2ms window
-	// amortises them fairly. Single-shot timing instead let one GC pause land
-	// inside the same variant's slot on every repetition, a bias best-of
-	// cannot remove (observed as a stable phantom 0.74x between two runs of
-	// the *same* sequential code path).
-	timeIt := func(batch int, f func() error) (int64, error) {
-		runtime.GC()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for j := 0; j < batch; j++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Nanoseconds() / int64(batch), nil
-	}
+	fmt.Printf("  %s, GOMAXPROCS=%d, %d reps, >=%s/sample\n",
+		b.Host, b.GOMAXPROCS, b.Reps, pathdiscWindow)
+	fmt.Printf("  %-22s %6s %6s %9s %11s %20s %7s\n",
+		"topology", "nodes", "edges", "paths", "best", "median ±IQR", "allocs")
 	for _, x := range ws {
 		c := pathdisc.Compile(x.g)
 		opts := pathdisc.Options{}
+		enumerate := func() error { _, _, err := c.AllPaths(x.src, x.dst, opts); return err }
 		calStart := time.Now()
 		paths, _, err := c.AllPaths(x.src, x.dst, opts)
 		if err != nil {
@@ -184,53 +206,27 @@ func expPathdisc() error {
 		// Calibrate the batch from this first (coldest, so pessimistic) run.
 		batch := int(pathdiscWindow / max(time.Since(calStart), time.Microsecond))
 		batch = min(max(batch, 1), 512)
-		w := pathdiscWorkload{
-			Topology:   x.name,
-			Nodes:      x.g.NumNodes(),
-			Edges:      x.g.NumEdges(),
-			Branching:  math.Round(c.Branching()*100) / 100,
-			Paths:      len(paths),
-			LegacyNs:   math.MaxInt64,
-			CompiledNs: math.MaxInt64,
-			RunsPerRep: batch,
-		}
-		// Interleave the two kernels so drift hits them equally; keep the
-		// best repetition of each (see cache.go for the rationale).
+		samples := make([]int64, 0, b.Reps)
 		for i := 0; i < b.Reps; i++ {
-			d, err := timeIt(batch, func() error { _, _, err := pathdisc.AllPaths(x.g, x.src, x.dst, opts); return err })
+			d, err := timeBatch(batch, enumerate)
 			if err != nil {
 				return err
 			}
-			w.LegacyNs = min(w.LegacyNs, d)
-			d, err = timeIt(batch, func() error { _, _, err := c.AllPaths(x.src, x.dst, opts); return err })
-			if err != nil {
-				return err
-			}
-			w.CompiledNs = min(w.CompiledNs, d)
+			samples = append(samples, d)
 		}
-		w.LegacyAllocs = testing.AllocsPerRun(3, func() {
-			_, _, _ = pathdisc.AllPaths(x.g, x.src, x.dst, opts)
-		})
-		w.CompiledAllocs = testing.AllocsPerRun(3, func() {
-			_, _, _ = c.AllPaths(x.src, x.dst, opts)
-		})
-		// Speedups below the noise floor of a best-of comparison (<1%) round
-		// away rather than masquerading as signal.
-		w.Speedup = math.Round(float64(w.LegacyNs)/float64(w.CompiledNs)*100) / 100
+		w := pathdiscWorkload{
+			Topology:  x.name,
+			Nodes:     x.g.NumNodes(),
+			Edges:     x.g.NumEdges(),
+			Branching: math.Round(c.Branching()*100) / 100,
+			Paths:     len(paths),
+			Compiled:  summarise(samples, batch),
+			Allocs:    testing.AllocsPerRun(3, func() { _ = enumerate() }),
+		}
 		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-22s %6d %6d %9d %11s %11s %7.2fx %9.0f %9.0f\n",
-			w.Topology, w.Nodes, w.Edges, w.Paths,
-			time.Duration(w.LegacyNs).Round(time.Microsecond),
-			time.Duration(w.CompiledNs).Round(time.Microsecond),
-			w.Speedup, w.LegacyAllocs, w.CompiledAllocs)
+		fmt.Printf("  %-22s %6d %6d %9d %11v %20v %7.0f\n",
+			w.Topology, w.Nodes, w.Edges, w.Paths, roundNs(w.Compiled.BestNs), w.Compiled, w.Allocs)
 	}
-	// DenseMeshSpeedup must reflect the mesh rows, not whatever ran last.
-	for _, w := range b.Workloads {
-		if w.Topology == "mesh n=8" {
-			b.DenseMeshSpeedup = w.Speedup
-		}
-	}
-	fmt.Printf("  dense mesh speedup: %.2fx (floor 3x)\n", b.DenseMeshSpeedup)
 
 	if pathdiscOut != "" {
 		data, err := json.MarshalIndent(b, "", "  ")

@@ -229,23 +229,10 @@ func expWhatIf() error {
 	fmt.Printf("  %-14s %6s %6s %6s %6s %9s\n",
 		"topology", "nodes", "edges", "sets", "comps", "kernel x")
 
-	// The expDepend/expPathdisc methodology: one sample = GC + untimed
-	// warm-up + a calibrated batch of timed runs; variants interleave with
-	// alternating order; the best repetition represents each variant; rank
-	// testing decides whether a delta is signal at all.
-	timeIt := func(batch int, f func() error) (int64, error) {
-		runtime.GC()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for j := 0; j < batch; j++ {
-			if err := f(); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start).Nanoseconds() / int64(batch), nil
-	}
+	// One sample is timeBatch: GC, an untimed warm-up and a calibrated
+	// batch of timed runs. Variants interleave with alternating order; the
+	// best repetition represents each variant; rank testing decides whether
+	// a delta is signal at all.
 	benchPair := func(patch, recompile func() error) (whatifFamily, error) {
 		fam := whatifFamily{PatchNs: math.MaxInt64, RecompileNs: math.MaxInt64}
 		calStart := time.Now()
@@ -260,11 +247,11 @@ func expWhatIf() error {
 			if i%2 == 1 {
 				first, second = recompile, patch
 			}
-			d1, err := timeIt(fam.RunsPerRep, first)
+			d1, err := timeBatch(fam.RunsPerRep, first)
 			if err != nil {
 				return fam, err
 			}
-			d2, err := timeIt(fam.RunsPerRep, second)
+			d2, err := timeBatch(fam.RunsPerRep, second)
 			if err != nil {
 				return fam, err
 			}

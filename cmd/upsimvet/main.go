@@ -1,9 +1,9 @@
 // Command upsimvet runs the repository's Go static-analysis suite
 // (internal/gostatic) over the named packages: the code-level counterpart of
-// `upsim lint`, which analyses models. It enforces the kernel, parity and
+// `upsim lint`, which analyses models. It enforces the kernel and
 // observability invariants — allocation-free //upsim:hotpath functions,
-// shared legacy≡compiled error-format constants, StartSpan/End pairing,
-// sync.Pool Get/Put balance, and explicit json tags on API payload structs.
+// StartSpan/End pairing, sync.Pool Get/Put balance, and explicit json tags
+// on API payload structs.
 //
 // Usage:
 //

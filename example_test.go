@@ -34,10 +34,9 @@ func ExampleAllPaths() {
 }
 
 // ExampleCompile amortises path discovery over a fixed topology: the graph
-// is lowered to its CSR form once, then enumerated repeatedly without
-// per-call map allocations. The path sets are identical to AllPaths; the
-// compiled kernel additionally reports how many expansions its
-// reachability pass pruned.
+// is lowered to its CSR form once, then enumerated repeatedly, where the
+// facade's AllPaths compiles on every call. The kernel reports how many
+// expansions its reachability pass pruned.
 func ExampleCompile() {
 	m, _ := upsim.USIModel()
 	gen, _ := upsim.NewGenerator(m, upsim.USIDiagramName)

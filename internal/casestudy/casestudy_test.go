@@ -110,7 +110,7 @@ func TestSectionVIGPaths(t *testing.T) {
 	}
 	d, _ := m.Diagram(DiagramName)
 	g := topology.FromObjectDiagram(d)
-	paths, _, err := pathdisc.AllPaths(g, "t1", "printS", pathdisc.Options{})
+	paths, _, err := pathdisc.Compile(g).AllPaths("t1", "printS", pathdisc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,11 +283,13 @@ func TestGenerateDisconnected(t *testing.T) {
 	}
 }
 
-// TestGenerateAlgorithmsAgree pins Step 7 against the reference walker:
-// every atomic service's paths from the generator (the compiled CSR kernel)
-// equal pathdisc.AllPaths on the generator's map-based graph, in sequence,
-// on the diamond fixture and on the USI case study with the Table I
-// mapping, under several path options.
+// TestGenerateAlgorithmsAgree pins Step 7's wiring: every atomic service's
+// paths from the generator (its CSR kernel, compiled once per model) equal
+// a fresh pathdisc.Compile of the generator's graph, in sequence, on the
+// diamond fixture and on the USI case study with the Table I mapping, under
+// several path options. internal/pathdisc pins the kernel to its map-based
+// oracle: TestCompiledMatchesOracleCaseStudy on the same USI pairs and
+// options, the property and fuzz tests on random multigraphs.
 func TestGenerateAlgorithmsAgree(t *testing.T) {
 	f := buildFixture(t)
 	usi, err := casestudy.BuildModel()
@@ -318,16 +320,16 @@ func TestGenerateAlgorithmsAgree(t *testing.T) {
 				t.Fatalf("%s %+v: %v", tc.name, paths, err)
 			}
 			for _, sp := range res.Services {
-				want, _, err := pathdisc.AllPaths(g.Graph(), sp.Requester, sp.Provider, paths)
+				want, _, err := pathdisc.Compile(g.Graph()).AllPaths(sp.Requester, sp.Provider, paths)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(want) != len(sp.Paths) {
-					t.Fatalf("%s %+v %s: %d paths, reference walker %d", tc.name, paths, sp.AtomicService, len(sp.Paths), len(want))
+					t.Fatalf("%s %+v %s: %d paths, fresh kernel %d", tc.name, paths, sp.AtomicService, len(sp.Paths), len(want))
 				}
 				for k := range want {
 					if want[k].String() != sp.Paths[k].String() || !slices.Equal(want[k].Edges, sp.Paths[k].Edges) {
-						t.Fatalf("%s %+v %s: path %d = %s, reference walker %s", tc.name, paths, sp.AtomicService, k, sp.Paths[k], want[k])
+						t.Fatalf("%s %+v %s: path %d = %s, fresh kernel %s", tc.name, paths, sp.AtomicService, k, sp.Paths[k], want[k])
 					}
 				}
 			}

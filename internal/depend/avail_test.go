@@ -84,7 +84,7 @@ func TestProbabilityErrorTexts(t *testing.T) {
 			want string
 		}{
 			{"compiled Exact", func() error { _, err := Compile(s).Exact(avail); return err }, wantAvail},
-			{"legacy Exact", func() error { _, err := s.Exact(avail); return err }, wantAvail},
+			{"oracle Exact", func() error { _, err := oracleExact(s, avail); return err }, wantAvail},
 			{"Basic.Availability", func() error { _, err := (Basic{Name: "b", A: tc.p}).Availability(); return err },
 				"depend: availability of b " + tc.text + " outside [0,1]"},
 			{"BasicEvent.Probability", func() error { _, err := (BasicEvent{Name: "e", Q: tc.p}).Probability(); return err },

@@ -18,13 +18,13 @@ const (
 	BudgetTransversal BudgetKind = "transversal"
 )
 
-// BudgetError reports an exhausted set-expansion budget. The map-based
-// ServicePathSets and both kernels' MinimalCutSets return it,
+// BudgetError reports an exhausted set-expansion budget. ServicePathSets
+// and MinimalCutSets return it,
 // so callers can distinguish "the analysis is too large for this limit"
 // from a malformed input and surface the offending atomic service and the
 // budget that was hit — instead of parsing the error string. Error()
-// reproduces the historical messages exactly; the kernel-parity tests pin
-// legacy and compiled to identical strings.
+// reproduces the historical messages exactly; the equivalence tests pin the
+// compiled kernel and its map-based reference to identical strings.
 type BudgetError struct {
 	// Kind is the budget that was exhausted.
 	Kind BudgetKind

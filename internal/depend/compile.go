@@ -8,12 +8,14 @@ package depend
 // popcounts and lowest differing bits instead of joined strings, exact
 // evaluation replays a recorded factoring program (program.go), and Monte
 // Carlo sampling evaluates the structure function on 64 samples per word
-// (montecarlo.go). Every algorithm reproduces the legacy map implementation
-// exactly: same sets in the same canonical (cardinality, then element-wise
-// lexicographic) order, same error messages, and bit-identical floats —
-// component ids are assigned in sorted-name order, so ascending-id bit
-// iteration multiplies availabilities in exactly the order the legacy code
-// does after its determinization. See DESIGN.md §10.
+// (montecarlo.go). It is the only product implementation of these
+// quantities; the ServiceStructure methods forward to it. Every algorithm
+// reproduces the map-based reference of oracle_test.go exactly: same sets
+// in the same canonical (cardinality, then element-wise lexicographic)
+// order, same error messages, and bit-identical floats — component ids are
+// assigned in sorted-name order, so ascending-id bit iteration multiplies
+// availabilities in exactly the order the sorted-name loops of the
+// reference do. See DESIGN.md §10.
 
 import (
 	"fmt"
@@ -22,6 +24,15 @@ import (
 	"sync"
 
 	"upsim/internal/obs"
+)
+
+// Error formats of the kernel's validation, shared with the map-based
+// reference of oracle_test.go so that the tests compare one text.
+const (
+	errFmtNoAvailability    = "depend: no availability for component %q"
+	errFmtAtomicService     = "depend: atomic service %q: %w"
+	errFmtMonteCarloSamples = "depend: MonteCarlo needs at least 1 sample, got %d"
+	errFmtForcedNotInStruct = "depend: forced component %q not in structure"
 )
 
 // Compiled-kernel metrics: compilation events and the size of the most
@@ -189,7 +200,7 @@ type compiledAtomic struct {
 // immutable after construction and safe for concurrent use; per-analysis
 // scratch comes from the package-level pools. Component ids are dense ints in
 // sorted-name order, so ascending-id iteration visits components exactly as
-// the legacy code's sorted Components() loops do.
+// sorted Components() loops do.
 type CompiledStructure struct {
 	names   []string         // dense component id -> name (sorted)
 	index   map[string]int32 // name -> dense component id
@@ -210,8 +221,7 @@ var arenaPool = sync.Pool{New: func() any { return new(bitArena) }}
 
 // Compile lowers s into its interned bitset form. An invalid structure
 // still compiles (the component universe is well defined regardless); its
-// Validate error is stored and returned by every analysis entry point,
-// mirroring the legacy methods.
+// Validate error is stored and returned by every analysis entry point.
 func Compile(s *ServiceStructure) *CompiledStructure {
 	return compile(s, s.Components(), s.Validate())
 }
@@ -246,7 +256,7 @@ func compile(s *ServiceStructure, names []string, validErr error) *CompiledStruc
 }
 
 // Components returns the sorted distinct component ids of the structure —
-// identical to the legacy ServiceStructure.Components.
+// identical to ServiceStructure.Components.
 func (cs *CompiledStructure) Components() []string {
 	return append([]string(nil), cs.names...)
 }
@@ -269,7 +279,7 @@ func getArena() *bitArena {
 func putArena(a *bitArena) { arenaPool.Put(a) }
 
 // packAvail lowers the availability map onto the dense id space, with the
-// exact validation (and error messages) of the legacy checkAvail.
+// exact validation (and error messages) of checkAvail.
 func (cs *CompiledStructure) packAvail(avail map[string]float64) ([]float64, error) {
 	pa := make([]float64, len(cs.names))
 	for i, c := range cs.names {
@@ -286,7 +296,7 @@ func (cs *CompiledStructure) packAvail(avail map[string]float64) ([]float64, err
 }
 
 // toPathSets converts bitsets back to sorted component-name sets, the
-// boundary representation shared with the legacy API.
+// boundary representation of the ServiceStructure API.
 func (cs *CompiledStructure) toPathSets(sets []bitset) []PathSet {
 	out := make([]PathSet, 0, len(sets))
 	for _, b := range sets {
@@ -303,9 +313,9 @@ func (cs *CompiledStructure) toPathSets(sets []bitset) []PathSet {
 	return out
 }
 
-// MinimalCutSets is the compiled form of ServiceStructure.MinimalCutSets:
-// minimal hitting sets of each atomic service's path sets, minimalised
-// across atomic services.
+// MinimalCutSets returns the minimal cut sets of the service (see
+// ServiceStructure.MinimalCutSets): minimal hitting sets of each atomic
+// service's path sets, minimalised across atomic services.
 func (cs *CompiledStructure) MinimalCutSets(limit int) ([]PathSet, error) {
 	sets, ar, err := cs.minimalCutBits(limit)
 	if err != nil {
@@ -377,11 +387,12 @@ func transversalsBits(sets []bitset, words, limit int, ar *bitArena) ([]bitset, 
 	return cur, nil
 }
 
-// Exact is the compiled form of ServiceStructure.Exact: Shannon factoring
-// with the same pivot rule (most frequent component, ties to the smallest
-// name — here the smallest id) and a memo keyed on the canonical multiset
-// encoding of the conditioned formula. Same pivots at every node means the
-// same float expression tree, so the result is bit-identical to legacy. The
+// Exact computes the service availability exactly (see
+// ServiceStructure.Exact): Shannon factoring with the pivot rule of the
+// reference (most frequent component, ties to the smallest name — here the
+// smallest id) and a memo keyed on the canonical multiset encoding of the
+// conditioned formula. Same pivots at every node means the same float
+// expression tree, so the result is bit-identical to the reference. The
 // tree is recorded once per structure as its factoring program (program.go);
 // each call replays it over the packed availabilities.
 func (cs *CompiledStructure) Exact(avail map[string]float64) (float64, error) {
@@ -397,7 +408,7 @@ func (cs *CompiledStructure) Exact(avail map[string]float64) (float64, error) {
 
 // mostFrequentBit returns the component on the most path sets; ascending
 // scan with strict improvement resolves ties to the smallest id, which is
-// the smallest name — the legacy tie rule. counts is caller-owned scratch,
+// the smallest name — the reference's tie rule. counts is caller-owned scratch,
 // one slot per component.
 //
 //upsim:hotpath
@@ -424,7 +435,7 @@ func mostFrequentBit(f [][]bitset, counts []int32) int32 {
 	return best
 }
 
-// conditionBits mirrors formula.condition on bitsets; the constant return
+// conditionBits is the reference's formula.condition on bitsets; the constant return
 // has the same meaning (0 false, 1 true, -1 use formula). Output slices and
 // reduced sets come from the context arenas and stay valid until the
 // context is released; unconditioned sets are shared with the input.
@@ -477,10 +488,12 @@ func conditionBits(f [][]bitset, c int32, up bool, ctx *exactCtx) ([][]bitset, i
 	return out, -1
 }
 
-// WhatIf is the compiled form of ServiceStructure.WhatIf: exact availability
-// with the given components forced up or down. As in legacy, a forced
-// component must be a key of the availability map; forcing a component that
-// is in the map but not in the structure is a no-op.
+// WhatIf computes the exact availability with the given components forced
+// up or down (see ServiceStructure.WhatIf). A forced component must be a
+// key of the availability map; forcing a component that is in the map but
+// not in the structure is a no-op. The map is validated as given, before
+// anything is forced, so an out-of-range availability is an error even
+// for a forced component.
 func (cs *CompiledStructure) WhatIf(avail map[string]float64, forced map[string]bool) (float64, error) {
 	for c := range forced {
 		if _, ok := avail[c]; !ok {

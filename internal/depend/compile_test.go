@@ -21,15 +21,15 @@ func withinOneUlp(a, b float64) bool {
 // Fussell–Vesely importance is ((1−base)−(1−up))/(1−base), 0 when base
 // is 1.
 func mapImportance(s *ServiceStructure, avail map[string]float64, c string) (birnbaum, fussellVesely float64, err error) {
-	base, err := s.Exact(avail)
+	base, err := oracleExact(s, avail)
 	if err != nil {
 		return 0, 0, err
 	}
-	up, err := s.WhatIf(avail, map[string]bool{c: true})
+	up, err := oracleWhatIf(s, avail, map[string]bool{c: true})
 	if err != nil {
 		return 0, 0, err
 	}
-	down, err := s.WhatIf(avail, map[string]bool{c: false})
+	down, err := oracleWhatIf(s, avail, map[string]bool{c: false})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -105,61 +105,61 @@ func checkCompiledEquivalence(t *testing.T, s *ServiceStructure, avail map[strin
 
 	wantComps := s.Components()
 	if got := cs.Components(); !reflect.DeepEqual(got, wantComps) {
-		t.Fatalf("Components: compiled %v, legacy %v", got, wantComps)
+		t.Fatalf("Components: compiled %v, oracle %v", got, wantComps)
 	}
 
-	checkErr := func(what string, legacy, compiled error) bool {
+	checkErr := func(what string, oracle, compiled error) bool {
 		t.Helper()
 		switch {
-		case legacy == nil && compiled == nil:
+		case oracle == nil && compiled == nil:
 			return false
-		case legacy == nil || compiled == nil || legacy.Error() != compiled.Error():
-			t.Fatalf("%s: error mismatch: legacy %v, compiled %v", what, legacy, compiled)
+		case oracle == nil || compiled == nil || oracle.Error() != compiled.Error():
+			t.Fatalf("%s: error mismatch: oracle %v, compiled %v", what, oracle, compiled)
 		}
 		return true
 	}
 
-	lc, lerr := s.MinimalCutSets(0)
+	lc, lerr := oracleMinimalCutSets(s, 0)
 	cc, cerr := cs.MinimalCutSets(0)
 	if !checkErr("MinimalCutSets", lerr, cerr) && !reflect.DeepEqual(lc, cc) {
-		t.Fatalf("MinimalCutSets: legacy %v, compiled %v", lc, cc)
+		t.Fatalf("MinimalCutSets: oracle %v, compiled %v", lc, cc)
 	}
 
-	lex, lerr := s.Exact(avail)
+	lex, lerr := oracleExact(s, avail)
 	cex, cerr := cs.Exact(avail)
 	if !checkErr("Exact", lerr, cerr) && !withinOneUlp(lex, cex) {
-		t.Fatalf("Exact: legacy %.17g, compiled %.17g", lex, cex)
+		t.Fatalf("Exact: oracle %.17g, compiled %.17g", lex, cex)
 	}
 
-	lmc, lse, lerr := s.MonteCarlo(avail, mcSamples, mcSeed)
+	lmc, lse, lerr := oracleMonteCarlo(s, avail, mcSamples, mcSeed)
 	cmc, cse, cerr := cs.MonteCarlo(avail, mcSamples, mcSeed)
 	if !checkErr("MonteCarlo", lerr, cerr) && (lmc != cmc || lse != cse) {
-		t.Fatalf("MonteCarlo: legacy %v±%v, compiled %v±%v", lmc, lse, cmc, cse)
+		t.Fatalf("MonteCarlo: oracle %v±%v, compiled %v±%v", lmc, lse, cmc, cse)
 	}
 
-	// The per-component legacy importances against the compiled kernel's
+	// The per-component oracle importances against the compiled kernel's
 	// one BirnbaumFussellVesely pass.
 	birnbaum, fv, ierr := cs.BirnbaumFussellVesely(avail, cex)
 	for i, c := range wantComps {
 		lbi, lfv, lerr := mapImportance(s, avail, c)
 		if !checkErr("Birnbaum", lerr, ierr) && !withinOneUlp(lbi, birnbaum[i]) {
-			t.Fatalf("Birnbaum(%q): legacy %.17g, compiled %.17g", c, lbi, birnbaum[i])
+			t.Fatalf("Birnbaum(%q): oracle %.17g, compiled %.17g", c, lbi, birnbaum[i])
 		}
 		if !checkErr("FussellVesely", lerr, ierr) && !withinOneUlp(lfv, fv[i]) {
-			t.Fatalf("FussellVesely(%q): legacy %.17g, compiled %.17g", c, lfv, fv[i])
+			t.Fatalf("FussellVesely(%q): oracle %.17g, compiled %.17g", c, lfv, fv[i])
 		}
 
-		lwi, lerr := s.WhatIf(avail, map[string]bool{c: false})
+		lwi, lerr := oracleWhatIf(s, avail, map[string]bool{c: false})
 		cwi, cerr := cs.WhatIf(avail, map[string]bool{c: false})
 		if !checkErr("WhatIf", lerr, cerr) && !withinOneUlp(lwi, cwi) {
-			t.Fatalf("WhatIf(%q down): legacy %.17g, compiled %.17g", c, lwi, cwi)
+			t.Fatalf("WhatIf(%q down): oracle %.17g, compiled %.17g", c, lwi, cwi)
 		}
 	}
 }
 
-// TestCompiledEquivalenceProperty pins the compiled kernel to the legacy
-// map implementation on random structures — the depend analogue of PR 4's
-// CSR ≡ legacy proof.
+// TestCompiledEquivalenceProperty pins the compiled kernel to the map-based
+// oracle (oracle_test.go) on random structures — the depend analogue of
+// pathdisc's CSR ≡ map-walker property.
 func TestCompiledEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for i := 0; i < 200; i++ {
@@ -170,10 +170,22 @@ func TestCompiledEquivalenceProperty(t *testing.T) {
 }
 
 // TestCompiledEquivalenceCaseStudy runs the equivalence check on the
-// paper's case-study-shaped fixtures used elsewhere in the package.
+// paper's case-study-shaped fixtures used elsewhere in the package, and on
+// the USI printing service's structure (Table I mapping, built by
+// FromResult) under both availability models, with the cut-set budget
+// error the explain and server tests provoke.
 func TestCompiledEquivalenceCaseStudy(t *testing.T) {
 	simpleS, simpleAv := simpleStructure()
 	sharedS, sharedAv := sharedStructure()
+	res := usiResult(t)
+	usiExactS, _, usiExactAv, err := FromResult(res, ModelExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usiF1S, _, usiF1Av, err := FromResult(res, ModelFormula1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		s    *ServiceStructure
@@ -181,31 +193,43 @@ func TestCompiledEquivalenceCaseStudy(t *testing.T) {
 	}{
 		{"simple", simpleS, simpleAv},
 		{"shared", sharedS, sharedAv},
+		{"usi-exact", usiExactS, usiExactAv},
+		{"usi-formula1", usiF1S, usiF1Av},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkCompiledEquivalence(t, tc.s, tc.av, 1, 500)
 		})
 	}
+	t.Run("usi-cut-budget", func(t *testing.T) {
+		_, oerr := oracleMinimalCutSets(usiExactS, 1)
+		_, cerr := Compile(usiExactS).MinimalCutSets(1)
+		if oerr == nil || cerr == nil || oerr.Error() != cerr.Error() {
+			t.Fatalf("MinimalCutSets(1): oracle %v, compiled %v", oerr, cerr)
+		}
+		if _, ok := AsBudgetError(cerr); !ok {
+			t.Fatalf("MinimalCutSets(1) error %v is not a *BudgetError", cerr)
+		}
+	})
 }
 
 // TestCompiledErrorParity checks that the compiled kernel reproduces the
-// legacy error surfaces: invalid structures, missing availabilities,
+// oracle error surfaces: invalid structures, missing availabilities,
 // out-of-range probabilities, expansion limits, unknown components.
 func TestCompiledErrorParity(t *testing.T) {
 	s, av := sharedStructure()
 	cs := Compile(s)
 
-	sameErr := func(what string, legacy, compiled error) {
+	sameErr := func(what string, oracle, compiled error) {
 		t.Helper()
-		if legacy == nil || compiled == nil || legacy.Error() != compiled.Error() {
-			t.Fatalf("%s: legacy %v, compiled %v", what, legacy, compiled)
+		if oracle == nil || compiled == nil || oracle.Error() != compiled.Error() {
+			t.Fatalf("%s: oracle %v, compiled %v", what, oracle, compiled)
 		}
 	}
 
 	// Invalid structure: the Validate error is preserved by Compile.
 	bad := &ServiceStructure{AtomicServices: []AtomicStructure{{Name: "s"}}}
 	cbad := Compile(bad)
-	_, lerr := bad.MinimalCutSets(0)
+	_, lerr := oracleMinimalCutSets(bad, 0)
 	_, cerr := cbad.MinimalCutSets(0)
 	sameErr("invalid structure", lerr, cerr)
 	if cbad.Err() == nil {
@@ -214,28 +238,40 @@ func TestCompiledErrorParity(t *testing.T) {
 
 	// Missing availability.
 	short := map[string]float64{"x": 0.9, "a": 0.8}
-	_, lerr = s.Exact(short)
+	_, lerr = oracleExact(s, short)
 	_, cerr = cs.Exact(short)
 	sameErr("missing avail", lerr, cerr)
 
 	// Out-of-range probability.
 	overAv := map[string]float64{"x": 0.9, "a": 1.5, "b": 0.8}
-	_, lerr = s.Exact(overAv)
+	_, lerr = oracleExact(s, overAv)
 	_, cerr = cs.Exact(overAv)
 	sameErr("bad prob", lerr, cerr)
 
 	// Transversal limit.
-	_, lerr = s.MinimalCutSets(1)
+	_, lerr = oracleMinimalCutSets(s, 1)
 	_, cerr = cs.MinimalCutSets(1)
 	sameErr("cutset limit", lerr, cerr)
 
+	// A forced component whose own availability is out of range: the map is
+	// validated before anything is forced, so forcing does not hide it.
+	for _, bad := range []float64{math.NaN(), 1.5, -0.1} {
+		badAv := map[string]float64{"x": bad, "a": 0.8, "b": 0.8}
+		for _, up := range []bool{true, false} {
+			forced := map[string]bool{"x": up}
+			_, lerr = oracleWhatIf(s, badAv, forced)
+			_, cerr = cs.WhatIf(badAv, forced)
+			sameErr(fmt.Sprintf("WhatIf forced x=%v with A_x=%v", up, bad), lerr, cerr)
+		}
+	}
+
 	// Unknown component in WhatIf.
-	_, lerr = s.WhatIf(av, map[string]bool{"ghost": true})
+	_, lerr = oracleWhatIf(s, av, map[string]bool{"ghost": true})
 	_, cerr = cs.WhatIf(av, map[string]bool{"ghost": true})
 	sameErr("WhatIf unknown", lerr, cerr)
 
 	// Bad sample counts.
-	_, _, lerr = s.MonteCarlo(av, 0, 1)
+	_, _, lerr = oracleMonteCarlo(s, av, 0, 1)
 	_, _, cerr = cs.MonteCarlo(av, 0, 1)
 	sameErr("MC samples", lerr, cerr)
 }
@@ -268,12 +304,19 @@ func TestCompiledStructureWideUniverse(t *testing.T) {
 // fuzzer shapes the structure (component count, atomic/path-set layout) and
 // the availability vector, and picks the Monte Carlo seed and sample count
 // (1 to 4096, so every offset within a 64-sample word and within the
-// generator's 607-word ring occurs). Mirrors pathdisc's
+// generator's 607-word ring occurs). On one input in four it then sets one
+// component's availability to NaN, a negative value or a value above one:
+// every analysis must then reject the input with the oracle's error text,
+// including WhatIf with that component forced. Mirrors pathdisc's
 // FuzzCSRAgreesWithLegacy.
 func FuzzCompiledKernel(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 1, 2, 50, 200, 128}, int64(1), uint16(499))
 	f.Add([]byte{5, 1, 3, 0, 1, 2, 3, 4, 0, 255, 1, 9, 77}, int64(-7), uint16(63))
 	f.Add([]byte{12, 2, 2, 7, 8, 9, 10, 11, 0, 1, 2, 3, 4, 5, 6, 100}, int64(0), uint16(606))
+	// One component of the structure out of range: above one, NaN, negative.
+	f.Add([]byte{2, 0, 0, 0, 1, 100, 150, 200, 250, 4, 1, 0, 10, 10, 2, 0}, int64(3), uint16(200))
+	f.Add([]byte{2, 0, 0, 0, 1, 100, 150, 200, 250, 4, 1, 1, 10, 10, 0, 1}, int64(3), uint16(200))
+	f.Add([]byte{2, 0, 0, 0, 1, 100, 150, 200, 250, 4, 1, 2, 10, 10, 1, 0}, int64(3), uint16(200))
 	f.Fuzz(func(t *testing.T, data []byte, mcSeed int64, mcSamples uint16) {
 		if len(data) < 4 {
 			t.Skip()
@@ -317,8 +360,17 @@ func FuzzCompiledKernel(f *testing.F) {
 		for _, c := range comps {
 			avail[c] = float64(next()) / 255
 		}
+		if next()%4 == 0 {
+			bi := int(next()) % nComp
+			bad, other := comps[bi], comps[(bi+1+int(next())%(nComp-1))%nComp]
+			avail[bad] = []float64{math.NaN(), -(float64(next()) + 1) / 255, 1 + (float64(next())+1)/255}[int(next())%3]
+			up := next()%2 == 0
+			checkOutOfRange(t, s, avail, bad, map[string]bool{bad: up, other: !up}, mcSeed)
+		}
 		checkCompiledEquivalence(t, s, avail, mcSeed, 1+int(mcSamples)%4096)
-		checkFusedAnalyses(t, s, avail)
+		if _, err := Compile(s).Exact(avail); err == nil {
+			checkFusedAnalyses(t, s, avail)
+		}
 	})
 }
 
@@ -389,4 +441,100 @@ func fussellVesely(base, up float64) float64 {
 		return 0
 	}
 	return ((1 - base) - (1 - up)) / (1 - base)
+}
+
+// checkOutOfRange compares the error texts of Exact, WhatIf with the forced
+// set, and MonteCarlo when avail[bad] is outside [0,1]. Both kernels must
+// reject the input whenever the structure uses bad, and agree, error or
+// value, when it does not.
+func checkOutOfRange(t *testing.T, s *ServiceStructure, avail map[string]float64, bad string, forced map[string]bool, mcSeed int64) {
+	t.Helper()
+	cs := Compile(s)
+	_, used := cs.index[bad]
+	check := func(what string, ov, cv float64, oerr, cerr error) {
+		t.Helper()
+		switch {
+		case used && (oerr == nil || cerr == nil):
+			t.Fatalf("%s with %s=%v: oracle %v, compiled %v, want both rejected", what, bad, avail[bad], oerr, cerr)
+		case (oerr == nil) != (cerr == nil) || oerr != nil && oerr.Error() != cerr.Error():
+			t.Fatalf("%s: oracle error %v, compiled error %v", what, oerr, cerr)
+		case oerr == nil && !withinOneUlp(ov, cv):
+			t.Fatalf("%s: oracle %.17g, compiled %.17g", what, ov, cv)
+		}
+	}
+	ov, oerr := oracleExact(s, avail)
+	cv, cerr := cs.Exact(avail)
+	check("Exact", ov, cv, oerr, cerr)
+
+	ov, oerr = oracleWhatIf(s, avail, forced)
+	cv, cerr = cs.WhatIf(avail, forced)
+	check(fmt.Sprintf("WhatIf(%v)", forced), ov, cv, oerr, cerr)
+
+	ov, _, oerr = oracleMonteCarlo(s, avail, 100, mcSeed)
+	cv, _, cerr = cs.MonteCarlo(avail, 100, mcSeed)
+	check("MonteCarlo", ov, cv, oerr, cerr)
+}
+
+// chainStructure is the series-of-redundant-stages shape of the experiments
+// harness (cmd/experiments dependChain): `atomics` services in series, each
+// over `width` parallel paths that share one hub and continue over `tail`
+// private components.
+func chainStructure(atomics, width, tail int) (*ServiceStructure, map[string]float64) {
+	s := &ServiceStructure{}
+	avail := map[string]float64{}
+	for i := 0; i < atomics; i++ {
+		a := AtomicStructure{Name: fmt.Sprintf("stage%d", i)}
+		hub := fmt.Sprintf("s%dhub", i)
+		avail[hub] = 0.999 - 0.001*float64(i%7)
+		for j := 0; j < width; j++ {
+			ps := PathSet{hub}
+			for k := 0; k < tail; k++ {
+				c := fmt.Sprintf("s%dp%dc%d", i, j, k)
+				ps = append(ps, c)
+				avail[c] = 0.95 + 0.005*float64((i+j+k)%9)
+			}
+			a.PathSets = append(a.PathSets, ps)
+		}
+		s.AtomicServices = append(s.AtomicServices, a)
+	}
+	return s, avail
+}
+
+// BenchmarkOracleVsCompiled times the map-based oracle against the compiled
+// kernel on the 26-component, 164-cut chain (atomics 2, width 4, tail 3),
+// so the kernel's speedup per family stays reproducible with
+// `go test -bench OracleVsCompiled ./internal/depend`. The compiled Exact
+// includes the Compile and the first evaluation, as a request pays them.
+func BenchmarkOracleVsCompiled(b *testing.B) {
+	s, avail := chainStructure(2, 4, 3)
+	cs := Compile(s)
+	const mcSamples = 20000
+	for _, fam := range []struct {
+		name             string
+		oracle, compiled func() error
+	}{
+		{"Exact",
+			func() error { _, err := oracleExact(s, avail); return err },
+			func() error { _, err := Compile(s).Exact(avail); return err }},
+		{"MinimalCutSets",
+			func() error { _, err := oracleMinimalCutSets(s, 0); return err },
+			func() error { _, err := cs.MinimalCutSets(0); return err }},
+		{"MonteCarlo",
+			func() error { _, _, err := oracleMonteCarlo(s, avail, mcSamples, 7); return err },
+			func() error { _, _, err := cs.MonteCarlo(avail, mcSamples, 7); return err }},
+	} {
+		for _, k := range []struct {
+			name string
+			run  func() error
+		}{{"oracle", fam.oracle}, {"compiled", fam.compiled}} {
+			b.Run(fam.name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := k.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

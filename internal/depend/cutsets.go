@@ -67,85 +67,10 @@ const DefaultSetLimit = 1 << 20
 // component sets whose joint failure makes some atomic service lose every
 // path. They are the minimal hitting sets (hypergraph transversals) of each
 // atomic service's path sets, minimalised across atomic services. limit
-// caps the intermediate transversal size (0 means DefaultSetLimit).
+// caps the intermediate transversal size (0 means DefaultSetLimit). It runs
+// Compile(s).MinimalCutSets.
 func (s *ServiceStructure) MinimalCutSets(limit int) ([]PathSet, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if limit <= 0 {
-		limit = DefaultSetLimit
-	}
-	var all []PathSet
-	for _, a := range s.AtomicServices {
-		cuts, err := transversals(a.PathSets, limit)
-		if err != nil {
-			if be, ok := AsBudgetError(err); ok {
-				return nil, be.forAtomic(a.Name)
-			}
-			return nil, fmt.Errorf(errFmtAtomicService, a.Name, err)
-		}
-		all = append(all, cuts...)
-	}
-	return Minimalize(all), nil
-}
-
-// transversals computes the minimal hitting sets of the given sets by
-// incremental transversal construction: start with the singletons of the
-// first set; for each further set, extend every transversal that misses it.
-// Transversals are kept as sorted PathSets throughout — the canonicalization
-// is hoisted out of the per-round minimalization, which used to convert
-// every candidate map to a sorted slice and back on every round.
-func transversals(sets []PathSet, limit int) ([]PathSet, error) {
-	cur := []PathSet{{}}
-	for _, ps := range sets {
-		var next []PathSet
-		for _, t := range cur {
-			if hitsSorted(t, ps) {
-				next = append(next, t)
-				continue
-			}
-			for _, c := range ps {
-				next = append(next, insertSorted(t, c))
-			}
-			if len(next) > limit {
-				return nil, &BudgetError{Kind: BudgetTransversal, Limit: limit}
-			}
-		}
-		cur = Minimalize(next)
-	}
-	return cur, nil
-}
-
-// hitsSorted reports whether the sorted transversal t intersects ps.
-func hitsSorted(t PathSet, ps PathSet) bool {
-	for _, c := range ps {
-		i := sort.SearchStrings(t, c)
-		if i < len(t) && t[i] == c {
-			return true
-		}
-	}
-	return false
-}
-
-// insertSorted returns sorted t with c added (t itself when c is present).
-func insertSorted(t PathSet, c string) PathSet {
-	i := sort.SearchStrings(t, c)
-	if i < len(t) && t[i] == c {
-		return t
-	}
-	nt := make(PathSet, 0, len(t)+1)
-	nt = append(nt, t[:i]...)
-	nt = append(nt, c)
-	return append(nt, t[i:]...)
-}
-
-func hits(t map[string]bool, ps PathSet) bool {
-	for _, c := range ps {
-		if t[c] {
-			return true
-		}
-	}
-	return false
+	return Compile(s).MinimalCutSets(limit)
 }
 
 func setToSorted(m map[string]bool) PathSet {
@@ -324,18 +249,9 @@ func (s *ServiceStructure) ExactInclusionExclusion(avail map[string]float64, lim
 // WhatIf evaluates the exact service availability with the given components
 // forced up (true) or down (false), e.g. "what does this user perceive
 // while c1 is under maintenance?". Components absent from forced keep their
-// availability.
+// availability; a forced component must be a key of avail, and its own
+// availability must lie in [0,1] like every other. It runs
+// Compile(s).WhatIf.
 func (s *ServiceStructure) WhatIf(avail map[string]float64, forced map[string]bool) (float64, error) {
-	adj := cloneAvail(avail)
-	for c, up := range forced {
-		if _, ok := adj[c]; !ok {
-			return 0, fmt.Errorf(errFmtForcedNotInStruct, c)
-		}
-		if up {
-			adj[c] = 1
-		} else {
-			adj[c] = 0
-		}
-	}
-	return s.Exact(adj)
+	return Compile(s).WhatIf(avail, forced)
 }

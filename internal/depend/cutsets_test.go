@@ -109,7 +109,7 @@ func TestEsaryProschanBrackets(t *testing.T) {
 		"shared": sharedStructure,
 	} {
 		st, avail := build()
-		exact, err := st.Exact(avail)
+		exact, err := oracleExact(st, avail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestEsaryProschanProperty(t *testing.T) {
 			{Name: "s2", PathSets: []PathSet{{"c"}, {"a"}}},
 		}}
 		avail := map[string]float64{"a": norm(pa), "b": norm(pb), "c": norm(pc), "x": norm(px)}
-		exact, err := st.Exact(avail)
+		exact, err := oracleExact(st, avail)
 		if err != nil {
 			return false
 		}
@@ -260,7 +260,7 @@ func TestExactInclusionExclusionCrossCheck(t *testing.T) {
 		"shared": sharedStructure,
 	} {
 		st, avail := build()
-		factored, err := st.Exact(avail)
+		factored, err := oracleExact(st, avail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestExactInclusionExclusionCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factored, err := st.Exact(avail)
+	factored, err := oracleExact(st, avail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestExactEnginesAgreeProperty(t *testing.T) {
 		avail := map[string]float64{
 			"a": norm(pa), "b": norm(pb), "c": norm(pc), "x": norm(px), "y": norm(py),
 		}
-		v1, err1 := st.Exact(avail)
+		v1, err1 := oracleExact(st, avail)
 		v2, err2 := st.ExactInclusionExclusion(avail, 0)
 		return err1 == nil && err2 == nil && math.Abs(v1-v2) < 1e-10
 	}

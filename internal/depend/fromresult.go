@@ -209,8 +209,8 @@ type Report struct {
 // Deprecated: the analysis always runs on the compiled kernel. The type
 // remains only because the benchmark ladder (bench/ladder.go) builds it.
 type AnalyzeOptions struct {
-	// Legacy is ignored; the map-based evaluation is the test oracle, not
-	// a selectable kernel.
+	// Legacy is ignored; the map-based evaluation is a test oracle
+	// (oracle_test.go), not a selectable kernel.
 	Legacy bool
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestInterningGoldenOrdering pins the observable contract of the interned
-// component universe: Compile must preserve the legacy Components() ordering
+// component universe: Compile must preserve the structure Components() ordering
 // (sorted distinct IDs) exactly, including the synthetic link component IDs,
 // so that bit order == name order and every downstream consumer (sensitivity
 // aggregation, report tabulation) sees identical sequences from either
@@ -29,15 +29,15 @@ func TestInterningGoldenOrdering(t *testing.T) {
 	}}
 	golden := []string{"c2", "c2--sw#11", "c2--t1#4", "sw", "sw--t1#0", "t1"}
 
-	legacy := st.Components()
+	structure := st.Components()
 	cs := Compile(st)
 	compiled := cs.Components()
-	if len(legacy) != len(golden) || len(compiled) != len(golden) {
-		t.Fatalf("legacy %v, compiled %v, want %v", legacy, compiled, golden)
+	if len(structure) != len(golden) || len(compiled) != len(golden) {
+		t.Fatalf("structure %v, compiled %v, want %v", structure, compiled, golden)
 	}
 	for i := range golden {
-		if legacy[i] != golden[i] {
-			t.Errorf("legacy[%d] = %q, want %q", i, legacy[i], golden[i])
+		if structure[i] != golden[i] {
+			t.Errorf("structure[%d] = %q, want %q", i, structure[i], golden[i])
 		}
 		if compiled[i] != golden[i] {
 			t.Errorf("compiled[%d] = %q, want %q", i, compiled[i], golden[i])
@@ -60,15 +60,15 @@ func TestLinkComponentIDSurvivesInterning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, compiled := st.Components(), cs.Components()
-	if len(legacy) != len(compiled) {
-		t.Fatalf("legacy %d components, compiled %d", len(legacy), len(compiled))
+	structure, compiled := st.Components(), cs.Components()
+	if len(structure) != len(compiled) {
+		t.Fatalf("structure %d components, compiled %d", len(structure), len(compiled))
 	}
 	nLinks := len(res.Source.Links())
 	links := 0
 	for i, comp := range compiled {
-		if comp != legacy[i] {
-			t.Errorf("component[%d]: compiled %q != legacy %q", i, comp, legacy[i])
+		if comp != structure[i] {
+			t.Errorf("component[%d]: compiled %q != structure %q", i, comp, structure[i])
 		}
 		edgeID, isLink := parseLinkComponent(comp)
 		if !isLink {
@@ -99,11 +99,11 @@ func TestConcurrentAnalysisSharedCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantExact, err := st.Exact(avail)
+	wantExact, err := oracleExact(st, avail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCuts, err := st.MinimalCutSets(0)
+	wantCuts, err := oracleMinimalCutSets(st, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package depend
 
-// Packed memoisation for Shannon factoring (DESIGN.md §14). The legacy memo
-// keyed the conditioned formula by a canonical byte string — per node it
-// built one string per path set, sorted them, concatenated per-atomic
-// segments and hashed the result into a Go map, so the deepest §VII
-// recursion paid a string build and map-string churn at every node. The
-// replacement packs the same canonical multiset encoding into []uint64 words
+// Packed memoisation for Shannon factoring (DESIGN.md §14). The map-based
+// reference (oracle_test.go) keys the conditioned formula by a canonical
+// byte string — per node it builds one string per path set, sorts them,
+// concatenates per-atomic segments and hashes the result into a Go map, so
+// the deepest §VII recursion pays a string build and map-string churn at
+// every node. The kernel packs the same canonical multiset encoding into []uint64 words
 // held in an append-only arena and probes an open-addressing table, so a
 // steady-state factoring performs zero allocations: keys are staged in
 // reusable scratch, copied into the arena only on a miss, and the table,
@@ -18,9 +18,9 @@ package depend
 // with the sets of an atomic sorted word-lexicographically and the atomic
 // segments themselves sorted word-lexicographically (ties to the shorter
 // segment). Any canonical total order induces the same equivalence classes
-// as the legacy byte-string key — equal multisets of set multisets — so memo
-// hits coincide node for node and the factored float expression tree, hence
-// the result, stays bit-identical to the legacy engine.
+// as the reference's byte-string key — equal multisets of set multisets — so
+// memo hits coincide node for node and the factored float expression tree,
+// hence the result, stays bit-identical to the reference.
 
 import "sync"
 

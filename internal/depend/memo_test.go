@@ -23,20 +23,20 @@ func memoAvail() map[string]float64 {
 }
 
 // TestExactPackedMatchesLegacy pins the packed-memo factoring bit-identical
-// to the legacy map engine on a structure with real memo sharing.
+// to the map-based oracle on a structure with real memo sharing.
 func TestExactPackedMatchesLegacy(t *testing.T) {
 	s := memoStructure()
 	avail := memoAvail()
-	want, err := s.Exact(avail)
+	want, err := oracleExact(s, avail)
 	if err != nil {
-		t.Fatalf("legacy Exact: %v", err)
+		t.Fatalf("oracle Exact: %v", err)
 	}
 	got, err := Compile(s).Exact(avail)
 	if err != nil {
 		t.Fatalf("compiled Exact: %v", err)
 	}
 	if got != want {
-		t.Fatalf("compiled Exact = %v, legacy = %v (must be bit-identical)", got, want)
+		t.Fatalf("compiled Exact = %v, oracle = %v (must be bit-identical)", got, want)
 	}
 }
 

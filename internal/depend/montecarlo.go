@@ -1,10 +1,10 @@
 package depend
 
-// Bit-sliced Monte Carlo on the legacy random stream (DESIGN.md §10). The
-// legacy sampler draws rand.Float64() < a once per component, in sorted
-// component order, sample after sample, and evaluates the structure
-// function per sample. The compiled sampler draws the identical stream and
-// the identical decisions, but packs them 64 samples to a word per
+// Bit-sliced Monte Carlo on math/rand's stream (DESIGN.md §10). The
+// reference sampler (oracle_test.go) draws rand.Float64() < a once per
+// component, in sorted component order, sample after sample, and evaluates
+// the structure function per sample. The compiled sampler draws the
+// identical stream and the identical decisions, but packs them 64 samples to a word per
 // component and evaluates the structure function on whole words: AND over
 // the members of a path set, OR over an atomic service's path sets, AND
 // over atomic services. Three facts make the stream identical without an
@@ -107,9 +107,10 @@ func getMCScratch(n int) *mcScratch {
 
 func putMCScratch(sc *mcScratch) { mcPool.Put(sc) }
 
-// MonteCarlo is the compiled form of ServiceStructure.MonteCarlo. It makes
-// the identical draws and the identical per-sample decisions, so the
-// estimate and its standard error equal legacy exactly per seed.
+// MonteCarlo estimates the service availability by sampling component
+// states (see ServiceStructure.MonteCarlo) and returns the estimate and its
+// standard error. It makes the reference sampler's draws and per-sample
+// decisions, so both figures equal the reference's exactly per seed.
 func (cs *CompiledStructure) MonteCarlo(avail map[string]float64, samples int, seed int64) (est, stderr float64, err error) {
 	if cs.validErr != nil {
 		return 0, 0, cs.validErr

@@ -161,7 +161,7 @@ func wideStructure(n int) (*ServiceStructure, map[string]float64) {
 	return s, avail
 }
 
-// TestMonteCarloStreamIdentity pins the bit-sliced sampler to the legacy
+// TestMonteCarloStreamIdentity pins the bit-sliced sampler to the oracle
 // per-sample loop: estimate and standard error equal (==) over random
 // structures, seeds including 0 and negative ones, and sample counts on
 // both sides of a 64-sample word and of the 607-word ring.
@@ -184,7 +184,7 @@ func TestMonteCarloStreamIdentity(t *testing.T) {
 	}
 	check := func(s *ServiceStructure, avail map[string]float64, seed int64, n int) {
 		t.Helper()
-		want, wantSE, err := s.MonteCarlo(avail, n, seed)
+		want, wantSE, err := oracleMonteCarlo(s, avail, n, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestMonteCarloStreamIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want || gotSE != wantSE {
-			t.Fatalf("%d components, seed %d, %d samples: compiled %v±%v, legacy %v±%v",
+			t.Fatalf("%d components, seed %d, %d samples: compiled %v±%v, oracle %v±%v",
 				len(avail), seed, n, got, gotSE, want, wantSE)
 		}
 	}

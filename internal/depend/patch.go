@@ -48,8 +48,8 @@ func (cs *CompiledStructure) Has(component string) bool {
 // PatchRemoveComponent conditions the structure on the named component
 // being permanently failed: every path set containing it is dropped in
 // place. The interned universe keeps the component (ids stay stable); it
-// simply no longer appears in any set, exactly as if the filtered legacy
-// structure had been recompiled (pinned by TestDependPatchEquivalence). If
+// simply no longer appears in any set, exactly as if the filtered
+// ServiceStructure had been recompiled (pinned by TestDependPatchEquivalence). If
 // an atomic service loses its last path set the service can no longer
 // work, and subsequent analyses fail with the same "no path sets" error a
 // recompilation would report.

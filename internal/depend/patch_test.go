@@ -9,7 +9,7 @@ import (
 )
 
 // filteredStructure is the recompile-side reference for
-// PatchRemoveComponent: the legacy structure with every path set containing
+// PatchRemoveComponent: the structure with every path set containing
 // a removed component dropped.
 func filteredStructure(s *ServiceStructure, removed map[string]bool) *ServiceStructure {
 	out := &ServiceStructure{}
@@ -34,7 +34,7 @@ func filteredStructure(s *ServiceStructure, removed map[string]bool) *ServiceStr
 
 // TestDependPatchEquivalence is the property test for the in-place bitset
 // filter: over random structures and random removal sequences, a patched
-// kernel must agree with a cold Compile of the filtered legacy structure on
+// kernel must agree with a cold Compile of the filtered structure on
 // every analysis — values exactly, errors by message.
 func TestDependPatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))

@@ -70,14 +70,14 @@ func TestSensitivityMatchesFiniteDifference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := st.Exact(avail)
+	base, _ := oracleExact(st, avail)
 	// Perturb the client's availability as a +1h MTBF change would.
 	const mtbf, mttr = 3000.0, 24.0
 	delta := 1.0
 	aNew := (mtbf + delta) / (mtbf + delta + mttr)
 	bumped := cloneAvail(avail)
 	bumped["t1"] = aNew
-	perturbed, _ := st.Exact(bumped)
+	perturbed, _ := oracleExact(st, bumped)
 	fd := (perturbed - base) / delta
 	if math.Abs(fd-client.DAvailDMTBF) > 1e-9 {
 		t.Errorf("finite difference %v vs analytic %v", fd, client.DAvailDMTBF)

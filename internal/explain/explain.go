@@ -23,7 +23,8 @@
 //     response family and fails POST /api/v1/whatif with a structured 409.
 //
 // Attribution runs on the compiled dependability kernel; the kernel-parity
-// test pins it against the map-based ServiceStructure methods. Everything is
+// test pins it against the ServiceStructure methods called directly, and
+// internal/depend pins those to its map-based oracle. Everything is
 // exported through the upsim facade (upsim.Explain) and served as
 // POST /api/v1/explain and the `upsim explain` subcommand.
 package explain

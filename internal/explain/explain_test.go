@@ -62,11 +62,13 @@ func TestExplainAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestExplainKernelParity is the acceptance gate of the attribution: the
-// compiled report's availability, minimal cut sets (with their
-// unavailability and share) and Birnbaum and Fussell–Vesely importances must
-// equal the map-based ServiceStructure methods called directly, bit for bit,
-// under both availability models.
+// TestExplainKernelParity is the wiring gate of the attribution: the
+// report's availability, minimal cut sets (with their unavailability and
+// share) and Birnbaum and Fussell–Vesely importances must equal the
+// ServiceStructure methods called directly on the structure FromResult
+// builds, bit for bit, under both availability models. Those methods
+// compile the structure afresh; internal/depend's equivalence tests pin the
+// kernel to its map-based oracle on the same USI structures.
 func TestExplainKernelParity(t *testing.T) {
 	res := usiResult(t)
 	for _, model := range []depend.AvailabilityModel{depend.ModelExact, depend.ModelFormula1} {
@@ -87,7 +89,7 @@ func TestExplainKernelParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if attr.Availability != want || attr.Unavailability != 1-want {
-			t.Fatalf("%s: availability %v, map-based Exact %v", model, attr.Availability, want)
+			t.Fatalf("%s: availability %v, ServiceStructure.Exact %v", model, attr.Availability, want)
 		}
 
 		cuts, err := st.MinimalCutSets(0)
@@ -95,7 +97,7 @@ func TestExplainKernelParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if attr.CutSetsTotal != len(cuts) || len(attr.CutSets) != len(cuts) {
-			t.Fatalf("%s: %d/%d cut sets, map-based MinimalCutSets has %d", model, len(attr.CutSets), attr.CutSetsTotal, len(cuts))
+			t.Fatalf("%s: %d/%d cut sets, ServiceStructure.MinimalCutSets has %d", model, len(attr.CutSets), attr.CutSetsTotal, len(cuts))
 		}
 		wantQ := make(map[string]float64, len(cuts))
 		sum := 0.0
@@ -110,7 +112,7 @@ func TestExplainKernelParity(t *testing.T) {
 		for i, rec := range attr.CutSets {
 			q, ok := wantQ[strings.Join(rec.Components, ",")]
 			if !ok || rec.Unavailability != q || rec.Share != q/sum {
-				t.Fatalf("%s: cut set %v = %+v, map-based unavailability %v (found %v), share %v", model, rec.Components, rec, q, ok, q/sum)
+				t.Fatalf("%s: cut set %v = %+v, want unavailability %v (found %v), share %v", model, rec.Components, rec, q, ok, q/sum)
 			}
 			if i > 0 && rec.Unavailability > attr.CutSets[i-1].Unavailability {
 				t.Fatalf("%s: cut sets not ranked by unavailability at %d", model, i)
@@ -119,14 +121,14 @@ func TestExplainKernelParity(t *testing.T) {
 
 		comps := st.Components()
 		if attr.ComponentsTotal != len(comps) || len(attr.Components) != len(comps) {
-			t.Fatalf("%s: %d components, map-based structure has %d", model, attr.ComponentsTotal, len(comps))
+			t.Fatalf("%s: %d components, the structure has %d", model, attr.ComponentsTotal, len(comps))
 		}
 		exact, err := st.Exact(avail)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ci := range attr.Components {
-			// The map-based importances: Birnbaum is the availability with
+			// The importances from WhatIf: Birnbaum is the availability with
 			// the component forced up minus forced down, Fussell–Vesely
 			// the share of the unavailability the component's failures
 			// cause.
@@ -143,7 +145,7 @@ func TestExplainKernelParity(t *testing.T) {
 				fv = ((1 - exact) - (1 - up)) / qSys
 			}
 			if ci.Birnbaum != b || ci.FussellVesely != fv || ci.Availability != avail[ci.Component] {
-				t.Fatalf("%s: %s = %+v, map-based Birnbaum %v, Fussell–Vesely %v, availability %v",
+				t.Fatalf("%s: %s = %+v, from WhatIf Birnbaum %v, Fussell–Vesely %v, availability %v",
 					model, ci.Component, ci, b, fv, avail[ci.Component])
 			}
 		}
@@ -335,14 +337,15 @@ func TestExplainBudgetError(t *testing.T) {
 	if !strings.Contains(err.Error(), "transversal expansion exceeds limit 1") {
 		t.Fatalf("budget error message changed: %v", err)
 	}
-	// The map-based MinimalCutSets reports the identical error.
+	// ServiceStructure.MinimalCutSets on the same structure reports the
+	// identical error.
 	st, _, _, serr := depend.FromResult(res, depend.ModelExact)
 	if serr != nil {
 		t.Fatal(serr)
 	}
 	_, lerr := st.MinimalCutSets(1)
 	if lerr == nil || lerr.Error() != err.Error() {
-		t.Fatalf("map-based budget error %q != compiled %q", lerr, err)
+		t.Fatalf("ServiceStructure budget error %q != explain %q", lerr, err)
 	}
 }
 

@@ -2,9 +2,9 @@
 // source — the counterpart of internal/lint, one layer down. The lint engine
 // checks the *models* the pipeline evaluates; gostatic checks the *code that
 // evaluates them*: the compiled kernels' allocation-free warm paths, the
-// legacy≡compiled error-string parity, the span/End pairing of the
-// observability instrumentation, sync.Pool Get/Put balance in kernel code,
-// and explicit json tags on every struct the HTTP API marshals. Those
+// span/End pairing of the observability instrumentation, sync.Pool Get/Put
+// balance in kernel code, and explicit json tags on every struct the HTTP
+// API marshals. Those
 // invariants were previously enforced only by convention and after-the-fact
 // tests; the analyzer makes them machine-checked on every CI run (see
 // cmd/upsimvet and DESIGN.md §12).
@@ -13,7 +13,7 @@
 // go/token, no golang.org/x/tools — so the module stays dependency-free. It
 // is deliberately syntactic: no type checking, no import resolution. Every
 // rule is written against invariants the source spells out lexically (the
-// //upsim:hotpath annotation, the fmt.Errorf format literal, the sync.Pool
+// //upsim:hotpath annotation, the json struct tag, the sync.Pool
 // selector chain), which keeps a repo-wide run in the low milliseconds and
 // the engine trivially portable.
 //
@@ -171,11 +171,10 @@ func Default() *Registry {
 	return r
 }
 
-// builtinRules returns the five shipped passes in registration order.
+// builtinRules returns the four shipped passes in registration order.
 func builtinRules() []Rule {
 	return []Rule{
 		hotallocRule{},
-		errparityRule{},
 		spanconvRule{},
 		poolreturnRule{},
 		jsontagRule{},

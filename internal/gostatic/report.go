@@ -46,7 +46,7 @@ func (r *Report) Clean() bool { return len(r.Diagnostics) == 0 }
 func (r *Report) HasErrors() bool { return r.Errors > 0 }
 
 // Summary renders the one-line tally, e.g. "2 errors, 1 warning, 0 infos
-// (5 rules, 23 packages)".
+// (4 rules, 23 packages)".
 func (r *Report) Summary() string {
 	plural := func(n int, word string) string {
 		if n == 1 {

@@ -135,20 +135,6 @@ func isStringLiteral(e ast.Expr) bool {
 	return false
 }
 
-// stringLiteral returns the literal when e is a string basic literal, else
-// nil.
-func stringLiteral(e ast.Expr) *ast.BasicLit {
-	switch v := e.(type) {
-	case *ast.BasicLit:
-		if v.Kind == token.STRING {
-			return v
-		}
-	case *ast.ParenExpr:
-		return stringLiteral(v.X)
-	}
-	return nil
-}
-
 // isNilish reports whether e is syntactically a never-preallocated slice
 // origin: nil, an empty slice literal ([]T{}), a conversion of nil
 // (bitset(nil)), or make with an explicit zero length and no capacity.

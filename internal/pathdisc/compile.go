@@ -3,11 +3,11 @@ package pathdisc
 // This file implements the compiled path-discovery kernel: a one-time
 // lowering of the string-keyed topology.Graph into an integer-indexed CSR
 // (compressed sparse row) form over which the exponential all-simple-paths
-// search runs allocation-free per expansion. The map-based walker in
-// pathdisc.go pays a string hash, an Edge struct copy and a string compare
-// per expansion, plus one map allocation per expanded node; the compiled
-// kernel replaces all of that with array indexing and a []uint64 visited
-// bitset, and additionally prunes dead-end subtrees with a reverse BFS from
+// search runs allocation-free per expansion. A walk over the graph itself
+// (the reference walker of oracle_test.go) pays a string hash, an Edge
+// struct copy and a string compare per expansion, plus one map allocation
+// per expanded node; the kernel replaces all of that with array indexing and
+// a []uint64 visited bitset, and additionally prunes dead-end subtrees with a reverse BFS from
 // the provider before the exponential search enters them. Found paths are
 // recorded as int32 IDs in pooled scratch and materialised once, at exact
 // size, when the search ends. See DESIGN.md §9.
@@ -32,13 +32,20 @@ var (
 		"Edge count of the most recently compiled graph.")
 )
 
+// Error formats of endpoint validation, shared with the map-based walker of
+// oracle_test.go so that the tests compare one text.
+const (
+	errFmtRequesterMissing = "pathdisc: requester %q not in infrastructure"
+	errFmtProviderMissing  = "pathdisc: provider %q not in infrastructure"
+	errFmtSameEndpoints    = "pathdisc: requester and provider are the same component %q"
+)
+
 // Compiled is the integer-indexed CSR form of a topology.Graph, built once
 // by Compile and reusable across any number of enumerations (it is
 // immutable after construction and safe for concurrent use; per-search
 // scratch comes from an internal sync.Pool). Node IDs are dense ints in
 // graph insertion order; adjacency entries keep the graph's edge insertion
-// order, so the compiled kernel reproduces the map-based walker's output
-// order exactly.
+// order, so enumeration follows the graph's own edge order.
 type Compiled struct {
 	names []string         // dense node ID -> node name
 	index map[string]int32 // node name -> dense node ID
@@ -240,16 +247,17 @@ func depthBudget(opts Options) int {
 
 // csrSearch is one CSR enumeration: the DFS state and its statistics. Found
 // paths accumulate in the pooled scratch (s.kacc over s.karena) until
-// AllPaths materialises them.
+// AllPaths materialises them; a count-only search records none.
 type csrSearch struct {
-	c        *Compiled
-	s        *scratch
-	dst      int32
-	budget   int
-	maxPaths int
-	hardMax  int // Options.HardMaxPaths; exceeding it sets overflow
-	overflow bool
-	stats    Stats
+	c         *Compiled
+	s         *scratch
+	dst       int32
+	budget    int
+	maxPaths  int
+	hardMax   int // Options.HardMaxPaths; exceeding it sets overflow
+	countOnly bool
+	overflow  bool
+	stats     Stats
 }
 
 //upsim:hotpath bitset membership ops, one per DFS expansion
@@ -261,13 +269,16 @@ func (q *csrSearch) unvisit(v int32) { q.s.visited[v>>6] &^= 1 << (uint(v) & 63)
 //upsim:hotpath
 func (q *csrSearch) isVisited(v int32) bool { return q.s.visited[v>>6]&(1<<(uint(v)&63)) != 0 }
 
-// emit records the current path buffer in the pooled scratch (s.carve), the
-// record format KShortest keeps its accepted paths in. Nothing escapes the
-// search; AllPaths materialises the records once the enumeration is over.
+// emit counts the current path and, unless the search only counts, records
+// it in the pooled scratch (s.carve), the record format KShortest keeps its
+// accepted paths in. Nothing escapes the search; AllPaths materialises the
+// records once the enumeration is over.
 //
 //upsim:hotpath
 func (q *csrSearch) emit() {
-	q.s.kacc = append(q.s.kacc, q.s.carve(0))
+	if !q.countOnly {
+		q.s.kacc = append(q.s.kacc, q.s.carve(0))
+	}
 	q.stats.Paths++
 }
 
@@ -303,12 +314,14 @@ func (c *Compiled) materialise(s *scratch) []Path {
 	return out
 }
 
-// rec is the recursive CSR DFS. It mirrors the map-based AllPaths loop
-// expansion for expansion — same adjacency order, same bound checks — so the
-// output sequence is identical; the only behavioural difference is that
+// rec is the recursive CSR DFS with path tracking. It expands edges in the
+// graph's insertion order and applies the MaxDepth, MaxPaths and
+// HardMaxPaths bounds as the map-based walker of oracle_test.go does, so
+// the output sequence is identical; the only behavioural difference is that
 // pruned expansions (dead ends, or detours provably longer than the depth
 // budget) are skipped before being traversed, which lowers EdgeVisits and is
-// counted in Stats.Pruned. Returns false to abort on MaxPaths.
+// counted in Stats.Pruned. Returns false to abort on MaxPaths or the hard
+// limit.
 //
 //upsim:hotpath
 func (q *csrSearch) rec(cur int32) bool {
@@ -361,9 +374,11 @@ func (q *csrSearch) pop() {
 }
 
 // AllPaths enumerates all simple paths from src to dst over the compiled
-// graph: the CSR counterpart of the package-level AllPaths, with identical
-// output (same paths, same order) and never more search effort, thanks to
-// the reachability pruning.
+// graph with the paper's DFS with path tracking. Results are deterministic:
+// edges are expanded in the graph's insertion order. Expansions that cannot
+// reach dst within MaxDepth are pruned before they are traversed (counted in
+// Stats.Pruned, not in EdgeVisits), which changes the effort, never the
+// paths.
 func (c *Compiled) AllPaths(src, dst string, opts Options) ([]Path, Stats, error) {
 	s0, d0, err := c.validate(src, dst)
 	if err != nil {
@@ -371,10 +386,42 @@ func (c *Compiled) AllPaths(src, dst string, opts Options) ([]Path, Stats, error
 	}
 	s := c.getScratch()
 	defer c.putScratch(s)
+	stats, ok := c.search(s, s0, d0, opts, false)
+	if !ok {
+		return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
+	}
+	observe("csr-dfs", stats)
+	return c.materialise(s), stats, nil
+}
+
+// CountPaths counts all simple paths from src to dst without storing them,
+// so that the factorial-growth experiments of Section V-D can run on dense
+// graphs whose full enumeration would not fit in memory. It is AllPaths'
+// search without the path records: MaxPaths, MaxDepth and HardMaxPaths are
+// honoured as there, and the count equals the number of paths AllPaths
+// returns for the same options.
+func (c *Compiled) CountPaths(src, dst string, opts Options) (int, Stats, error) {
+	s0, d0, err := c.validate(src, dst)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	s := c.getScratch()
+	defer c.putScratch(s)
+	stats, ok := c.search(s, s0, d0, opts, true)
+	if !ok {
+		return 0, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
+	}
+	observe("count", stats)
+	return stats.Paths, stats, nil
+}
+
+// search runs one enumeration from s0 to d0 in scratch s and reports its
+// statistics; ok is false when HardMaxPaths was exceeded.
+func (c *Compiled) search(s *scratch, s0, d0 int32, opts Options, countOnly bool) (stats Stats, ok bool) {
 	c.reverseBFS(s, d0)
 	q := &csrSearch{
 		c: c, s: s, dst: d0, budget: depthBudget(opts), maxPaths: opts.MaxPaths,
-		hardMax: opts.HardMaxPaths,
+		hardMax: opts.HardMaxPaths, countOnly: countOnly,
 	}
 	if s.dist[s0] >= 0 { // disconnected pairs skip the search entirely
 		q.visit(s0)
@@ -382,9 +429,8 @@ func (c *Compiled) AllPaths(src, dst string, opts Options) ([]Path, Stats, error
 		q.rec(s0)
 	}
 	if q.overflow {
-		return nil, q.stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
+		return q.stats, false
 	}
 	q.stats.NodeVisits = q.stats.EdgeVisits + 1
-	observe("csr-dfs", q.stats)
-	return c.materialise(s), q.stats, nil
+	return q.stats, true
 }

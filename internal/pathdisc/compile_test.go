@@ -87,7 +87,8 @@ func assertSameSequence(t *testing.T, label string, want, got []Path) {
 // TestCSRVariantsMatchLegacyProperty is the equality property of the
 // compiled kernel: across randomized multigraphs (parallel edges, self-loops,
 // disconnected islands) and the full Options matrix, the CSR DFS returns
-// exactly the paths of the map-based recursive DFS, in the identical order.
+// exactly the paths of the map-based walker of oracle_test.go, in the
+// identical order.
 func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		n := 6 + int(seed)%9
@@ -96,9 +97,9 @@ func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 		src, dst := "n0", fmt.Sprintf("n%d", n-1)
 		for _, opts := range optionsMatrix() {
 			label := fmt.Sprintf("seed=%d n=%d opts=%+v", seed, n, opts)
-			want, wantStats, err := AllPaths(g, src, dst, opts)
+			want, wantStats, err := oracleAllPaths(g, src, dst, opts)
 			if err != nil {
-				t.Fatalf("%s: legacy: %v", label, err)
+				t.Fatalf("%s: oracle: %v", label, err)
 			}
 			rec, recStats, err := c.AllPaths(src, dst, opts)
 			if err != nil {
@@ -110,10 +111,10 @@ func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 			}
 			// Pruning may only reduce effort, never change results.
 			if recStats.EdgeVisits > wantStats.EdgeVisits {
-				t.Fatalf("%s: csr EdgeVisits %d > legacy %d", label, recStats.EdgeVisits, wantStats.EdgeVisits)
+				t.Fatalf("%s: csr EdgeVisits %d > oracle %d", label, recStats.EdgeVisits, wantStats.EdgeVisits)
 			}
 			if recStats.Truncated != wantStats.Truncated {
-				t.Fatalf("%s: csr Truncated = %v, legacy = %v", label, recStats.Truncated, wantStats.Truncated)
+				t.Fatalf("%s: csr Truncated = %v, oracle = %v", label, recStats.Truncated, wantStats.Truncated)
 			}
 			if recStats.NodeVisits != recStats.EdgeVisits+1 {
 				t.Fatalf("%s: csr NodeVisits = %d, EdgeVisits = %d", label, recStats.NodeVisits, recStats.EdgeVisits)
@@ -124,50 +125,74 @@ func TestCSRVariantsMatchLegacyProperty(t *testing.T) {
 
 // FuzzCSRAgreesWithLegacy drives the same equality property from fuzzed
 // inputs: the graph shape, the endpoints and every Options field come from
-// the fuzzer. Run with `go test -fuzz=FuzzCSRAgreesWithLegacy` to explore;
-// the seed corpus keeps it as a fast regression property under plain
-// `go test`.
+// the fuzzer (the hard limit from the high part of maxPaths). It also holds
+// the count-only search to the map-based count and to AllPaths: same count,
+// same Truncated, same *LimitError. Run with
+// `go test -fuzz=FuzzCSRAgreesWithLegacy` to explore; the seed corpus keeps
+// it as a fast regression property under plain `go test`.
 func FuzzCSRAgreesWithLegacy(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(4), uint8(0), uint8(0))
 	f.Add(int64(7), uint8(12), uint8(9), uint8(4), uint8(3))
 	f.Add(int64(42), uint8(5), uint8(7), uint8(2), uint8(1))
 	f.Add(int64(99), uint8(14), uint8(2), uint8(0), uint8(5))
+	f.Add(int64(5), uint8(10), uint8(9), uint8(0), uint8(30))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, extraRaw, maxDepth, maxPaths uint8) {
 		n := 2 + int(nRaw)%13       // 2..14 nodes
 		extra := int(extraRaw) % 12 // bounded density keeps enumeration small
 		g := randomMultigraph(t, seed, n, extra)
 		c := Compile(g)
 		opts := Options{
-			MaxDepth: int(maxDepth) % 8,
-			MaxPaths: int(maxPaths) % 10,
+			MaxDepth:     int(maxDepth) % 8,
+			MaxPaths:     int(maxPaths) % 10,
+			HardMaxPaths: int(maxPaths/10) % 12,
 		}
 		// A second enumeration with different Options on the same kernel
 		// reuses the pooled scratch; it must not disturb the first result.
 		opts2 := Options{
-			MaxDepth: (opts.MaxDepth + 3) % 8,
-			MaxPaths: (opts.MaxPaths + 4) % 10,
+			MaxDepth:     (opts.MaxDepth + 3) % 8,
+			MaxPaths:     (opts.MaxPaths + 4) % 10,
+			HardMaxPaths: (opts.HardMaxPaths + 5) % 12,
 		}
 		src, dst := "n0", fmt.Sprintf("n%d", n-1)
-		want, _, err := AllPaths(g, src, dst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want2, _, err := AllPaths(g, src, dst, opts2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _, wantErr := oracleAllPaths(g, src, dst, opts)
+		want2, _, wantErr2 := oracleAllPaths(g, src, dst, opts2)
 		got, _, err := c.AllPaths(src, dst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		assertSameError(t, "csr-dfs", wantErr, err)
 		assertSameSequence(t, "csr-dfs", want, got)
 		got2, _, err := c.AllPaths(src, dst, opts2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		assertSameError(t, "csr-dfs second run", wantErr2, err)
 		assertSameSequence(t, "csr-dfs second run", want2, got2)
 		assertSameSequence(t, "csr-dfs first run after second", want, got)
+
+		for _, o := range []Options{opts, opts2} {
+			label := fmt.Sprintf("count %+v", o)
+			wantN, wantStats, wantErr := oracleCountPaths(g, src, dst, o)
+			count, stats, err := c.CountPaths(src, dst, o)
+			assertSameError(t, label, wantErr, err)
+			if count != wantN || stats.Truncated != wantStats.Truncated || err == nil && stats.Paths != count {
+				t.Fatalf("%s: count %d (Truncated %v, Paths %d), oracle %d (Truncated %v)",
+					label, count, stats.Truncated, stats.Paths, wantN, wantStats.Truncated)
+			}
+			paths, _, err := c.AllPaths(src, dst, o)
+			assertSameError(t, label+" vs AllPaths", err, wantErr)
+			if count != len(paths) {
+				t.Fatalf("%s: count %d, AllPaths %d paths", label, count, len(paths))
+			}
+		}
 	})
+}
+
+// assertSameError fails unless both errors are nil, or both carry the same
+// text and a *LimitError in one means a *LimitError in the other.
+func assertSameError(t *testing.T, label string, want, got error) {
+	t.Helper()
+	if (want == nil) != (got == nil) || want != nil && want.Error() != got.Error() {
+		t.Fatalf("%s: error %v, want %v", label, got, want)
+	}
+	_, wantLimit := AsLimitError(want)
+	if _, gotLimit := AsLimitError(got); wantLimit != gotLimit {
+		t.Fatalf("%s: error %v (*LimitError %v), want %v (*LimitError %v)", label, got, gotLimit, want, wantLimit)
+	}
 }
 
 func TestCompileShape(t *testing.T) {
@@ -240,7 +265,7 @@ func TestCSRPruningSkipsDeadEnds(t *testing.T) {
 		prev = name
 	}
 	opts := Options{MaxDepth: 2}
-	_, legacyStats, err := AllPaths(g, "a", "dst", opts)
+	_, legacyStats, err := oracleAllPaths(g, "a", "dst", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +316,7 @@ func TestCSRScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := Compile(g)
-	want, _, _ := AllPaths(g, "n0", "n5", Options{})
+	want, _, _ := oracleAllPaths(g, "n0", "n5", Options{})
 	for i := 0; i < 50; i++ {
 		got, _, err := c.AllPaths("n0", "n5", Options{})
 		if err != nil {
@@ -370,7 +395,7 @@ func TestReturnedPathsDoNotAlias(t *testing.T) {
 				return ps, err
 			},
 			func(src, dst string) []Path {
-				ps, _, err := AllPaths(g, src, dst, Options{})
+				ps, _, err := oracleAllPaths(g, src, dst, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -484,11 +509,14 @@ func benchGraph(b *testing.B) *topology.Graph {
 	return g
 }
 
+// BenchmarkPathDiscLegacyMesh8 times the map-based walker of oracle_test.go
+// on the fixture of BenchmarkPathDiscCSRMesh8, so that the kernel's speedup
+// stays reproducible with `go test -bench 'PathDisc.*Mesh8'`.
 func BenchmarkPathDiscLegacyMesh8(b *testing.B) {
 	g := benchGraph(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := AllPaths(g, "n0", "n7", Options{}); err != nil {
+		if _, _, err := oracleAllPaths(g, "n0", "n7", Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func throughputResolver(mbps map[int]float64) EdgeCostFunc {
 // rather than rounded apart.
 func bruteKShortest(t *testing.T, c *Compiled, g *topology.Graph, src, dst string, k int, metric CostMetric) []Path {
 	t.Helper()
-	all, _, err := AllPaths(g, src, dst, Options{})
+	all, _, err := oracleAllPaths(g, src, dst, Options{})
 	if err != nil {
 		t.Fatalf("brute force enumeration: %v", err)
 	}

@@ -3,13 +3,12 @@
 // and a service mapping pair (requester, provider), it enumerates all simple
 // paths between the two components. The paper chooses "a depth-first search
 // (DFS) algorithm with a path tracking mechanism to avoid live-locks within
-// cycles". The product kernel is the compiled recursive DFS over a CSR
-// lowering of the graph (Compile, Compiled.AllPaths) plus its ranked
-// counterpart (Compiled.KShortest); the map-based recursive AllPaths in this
-// file is the reference walker the property and fuzz tests compare the
-// compiled kernel against. CountPaths enumerates without storing paths for
-// the dense-graph scaling study. The redundancy ablation's one minimum-hop
-// path per pair is ranked discovery with K = 1.
+// cycles". The kernel is that recursive DFS over a CSR lowering of the
+// graph (Compile, Compiled.AllPaths), with Compiled.CountPaths as its
+// count-only run for the dense-graph scaling study and Compiled.KShortest as
+// its ranked counterpart. The redundancy ablation's one minimum-hop path per
+// pair is ranked discovery with K = 1. The map-based walker the property and
+// fuzz tests compare the kernel against lives in oracle_test.go.
 package pathdisc
 
 import (
@@ -20,7 +19,6 @@ import (
 	"strings"
 
 	"upsim/internal/obs"
-	"upsim/internal/topology"
 )
 
 // Search-effort metrics, one observation per completed enumeration,
@@ -198,159 +196,13 @@ type Stats struct {
 	MaxStack int
 	// Paths is the number of reported paths.
 	Paths int
-	// Pruned counts expansions skipped by the compiled kernel's
-	// destination-reachability pruning (see Compile); always zero for the
-	// map-based reference walker, which explores dead-end subtrees in full.
+	// Pruned counts expansions skipped by the kernel's
+	// destination-reachability pruning (see Compile): dead ends and detours
+	// longer than MaxDepth allows. They are not counted in EdgeVisits or
+	// NodeVisits.
 	Pruned int
 	// Truncated reports whether MaxPaths stopped the enumeration early.
 	Truncated bool
-}
-
-func validateEndpoints(g *topology.Graph, src, dst string) error {
-	if !g.HasNode(src) {
-		return fmt.Errorf(errFmtRequesterMissing, src)
-	}
-	if !g.HasNode(dst) {
-		return fmt.Errorf(errFmtProviderMissing, dst)
-	}
-	if src == dst {
-		return fmt.Errorf(errFmtSameEndpoints, src)
-	}
-	return nil
-}
-
-// AllPaths enumerates all simple paths from src to dst using recursive DFS
-// with path tracking — the algorithm the paper selected. Results are
-// deterministic: edges are expanded in insertion order.
-func AllPaths(g *topology.Graph, src, dst string, opts Options) ([]Path, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return nil, Stats{}, err
-	}
-	var (
-		stats   Stats
-		out     []Path
-		nodes   = []string{src}
-		edges   []int
-		visited = map[string]bool{src: true}
-		hardHit bool
-	)
-	var rec func(cur string) bool // returns false to abort (MaxPaths or hard limit hit)
-	rec = func(cur string) bool {
-		if len(nodes) > stats.MaxStack {
-			stats.MaxStack = len(nodes)
-		}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if visited[next] {
-				continue // path tracking: avoid live-locks within cycles
-			}
-			if opts.MaxDepth > 0 && len(edges)+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			nodes = append(nodes, next)
-			edges = append(edges, id)
-			if next == dst {
-				out = append(out, Path{Nodes: append([]string(nil), nodes...), Edges: append([]int(nil), edges...)})
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && stats.Paths > opts.HardMaxPaths {
-					hardHit = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-				if opts.MaxPaths > 0 && stats.Paths >= opts.MaxPaths {
-					stats.Truncated = true
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			} else {
-				visited[next] = true
-				ok := rec(next)
-				visited[next] = false
-				if !ok {
-					nodes = nodes[:len(nodes)-1]
-					edges = edges[:len(edges)-1]
-					return false
-				}
-			}
-			nodes = nodes[:len(nodes)-1]
-			edges = edges[:len(edges)-1]
-		}
-		return true
-	}
-	rec(src)
-	if hardHit {
-		return nil, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("recursive-dfs", stats)
-	return out, stats, nil
-}
-
-// CountPaths counts all simple paths from src to dst without storing them,
-// so that the factorial-growth experiments of Section V-D can run on dense
-// graphs whose full enumeration would not fit in memory. MaxPaths,
-// MaxDepth and HardMaxPaths from opts are honoured.
-func CountPaths(g *topology.Graph, src, dst string, opts Options) (int, Stats, error) {
-	if err := validateEndpoints(g, src, dst); err != nil {
-		return 0, Stats{}, err
-	}
-	var (
-		stats   Stats
-		count   int
-		depth   int
-		visited = map[string]bool{src: true}
-		hardHit bool
-	)
-	var rec func(cur string) bool
-	rec = func(cur string) bool {
-		if depth+1 > stats.MaxStack {
-			stats.MaxStack = depth + 1
-		}
-		for _, id := range g.IncidentEdges(cur) {
-			e, _ := g.Edge(id)
-			next := e.Other(cur)
-			if visited[next] {
-				continue
-			}
-			if opts.MaxDepth > 0 && depth+1 > opts.MaxDepth {
-				continue
-			}
-			stats.EdgeVisits++
-			if next == dst {
-				count++
-				stats.Paths++
-				if opts.HardMaxPaths > 0 && count > opts.HardMaxPaths {
-					hardHit = true
-					return false
-				}
-				if opts.MaxPaths > 0 && count >= opts.MaxPaths {
-					stats.Truncated = true
-					return false
-				}
-				continue
-			}
-			visited[next] = true
-			depth++
-			ok := rec(next)
-			depth--
-			visited[next] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	rec(src)
-	if hardHit {
-		return 0, stats, &LimitError{Src: src, Dst: dst, Limit: opts.HardMaxPaths}
-	}
-	stats.NodeVisits = stats.EdgeVisits + 1
-	observe("count", stats)
-	return count, stats, nil
 }
 
 // NodeSet returns the union of nodes over the given paths — the filter set

@@ -32,7 +32,7 @@ func diamond(t *testing.T) *topology.Graph {
 
 func TestAllPathsDiamond(t *testing.T) {
 	g := diamond(t)
-	paths, stats, err := AllPaths(g, "a", "d", Options{})
+	paths, stats, err := Compile(g).AllPaths("a", "d", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestAllPathsCycleSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _, err := AllPaths(g, "n0", "n2", Options{})
+	paths, _, err := Compile(g).AllPaths("n0", "n2", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAllPathsParallelEdges(t *testing.T) {
 	_ = g.AddNode("b", "")
 	_, _ = g.AddEdge("a", "b", "l1")
 	_, _ = g.AddEdge("a", "b", "l2")
-	paths, _, err := AllPaths(g, "a", "b", Options{})
+	paths, _, err := Compile(g).AllPaths("a", "b", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestAllPathsParallelEdges(t *testing.T) {
 	if paths[0].Edges[0] == paths[1].Edges[0] {
 		t.Error("paths must use distinct edges")
 	}
-	compiled, _, err := Compile(g).AllPaths("a", "b", Options{})
+	oracle, _, err := oracleAllPaths(g, "a", "b", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(paths, compiled) {
-		t.Errorf("compiled parallel-edge paths = %v, want %v", compiled, paths)
+	if !Equal(paths, oracle) {
+		t.Errorf("parallel-edge paths = %v, oracle %v", paths, oracle)
 	}
 }
 
@@ -102,11 +102,11 @@ func TestAllPathsDepthBound(t *testing.T) {
 	_, _ = g.AddEdge("a", "e", "")
 	_, _ = g.AddEdge("e", "f", "")
 	_, _ = g.AddEdge("f", "d", "")
-	all, _, _ := AllPaths(g, "a", "d", Options{})
+	all, _, _ := Compile(g).AllPaths("a", "d", Options{})
 	if len(all) != 3 {
 		t.Fatalf("unbounded paths = %d, want 3", len(all))
 	}
-	bounded, _, _ := AllPaths(g, "a", "d", Options{MaxDepth: 2})
+	bounded, _, _ := Compile(g).AllPaths("a", "d", Options{MaxDepth: 2})
 	if len(bounded) != 2 {
 		t.Fatalf("depth-2 paths = %d, want 2", len(bounded))
 	}
@@ -119,14 +119,14 @@ func TestAllPathsDepthBound(t *testing.T) {
 
 func TestAllPathsMaxPaths(t *testing.T) {
 	g, _ := topology.Mesh(7)
-	paths, stats, err := AllPaths(g, "n0", "n6", Options{MaxPaths: 10})
+	paths, stats, err := Compile(g).AllPaths("n0", "n6", Options{MaxPaths: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 10 || !stats.Truncated {
 		t.Errorf("len = %d, truncated = %v", len(paths), stats.Truncated)
 	}
-	all, stats2, _ := AllPaths(g, "n0", "n6", Options{})
+	all, stats2, _ := Compile(g).AllPaths("n0", "n6", Options{})
 	if stats2.Truncated {
 		t.Error("unbounded run must not be truncated")
 	}
@@ -145,13 +145,13 @@ func TestAllPathsMaxPaths(t *testing.T) {
 
 func TestEndpointValidation(t *testing.T) {
 	g := diamond(t)
-	if _, _, err := AllPaths(g, "ghost", "d", Options{}); err == nil {
+	if _, _, err := Compile(g).AllPaths("ghost", "d", Options{}); err == nil {
 		t.Error("unknown requester should fail")
 	}
-	if _, _, err := AllPaths(g, "a", "ghost", Options{}); err == nil {
+	if _, _, err := Compile(g).AllPaths("a", "ghost", Options{}); err == nil {
 		t.Error("unknown provider should fail")
 	}
-	if _, _, err := AllPaths(g, "a", "a", Options{}); err == nil {
+	if _, _, err := Compile(g).AllPaths("a", "a", Options{}); err == nil {
 		t.Error("identical endpoints should fail")
 	}
 	if _, _, err := Compile(g).KShortest("ghost", "a", Options{K: 1}); err == nil {
@@ -163,7 +163,7 @@ func TestDisconnectedPair(t *testing.T) {
 	g := topology.New()
 	_ = g.AddNode("a", "")
 	_ = g.AddNode("b", "")
-	paths, stats, err := AllPaths(g, "a", "b", Options{})
+	paths, stats, err := Compile(g).AllPaths("a", "b", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestVariantsAgree(t *testing.T) {
 	for name, g := range graphs {
 		names := g.NodeNames()
 		src, dst := names[0], names[len(names)-1]
-		rec, _, err := AllPaths(g, src, dst, Options{})
+		rec, _, err := oracleAllPaths(g, src, dst, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -251,7 +251,7 @@ func TestVariantsAgreeWithOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxDepth: 6}
-	rec, _, _ := AllPaths(g, "n0", "n17", opts)
+	rec, _, _ := oracleAllPaths(g, "n0", "n17", opts)
 	csr, _, _ := Compile(g).AllPaths("n0", "n17", opts)
 	if !Equal(rec, csr) {
 		t.Errorf("map-based and compiled kernels disagree under options: %d/%d", len(rec), len(csr))
@@ -263,7 +263,7 @@ func TestPathInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _, err := AllPaths(g, "n0", "n19", Options{})
+	paths, _, err := Compile(g).AllPaths("n0", "n19", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestPathInvariants(t *testing.T) {
 
 func TestNodeAndEdgeSets(t *testing.T) {
 	g := diamond(t)
-	paths, _, _ := AllPaths(g, "a", "d", Options{})
+	paths, _, _ := Compile(g).AllPaths("a", "d", Options{})
 	ns := NodeSet(paths)
 	if len(ns) != 4 {
 		t.Errorf("NodeSet = %v", ns)
@@ -339,6 +339,8 @@ func TestPathString(t *testing.T) {
 	}
 }
 
+// TestCountPathsAgreesWithAllPaths pins the count-only CSR search to the
+// enumeration: same count, same Stats, under each bound.
 func TestCountPathsAgreesWithAllPaths(t *testing.T) {
 	graphs := map[string]*topology.Graph{}
 	if g, err := topology.Mesh(7); err == nil {
@@ -353,21 +355,25 @@ func TestCountPathsAgreesWithAllPaths(t *testing.T) {
 	for name, g := range graphs {
 		names := g.NodeNames()
 		src, dst := names[0], names[len(names)-1]
+		c := Compile(g)
 		for _, opts := range []Options{
 			{},
 			{MaxDepth: 5},
 			{MaxPaths: 7},
 		} {
-			paths, _, err := AllPaths(g, src, dst, opts)
+			paths, pathStats, err := c.AllPaths(src, dst, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			count, stats, err := CountPaths(g, src, dst, opts)
+			count, stats, err := c.CountPaths(src, dst, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if count != len(paths) {
 				t.Errorf("%s %+v: CountPaths = %d, AllPaths = %d", name, opts, count, len(paths))
+			}
+			if stats != pathStats {
+				t.Errorf("%s %+v: CountPaths stats %+v, AllPaths stats %+v", name, opts, stats, pathStats)
 			}
 			if stats.Paths != count {
 				t.Errorf("%s: stats.Paths = %d, count = %d", name, stats.Paths, count)
@@ -381,13 +387,15 @@ func TestCountPathsAgreesWithAllPaths(t *testing.T) {
 
 func TestCountPathsValidation(t *testing.T) {
 	g := diamond(t)
-	if _, _, err := CountPaths(g, "ghost", "d", Options{}); err == nil {
-		t.Error("unknown endpoint should fail")
+	c := Compile(g)
+	for _, ends := range [][2]string{{"ghost", "d"}, {"a", "ghost"}, {"a", "a"}} {
+		_, _, want := oracleCountPaths(g, ends[0], ends[1], Options{})
+		_, _, err := c.CountPaths(ends[0], ends[1], Options{})
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Errorf("CountPaths(%q, %q) error %v, oracle %v", ends[0], ends[1], err, want)
+		}
 	}
-	if _, _, err := CountPaths(g, "a", "a", Options{}); err == nil {
-		t.Error("identical endpoints should fail")
-	}
-	n, _, err := CountPaths(g, "a", "d", Options{})
+	n, _, err := c.CountPaths("a", "d", Options{})
 	if err != nil || n != 2 {
 		t.Errorf("diamond count = %d, %v", n, err)
 	}
@@ -395,7 +403,8 @@ func TestCountPathsValidation(t *testing.T) {
 
 func TestNodeVisitsAndMetrics(t *testing.T) {
 	g := diamond(t)
-	paths, stats, err := AllPaths(g, "a", "d", Options{})
+	c := Compile(g)
+	paths, stats, err := c.AllPaths("a", "d", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,42 +415,31 @@ func TestNodeVisitsAndMetrics(t *testing.T) {
 		t.Errorf("NodeVisits = %d, EdgeVisits = %d", stats.NodeVisits, stats.EdgeVisits)
 	}
 	// Counting reports NodeVisits too.
-	if _, s, err := CountPaths(g, "a", "d", Options{}); err != nil || s.NodeVisits == 0 {
+	if _, s, err := c.CountPaths("a", "d", Options{}); err != nil || s.NodeVisits == 0 {
 		t.Errorf("count NodeVisits = %d, err = %v", s.NodeVisits, err)
 	}
-	// The enumerations above were observed into the per-algorithm
-	// histograms of the default registry.
-	before := mNodesVisited.With("recursive-dfs").Count()
-	if _, _, err := AllPaths(g, "a", "d", Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if after := mNodesVisited.With("recursive-dfs").Count(); after != before+1 {
-		t.Errorf("nodes_visited observations %d -> %d, want +1", before, after)
-	}
-	if mTruncated.With("recursive-dfs").Value() == 0 {
-		if _, s, err := AllPaths(g, "a", "d", Options{MaxPaths: 1}); err != nil || !s.Truncated {
-			t.Fatalf("truncation fixture failed: %+v, %v", s, err)
+	// Each enumeration is observed once into the per-algorithm histograms
+	// of the default registry: csr-dfs for AllPaths, count for CountPaths.
+	for _, tc := range []struct {
+		label string
+		run   func(Options) (Stats, error)
+	}{
+		{"csr-dfs", func(o Options) (Stats, error) { _, s, err := c.AllPaths("a", "d", o); return s, err }},
+		{"count", func(o Options) (Stats, error) { _, s, err := c.CountPaths("a", "d", o); return s, err }},
+	} {
+		before := mNodesVisited.With(tc.label).Count()
+		if _, err := tc.run(Options{}); err != nil {
+			t.Fatal(err)
 		}
-		if mTruncated.With("recursive-dfs").Value() == 0 {
-			t.Error("truncated counter not incremented")
+		if after := mNodesVisited.With(tc.label).Count(); after != before+1 {
+			t.Errorf("%s: nodes_visited observations %d -> %d, want +1", tc.label, before, after)
 		}
-	}
-}
-
-// BenchmarkAllPathsInstrumented measures the instrumented recursive DFS on
-// a dense fixture; compare against the seed's BenchmarkAllPaths numbers to
-// verify the metrics overhead stays under 5% (one histogram observation per
-// enumeration — amortised over the whole search).
-func BenchmarkAllPathsInstrumented(b *testing.B) {
-	g, err := topology.Mesh(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := AllPaths(g, "n0", "n7", Options{}); err != nil {
-			b.Fatal(err)
+		truncated := mTruncated.With(tc.label).Value()
+		if s, err := tc.run(Options{MaxPaths: 1}); err != nil || !s.Truncated {
+			t.Fatalf("%s: truncation fixture failed: %+v, %v", tc.label, s, err)
+		}
+		if mTruncated.With(tc.label).Value() != truncated+1 {
+			t.Errorf("%s: truncated counter not incremented", tc.label)
 		}
 	}
 }
@@ -453,7 +451,7 @@ func TestHardMaxPaths(t *testing.T) {
 	g := diamond(t)
 	c := Compile(g)
 	variants := map[string]func(Options) ([]Path, Stats, error){
-		"recursive": func(o Options) ([]Path, Stats, error) { return AllPaths(g, "a", "d", o) },
+		"recursive": func(o Options) ([]Path, Stats, error) { return oracleAllPaths(g, "a", "d", o) },
 		"csr":       func(o Options) ([]Path, Stats, error) { return c.AllPaths("a", "d", o) },
 	}
 	for name, run := range variants {
@@ -480,7 +478,10 @@ func TestHardMaxPaths(t *testing.T) {
 		})
 	}
 	// Counting honours the limit too.
-	if _, _, err := CountPaths(g, "a", "d", Options{HardMaxPaths: 1}); err == nil {
+	if _, _, err := c.CountPaths("a", "d", Options{HardMaxPaths: 1}); err == nil {
 		t.Fatal("CountPaths ignored the hard limit")
+	}
+	if n, _, err := c.CountPaths("a", "d", Options{HardMaxPaths: 2}); err != nil || n != 2 {
+		t.Fatalf("CountPaths with hard limit 2: %d, %v", n, err)
 	}
 }

@@ -243,7 +243,8 @@ func TestRunBatchLimits(t *testing.T) {
 // generation content hash: a replayed availability/qos item is served
 // without recompiling the dependability kernel, an item that sends the
 // ignored legacyKernel flag shares the entry, and the numbers equal the
-// map-based ServiceStructure methods called directly.
+// ServiceStructure methods called directly on the structure FromResult
+// builds (internal/depend pins those to its map-based oracle).
 func TestAnalysisCacheReplay(t *testing.T) {
 	ts := httptest.NewServer(New())
 	defer ts.Close()
@@ -292,7 +293,7 @@ func TestAnalysisCacheReplay(t *testing.T) {
 	if lr := cold.Results[1].Result.(availabilityResponse); cr != lr {
 		t.Errorf("legacyKernel item %+v != %+v", lr, cr)
 	}
-	// The map-based oracle agrees bit for bit through the whole pipeline.
+	// The pipeline's numbers equal a direct analysis bit for bit.
 	m, err := casestudy.BuildModel()
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +323,7 @@ func TestAnalysisCacheReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cr.Exact != exact || cr.MonteCarlo != mc || cr.MCStdErr != se || cr.Components != len(st.Components()) {
-		t.Errorf("availability %+v, map-based exact %v, Monte Carlo %v ± %v, %d components",
+		t.Errorf("availability %+v, direct exact %v, Monte Carlo %v ± %v, %d components",
 			cr, exact, mc, se, len(st.Components()))
 	}
 }

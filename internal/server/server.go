@@ -586,7 +586,7 @@ func (a *api) handlePaths(ctx context.Context, req *pathsRequest) (any, error) {
 			pathdisc.Options{K: req.K, CostMetric: metric, MaxWork: pathsWorkLimit})
 	} else {
 		// The generator compiled the CSR kernel at acquire time; enumerate
-		// through it rather than the map-based walker.
+		// through it rather than compiling the graph again.
 		paths, stats, err = c.AllPaths(req.From, req.To,
 			pathdisc.Options{MaxDepth: req.MaxDepth, MaxPaths: req.MaxPaths, HardMaxPaths: pathsHardLimit})
 	}

@@ -164,18 +164,23 @@ const DefaultCacheSize = cache.DefaultMaxEntries
 func NewCache(maxEntries int) *Cache { return cache.New(maxEntries) }
 
 // AllPaths enumerates all simple paths between two components of a topology
-// graph using the paper's DFS with path tracking.
+// graph using the paper's DFS with path tracking. It compiles g on every
+// call (Compile(g).AllPaths); keep a CompiledGraph to search one topology
+// repeatedly. PathStats reports the compiled search's effort: expansions
+// that cannot reach the provider within MaxDepth are counted in Pruned, not
+// in EdgeVisits or NodeVisits.
 func AllPaths(g *Graph, from, to string, opts PathOptions) ([]Path, PathStats, error) {
-	return pathdisc.AllPaths(g, from, to, opts)
+	return pathdisc.Compile(g).AllPaths(from, to, opts)
 }
 
 // CompiledGraph is a topology lowered into a CSR (compressed sparse row)
-// integer-indexed form by Compile. Its AllPaths returns exactly the same
-// paths, in the same order, as the package-level AllPaths but skips the
-// per-call map allocations and prunes expansions that cannot reach the
-// provider; KShortest ranks the k cheapest paths instead. A CompiledGraph is
-// immutable and safe for concurrent use; Generators compile their
-// infrastructure graph automatically (Generator.Compiled).
+// integer-indexed form by Compile. Its AllPaths enumerates the simple paths
+// between two components in the graph's edge insertion order, without
+// per-call map allocations, and prunes expansions that cannot reach the
+// provider; CountPaths counts them without storing any, and KShortest ranks
+// the k cheapest paths instead. A CompiledGraph is immutable and safe for
+// concurrent use; Generators compile their infrastructure graph
+// automatically (Generator.Compiled).
 type CompiledGraph = pathdisc.Compiled
 
 // Compile lowers a topology graph into its CSR form once, so that repeated
@@ -184,9 +189,11 @@ type CompiledGraph = pathdisc.Compiled
 func Compile(g *Graph) *CompiledGraph { return pathdisc.Compile(g) }
 
 // CountPaths counts all simple paths without storing them — the memory-safe
-// choice for the dense-graph scalability studies.
+// choice for the dense-graph scalability studies. It compiles g on every
+// call (Compile(g).CountPaths), and its PathStats count pruned expansions
+// in Pruned, not in EdgeVisits or NodeVisits, as AllPaths' do.
 func CountPaths(g *Graph, from, to string, opts PathOptions) (int, PathStats, error) {
-	return pathdisc.CountPaths(g, from, to, opts)
+	return pathdisc.Compile(g).CountPaths(from, to, opts)
 }
 
 // UPSIMDiff describes how the user-perceived infrastructure changes between
@@ -408,7 +415,7 @@ func StructureOf(res *Result, model depend.AvailabilityModel) (*ServiceStructure
 }
 
 // CompiledStructureOf is StructureOf returning the compiled bitset kernel
-// alongside the map-based structure.
+// alongside the structure it was compiled from.
 func CompiledStructureOf(res *Result, model depend.AvailabilityModel) (*ServiceStructure, *CompiledStructure, map[string]float64, error) {
 	return depend.FromResult(res, model)
 }
