@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +13,10 @@ import (
 	"testing"
 
 	"upsim/internal/casestudy"
+	"upsim/internal/modelgen"
+	"upsim/internal/service"
 	"upsim/internal/testutil"
+	"upsim/internal/topology"
 	"upsim/internal/uml"
 )
 
@@ -194,6 +198,87 @@ func TestGenerateCacheHitAllocs(t *testing.T) {
 	t.Logf("generation-cache hit: %.0f allocs", allocs)
 	if allocs > ceiling {
 		t.Errorf("generation-cache hit allocates %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestColdPathsAllocs pins the allocations of a churn request: POST
+// /api/v1/paths with a never-seen 10-edge-switch campus model, so every
+// request misses the warm lane and the generator pool and pays the XMI
+// decode, the Step 5 check and the kernel compile. As the churn traffic
+// does, each request rewrites the Client MTBF, so no two bodies repeat.
+// Measured on go1.24: 189 allocs for full enumeration and 196 for k=5 by
+// throughput (319 and 326 before the scanner slabs and the count-sized
+// build); the ceilings leave about 10 %.
+func TestColdPathsAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts counts")
+	}
+	g, err := topology.Campus(topology.CampusParams{EdgeSwitches: 10, ClientsPerEdge: 6, ServersPerSwitch: 4, RedundantCore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sentinel = "31415.926535"
+	m, err := modelgen.Build("campus", g, modelgen.Params{Classes: map[string]modelgen.ClassParams{
+		"Client": {MTBF: 31415.926535, MTTR: 24},
+		"Server": {MTBF: 27182.818284, MTTR: 0.5},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := service.NewSequential(m, "rpc", "request", "process", "reply"); err != nil {
+		t.Fatal(err)
+	}
+	var doc strings.Builder
+	if err := uml.Encode(&doc, m); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(doc.String(), sentinel) {
+		t.Fatal("campus model lost its MTBF sentinel")
+	}
+	h := New()
+	seq := 0
+	for _, tc := range []struct {
+		name    string
+		k       int
+		cost    string
+		ceiling float64
+	}{
+		{"all", 0, "", 208},
+		{"k5-throughput", 5, "throughput", 216},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const runs = 20
+			bodies := make([][]byte, runs+1) // AllocsPerRun adds one warm-up call
+			for i := range bodies {
+				seq++
+				req := obj{
+					"modelXml": strings.ReplaceAll(doc.String(), sentinel, fmt.Sprintf("%d.%06d", 2000+seq, seq)),
+					"diagram":  "infrastructure", "from": "t1", "to": "srv1",
+				}
+				if tc.k > 0 {
+					req["k"], req["cost"] = tc.k, tc.cost
+				}
+				bodies[i] = []byte(mustJSON(t, req))
+			}
+			body := &replayableBody{}
+			r := httptest.NewRequest(http.MethodPost, "/api/v1/paths", nil)
+			w := &nullResponseWriter{h: make(http.Header)}
+			n := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				body.r.Reset(bodies[n])
+				n++
+				r.Body = body
+				w.status = 0
+				h.ServeHTTP(w, r)
+				if w.status != http.StatusOK {
+					t.Fatalf("request %d: status %d", n, w.status)
+				}
+			})
+			t.Logf("cold POST /api/v1/paths (%s): %.0f allocs", tc.name, allocs)
+			if allocs > tc.ceiling {
+				t.Errorf("cold POST /api/v1/paths (%s) allocates %.0f objects, ceiling %.0f", tc.name, allocs, tc.ceiling)
+			}
+		})
 	}
 }
 

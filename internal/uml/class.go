@@ -105,6 +105,9 @@ func (c *Class) SetProperty(name string, v Value) error {
 	if v.IsZero() {
 		return fmt.Errorf("uml: class %s: property %s: absent value", c.name, name)
 	}
+	if c.properties == nil {
+		c.properties = make(map[string]Value)
+	}
 	if _, exists := c.properties[name]; !exists {
 		c.propOrder = append(c.propOrder, name)
 	}

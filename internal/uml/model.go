@@ -22,11 +22,15 @@ type Model struct {
 	activities   map[string]*Activity
 	actOrder     []string
 
-	// Slabs that Apply takes stereotype applications and their value
-	// slices from while room is left; the decoder sizes them exactly.
+	// Slabs that AddClass, AddAssociation and Apply take their next
+	// element from, and that the decoder carves application and value
+	// lists from, while room is left; the decoder sizes them exactly.
 	// Like the diagram slabs, they are never reallocated.
-	appSlab []StereotypeApplication
-	valSlab []attrValue
+	classSlab   []Class
+	assocSlab   []Association
+	appSlab     []StereotypeApplication
+	appListSlab []*StereotypeApplication
+	valSlab     []attrValue
 }
 
 // slot returns the next free element of slab, or a new one once the slab
@@ -40,13 +44,34 @@ func slot[T any](slab *[]T) *T {
 	return &(*slab)[n]
 }
 
+// carve returns an empty slice with room for n elements taken from slab
+// while it has that room, else a new one. The full slice expression caps
+// the carve at n, so an append past it reallocates instead of overwriting
+// the next carve.
+func carve[T any](slab *[]T, n int) []T {
+	k := len(*slab)
+	if cap(*slab)-k < n {
+		return make([]T, 0, n)
+	}
+	*slab = (*slab)[:k+n]
+	return (*slab)[k : k : k+n]
+}
+
 // NewModel creates an empty model.
-func NewModel(name string) *Model {
+func NewModel(name string) *Model { return newModel(name, 0, 0) }
+
+// newModel creates an empty model whose class and association tables and
+// slabs have room for nClasses and nAssocs elements.
+func newModel(name string, nClasses, nAssocs int) *Model {
 	return &Model{
 		name:       name,
 		profiles:   make(map[string]*Profile),
-		classes:    make(map[string]*Class),
-		assocs:     make(map[string]*Association),
+		classes:    make(map[string]*Class, nClasses),
+		classOrder: make([]string, 0, nClasses),
+		classSlab:  make([]Class, 0, nClasses),
+		assocs:     make(map[string]*Association, nAssocs),
+		assocOrder: make([]string, 0, nAssocs),
+		assocSlab:  make([]Association, 0, nAssocs),
 		activities: make(map[string]*Activity),
 	}
 }
@@ -102,7 +127,8 @@ func (m *Model) AddClass(name string) (*Class, error) {
 	if _, dup := m.classes[name]; dup {
 		return nil, fmt.Errorf("uml: model %s: duplicate class %s", m.name, name)
 	}
-	c := &Class{name: name, model: m, properties: make(map[string]Value)}
+	c := slot(&m.classSlab)
+	*c = Class{name: name, model: m}
 	m.classes[name] = c
 	m.classOrder = append(m.classOrder, name)
 	return c, nil
@@ -155,7 +181,8 @@ func (m *Model) AddAssociation(name string, a, b *Class) (*Association, error) {
 	if _, dup := m.assocs[name]; dup {
 		return nil, fmt.Errorf("uml: model %s: duplicate association %s", m.name, name)
 	}
-	as := &Association{name: name, model: m, endA: a, endB: b}
+	as := slot(&m.assocSlab)
+	*as = Association{name: name, model: m, endA: a, endB: b}
 	m.assocs[name] = as
 	m.assocOrder = append(m.assocOrder, name)
 	return as, nil

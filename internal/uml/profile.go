@@ -66,7 +66,6 @@ type Stereotype struct {
 	abstract   bool
 	parent     *Stereotype
 	attributes []AttributeDef
-	attrIndex  map[string]int
 }
 
 // Name returns the stereotype name, e.g. "Component" or "Switch".
@@ -123,8 +122,10 @@ func (s *Stereotype) EachAttribute(fn func(AttributeDef)) {
 // generalisation chain bottom-up.
 func (s *Stereotype) Attribute(name string) (AttributeDef, bool) {
 	for st := s; st != nil; st = st.parent {
-		if i, ok := st.attrIndex[name]; ok {
-			return st.attributes[i], true
+		for _, def := range st.attributes {
+			if def.Name == name {
+				return def, true
+			}
 		}
 	}
 	return AttributeDef{}, false
@@ -165,7 +166,6 @@ func (s *Stereotype) AddAttributeDefault(name string, kind ValueKind, def Value)
 			s.name, name, def.Kind(), kind)
 	}
 	s.attributes = append(s.attributes, AttributeDef{Name: name, Kind: kind, Default: def})
-	s.attrIndex[name] = len(s.attributes) - 1
 	return nil
 }
 
@@ -232,12 +232,11 @@ func (p *Profile) define(name string, extends Metaclass, abstract bool, parent *
 		return nil, fmt.Errorf("uml: profile %s: duplicate stereotype %s", p.name, name)
 	}
 	st := &Stereotype{
-		name:      name,
-		profile:   p,
-		extends:   extends,
-		abstract:  abstract,
-		parent:    parent,
-		attrIndex: make(map[string]int),
+		name:     name,
+		profile:  p,
+		extends:  extends,
+		abstract: abstract,
+		parent:   parent,
 	}
 	p.stereotypes[name] = st
 	p.order = append(p.order, name)
@@ -284,15 +283,7 @@ type attrValue struct {
 func (m *Model) newApplication(st *Stereotype) *StereotypeApplication {
 	app := slot(&m.appSlab)
 	app.stereotype = st
-	n := st.numAttributes()
-	if k := len(m.valSlab); cap(m.valSlab)-k >= n {
-		// The full slice expression caps the carve at n, so an append
-		// past it reallocates instead of overwriting the next carve.
-		app.values = m.valSlab[k : k : k+n]
-		m.valSlab = m.valSlab[:k+n]
-	} else {
-		app.values = make([]attrValue, 0, n)
-	}
+	app.values = carve(&m.valSlab, st.numAttributes())
 	st.EachAttribute(func(def AttributeDef) {
 		if !def.Default.IsZero() {
 			app.values = append(app.values, attrValue{def.Name, def.Default})

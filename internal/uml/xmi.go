@@ -258,11 +258,12 @@ func decodeStdlib(s string, x *xmiModel) error {
 // build constructs the model from its parsed form: profiles, classes,
 // associations, diagrams, then activities, so that every reference resolves
 // to an element declared before it. It builds through the public
-// construction API, but first sizes the model's slabs from the parsed
-// counts, so that applications, their values, instances and links come in
-// one allocation each instead of one per element.
+// construction API, but first sizes the model's tables and slabs from the
+// parsed counts, so that classes, associations, applications, their lists
+// and values, instances and links come in one allocation per kind instead
+// of one per element.
 func (x *xmiModel) build() (*Model, error) {
-	m := NewModel(x.Name)
+	m := newModel(x.Name, len(x.Classes), len(x.Assocs))
 	for _, xp := range x.Profiles {
 		p := NewProfile(xp.Name)
 		for _, xs := range xp.Stereotypes {
@@ -317,6 +318,7 @@ func (x *xmiModel) build() (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.applications = carve(&m.appListSlab, len(xc.Applies))
 		for _, xa := range xc.Applies {
 			if err := decodeApply(m, xa, func(st *Stereotype) (*StereotypeApplication, error) {
 				return c.Apply(st)
@@ -351,6 +353,7 @@ func (x *xmiModel) build() (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
+		a.applications = carve(&m.appListSlab, len(xa.Applies))
 		for _, xap := range xa.Applies {
 			if err := decodeApply(m, xap, func(st *Stereotype) (*StereotypeApplication, error) {
 				return a.Apply(st)
@@ -430,10 +433,11 @@ func (x *xmiModel) build() (*Model, error) {
 	return m, nil
 }
 
-// reserveApplications sizes m's application and value slabs for the
-// stereotype applications of x's classes and associations: one value slot
-// per attribute of each applied stereotype, which bounds what Set can
-// assign. An unknown stereotype counts no slot; decodeApply rejects it.
+// reserveApplications sizes m's application, application-list and value
+// slabs for the stereotype applications of x's classes and associations:
+// one value slot per attribute of each applied stereotype, which bounds
+// what Set can assign. An unknown stereotype counts no slot; decodeApply
+// rejects it.
 func (x *xmiModel) reserveApplications(m *Model) {
 	apps, vals := 0, 0
 	count := func(applies []xmiApply) {
@@ -451,6 +455,7 @@ func (x *xmiModel) reserveApplications(m *Model) {
 		count(xa.Applies)
 	}
 	m.appSlab = make([]StereotypeApplication, 0, apps)
+	m.appListSlab = make([]*StereotypeApplication, 0, apps)
 	m.valSlab = make([]attrValue, 0, vals)
 }
 

@@ -23,10 +23,29 @@ import (
 // booleans outside the forms Encode writes, characters XML forbids, and
 // every kind of syntax error including a truncated document.
 
-// scanner is the read position in one document.
+// scanner is the read position in one document, with one slab per kind of
+// child element. A parent notes the length of each slab its children go
+// to at its start tag and, at its end tag, takes its children as the
+// slab's tail (children), so a document's lists share a few arrays instead
+// of growing one element at a time. No element of the dialect nests inside
+// an element of its own kind, so while the scanner fills an element through
+// a pointer into a slab, only other slabs grow: the pointer stays valid
+// whether or not the pre-count (reserve) sized the slabs right. Between a
+// parent's start and end tags, only its own children append to the slabs
+// its lists come from, so each list is one contiguous tail.
 type scanner struct {
 	s   string
 	pos int
+
+	stereotypes []xmiStereotype
+	attributes  []xmiAttribute
+	applies     []xmiApply
+	values      []xmiValue
+	properties  []xmiProperty
+	instances   []xmiInstance
+	links       []xmiLink
+	nodes       []xmiNode
+	flows       []xmiFlow
 }
 
 // scanModel fills x from s and reports whether s lies in the subset the
@@ -40,6 +59,7 @@ func scanModel(s string, x *xmiModel) bool {
 	if !sc.prolog() || !sc.skip('<') || sc.name() != "uml.Model" {
 		return false
 	}
+	sc.reserve(x)
 	x.XMLName = xml.Name{Local: "uml.Model"}
 	// encoding/xml stops reading at the root's end tag, so whatever follows
 	// it is ignored here too.
@@ -62,16 +82,110 @@ func scanModel(s string, x *xmiModel) bool {
 	}, nil)
 }
 
+// reserve sizes x's top-level lists and the scanner's slabs from one pass
+// that counts the start tags of the rest of the document by name. The
+// counts set capacity only: a list or slab that turns out too small grows,
+// and one too large keeps spare room. Per byte of document the slabs take
+// at most about nine bytes (a "<class>" tag sizes a 64-byte xmiClass), the
+// same order as the lists of an accepted document of empty elements.
+func (sc *scanner) reserve(x *xmiModel) {
+	var profiles, classes, assocs, diagrams, activities int
+	var stereotypes, attributes, applies, values, properties, instances, links, nodes, flows int
+	for s := sc.s[sc.pos:]; ; {
+		i := strings.IndexByte(s, '<')
+		if i < 0 {
+			break
+		}
+		s = s[i+1:]
+		n := 0
+		for n < len(s) && isNameByte(s[n]) {
+			n++
+		}
+		if n == len(s) || !isSpace(s[n]) && s[n] != '>' && s[n] != '/' {
+			continue
+		}
+		switch s[:n] {
+		case "profile":
+			profiles++
+		case "class":
+			classes++
+		case "association":
+			assocs++
+		case "objectDiagram":
+			diagrams++
+		case "activity":
+			activities++
+		case "stereotype":
+			stereotypes++
+		case "attribute":
+			attributes++
+		case "apply":
+			applies++
+		case "value":
+			values++
+		case "property":
+			properties++
+		case "instance":
+			instances++
+		case "link":
+			links++
+		case "node":
+			nodes++
+		case "flow":
+			flows++
+		}
+		s = s[n:]
+	}
+	x.Profiles = room[xmiProfile](profiles)
+	x.Classes = room[xmiClass](classes)
+	x.Assocs = room[xmiAssoc](assocs)
+	x.Diagrams = room[xmiDiagram](diagrams)
+	x.Activities = room[xmiActivity](activities)
+	sc.stereotypes = room[xmiStereotype](stereotypes)
+	sc.attributes = room[xmiAttribute](attributes)
+	sc.applies = room[xmiApply](applies)
+	sc.values = room[xmiValue](values)
+	sc.properties = room[xmiProperty](properties)
+	sc.instances = room[xmiInstance](instances)
+	sc.links = room[xmiLink](links)
+	sc.nodes = room[xmiNode](nodes)
+	sc.flows = room[xmiFlow](flows)
+}
+
+// room returns an empty slice with capacity n, or nil for n == 0: an
+// element list encoding/xml finds empty stays nil.
+func room[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// children returns the elements a parent appended to slab since its start
+// tag, when slab's length was start: nil if there are none, else a slice
+// whose full slice expression leaves it no spare capacity, so that an
+// append to one parent's list can never write into the next parent's.
+func children[T any](slab []T, start int) []T {
+	if len(slab) == start {
+		return nil
+	}
+	return slab[start:len(slab):len(slab)]
+}
+
 func (sc *scanner) profile(p *xmiProfile) bool {
-	return sc.element("profile", func(k, v string) bool {
+	start := len(sc.stereotypes)
+	ok := sc.element("profile", func(k, v string) bool {
 		return k == "name" && set(&p.Name, v)
 	}, func(k string) bool {
-		return k == "stereotype" && sc.stereotype(grow(&p.Stereotypes))
+		return k == "stereotype" && sc.stereotype(grow(&sc.stereotypes))
 	}, nil)
+	p.Stereotypes = children(sc.stereotypes, start)
+	return ok
 }
 
 func (sc *scanner) stereotype(st *xmiStereotype) bool {
-	return sc.element("stereotype", func(k, v string) bool {
+	start := len(sc.attributes)
+	ok := sc.element("stereotype", func(k, v string) bool {
 		switch k {
 		case "name":
 			return set(&st.Name, v)
@@ -84,8 +198,10 @@ func (sc *scanner) stereotype(st *xmiStereotype) bool {
 		}
 		return false
 	}, func(k string) bool {
-		return k == "attribute" && sc.attribute(grow(&st.Attributes))
+		return k == "attribute" && sc.attribute(grow(&sc.attributes))
 	}, nil)
+	st.Attributes = children(sc.attributes, start)
+	return ok
 }
 
 func (sc *scanner) attribute(a *xmiAttribute) bool {
@@ -105,28 +221,32 @@ func (sc *scanner) attribute(a *xmiAttribute) bool {
 }
 
 func (sc *scanner) apply(a *xmiApply) bool {
-	return sc.element("apply", func(k, v string) bool {
+	start := len(sc.values)
+	ok := sc.element("apply", func(k, v string) bool {
 		return k == "stereotype" && set(&a.Stereotype, v)
 	}, func(k string) bool {
 		if k != "value" {
 			return false
 		}
-		xv := grow(&a.Values)
+		xv := grow(&sc.values)
 		return sc.element("value", func(k, v string) bool {
 			return k == "attribute" && set(&xv.Attribute, v)
 		}, nil, &xv.Value)
 	}, nil)
+	a.Values = children(sc.values, start)
+	return ok
 }
 
 func (sc *scanner) class(c *xmiClass) bool {
-	return sc.element("class", func(k, v string) bool {
+	applies, props := len(sc.applies), len(sc.properties)
+	ok := sc.element("class", func(k, v string) bool {
 		return k == "name" && set(&c.Name, v)
 	}, func(k string) bool {
 		switch k {
 		case "apply":
-			return sc.apply(grow(&c.Applies))
+			return sc.apply(grow(&sc.applies))
 		case "property":
-			p := grow(&c.Properties)
+			p := grow(&sc.properties)
 			return sc.element("property", func(k, v string) bool {
 				switch k {
 				case "name":
@@ -139,10 +259,14 @@ func (sc *scanner) class(c *xmiClass) bool {
 		}
 		return false
 	}, nil)
+	c.Applies = children(sc.applies, applies)
+	c.Properties = children(sc.properties, props)
+	return ok
 }
 
 func (sc *scanner) association(a *xmiAssoc) bool {
-	return sc.element("association", func(k, v string) bool {
+	start := len(sc.applies)
+	ok := sc.element("association", func(k, v string) bool {
 		switch k {
 		case "name":
 			return set(&a.Name, v)
@@ -153,17 +277,20 @@ func (sc *scanner) association(a *xmiAssoc) bool {
 		}
 		return false
 	}, func(k string) bool {
-		return k == "apply" && sc.apply(grow(&a.Applies))
+		return k == "apply" && sc.apply(grow(&sc.applies))
 	}, nil)
+	a.Applies = children(sc.applies, start)
+	return ok
 }
 
 func (sc *scanner) diagram(d *xmiDiagram) bool {
-	return sc.element("objectDiagram", func(k, v string) bool {
+	insts, links := len(sc.instances), len(sc.links)
+	ok := sc.element("objectDiagram", func(k, v string) bool {
 		return k == "name" && set(&d.Name, v)
 	}, func(k string) bool {
 		switch k {
 		case "instance":
-			i := grow(&d.Instances)
+			i := grow(&sc.instances)
 			return sc.element("instance", func(k, v string) bool {
 				switch k {
 				case "name":
@@ -174,7 +301,7 @@ func (sc *scanner) diagram(d *xmiDiagram) bool {
 				return false
 			}, nil, nil)
 		case "link":
-			l := grow(&d.Links)
+			l := grow(&sc.links)
 			return sc.element("link", func(k, v string) bool {
 				switch k {
 				case "a":
@@ -189,15 +316,19 @@ func (sc *scanner) diagram(d *xmiDiagram) bool {
 		}
 		return false
 	}, nil)
+	d.Instances = children(sc.instances, insts)
+	d.Links = children(sc.links, links)
+	return ok
 }
 
 func (sc *scanner) activity(a *xmiActivity) bool {
-	return sc.element("activity", func(k, v string) bool {
+	nodes, flows := len(sc.nodes), len(sc.flows)
+	ok := sc.element("activity", func(k, v string) bool {
 		return k == "name" && set(&a.Name, v)
 	}, func(k string) bool {
 		switch k {
 		case "node":
-			n := grow(&a.Nodes)
+			n := grow(&sc.nodes)
 			return sc.element("node", func(k, v string) bool {
 				switch k {
 				case "id":
@@ -210,7 +341,7 @@ func (sc *scanner) activity(a *xmiActivity) bool {
 				return false
 			}, nil, nil)
 		case "flow":
-			f := grow(&a.Flows)
+			f := grow(&sc.flows)
 			return sc.element("flow", func(k, v string) bool {
 				switch k {
 				case "src":
@@ -223,6 +354,9 @@ func (sc *scanner) activity(a *xmiActivity) bool {
 		}
 		return false
 	}, nil)
+	a.Nodes = children(sc.nodes, nodes)
+	a.Flows = children(sc.flows, flows)
+	return ok
 }
 
 // maxAttrs bounds the attributes of one start tag: no element of the
