@@ -230,7 +230,7 @@ func NewGenerator(m *uml.Model, diagramName string) (*Generator, error) {
 // size. Step 5 fails exactly when importing the model into a model space
 // would (importers.Check), but builds no space.
 func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) (*Generator, error) {
-	_, sp := obs.StartSpan(ctx, "step5.import_uml")
+	_, sp := obs.StartStage(ctx, "step5.import_uml")
 	defer sp.End()
 	if m == nil {
 		return nil, fmt.Errorf("core: nil model")
@@ -247,8 +247,8 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 		return nil, err
 	}
 	g := topology.FromObjectDiagram(d)
-	sp.SetAttr("nodes", g.NumNodes())
-	sp.SetAttr("edges", g.NumEdges())
+	sp.SetInt("nodes", g.NumNodes())
+	sp.SetInt("edges", g.NumEdges())
 	// Compile the CSR kernel once per model: every Generate call — across
 	// mapping pairs, user perspectives and batch items — reuses it, so the
 	// string-to-index lowering and the adjacency layout are paid exactly once.
@@ -353,7 +353,7 @@ func (g *Generator) Generate(svc *service.Composite, mp *mapping.Mapping, name s
 // GenerateContext is Generate under a context: when ctx carries an obs
 // span, each pipeline stage (Step 6 mapping import, Step 7 path discovery
 // with one child span per atomic service, Step 8 merge) is recorded with
-// its wall time and outcome attributes.
+// its wall time and outcome attributes; without one, no span is opened.
 //
 // With a cache attached (WithCache), the request is content-addressed first
 // (CacheKey): a hit returns the shared, immutable Result without running
@@ -367,6 +367,12 @@ func (g *Generator) GenerateContext(ctx context.Context, svc *service.Composite,
 	}
 	if name == "" {
 		return nil, fmt.Errorf("core: empty UPSIM name")
+	}
+	// Step 8's semantics is checked before any step runs, so a request
+	// that can never merge fails before discovery, and does so even on a
+	// diagram without links.
+	if opts.Merge != MergeInduced && opts.Merge != MergeTraversed {
+		return nil, fmt.Errorf("core: unknown merge semantics %v", opts.Merge)
 	}
 	if c := g.Cache(); c != nil {
 		key, err := g.CacheKey(svc, mp, name, opts)
@@ -385,9 +391,9 @@ func (g *Generator) GenerateContext(ctx context.Context, svc *service.Composite,
 			return nil, err
 		}
 		if outcome != cache.OutcomeMiss {
-			_, sp := obs.StartSpan(ctx, "cache")
-			sp.SetAttr("outcome", outcome.String())
-			sp.SetAttr("key", key[:12])
+			_, sp := obs.StartStage(ctx, "cache")
+			sp.SetString("outcome", outcome.String())
+			sp.SetString("key", key[:12])
 			sp.End()
 		}
 		return v.(*Result), nil
@@ -418,19 +424,19 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 	// Step 6: check the service mapping pairs as their import would,
 	// verifying every referenced component against the infrastructure
 	// diagram.
-	_, span6 := obs.StartSpan(ctx, "step6.import_mapping")
+	_, span6 := obs.StartStage(ctx, "step6.import_mapping")
 	pairs := mp.Pairs() // a copy: the caller may change mp after Generate
 	if err := importers.CheckPairs(name+mappingSuffix, pairs, g.diagram, g.diagramFQN); err != nil {
 		span6.End()
 		return nil, err
 	}
-	span6.SetAttr("pairs", len(pairs))
+	span6.SetInt("pairs", len(pairs))
 	span6.End()
 
 	// Step 7: path discovery per atomic service, in execution order. Each
 	// pair is resolved, discovered and checked before the next starts, so
 	// the first failing pair is the one reported.
-	ctx7, span7 := obs.StartSpan(ctx, "step7.pathdisc")
+	ctx7, span7 := obs.StartStage(ctx, "step7.pathdisc")
 	defer span7.End()
 	relevant, err := svc.RelevantPairs(mp)
 	if err != nil {
@@ -442,12 +448,12 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 			return nil, err
 		}
 		sp := ServicePaths{AtomicService: p.AtomicService, Requester: p.Requester, Provider: p.Provider}
-		_, svcSpan := obs.StartSpan(ctx7, sp.AtomicService)
+		_, svcSpan := obs.StartStage(ctx7, sp.AtomicService)
 		sp.Paths, sp.Stats, err = g.discover(sp.Requester, sp.Provider, opts)
-		svcSpan.SetAttr("paths", sp.Stats.Paths)
-		svcSpan.SetAttr("edge_visits", sp.Stats.EdgeVisits)
-		svcSpan.SetAttr("nodes_visited", sp.Stats.NodeVisits)
-		svcSpan.SetAttr("max_stack", sp.Stats.MaxStack)
+		svcSpan.SetInt("paths", sp.Stats.Paths)
+		svcSpan.SetInt("edge_visits", sp.Stats.EdgeVisits)
+		svcSpan.SetInt("nodes_visited", sp.Stats.NodeVisits)
+		svcSpan.SetInt("max_stack", sp.Stats.MaxStack)
 		svcSpan.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: atomic service %q: %w", name, sp.AtomicService, err)
@@ -461,19 +467,19 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 		res.EdgeVisits += sp.Stats.EdgeVisits
 		res.Pruned += sp.Stats.Pruned
 	}
-	span7.SetAttr("paths", res.TotalPaths)
-	span7.SetAttr("edge_visits", res.EdgeVisits)
+	span7.SetInt("paths", res.TotalPaths)
+	span7.SetInt("edge_visits", res.EdgeVisits)
 	span7.End()
 
 	// Step 8: merge all paths of all atomic services into one object
 	// diagram.
-	_, span8 := obs.StartSpan(ctx, "step8.merge")
+	_, span8 := obs.StartStage(ctx, "step8.merge")
 	defer span8.End()
 	if err := g.merge(res, opts); err != nil {
 		return nil, err
 	}
-	span8.SetAttr("nodes", res.Graph.NumNodes())
-	span8.SetAttr("links", res.Graph.NumEdges())
+	span8.SetInt("nodes", res.Graph.NumNodes())
+	span8.SetInt("links", res.Graph.NumEdges())
 	return res, nil
 }
 
@@ -482,7 +488,7 @@ func (g *Generator) generate(ctx context.Context, svc *service.Composite, mp *ma
 // *lint.Error; in LintWarn mode every warning and error is logged through
 // obs.Logger and the pipeline continues.
 func (g *Generator) lintGate(ctx context.Context, svc *service.Composite, mp *mapping.Mapping, name string, mode LintMode) error {
-	_, span := obs.StartSpan(ctx, "lint.preflight")
+	_, span := obs.StartStage(ctx, "lint.preflight")
 	defer span.End()
 	rep, err := lint.Default().Run(&lint.Input{
 		Model:   g.model,
@@ -494,8 +500,8 @@ func (g *Generator) lintGate(ctx context.Context, svc *service.Composite, mp *ma
 	if err != nil {
 		return err
 	}
-	span.SetAttr("errors", rep.Errors)
-	span.SetAttr("warnings", rep.Warnings)
+	span.SetInt("errors", rep.Errors)
+	span.SetInt("warnings", rep.Warnings)
 	if mode == LintFail {
 		if err := rep.Err(); err != nil {
 			return fmt.Errorf("core: %s: pre-flight %w", name, err)
@@ -592,48 +598,71 @@ func storePaths(s *vpm.ModelSpace, name string, services []ServicePaths) error {
 
 // merge builds the UPSIM object diagram and graph from the union of all
 // discovered paths. "Multiple occurrences are ignored" — the merge is a set
-// union over nodes (and, for MergeTraversed, edges).
+// union over nodes (and, for MergeTraversed, edges). It marks the kept
+// instances and links by their index in the infrastructure diagram, counts
+// them, and builds the UPSIM into a diagram sized for exactly those, in
+// the infrastructure's instance and link order.
 func (g *Generator) merge(res *Result, opts Options) error {
-	keep := make(map[string]bool)
-	edges := make(map[int]bool)
+	src := g.diagram
+	res.Source = src
+	nInst, nLinks := src.NumInstances(), src.NumLinks()
+	// keepInst[i] marks src.InstanceAt(i), which is the compiled kernel's
+	// node i (both follow the diagram's instance order); keepLink[i] marks
+	// src.LinkAt(i), which is topology edge i.
+	mask := make([]bool, nInst+nLinks)
+	keepInst, keepLink := mask[:nInst], mask[nInst:]
+	traversed := opts.Merge == MergeTraversed
 	for _, sp := range res.Services {
-		for n := range pathdisc.NodeSet(sp.Paths) {
-			keep[n] = true
+		for _, p := range sp.Paths {
+			for _, n := range p.Nodes {
+				if id, ok := g.compiled.NodeID(n); ok {
+					keepInst[id] = true
+				}
+			}
+			if traversed {
+				for _, e := range p.Edges {
+					if e >= 0 && e < nLinks {
+						keepLink[e] = true
+					}
+				}
+			}
 		}
-		for e := range pathdisc.EdgeSet(sp.Paths) {
-			edges[e] = true
+	}
+	keptInst, keptLinks := 0, 0
+	for _, k := range keepInst {
+		if k {
+			keptInst++
+		}
+	}
+	for i := range keepLink {
+		if !traversed {
+			// MergeInduced: every link whose both ends are kept.
+			a, b := src.LinkAt(i).Ends()
+			ia, _ := g.compiled.NodeID(a.Name())
+			ib, _ := g.compiled.NodeID(b.Name())
+			keepLink[i] = keepInst[ia] && keepInst[ib]
+		}
+		if keepLink[i] {
+			keptLinks++
 		}
 	}
 
-	src := g.diagram
-	res.Source = src
-	out := g.model.NewDetachedDiagram(res.Name)
-	for i := 0; i < src.NumInstances(); i++ {
-		inst := src.InstanceAt(i)
-		if !keep[inst.Name()] {
+	out := g.model.NewSizedDiagram(res.Name, keptInst, keptLinks)
+	for i, k := range keepInst {
+		if !k {
 			continue
 		}
+		inst := src.InstanceAt(i)
 		if _, err := out.AddInstance(inst.Name(), inst.Classifier()); err != nil {
 			return err
 		}
 	}
-	// The topology graph was built from src in link order, so edge ID i is
-	// src.LinkAt(i).
-	for i := 0; i < src.NumLinks(); i++ {
-		l := src.LinkAt(i)
-		a, b := l.Ends()
-		include := false
-		switch opts.Merge {
-		case MergeInduced:
-			include = keep[a.Name()] && keep[b.Name()]
-		case MergeTraversed:
-			include = edges[i]
-		default:
-			return fmt.Errorf("core: unknown merge semantics %v", opts.Merge)
-		}
-		if !include {
+	for i, k := range keepLink {
+		if !k {
 			continue
 		}
+		l := src.LinkAt(i)
+		a, b := l.Ends()
 		if _, err := out.ConnectByName(a.Name(), b.Name(), l.Association()); err != nil {
 			return err
 		}

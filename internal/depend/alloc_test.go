@@ -31,12 +31,19 @@ func usiResult(t *testing.T) *core.Result {
 	return res
 }
 
-// analyzeAllocCeiling bounds one §VII analysis of the USI UPSIM: about 104
-// allocations today (the structure and availability table, the compiled
-// structure and its factoring program, span and metric bookkeeping), down
-// from about 1,060 when error labels, link IDs, RBD/FT trees and scratch
-// pools were rebuilt per call.
-const analyzeAllocCeiling = 120
+// analyzeAllocCeiling bounds one untraced §VII analysis of the USI UPSIM:
+// 45 allocations on go1.24 (the structure and availability table, the
+// compiled structure and its factoring program, metric bookkeeping), down
+// from 95 while every stage opened an orphan root span and each path set
+// was its own slice, and from about 1,060 when error labels, link IDs,
+// RBD/FT trees and scratch pools were rebuilt per call.
+const analyzeAllocCeiling = 50
+
+// fromResultAllocCeiling bounds the structure extraction alone: 19 on
+// go1.24, of which 10 are the link component IDs; the path sets, the set
+// lists and the availability table take one allocation each per stage
+// (43 with one slice per path set and grown lists).
+const fromResultAllocCeiling = 21
 
 // TestAnalyzeAllocCeiling guards the allocation budget of the analysis
 // pipeline and pins its in-place RBD and fault-tree stages at zero.
@@ -55,6 +62,13 @@ func TestAnalyzeAllocCeiling(t *testing.T) {
 		t.Errorf("AnalyzeContext allocates %.0f objects per run, ceiling %d", allocs, analyzeAllocCeiling)
 	}
 
+	if a := testing.AllocsPerRun(50, func() {
+		if _, _, err := fromResult(res, ModelExact); err != nil {
+			t.Fatal(err)
+		}
+	}); a > fromResultAllocCeiling {
+		t.Errorf("fromResult allocates %.0f objects per run, ceiling %d", a, fromResultAllocCeiling)
+	}
 	st, avail, err := fromResult(res, ModelExact)
 	if err != nil {
 		t.Fatal(err)

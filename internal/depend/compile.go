@@ -296,19 +296,27 @@ func (cs *CompiledStructure) packAvail(avail map[string]float64) ([]float64, err
 }
 
 // toPathSets converts bitsets back to sorted component-name sets, the
-// boundary representation of the ServiceStructure API.
+// boundary representation of the ServiceStructure API. Every set is carved
+// from one name slab sized by the summed popcounts.
 func (cs *CompiledStructure) toPathSets(sets []bitset) []PathSet {
+	total := 0
+	for _, b := range sets {
+		total += popcount(b)
+	}
+	names := make([]string, 0, total)
 	out := make([]PathSet, 0, len(sets))
 	for _, b := range sets {
-		ps := make(PathSet, 0, popcount(b))
+		start := len(names)
 		for w, word := range b {
 			for word != 0 {
 				i := w<<6 + bits.TrailingZeros64(word)
-				ps = append(ps, cs.names[i])
+				names = append(names, cs.names[i])
 				word &= word - 1
 			}
 		}
-		out = append(out, ps)
+		// Capped at its own names: an append to one set never overwrites
+		// the next.
+		out = append(out, names[start:len(names):len(names)])
 	}
 	return out
 }

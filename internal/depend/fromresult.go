@@ -3,6 +3,7 @@ package depend
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"time"
 
@@ -83,7 +84,19 @@ func FromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, *
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return st, compile(st, st.Components(), nil), avail, nil
+	return st, compile(st, componentNames(avail), nil), avail, nil
+}
+
+// componentNames returns the sorted keys of a fromResult availability
+// table. That is st.Components() without its set: fromResult enters every
+// component of every path set in the table, and nothing else.
+func componentNames(avail map[string]float64) []string {
+	out := make([]string, 0, len(avail))
+	for c := range avail {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // fromResult builds the map-based structure and availability table only —
@@ -93,11 +106,35 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 	if res == nil || res.Source == nil {
 		return nil, nil, fmt.Errorf("depend: nil generation result")
 	}
-	avail := make(map[string]float64)
 	src := res.Source
 	// An edge has fixed endpoints, so its component ID is minted once and
 	// shared by every path that crosses it.
 	linkIDs := make([]string, src.NumLinks())
+
+	// Count first: every path set is carved from one name slab and every
+	// atomic service's path sets from one set slab, and the availability
+	// table is sized for the distinct components — the UPSIM's instances
+	// (exactly the devices on some path) plus the distinct edges crossed.
+	nSets, nNames, nLinks := 0, 0, 0
+	for _, sp := range res.Services {
+		nSets += len(sp.Paths)
+		for _, p := range sp.Paths {
+			nNames += len(p.Nodes) + len(p.Edges)
+			for i, id := range p.Edges {
+				if id >= 0 && id < len(linkIDs) && linkIDs[id] == "" {
+					linkIDs[id] = LinkComponentID(p.Nodes[i], p.Nodes[i+1], id)
+					nLinks++
+				}
+			}
+		}
+	}
+	nDevices := 0
+	if res.UPSIM != nil {
+		nDevices = res.UPSIM.NumInstances()
+	}
+	avail := make(map[string]float64, nDevices+nLinks)
+	names := make([]string, 0, nNames)
+	sets := make([]PathSet, 0, nSets)
 
 	compute := func(mtbf, mttr float64) (float64, error) {
 		if model == ModelFormula1 {
@@ -113,11 +150,12 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 		return instanceAvailability(inst, compute)
 	}
 
-	st := &ServiceStructure{}
+	st := &ServiceStructure{AtomicServices: make([]AtomicStructure, 0, len(res.Services))}
 	for _, sp := range res.Services {
 		atomic := AtomicStructure{Name: sp.AtomicService}
+		first := len(sets)
 		for _, p := range sp.Paths {
-			ps := make(PathSet, 0, len(p.Nodes)+len(p.Edges))
+			start := len(names)
 			for _, n := range p.Nodes {
 				if _, isLink := parseLinkComponent(n); isLink {
 					return nil, nil, &ReservedNameError{Name: n}
@@ -129,26 +167,27 @@ func fromResult(res *core.Result, model AvailabilityModel) (*ServiceStructure, m
 					}
 					avail[n] = a
 				}
-				ps = append(ps, n)
+				names = append(names, n)
 			}
-			for i, id := range p.Edges {
+			for _, id := range p.Edges {
 				if id < 0 || id >= len(linkIDs) {
 					return nil, nil, fmt.Errorf("depend: path references unknown edge %d", id)
 				}
 				cid := linkIDs[id]
-				if cid == "" {
-					cid = LinkComponentID(p.Nodes[i], p.Nodes[i+1], id)
-					linkIDs[id] = cid
+				if _, done := avail[cid]; !done {
 					a, err := linkAvailability(src.LinkAt(id), compute)
 					if err != nil {
 						return nil, nil, err
 					}
 					avail[cid] = a
 				}
-				ps = append(ps, cid)
+				names = append(names, cid)
 			}
-			atomic.PathSets = append(atomic.PathSets, ps)
+			// The full slice expression caps each set at its own names,
+			// so an append to one never overwrites the next.
+			sets = append(sets, names[start:len(names):len(names)])
 		}
+		atomic.PathSets = sets[first:len(sets):len(sets)]
 		st.AtomicServices = append(st.AtomicServices, atomic)
 	}
 	if err := st.Validate(); err != nil {
@@ -232,12 +271,13 @@ func AnalyzeWithOptions(ctx context.Context, res *core.Result, model Availabilit
 // AnalyzeContext is Analyze under a context: when ctx carries an obs span,
 // the analysis is recorded as an "avail.analyze" span with one child per
 // evaluation method (structure extraction, kernel compilation, exact, RBD,
-// fault tree, Monte Carlo). It evaluates on the compiled kernel.
+// fault tree, Monte Carlo); without one it records no span. It evaluates
+// on the compiled kernel.
 func AnalyzeContext(ctx context.Context, res *core.Result, model AvailabilityModel, mcSamples int, seed int64) (*Report, error) {
-	ctx, span := obs.StartSpan(ctx, "avail.analyze")
+	ctx, span := obs.StartStage(ctx, "avail.analyze")
 	defer span.End()
 	stage := func(name string) *obs.Span {
-		_, sp := obs.StartSpan(ctx, name)
+		_, sp := obs.StartStage(ctx, name)
 		return sp
 	}
 	observe := func(alg string, start time.Time) {
@@ -252,8 +292,8 @@ func AnalyzeContext(ctx context.Context, res *core.Result, model AvailabilityMod
 		return nil, err
 	}
 	// fromResult validated st; compile reuses that and the component list.
-	names := st.Components()
-	span.SetAttr("components", len(names))
+	names := componentNames(avail)
+	span.SetInt("components", len(names))
 
 	sp, t0 = stage("depend.compile"), time.Now()
 	cs := compile(st, names, nil)
@@ -281,7 +321,7 @@ func AnalyzeContext(ctx context.Context, res *core.Result, model AvailabilityMod
 	observe("fault_tree", t0)
 
 	sp, t0 = stage("avail.montecarlo"), time.Now()
-	sp.SetAttr("samples", mcSamples)
+	sp.SetInt("samples", mcSamples)
 	mc, se, err := cs.MonteCarlo(avail, mcSamples, seed)
 	sp.End()
 	observe("montecarlo", t0)

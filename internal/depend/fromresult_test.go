@@ -151,6 +151,48 @@ func TestFromResult(t *testing.T) {
 	}
 }
 
+// TestFromResultSlabs: every path set is the path's devices then its
+// LinkComponentIDs, each set and each atomic service's set list is capped
+// at its own length (an append never reaches a neighbour in the shared
+// slab), the availability table holds exactly the components, and the
+// compiled minimal cut sets come back capped the same way.
+func TestFromResultSlabs(t *testing.T) {
+	res := analysisFixture(t, 1e6)
+	st, cs, avail, err := FromResult(res, ModelExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, sp := range res.Services {
+		a := st.AtomicServices[k]
+		if a.Name != sp.AtomicService || len(a.PathSets) != len(sp.Paths) || cap(a.PathSets) != len(a.PathSets) {
+			t.Fatalf("atomic %d = %s with %d sets (cap %d), want %s with %d",
+				k, a.Name, len(a.PathSets), cap(a.PathSets), sp.AtomicService, len(sp.Paths))
+		}
+		for i, p := range sp.Paths {
+			want := append(PathSet(nil), p.Nodes...)
+			for j, id := range p.Edges {
+				want = append(want, LinkComponentID(p.Nodes[j], p.Nodes[j+1], id))
+			}
+			got := a.PathSets[i]
+			if strings.Join(got, " ") != strings.Join(want, " ") || cap(got) != len(got) {
+				t.Errorf("%s path %d = %v (cap %d), want %v", a.Name, i, got, cap(got), want)
+			}
+		}
+	}
+	if got, want := componentNames(avail), st.Components(); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("availability table keys %v, want the components %v", got, want)
+	}
+	cuts, err := cs.MinimalCutSets(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cuts {
+		if cap(c) != len(c) {
+			t.Errorf("cut set %d %v has cap %d", i, c, cap(c))
+		}
+	}
+}
+
 func TestFromResultFormula1(t *testing.T) {
 	res := analysisFixture(t, 1e6)
 	_, _, exact, err := FromResult(res, ModelExact)

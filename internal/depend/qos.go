@@ -130,28 +130,40 @@ func Responsiveness(res *core.Result, model AvailabilityModel, maxHops int) (*Re
 	}
 	rep := &ResponsivenessReport{MaxHops: maxHops, Availability: full}
 
-	restricted := &ServiceStructure{}
-	for i, sp := range res.Services {
-		atomic := AtomicStructure{Name: sp.AtomicService}
-		for j, p := range sp.Paths {
-			rep.PathsTotal++
+	// Count first, so the restricted structure is built only when the
+	// budget drops a path, from one set slab.
+	for _, sp := range res.Services {
+		within := 0
+		for _, p := range sp.Paths {
 			if p.Len() <= maxHops {
-				rep.PathsWithinBudget++
-				atomic.PathSets = append(atomic.PathSets, st.AtomicServices[i].PathSets[j])
+				within++
 			}
 		}
-		if len(atomic.PathSets) == 0 {
+		rep.PathsTotal += len(sp.Paths)
+		rep.PathsWithinBudget += within
+		if within == 0 {
 			// No timely path: the service cannot respond within budget.
 			rep.Responsiveness = 0
 			return rep, nil
 		}
-		restricted.AtomicServices = append(restricted.AtomicServices, atomic)
 	}
 	if rep.PathsWithinBudget == rep.PathsTotal {
 		// The budget kept every path: the restricted structure is the full
 		// one, and so is its exact availability.
 		rep.Responsiveness = full
 		return rep, nil
+	}
+	sets := make([]PathSet, 0, rep.PathsWithinBudget)
+	restricted := &ServiceStructure{AtomicServices: make([]AtomicStructure, 0, len(res.Services))}
+	for i, sp := range res.Services {
+		first := len(sets)
+		for j, p := range sp.Paths {
+			if p.Len() <= maxHops {
+				sets = append(sets, st.AtomicServices[i].PathSets[j])
+			}
+		}
+		restricted.AtomicServices = append(restricted.AtomicServices,
+			AtomicStructure{Name: sp.AtomicService, PathSets: sets[first:len(sets):len(sets)]})
 	}
 	r, err := Compile(restricted).Exact(avail)
 	if err != nil {

@@ -290,11 +290,11 @@ func Explain(ctx context.Context, res *core.Result, opts Options) (*Report, erro
 		mode = "paths"
 	}
 	start := time.Now()
-	ctx, span := obs.StartSpan(ctx, "explain.report")
+	ctx, span := obs.StartStage(ctx, "explain.report")
 	defer span.End()
-	span.SetAttr("mode", mode)
+	span.SetString("mode", mode)
 
-	_, psp := obs.StartSpan(ctx, "explain.paths")
+	_, psp := obs.StartStage(ctx, "explain.paths")
 	rep := &Report{Name: res.Name, Kernel: "compiled", Model: opts.Model.String()}
 	allPaths := make([]pathdisc.Path, 0, res.TotalPaths)
 	for _, sp := range res.Services {
@@ -309,20 +309,20 @@ func Explain(ctx context.Context, res *core.Result, opts Options) (*Report, erro
 	}
 	rep.Stats = Statistics(allPaths)
 	observePaths(rep.Stats)
-	psp.SetAttr("paths", rep.Stats.Count)
-	psp.SetAttr("services", len(rep.Services))
+	psp.SetInt("paths", rep.Stats.Count)
+	psp.SetInt("services", len(rep.Services))
 	psp.End()
 
 	if !opts.SkipAttribution {
-		_, asp := obs.StartSpan(ctx, "explain.attribution")
+		_, asp := obs.StartStage(ctx, "explain.attribution")
 		attr, err := attribute(res, opts)
 		asp.End()
 		if err != nil {
 			return nil, err
 		}
 		rep.Attribution = attr
-		span.SetAttr("cut_sets", attr.CutSetsTotal)
-		span.SetAttr("components", attr.ComponentsTotal)
+		span.SetInt("cut_sets", attr.CutSetsTotal)
+		span.SetInt("components", attr.ComponentsTotal)
 	}
 	mExplainSeconds.With(mode).Observe(time.Since(start).Seconds())
 	return rep, nil

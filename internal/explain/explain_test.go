@@ -36,13 +36,14 @@ func usiResult(t *testing.T) *core.Result {
 	return res
 }
 
-// explainAllocCeiling bounds one full explain report of the USI UPSIM:
-// 389 allocations today, most of them the report itself (path records,
+// explainAllocCeiling bounds one untraced explain report of the USI UPSIM:
+// 315 allocations on go1.24, most of them the report itself (path records,
 // trees, cut-set and importance rows) plus the structure's recorded
-// factoring program, down from about 475 before the cut-set expansion
-// reused its per-level buffers and about 2,730 when every component ran six
-// factorings and the class report rebuilt the structure.
-const explainAllocCeiling = 389
+// factoring program, down from 389 while the report opened orphan root
+// spans and each path and cut set was its own slice, about 475 before the
+// cut-set expansion reused its per-level buffers and about 2,730 when every
+// component ran six factorings and the class report rebuilt the structure.
+const explainAllocCeiling = 330
 
 // TestExplainAllocCeiling guards the allocation budget of the explain
 // report on the compiled kernel.

@@ -67,7 +67,7 @@ func Validate(ctx context.Context, res *core.Result, cur *uml.ObjectDiagram) (*V
 		return nil, fmt.Errorf("explain: nil current diagram")
 	}
 	start := time.Now()
-	_, span := obs.StartSpan(ctx, "explain.validate")
+	_, span := obs.StartStage(ctx, "explain.validate")
 	defer span.End()
 
 	v := &Validation{Name: res.Name}
@@ -194,10 +194,10 @@ func Validate(ctx context.Context, res *core.Result, cur *uml.ObjectDiagram) (*V
 	}
 
 	v.Fresh = len(v.Issues) == 0
-	span.SetAttr("nodes", v.NodesChecked)
-	span.SetAttr("links", v.LinksChecked)
+	span.SetInt("nodes", v.NodesChecked)
+	span.SetInt("links", v.LinksChecked)
 	span.SetAttr("fresh", v.Fresh)
-	span.SetAttr("issues", len(v.Issues))
+	span.SetInt("issues", len(v.Issues))
 	mExplainSeconds.With("validate").Observe(time.Since(start).Seconds())
 	return v, nil
 }

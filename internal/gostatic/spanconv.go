@@ -6,8 +6,10 @@ import (
 )
 
 // spanconvRule enforces the span lifecycle convention of the observability
-// layer: every span opened with obs.StartSpan (or the facade's
-// upsim.StartSpan, or a future StartSpanContext variant) must be closed by
+// layer: every span opened with obs.StartSpan, obs.StartStage (the
+// pipeline's child-only constructor, whose nil span outside a trace ends
+// as a no-op), the facade's upsim.StartSpan or a future StartSpanContext
+// variant must be closed by
 // an End call in the same function — deferred or direct — or handed to the
 // caller by returning the span. An unclosed span renders as "not ended" in
 // -trace output, fails Span.WellFormed, and mis-times every parent stage;
@@ -24,14 +26,17 @@ type spanconvRule struct{}
 func (spanconvRule) ID() string         { return "spanconv" }
 func (spanconvRule) Severity() Severity { return SeverityError }
 func (spanconvRule) Doc() string {
-	return "every StartSpan must have a matching End (or return the span) in the same function"
+	return "every StartSpan or StartStage must have a matching End (or return the span) in the same function"
 }
 
 // isStartSpanCall reports whether call invokes a span constructor: the
-// selector or identifier name StartSpan/StartSpanContext.
+// selector or identifier name StartSpan, StartStage or StartSpanContext.
 func isStartSpanCall(call *ast.CallExpr) bool {
-	base := calleeBase(call.Fun)
-	return base == "StartSpan" || base == "StartSpanContext"
+	switch calleeBase(call.Fun) {
+	case "StartSpan", "StartStage", "StartSpanContext":
+		return true
+	}
+	return false
 }
 
 func (r spanconvRule) Check(p *Package) []Diagnostic {
@@ -79,7 +84,7 @@ func (r spanconvRule) checkFunc(p *Package, fd *ast.FuncDecl) []Diagnostic {
 		}
 		out = append(out, p.diag(r, assign.Pos(),
 			fmt.Sprintf("span %q started in %s has no End call in the function and is not returned", name, fd.Name.Name),
-			fmt.Sprintf("add `defer %s.End()` after the StartSpan call", name)))
+			fmt.Sprintf("add `defer %s.End()` after the %s call", name, calleeBase(call.Fun))))
 		return true
 	})
 	return out

@@ -45,6 +45,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
+// StartStage begins a pipeline stage span: a child of the span ctx
+// carries, exactly as StartSpan attaches it. Without a parent span it
+// records nothing and allocates nothing — it returns ctx unchanged and a
+// nil *Span, whose End and setters are no-ops — so a stage run outside a
+// trace (every daemon request) pays no span. Roots come from StartSpan.
+func StartStage(ctx context.Context, name string) (context.Context, *Span) {
+	if FromContext(ctx) == nil {
+		return ctx, nil
+	}
+	return StartSpan(ctx, name)
+}
+
 // FromContext returns the span carried by ctx, or nil.
 func FromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
@@ -52,8 +64,11 @@ func FromContext(ctx context.Context) *Span {
 }
 
 // End marks the span finished. The first call wins; later calls (and calls
-// from deferred cleanup paths) are no-ops.
+// from deferred cleanup paths) are no-ops, as is End on a nil span.
 func (s *Span) End() {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.end.IsZero() {
@@ -61,11 +76,32 @@ func (s *Span) End() {
 	}
 }
 
-// SetAttr records an attribute on the span.
+// SetAttr records an attribute on the span; on a nil span it is a no-op.
+// The conversion of value to any happens at the call site, before the nil
+// check, and allocates for most ints and strings, so a stage that may run
+// untraced records those through SetInt and SetString, which box only on a
+// live span.
 func (s *Span) SetAttr(key string, value any) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+}
+
+// SetInt records an int attribute (as SetAttr with an int value).
+func (s *Span) SetInt(key string, v int) {
+	if s != nil {
+		s.SetAttr(key, v)
+	}
+}
+
+// SetString records a string attribute (as SetAttr with a string value).
+func (s *Span) SetString(key, v string) {
+	if s != nil {
+		s.SetAttr(key, v)
+	}
 }
 
 // Name returns the span name.

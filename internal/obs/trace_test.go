@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"upsim/internal/testutil"
 )
 
 func TestSpanTreeBasics(t *testing.T) {
@@ -47,6 +49,77 @@ func TestSpanWithoutParentIsRoot(t *testing.T) {
 	}
 	if err := sp.WellFormed(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStartStageWithoutParent: outside a trace a stage is a nil span and
+// the caller's context, and opening, annotating and ending it allocates
+// nothing — an int above the runtime's small-value cache and a string
+// built at run time included.
+func TestStartStageWithoutParent(t *testing.T) {
+	bg := context.Background()
+	ctx := context.WithValue(bg, spanKey{}, (*Span)(nil)) // a nil span is no parent either
+	for _, c := range []context.Context{bg, ctx} {
+		sctx, sp := StartStage(c, "step8.merge")
+		if sp != nil || sctx != c {
+			t.Fatalf("StartStage without a parent = (%v, %v), want (%v, nil)", sctx, sp, c)
+		}
+	}
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation allocates; the guard asserts exact counts")
+	}
+	n, word := 4096, strings.Repeat("x", 3)
+	var boxed any = n
+	allocs := testing.AllocsPerRun(100, func() {
+		_, sp := StartStage(ctx, "step7.pathdisc")
+		sp.SetInt("paths", n)
+		sp.SetString("outcome", word)
+		sp.SetAttr("fresh", n > 0)
+		sp.SetAttr("boxed", boxed)
+		sp.End()
+	})
+	if allocs != 0 {
+		t.Errorf("an untraced stage allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestStartStageUnderParent: under a root, StartStage builds the tree
+// StartSpan builds — the same names in the same child order, the same
+// attributes — and the tree is well-formed.
+func TestStartStageUnderParent(t *testing.T) {
+	build := func(start func(context.Context, string) (context.Context, *Span)) *Span {
+		ctx, root := StartSpan(context.Background(), "generate")
+		_, s6 := start(ctx, "step6.import_mapping")
+		s6.SetInt("pairs", 3)
+		s6.End()
+		ctx7, s7 := start(ctx, "step7.pathdisc")
+		for _, svc := range []string{"request", "reply"} {
+			_, leaf := start(ctx7, svc)
+			leaf.SetInt("edge_visits", 1000)
+			leaf.End()
+		}
+		s7.SetString("key", "0123456789ab")
+		s7.SetAttr("fresh", true)
+		s7.End()
+		root.End()
+		return root
+	}
+	shape := func(root *Span) string {
+		var b strings.Builder
+		root.Walk(func(sp *Span, depth int) {
+			fmt.Fprintf(&b, "%d %s %v\n", depth, sp.Name(), sp.Attrs())
+		})
+		return b.String()
+	}
+	want, got := build(StartSpan), build(StartStage)
+	if err := got.WellFormed(); err != nil {
+		t.Error(err)
+	}
+	if shape(got) != shape(want) {
+		t.Errorf("StartStage tree\n%s\nStartSpan tree\n%s", shape(got), shape(want))
+	}
+	if n := len(got.Children()); n != 2 || len(got.Children()[1].Children()) != 2 {
+		t.Errorf("StartStage tree has the wrong fan-out:\n%s", got.Render())
 	}
 }
 

@@ -167,6 +167,13 @@ func Compile(g *topology.Graph) *Compiled {
 // NumNodes returns the compiled node count.
 func (c *Compiled) NumNodes() int { return len(c.names) }
 
+// NodeID returns the dense node ID of the named node: its position in the
+// graph's insertion order.
+func (c *Compiled) NodeID(name string) (int, bool) {
+	id, ok := c.index[name]
+	return int(id), ok
+}
+
 // NumEdges returns the compiled edge count (parallel edges counted).
 func (c *Compiled) NumEdges() int { return c.numEdges }
 

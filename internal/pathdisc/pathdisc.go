@@ -205,30 +205,6 @@ type Stats struct {
 	Truncated bool
 }
 
-// NodeSet returns the union of nodes over the given paths — the filter set
-// used to generate the UPSIM (Section VI-H: "only nodes which appear at
-// least once in the discovered paths are preserved").
-func NodeSet(paths []Path) map[string]bool {
-	set := make(map[string]bool)
-	for _, p := range paths {
-		for _, n := range p.Nodes {
-			set[n] = true
-		}
-	}
-	return set
-}
-
-// EdgeSet returns the union of traversed edge IDs over the given paths.
-func EdgeSet(paths []Path) map[int]bool {
-	set := make(map[int]bool)
-	for _, p := range paths {
-		for _, e := range p.Edges {
-			set[e] = true
-		}
-	}
-	return set
-}
-
 // Sort orders paths canonically: by length, then lexicographically by node
 // sequence, then by edge IDs. It makes outputs of different algorithm
 // variants directly comparable.

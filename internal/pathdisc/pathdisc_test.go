@@ -293,18 +293,57 @@ func TestPathInvariants(t *testing.T) {
 	}
 }
 
+// TestNodeID: the compiled node ID of every node is its position in the
+// graph's insertion order, and an unknown name has none.
+func TestNodeID(t *testing.T) {
+	g := diamond(t)
+	c := Compile(g)
+	for i := 0; i < g.NumNodes(); i++ {
+		if id, ok := c.NodeID(g.NodeNameAt(i)); !ok || id != i {
+			t.Errorf("NodeID(%q) = %d, %v; want %d, true", g.NodeNameAt(i), id, ok, i)
+		}
+	}
+	if _, ok := c.NodeID("ghost"); ok {
+		t.Error("NodeID found an unknown node")
+	}
+}
+
+// nodeSet returns the union of nodes over the given paths — the node set
+// Step 8 keeps (Section VI-H: "only nodes which appear at least once in the
+// discovered paths are preserved"), which core's merge marks by index.
+func nodeSet(paths []Path) map[string]bool {
+	set := make(map[string]bool)
+	for _, p := range paths {
+		for _, n := range p.Nodes {
+			set[n] = true
+		}
+	}
+	return set
+}
+
+// edgeSet returns the union of traversed edge IDs over the given paths.
+func edgeSet(paths []Path) map[int]bool {
+	set := make(map[int]bool)
+	for _, p := range paths {
+		for _, e := range p.Edges {
+			set[e] = true
+		}
+	}
+	return set
+}
+
 func TestNodeAndEdgeSets(t *testing.T) {
 	g := diamond(t)
 	paths, _, _ := Compile(g).AllPaths("a", "d", Options{})
-	ns := NodeSet(paths)
+	ns := nodeSet(paths)
 	if len(ns) != 4 {
-		t.Errorf("NodeSet = %v", ns)
+		t.Errorf("nodeSet = %v", ns)
 	}
-	es := EdgeSet(paths)
+	es := edgeSet(paths)
 	if len(es) != 4 {
-		t.Errorf("EdgeSet = %v", es)
+		t.Errorf("edgeSet = %v", es)
 	}
-	if len(NodeSet(nil)) != 0 || len(EdgeSet(nil)) != 0 {
+	if len(nodeSet(nil)) != 0 || len(edgeSet(nil)) != 0 {
 		t.Error("empty path list must give empty sets")
 	}
 }

@@ -146,12 +146,18 @@ func (m *Model) NewObjectDiagram(name string) *ObjectDiagram {
 // AttachDiagram lists it. Generated UPSIMs are built this way, so
 // generation leaves the model as it found it.
 func (m *Model) NewDetachedDiagram(name string) *ObjectDiagram {
-	return &ObjectDiagram{
-		name:      name,
-		model:     m,
-		instances: make(map[string]*InstanceSpecification),
-		byPair:    make(map[pairKey]*Link),
-	}
+	return m.NewSizedDiagram(name, 0, 0)
+}
+
+// NewSizedDiagram is NewDetachedDiagram with room for nInst instances and
+// nLinks links: up to those counts, AddInstance and Connect take their
+// elements from two slabs and never grow a table. Step 8 counts the UPSIM
+// before it builds it this way. More elements still fit, one allocation
+// each.
+func (m *Model) NewSizedDiagram(name string, nInst, nLinks int) *ObjectDiagram {
+	d := &ObjectDiagram{name: name, model: m}
+	d.reserve(nInst, nLinks)
+	return d
 }
 
 // reserve sizes an empty diagram for nInst instances and nLinks links: the

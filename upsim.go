@@ -399,10 +399,11 @@ func Analyze(res *Result, model depend.AvailabilityModel, mcSamples int, seed in
 	return depend.Analyze(res, model, mcSamples, seed)
 }
 
-// AnalyzeContext is Analyze with trace propagation: each analysis stage
-// (structure extraction, kernel compilation, exact, RBD, fault tree, Monte
-// Carlo) records a child span on the ctx span. Evaluation runs on the
-// compiled bitset kernel.
+// AnalyzeContext is Analyze with trace propagation: when ctx carries a span
+// (see StartSpan), each analysis stage (structure extraction, kernel
+// compilation, exact, RBD, fault tree, Monte Carlo) records a child span
+// under an "avail.analyze" span; without one it records nothing.
+// Evaluation runs on the compiled bitset kernel.
 func AnalyzeContext(ctx context.Context, res *Result, model depend.AvailabilityModel, mcSamples int, seed int64) (*Report, error) {
 	return depend.AnalyzeContext(ctx, res, model, mcSamples, seed)
 }
@@ -538,8 +539,9 @@ type SpanAttr = obs.Attr
 
 // StartSpan opens a trace span as a child of the span carried by ctx (or as
 // a root span) and returns a ctx carrying the new span. The pipeline stages
-// of Generator and the availability analysis attach their own child spans
-// when called through the *Context variants, so a caller that opens a root
+// of Generator, the availability analysis and explain attach their own
+// child spans when called through the *Context variants — only under such
+// a span: without one they record nothing — so a caller that opens a root
 // span around a run can print the whole tree with Span.Render.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return obs.StartSpan(ctx, name)
