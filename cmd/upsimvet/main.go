@@ -2,8 +2,9 @@
 // (internal/gostatic) over the named packages: the code-level counterpart of
 // `upsim lint`, which analyses models. It enforces the kernel and
 // observability invariants — allocation-free //upsim:hotpath functions,
-// StartSpan/End pairing, sync.Pool Get/Put balance, and explicit json tags
-// on API payload structs.
+// StartSpan/End pairing, sync.Pool Get/Put balance, explicit json tags
+// on API payload structs, and no exported internal/* name that only tests
+// use (judged only when the load holds the module root).
 //
 // Usage:
 //

@@ -51,10 +51,10 @@ func ExampleCompile() {
 	// t15→printS: 2 paths, 11 expansions pruned
 }
 
-// ExampleMapping_Remap shows the dynamicity lever of Section V-A3: deriving
+// ExampleMapping_RemapComponent shows the dynamicity lever of Section V-A3: deriving
 // the Figure 12 perspective is two component substitutions on a mapping
 // clone — no model or service change.
-func ExampleMapping_Remap() {
+func ExampleMapping_RemapComponent() {
 	base := upsim.USITableIMapping()
 	moved := base.Clone()
 	moved.RemapComponent("t1", "t15")

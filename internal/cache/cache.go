@@ -13,9 +13,9 @@
 // memoizing the (model, service, mapping, options) tuple converts the
 // common repeated request into a hash lookup.
 //
-// Entries leave the cache three ways: LRU eviction when the bound is hit,
-// Purge (drop everything), and — since the live-topology what-if engine
-// (DESIGN.md §13) — targeted invalidation via Remove/RemoveMatching.
+// Entries leave the cache two ways: LRU eviction when the bound is hit, and
+// — since the live-topology what-if engine (DESIGN.md §13) — targeted
+// invalidation via RemoveMatching.
 // Derived analysis keys ("avail|<genKey>|…", "qos|<genKey>|…",
 // "explain|<genKey>|…") embed the generation content hash of the UPSIM they
 // were computed from, so a RemoveMatching predicate that matches on the
@@ -51,7 +51,7 @@ var (
 	mMisses        = obs.NewCounter("upsim_cache_misses_total", "Cache misses, summed over every cache: results computed by the generation cache, and warm-lane probes that found no response.")
 	mEvictions     = obs.NewCounter("upsim_cache_evictions_total", "Cache LRU evictions, summed over every cache: the generation cache and the warm lane's response cache.")
 	mShared        = obs.NewCounter("upsim_cache_singleflight_shared_total", "Requests that joined an in-flight identical computation.")
-	mInvalidations = obs.NewCounter("upsim_cache_invalidations_total", "Entries removed by explicit invalidation (Remove/RemoveMatching).")
+	mInvalidations = obs.NewCounter("upsim_cache_invalidations_total", "Entries removed by explicit invalidation (RemoveMatching).")
 )
 
 // init materialises every series at zero so /metrics always exposes the
@@ -100,7 +100,7 @@ type Stats struct {
 	Shared uint64 `json:"shared"`
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped by explicit Remove/RemoveMatching
+	// Invalidations counts entries dropped by explicit RemoveMatching
 	// (the what-if engine's targeted cache invalidation).
 	Invalidations uint64 `json:"invalidations"`
 	// Entries is the current number of cached values.
@@ -265,25 +265,6 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 	return cl.val, OutcomeMiss, cl.err
 }
 
-// Remove drops the entry stored under key, reporting whether one existed.
-// In-flight computations for the key are unaffected (they re-populate on
-// completion — callers that need stronger guarantees serialise mutations
-// against computations, as the what-if engine does). Counts toward
-// upsim_cache_invalidations_total.
-func (c *Cache) Remove(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.ll.Remove(el)
-	delete(c.entries, key)
-	c.invalidations++
-	mInvalidations.With().Inc()
-	return true
-}
-
 // RemoveMatching drops every entry whose key satisfies pred and returns the
 // number removed. This is the targeted-invalidation primitive behind the
 // live-topology what-if engine (DESIGN.md §13): derived analysis keys embed
@@ -314,15 +295,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Purge drops every cached entry (in-flight computations are unaffected;
-// they re-populate on completion). Counters are preserved.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.entries = make(map[string]*list.Element)
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -223,19 +223,6 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(4)
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Purge, want 0", c.Len())
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Error("purged entry still retrievable")
-	}
-}
-
 func TestOutcomeString(t *testing.T) {
 	cases := map[Outcome]string{OutcomeMiss: "miss", OutcomeHit: "hit", OutcomeShared: "shared", Outcome(99): "Outcome(99)"}
 	for o, want := range cases {

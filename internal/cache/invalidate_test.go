@@ -5,21 +5,24 @@ import (
 	"testing"
 )
 
+// TestRemove drops one entry by its exact key: a repeated or unmatched
+// removal is a no-op that counts no invalidation.
 func TestRemove(t *testing.T) {
 	c := New(8)
 	c.Add("a", 1)
 	c.Add("b", 2)
-	if !c.Remove("a") {
-		t.Fatal("Remove(a) = false")
+	is := func(key string) func(string) bool { return func(k string) bool { return k == key } }
+	if n := c.RemoveMatching(is("a")); n != 1 {
+		t.Fatalf("RemoveMatching(a) = %d, want 1", n)
 	}
-	if c.Remove("a") {
-		t.Fatal("second Remove(a) = true")
+	if n := c.RemoveMatching(is("a")); n != 0 {
+		t.Fatalf("second RemoveMatching(a) = %d, want 0", n)
 	}
-	if c.Remove("never") {
-		t.Fatal("Remove(never) = true")
+	if n := c.RemoveMatching(is("never")); n != 0 {
+		t.Fatalf("RemoveMatching(never) = %d, want 0", n)
 	}
 	if _, ok := c.Get("a"); ok {
-		t.Fatal("a still cached after Remove")
+		t.Fatal("a still cached after removal")
 	}
 	if v, ok := c.Get("b"); !ok || v != 2 {
 		t.Fatal("unrelated entry b disturbed")
@@ -79,7 +82,7 @@ func TestRemoveThenRecompute(t *testing.T) {
 	if _, out, _ := c.Do(ctx, "k", compute); out != OutcomeHit {
 		t.Fatalf("warm Do outcome = %v", out)
 	}
-	c.Remove("k")
+	c.RemoveMatching(func(key string) bool { return key == "k" })
 	v, out, _ := c.Do(ctx, "k", compute)
 	if out != OutcomeMiss || v != 2 {
 		t.Fatalf("post-invalidation Do = %v, %v; want recompute", v, out)

@@ -53,7 +53,7 @@ func TestWithCacheHitSkipsPipeline(t *testing.T) {
 		t.Errorf("stats = %s; want 1 hit, 1 miss, 1 entry", s)
 	}
 	names := map[string]bool{}
-	root.Walk(func(sp *obs.Span, _ int) { names[sp.Name()] = true })
+	walkSpans(root, func(sp *obs.Span) { names[sp.Name()] = true })
 	if !names["cache"] {
 		t.Errorf("warm trace lacks the cache span: %s", root.Render())
 	}
@@ -116,10 +116,7 @@ func TestCacheKeyDerivation(t *testing.T) {
 	if k, _ := g.CacheKey(f.svc, f.mp, "other-name", Options{}); k == base {
 		t.Error("UPSIM name not part of the key")
 	}
-	mp2 := f.mp.Clone()
-	if err := mp2.Remap("fetch", "iso", "srv"); err != nil {
-		t.Fatal(err)
-	}
+	mp2 := withPair(t, f.mp, "fetch", "iso", "srv")
 	if k, _ := g.CacheKey(f.svc, mp2, "u", Options{}); k == base {
 		t.Error("mapping change not part of the key")
 	}
@@ -224,18 +221,13 @@ func TestFirstFailureInExecutionOrder(t *testing.T) {
 	opts := Options{Paths: pathdisc.Options{HardMaxPaths: 1}}
 	// With fetch on its single t1->sw1 path, deliver's several srv->t1
 	// paths overflow the limit: a discovery error, not a no-path one.
-	mp := f.mp.Clone()
-	if err := mp.Remap("fetch", "t1", "sw1"); err != nil {
-		t.Fatal(err)
-	}
+	mp := withPair(t, f.mp, "fetch", "t1", "sw1")
 	var limit *pathdisc.LimitError
 	if _, err := g.Generate(f.svc, mp, "limit", opts); !errors.As(err, &limit) ||
 		!strings.Contains(err.Error(), `atomic service "deliver"`) {
 		t.Fatalf("error = %v, want deliver's path-limit failure", err)
 	}
-	if err := mp.Remap("fetch", "iso", "srv"); err != nil {
-		t.Fatal(err)
-	}
+	mp = withPair(t, mp, "fetch", "iso", "srv")
 	_, err = g.Generate(f.svc, mp, "fail", opts)
 	if err == nil {
 		t.Fatal("disconnected pair did not fail")
@@ -260,10 +252,7 @@ func TestGenerateContextCancelled(t *testing.T) {
 
 func TestCacheErrorNotCached(t *testing.T) {
 	f := buildFixture(t)
-	mp := f.mp.Clone()
-	if err := mp.Remap("fetch", "iso", "srv"); err != nil {
-		t.Fatal(err)
-	}
+	mp := withPair(t, f.mp, "fetch", "iso", "srv")
 	g, err := NewGenerator(f.model, "infrastructure")
 	if err != nil {
 		t.Fatal(err)

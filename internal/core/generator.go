@@ -228,7 +228,7 @@ func NewGenerator(m *uml.Model, diagramName string) (*Generator, error) {
 // NewGeneratorContext is NewGenerator under a context: when ctx carries an
 // obs span, Step 5 is recorded as a child span with the imported topology
 // size. Step 5 fails exactly when importing the model into a model space
-// would (importers.Check), but builds no space.
+// would (importers.CheckView), but builds no space.
 func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) (*Generator, error) {
 	_, sp := obs.StartStage(ctx, "step5.import_uml")
 	defer sp.End()

@@ -548,11 +548,28 @@ func TestGenerateContextSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	if err := root.WellFormed(); err != nil {
-		t.Error(err)
-	}
+	// Every span has ended with a non-negative duration, and every child
+	// interval nests within its parent's.
+	walkSpans(root, func(sp *obs.Span) {
+		end := sp.EndTime()
+		if end.IsZero() {
+			t.Errorf("span %q not ended", sp.Name())
+			return
+		}
+		if end.Before(sp.Start()) {
+			t.Errorf("span %q has negative duration", sp.Name())
+		}
+		for _, c := range sp.Children() {
+			if c.Start().Before(sp.Start()) {
+				t.Errorf("child %q starts before parent %q", c.Name(), sp.Name())
+			}
+			if cend := c.EndTime(); !cend.IsZero() && cend.After(end) {
+				t.Errorf("child %q ends after parent %q", c.Name(), sp.Name())
+			}
+		}
+	})
 	byName := map[string]*obs.Span{}
-	root.Walk(func(sp *obs.Span, _ int) { byName[sp.Name()] = sp })
+	walkSpans(root, func(sp *obs.Span) { byName[sp.Name()] = sp })
 	for _, stage := range []string{"step5.import_uml", "step6.import_mapping", "step7.pathdisc", "step8.merge"} {
 		if byName[stage] == nil {
 			t.Errorf("stage span %q missing from %v", stage, root.Render())
@@ -599,10 +616,7 @@ func TestGenerateNeverBuildsSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ghost := f.mp.Clone()
-	if err := ghost.Remap("fetch", "ghost", "srv"); err != nil {
-		t.Fatal(err)
-	}
+	ghost := withPair(t, f.mp, "fetch", "ghost", "srv")
 	if _, err := g.Generate(f.svc, ghost, "b", Options{}); err == nil {
 		t.Fatal("a ghost requester passed Step 6")
 	}
@@ -719,5 +733,29 @@ func TestColdBuildAllocs(t *testing.T) {
 	t.Logf("cold DecodeString + NewGenerator on the %d-byte campus: %.0f allocs", len(doc), allocs)
 	if allocs > 145 {
 		t.Fatalf("cold build allocates %.0f objects, want <= 145", allocs)
+	}
+}
+
+// withPair returns a copy of mp whose atomicService pair has the given
+// requester and provider, built with mapping.New and Add in mp's order.
+func withPair(t *testing.T, mp *mapping.Mapping, atomicService, requester, provider string) *mapping.Mapping {
+	t.Helper()
+	out := mapping.New()
+	for _, p := range mp.Pairs() {
+		if p.AtomicService == atomicService {
+			p.Requester, p.Provider = requester, provider
+		}
+		if err := out.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// walkSpans visits sp and every descendant depth-first.
+func walkSpans(sp *obs.Span, visit func(*obs.Span)) {
+	visit(sp)
+	for _, c := range sp.Children() {
+		walkSpans(c, visit)
 	}
 }

@@ -32,9 +32,7 @@ func TestGenerateLintFailCleanFixture(t *testing.T) {
 
 func TestGenerateLintFailAborts(t *testing.T) {
 	f := buildFixture(t)
-	if err := f.mp.Remap("fetch", "ghost", "srv"); err != nil {
-		t.Fatal(err)
-	}
+	f.mp = withPair(t, f.mp, "fetch", "ghost", "srv")
 	gen, err := NewGenerator(f.model, "infrastructure")
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +91,7 @@ func TestGenerateLintWarnLogsAndProceeds(t *testing.T) {
 // defect lint would catch surfaces later through CheckMapping instead.
 func TestGenerateLintOffDefersToCheckMapping(t *testing.T) {
 	f := buildFixture(t)
-	if err := f.mp.Remap("fetch", "ghost", "srv"); err != nil {
-		t.Fatal(err)
-	}
+	f.mp = withPair(t, f.mp, "fetch", "ghost", "srv")
 	gen, err := NewGenerator(f.model, "infrastructure")
 	if err != nil {
 		t.Fatal(err)

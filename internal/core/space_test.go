@@ -48,20 +48,21 @@ func newUSISide(t *testing.T) *usiSide {
 	return &usiSide{m: m, g: g, printing: printing, backup: backup}
 }
 
-// dumpSpace lists every entity (FQN, types, value) in depth-first creation
-// order, then every live relation (ends, name, value) in creation order.
+// dumpSpace lists every entity (FQN, typing relations, value) in
+// depth-first creation order, then every live relation (ends, name, value)
+// in creation order.
 func dumpSpace(s *vpm.ModelSpace) []string {
 	var out []string
 	s.Walk(func(e *vpm.Entity) bool {
 		var types []string
-		for _, ty := range e.Types() {
-			types = append(types, ty.FQN())
+		for _, r := range s.RelationsFrom(e, "instanceOf") {
+			types = append(types, r.String())
 		}
 		out = append(out, fmt.Sprintf("E %s : %s = %q", e.FQN(), strings.Join(types, ","), e.Value()))
 		return true
 	})
 	for _, r := range s.Relations("") {
-		out = append(out, fmt.Sprintf("R %s -%s-> %s = %q", r.From().FQN(), r.Name(), r.To().FQN(), r.Value()))
+		out = append(out, "R "+r.String())
 	}
 	return out
 }
@@ -97,9 +98,14 @@ var spaceScripts = []struct {
 	}},
 	{"failed generates", func(t *testing.T, u *usiSide) {
 		// Step 6 fails on a pair.
-		ghost := casestudy.TableIMapping()
-		if err := ghost.Remap("Send documents", "printS", "ghost"); err != nil {
-			t.Fatal(err)
+		ghost := mapping.New()
+		for _, p := range casestudy.TableIMapping().Pairs() {
+			if p.AtomicService == "Send documents" {
+				p.Provider = "ghost"
+			}
+			if err := ghost.Add(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 		failGenerate(t, u, u.printing, ghost, "ghost", core.Options{})
 		// Step 7 fails after Step 6 passed.

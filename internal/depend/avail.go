@@ -58,15 +58,6 @@ func checkTimes(mtbf, mttr float64) error {
 	return nil
 }
 
-// Unavailability returns 1 − Availability(mtbf, mttr).
-func Unavailability(mtbf, mttr float64) (float64, error) {
-	a, err := Availability(mtbf, mttr)
-	if err != nil {
-		return 0, err
-	}
-	return 1 - a, nil
-}
-
 // checkProb validates a probability value. The label is what+name, e.g.
 // "availability of " + "c1", and is only assembled when p is invalid, so
 // the per-component checks of the analysis loops allocate nothing.

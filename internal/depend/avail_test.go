@@ -56,9 +56,6 @@ func TestAvailabilityErrors(t *testing.T) {
 	if _, err := Availability(1, -1); err == nil {
 		t.Error("negative MTTR should fail")
 	}
-	if _, err := Unavailability(0, 1); err == nil {
-		t.Error("Unavailability must validate too")
-	}
 }
 
 // TestProbabilityErrorTexts pins the out-of-range messages of every
@@ -95,16 +92,6 @@ func TestProbabilityErrorTexts(t *testing.T) {
 				t.Errorf("%s with %s: error %v, want %q", got.what, tc.text, err, got.want)
 			}
 		}
-	}
-}
-
-func TestUnavailability(t *testing.T) {
-	u, err := Unavailability(100, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u-0.5) > 1e-12 {
-		t.Errorf("Unavailability = %v", u)
 	}
 }
 

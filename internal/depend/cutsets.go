@@ -1,7 +1,6 @@
 package depend
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -190,60 +189,6 @@ func (s *ServiceStructure) EsaryProschan(avail map[string]float64, limit int) (B
 		upperFail *= 1 - aAll
 	}
 	return Bounds{Lower: lower, Upper: 1 - upperFail}, nil
-}
-
-// ExactInclusionExclusion evaluates the service availability by
-// inclusion–exclusion over the minimal service path sets:
-//
-//	A = Σ_{∅≠S⊆paths} (−1)^{|S|+1} · Π_{c ∈ ∪S} A_c
-//
-// It is an independent oracle for the Shannon-factoring engine (the tests
-// cross-check both) with cost 2^|paths|; limit bounds the path-set count
-// (0 means 20, i.e. ~10⁶ subset terms).
-func (s *ServiceStructure) ExactInclusionExclusion(avail map[string]float64, limit int) (float64, error) {
-	if err := checkAvail(s, avail); err != nil {
-		return 0, err
-	}
-	paths, err := s.ServicePathSets(0)
-	if err != nil {
-		return 0, err
-	}
-	if limit <= 0 {
-		limit = 20
-	}
-	if len(paths) > limit {
-		return 0, fmt.Errorf("depend: inclusion-exclusion over %d path sets exceeds limit %d", len(paths), limit)
-	}
-	// The product over the union runs in sorted component order, so the
-	// float multiplies do not reorder from call to call with map iteration.
-	comps := s.Components()
-	total := 0.0
-	n := len(paths)
-	for mask := 1; mask < 1<<n; mask++ {
-		union := map[string]bool{}
-		bits := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) == 0 {
-				continue
-			}
-			bits++
-			for _, c := range paths[i] {
-				union[c] = true
-			}
-		}
-		prod := 1.0
-		for _, c := range comps {
-			if union[c] {
-				prod *= avail[c]
-			}
-		}
-		if bits%2 == 1 {
-			total += prod
-		} else {
-			total -= prod
-		}
-	}
-	return total, nil
 }
 
 // WhatIf evaluates the exact service availability with the given components

@@ -83,38 +83,6 @@ func (g OrGate) Probability() (float64, error) {
 // String implements FTNode.
 func (g OrGate) String() string { return renderGate("OR", g) }
 
-// VoteGate fires iff at least K inputs fire.
-type VoteGate struct {
-	K      int
-	Inputs []FTNode
-}
-
-// Probability implements FTNode.
-func (g VoteGate) Probability() (float64, error) {
-	n := len(g.Inputs)
-	if n == 0 {
-		return 0, fmt.Errorf("depend: empty VOTE gate")
-	}
-	if g.K < 1 || g.K > n {
-		return 0, fmt.Errorf("depend: VOTE gate with k=%d, n=%d", g.K, n)
-	}
-	// Reuse the k-of-n dynamic program on failure probabilities.
-	blocks := make([]Block, n)
-	for i, in := range g.Inputs {
-		q, err := in.Probability()
-		if err != nil {
-			return 0, err
-		}
-		blocks[i] = Basic{Name: in.String(), A: q}
-	}
-	return KofN{K: g.K, Blocks: blocks}.Availability()
-}
-
-// String implements FTNode.
-func (g VoteGate) String() string {
-	return fmt.Sprintf("VOTE[%d/%d]%s", g.K, len(g.Inputs), renderGate("", g.Inputs))
-}
-
 func renderGate(kind string, inputs []FTNode) string {
 	out := kind + "("
 	for i, in := range inputs {

@@ -25,30 +25,17 @@ func TestGates(t *testing.T) {
 	if p, _ := or.Probability(); math.Abs(p-0.28) > 1e-12 {
 		t.Errorf("OR = %v", p)
 	}
-	vote := VoteGate{K: 2, Inputs: []FTNode{BasicEvent{Q: 0.5}, BasicEvent{Q: 0.5}, BasicEvent{Q: 0.5}}}
-	if p, _ := vote.Probability(); math.Abs(p-0.5) > 1e-12 {
-		t.Errorf("2-of-3 vote at q=0.5 = %v, want 0.5", p)
-	}
 	if _, err := (AndGate{}).Probability(); err == nil {
 		t.Error("empty AND should fail")
 	}
 	if _, err := (OrGate{}).Probability(); err == nil {
 		t.Error("empty OR should fail")
 	}
-	if _, err := (VoteGate{K: 1}).Probability(); err == nil {
-		t.Error("empty VOTE should fail")
-	}
-	if _, err := (VoteGate{K: 5, Inputs: []FTNode{BasicEvent{Q: 0.5}}}).Probability(); err == nil {
-		t.Error("k>n VOTE should fail")
-	}
 	bad := BasicEvent{Q: 2}
-	for _, g := range []FTNode{AndGate{bad}, OrGate{bad}, VoteGate{K: 1, Inputs: []FTNode{bad}}} {
+	for _, g := range []FTNode{AndGate{bad}, OrGate{bad}} {
 		if _, err := g.Probability(); err == nil {
 			t.Errorf("%T must propagate child errors", g)
 		}
-	}
-	if !strings.Contains(vote.String(), "VOTE[2/3]") {
-		t.Errorf("vote String = %q", vote.String())
 	}
 	if !strings.Contains(and.String(), "AND(") || !strings.Contains(or.String(), "OR(") {
 		t.Error("gate rendering broken")

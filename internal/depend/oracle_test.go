@@ -349,3 +349,81 @@ func cloneAvail(m map[string]float64) map[string]float64 {
 	}
 	return c
 }
+
+// ExactInclusionExclusion evaluates the service availability by
+// inclusion–exclusion over the minimal service path sets:
+//
+//	A = Σ_{∅≠S⊆paths} (−1)^{|S|+1} · Π_{c ∈ ∪S} A_c
+//
+// It is an independent oracle for the Shannon-factoring engine (the tests
+// cross-check both) with cost 2^|paths|; limit bounds the path-set count
+// (0 means 20, i.e. ~10⁶ subset terms).
+func (s *ServiceStructure) ExactInclusionExclusion(avail map[string]float64, limit int) (float64, error) {
+	if err := checkAvail(s, avail); err != nil {
+		return 0, err
+	}
+	paths, err := s.ServicePathSets(0)
+	if err != nil {
+		return 0, err
+	}
+	if limit <= 0 {
+		limit = 20
+	}
+	if len(paths) > limit {
+		return 0, fmt.Errorf("depend: inclusion-exclusion over %d path sets exceeds limit %d", len(paths), limit)
+	}
+	// The product over the union runs in sorted component order, so the
+	// float multiplies do not reorder from call to call with map iteration.
+	comps := s.Components()
+	total := 0.0
+	n := len(paths)
+	for mask := 1; mask < 1<<n; mask++ {
+		union := map[string]bool{}
+		bits := 0
+		for i := 0; i < n; i++ {
+			if mask&(1<<i) == 0 {
+				continue
+			}
+			bits++
+			for _, c := range paths[i] {
+				union[c] = true
+			}
+		}
+		prod := 1.0
+		for _, c := range comps {
+			if union[c] {
+				prod *= avail[c]
+			}
+		}
+		if bits%2 == 1 {
+			total += prod
+		} else {
+			total -= prod
+		}
+	}
+	return total, nil
+}
+
+// ToRBD builds the series-parallel RBD of the structure: Series over atomic
+// services of Parallel over path sets of Series over components.
+func (s *ServiceStructure) ToRBD(avail map[string]float64) (Block, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	if err := checkAvail(s, avail); err != nil {
+		return nil, err
+	}
+	var svc Series
+	for _, a := range s.AtomicServices {
+		var par Parallel
+		for _, ps := range a.PathSets {
+			var ser Series
+			for _, c := range ps {
+				ser = append(ser, Basic{Name: c, A: avail[c]})
+			}
+			par = append(par, ser)
+		}
+		svc = append(svc, par)
+	}
+	return svc, nil
+}

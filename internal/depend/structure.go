@@ -109,12 +109,14 @@ func (s *ServiceStructure) RBDApprox(avail map[string]float64) (float64, error) 
 	return s.seriesParallel(avail), nil
 }
 
-// seriesParallel is ToRBD(avail).Availability() without the block tree: the
-// same float operations in the same order as Series, Parallel and Basic, so
-// the value is bit-identical. The float64 conversions round each product
-// before it is subtracted, as the tree's method boundaries do, so no
-// architecture fuses the two into one multiply-subtract. The caller has
-// validated s and avail.
+// seriesParallel evaluates the series-parallel RBD of the structure —
+// Series over atomic services of Parallel over path sets of Series over
+// components — without building the block tree (ToRBD in oracle_test.go
+// builds it): the same float operations in the same order as Series,
+// Parallel and Basic, so the value is bit-identical. The float64
+// conversions round each product before it is subtracted, as the tree's
+// method boundaries do, so no architecture fuses the two into one
+// multiply-subtract. The caller has validated s and avail.
 //
 //upsim:hotpath the RBD stage of every analysis
 func (s *ServiceStructure) seriesParallel(avail map[string]float64) float64 {
@@ -131,30 +133,6 @@ func (s *ServiceStructure) seriesParallel(avail map[string]float64) float64 {
 		svc *= 1 - float64(q)
 	}
 	return svc
-}
-
-// ToRBD builds the series-parallel RBD of the structure: Series over atomic
-// services of Parallel over path sets of Series over components.
-func (s *ServiceStructure) ToRBD(avail map[string]float64) (Block, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkAvail(s, avail); err != nil {
-		return nil, err
-	}
-	var svc Series
-	for _, a := range s.AtomicServices {
-		var par Parallel
-		for _, ps := range a.PathSets {
-			var ser Series
-			for _, c := range ps {
-				ser = append(ser, Basic{Name: c, A: avail[c]})
-			}
-			par = append(par, ser)
-		}
-		svc = append(svc, par)
-	}
-	return svc, nil
 }
 
 // MonteCarlo estimates the service availability by sampling component

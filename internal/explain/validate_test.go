@@ -237,8 +237,14 @@ func TestValidatePropertyChanged(t *testing.T) {
 		if !ok {
 			t.Fatalf("no association %q", assocName)
 		}
-		app, ok := as.Application("Communication")
-		if !ok {
+		var app *uml.StereotypeApplication
+		for _, a := range as.Applications() {
+			if a.Stereotype().IsKindOf("Communication") {
+				app = a
+				break
+			}
+		}
+		if app == nil {
 			t.Fatalf("association %q has no Communication stereotype", assocName)
 		}
 		if err := app.Set("throughput", uml.RealValue(1)); err != nil {

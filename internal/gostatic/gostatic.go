@@ -3,8 +3,8 @@
 // checks the *models* the pipeline evaluates; gostatic checks the *code that
 // evaluates them*: the compiled kernels' allocation-free warm paths, the
 // span/End pairing of the observability instrumentation, sync.Pool Get/Put
-// balance in kernel code, and explicit json tags on every struct the HTTP
-// API marshals. Those
+// balance in kernel code, explicit json tags on every struct the HTTP API
+// marshals, and no exported internal/* name that only tests use. Those
 // invariants were previously enforced only by convention and after-the-fact
 // tests; the analyzer makes them machine-checked on every CI run (see
 // cmd/upsimvet and DESIGN.md §12).
@@ -19,10 +19,11 @@
 //
 // The design mirrors internal/lint: a Rule is a named, documented check with
 // a fixed default severity; a Registry holds an ordered rule set; Run
-// executes every rule against every loaded package and aggregates the
-// emitted Diagnostics into a severity-sorted Report with text and JSON
-// renderers. The Severity scale is shared with internal/lint so both
-// analyzers grade findings identically.
+// executes every rule against every loaded package (and a TreeRule once
+// against the whole load) and aggregates the emitted Diagnostics into a
+// severity-sorted Report with text and JSON renderers. The Severity scale
+// is shared with internal/lint so both analyzers grade findings
+// identically.
 package gostatic
 
 import (
@@ -120,6 +121,17 @@ type Rule interface {
 	Check(p *Package) []Diagnostic
 }
 
+// TreeRule is a Rule that also judges the load as a whole: Run calls
+// CheckTree once with every loaded package, after the per-package Check
+// calls. A rule needs it when a finding depends on uses outside the package
+// that declares the name (testonly).
+type TreeRule interface {
+	Rule
+	// CheckTree analyses all loaded packages together and returns the
+	// rule's findings.
+	CheckTree(pkgs []*Package) []Diagnostic
+}
+
 // Registry is an ordered set of rules keyed by ID.
 type Registry struct {
 	rules []Rule
@@ -152,12 +164,6 @@ func (r *Registry) Rules() []Rule {
 	return out
 }
 
-// Rule looks up a rule by ID.
-func (r *Registry) Rule(id string) (Rule, bool) {
-	rule, ok := r.byID[id]
-	return rule, ok
-}
-
 // Default returns a fresh registry holding every built-in rule. The registry
 // is mutable, so callers may Register additional project-specific rules on
 // top.
@@ -171,13 +177,14 @@ func Default() *Registry {
 	return r
 }
 
-// builtinRules returns the four shipped passes in registration order.
+// builtinRules returns the five shipped passes in registration order.
 func builtinRules() []Rule {
 	return []Rule{
 		hotallocRule{},
 		spanconvRule{},
 		poolreturnRule{},
 		jsontagRule{},
+		testonlyRule{},
 	}
 }
 
@@ -191,25 +198,34 @@ var (
 		"Static-analysis diagnostics emitted.", "rule", "severity")
 )
 
-// Run executes every registered rule against every package and aggregates
-// the findings. Diagnostics are ordered by severity (errors first), then by
-// position, then by rule ID, so the most urgent findings lead the report and
-// the output is deterministic across runs.
+// Run executes every registered rule against every package, and every
+// TreeRule once against the whole load, and aggregates the findings.
+// Diagnostics are ordered by severity (errors first), then by position,
+// then by rule ID, so the most urgent findings lead the report and the
+// output is deterministic across runs.
 func (r *Registry) Run(pkgs []*Package) (*Report, error) {
 	if len(pkgs) == 0 {
 		return nil, fmt.Errorf("gostatic: no packages to analyse")
 	}
 	mRuns.With().Inc()
 	rep := &Report{RulesRun: len(r.rules), Packages: len(pkgs)}
+	add := func(rule Rule, diags []Diagnostic) {
+		for _, d := range diags {
+			if d.Rule == "" {
+				d.Rule = rule.ID()
+			}
+			mDiags.With(d.Rule, d.Severity.String()).Inc()
+			rep.Diagnostics = append(rep.Diagnostics, d)
+		}
+	}
 	for _, p := range pkgs {
 		for _, rule := range r.rules {
-			for _, d := range rule.Check(p) {
-				if d.Rule == "" {
-					d.Rule = rule.ID()
-				}
-				mDiags.With(d.Rule, d.Severity.String()).Inc()
-				rep.Diagnostics = append(rep.Diagnostics, d)
-			}
+			add(rule, rule.Check(p))
+		}
+	}
+	for _, rule := range r.rules {
+		if tr, ok := rule.(TreeRule); ok {
+			add(rule, tr.CheckTree(pkgs))
 		}
 	}
 	sort.SliceStable(rep.Diagnostics, func(i, j int) bool {

@@ -2,7 +2,10 @@ package gostatic
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -15,47 +18,53 @@ import (
 // line that must produce a diagnostic of that rule.
 var wantRe = regexp.MustCompile(`// want ([a-z]+)`)
 
-// wantMarkers parses every fixture file of dir into the expected diagnostic
-// set, as "file:line:rule" keys with the file reduced to its base name.
+// wantMarkers parses every fixture file under dir into the expected
+// diagnostic set, as "file:line:rule" keys with the file relative to dir.
 func wantMarkers(t *testing.T, dir string) []string {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				want = append(want, fmt.Sprintf("%s:%d:%s", e.Name(), i+1, m[1]))
+				want = append(want, fmt.Sprintf("%s:%d:%s", rel, i+1, m[1]))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(want)
 	return want
 }
 
 // TestRuleFixtures runs the full default registry over each per-rule mutated
-// fixture package and demands the diagnostics match the `// want` markers
-// exactly — same file, same line, same rule, nothing extra. Running every
-// rule (not just the fixture's own) doubles as a cross-rule false-positive
-// check on each fixture.
+// fixture and demands the diagnostics match the `// want` markers exactly —
+// same file, same line, same rule, nothing extra. Running every rule (not
+// just the fixture's own) doubles as a cross-rule false-positive check on
+// each fixture. The testonly fixture is a small module (root, internal/lib
+// with its test, a bench-style command), since that rule reads the whole
+// load.
 func TestRuleFixtures(t *testing.T) {
-	for _, rule := range []string{"hotalloc", "spanconv", "poolreturn", "jsontag"} {
+	for _, rule := range []string{"hotalloc", "spanconv", "poolreturn", "jsontag", "testonly"} {
 		t.Run(rule, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", rule)
 			want := wantMarkers(t, dir)
 			if len(want) == 0 {
 				t.Fatalf("fixture %s has no want markers", dir)
 			}
-			pkgs, err := Load(dir)
+			pkgs, err := Load(dir + "/...")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +74,11 @@ func TestRuleFixtures(t *testing.T) {
 			}
 			got := make([]string, 0, len(rep.Diagnostics))
 			for _, d := range rep.Diagnostics {
-				got = append(got, fmt.Sprintf("%s:%d:%s", filepath.Base(d.File), d.Line, d.Rule))
+				rel, err := filepath.Rel(dir, d.File)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, fmt.Sprintf("%s:%d:%s", rel, d.Line, d.Rule))
 			}
 			sort.Strings(got)
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -73,6 +86,30 @@ func TestRuleFixtures(t *testing.T) {
 					got, want, renderString(t, rep))
 			}
 		})
+	}
+}
+
+// TestTestonlyPartialLoad pins that testonly judges only a load holding the
+// module root: a run over the internal package alone, or over it and the
+// bench-style command, does not see the root's uses and must report
+// nothing rather than name them.
+func TestTestonlyPartialLoad(t *testing.T) {
+	fixture := filepath.Join("testdata", "src", "testonly")
+	for _, patterns := range [][]string{
+		{filepath.Join(fixture, "internal", "lib")},
+		{filepath.Join(fixture, "internal", "..."), filepath.Join(fixture, "bench")},
+	} {
+		pkgs, err := Load(patterns...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Default().Run(pkgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() {
+			t.Errorf("partial load %v:\n%s", patterns, renderString(t, rep))
+		}
 	}
 }
 
@@ -94,8 +131,8 @@ func TestCleanTree(t *testing.T) {
 	if rep.Packages < 10 {
 		t.Errorf("loaded only %d packages from the tree, expected the full repo", rep.Packages)
 	}
-	if rep.RulesRun != 4 {
-		t.Errorf("rules run = %d, want 4", rep.RulesRun)
+	if rep.RulesRun != 5 {
+		t.Errorf("rules run = %d, want 5", rep.RulesRun)
 	}
 }
 
@@ -126,7 +163,7 @@ func TestHotPathAnnotationsPresent(t *testing.T) {
 	}
 }
 
-// TestReportJSONRoundTrip checks the report survives EncodeJSON/DecodeReport
+// TestReportJSONRoundTrip checks the report survives EncodeJSON/decodeReport
 // with diagnostics, counts and ordering intact.
 func TestReportJSONRoundTrip(t *testing.T) {
 	pkgs, err := Load(filepath.Join("testdata", "src", "hotalloc"))
@@ -141,7 +178,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err := rep.EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeReport(&buf)
+	back, err := decodeReport(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +195,8 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRegistry covers registration invariants: duplicates rejected, lookup by
-// ID, registration order preserved.
+// TestRegistry covers registration invariants: duplicates rejected,
+// registration order preserved.
 func TestRegistry(t *testing.T) {
 	reg := Default()
 	if err := reg.Register(hotallocRule{}); err == nil {
@@ -169,16 +206,13 @@ func TestRegistry(t *testing.T) {
 		t.Error("nil rule registration succeeded")
 	}
 	rules := reg.Rules()
-	wantOrder := []string{"hotalloc", "spanconv", "poolreturn", "jsontag"}
+	wantOrder := []string{"hotalloc", "spanconv", "poolreturn", "jsontag", "testonly"}
 	if len(rules) != len(wantOrder) {
 		t.Fatalf("rules = %d, want %d", len(rules), len(wantOrder))
 	}
 	for i, id := range wantOrder {
 		if rules[i].ID() != id {
 			t.Errorf("rule %d = %q, want %q", i, rules[i].ID(), id)
-		}
-		if r, ok := reg.Rule(id); !ok || r.ID() != id {
-			t.Errorf("lookup %q failed", id)
 		}
 		if rules[i].Doc() == "" {
 			t.Errorf("rule %q has no doc", id)
@@ -193,4 +227,16 @@ func renderString(t *testing.T, rep *Report) string {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// decodeReport reads a report previously written by EncodeJSON, recomputing
+// the severity tallies from the decoded diagnostics so a hand-edited count
+// cannot disagree with the payload.
+func decodeReport(rd io.Reader) (*Report, error) {
+	var r Report
+	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+		return nil, fmt.Errorf("gostatic: decode report: %w", err)
+	}
+	r.count()
+	return &r, nil
 }

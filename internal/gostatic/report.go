@@ -7,7 +7,7 @@ import (
 )
 
 // Report aggregates the findings of one analyzer run. The JSON shape is
-// stable and round-trips through DecodeReport — the same contract as
+// stable and round-trips (TestReportJSONRoundTrip) — the same contract as
 // lint.Report, so CI pipelines consume both analyzers' reports with the same
 // tooling.
 type Report struct {
@@ -42,11 +42,8 @@ func (r *Report) count() {
 // Clean reports whether the run produced no diagnostics at all.
 func (r *Report) Clean() bool { return len(r.Diagnostics) == 0 }
 
-// HasErrors reports whether any error-severity diagnostic was emitted.
-func (r *Report) HasErrors() bool { return r.Errors > 0 }
-
 // Summary renders the one-line tally, e.g. "2 errors, 1 warning, 0 infos
-// (4 rules, 23 packages)".
+// (5 rules, 23 packages)".
 func (r *Report) Summary() string {
 	plural := func(n int, word string) string {
 		if n == 1 {
@@ -79,16 +76,4 @@ func (r *Report) EncodeJSON(w io.Writer) error {
 		return fmt.Errorf("gostatic: encode report: %w", err)
 	}
 	return nil
-}
-
-// DecodeReport reads a report previously written by EncodeJSON, recomputing
-// the severity tallies from the decoded diagnostics so a hand-edited count
-// cannot disagree with the payload.
-func DecodeReport(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("gostatic: decode report: %w", err)
-	}
-	r.count()
-	return &r, nil
 }

@@ -12,8 +12,9 @@ import (
 // variant must be closed by
 // an End call in the same function — deferred or direct — or handed to the
 // caller by returning the span. An unclosed span renders as "not ended" in
-// -trace output, fails Span.WellFormed, and mis-times every parent stage;
-// a span assigned to the blank identifier can never be ended at all.
+// -trace output, fails the trace tests' well-formedness check, and
+// mis-times every parent stage; a span assigned to the blank identifier
+// can never be ended at all.
 //
 // The rule is ownership-based rather than defer-only: the pipeline
 // deliberately ends per-stage spans mid-function (step6/step7/step8 share

@@ -10,13 +10,10 @@ import (
 	"upsim/internal/vpm"
 )
 
-// Check reports the error UMLImporter.Import would return for m into a
-// fresh model space, with the same text, without building the space. A nil
-// result means Import would succeed, so a caller can validate Step 5 up
-// front and import only when someone reads the space.
-func Check(m *uml.Model) error { return CheckView(ViewOf(m)) }
-
-// CheckView is Check of the elements v lists, against ImportView. It
+// CheckView reports the error UMLImporter.ImportView would return for v
+// into a fresh model space, with the same text, without building the
+// space. A nil result means the import would succeed, so a caller can
+// validate Step 5 up front and import only when someone reads the space. It
 // follows the import's walk and stops at the first entity name the space
 // cannot hold — empty, containing the FQN separator, or taken by a sibling
 // — or the walk's own error. The import's relations cannot fail: package

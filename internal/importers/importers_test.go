@@ -1,6 +1,7 @@
 package importers
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -66,7 +67,9 @@ func fixtureModel(t *testing.T) *uml.Model {
 	a1, _ := act.AddAction("Request printing")
 	a2, _ := act.AddAction("Send documents")
 	fin := act.AddFinal()
-	_ = act.Sequence(act.Initial(), a1, a2, fin)
+	_ = act.Flow(act.Initial(), a1)
+	_ = act.Flow(a1, a2)
+	_ = act.Flow(a2, fin)
 	return m
 }
 
@@ -112,7 +115,7 @@ func TestUMLImportEntities(t *testing.T) {
 
 	// Stereotype relations.
 	sts := s.RelationsFrom(ce, RelStereotype)
-	if len(sts) != 1 || sts[0].To().Name() != "Device" {
+	if len(sts) != 1 || !leadsTo(sts[0], ce, "Device") {
 		t.Errorf("class stereotype relations = %v", sts)
 	}
 
@@ -123,10 +126,10 @@ func TestUMLImportEntities(t *testing.T) {
 	}
 	endA := s.RelationsFrom(ae, RelEndA)
 	endB := s.RelationsFrom(ae, RelEndB)
-	if len(endA) != 1 || endA[0].To().Name() != "Comp" {
+	if len(endA) != 1 || !leadsTo(endA[0], ae, "Comp") {
 		t.Errorf("endA = %v", endA)
 	}
-	if len(endB) != 1 || endB[0].To().Name() != "Server" {
+	if len(endB) != 1 || !leadsTo(endB[0], ae, "Server") {
 		t.Errorf("endB = %v", endB)
 	}
 	if att, ok := ae.Child("MTBF"); !ok || att.Value() != "1e+06" {
@@ -139,11 +142,11 @@ func TestUMLImportEntities(t *testing.T) {
 		t.Fatal("instance entity missing")
 	}
 	cls := s.RelationsFrom(ie, RelClassifier)
-	if len(cls) != 1 || cls[0].To() != ce {
+	if len(cls) != 1 || cls[0].String() != fmt.Sprintf("%s -%s-> %s", ie, RelClassifier, ce) {
 		t.Errorf("classifier = %v", cls)
 	}
-	links := s.RelationsOf(ie, RelLink)
-	if len(links) != 1 || links[0].Value() != "Comp-Server" {
+	links := s.RelationsFrom(ie, RelLink)
+	if len(links) != 1 || !strings.HasSuffix(links[0].String(), ` = "Comp-Server"`) {
 		t.Errorf("links of t1 = %v", links)
 	}
 
@@ -161,7 +164,7 @@ func TestUMLImportEntities(t *testing.T) {
 		t.Fatal("action entity missing")
 	}
 	flows := s.RelationsFrom(action, RelFlow)
-	if len(flows) != 1 || flows[0].To().Name() != "Send documents" {
+	if len(flows) != 1 || !leadsTo(flows[0], action, "Send documents") {
 		t.Errorf("flows = %v", flows)
 	}
 	if _, ok := s.Lookup(actFQN + ".initial"); !ok {
@@ -252,11 +255,11 @@ func TestMappingImport(t *testing.T) {
 	if len(reqs) != 1 || len(provs) != 1 {
 		t.Fatalf("pair has %d requesters, %d providers", len(reqs), len(provs))
 	}
-	if req, prov := reqs[0].To(), provs[0].To(); req.Name() != "t1" || prov.Name() != "printS" {
-		t.Errorf("resolved pair = %s, %s", req, prov)
+	if !leadsTo(reqs[0], pe, "t1") || !leadsTo(provs[0], pe, "printS") {
+		t.Errorf("resolved pair = %s, %s", reqs[0], provs[0])
 	}
-	if got := reqs[0].To().FQN(); got != InstanceFQN("campus", "infrastructure", "t1") {
-		t.Errorf("requester resolves to %s", got)
+	if got, want := reqs[0].String(), fmt.Sprintf("%s -%s-> %s", pe, RelRequester, InstanceFQN("campus", "infrastructure", "t1")); got != want {
+		t.Errorf("requester relation = %s, want %s", got, want)
 	}
 }
 
@@ -304,4 +307,56 @@ func TestMappingImportErrors(t *testing.T) {
 	if _, err := NewMappingImporter(nil); err == nil {
 		t.Error("nil space should fail")
 	}
+}
+
+// Check reports the error UMLImporter.Import would return for m into a
+// fresh model space, with the same text, without building the space. A nil
+// result means Import would succeed, so a caller can validate Step 5 up
+// front and import only when someone reads the space.
+func Check(m *uml.Model) error { return CheckView(ViewOf(m)) }
+
+// Import materialises the model under models.<model name>. Importing two
+// models with the same name is an error.
+func (im *UMLImporter) Import(m *uml.Model) error {
+	return im.ImportView(ViewOf(m))
+}
+
+// InstanceFQN returns the model-space FQN of an instance specification
+// imported from the named model and diagram.
+func InstanceFQN(model, diagram, instance string) string {
+	return NSModels + "." + model + ".diagrams." + diagram + "." + instance
+}
+
+// ClassFQN returns the model-space FQN of an imported class.
+func ClassFQN(model, class string) string {
+	return NSModels + "." + model + ".classes." + class
+}
+
+// ActivityFQN returns the model-space FQN of an imported activity.
+func ActivityFQN(model, activity string) string {
+	return NSModels + "." + model + ".activities." + activity
+}
+
+// Import materialises the mapping under mappings.<name>, resolving component
+// ids against the instances of the object diagram at diagramFQN (see
+// DiagramFQN). Import is atomic: on error, no partial mapping remains in the
+// space.
+func (im *MappingImporter) Import(name string, m *mapping.Mapping, diagramFQN string) error {
+	if m == nil {
+		return fmt.Errorf("importers: nil mapping")
+	}
+	return im.ImportPairs(name, m.Pairs(), diagramFQN)
+}
+
+// PairFQN returns the model-space FQN of an imported service mapping pair.
+func PairFQN(mappingName, atomicService string) string {
+	return NSMappings + "." + mappingName + "." + atomicService
+}
+
+// leadsTo reports whether r runs from `from` to an entity named to and
+// carries no payload: r renders as "<from FQN> -<name>-> <to FQN>", and
+// entity names hold no FQN separator.
+func leadsTo(r *vpm.Relation, from *vpm.Entity, to string) bool {
+	s := r.String()
+	return strings.HasPrefix(s, from.String()+" -") && strings.HasSuffix(s, "."+to)
 }

@@ -36,18 +36,10 @@ func NewMappingImporter(s *vpm.ModelSpace) (*MappingImporter, error) {
 	return &MappingImporter{space: s}, nil
 }
 
-// Import materialises the mapping under mappings.<name>, resolving component
-// ids against the instances of the object diagram at diagramFQN (see
-// DiagramFQN). Import is atomic: on error, no partial mapping remains in the
-// space.
-func (im *MappingImporter) Import(name string, m *mapping.Mapping, diagramFQN string) error {
-	if m == nil {
-		return fmt.Errorf("importers: nil mapping")
-	}
-	return im.ImportPairs(name, m.Pairs(), diagramFQN)
-}
-
-// ImportPairs is Import of a mapping given by its pairs, in mapping order.
+// ImportPairs materialises the mapping given by its pairs, in mapping order,
+// under mappings.<name>, resolving component ids against the instances of
+// the object diagram at diagramFQN (see DiagramFQN). It is atomic: on
+// error, no partial mapping remains in the space.
 func (im *MappingImporter) ImportPairs(name string, pairs []mapping.Pair, diagramFQN string) error {
 	if err := CheckMappingName(name); err != nil {
 		return err
@@ -101,9 +93,4 @@ func (im *MappingImporter) ImportPairs(name string, pairs []mapping.Pair, diagra
 		}
 	}
 	return nil
-}
-
-// PairFQN returns the model-space FQN of an imported service mapping pair.
-func PairFQN(mappingName, atomicService string) string {
-	return NSMappings + "." + mappingName + "." + atomicService
 }

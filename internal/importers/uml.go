@@ -105,15 +105,10 @@ func NewUMLImporter(s *vpm.ModelSpace) (*UMLImporter, error) {
 	return &UMLImporter{space: s}, nil
 }
 
-// Import materialises the model under models.<model name>. Importing two
-// models with the same name is an error.
-func (im *UMLImporter) Import(m *uml.Model) error {
-	return im.ImportView(ViewOf(m))
-}
-
-// ImportView is Import of the elements v lists: a caller that imports a
-// model after adding elements of its own imports the model as it was when
-// it took the View.
+// ImportView materialises the model v views under models.<model name>,
+// importing the elements v lists: a caller that imports a model after
+// adding elements of its own imports the model as it was when it took the
+// View. Importing two models with the same name is an error.
 func (im *UMLImporter) ImportView(v View) error {
 	if err := v.nameError(); err != nil {
 		return err
@@ -193,23 +188,7 @@ func (im *UMLImporter) ImportView(v View) error {
 	})
 }
 
-// InstanceFQN returns the model-space FQN of an instance specification
-// imported from the named model and diagram.
-func InstanceFQN(model, diagram, instance string) string {
-	return NSModels + "." + model + ".diagrams." + diagram + "." + instance
-}
-
 // DiagramFQN returns the model-space FQN of an imported object diagram.
 func DiagramFQN(model, diagram string) string {
 	return NSModels + "." + model + ".diagrams." + diagram
-}
-
-// ClassFQN returns the model-space FQN of an imported class.
-func ClassFQN(model, class string) string {
-	return NSModels + "." + model + ".classes." + class
-}
-
-// ActivityFQN returns the model-space FQN of an imported activity.
-func ActivityFQN(model, activity string) string {
-	return NSModels + "." + model + ".activities." + activity
 }

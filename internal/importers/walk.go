@@ -102,8 +102,8 @@ type step struct {
 
 // walk calls visit with every step of importing v, in import order. It
 // makes every naming decision of the import — the attribute order, the
-// names of control nodes — so Check and ImportView cannot disagree on one,
-// and it fails on a stereotype applied from a profile v does not hold,
+// names of control nodes — so CheckView and ImportView cannot disagree on
+// one, and it fails on a stereotype applied from a profile v does not hold,
 // which has no entity to relate to. With rel false it skips the link and
 // flow steps, which cannot fail. A visit error stops the walk.
 func (v *View) walk(rel bool, visit func(step) error) error {

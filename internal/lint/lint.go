@@ -198,12 +198,6 @@ func (r *Registry) Rules() []Rule {
 	return out
 }
 
-// Rule looks up a rule by ID.
-func (r *Registry) Rule(id string) (Rule, bool) {
-	rule, ok := r.byID[id]
-	return rule, ok
-}
-
 // Default returns a fresh registry holding every built-in rule (see
 // rules.go). The registry is mutable, so callers may Register additional
 // project-specific rules on top.

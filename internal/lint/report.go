@@ -36,9 +36,6 @@ func (r *Report) count() {
 	}
 }
 
-// Clean reports whether the run produced no diagnostics at all.
-func (r *Report) Clean() bool { return len(r.Diagnostics) == 0 }
-
 // HasErrors reports whether any error-severity diagnostic was emitted.
 func (r *Report) HasErrors() bool { return r.Errors > 0 }
 

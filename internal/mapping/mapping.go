@@ -14,8 +14,8 @@
 // listed in the mapping file to support other services", Section VI-D).
 //
 // The mapping is the only model that must change when the user perspective
-// changes, which is the paper's key lever for dynamic environments; the
-// Remap helpers implement the mobility and migration scenarios of Section
+// changes, which is the paper's key lever for dynamic environments;
+// RemapComponent implements the mobility and migration scenarios of Section
 // V-A3.
 package mapping
 
@@ -77,8 +77,8 @@ func New() *Mapping {
 	return &Mapping{index: make(map[string]int)}
 }
 
-// Add inserts a pair. Re-adding an atomic service is an error; use Remap to
-// change an existing pair.
+// Add inserts a pair. Re-adding an atomic service is an error; use
+// RemapComponent to change the components of existing pairs.
 func (m *Mapping) Add(p Pair) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -109,23 +109,6 @@ func (m *Mapping) Pairs() []Pair {
 
 // Len returns the number of pairs.
 func (m *Mapping) Len() int { return len(m.pairs) }
-
-// Remap replaces the requester and provider of an existing atomic service —
-// the minimal change needed to generate the UPSIM for a different user
-// perspective (Section VI-H: "we only have to make minor adjustments to the
-// service mapping").
-func (m *Mapping) Remap(atomicService, requester, provider string) error {
-	i, ok := m.index[atomicService]
-	if !ok {
-		return fmt.Errorf("mapping: unknown atomic service %q", atomicService)
-	}
-	p := Pair{AtomicService: atomicService, Requester: requester, Provider: provider}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	m.pairs[i] = p
-	return nil
-}
 
 // RemapComponent substitutes every occurrence of the component old (as
 // requester or provider) by new, returning the number of pairs changed.
@@ -167,22 +150,6 @@ func (m *Mapping) Clone() *Mapping {
 		_ = c.Add(p)
 	}
 	return c
-}
-
-// Components returns the distinct component names referenced by the mapping
-// in first-use order (requesters and providers).
-func (m *Mapping) Components() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range m.pairs {
-		for _, c := range []string{p.Requester, p.Provider} {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-	}
-	return out
 }
 
 // --- XML wire format (Figure 3) ---

@@ -51,16 +51,6 @@ func TestMappingBasics(t *testing.T) {
 	if len(got) != 5 || got[0].AtomicService != "Request printing" || got[4].AtomicService != "Send documents" {
 		t.Errorf("Pairs order = %v", got)
 	}
-	comps := m.Components()
-	want := []string{"t1", "printS", "p2"}
-	if len(comps) != 3 {
-		t.Fatalf("Components = %v", comps)
-	}
-	for i := range want {
-		if comps[i] != want[i] {
-			t.Errorf("Components[%d] = %s, want %s", i, comps[i], want[i])
-		}
-	}
 	if s := p.String(); !strings.Contains(s, "t1 -> printS") {
 		t.Errorf("Pair.String = %q", s)
 	}
@@ -82,24 +72,6 @@ func TestMappingAddErrors(t *testing.T) {
 	}
 	if m.Len() != 5 {
 		t.Error("failed adds must not modify the mapping")
-	}
-}
-
-func TestRemap(t *testing.T) {
-	m := tableI(t)
-	// New perspective: client t15, printer p3 (the paper's Figure 12 shift).
-	if err := m.Remap("Request printing", "t15", "printS"); err != nil {
-		t.Fatal(err)
-	}
-	p, _ := m.Pair("Request printing")
-	if p.Requester != "t15" {
-		t.Errorf("after remap: %+v", p)
-	}
-	if err := m.Remap("ghost", "a", "b"); err == nil {
-		t.Error("remapping unknown service should fail")
-	}
-	if err := m.Remap("Request printing", "x", "x"); err == nil {
-		t.Error("remap to identical pair should fail")
 	}
 }
 
@@ -137,7 +109,7 @@ func TestRemapComponent(t *testing.T) {
 func TestClone(t *testing.T) {
 	m := tableI(t)
 	c := m.Clone()
-	if err := c.Remap("Request printing", "t15", "printS"); err != nil {
+	if _, err := c.RemapComponent("t1", "t15"); err != nil {
 		t.Fatal(err)
 	}
 	orig, _ := m.Pair("Request printing")

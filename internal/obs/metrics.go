@@ -155,9 +155,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
@@ -202,20 +199,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.count++
 	h.sum += v
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // snapshot returns cumulative bucket counts, total count and sum.

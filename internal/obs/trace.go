@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -142,19 +141,6 @@ func (s *Span) Children() []*Span {
 	return append([]*Span(nil), s.children...)
 }
 
-// Walk visits the span and every descendant depth-first, passing the
-// nesting depth (0 for s itself).
-func (s *Span) Walk(visit func(sp *Span, depth int)) {
-	s.walk(visit, 0)
-}
-
-func (s *Span) walk(visit func(sp *Span, depth int), depth int) {
-	visit(s, depth)
-	for _, c := range s.Children() {
-		c.walk(visit, depth+1)
-	}
-}
-
 // Render returns the span tree as an indented text diagram with per-stage
 // durations and attributes — what `upsim -trace` prints:
 //
@@ -212,36 +198,4 @@ func formatDuration(d time.Duration) string {
 	default:
 		return d.Round(time.Nanosecond).String()
 	}
-}
-
-// WellFormed checks the structural invariants of a finished span tree:
-// every span has ended, durations are non-negative, and every child
-// interval nests within its parent's. It returns nil when the tree is
-// well-formed; tests use it as the property under concurrent span creation.
-func (s *Span) WellFormed() error {
-	var errs []string
-	s.Walk(func(sp *Span, _ int) {
-		end := sp.EndTime()
-		if end.IsZero() {
-			errs = append(errs, fmt.Sprintf("span %q not ended", sp.Name()))
-			return
-		}
-		if end.Before(sp.Start()) {
-			errs = append(errs, fmt.Sprintf("span %q has negative duration", sp.Name()))
-		}
-		for _, c := range sp.Children() {
-			cend := c.EndTime()
-			if c.Start().Before(sp.Start()) {
-				errs = append(errs, fmt.Sprintf("child %q starts before parent %q", c.Name(), sp.Name()))
-			}
-			if !cend.IsZero() && cend.After(end) {
-				errs = append(errs, fmt.Sprintf("child %q ends after parent %q", c.Name(), sp.Name()))
-			}
-		}
-	})
-	if len(errs) == 0 {
-		return nil
-	}
-	sort.Strings(errs)
-	return fmt.Errorf("span tree malformed: %s", strings.Join(errs, "; "))
 }

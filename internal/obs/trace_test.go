@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -212,5 +213,50 @@ func TestWellFormedDetectsUnended(t *testing.T) {
 	_, sp := StartSpan(context.Background(), "open")
 	if err := sp.WellFormed(); err == nil {
 		t.Error("unended span reported well-formed")
+	}
+}
+
+// WellFormed checks the structural invariants of a finished span tree:
+// every span has ended, durations are non-negative, and every child
+// interval nests within its parent's. It returns nil when the tree is
+// well-formed; tests use it as the property under concurrent span creation.
+func (s *Span) WellFormed() error {
+	var errs []string
+	s.Walk(func(sp *Span, _ int) {
+		end := sp.EndTime()
+		if end.IsZero() {
+			errs = append(errs, fmt.Sprintf("span %q not ended", sp.Name()))
+			return
+		}
+		if end.Before(sp.Start()) {
+			errs = append(errs, fmt.Sprintf("span %q has negative duration", sp.Name()))
+		}
+		for _, c := range sp.Children() {
+			cend := c.EndTime()
+			if c.Start().Before(sp.Start()) {
+				errs = append(errs, fmt.Sprintf("child %q starts before parent %q", c.Name(), sp.Name()))
+			}
+			if !cend.IsZero() && cend.After(end) {
+				errs = append(errs, fmt.Sprintf("child %q ends after parent %q", c.Name(), sp.Name()))
+			}
+		}
+	})
+	if len(errs) == 0 {
+		return nil
+	}
+	sort.Strings(errs)
+	return fmt.Errorf("span tree malformed: %s", strings.Join(errs, "; "))
+}
+
+// Walk visits the span and every descendant depth-first, passing the
+// nesting depth (0 for s itself).
+func (s *Span) Walk(visit func(sp *Span, depth int)) {
+	s.walk(visit, 0)
+}
+
+func (s *Span) walk(visit func(sp *Span, depth int), depth int) {
+	visit(s, depth)
+	for _, c := range s.Children() {
+		c.walk(visit, depth+1)
 	}
 }

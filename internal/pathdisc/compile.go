@@ -57,16 +57,14 @@ type Compiled struct {
 	adjEdge  []int32
 
 	numEdges  int
-	maxDegree int
 	maxEdgeID int     // largest topology edge ID seen (IDs are never reused)
 	branching float64 // mean adjacency entries per node (2E/N)
 
 	// Stereotype cost view of ranked discovery (kbest.go): per-edge-ID
-	// traversal cost and throughput, resolved once by SetEdgeCosts and
-	// indexed by topology edge ID. Nil until SetEdgeCosts installs a view;
-	// CostThroughput then falls back to hop costs.
-	costOf   []float64
-	costMbps []float64
+	// traversal cost, resolved once by SetEdgeCosts and indexed by topology
+	// edge ID. Nil until SetEdgeCosts installs a view; CostThroughput then
+	// falls back to hop costs.
+	costOf []float64
 
 	// pool holds *scratch sized for the node count; Compile sets its New.
 	pool sync.Pool
@@ -117,11 +115,7 @@ func Compile(g *topology.Graph) *Compiled {
 	c.adjStart = make([]int32, n+1)
 	total := 0
 	for i := 0; i < n; i++ {
-		d := g.Degree(c.names[i])
-		total += d
-		if d > c.maxDegree {
-			c.maxDegree = d
-		}
+		total += g.Degree(c.names[i])
 		c.adjStart[i+1] = int32(total)
 	}
 	c.adjNode = make([]int32, total)
@@ -164,9 +158,6 @@ func Compile(g *topology.Graph) *Compiled {
 	return c
 }
 
-// NumNodes returns the compiled node count.
-func (c *Compiled) NumNodes() int { return len(c.names) }
-
 // NodeID returns the dense node ID of the named node: its position in the
 // graph's insertion order.
 func (c *Compiled) NodeID(name string) (int, bool) {
@@ -174,15 +165,9 @@ func (c *Compiled) NodeID(name string) (int, bool) {
 	return int(id), ok
 }
 
-// NumEdges returns the compiled edge count (parallel edges counted).
-func (c *Compiled) NumEdges() int { return c.numEdges }
-
 // Branching returns the mean adjacency entries per node (2E/N), the
 // branching-factor column of the scalability experiment.
 func (c *Compiled) Branching() float64 { return c.branching }
-
-// MaxDegree returns the largest node degree.
-func (c *Compiled) MaxDegree() int { return c.maxDegree }
 
 // getScratch takes a clean scratch from the pool.
 func (c *Compiled) getScratch() *scratch { return c.pool.Get().(*scratch) }

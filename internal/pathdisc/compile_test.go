@@ -213,7 +213,7 @@ func TestCompileShape(t *testing.T) {
 }
 
 func TestCSRValidation(t *testing.T) {
-	g, _ := topology.Ring(4)
+	g, _ := ring(4)
 	c := Compile(g)
 	if _, _, err := c.AllPaths("ghost", "n1", Options{}); err == nil {
 		t.Error("unknown requester should fail")
@@ -290,7 +290,7 @@ func TestCSRPruningSkipsDeadEnds(t *testing.T) {
 	// Depth-budget pruning: with MaxDepth equal to the shortest detour-free
 	// route, detours longer than the remaining budget are cut before being
 	// walked.
-	g2, err := topology.Ring(12)
+	g2, err := ring(12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,15 +77,13 @@ type EdgeCostFunc func(edgeID int) (mbps float64, ok bool)
 // (Generators do it at construction time).
 func (c *Compiled) SetEdgeCosts(fn EdgeCostFunc) {
 	if fn == nil {
-		c.costOf, c.costMbps = nil, nil
+		c.costOf = nil
 		return
 	}
 	c.costOf = make([]float64, c.maxEdgeID+1)
-	c.costMbps = make([]float64, c.maxEdgeID+1)
 	for id := range c.costOf {
 		if mbps, ok := fn(id); ok && mbps > 0 {
 			c.costOf[id] = 1 / mbps
-			c.costMbps[id] = mbps
 		} else {
 			c.costOf[id] = 1
 		}
@@ -102,17 +100,6 @@ func (c *Compiled) edgeCost(metric CostMetric, e int32) float64 {
 		return 1
 	}
 	return c.costOf[e]
-}
-
-// EdgeMbps returns the resolved throughput of one topology edge ID (0 when
-// the edge carries none, or when no cost view is installed) — the
-// bottleneck input the ranked-path records join with the provenance
-// records' BottleneckMbps.
-func (c *Compiled) EdgeMbps(edgeID int) float64 {
-	if edgeID >= 0 && edgeID < len(c.costMbps) {
-		return c.costMbps[edgeID]
-	}
-	return 0
 }
 
 // PathCost computes a path's cost under the metric using the kernel's

@@ -14,8 +14,6 @@ package pathdisc
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"upsim/internal/obs"
@@ -71,27 +69,6 @@ func (p Path) String() string { return strings.Join(p.Nodes, "—") }
 
 // Len returns the number of edges (hops) in the path.
 func (p Path) Len() int { return len(p.Edges) }
-
-// equalKey returns a canonical comparison key including edge identities.
-// It is called O(n log n) times by Sort, so it stays allocation-lean: one
-// sized byte buffer, edge IDs appended with strconv (no fmt interface
-// boxing). TestEqualKeyAllocs guards the allocation budget.
-func (p Path) equalKey() string {
-	size := 0
-	for _, n := range p.Nodes {
-		size += len(n) + 14 // "|<edge id>|" separator upper bound
-	}
-	buf := make([]byte, 0, size)
-	for i, n := range p.Nodes {
-		if i > 0 {
-			buf = append(buf, '|')
-			buf = strconv.AppendInt(buf, int64(p.Edges[i-1]), 10)
-			buf = append(buf, '|')
-		}
-		buf = append(buf, n...)
-	}
-	return string(buf)
-}
 
 // Options controls path enumeration.
 type Options struct {
@@ -203,35 +180,4 @@ type Stats struct {
 	Pruned int
 	// Truncated reports whether MaxPaths stopped the enumeration early.
 	Truncated bool
-}
-
-// Sort orders paths canonically: by length, then lexicographically by node
-// sequence, then by edge IDs. It makes outputs of different algorithm
-// variants directly comparable.
-func Sort(paths []Path) {
-	sort.Slice(paths, func(i, j int) bool {
-		a, b := paths[i], paths[j]
-		if a.Len() != b.Len() {
-			return a.Len() < b.Len()
-		}
-		return a.equalKey() < b.equalKey()
-	})
-}
-
-// Equal reports whether two path slices contain the same paths, regardless
-// of order.
-func Equal(a, b []Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]Path(nil), a...)
-	bs := append([]Path(nil), b...)
-	Sort(as)
-	Sort(bs)
-	for i := range as {
-		if as[i].equalKey() != bs[i].equalKey() {
-			return false
-		}
-	}
-	return true
 }

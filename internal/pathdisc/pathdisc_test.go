@@ -1,9 +1,13 @@
 package pathdisc
 
 import (
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"upsim/internal/obs"
 	"upsim/internal/topology"
 )
 
@@ -55,7 +59,7 @@ func TestAllPathsDiamond(t *testing.T) {
 
 func TestAllPathsCycleSafety(t *testing.T) {
 	// Ring of 5: exactly two simple paths between any two nodes.
-	g, err := topology.Ring(5)
+	g, err := ring(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +199,7 @@ func TestShortestPath(t *testing.T) {
 		t.Errorf("shortest = %s", p)
 	}
 	// Chain: the unique path.
-	c, _ := topology.Chain(6)
+	c, _ := chain(6)
 	p = shortest(c, "n0", "n5")
 	if p.String() != "n0—n1—n2—n3—n4—n5" {
 		t.Errorf("chain shortest = %s", p)
@@ -210,7 +214,7 @@ func TestVariantsAgree(t *testing.T) {
 	if g, err := topology.Mesh(6); err == nil {
 		graphs["mesh6"] = g
 	}
-	if g, err := topology.Ring(8); err == nil {
+	if g, err := ring(8); err == nil {
 		graphs["ring8"] = g
 	}
 	if g, err := topology.RandomConnected(16, 0.06, 3); err == nil {
@@ -388,7 +392,7 @@ func TestCountPathsAgreesWithAllPaths(t *testing.T) {
 	if g, err := topology.RandomConnected(18, 0.08, 9); err == nil {
 		graphs["rand18"] = g
 	}
-	if g, err := topology.Ring(9); err == nil {
+	if g, err := ring(9); err == nil {
 		graphs["ring9"] = g
 	}
 	for name, g := range graphs {
@@ -466,11 +470,11 @@ func TestNodeVisitsAndMetrics(t *testing.T) {
 		{"csr-dfs", func(o Options) (Stats, error) { _, s, err := c.AllPaths("a", "d", o); return s, err }},
 		{"count", func(o Options) (Stats, error) { _, s, err := c.CountPaths("a", "d", o); return s, err }},
 	} {
-		before := mNodesVisited.With(tc.label).Count()
+		before := observations("upsim_pathdisc_nodes_visited", tc.label)
 		if _, err := tc.run(Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if after := mNodesVisited.With(tc.label).Count(); after != before+1 {
+		if after := observations("upsim_pathdisc_nodes_visited", tc.label); after != before+1 {
 			t.Errorf("%s: nodes_visited observations %d -> %d, want +1", tc.label, before, after)
 		}
 		truncated := mTruncated.With(tc.label).Value()
@@ -523,4 +527,93 @@ func TestHardMaxPaths(t *testing.T) {
 	if n, _, err := c.CountPaths("a", "d", Options{HardMaxPaths: 2}); err != nil || n != 2 {
 		t.Fatalf("CountPaths with hard limit 2: %d, %v", n, err)
 	}
+}
+
+// observations returns how many values the default registry's histogram
+// family has recorded under label.
+func observations(family, label string) uint64 {
+	vals, _ := obs.DefaultRegistry().Snapshot()[family].(map[string]any)
+	h, _ := vals[label].(map[string]any)
+	n, _ := h["count"].(uint64)
+	return n
+}
+
+// Equal reports whether two path slices contain the same paths, regardless
+// of order.
+func Equal(a, b []Path) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	as := append([]Path(nil), a...)
+	bs := append([]Path(nil), b...)
+	Sort(as)
+	Sort(bs)
+	for i := range as {
+		if as[i].equalKey() != bs[i].equalKey() {
+			return false
+		}
+	}
+	return true
+}
+
+// equalKey returns a canonical comparison key including edge identities.
+// It is called O(n log n) times by Sort, so it stays allocation-lean: one
+// sized byte buffer, edge IDs appended with strconv (no fmt interface
+// boxing). TestEqualKeyAllocs guards the allocation budget.
+func (p Path) equalKey() string {
+	size := 0
+	for _, n := range p.Nodes {
+		size += len(n) + 14 // "|<edge id>|" separator upper bound
+	}
+	buf := make([]byte, 0, size)
+	for i, n := range p.Nodes {
+		if i > 0 {
+			buf = append(buf, '|')
+			buf = strconv.AppendInt(buf, int64(p.Edges[i-1]), 10)
+			buf = append(buf, '|')
+		}
+		buf = append(buf, n...)
+	}
+	return string(buf)
+}
+
+// Sort orders paths canonically: by length, then lexicographically by node
+// sequence, then by edge IDs. It makes outputs of different algorithm
+// variants directly comparable.
+func Sort(paths []Path) {
+	sort.Slice(paths, func(i, j int) bool {
+		a, b := paths[i], paths[j]
+		if a.Len() != b.Len() {
+			return a.Len() < b.Len()
+		}
+		return a.equalKey() < b.equalKey()
+	})
+}
+
+// chain builds the path graph n0—n1—…—n(n-1).
+func chain(n int) (*topology.Graph, error) {
+	g := topology.New()
+	for i := 0; i < n; i++ {
+		if err := g.AddNode(fmt.Sprintf("n%d", i), "Node"); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i+1 < n; i++ {
+		if _, err := g.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), ""); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// ring builds a cycle of n >= 3 nodes n0…n(n-1).
+func ring(n int) (*topology.Graph, error) {
+	g, err := chain(n)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := g.AddEdge(fmt.Sprintf("n%d", n-1), "n0", ""); err != nil {
+		return nil, err
+	}
+	return g, nil
 }

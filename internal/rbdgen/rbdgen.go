@@ -29,11 +29,11 @@ import (
 	"upsim/internal/vpm"
 )
 
-// Kind values stored on RBD entities.
+// Kind values stored on RBD series and parallel entities (a basic block
+// stores its availability instead).
 const (
 	KindSeries   = "series"
 	KindParallel = "parallel"
-	KindBasic    = "basic"
 )
 
 // RootFQN returns the model-space FQN of the generated RBD for a UPSIM.

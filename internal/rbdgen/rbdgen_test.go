@@ -95,7 +95,7 @@ func TestTransform(t *testing.T) {
 	}
 	// Provenance relation back to the stored path store.
 	derived := spaceOf(t, gen).RelationsFrom(first, "derivedFrom")
-	if len(derived) != 1 || derived[0].To().FQN() != "paths.u.Request printing" {
+	if len(derived) != 1 || derived[0].String() != first.String()+" -derivedFrom-> paths.u.Request printing" {
 		t.Errorf("derivedFrom = %v", derived)
 	}
 	// Regenerating is rejected.

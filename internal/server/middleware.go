@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -27,18 +26,9 @@ var (
 		"Handler panics recovered by the middleware, by route.", "path")
 )
 
-// requestIDKey carries the per-request ID through the context.
-type requestIDKey struct{}
-
 // RequestIDHeader is the header the middleware reads an incoming request ID
 // from and echoes the effective ID back on.
 const RequestIDHeader = "X-Request-Id"
-
-// RequestID returns the request ID injected by the middleware, or "".
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
 
 // newRequestID returns a 16-hex-digit random ID.
 func newRequestID() string {
@@ -108,7 +98,7 @@ func (a *api) instrumentWarm(route, warmPrefix string, h http.HandlerFunc) http.
 }
 
 // instrument wraps one route's handler with the observability middleware:
-// request-ID injection, in-flight gauge, per-route request counter and
+// request-ID echo, in-flight gauge, per-route request counter and
 // latency histogram, and panic recovery that logs the stack and returns a
 // JSON 500 instead of killing the connection.
 func instrument(route string, h http.HandlerFunc) http.HandlerFunc {
@@ -118,7 +108,6 @@ func instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
 
 		sw := &statusWriter{ResponseWriter: w}
 		mInFlight.With().Inc()

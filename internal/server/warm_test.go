@@ -208,9 +208,11 @@ func TestGenerateCacheHitAllocs(t *testing.T) {
 // request misses the warm lane and the generator pool and pays the XMI
 // decode, the Step 5 check and the kernel compile. As the churn traffic
 // does, each request rewrites the Client MTBF, so no two bodies repeat.
-// Measured on go1.24: 185 allocs for full enumeration and 192 for k=5 by
-// throughput (189 and 196 with the Step 5 span, 319 and 326 before the
-// scanner slabs and the count-sized build); the ceilings leave about 10 %.
+// Measured on go1.24: 181 allocs for full enumeration and 188 for k=5 by
+// throughput (185 and 192 while the middleware stored the request ID in the
+// request context and the kernel kept an unread throughput copy of its cost
+// view, 189 and 196 with the Step 5 span, 319 and 326 before the scanner
+// slabs and the count-sized build); the ceilings leave about 10 %.
 func TestColdPathsAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; the guard asserts counts")
@@ -289,12 +291,13 @@ func TestColdPathsAllocs(t *testing.T) {
 // model, each request with a never-seen user perspective (client t calls
 // server s1, which calls s2, which replies to t), so every request misses
 // the warm lane and both caches and runs Steps 6–8 plus the §VII analysis.
-// Measured on go1.24: 158 (availability), 163 (qos) and 549 (explain)
-// allocs; 304, 302 and 722 while every pipeline stage opened an orphan
-// root span, Step 8 grew its diagram one instance and link at a time,
-// every path set was its own slice and responsiveness rebuilt the path
-// sets even when the hop budget kept them all. The ceilings leave about
-// 10 %.
+// Measured on go1.24: 155 (availability), 160 (qos) and 546 (explain)
+// allocs; 158, 163 and 549 while the middleware stored the request ID in
+// the request context; 304, 302 and 722 while every pipeline stage opened
+// an orphan root span, Step 8 grew its diagram one instance and link at a
+// time, every path set was its own slice and responsiveness rebuilt the
+// path sets even when the hop budget kept them all. The ceilings leave
+// about 10 %.
 func TestColdAnalysisAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation allocates; the guard asserts counts")

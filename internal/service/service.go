@@ -119,9 +119,6 @@ func NewStaged(m *uml.Model, name string, stages [][]string) (*Composite, error)
 // Name returns the composite service name.
 func (c *Composite) Name() string { return c.activity.Name() }
 
-// Activity returns the backing UML activity diagram.
-func (c *Composite) Activity() *uml.Activity { return c.activity }
-
 // AtomicServices returns the atomic service names in modelling order. Every
 // atomic service is executed during the composite service (Section V-A2).
 func (c *Composite) AtomicServices() []string {

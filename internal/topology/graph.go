@@ -174,66 +174,11 @@ func (g *Graph) IncidentEdges(name string) []int { return g.adj[name] }
 // Degree returns the number of incident edges (parallel edges counted).
 func (g *Graph) Degree(name string) int { return len(g.adj[name]) }
 
-// Neighbors returns the distinct neighbor names in first-seen order.
-func (g *Graph) Neighbors(name string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, id := range g.adj[name] {
-		o := g.edges[id].Other(name)
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the live edge count (parallel edges counted).
 func (g *Graph) NumEdges() int { return g.liveEdges }
-
-// Connected reports whether the graph is connected (an empty graph is
-// connected by convention).
-func (g *Graph) Connected() bool {
-	if len(g.order) == 0 {
-		return true
-	}
-	seen := map[string]bool{g.order[0]: true}
-	stack := []string{g.order[0]}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.adj[n] {
-			o := g.edges[id].Other(n)
-			if !seen[o] {
-				seen[o] = true
-				stack = append(stack, o)
-			}
-		}
-	}
-	return len(seen) == len(g.nodes)
-}
-
-// InducedSubgraph returns the subgraph induced by keep: the named nodes and
-// every edge whose both endpoints are kept. Unknown names in keep are
-// ignored. This is the "filter on the complete topology" of Section VI-H.
-func (g *Graph) InducedSubgraph(keep map[string]bool) *Graph {
-	sub := New()
-	for _, n := range g.order {
-		if keep[n] {
-			node := g.nodes[n]
-			_ = sub.AddNode(node.Name, node.Class)
-		}
-	}
-	for i, e := range g.edges {
-		if !g.dead[i] && keep[e.A] && keep[e.B] {
-			_, _ = sub.AddEdge(e.A, e.B, e.Label)
-		}
-	}
-	return sub
-}
 
 // FromObjectDiagram builds the graph view of a UML object diagram: one node
 // per instance specification (classifier name attached), one edge per link

@@ -34,14 +34,6 @@ func TestGraphBasics(t *testing.T) {
 	if g.Degree("a") != 2 || g.Degree("b") != 3 {
 		t.Errorf("degrees = %d, %d", g.Degree("a"), g.Degree("b"))
 	}
-	nb := g.Neighbors("a")
-	if len(nb) != 1 || nb[0] != "b" {
-		t.Errorf("Neighbors(a) = %v (parallel edges deduplicated)", nb)
-	}
-	nb = g.Neighbors("b")
-	if len(nb) != 2 || nb[0] != "a" || nb[1] != "c" {
-		t.Errorf("Neighbors(b) = %v", nb)
-	}
 	e, ok := g.Edge(id1)
 	if !ok || e.Label != "l1" || e.Other("a") != "b" || e.Other("b") != "a" || e.Other("x") != "" {
 		t.Errorf("Edge(%d) = %+v", id1, e)
@@ -175,4 +167,45 @@ func TestToDOT(t *testing.T) {
 	if dot2 := ToDOT(New(), ""); !strings.Contains(dot2, "graph \"G\"") {
 		t.Errorf("empty-title DOT = %s", dot2)
 	}
+}
+
+// Connected reports whether the graph is connected (an empty graph is
+// connected by convention).
+func (g *Graph) Connected() bool {
+	if len(g.order) == 0 {
+		return true
+	}
+	seen := map[string]bool{g.order[0]: true}
+	stack := []string{g.order[0]}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, id := range g.adj[n] {
+			o := g.edges[id].Other(n)
+			if !seen[o] {
+				seen[o] = true
+				stack = append(stack, o)
+			}
+		}
+	}
+	return len(seen) == len(g.nodes)
+}
+
+// InducedSubgraph returns the subgraph induced by keep: the named nodes and
+// every edge whose both endpoints are kept. Unknown names in keep are
+// ignored. This is the "filter on the complete topology" of Section VI-H.
+func (g *Graph) InducedSubgraph(keep map[string]bool) *Graph {
+	sub := New()
+	for _, n := range g.order {
+		if keep[n] {
+			node := g.nodes[n]
+			_ = sub.AddNode(node.Name, node.Class)
+		}
+	}
+	for i, e := range g.edges {
+		if !g.dead[i] && keep[e.A] && keep[e.B] {
+			_, _ = sub.AddEdge(e.A, e.B, e.Label)
+		}
+	}
+	return sub
 }

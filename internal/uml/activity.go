@@ -85,7 +85,6 @@ func (n *ActivityNode) String() string {
 // in parallel (Section V-A2).
 type Activity struct {
 	name    string
-	model   *Model
 	nodes   []*ActivityNode
 	initial *ActivityNode
 	actions map[string]*ActivityNode
@@ -100,7 +99,7 @@ func (m *Model) NewActivity(name string) (*Activity, error) {
 	if _, dup := m.activities[name]; dup {
 		return nil, fmt.Errorf("uml: model %s: duplicate activity %s", m.name, name)
 	}
-	a := &Activity{name: name, model: m, actions: make(map[string]*ActivityNode)}
+	a := &Activity{name: name, actions: make(map[string]*ActivityNode)}
 	a.initial = a.addNode(NodeInitial, "")
 	m.activities[name] = a
 	m.actOrder = append(m.actOrder, name)
@@ -171,29 +170,11 @@ func (a *Activity) Flow(src, dst *ActivityNode) error {
 	return nil
 }
 
-// Sequence is a convenience that chains the given nodes with control flows:
-// Sequence(a,b,c) adds a->b and b->c. It is how the paper's strictly
-// sequential printing service (Figure 10) is assembled.
-func (a *Activity) Sequence(nodes ...*ActivityNode) error {
-	for i := 0; i+1 < len(nodes); i++ {
-		if err := a.Flow(nodes[i], nodes[i+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Nodes returns all nodes in creation order.
 func (a *Activity) Nodes() []*ActivityNode {
 	out := make([]*ActivityNode, len(a.nodes))
 	copy(out, a.nodes)
 	return out
-}
-
-// Action looks up an action node by atomic service name.
-func (a *Activity) Action(name string) (*ActivityNode, bool) {
-	n, ok := a.actions[name]
-	return n, ok
 }
 
 // ActionNames returns the atomic service names referenced by the activity in

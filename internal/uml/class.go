@@ -23,9 +23,6 @@ type Class struct {
 // Name returns the class name.
 func (c *Class) Name() string { return c.name }
 
-// Model returns the owning model.
-func (c *Class) Model() *Model { return c.model }
-
 // Apply applies a stereotype to the class and returns the application so the
 // caller can set attribute values. Abstract stereotypes and stereotypes
 // extending a metaclass other than Class are rejected, enforcing the profile
@@ -64,26 +61,6 @@ func (c *Class) EachApplication(fn func(*StereotypeApplication)) {
 	for _, app := range c.applications {
 		fn(app)
 	}
-}
-
-// Application returns the application of the named stereotype, if present.
-// The name matches the applied stereotype or any of its ancestors, so
-// Application("Component") finds a class stereotyped <<Device>> when Device
-// specialises Component.
-func (c *Class) Application(name string) (*StereotypeApplication, bool) {
-	for _, app := range c.applications {
-		if app.stereotype.IsKindOf(name) {
-			return app, true
-		}
-	}
-	return nil, false
-}
-
-// HasStereotype reports whether the class is stereotyped by name (directly
-// or via a specialisation).
-func (c *Class) HasStereotype(name string) bool {
-	_, ok := c.Application(name)
-	return ok
 }
 
 // StereotypeNames returns the applied stereotype names in application order,
@@ -228,23 +205,6 @@ func (a *Association) EachApplication(fn func(*StereotypeApplication)) {
 	for _, app := range a.applications {
 		fn(app)
 	}
-}
-
-// Application returns the application of the named stereotype (or a
-// specialisation of it), if present.
-func (a *Association) Application(name string) (*StereotypeApplication, bool) {
-	for _, app := range a.applications {
-		if app.stereotype.IsKindOf(name) {
-			return app, true
-		}
-	}
-	return nil, false
-}
-
-// HasStereotype reports whether the association carries the named stereotype.
-func (a *Association) HasStereotype(name string) bool {
-	_, ok := a.Application(name)
-	return ok
 }
 
 // Property returns a static attribute contributed by a stereotype

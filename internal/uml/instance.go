@@ -2,7 +2,6 @@ package uml
 
 import (
 	"fmt"
-	"sort"
 )
 
 // InstanceSpecification is a UML instance of a class: one concrete network
@@ -14,7 +13,6 @@ import (
 type InstanceSpecification struct {
 	name       string
 	classifier *Class
-	model      *Model
 }
 
 // Name returns the instance name (e.g. "t1").
@@ -23,19 +21,11 @@ func (i *InstanceSpecification) Name() string { return i.name }
 // Classifier returns the instantiated class.
 func (i *InstanceSpecification) Classifier() *Class { return i.classifier }
 
-// Model returns the owning model.
-func (i *InstanceSpecification) Model() *Model { return i.model }
-
 // Property reads a static attribute through the classifier, preserving the
 // paper's guarantee that a UPSIM element exposes exactly the properties of
 // the class it instantiates (Section V-E).
 func (i *InstanceSpecification) Property(name string) (Value, bool) {
 	return i.classifier.Property(name)
-}
-
-// HasStereotype reports whether the classifier carries the named stereotype.
-func (i *InstanceSpecification) HasStereotype(name string) bool {
-	return i.classifier.HasStereotype(name)
 }
 
 // Signature renders the instance as "name:Class", the form used throughout
@@ -50,42 +40,18 @@ func (i *InstanceSpecification) String() string { return i.Signature() }
 // Link is an instance of an association connecting two instance
 // specifications — one deployed communication link in the object diagram.
 type Link struct {
-	name        string
 	association *Association
 	a, b        *InstanceSpecification
-	model       *Model
 	// next is the following link between the same pair of instances, in
 	// insertion order (ObjectDiagram.byPair holds the first).
 	next *Link
 }
-
-// Name returns the link name (may be empty; links are usually anonymous in
-// the diagrams and identified by their endpoints).
-func (l *Link) Name() string { return l.name }
 
 // Association returns the association the link instantiates.
 func (l *Link) Association() *Association { return l.association }
 
 // Ends returns the two connected instances.
 func (l *Link) Ends() (*InstanceSpecification, *InstanceSpecification) { return l.a, l.b }
-
-// Connects reports whether the link joins the two given instances, in either
-// orientation.
-func (l *Link) Connects(x, y *InstanceSpecification) bool {
-	return (l.a == x && l.b == y) || (l.a == y && l.b == x)
-}
-
-// Other returns the opposite end of the link relative to the given instance,
-// or nil if the instance is not an endpoint.
-func (l *Link) Other(x *InstanceSpecification) *InstanceSpecification {
-	switch x {
-	case l.a:
-		return l.b
-	case l.b:
-		return l.a
-	}
-	return nil
-}
 
 // Property reads a static attribute of the link through its association
 // (e.g. the MTBF of a <<Connector>> link).
@@ -189,9 +155,6 @@ func (m *Model) AttachDiagram(d *ObjectDiagram) error {
 // Name returns the diagram name.
 func (d *ObjectDiagram) Name() string { return d.name }
 
-// Model returns the model whose classes the diagram instantiates.
-func (d *ObjectDiagram) Model() *Model { return d.model }
-
 // AddInstance creates an instance of the given class in the diagram.
 // Instance names are unique per diagram.
 func (d *ObjectDiagram) AddInstance(name string, class *Class) (*InstanceSpecification, error) {
@@ -209,7 +172,7 @@ func (d *ObjectDiagram) AddInstance(name string, class *Class) (*InstanceSpecifi
 		return nil, fmt.Errorf("uml: diagram %s: duplicate instance %s", d.name, name)
 	}
 	inst := slot(&d.instSlab)
-	*inst = InstanceSpecification{name: name, classifier: class, model: d.model}
+	*inst = InstanceSpecification{name: name, classifier: class}
 	d.instances[name] = inst
 	d.instOrder = append(d.instOrder, inst)
 	return inst, nil
@@ -231,16 +194,6 @@ func (d *ObjectDiagram) Instances() []*InstanceSpecification {
 // InstanceAt returns the i-th instance in insertion order (Instances()[i],
 // without copying the list), for 0 <= i < NumInstances().
 func (d *ObjectDiagram) InstanceAt(i int) *InstanceSpecification { return d.instOrder[i] }
-
-// InstanceNames returns the sorted instance names.
-func (d *ObjectDiagram) InstanceNames() []string {
-	out := make([]string, len(d.instOrder))
-	for i, inst := range d.instOrder {
-		out[i] = inst.name
-	}
-	sort.Strings(out)
-	return out
-}
 
 // NumInstances returns the number of instances.
 func (d *ObjectDiagram) NumInstances() int { return len(d.instances) }
@@ -288,7 +241,7 @@ func (d *ObjectDiagram) Connect(a, b *InstanceSpecification, assoc *Association)
 		last = l
 	}
 	l := slot(&d.linkSlab)
-	*l = Link{association: assoc, a: a, b: b, model: d.model}
+	*l = Link{association: assoc, a: a, b: b}
 	d.links = append(d.links, l)
 	if last == nil {
 		d.byPair[key] = l
@@ -332,35 +285,5 @@ func (d *ObjectDiagram) LinksBetween(a, b string) []*Link {
 	for l := first; l != nil; l = l.next {
 		out = append(out, l)
 	}
-	return out
-}
-
-// LinksOf returns all links incident to the named instance.
-func (d *ObjectDiagram) LinksOf(name string) []*Link {
-	var out []*Link
-	for _, l := range d.links {
-		if l.a.name == name || l.b.name == name {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// Neighbors returns the sorted names of instances adjacent to the named one.
-func (d *ObjectDiagram) Neighbors(name string) []string {
-	seen := make(map[string]bool)
-	for _, l := range d.links {
-		switch name {
-		case l.a.name:
-			seen[l.b.name] = true
-		case l.b.name:
-			seen[l.a.name] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -2,7 +2,6 @@ package uml
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Model is the root container of a UML model: profiles, classes,
@@ -93,12 +92,6 @@ func (m *Model) AddProfile(p *Profile) error {
 	return nil
 }
 
-// Profile looks up a registered profile by name.
-func (m *Model) Profile(name string) (*Profile, bool) {
-	p, ok := m.profiles[name]
-	return p, ok
-}
-
 // Profiles returns the registered profiles in registration order.
 func (m *Model) Profiles() []*Profile {
 	out := make([]*Profile, 0, len(m.profileOrder))
@@ -156,14 +149,6 @@ func (m *Model) Classes() []*Class {
 	for _, n := range m.classOrder {
 		out = append(out, m.classes[n])
 	}
-	return out
-}
-
-// ClassNames returns the sorted class names.
-func (m *Model) ClassNames() []string {
-	out := make([]string, len(m.classOrder))
-	copy(out, m.classOrder)
-	sort.Strings(out)
 	return out
 }
 

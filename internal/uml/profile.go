@@ -99,14 +99,6 @@ func (s *Stereotype) OwnAttributes() []AttributeDef {
 	return out
 }
 
-// AllAttributes returns the attributes of the stereotype including every
-// inherited attribute, parents first, in declaration order.
-func (s *Stereotype) AllAttributes() []AttributeDef {
-	var out []AttributeDef
-	s.EachAttribute(func(def AttributeDef) { out = append(out, def) })
-	return out
-}
-
 // EachAttribute calls fn with each attribute AllAttributes returns, in the
 // same order, without allocating.
 func (s *Stereotype) EachAttribute(fn func(AttributeDef)) {

@@ -5,41 +5,8 @@ import (
 	"strings"
 )
 
-// This file renders UML diagrams in two forms: a plain-text form that
-// mirrors how the paper's figures print classes (stereotypes in guillemets,
-// attribute compartments), and Graphviz DOT for class diagrams and activity
-// diagrams, complementing the object-diagram DOT export in package topology.
-
-// RenderClass prints one class in the paper's Figure 8 box style:
-//
-//	<<Device;Switch>> C6500
-//	  MTBF = 61320
-//	  MTTR = 0.5
-//	  redundantComponents = 0
-func RenderClass(c *Class) string {
-	var b strings.Builder
-	b.WriteString(c.String())
-	b.WriteByte('\n')
-	for _, name := range c.PropertyNames() {
-		v, _ := c.Property(name)
-		fmt.Fprintf(&b, "  %s = %s\n", name, v)
-	}
-	return b.String()
-}
-
-// RenderClassDiagram prints every class and association of the model in the
-// text form.
-func RenderClassDiagram(m *Model) string {
-	var b strings.Builder
-	for _, c := range m.Classes() {
-		b.WriteString(RenderClass(c))
-	}
-	for _, a := range m.Associations() {
-		ea, eb := a.Ends()
-		fmt.Fprintf(&b, "%s: %s -- %s\n", a.String(), ea.Name(), eb.Name())
-	}
-	return b.String()
-}
+// This file renders UML class and activity diagrams as Graphviz DOT,
+// complementing the object-diagram DOT export in package topology.
 
 // ClassDiagramDOT renders the model's classes and associations as a
 // Graphviz digraph with record-shaped nodes (name plus attribute
@@ -113,35 +80,6 @@ func sanitize(s string) string {
 		}
 		return '_'
 	}, s)
-}
-
-// RenderProfile prints a profile's stereotypes with their attributes in
-// declaration order, mirroring Figures 6-7.
-func RenderProfile(p *Profile) string {
-	var b strings.Builder
-	for _, st := range p.Stereotypes() {
-		kind := ""
-		if st.IsAbstract() {
-			kind = " (abstract)"
-		}
-		ext := ""
-		if st.Extends() != MetaclassNone {
-			ext = " -> " + st.Extends().String()
-		}
-		parent := ""
-		if st.Parent() != nil {
-			parent = " : " + st.Parent().Name()
-		}
-		fmt.Fprintf(&b, "<<%s>>%s%s%s\n", st.Name(), parent, kind, ext)
-		for _, def := range st.OwnAttributes() {
-			d := ""
-			if !def.Default.IsZero() {
-				d = " = " + def.Default.String()
-			}
-			fmt.Fprintf(&b, "  %s:%s%s\n", def.Name, def.Kind, d)
-		}
-	}
-	return b.String()
 }
 
 // Summary returns a one-paragraph inventory of the model, used by tooling.

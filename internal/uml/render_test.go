@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestRenderClass(t *testing.T) {
-	_, _, sw, _ := testModel(t)
-	out := RenderClass(sw)
-	for _, want := range []string{"<<Device>> C6500", "MTBF = 183498", "MTTR = 0.5"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RenderClass missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRenderClassDiagram(t *testing.T) {
-	m, _, _, _ := testModel(t)
-	out := RenderClassDiagram(m)
-	for _, want := range []string{"Comp", "C6500", "Comp-C6500: Comp -- C6500"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("diagram missing %q", want)
-		}
-	}
-}
-
 func TestClassDiagramDOT(t *testing.T) {
 	m, _, _, _ := testModel(t)
 	dot := ClassDiagramDOT(m)
@@ -65,20 +45,6 @@ func TestActivityDOT(t *testing.T) {
 	// Flow count: 8 edges in the Figure 2 shape.
 	if strings.Count(dot, "->") != 8 {
 		t.Errorf("flow edges = %d, want 8", strings.Count(dot, "->"))
-	}
-}
-
-func TestRenderProfile(t *testing.T) {
-	p, _, _ := buildAvailabilityProfile(t)
-	out := RenderProfile(p)
-	for _, want := range []string{
-		"<<Component>> (abstract)", "MTBF:Real",
-		"<<Device>> : Component -> Class",
-		"<<Connector>> : Component -> Association",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("profile rendering missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -116,21 +116,6 @@ func (v Value) AsReal() float64 {
 	return 0
 }
 
-// AsInteger returns the integer payload. Real values are truncated; other
-// kinds return 0.
-func (v Value) AsInteger() int64 {
-	switch v.kind {
-	case KindInteger:
-		return v.i
-	case KindReal:
-		return int64(v.r)
-	}
-	return 0
-}
-
-// AsBoolean returns the boolean payload; other kinds return false.
-func (v Value) AsBoolean() bool { return v.kind == KindBoolean && v.b }
-
 // Equal reports whether two values have the same kind and payload.
 func (v Value) Equal(o Value) bool { return v == o }
 

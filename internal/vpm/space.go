@@ -17,7 +17,6 @@ package vpm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -84,21 +83,6 @@ func (e *Entity) Child(name string) (*Entity, bool) {
 	return c, ok
 }
 
-// ChildNames returns the sorted names of direct children.
-func (e *Entity) ChildNames() []string {
-	out := make([]string, len(e.childSeq))
-	copy(out, e.childSeq)
-	sort.Strings(out)
-	return out
-}
-
-// Types returns the entities this entity is an instance of.
-func (e *Entity) Types() []*Entity {
-	out := make([]*Entity, len(e.types))
-	copy(out, e.types)
-	return out
-}
-
 // IsInstanceOf reports whether the entity is typed (directly) by the entity
 // with the given FQN.
 func (e *Entity) IsInstanceOf(typeFQN string) bool {
@@ -140,24 +124,17 @@ type Relation struct {
 	deleted bool
 }
 
-// Name returns the relation name (its kind, e.g. "link" or "instanceOf").
-func (r *Relation) Name() string { return r.name }
-
-// From returns the source entity.
-func (r *Relation) From() *Entity { return r.from }
-
-// To returns the target entity.
-func (r *Relation) To() *Entity { return r.to }
-
-// Value returns the relation's string payload.
-func (r *Relation) Value() string { return r.value }
-
 // SetValue updates the relation's string payload.
 func (r *Relation) SetValue(v string) { r.value = v }
 
-// String renders the relation as "from -name-> to".
+// String renders the relation as "from -name-> to", followed by
+// ` = "value"` when it carries a payload.
 func (r *Relation) String() string {
-	return fmt.Sprintf("%s -%s-> %s", r.from, r.name, r.to)
+	s := fmt.Sprintf("%s -%s-> %s", r.from, r.name, r.to)
+	if r.value != "" {
+		s += fmt.Sprintf(" = %q", r.value)
+	}
+	return s
 }
 
 // EventKind enumerates model-space change notifications.
@@ -224,18 +201,11 @@ func NewSpace() *ModelSpace {
 	return s
 }
 
-// Root returns the root entity.
-func (s *ModelSpace) Root() *Entity { return s.root }
-
 // NumEntities returns the number of entities excluding the root.
 func (s *ModelSpace) NumEntities() int { return s.entities }
 
 // NumRelations returns the number of live relations.
 func (s *ModelSpace) NumRelations() int { return len(s.relations) }
-
-// Subscribe registers a change listener. Listeners are called synchronously
-// in registration order.
-func (s *ModelSpace) Subscribe(fn func(Event)) { s.listeners = append(s.listeners, fn) }
 
 func (s *ModelSpace) notify(ev Event) {
 	for _, fn := range s.listeners {
@@ -462,27 +432,6 @@ func (s *ModelSpace) RelationsFrom(e *Entity, name string) []*Relation {
 	return filterRels(s.fromIdx[e], name)
 }
 
-// RelationsTo returns the live relations with the given target, optionally
-// filtered by name.
-func (s *ModelSpace) RelationsTo(e *Entity, name string) []*Relation {
-	return filterRels(s.toIdx[e], name)
-}
-
-// RelationsOf returns all live relations incident to the entity in either
-// direction, optionally filtered by name.
-func (s *ModelSpace) RelationsOf(e *Entity, name string) []*Relation {
-	out := filterRels(s.fromIdx[e], name)
-	for _, r := range s.toIdx[e] {
-		if r.from == r.to {
-			continue // self-relation already included from the from-index
-		}
-		if name == "" || r.name == name {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 func filterRels(rs []*Relation, name string) []*Relation {
 	var out []*Relation
 	for _, r := range rs {
@@ -543,34 +492,6 @@ func (s *ModelSpace) InstancesOf(typeFQN string) []*Entity {
 		}
 	}
 	return out
-}
-
-// Dump renders the containment tree (entity names, values and types) as an
-// indented listing — the quickest way to inspect what the importers and
-// transformations materialised.
-func (s *ModelSpace) Dump() string {
-	var b strings.Builder
-	var rec func(e *Entity, depth int)
-	rec = func(e *Entity, depth int) {
-		for _, c := range e.Children() {
-			b.WriteString(strings.Repeat("  ", depth))
-			b.WriteString(c.Name())
-			if v := c.Value(); v != "" {
-				fmt.Fprintf(&b, " = %q", v)
-			}
-			if ts := c.Types(); len(ts) > 0 {
-				names := make([]string, 0, len(ts))
-				for _, t := range ts {
-					names = append(names, t.Name())
-				}
-				fmt.Fprintf(&b, " : %s", strings.Join(names, ","))
-			}
-			b.WriteByte('\n')
-			rec(c, depth+1)
-		}
-	}
-	rec(s.root, 0)
-	return b.String()
 }
 
 // Walk visits every entity below (and excluding) the root in depth-first,

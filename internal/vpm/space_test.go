@@ -193,7 +193,7 @@ func TestRelations(t *testing.T) {
 	if ab.Value() != "10G" {
 		t.Error("relation value broken")
 	}
-	if !strings.Contains(ab.String(), "-link->") {
+	if !strings.Contains(ab.String(), "-link->") || !strings.HasSuffix(ab.String(), ` = "10G"`) {
 		t.Errorf("relation String = %q", ab.String())
 	}
 	s.DeleteRelation(ab)
@@ -477,4 +477,79 @@ func TestNameErrorMatchesNewEntity(t *testing.T) {
 			t.Errorf("name %q: NewEntity error %v, NameError %v", name, got, want)
 		}
 	}
+}
+
+// Name returns the relation name (its kind, e.g. "link" or "instanceOf").
+func (r *Relation) Name() string { return r.name }
+
+// From returns the source entity.
+func (r *Relation) From() *Entity { return r.from }
+
+// To returns the target entity.
+func (r *Relation) To() *Entity { return r.to }
+
+// Value returns the relation's string payload.
+func (r *Relation) Value() string { return r.value }
+
+// Root returns the root entity.
+func (s *ModelSpace) Root() *Entity { return s.root }
+
+// Subscribe registers a change listener. Listeners are called synchronously
+// in registration order.
+func (s *ModelSpace) Subscribe(fn func(Event)) { s.listeners = append(s.listeners, fn) }
+
+// RelationsTo returns the live relations with the given target, optionally
+// filtered by name.
+func (s *ModelSpace) RelationsTo(e *Entity, name string) []*Relation {
+	return filterRels(s.toIdx[e], name)
+}
+
+// RelationsOf returns all live relations incident to the entity in either
+// direction, optionally filtered by name.
+func (s *ModelSpace) RelationsOf(e *Entity, name string) []*Relation {
+	out := filterRels(s.fromIdx[e], name)
+	for _, r := range s.toIdx[e] {
+		if r.from == r.to {
+			continue // self-relation already included from the from-index
+		}
+		if name == "" || r.name == name {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Dump renders the containment tree (entity names, values and types) as an
+// indented listing — the quickest way to inspect what the importers and
+// transformations materialised.
+func (s *ModelSpace) Dump() string {
+	var b strings.Builder
+	var rec func(e *Entity, depth int)
+	rec = func(e *Entity, depth int) {
+		for _, c := range e.Children() {
+			b.WriteString(strings.Repeat("  ", depth))
+			b.WriteString(c.Name())
+			if v := c.Value(); v != "" {
+				fmt.Fprintf(&b, " = %q", v)
+			}
+			if ts := c.Types(); len(ts) > 0 {
+				names := make([]string, 0, len(ts))
+				for _, t := range ts {
+					names = append(names, t.Name())
+				}
+				fmt.Fprintf(&b, " : %s", strings.Join(names, ","))
+			}
+			b.WriteByte('\n')
+			rec(c, depth+1)
+		}
+	}
+	rec(s.root, 0)
+	return b.String()
+}
+
+// Types returns the entities this entity is an instance of.
+func (e *Entity) Types() []*Entity {
+	out := make([]*Entity, len(e.types))
+	copy(out, e.types)
+	return out
 }

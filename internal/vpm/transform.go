@@ -52,9 +52,6 @@ func NewMachine(s *ModelSpace) *Machine {
 	return &Machine{space: s, rules: make(map[string]*Rule)}
 }
 
-// Space returns the machine's model space.
-func (m *Machine) Space() *ModelSpace { return m.space }
-
 // AddRule registers a rule. Rule names are unique.
 func (m *Machine) AddRule(r *Rule) error {
 	if r == nil {
@@ -69,12 +66,6 @@ func (m *Machine) AddRule(r *Rule) error {
 	m.rules[r.Name] = r
 	m.order = append(m.order, r.Name)
 	return nil
-}
-
-// Rule looks up a registered rule by name.
-func (m *Machine) Rule(name string) (*Rule, bool) {
-	r, ok := m.rules[name]
-	return r, ok
 }
 
 // RunOnce matches the named rule once and applies its action to every
@@ -102,27 +93,6 @@ func (m *Machine) RunOnce(name string, seed Binding) (int, error) {
 		applied++
 	}
 	return applied, nil
-}
-
-// RunToFixpoint repeats RunOnce until a sweep applies zero actions, or
-// maxSweeps sweeps have run. It returns the total number of applications.
-// Reaching the sweep bound is an error: the rule system does not terminate.
-func (m *Machine) RunToFixpoint(name string, seed Binding, maxSweeps int) (int, error) {
-	if maxSweeps <= 0 {
-		return 0, fmt.Errorf("vpm: RunToFixpoint: non-positive sweep bound %d", maxSweeps)
-	}
-	total := 0
-	for i := 0; i < maxSweeps; i++ {
-		n, err := m.RunOnce(name, seed)
-		total += n
-		if err != nil {
-			return total, err
-		}
-		if n == 0 {
-			return total, nil
-		}
-	}
-	return total, fmt.Errorf("vpm: rule %s did not reach a fixpoint within %d sweeps", name, maxSweeps)
 }
 
 // RunSequence executes the given rules once each, in order, accumulating the

@@ -238,3 +238,33 @@ func TestMachineRunSequence(t *testing.T) {
 		t.Error("sequence with unknown rule should fail")
 	}
 }
+
+// Space returns the machine's model space.
+func (m *Machine) Space() *ModelSpace { return m.space }
+
+// Rule looks up a registered rule by name.
+func (m *Machine) Rule(name string) (*Rule, bool) {
+	r, ok := m.rules[name]
+	return r, ok
+}
+
+// RunToFixpoint repeats RunOnce until a sweep applies zero actions, or
+// maxSweeps sweeps have run. It returns the total number of applications.
+// Reaching the sweep bound is an error: the rule system does not terminate.
+func (m *Machine) RunToFixpoint(name string, seed Binding, maxSweeps int) (int, error) {
+	if maxSweeps <= 0 {
+		return 0, fmt.Errorf("vpm: RunToFixpoint: non-positive sweep bound %d", maxSweeps)
+	}
+	total := 0
+	for i := 0; i < maxSweeps; i++ {
+		n, err := m.RunOnce(name, seed)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		if n == 0 {
+			return total, nil
+		}
+	}
+	return total, fmt.Errorf("vpm: rule %s did not reach a fixpoint within %d sweeps", name, maxSweeps)
+}

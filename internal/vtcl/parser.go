@@ -37,18 +37,6 @@ func Parse(src string) ([]*vpm.Pattern, error) {
 	return out, nil
 }
 
-// ParsePattern parses a source containing exactly one pattern.
-func ParsePattern(src string) (*vpm.Pattern, error) {
-	pats, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(pats) != 1 {
-		return nil, fmt.Errorf("vtcl: expected exactly one pattern, got %d", len(pats))
-	}
-	return pats[0], nil
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -1,6 +1,7 @@
 package vtcl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -206,4 +207,16 @@ func TestLexerTokenKinds(t *testing.T) {
 	if !strings.HasPrefix(tokenKind(99).String(), "token(") {
 		t.Error("unknown kind fallback")
 	}
+}
+
+// ParsePattern parses a source containing exactly one pattern.
+func ParsePattern(src string) (*vpm.Pattern, error) {
+	pats, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(pats) != 1 {
+		return nil, fmt.Errorf("vtcl: expected exactly one pattern, got %d", len(pats))
+	}
+	return pats[0], nil
 }

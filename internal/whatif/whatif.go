@@ -101,9 +101,6 @@ func New(g *topology.Graph, c *cache.Cache) *Engine {
 	}
 }
 
-// Graph returns the engine's live topology.
-func (e *Engine) Graph() *topology.Graph { return e.graph }
-
 // Register adds (or replaces) a service generation. genKey is the
 // generation content hash — the root of the cache-key family that
 // invalidates when a delta touches this service. The baseline availability

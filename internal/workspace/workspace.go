@@ -183,12 +183,6 @@ func (w *Workspace) SaveMapping(name string, mp *mapping.Mapping) error {
 	return f.Close()
 }
 
-// Mapping returns a loaded mapping by name.
-func (w *Workspace) Mapping(name string) (*mapping.Mapping, bool) {
-	mp, ok := w.mappings[name]
-	return mp, ok
-}
-
 // MappingNames returns the sorted loaded mapping names.
 func (w *Workspace) MappingNames() []string {
 	out := make([]string, 0, len(w.mappings))
@@ -197,12 +191,6 @@ func (w *Workspace) MappingNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Patterns returns the parsed patterns of one .vtcl file.
-func (w *Workspace) Patterns(name string) ([]*vpm.Pattern, bool) {
-	p, ok := w.patterns[name]
-	return p, ok
 }
 
 // PatternFileNames returns the sorted loaded pattern file names.

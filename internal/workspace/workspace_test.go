@@ -8,7 +8,9 @@ import (
 
 	"upsim/internal/casestudy"
 	"upsim/internal/core"
+	"upsim/internal/mapping"
 	"upsim/internal/service"
+	"upsim/internal/vpm"
 )
 
 func initCaseStudy(t *testing.T) (*Workspace, string) {
@@ -176,4 +178,16 @@ func TestSaveMappingValidation(t *testing.T) {
 	if _, ok := w.Mapping("ghost"); ok {
 		t.Error("unknown mapping should be absent")
 	}
+}
+
+// Mapping returns a loaded mapping by name.
+func (w *Workspace) Mapping(name string) (*mapping.Mapping, bool) {
+	mp, ok := w.mappings[name]
+	return mp, ok
+}
+
+// Patterns returns the parsed patterns of one .vtcl file.
+func (w *Workspace) Patterns(name string) ([]*vpm.Pattern, bool) {
+	p, ok := w.patterns[name]
+	return p, ok
 }

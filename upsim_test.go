@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -279,9 +281,17 @@ func TestFacadeWorkspaceAndTopologyModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp2, ok := w2.Mapping("t1")
-	if !ok {
-		t.Fatal("mapping lost")
+	if names := w2.MappingNames(); len(names) != 1 || names[0] != "t1" {
+		t.Fatalf("mappings = %v, want [t1]", names)
+	}
+	f, err := os.Open(filepath.Join(dir, "mappings", "t1.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mp2, err := ReadMapping(f)
+	if err != nil {
+		t.Fatal(err)
 	}
 	gen, err := NewGenerator(w2.Model, "infrastructure")
 	if err != nil {
@@ -352,7 +362,7 @@ func TestFacadeLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if len(rep.Diagnostics) != 0 {
 		t.Errorf("USI case study has lint findings: %s", rep.Summary())
 	}
 	if rep.RulesRun < 10 {
@@ -373,7 +383,7 @@ func TestFacadeLint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.RulesRun != rep.RulesRun || !back.Clean() {
+	if back.RulesRun != rep.RulesRun || len(back.Diagnostics) != 0 {
 		t.Errorf("round trip changed the report: %+v", back)
 	}
 
@@ -392,9 +402,14 @@ func TestFacadeLint(t *testing.T) {
 	}
 
 	// A deliberately broken mapping surfaces through AsLintError.
-	mp := USITableIMapping()
-	if err := mp.Remap("Request printing", "ghost", "printS"); err != nil {
-		t.Fatal(err)
+	mp := NewMapping()
+	for _, p := range USITableIMapping().Pairs() {
+		if p.AtomicService == "Request printing" {
+			p.Requester = "ghost"
+		}
+		if err := mp.Add(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep, err = Lint(m, USIDiagramName, svc, mp)
 	if err != nil {
