@@ -1,34 +1,22 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
-	"runtime"
-	"testing"
-	"time"
 
 	"upsim/internal/pathdisc"
 	"upsim/internal/topology"
 )
 
-// kbestOut is where expKBest writes its machine-readable record; empty skips
-// the file. main sets it from -kbest-out. The experiment shares the -smoke
-// switch (dependSmoke) with expDepend/expWhatIf/expWarm.
-var kbestOut string
-
 // kbestHardLimit mirrors the server's enumeration hard limit
 // (internal/server pathsHardLimit): the path count beyond which full
 // enumeration is a structured 422, not an answer. The smoke run shrinks it
-// so the "infeasible" workload trips in milliseconds instead of seconds.
+// so the over-limit mesh trips in milliseconds instead of seconds.
 const kbestHardLimit = 1 << 20
 
-// kbestWorkload is one row of the enumeration-vs-ranked comparison. On
-// feasible topologies both variants complete and the row carries a
-// Mann-Whitney-gated speedup; on the infeasible topology enumeration trips
-// the hard limit (EnumTripped) and EnumNs records the single run that
-// proved it, while the ranked search still completes under KBestNs.
+// kbestWorkload is one row of the BENCH_kbest.json record: ranked
+// discovery (KShortest) on one costed mesh. EnumPaths is the simple-path
+// count full enumeration returns under the hard limit; EnumTripped marks
+// the mesh where enumeration can only return the structured limit error.
 type kbestWorkload struct {
 	Topology    string  `json:"topology"`
 	Nodes       int     `json:"nodes"`
@@ -37,265 +25,101 @@ type kbestWorkload struct {
 	K           int     `json:"k"`
 	EnumPaths   int     `json:"enumPaths,omitempty"`
 	EnumTripped bool    `json:"enumTripped,omitempty"`
-	EnumNs      int64   `json:"enumNs"`
-	KBestNs     int64   `json:"kbestNs"`
-	KBestAllocs float64 `json:"kbestAllocsPerOp"`
 	TopCost     float64 `json:"topCost"`
-	Speedup     float64 `json:"speedup,omitempty"`
-	Parity      bool    `json:"parity,omitempty"`
-	RunsPerRep  int     `json:"runsPerRep"`
+	KBest       timing  `json:"kbest"`
 }
 
-// kbestBudgetProbe records the structured limit error produced when the
-// K·V·E work estimate exceeds Options.MaxWork — the same kind/need/limit
-// triple the server surfaces as a 422 budget error on /api/v1/paths.
-type kbestBudgetProbe struct {
-	Kind  string `json:"kind"`
-	Need  int    `json:"need"`
-	Limit int    `json:"limit"`
-}
-
-// kbestBench is the BENCH_kbest.json schema. KBestBoundNs is the worst
-// ranked-search latency across all workloads — the measured bound that
-// holds even where enumeration trips the hard limit. Regression flags any
-// Mann-Whitney-confirmed feasible workload where ranked discovery is
-// slower than full enumeration.
-type kbestBench struct {
-	GOMAXPROCS            int              `json:"gomaxprocs"`
-	Reps                  int              `json:"repsPerVariant"`
-	WindowNs              int64            `json:"minSampleWindowNs"`
-	HardMaxPaths          int              `json:"hardMaxPaths"`
-	Smoke                 bool             `json:"smoke,omitempty"`
-	Workloads             []kbestWorkload  `json:"workloads"`
-	InfeasibleEnumTripped bool             `json:"infeasibleEnumTripped"`
-	KBestBoundNs          int64            `json:"kbestLatencyBoundNs"`
-	BudgetProbe           kbestBudgetProbe `json:"workBudgetProbe"`
-	Regression            bool             `json:"regression"`
-}
-
-// expKBest benchmarks budgeted ranked discovery against full enumeration:
-// on feasible meshes k-best must beat enumerate-then-rank outright, and on
-// a mesh whose simple-path count exceeds the hard limit it must complete
-// under a measured bound while enumeration can only return the structured
-// limit error (the bounded-latency claim of the ranked mode).
-func expKBest() error {
+// expKBest times budgeted ranked discovery on complete meshes, the paper's
+// O(n!) worst case, up to one whose simple-path count exceeds the hard
+// limit: there enumeration must trip the limit while the ranked search
+// still answers, and a work budget of 1 must trip the k-best limit.
+func expKBest() (any, error) {
 	const k = 5
-	window := 20 * time.Millisecond
 	hardLimit := kbestHardLimit
-	b := kbestBench{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Reps:       9,
-	}
-	// Full-size: mesh n=12 holds ~9.9M simple paths between any pair, well
-	// past the 2^20 hard limit; n=8 and n=10 (1,957 and 109,601 paths) stay
-	// enumerable and carry the statistical comparison. Smoke shrinks both
-	// the meshes and the hard limit so CI proves the harness, not the bound.
-	feasible := []struct {
-		n      int
-		metric string
-	}{{8, "hops"}, {10, "throughput"}}
-	infeasibleN := 12
-	if dependSmoke {
-		b.Reps, window = 3, 2*time.Millisecond
-		b.Smoke = true
+	// Full-size: n=8 and n=10 (1,957 and 109,601 paths) stay enumerable;
+	// n=12 holds ~9.9M simple paths between the endpoints, well past the
+	// 2^20 hard limit. Smoke shrinks both the meshes and the hard limit.
+	meshes := []struct {
+		n         int
+		metric    string
+		overLimit bool
+	}{{8, "hops", false}, {10, "throughput", false}, {12, "throughput", true}}
+	if smoke {
 		hardLimit = 1 << 10
-		feasible = []struct {
-			n      int
-			metric string
-		}{{6, "hops"}, {6, "throughput"}}
-		infeasibleN = 8
+		meshes[0].n, meshes[1].n, meshes[2].n = 6, 6, 8
 	}
-	b.WindowNs = window.Nanoseconds()
-	b.HardMaxPaths = hardLimit
-	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample, hard limit %d paths\n",
-		b.GOMAXPROCS, b.Reps, window, hardLimit)
+	fmt.Printf("  hard limit %d paths\n", hardLimit)
+	fmt.Printf("  %-12s %-10s %2s %14s %20s\n", "topology", "metric", "k", "paths", "k-best")
 
-	// One sample is timeBatch: GC, an untimed warm-up and a calibrated
-	// batch of timed runs. Variants interleave with alternating order; the
-	// best repetition represents each variant; rank testing decides whether
-	// a delta is signal at all.
-	benchPair := func(fast, slow func() error) (fastNs, slowNs int64, speedup float64, parity bool, runs int, err error) {
-		calStart := time.Now()
-		if err = slow(); err != nil {
-			return
+	var rows []kbestWorkload
+	for _, x := range meshes {
+		g, err := topology.Mesh(x.n)
+		if err != nil {
+			return nil, err
 		}
-		runs = min(max(int(window/max(time.Since(calStart), time.Microsecond)), 1), 512)
-		fastNs, slowNs = math.MaxInt64, math.MaxInt64
-		var fs, ss []int64
-		for i := 0; i < b.Reps; i++ {
-			first, second := fast, slow
-			if i%2 == 1 {
-				first, second = slow, fast
-			}
-			var d1, d2 int64
-			if d1, err = timeBatch(runs, first); err != nil {
-				return
-			}
-			if d2, err = timeBatch(runs, second); err != nil {
-				return
-			}
-			df, ds := d1, d2
-			if i%2 == 1 {
-				df, ds = d2, d1
-			}
-			fastNs = min(fastNs, df)
-			slowNs = min(slowNs, ds)
-			fs = append(fs, df)
-			ss = append(ss, ds)
-		}
-		if mannWhitneyDistinct(fs, ss) {
-			speedup = math.Round(float64(slowNs)/float64(fastNs)*100) / 100
-		} else {
-			parity, speedup = true, 1
-		}
-		return
-	}
-
-	// compileCosted builds the CSR kernel with a deterministic synthetic
-	// stereotype cost view: edge i carries 10+(7i mod 23) Mbps, the same
-	// varied-throughput shape the model-backed view resolves from link
-	// attributes, without needing a UML model around the raw topology.
-	compileCosted := func(g *topology.Graph) *pathdisc.Compiled {
+		// A deterministic synthetic stereotype cost view: edge i carries
+		// 10+(7i mod 23) Mbps, the varied-throughput shape the model-backed
+		// view resolves from link attributes.
 		c := pathdisc.Compile(g)
 		c.SetEdgeCosts(func(edgeID int) (float64, bool) {
 			return 10 + float64((edgeID*7)%23), true
 		})
-		return c
-	}
-
-	fmt.Printf("  %-12s %-10s %2s %9s %14s %12s %9s\n",
-		"topology", "metric", "k", "paths", "enumerate", "k-best", "speedup")
-
-	// --- Feasible meshes: both variants complete; rank-test the delta ---
-	for _, x := range feasible {
-		g, err := topology.Mesh(x.n)
-		if err != nil {
-			return err
-		}
-		c := compileCosted(g)
 		metric, err := pathdisc.ParseCostMetric(x.metric)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		src, dst := "n0", fmt.Sprintf("n%d", x.n-1)
-		enumOpts := pathdisc.Options{HardMaxPaths: hardLimit}
-		rankOpts := pathdisc.Options{K: k, CostMetric: metric}
-		paths, _, err := c.AllPaths(src, dst, enumOpts)
-		if err != nil {
-			return err
-		}
-		ranked, _, err := c.KShortest(src, dst, rankOpts)
-		if err != nil {
-			return err
-		}
 		w := kbestWorkload{
 			Topology:   fmt.Sprintf("mesh n=%d", x.n),
 			Nodes:      g.NumNodes(),
 			Edges:      g.NumEdges(),
 			CostMetric: x.metric,
 			K:          k,
-			EnumPaths:  len(paths),
-			TopCost:    c.PathCost(metric, ranked[0]),
 		}
-		w.KBestAllocs = testing.AllocsPerRun(3, func() {
-			_, _, _ = c.KShortest(src, dst, rankOpts)
-		})
-		enum := func() error { _, _, err := c.AllPaths(src, dst, enumOpts); return err }
-		rank := func() error { _, _, err := c.KShortest(src, dst, rankOpts); return err }
-		if w.KBestNs, w.EnumNs, w.Speedup, w.Parity, w.RunsPerRep, err = benchPair(rank, enum); err != nil {
-			return fmt.Errorf("%s: %w", w.Topology, err)
-		}
-		b.Regression = b.Regression || (!w.Parity && w.Speedup < 1)
-		b.KBestBoundNs = max(b.KBestBoundNs, w.KBestNs)
-		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-12s %-10s %2d %9d %14s %12s %8.2fx\n",
-			w.Topology, w.CostMetric, w.K, w.EnumPaths,
-			time.Duration(w.EnumNs), time.Duration(w.KBestNs), w.Speedup)
-	}
 
-	// --- Infeasible mesh: enumeration trips the hard limit, k-best holds ---
-	g, err := topology.Mesh(infeasibleN)
-	if err != nil {
-		return err
-	}
-	c := compileCosted(g)
-	src, dst := "n0", fmt.Sprintf("n%d", infeasibleN-1)
-	rankOpts := pathdisc.Options{K: k, CostMetric: pathdisc.CostThroughput}
-	w := kbestWorkload{
-		Topology:   fmt.Sprintf("mesh n=%d", infeasibleN),
-		Nodes:      g.NumNodes(),
-		Edges:      g.NumEdges(),
-		CostMetric: "throughput",
-		K:          k,
-	}
-	// One timed enumeration attempt: it must abort with the structured
-	// limit error once path count passes the hard limit, so a single run —
-	// not a calibrated batch — is both sufficient and all one can afford.
-	start := time.Now()
-	_, _, enumErr := c.AllPaths(src, dst, pathdisc.Options{HardMaxPaths: hardLimit})
-	w.EnumNs = time.Since(start).Nanoseconds()
-	le, tripped := pathdisc.AsLimitError(enumErr)
-	if !tripped {
-		return fmt.Errorf("%s: enumeration did not trip the hard limit (err=%v)", w.Topology, enumErr)
-	}
-	if le.BudgetKind() != pathdisc.LimitPaths {
-		return fmt.Errorf("%s: limit kind = %q, want %q", w.Topology, le.BudgetKind(), pathdisc.LimitPaths)
-	}
-	w.EnumTripped, b.InfeasibleEnumTripped = true, true
-	ranked, _, err := c.KShortest(src, dst, rankOpts)
-	if err != nil {
-		return err
-	}
-	w.TopCost = c.PathCost(pathdisc.CostThroughput, ranked[0])
-	w.KBestAllocs = testing.AllocsPerRun(3, func() {
-		_, _, _ = c.KShortest(src, dst, rankOpts)
-	})
-	calStart := time.Now()
-	if _, _, err := c.KShortest(src, dst, rankOpts); err != nil {
-		return err
-	}
-	w.RunsPerRep = min(max(int(window/max(time.Since(calStart), time.Microsecond)), 1), 512)
-	w.KBestNs = math.MaxInt64
-	for i := 0; i < b.Reps; i++ {
-		d, err := timeBatch(w.RunsPerRep, func() error {
+		paths, _, enumErr := c.AllPaths(src, dst, pathdisc.Options{HardMaxPaths: hardLimit})
+		le, tripped := pathdisc.AsLimitError(enumErr)
+		switch {
+		case tripped != x.overLimit:
+			return nil, fmt.Errorf("%s: enumeration under a %d-path hard limit: tripped=%t, want %t (err=%v)",
+				w.Topology, hardLimit, tripped, x.overLimit, enumErr)
+		case tripped && le.BudgetKind() != pathdisc.LimitPaths:
+			return nil, fmt.Errorf("%s: limit kind = %q, want %q", w.Topology, le.BudgetKind(), pathdisc.LimitPaths)
+		case enumErr != nil && !tripped:
+			return nil, enumErr
+		}
+		if w.EnumTripped = tripped; !tripped {
+			w.EnumPaths = len(paths)
+		}
+
+		rankOpts := pathdisc.Options{K: k, CostMetric: metric}
+		ranked, _, err := c.KShortest(src, dst, rankOpts)
+		if err != nil {
+			return nil, err
+		}
+		w.TopCost = c.PathCost(metric, ranked[0])
+		if w.KBest, err = measure(func() error {
 			_, _, err := c.KShortest(src, dst, rankOpts)
 			return err
-		})
-		if err != nil {
-			return err
+		}); err != nil {
+			return nil, fmt.Errorf("%s: %w", w.Topology, err)
 		}
-		w.KBestNs = min(w.KBestNs, d)
-	}
-	b.KBestBoundNs = max(b.KBestBoundNs, w.KBestNs)
-	b.Workloads = append(b.Workloads, w)
-	fmt.Printf("  %-12s %-10s %2d %9s %14s %12s %9s\n",
-		w.Topology, w.CostMetric, w.K, fmt.Sprintf(">%d", hardLimit),
-		"tripped "+time.Duration(w.EnumNs).Round(time.Millisecond).String(),
-		time.Duration(w.KBestNs), "—")
-
-	// --- Work-budget probe: the structured kbest limit error, end to end ---
-	_, _, budgetErr := c.KShortest(src, dst, pathdisc.Options{K: k, MaxWork: 1})
-	ble, ok := pathdisc.AsLimitError(budgetErr)
-	if !ok || ble.BudgetKind() != pathdisc.LimitKBest {
-		return fmt.Errorf("MaxWork=1 produced %v, want a %q limit error", budgetErr, pathdisc.LimitKBest)
-	}
-	b.BudgetProbe = kbestBudgetProbe{Kind: ble.BudgetKind(), Need: ble.Need, Limit: ble.Limit}
-
-	fmt.Printf("  enumeration tripped hard limit on mesh n=%d: %t\n", infeasibleN, b.InfeasibleEnumTripped)
-	fmt.Printf("  k-best latency bound across workloads: %s (k=%d)\n", time.Duration(b.KBestBoundNs), k)
-	fmt.Printf("  work budget probe: kind=%s need=%d limit=%d\n",
-		b.BudgetProbe.Kind, b.BudgetProbe.Need, b.BudgetProbe.Limit)
-	fmt.Printf("  Mann-Whitney-confirmed regression in any family: %t\n", b.Regression)
-
-	if kbestOut != "" {
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
+		rows = append(rows, w)
+		enumerated := fmt.Sprint(w.EnumPaths)
+		if w.EnumTripped {
+			enumerated = fmt.Sprintf("tripped >%d", hardLimit)
 		}
-		if err := os.WriteFile(kbestOut, append(data, '\n'), 0o644); err != nil {
-			return err
+		fmt.Printf("  %-12s %-10s %2d %14s %20v\n", w.Topology, w.CostMetric, w.K, enumerated, w.KBest)
+
+		if x.overLimit {
+			_, _, budgetErr := c.KShortest(src, dst, pathdisc.Options{K: k, MaxWork: 1})
+			ble, ok := pathdisc.AsLimitError(budgetErr)
+			if !ok || ble.BudgetKind() != pathdisc.LimitKBest {
+				return nil, fmt.Errorf("MaxWork=1 produced %v, want a %q limit error", budgetErr, pathdisc.LimitKBest)
+			}
+			fmt.Printf("  work budget probe on %s: kind=%s need=%d limit=%d\n",
+				w.Topology, ble.BudgetKind(), ble.Need, ble.Limit)
 		}
-		fmt.Printf("  wrote %s\n", kbestOut)
 	}
-	return nil
+	return rows, nil
 }

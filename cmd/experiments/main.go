@@ -6,12 +6,15 @@
 // 11–12, the Section VII availability analysis, and the extended scalability
 // (Section V-D) and dynamicity (Section V-A3) studies.
 //
+// The kernel-timing experiments (cache, pathdisc, depend, whatif, warm,
+// kbest) time each row with one sampler and write the rows, under a host
+// line, to BENCH_<id>.json in the working directory; -smoke shrinks them
+// to CI-sized runs and writes no file.
+//
 // Usage:
 //
 //	experiments [-exp all|f3|f6|f7|f8|f9|f10|t1|paths|f11|f12|context|avail|rbd|qos|importance|sensitivity|cloud|scaling|dynamicity|cache|pathdisc|depend|whatif|warm|kbest]
-//	            [-bench-out BENCH_cache.json] [-pathdisc-out BENCH_pathdisc.json]
-//	            [-depend-out BENCH_depend.json] [-whatif-out BENCH_whatif.json]
-//	            [-warm-out BENCH_warm.json] [-kbest-out BENCH_kbest.json] [-smoke]
+//	            [-smoke]
 package main
 
 import (
@@ -35,63 +38,63 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (all, f3, f6, f7, f8, f9, f10, t1, paths, f11, f12, context, avail, rbd, qos, importance, sensitivity, cloud, scaling, dynamicity, cache, pathdisc, depend, whatif, warm, kbest)")
-	flag.StringVar(&benchOut, "bench-out", "BENCH_cache.json", "file for the cache experiment's JSON record (empty disables)")
-	flag.StringVar(&pathdiscOut, "pathdisc-out", "BENCH_pathdisc.json", "file for the pathdisc experiment's JSON record (empty disables)")
-	flag.StringVar(&dependOut, "depend-out", "BENCH_depend.json", "file for the depend experiment's JSON record (empty disables)")
-	flag.StringVar(&whatifOut, "whatif-out", "BENCH_whatif.json", "file for the whatif experiment's JSON record (empty disables)")
-	flag.StringVar(&warmOut, "warm-out", "BENCH_warm.json", "file for the warm experiment's JSON record (empty disables)")
-	flag.StringVar(&kbestOut, "kbest-out", "BENCH_kbest.json", "file for the kbest experiment's JSON record (empty disables)")
-	flag.BoolVar(&dependSmoke, "smoke", false, "shrink the depend, whatif, warm and kbest experiments to CI-sized sanity runs")
+	flag.BoolVar(&smoke, "smoke", false, "shrink the kernel-timing experiments to CI-sized sanity runs and write no BENCH_<id>.json")
 	flag.Parse()
-	if err := run(*exp); err != nil {
+	if err := run(*exp, !smoke); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
+// experiment is one entry of the index. Exactly one of fn and timed is
+// set: fn prints a table or figure, timed prints and returns the rows of
+// the experiment's BENCH_<id>.json record.
 type experiment struct {
 	id    string
 	title string
 	fn    func() error
+	timed func() (any, error)
 }
 
 func experimentsList() []experiment {
 	return []experiment{
-		{"f6", "Figure 6 — availability profile", expF6},
-		{"f7", "Figure 7 — network profile", expF7},
-		{"f8", "Figure 8 — component classes", expF8},
-		{"f9", "Figures 5/9 — infrastructure object diagram", expF9},
-		{"f10", "Figure 10 — printing service activity", expF10},
-		{"t1", "Table I — service mapping pairs", expT1},
-		{"f3", "Figure 3 — mapping XML", expF3},
-		{"context", "Figures 1/2/4 — pipeline context (model space after Steps 5-6)", expContext},
-		{"paths", "Section VI-G — path discovery for the first pair", expPaths},
-		{"f11", "Figure 11 — UPSIM for t1 → p2 via printS", expF11},
-		{"f12", "Figure 12 — UPSIM for t15 → p3 via printS", expF12},
-		{"avail", "Section VII — user-perceived availability analysis", expAvail},
-		{"rbd", "Ref [20] — UPSIM → RBD model transformation", expRBD},
-		{"qos", "Section VII — performability and responsiveness", expQoS},
-		{"importance", "Extension — cut sets, bounds and importance for t1 → p2", expImportance},
-		{"sensitivity", "Extension — class-level MTBF/MTTR sensitivity", expSensitivity},
-		{"cloud", "§VIII future work — fat-tree cloud infrastructure", expCloud},
-		{"scaling", "Section V-D — path discovery scalability", expScaling},
-		{"dynamicity", "Section V-A3 — dynamicity scenarios", expDynamicity},
-		{"cache", "Extension — content-addressed cache & concurrent discovery", expCache},
-		{"pathdisc", "Extension — compiled CSR path-discovery kernel timings", expPathdisc},
-		{"depend", "Extension — compiled dependability kernel timings", expDepend},
-		{"whatif", "Extension — live-topology patching vs cold recompilation", expWhatIf},
-		{"warm", "Extension — allocation-free warm path vs per-request cold build", expWarm},
-		{"kbest", "Extension — budgeted k-best discovery vs full enumeration", expKBest},
+		{"f6", "Figure 6 — availability profile", expF6, nil},
+		{"f7", "Figure 7 — network profile", expF7, nil},
+		{"f8", "Figure 8 — component classes", expF8, nil},
+		{"f9", "Figures 5/9 — infrastructure object diagram", expF9, nil},
+		{"f10", "Figure 10 — printing service activity", expF10, nil},
+		{"t1", "Table I — service mapping pairs", expT1, nil},
+		{"f3", "Figure 3 — mapping XML", expF3, nil},
+		{"context", "Figures 1/2/4 — pipeline context (model space after Steps 5-6)", expContext, nil},
+		{"paths", "Section VI-G — path discovery for the first pair", expPaths, nil},
+		{"f11", "Figure 11 — UPSIM for t1 → p2 via printS", expF11, nil},
+		{"f12", "Figure 12 — UPSIM for t15 → p3 via printS", expF12, nil},
+		{"avail", "Section VII — user-perceived availability analysis", expAvail, nil},
+		{"rbd", "Ref [20] — UPSIM → RBD model transformation", expRBD, nil},
+		{"qos", "Section VII — performability and responsiveness", expQoS, nil},
+		{"importance", "Extension — cut sets, bounds and importance for t1 → p2", expImportance, nil},
+		{"sensitivity", "Extension — class-level MTBF/MTTR sensitivity", expSensitivity, nil},
+		{"cloud", "§VIII future work — fat-tree cloud infrastructure", expCloud, nil},
+		{"scaling", "Section V-D — path discovery scalability", expScaling, nil},
+		{"dynamicity", "Section V-A3 — dynamicity scenarios", expDynamicity, nil},
+		{"cache", "Extension — content-addressed cache hit timing", nil, expCache},
+		{"pathdisc", "Extension — compiled CSR path-discovery kernel timings", nil, expPathdisc},
+		{"depend", "Extension — compiled dependability kernel timings", nil, expDepend},
+		{"whatif", "Extension — live-topology kernel patch and recompile timings", nil, expWhatIf},
+		{"warm", "Extension — warm-lane routes' cold cache hit timings", nil, expWarm},
+		{"kbest", "Extension — budgeted k-best discovery timings on complete meshes", nil, expKBest},
 	}
 }
 
-func run(id string) error {
+// run runs experiment id, or all of them; record writes the timed ones'
+// BENCH_<id>.json files.
+func run(id string, record bool) error {
 	for _, e := range experimentsList() {
 		if id != "all" && id != e.id {
 			continue
 		}
 		fmt.Printf("== %s: %s ==\n", e.id, e.title)
-		if err := e.fn(); err != nil {
+		if err := e.run(record); err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		fmt.Println()
@@ -103,6 +106,18 @@ func run(id string) error {
 		return fmt.Errorf("unknown experiment %q", id)
 	}
 	return nil
+}
+
+func (e experiment) run(record bool) error {
+	if e.timed == nil {
+		return e.fn()
+	}
+	fmt.Printf("  %s\n", newBenchHost())
+	rows, err := e.timed()
+	if err != nil || !record {
+		return err
+	}
+	return writeRecord(e.id, rows)
 }
 
 // base builds the case-study inputs shared by most experiments.

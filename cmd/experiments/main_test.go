@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,7 +14,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the experiment golden files")
 
-// captureRun executes run(id) with stdout captured.
+// captureRun executes run(id) with stdout captured. It never writes a
+// BENCH_<id>.json record: only main asks for one.
 func captureRun(t *testing.T, id string) (string, error) {
 	t.Helper()
 	old := os.Stdout
@@ -25,7 +29,7 @@ func captureRun(t *testing.T, id string) (string, error) {
 		data, _ := io.ReadAll(r)
 		done <- string(data)
 	}()
-	runErr := run(id)
+	runErr := run(id, false)
 	w.Close()
 	os.Stdout = old
 	return <-done, runErr
@@ -53,7 +57,7 @@ func TestFastExperiments(t *testing.T) {
 		"dynamicity":  {"user mobility", "perceived-infrastructure diff"},
 		"sensitivity": {"dA/dMTBF", "Comp"},
 		"cloud":       {"fat-tree k=4", "valley-free"},
-		"cache":       {"warm speedup", "singleflight: 16 goroutines, 1 computed, 15 reused"},
+		"cache":       {"GOMAXPROCS=", "cached generate (median ±IQR): "},
 	}
 	for id, markers := range wants {
 		id, markers := id, markers
@@ -104,7 +108,7 @@ func TestUnknownExperiment(t *testing.T) {
 func TestExperimentListComplete(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range experimentsList() {
-		if e.id == "" || e.title == "" || e.fn == nil {
+		if e.id == "" || e.title == "" || (e.fn == nil) == (e.timed == nil) {
 			t.Errorf("experiment %+v incomplete", e)
 		}
 		if seen[e.id] {
@@ -117,56 +121,164 @@ func TestExperimentListComplete(t *testing.T) {
 	}
 }
 
-// TestWhatIfSmoke runs the what-if benchmark in its CI shape: tiny windows,
-// no artifact file. It guards the harness (workload construction, victim
-// selection, both update paths), not the speedup figures.
-func TestWhatIfSmoke(t *testing.T) {
-	oldSmoke, oldOut := dependSmoke, whatifOut
-	dependSmoke, whatifOut = true, ""
-	defer func() { dependSmoke, whatifOut = oldSmoke, oldOut }()
-	out, err := captureRun(t, "whatif")
-	if err != nil {
-		t.Fatalf("run(whatif): %v", err)
+// TestTimedSmoke runs every kernel-timing experiment but cache (which
+// TestFastExperiments runs) in its CI shape, from an empty working
+// directory. It guards each harness and the assertions it makes — the
+// k-best hard-limit trip and work-budget probe, the warm and what-if
+// status and patch checks — not the timings, and that -smoke writes no
+// file.
+func TestTimedSmoke(t *testing.T) {
+	wants := map[string][]string{
+		"pathdisc": {"mesh n=8", "ladder rungs=16"},
+		"depend":   {"series a=2 w=4 t=3", "median ±IQR"},
+		"whatif":   {"mesh n=8", "fat-tree k=4"},
+		"warm":     {"/api/v1/availability", "/api/v1/explain"},
+		"kbest":    {"tripped >1024", "kind=kbest"},
 	}
-	for _, m := range []string{"patch floor", "mesh n=8", "fat-tree k=4"} {
-		if !strings.Contains(out, m) {
-			t.Errorf("whatif output missing %q in:\n%s", m, out)
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	smoke = true
+	defer func() {
+		smoke = false
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
 		}
+	}()
+	for _, e := range experimentsList() {
+		if e.timed == nil || e.id == "cache" {
+			continue
+		}
+		t.Run(e.id, func(t *testing.T) {
+			markers, ok := wants[e.id]
+			if !ok {
+				t.Fatalf("no smoke markers for timed experiment %q", e.id)
+			}
+			out, err := captureRun(t, e.id)
+			if err != nil {
+				t.Fatalf("run(%s): %v", e.id, err)
+			}
+			for _, m := range append(markers, "GOMAXPROCS=") {
+				if !strings.Contains(out, m) {
+					t.Errorf("%s output missing %q in:\n%s", e.id, m, out)
+				}
+			}
+			if strings.Contains(out, "wrote ") {
+				t.Errorf("%s smoke run reports a written record:\n%s", e.id, out)
+			}
+		})
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		t.Errorf("smoke run wrote %s", f.Name())
 	}
 }
 
-// TestWarmSmoke runs the warm-path benchmark in its CI shape: tiny windows,
-// no artifact file. It guards the harness (corpus construction, both
-// generate variants, the HTTP lane), not the speedup or allocation figures.
-func TestWarmSmoke(t *testing.T) {
-	oldSmoke, oldOut := dependSmoke, warmOut
-	dependSmoke, warmOut = true, ""
-	defer func() { dependSmoke, warmOut = oldSmoke, oldOut }()
-	out, err := captureRun(t, "warm")
-	if err != nil {
-		t.Fatalf("run(warm): %v", err)
-	}
-	for _, m := range []string{"cold-generate floor", "fat-tree k=8 scatter", "/api/v1/availability"} {
-		if !strings.Contains(out, m) {
-			t.Errorf("warm output missing %q in:\n%s", m, out)
+// checkRecords reports a BENCH_*.json file in dir that no timed experiment
+// produces, a timed experiment without its record in dir, and a record
+// holding a ratio-to-baseline field: a speedup, floor, parity or
+// regression key at any depth.
+func checkRecords(dir string) error {
+	want := map[string]bool{}
+	for _, e := range experimentsList() {
+		if e.timed != nil {
+			want[recordName(e.id)] = true
 		}
 	}
+	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return err
+	}
+	var errs []error
+	for _, f := range files {
+		name := filepath.Base(f)
+		if !want[name] {
+			errs = append(errs, fmt.Errorf("%s: no timed experiment writes it", name))
+			continue
+		}
+		delete(want, name)
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		var rec any
+		if err := json.Unmarshal(data, &rec); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", name, err))
+			continue
+		}
+		for _, key := range ratioKeys(rec) {
+			errs = append(errs, fmt.Errorf("%s: ratio field %q", name, key))
+		}
+	}
+	for name := range want {
+		errs = append(errs, fmt.Errorf("%s: not committed", name))
+	}
+	return errors.Join(errs...)
 }
 
-// TestKBestSmoke runs the k-best benchmark in its CI shape: tiny meshes, a
-// shrunk hard limit, no artifact file. It guards the harness (both variants,
-// the limit-trip check, the work-budget probe), not the latency figures.
-func TestKBestSmoke(t *testing.T) {
-	oldSmoke, oldOut := dependSmoke, kbestOut
-	dependSmoke, kbestOut = true, ""
-	defer func() { dependSmoke, kbestOut = oldSmoke, oldOut }()
-	out, err := captureRun(t, "kbest")
-	if err != nil {
-		t.Fatalf("run(kbest): %v", err)
+// ratioKeys returns the object keys under v that name a speedup, floor,
+// parity or regression.
+func ratioKeys(v any) []string {
+	var keys []string
+	switch v := v.(type) {
+	case map[string]any:
+		for k, x := range v {
+			lk := strings.ToLower(k)
+			for _, bad := range []string{"speedup", "floor", "parity", "regression"} {
+				if strings.Contains(lk, bad) {
+					keys = append(keys, k)
+					break
+				}
+			}
+			keys = append(keys, ratioKeys(x)...)
+		}
+	case []any:
+		for _, x := range v {
+			keys = append(keys, ratioKeys(x)...)
+		}
 	}
-	for _, m := range []string{"enumeration tripped hard limit", "k-best latency bound", "kind=kbest"} {
-		if !strings.Contains(out, m) {
-			t.Errorf("kbest output missing %q in:\n%s", m, out)
+	return keys
+}
+
+// TestBenchRecords holds the repository root's BENCH_*.json files to one
+// record per timed experiment, absolute timings only, and checks that the
+// check fails on a planted orphan and on a planted ratio field.
+func TestBenchRecords(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if err := checkRecords(root); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"BENCH_orphan.json": `{"workloads": []}`,
+		"BENCH_warm.json":   `{"workloads": [{"route": "/x", "speedup": 2}]}`,
+	} {
+		dir := t.TempDir()
+		files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkRecords(dir); err == nil {
+			t.Errorf("planted %s: checkRecords passed", name)
 		}
 	}
 }

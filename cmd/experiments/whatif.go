@@ -1,40 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
-	"runtime"
-	"time"
 
 	"upsim/internal/depend"
 	"upsim/internal/pathdisc"
 	"upsim/internal/topology"
 )
 
-// whatifOut is where expWhatIf writes its machine-readable record; empty
-// skips the file. main sets it from -whatif-out. The experiment shares the
-// -smoke switch (dependSmoke) with expDepend.
-var whatifOut string
-
-// whatifFamily is one measured update path on one workload: patch (the
-// in-place delta application of DESIGN.md §13) vs recompile (rebuilding the
-// same compiled kernel from scratch), best-of-reps nanoseconds per delta.
-// Parity follows the expPathdisc convention: statistically
-// indistinguishable sample sets (two-sided Mann-Whitney U, alpha 0.05)
-// report a speedup of exactly 1.
-type whatifFamily struct {
-	PatchNs     int64   `json:"patchNs"`
-	RecompileNs int64   `json:"recompileNs"`
-	Speedup     float64 `json:"speedup"`
-	Parity      bool    `json:"parity,omitempty"`
-	RunsPerRep  int     `json:"runsPerRep"`
-}
-
-// whatifWorkload is one row of the BENCH_whatif.json record: one (topology,
-// service) pair measured under both update paths of the compiled
-// dependability kernel, the engine's whole per-delta compiled work.
+// whatifWorkload is one row of the BENCH_whatif.json record: one
+// (topology, service) pair and the two ways to bring its compiled
+// dependability kernel up to date after one component fails permanently.
+// Patch is PatchRemoveComponent in place (DESIGN.md §13), the engine's
+// whole per-delta compiled work; Recompile is depend.Compile of the
+// equivalently filtered structure.
 type whatifWorkload struct {
 	Topology string `json:"topology"`
 	Nodes    int    `json:"nodes"`
@@ -42,26 +21,10 @@ type whatifWorkload struct {
 	// PathSets is the number of minimal path sets of the registered service
 	// (across all its atomic services), Components the interned universe
 	// size (devices plus link components).
-	PathSets   int `json:"servicePathSets"`
-	Components int `json:"components"`
-	// Kernel measures the depend layer: PatchRemoveComponent vs a full
-	// Compile of the equivalently filtered structure, the figure the >=3x
-	// acceptance floor ranges over.
-	Kernel whatifFamily `json:"kernel"`
-}
-
-// whatifBench is the BENCH_whatif.json schema. PatchFloorSpeedup is the
-// worst kernel patch-vs-recompile ratio across the fat-tree and mesh
-// workloads (the acceptance floor is 3x); the ladder row is informational.
-// Regression flags any Mann-Whitney-confirmed slowdown on any workload.
-type whatifBench struct {
-	GOMAXPROCS        int              `json:"gomaxprocs"`
-	Reps              int              `json:"repsPerVariant"`
-	WindowNs          int64            `json:"minSampleWindowNs"`
-	Smoke             bool             `json:"smoke,omitempty"`
-	Workloads         []whatifWorkload `json:"workloads"`
-	PatchFloorSpeedup float64          `json:"patchFloorSpeedup"`
-	Regression        bool             `json:"regression"`
+	PathSets   int    `json:"servicePathSets"`
+	Components int    `json:"components"`
+	Patch      timing `json:"patch"`
+	Recompile  timing `json:"recompile"`
 }
 
 // whatifStructure enumerates the service's paths on the compiled graph and
@@ -69,17 +32,16 @@ type whatifBench struct {
 // becomes one minimal path set holding its device names and link
 // components. Several endpoint pairs act as the atomic services of one
 // composite, so the kernel carries a realistic multi-stage set population.
-func whatifStructure(csr *pathdisc.Compiled, pairs [][2]string, opts pathdisc.Options) (*depend.ServiceStructure, map[string]float64, []pathdisc.Path, error) {
+func whatifStructure(csr *pathdisc.Compiled, pairs [][2]string, opts pathdisc.Options) (*depend.ServiceStructure, []pathdisc.Path, error) {
 	st := &depend.ServiceStructure{}
-	avail := map[string]float64{}
 	var first []pathdisc.Path
 	for i, pr := range pairs {
 		paths, _, err := csr.AllPaths(pr[0], pr[1], opts)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if len(paths) == 0 {
-			return nil, nil, nil, fmt.Errorf("no paths %s -> %s", pr[0], pr[1])
+			return nil, nil, fmt.Errorf("no paths %s -> %s", pr[0], pr[1])
 		}
 		if i == 0 {
 			first = paths
@@ -89,18 +51,15 @@ func whatifStructure(csr *pathdisc.Compiled, pairs [][2]string, opts pathdisc.Op
 			ps := make(depend.PathSet, 0, 2*len(p.Nodes)-1)
 			for j, n := range p.Nodes {
 				ps = append(ps, n)
-				avail[n] = 0.995
 				if j > 0 {
-					l := depend.LinkComponentID(p.Nodes[j-1], n, p.Edges[j-1])
-					ps = append(ps, l)
-					avail[l] = 0.9995
+					ps = append(ps, depend.LinkComponentID(p.Nodes[j-1], n, p.Edges[j-1]))
 				}
 			}
 			a.PathSets = append(a.PathSets, ps)
 		}
 		st.AtomicServices = append(st.AtomicServices, a)
 	}
-	return st, avail, first, nil
+	return st, first, nil
 }
 
 // whatifVictim picks the component whose permanent failure the benchmark
@@ -159,20 +118,16 @@ func whatifFilter(st *depend.ServiceStructure, victim string) *depend.ServiceStr
 	return out
 }
 
-// expWhatIf benchmarks the incremental update path of the live-topology
-// what-if engine against cold recompilation: after one topology delta (one
-// component conditioned permanently failed), how long until the compiled
-// dependability kernel is current again? The recompile baseline is
-// deliberately minimal — it re-runs only depend.Compile on already-known
-// inputs, not path re-enumeration or UPSIM regeneration — so the reported
-// speedups are a conservative floor on what the engine actually saves.
-func expWhatIf() error {
+// expWhatIf times both update paths of the live-topology what-if engine
+// after one topology delta (one component conditioned permanently failed).
+// The recompile row re-runs only depend.Compile on already-known inputs,
+// not path re-enumeration or UPSIM regeneration.
+func expWhatIf() (any, error) {
 	type workload struct {
-		name    string
-		floored bool // participates in the >=3x acceptance floor
-		build   func() (*topology.Graph, error)
-		pairs   [][2]string
-		opts    pathdisc.Options
+		name  string
+		build func() (*topology.Graph, error)
+		pairs [][2]string
+		opts  pathdisc.Options
 	}
 	ws := []workload{
 		{
@@ -185,7 +140,7 @@ func expWhatIf() error {
 		{
 			// The paper's deferred cloud case: cross-pod flows of one
 			// composite service over the k=4 fat-tree, valley-free depth.
-			name: "fat-tree k=4", floored: true,
+			name:  "fat-tree k=4",
 			build: func() (*topology.Graph, error) { return topology.FatTree(4) },
 			pairs: [][2]string{
 				{"h0-0-0", "h3-1-1"}, {"h1-0-0", "h2-1-0"},
@@ -195,15 +150,15 @@ func expWhatIf() error {
 		},
 		{
 			// The O(n!) dense case, capped by depth like the engine does.
-			name: "mesh n=8", floored: true,
+			name:  "mesh n=8",
 			build: func() (*topology.Graph, error) { return topology.Mesh(8) },
 			pairs: [][2]string{{"n0", "n7"}},
 			opts:  pathdisc.Options{MaxDepth: 5},
 		},
 	}
-	if !dependSmoke {
+	if !smoke {
 		ws = append(ws, workload{
-			name: "fat-tree k=6", floored: true,
+			name:  "fat-tree k=6",
 			build: func() (*topology.Graph, error) { return topology.FatTree(6) },
 			pairs: [][2]string{
 				{"h0-0-0", "h5-2-2"}, {"h1-1-0", "h4-0-1"},
@@ -213,74 +168,17 @@ func expWhatIf() error {
 		})
 	}
 
-	window := 20 * time.Millisecond
-	b := whatifBench{
-		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Reps:              9,
-		Smoke:             dependSmoke,
-		PatchFloorSpeedup: math.Inf(1),
-	}
-	if dependSmoke {
-		b.Reps, window = 3, 2*time.Millisecond
-	}
-	b.WindowNs = window.Nanoseconds()
-	fmt.Printf("  GOMAXPROCS=%d, best of %d interleaved reps, >=%s/sample\n",
-		b.GOMAXPROCS, b.Reps, window)
-	fmt.Printf("  %-14s %6s %6s %6s %6s %9s\n",
-		"topology", "nodes", "edges", "sets", "comps", "kernel x")
-
-	// One sample is timeBatch: GC, an untimed warm-up and a calibrated
-	// batch of timed runs. Variants interleave with alternating order; the
-	// best repetition represents each variant; rank testing decides whether
-	// a delta is signal at all.
-	benchPair := func(patch, recompile func() error) (whatifFamily, error) {
-		fam := whatifFamily{PatchNs: math.MaxInt64, RecompileNs: math.MaxInt64}
-		calStart := time.Now()
-		if err := recompile(); err != nil {
-			return fam, err
-		}
-		batch := int(window / max(time.Since(calStart), time.Microsecond))
-		fam.RunsPerRep = min(max(batch, 1), 512)
-		var ps, rs []int64
-		for i := 0; i < b.Reps; i++ {
-			first, second := patch, recompile
-			if i%2 == 1 {
-				first, second = recompile, patch
-			}
-			d1, err := timeBatch(fam.RunsPerRep, first)
-			if err != nil {
-				return fam, err
-			}
-			d2, err := timeBatch(fam.RunsPerRep, second)
-			if err != nil {
-				return fam, err
-			}
-			dp, dr := d1, d2
-			if i%2 == 1 {
-				dp, dr = d2, d1
-			}
-			fam.PatchNs = min(fam.PatchNs, dp)
-			fam.RecompileNs = min(fam.RecompileNs, dr)
-			ps = append(ps, dp)
-			rs = append(rs, dr)
-		}
-		if mannWhitneyDistinct(ps, rs) {
-			fam.Speedup = math.Round(float64(fam.RecompileNs)/float64(fam.PatchNs)*100) / 100
-		} else {
-			fam.Parity = true
-			fam.Speedup = 1
-		}
-		return fam, nil
-	}
-
+	fmt.Printf("  %-14s %6s %6s %6s %6s %20s %20s\n",
+		"topology", "nodes", "edges", "sets", "comps", "patch", "recompile")
+	var rows []whatifWorkload
 	for _, x := range ws {
 		g, err := x.build()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		st, _, firstPaths, err := whatifStructure(pathdisc.Compile(g), x.pairs, x.opts)
+		st, firstPaths, err := whatifStructure(pathdisc.Compile(g), x.pairs, x.opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		cs := depend.Compile(st)
 		sets := 0
@@ -294,10 +192,10 @@ func expWhatIf() error {
 		// recompile variant rebuilds the identical post-delta kernel.
 		victim, err := whatifVictim(st, firstPaths[0])
 		if err != nil {
-			return fmt.Errorf("%s: %w", x.name, err)
+			return nil, fmt.Errorf("%s: %w", x.name, err)
 		}
 		if _, err := cs.PatchRemoveComponent(victim); err != nil {
-			return err
+			return nil, err
 		}
 		filtered := whatifFilter(st, victim)
 
@@ -308,48 +206,21 @@ func expWhatIf() error {
 			PathSets:   sets,
 			Components: cs.NumComponents(),
 		}
-
-		w.Kernel, err = benchPair(
-			func() error {
-				_, err := cs.PatchRemoveComponent(victim)
-				return err
-			},
-			func() error {
-				depend.Compile(filtered)
-				return nil
-			},
-		)
-		if err != nil {
+		if w.Patch, err = measure(func() error {
+			_, err := cs.PatchRemoveComponent(victim)
 			return err
+		}); err != nil {
+			return nil, err
 		}
-
-		if x.floored {
-			b.PatchFloorSpeedup = min(b.PatchFloorSpeedup, w.Kernel.Speedup)
+		if w.Recompile, err = measure(func() error {
+			depend.Compile(filtered)
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		b.Regression = b.Regression || (!w.Kernel.Parity && w.Kernel.Speedup < 1)
-		b.Workloads = append(b.Workloads, w)
-		fmt.Printf("  %-14s %6d %6d %6d %6d %8.2fx\n",
-			w.Topology, w.Nodes, w.Edges, w.PathSets, w.Components, w.Kernel.Speedup)
+		rows = append(rows, w)
+		fmt.Printf("  %-14s %6d %6d %6d %6d %20v %20v\n",
+			w.Topology, w.Nodes, w.Edges, w.PathSets, w.Components, w.Patch, w.Recompile)
 	}
-
-	if math.IsInf(b.PatchFloorSpeedup, 0) {
-		b.PatchFloorSpeedup = 0
-	}
-	fmt.Printf("  patch floor (fat-tree/mesh rows, kernel): %.2fx (acceptance floor 3x)\n",
-		b.PatchFloorSpeedup)
-	fmt.Printf("  Mann-Whitney-confirmed regression on any workload: %t\n", b.Regression)
-	fmt.Println("  (the recompile baseline excludes path re-enumeration and UPSIM")
-	fmt.Println("   regeneration, so live speedups are strictly larger than reported)")
-
-	if whatifOut != "" {
-		data, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(whatifOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", whatifOut)
-	}
-	return nil
+	return rows, nil
 }

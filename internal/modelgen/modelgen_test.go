@@ -134,8 +134,8 @@ func TestBuildDrivesFullPipeline(t *testing.T) {
 }
 
 func TestFatTreeScenarioK8SpansThreeWords(t *testing.T) {
-	// The k=8 scatter scenario exists so benchmarks exercise kernel bitset
-	// arenas beyond the ≤2-word hand-made corpora; pin that property here.
+	// The k=8 scatter scenario runs the whole pipeline into a kernel whose
+	// bitset arenas go beyond the ≤2-word hand-made corpora.
 	sc, err := FatTreeScenario(8)
 	if err != nil {
 		t.Fatal(err)

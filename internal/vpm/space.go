@@ -59,14 +59,8 @@ func (e *Entity) FQN() string {
 // Value returns the entity's string payload.
 func (e *Entity) Value() string { return e.value }
 
-// SetValue updates the entity's string payload and notifies subscribers.
-func (e *Entity) SetValue(v string) {
-	if e.value == v {
-		return
-	}
-	e.value = v
-	e.space.notify(Event{Kind: ValueChanged, Entity: e})
-}
+// SetValue updates the entity's string payload.
+func (e *Entity) SetValue(v string) { e.value = v }
 
 // Children returns the child entities in creation order.
 func (e *Entity) Children() []*Entity {
@@ -137,46 +131,6 @@ func (r *Relation) String() string {
 	return s
 }
 
-// EventKind enumerates model-space change notifications.
-type EventKind uint8
-
-const (
-	// EntityCreated fires after a new entity is inserted.
-	EntityCreated EventKind = iota
-	// EntityDeleted fires after an entity (and its subtree) is removed.
-	EntityDeleted
-	// RelationCreated fires after a new relation is inserted.
-	RelationCreated
-	// RelationDeleted fires after a relation is removed.
-	RelationDeleted
-	// ValueChanged fires after an entity value changes.
-	ValueChanged
-)
-
-// String returns the event kind name.
-func (k EventKind) String() string {
-	switch k {
-	case EntityCreated:
-		return "EntityCreated"
-	case EntityDeleted:
-		return "EntityDeleted"
-	case RelationCreated:
-		return "RelationCreated"
-	case RelationDeleted:
-		return "RelationDeleted"
-	case ValueChanged:
-		return "ValueChanged"
-	}
-	return fmt.Sprintf("EventKind(%d)", uint8(k))
-}
-
-// Event describes one change to the model space.
-type Event struct {
-	Kind     EventKind
-	Entity   *Entity   // set for entity and value events
-	Relation *Relation // set for relation events
-}
-
 // ModelSpace is the root store: a containment tree of entities plus a
 // relation store with from/to indexes.
 type ModelSpace struct {
@@ -185,7 +139,6 @@ type ModelSpace struct {
 	relSeq    []*Relation
 	fromIdx   map[*Entity][]*Relation
 	toIdx     map[*Entity][]*Relation
-	listeners []func(Event)
 	entities  int
 	deadRels  int // deleted relations still occupying relSeq slots
 }
@@ -207,12 +160,6 @@ func (s *ModelSpace) NumEntities() int { return s.entities }
 // NumRelations returns the number of live relations.
 func (s *ModelSpace) NumRelations() int { return len(s.relations) }
 
-func (s *ModelSpace) notify(ev Event) {
-	for _, fn := range s.listeners {
-		fn(ev)
-	}
-}
-
 // NewEntity creates a child entity under parent. Sibling names are unique;
 // names must be non-empty and must not contain the FQN separator.
 func (s *ModelSpace) NewEntity(parent *Entity, name string) (*Entity, error) {
@@ -232,7 +179,6 @@ func (s *ModelSpace) NewEntity(parent *Entity, name string) (*Entity, error) {
 	parent.children[name] = e
 	parent.childSeq = append(parent.childSeq, name)
 	s.entities++
-	s.notify(Event{Kind: EntityCreated, Entity: e})
 	return e, nil
 }
 
@@ -330,11 +276,10 @@ func (s *ModelSpace) DeleteEntity(e *Entity) error {
 			drop(c)
 		}
 		for _, r := range append(s.relationsFrom(x), s.relationsTo(x)...) {
-			s.DeleteRelation(r)
+			s.deleteRelation(r)
 		}
 		x.deleted = true
 		s.entities--
-		s.notify(Event{Kind: EntityDeleted, Entity: x})
 	}
 	drop(e)
 	return nil
@@ -356,13 +301,12 @@ func (s *ModelSpace) NewRelation(name string, from, to *Entity) (*Relation, erro
 	s.relSeq = append(s.relSeq, r)
 	s.fromIdx[from] = append(s.fromIdx[from], r)
 	s.toIdx[to] = append(s.toIdx[to], r)
-	s.notify(Event{Kind: RelationCreated, Relation: r})
 	return r, nil
 }
 
-// DeleteRelation removes a relation. Deleting an already-deleted relation is
+// deleteRelation removes a relation. Deleting an already-deleted relation is
 // a no-op.
-func (s *ModelSpace) DeleteRelation(r *Relation) {
+func (s *ModelSpace) deleteRelation(r *Relation) {
 	if r == nil || r.space != s || r.deleted {
 		return
 	}
@@ -379,7 +323,6 @@ func (s *ModelSpace) DeleteRelation(r *Relation) {
 		s.toIdx[r.to] = rs
 	}
 	s.deadRels++
-	s.notify(Event{Kind: RelationDeleted, Relation: r})
 	// Compact the creation-order log once deleted slots outnumber live
 	// relations, so create/delete churn does not grow it without bound.
 	if s.deadRels >= 64 && s.deadRels > len(s.relations) {

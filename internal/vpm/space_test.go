@@ -136,20 +136,13 @@ func TestLookupSegments(t *testing.T) {
 func TestEntityValue(t *testing.T) {
 	s := NewSpace()
 	e, _ := s.NewEntity(nil, "e")
-	changes := 0
-	s.Subscribe(func(ev Event) {
-		if ev.Kind == ValueChanged {
-			changes++
-		}
-	})
+	if e.Value() != "" {
+		t.Errorf("fresh Value = %q", e.Value())
+	}
 	e.SetValue("x")
-	e.SetValue("x") // no-op, no event
 	e.SetValue("y")
 	if e.Value() != "y" {
 		t.Errorf("Value = %q", e.Value())
-	}
-	if changes != 2 {
-		t.Errorf("value change events = %d, want 2", changes)
 	}
 }
 
@@ -196,8 +189,8 @@ func TestRelations(t *testing.T) {
 	if !strings.Contains(ab.String(), "-link->") || !strings.HasSuffix(ab.String(), ` = "10G"`) {
 		t.Errorf("relation String = %q", ab.String())
 	}
-	s.DeleteRelation(ab)
-	s.DeleteRelation(ab) // idempotent
+	s.deleteRelation(ab)
+	s.deleteRelation(ab) // idempotent
 	if got := len(s.Relations("link")); got != 1 {
 		t.Errorf("after delete Relations(link) = %d", got)
 	}
@@ -241,17 +234,8 @@ func TestDeleteEntitySubtree(t *testing.T) {
 	if _, err := s.NewRelation("r", b, ext); err != nil {
 		t.Fatal(err)
 	}
-	deleted := 0
-	s.Subscribe(func(ev Event) {
-		if ev.Kind == EntityDeleted {
-			deleted++
-		}
-	})
 	if err := s.DeleteEntity(a); err != nil {
 		t.Fatal(err)
-	}
-	if deleted != 3 {
-		t.Errorf("deleted events = %d, want 3", deleted)
 	}
 	if s.NumEntities() != 1 {
 		t.Errorf("NumEntities = %d, want 1 (ext)", s.NumEntities())
@@ -350,18 +334,6 @@ func TestMustLookupPanics(t *testing.T) {
 	s.MustLookup("nope")
 }
 
-func TestEventKindString(t *testing.T) {
-	kinds := []EventKind{EntityCreated, EntityDeleted, RelationCreated, RelationDeleted, ValueChanged}
-	for _, k := range kinds {
-		if strings.Contains(k.String(), "EventKind(") {
-			t.Errorf("kind %d has no name", k)
-		}
-	}
-	if !strings.Contains(EventKind(42).String(), "EventKind(") {
-		t.Error("unknown kind should use fallback format")
-	}
-}
-
 // Property: EnsureEntity then Lookup round-trips for arbitrary well-formed
 // FQN paths.
 func TestEnsureLookupProperty(t *testing.T) {
@@ -429,7 +401,7 @@ func TestRelationChurnCompactsRelSeq(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewRelation: %v", err)
 		}
-		s.DeleteRelation(r)
+		s.deleteRelation(r)
 	}
 	if got := len(s.relSeq); got > 2*64 {
 		t.Fatalf("relSeq retained %d slots after churn, want compaction to bound it", got)
@@ -493,10 +465,6 @@ func (r *Relation) Value() string { return r.value }
 
 // Root returns the root entity.
 func (s *ModelSpace) Root() *Entity { return s.root }
-
-// Subscribe registers a change listener. Listeners are called synchronously
-// in registration order.
-func (s *ModelSpace) Subscribe(fn func(Event)) { s.listeners = append(s.listeners, fn) }
 
 // RelationsTo returns the live relations with the given target, optionally
 // filtered by name.

@@ -16,6 +16,7 @@ package workspace
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,7 +24,6 @@ import (
 
 	"upsim/internal/mapping"
 	"upsim/internal/uml"
-	"upsim/internal/vpm"
 	"upsim/internal/vtcl"
 )
 
@@ -34,12 +34,13 @@ const (
 	PatternsDir = "patterns"
 )
 
-// Workspace is a loaded project directory.
+// Workspace is a loaded project directory. It keeps the model and the names
+// of the mapping and pattern files; Load has validated every one of them.
 type Workspace struct {
 	Dir      string
 	Model    *uml.Model
-	mappings map[string]*mapping.Mapping
-	patterns map[string][]*vpm.Pattern
+	mappings map[string]struct{}
+	patterns map[string]struct{}
 }
 
 // Init creates the directory layout and writes the model. The directory may
@@ -61,8 +62,8 @@ func Init(dir string, m *uml.Model) (*Workspace, error) {
 	w := &Workspace{
 		Dir:      dir,
 		Model:    m,
-		mappings: make(map[string]*mapping.Mapping),
-		patterns: make(map[string][]*vpm.Pattern),
+		mappings: make(map[string]struct{}),
+		patterns: make(map[string]struct{}),
 	}
 	if err := w.SaveModel(); err != nil {
 		return nil, err
@@ -88,37 +89,31 @@ func Load(dir string) (*Workspace, error) {
 	w := &Workspace{
 		Dir:      dir,
 		Model:    m,
-		mappings: make(map[string]*mapping.Mapping),
-		patterns: make(map[string][]*vpm.Pattern),
+		mappings: make(map[string]struct{}),
+		patterns: make(map[string]struct{}),
 	}
-	if err := w.loadDir(MappingsDir, ".xml", func(name string, data *os.File) error {
-		mp, err := mapping.Parse(data)
-		if err != nil {
-			return err
-		}
-		w.mappings[name] = mp
-		return nil
+	if err := w.loadDir(MappingsDir, ".xml", w.mappings, func(r io.Reader) error {
+		_, err := mapping.Parse(r)
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	if err := w.loadDir(PatternsDir, ".vtcl", func(name string, data *os.File) error {
-		src, err := os.ReadFile(data.Name())
+	if err := w.loadDir(PatternsDir, ".vtcl", w.patterns, func(r io.Reader) error {
+		src, err := io.ReadAll(r)
 		if err != nil {
 			return err
 		}
-		pats, err := vtcl.Parse(string(src))
-		if err != nil {
-			return err
-		}
-		w.patterns[name] = pats
-		return nil
+		_, err = vtcl.Parse(string(src))
+		return err
 	}); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
-func (w *Workspace) loadDir(sub, ext string, load func(name string, f *os.File) error) error {
+// loadDir validates every file of sub with the given extension and records
+// its name, without the extension, in names.
+func (w *Workspace) loadDir(sub, ext string, names map[string]struct{}, validate func(r io.Reader) error) error {
 	dir := filepath.Join(w.Dir, sub)
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -136,12 +131,12 @@ func (w *Workspace) loadDir(sub, ext string, load func(name string, f *os.File) 
 		if err != nil {
 			return fmt.Errorf("workspace: %w", err)
 		}
-		name := strings.TrimSuffix(e.Name(), ext)
-		loadErr := load(name, f)
+		loadErr := validate(f)
 		f.Close()
 		if loadErr != nil {
 			return fmt.Errorf("workspace: %s: %w", path, loadErr)
 		}
+		names[strings.TrimSuffix(e.Name(), ext)] = struct{}{}
 	}
 	return nil
 }
@@ -179,7 +174,7 @@ func (w *Workspace) SaveMapping(name string, mp *mapping.Mapping) error {
 	if err := mp.Encode(f); err != nil {
 		return err
 	}
-	w.mappings[name] = mp
+	w.mappings[name] = struct{}{}
 	return f.Close()
 }
 

@@ -11,6 +11,7 @@ import (
 	"upsim/internal/mapping"
 	"upsim/internal/service"
 	"upsim/internal/vpm"
+	"upsim/internal/vtcl"
 )
 
 func initCaseStudy(t *testing.T) (*Workspace, string) {
@@ -180,14 +181,29 @@ func TestSaveMappingValidation(t *testing.T) {
 	}
 }
 
-// Mapping returns a loaded mapping by name.
+// Mapping parses a loaded mapping file by name.
 func (w *Workspace) Mapping(name string) (*mapping.Mapping, bool) {
-	mp, ok := w.mappings[name]
-	return mp, ok
+	if _, ok := w.mappings[name]; !ok {
+		return nil, false
+	}
+	f, err := os.Open(filepath.Join(w.Dir, MappingsDir, name+".xml"))
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	mp, err := mapping.Parse(f)
+	return mp, err == nil
 }
 
-// Patterns returns the parsed patterns of one .vtcl file.
+// Patterns parses the patterns of one loaded .vtcl file.
 func (w *Workspace) Patterns(name string) ([]*vpm.Pattern, bool) {
-	p, ok := w.patterns[name]
-	return p, ok
+	if _, ok := w.patterns[name]; !ok {
+		return nil, false
+	}
+	src, err := os.ReadFile(filepath.Join(w.Dir, PatternsDir, name+".vtcl"))
+	if err != nil {
+		return nil, false
+	}
+	pats, err := vtcl.Parse(string(src))
+	return pats, err == nil
 }

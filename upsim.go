@@ -305,9 +305,9 @@ type (
 	CompiledStructure = depend.CompiledStructure
 	// Report is the end-to-end availability analysis of one UPSIM.
 	Report = depend.Report
-	// Block is an RBD node (Basic, Series, Parallel, KofN).
+	// Block is an RBD node (Basic, Series, Parallel).
 	Block = depend.Block
-	// FTNode is a fault-tree node (BasicEvent, AndGate, OrGate, VoteGate).
+	// FTNode is a fault-tree node (BasicEvent, AndGate, OrGate).
 	FTNode = depend.FTNode
 )
 
