@@ -36,15 +36,14 @@ type timing struct {
 	RunsPerRep int   `json:"runsPerRep"`
 }
 
-// measure times f: one run calibrates the batch size, then each sample is
-// one timeBatch.
+// measure times f: calibrate picks the batch size, then each sample is one
+// timeBatch.
 func measure(f func() error) (timing, error) {
 	reps, window := sampling()
-	start := time.Now()
-	if err := f(); err != nil {
+	batch, err := calibrate(f, window)
+	if err != nil {
 		return timing{}, err
 	}
-	batch := min(max(int(window/max(time.Since(start), time.Microsecond)), 1), 512)
 	samples := make([]int64, 0, reps)
 	for range reps {
 		d, err := timeBatch(batch, f)
@@ -54,6 +53,31 @@ func measure(f func() error) (timing, error) {
 		samples = append(samples, d)
 	}
 	return summarise(samples, batch), nil
+}
+
+// calibrate grows the batch the way testing.B grows b.N until one timed
+// batch of consecutive runs spans the window: from the last batch's time it
+// predicts the size that fills the window, adds a fifth, and grows at least
+// by one and at most a hundredfold. A run that alone spans the window gives
+// a batch of 1.
+func calibrate(f func() error, window time.Duration) (int, error) {
+	const maxBatch = 1_000_000_000
+	batch := 1
+	for {
+		start := time.Now()
+		for range batch {
+			if err := f(); err != nil {
+				return 0, err
+			}
+		}
+		elapsed := max(time.Since(start), 1)
+		if elapsed >= window || batch >= maxBatch {
+			return batch, nil
+		}
+		next := int(int64(window) * int64(batch) / int64(elapsed))
+		next += next / 5
+		batch = min(max(next, batch+1), 100*batch, maxBatch)
+	}
 }
 
 // timeBatch times one sample: collect the heap, one untimed warm-up run

@@ -337,9 +337,10 @@ func TestCacheKeyMatchesFormatted(t *testing.T) {
 	}
 }
 
-// TestCacheKeyAllocs pins a warm CacheKey (model digest taken): the stage
-// copy Composite.Stages returns (three objects for the fixture's two
-// stages) and the key string. The fmt and encoding/xml derivation took 34.
+// TestCacheKeyAllocs pins a warm CacheKey (model digest taken) at the key
+// string alone: the stage text is appended from the composite without a
+// copy. The copy Composite.Stages returns took three more, and the fmt and
+// encoding/xml derivation 34.
 func TestCacheKeyAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -357,7 +358,7 @@ func TestCacheKeyAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 4
+	const ceiling = 1
 	t.Logf("CacheKey: %.0f allocs", allocs)
 	if allocs > ceiling {
 		t.Errorf("CacheKey allocates %.0f objects, ceiling %d", allocs, ceiling)

@@ -98,21 +98,9 @@ func appendKeyText(b []byte, digest, diagram, name string, svc *service.Composit
 	b = append(b, name...)
 	b = append(b, "\nservice="...)
 	b = append(b, svc.Name()...)
-	b = append(b, " stages=["...)
-	for i, stage := range svc.Stages() {
-		if i > 0 {
-			b = append(b, ' ')
-		}
-		b = append(b, '[')
-		for j, a := range stage {
-			if j > 0 {
-				b = append(b, ' ')
-			}
-			b = append(b, a...)
-		}
-		b = append(b, ']')
-	}
-	b = append(b, "]\n"...)
+	b = append(b, " stages="...)
+	b = svc.AppendStages(b)
+	b = append(b, '\n')
 	b = mp.AppendXML(b)
 	// K, CostMetric and MaxWork all change the produced path set (ranked
 	// top-k under a metric vs full enumeration; the work budget decides

@@ -187,8 +187,8 @@ func (r *Result) NodeNames() []string { return r.Graph.NodeNames() }
 // model later — recorded UPSIM diagrams included — stay out of it, as they
 // stayed out of an import at construction.
 //
-// A Generator is safe for concurrent use by Generate, CacheKey, WithCache
-// and Space: Generate holds no lock and writes nothing the generator or
+// A Generator is safe for concurrent use by Generate, CacheKey, Composite,
+// WithCache and Space: Generate holds no lock and writes nothing the generator or
 // its model holds, so concurrent generations run in parallel, and — with a
 // cache attached (WithCache) — concurrent identical calls collapse into
 // one computation via singleflight and share the cached Result. Record
@@ -209,6 +209,14 @@ type Generator struct {
 	cache       *cache.Cache
 	modelDigest string // canonical model hash, taken by the first CacheKey
 	digestErr   error
+	composites  map[string]composite // per activity name, built by the first Composite call naming it
+}
+
+// composite is the outcome of wrapping one activity as a composite service:
+// the service, or the error service.FromActivity gave.
+type composite struct {
+	svc *service.Composite
+	err error
 }
 
 // pathsRoot is the reserved model-space subtree of Step 7's stored paths.
@@ -276,6 +284,31 @@ func NewGeneratorContext(ctx context.Context, m *uml.Model, diagramName string) 
 		graph:       g,
 		compiled:    compiled,
 	}, nil
+}
+
+// Composite returns the composite service of the model activity with the
+// given name. The first call naming an activity wraps it
+// (service.FromActivity) and the generator keeps the service, or the error,
+// for its life: generation never changes the model, so every call naming
+// the activity gets the same read-only *service.Composite or the same
+// error text. A name the model does not list is an error on every call and is not
+// kept, so the kept entries never outnumber the model's activities.
+func (g *Generator) Composite(activity string) (*service.Composite, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.composites[activity]; ok {
+		return c.svc, c.err
+	}
+	act, ok := g.model.Activity(activity)
+	if !ok {
+		return nil, fmt.Errorf("model has no activity %q", activity)
+	}
+	svc, err := service.FromActivity(act)
+	if g.composites == nil {
+		g.composites = make(map[string]composite)
+	}
+	g.composites[activity] = composite{svc, err}
+	return svc, err
 }
 
 // Space returns the model space of Steps 5–7: the UML import of the model,

@@ -32,12 +32,13 @@ func usiResult(t *testing.T) *core.Result {
 }
 
 // analyzeAllocCeiling bounds one untraced §VII analysis of the USI UPSIM:
-// 45 allocations on go1.24 (the structure and availability table, the
+// 32 allocations on go1.24 (the structure and availability table, the
 // compiled structure and its factoring program, metric bookkeeping), down
-// from 95 while every stage opened an orphan root span and each path set
-// was its own slice, and from about 1,060 when error labels, link IDs,
+// from 45 while compile made one bitset per path set and one set list per
+// atomic service, 95 while every stage opened an orphan root span and each
+// path set was its own slice, and about 1,060 when error labels, link IDs,
 // RBD/FT trees and scratch pools were rebuilt per call.
-const analyzeAllocCeiling = 50
+const analyzeAllocCeiling = 35
 
 // fromResultAllocCeiling bounds the structure extraction alone: 19 on
 // go1.24, of which 10 are the link component IDs; the path sets, the set

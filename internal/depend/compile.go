@@ -238,16 +238,27 @@ func compile(s *ServiceStructure, names []string, validErr error) *CompiledStruc
 	for i, c := range names {
 		cs.index[c] = int32(i)
 	}
+	// Every path set's bitset is carved from one word slab and every atomic
+	// service's set list from one header slab, each capped at its own
+	// extent: PatchRemoveComponent filters a list in place, within it.
+	nSets := 0
+	for _, a := range s.AtomicServices {
+		nSets += len(a.PathSets)
+	}
+	words := make([]uint64, nSets*cs.words)
+	sets := make([]bitset, 0, nSets)
 	cs.atomics = make([]compiledAtomic, 0, len(s.AtomicServices))
 	for _, a := range s.AtomicServices {
-		ca := compiledAtomic{name: a.Name, sets: make([]bitset, 0, len(a.PathSets))}
+		first := len(sets)
 		for _, ps := range a.PathSets {
-			b := make(bitset, cs.words)
+			b := bitset(words[:cs.words:cs.words])
+			words = words[cs.words:]
 			for _, c := range ps {
 				b.set(cs.index[c])
 			}
-			ca.sets = append(ca.sets, b)
+			sets = append(sets, b)
 		}
+		ca := compiledAtomic{name: a.Name, sets: sets[first:len(sets):len(sets)]}
 		cs.atomics = append(cs.atomics, ca)
 	}
 	mDependCompile.With().Inc()

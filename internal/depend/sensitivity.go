@@ -2,7 +2,8 @@ package depend
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"upsim/internal/core"
 	"upsim/internal/uml"
@@ -74,7 +75,10 @@ func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*Sensi
 	if len(birnbaum) != len(comps) {
 		return nil, fmt.Errorf("depend: %d Birnbaum importances for %d components", len(birnbaum), len(comps))
 	}
-	agg := make(map[string]*ClassSensitivity)
+	// A UPSIM has a handful of classes: a linear scan over a stack buffer
+	// aggregates them, and the report takes one exact copy.
+	var buf [16]ClassSensitivity
+	agg := buf[:0]
 	for i, comp := range comps {
 		cls, mtbfV, mttrV, err := ComponentSource(res.Source, comp)
 		if err != nil {
@@ -85,25 +89,30 @@ func SensitivityOf(res *core.Result, comps []string, birnbaum []float64) (*Sensi
 		if denom == 0 {
 			return nil, fmt.Errorf("depend: component %q has zero MTBF+MTTR", comp)
 		}
-		cs, ok := agg[cls]
-		if !ok {
-			cs = &ClassSensitivity{Class: cls}
-			agg[cls] = cs
+		j := 0
+		for j < len(agg) && agg[j].Class != cls {
+			j++
 		}
+		if j == len(agg) {
+			agg = append(agg, ClassSensitivity{Class: cls})
+		}
+		cs := &agg[j]
 		cs.Instances++
 		cs.DAvailDMTBF += birnbaum[i] * mttr / denom
 		cs.DAvailDMTTR -= birnbaum[i] * mtbf / denom
 	}
 	rep := &SensitivityReport{}
-	for _, cs := range agg {
-		rep.Classes = append(rep.Classes, *cs)
+	if len(agg) > 0 {
+		rep.Classes = slices.Clone(agg)
 	}
-	sort.Slice(rep.Classes, func(i, j int) bool {
-		a, b := rep.Classes[i], rep.Classes[j]
+	slices.SortFunc(rep.Classes, func(a, b ClassSensitivity) int {
 		if a.DAvailDMTBF != b.DAvailDMTBF {
-			return a.DAvailDMTBF > b.DAvailDMTBF
+			if a.DAvailDMTBF > b.DAvailDMTBF {
+				return -1
+			}
+			return 1
 		}
-		return a.Class < b.Class
+		return strings.Compare(a.Class, b.Class)
 	})
 	return rep, nil
 }

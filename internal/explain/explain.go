@@ -296,9 +296,20 @@ func Explain(ctx context.Context, res *core.Result, opts Options) (*Report, erro
 
 	_, psp := obs.StartStage(ctx, "explain.paths")
 	rep := &Report{Name: res.Name, Kernel: "compiled", Model: opts.Model.String()}
+	if len(res.Services) > 0 {
+		rep.Services = make([]ServiceProvenance, 0, len(res.Services))
+	}
 	allPaths := make([]pathdisc.Path, 0, res.TotalPaths)
+	// Every path record's hop sequence is carved from one name slab.
+	nNames := 0
 	for _, sp := range res.Services {
-		svc, err := serviceProvenance(res, sp)
+		for _, p := range sp.Paths {
+			nNames += len(p.Nodes)
+		}
+	}
+	names := make([]string, 0, nNames)
+	for _, sp := range res.Services {
+		svc, err := serviceProvenance(res, sp, &names)
 		if err != nil {
 			psp.End()
 			return nil, err
@@ -341,8 +352,9 @@ func observePaths(st PathStatistics) {
 }
 
 // serviceProvenance builds the per-path records, aggregates and discovery
-// tree of one atomic service.
-func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenance, error) {
+// tree of one atomic service. Each record's Nodes is appended to *names and
+// capped there, so no record's hops can grow into the next one's.
+func serviceProvenance(res *core.Result, sp core.ServicePaths, names *[]string) (ServiceProvenance, error) {
 	out := ServiceProvenance{
 		AtomicService: sp.AtomicService,
 		Requester:     sp.Requester,
@@ -350,11 +362,16 @@ func serviceProvenance(res *core.Result, sp core.ServicePaths) (ServiceProvenanc
 		Stats:         Statistics(sp.Paths),
 		Truncated:     sp.Stats.Truncated,
 	}
+	if len(sp.Paths) > 0 {
+		out.Paths = make([]PathRecord, 0, len(sp.Paths))
+	}
 	src := res.Source
 	for i, p := range sp.Paths {
+		start := len(*names)
+		*names = append(*names, p.Nodes...)
 		rec := PathRecord{
 			Index:   i,
-			Nodes:   append([]string(nil), p.Nodes...),
+			Nodes:   (*names)[start:len(*names):len(*names)],
 			Length:  p.Len(),
 			Type:    PathTransitive,
 			Classes: make(Counts, len(p.Nodes)),
@@ -487,7 +504,8 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 			q *= 1 - avail[c]
 		}
 		sum += q
-		recs = append(recs, CutSetRecord{Components: append([]string(nil), k...), Unavailability: q})
+		// MinimalCutSets returns fresh sets, each capped at its own names.
+		recs = append(recs, CutSetRecord{Components: k, Unavailability: q})
 	}
 	if sum > 0 {
 		for i := range recs {
@@ -538,6 +556,9 @@ func attribute(res *core.Result, opts Options) (*Attribution, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if len(sens.Classes) > 0 {
+		attr.Classes = make([]ClassRecord, 0, len(sens.Classes))
 	}
 	for _, c := range sens.Classes {
 		attr.Classes = append(attr.Classes, ClassRecord{

@@ -37,13 +37,15 @@ func usiResult(t *testing.T) *core.Result {
 }
 
 // explainAllocCeiling bounds one untraced explain report of the USI UPSIM:
-// 315 allocations on go1.24, most of them the report itself (path records,
-// trees, cut-set and importance rows) plus the structure's recorded
-// factoring program, down from 389 while the report opened orphan root
-// spans and each path and cut set was its own slice, about 475 before the
-// cut-set expansion reused its per-level buffers and about 2,730 when every
-// component ran six factorings and the class report rebuilt the structure.
-const explainAllocCeiling = 330
+// 154 allocations on go1.24, most of them the two Counts maps of each path
+// record plus the structure's recorded factoring program, down from 315
+// while each discovery tree was one heap node per hop, each path record
+// and cut set copied its names and the class report kept a map of heap
+// records, 389 while the report opened orphan root spans and each path
+// and cut set was its own slice, about 475 before the cut-set expansion
+// reused its per-level buffers and about 2,730 when every component ran
+// six factorings and the class report rebuilt the structure.
+const explainAllocCeiling = 170
 
 // TestExplainAllocCeiling guards the allocation budget of the explain
 // report on the compiled kernel.

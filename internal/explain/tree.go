@@ -27,43 +27,109 @@ type TreeNode struct {
 // BuildTree merges one atomic service's discovered paths into a discovery
 // tree rooted at the requester. Children keep the deterministic enumeration
 // order both path-discovery kernels share.
+//
+// The paths are first merged into index links (mergeTree); the tree is then
+// carved from one exact node slab and one exact child-pointer slab
+// (carveTree), so its cost grows with the number of paths, not with the
+// number of hops.
 func BuildTree(res *core.Result, sp core.ServicePaths) (*TreeNode, error) {
-	root := &TreeNode{Name: sp.Requester}
-	if n, ok := res.Graph.Node(sp.Requester); ok {
-		root.Class = n.Class
-	}
+	// Every hop after a path's first node may open a tree node: the merge
+	// never needs more links than that bound, so it never grows.
+	bound := 1
 	for _, p := range sp.Paths {
+		if len(p.Nodes) > 1 {
+			bound += len(p.Nodes) - 1
+		}
+	}
+	var buf [64]treeLink
+	links := buf[:0]
+	if bound > len(buf) {
+		links = make([]treeLink, 0, bound)
+	}
+	links, err := mergeTree(sp, links)
+	if err != nil {
+		return nil, err
+	}
+	return carveTree(res, sp, links), nil
+}
+
+// treeLink is one node of the merge scratch. A non-root node records the
+// hop that opened it (its name is sp.Paths[path].Nodes[hop]) and its first
+// and last child and next sibling as indexes into the scratch. Index 0 is
+// the root, which is never a child or a sibling, so 0 also means "none".
+type treeLink struct {
+	path, hop         int32
+	first, last, next int32
+	paths, terminal   int32
+}
+
+// mergeTree merges sp's paths into links (which must be empty and have room
+// for every hop), root first, each node's children in first-discovered
+// order.
+func mergeTree(sp core.ServicePaths, links []treeLink) ([]treeLink, error) {
+	links = append(links, treeLink{})
+	for pi, p := range sp.Paths {
 		if len(p.Nodes) == 0 || p.Nodes[0] != sp.Requester {
 			return nil, fmt.Errorf("explain: path of %q does not start at requester %q",
 				sp.AtomicService, sp.Requester)
 		}
-		root.PathCount++
-		cur := root
-		for _, hop := range p.Nodes[1:] {
-			child := cur.child(hop)
-			if child == nil {
-				child = &TreeNode{Name: hop}
-				if n, ok := res.Graph.Node(hop); ok {
-					child.Class = n.Class
-				}
-				cur.Children = append(cur.Children, child)
+		links[0].paths++
+		cur := int32(0)
+		for h := 1; h < len(p.Nodes); h++ {
+			hop := p.Nodes[h]
+			c := links[cur].first
+			for c != 0 && sp.Paths[links[c].path].Nodes[links[c].hop] != hop {
+				c = links[c].next
 			}
-			child.PathCount++
-			cur = child
+			if c == 0 {
+				c = int32(len(links))
+				links = append(links, treeLink{path: int32(pi), hop: int32(h)})
+				if last := links[cur].last; last != 0 {
+					links[last].next = c
+				} else {
+					links[cur].first = c
+				}
+				links[cur].last = c
+			}
+			links[c].paths++
+			cur = c
 		}
-		cur.Terminal++
+		links[cur].terminal++
 	}
-	return root, nil
+	return links, nil
 }
 
-// child returns the direct child with the given name, or nil.
-func (t *TreeNode) child(name string) *TreeNode {
-	for _, c := range t.Children {
-		if c.Name == name {
-			return c
+// carveTree builds the tree mergeTree linked: node i of the links is
+// nodes[i], and each node's Children are carved in link order from one
+// pointer slab with a full slice expression, so no node's list can grow
+// into the next one's. Leaves keep Children nil.
+func carveTree(res *core.Result, sp core.ServicePaths, links []treeLink) *TreeNode {
+	nodes := make([]TreeNode, len(links))
+	var kids []*TreeNode
+	if len(links) > 1 {
+		kids = make([]*TreeNode, len(links)-1)
+	}
+	off := 0
+	for i := range links {
+		l, n := &links[i], &nodes[i]
+		n.Name = sp.Requester
+		if i > 0 {
+			n.Name = sp.Paths[l.path].Nodes[l.hop]
+		}
+		if gn, ok := res.Graph.Node(n.Name); ok {
+			n.Class = gn.Class
+		}
+		n.PathCount, n.Terminal = int(l.paths), int(l.terminal)
+		start := off
+		for c := l.first; c != 0; c = links[c].next {
+			kids[off] = &nodes[c]
+			off++
+		}
+		if off > start {
+			n.Children = kids[start:off:off]
 		}
 	}
-	return nil
+	return &nodes[0]
 }
 
 // Depth returns the number of node levels of the tree (1 for a lone root).

@@ -704,11 +704,7 @@ func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result,
 	if err != nil {
 		return nil, err
 	}
-	act, ok := gen.Model().Activity(req.Service)
-	if !ok {
-		return nil, fmt.Errorf("model has no activity %q", req.Service)
-	}
-	svc, err := service.FromActivity(act)
+	svc, err := gen.Composite(req.Service)
 	if err != nil {
 		return nil, err
 	}

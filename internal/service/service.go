@@ -137,6 +137,26 @@ func (c *Composite) Stages() [][]string {
 	return out
 }
 
+// AppendStages appends the execution stages as fmt's %v prints Stages(),
+// "[[a b] [c]]", without copying them.
+func (c *Composite) AppendStages(b []byte) []byte {
+	b = append(b, '[')
+	for i, stage := range c.stages {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, '[')
+		for j, a := range stage {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, a...)
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']')
+}
+
 // CheckMapping verifies that the mapping provides a pair for every atomic
 // service of the composite. Pairs for atomic services outside the composite
 // are permitted and ignored ("they will be ignored when the corresponding
@@ -163,7 +183,7 @@ func (c *Composite) RelevantPairs(m *mapping.Mapping) ([]mapping.Pair, error) {
 	if err := c.CheckMapping(m); err != nil {
 		return nil, err
 	}
-	var out []mapping.Pair
+	out := make([]mapping.Pair, 0, len(c.atomics))
 	for _, stage := range c.stages {
 		for _, a := range stage {
 			p, _ := m.Pair(a)
