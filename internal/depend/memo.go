@@ -22,7 +22,10 @@ package depend
 // memo hits coincide node for node and the factored float expression tree,
 // hence the result, stays bit-identical to the reference.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // sliceChunk is the block size (in elements) of the formula slice arenas.
 const sliceChunk = 1024
@@ -252,7 +255,9 @@ func (ctx *exactCtx) buildKey(f [][]bitset) uint64 {
 		for i := range sets {
 			idx = append(idx, int32(i))
 		}
-		sortSetIdx(sets, idx)
+		// Equal sets are equal words, so the unstable sort's tie order
+		// cannot change the key.
+		slices.SortFunc(idx, func(a, b int32) int { return slices.Compare(sets[a], sets[b]) })
 		ctx.setIdx = idx
 		for _, si := range idx {
 			ctx.segBuf = append(ctx.segBuf, sets[si]...)
@@ -264,7 +269,11 @@ func (ctx *exactCtx) buildKey(f [][]bitset) uint64 {
 	for i := range f {
 		ai = append(ai, int32(i))
 	}
-	sortSegIdx(ctx.segBuf, ctx.segStart, ctx.segLen, ai)
+	// Word-lexicographic, ties to the shorter segment.
+	buf, start, ln := ctx.segBuf, ctx.segStart, ctx.segLen
+	slices.SortFunc(ai, func(a, b int32) int {
+		return slices.Compare(buf[start[a]:start[a]+ln[a]], buf[start[b]:start[b]+ln[b]])
+	})
 	ctx.atomIdx = ai
 	key := ctx.keyTmp[:0]
 	for _, a := range ai {
@@ -273,99 +282,4 @@ func (ctx *exactCtx) buildKey(f [][]bitset) uint64 {
 	}
 	ctx.keyTmp = key
 	return hashWords(key)
-}
-
-// lessSets orders equal-width bitsets word-lexicographically.
-//
-//upsim:hotpath
-func lessSets(sets []bitset, a, b int32) bool {
-	x, y := sets[a], sets[b]
-	for w := range x {
-		if x[w] != y[w] {
-			return x[w] < y[w]
-		}
-	}
-	return false
-}
-
-// sortSetIdx heapsorts set indices in place — sort.Slice would allocate its
-// reflect-based swapper per call.
-//
-//upsim:hotpath
-func sortSetIdx(sets []bitset, idx []int32) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftSets(sets, idx, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		idx[0], idx[i] = idx[i], idx[0]
-		siftSets(sets, idx, 0, i)
-	}
-}
-
-//upsim:hotpath
-func siftSets(sets []bitset, idx []int32, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && lessSets(sets, idx[child], idx[child+1]) {
-			child++
-		}
-		if !lessSets(sets, idx[root], idx[child]) {
-			return
-		}
-		idx[root], idx[child] = idx[child], idx[root]
-		root = child
-	}
-}
-
-// lessSegs orders atomic segments word-lexicographically, ties to the
-// shorter segment.
-//
-//upsim:hotpath
-func lessSegs(buf []uint64, start, ln []int32, a, b int32) bool {
-	sa, la := start[a], ln[a]
-	sb, lb := start[b], ln[b]
-	n := la
-	if lb < n {
-		n = lb
-	}
-	for i := int32(0); i < n; i++ {
-		if buf[sa+i] != buf[sb+i] {
-			return buf[sa+i] < buf[sb+i]
-		}
-	}
-	return la < lb
-}
-
-//upsim:hotpath
-func sortSegIdx(buf []uint64, start, ln []int32, idx []int32) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftSegs(buf, start, ln, idx, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		idx[0], idx[i] = idx[i], idx[0]
-		siftSegs(buf, start, ln, idx, 0, i)
-	}
-}
-
-//upsim:hotpath
-func siftSegs(buf []uint64, start, ln []int32, idx []int32, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if child+1 < n && lessSegs(buf, start, ln, idx[child], idx[child+1]) {
-			child++
-		}
-		if !lessSegs(buf, start, ln, idx[root], idx[child]) {
-			return
-		}
-		idx[root], idx[child] = idx[child], idx[root]
-		root = child
-	}
 }

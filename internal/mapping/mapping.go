@@ -27,6 +27,7 @@ import (
 	"unicode/utf8"
 
 	"upsim/internal/obs"
+	"upsim/internal/xmlscan"
 )
 
 // Pair is one service mapping pair: an atomic service bound to the
@@ -238,7 +239,7 @@ func appendAttr(b []byte, s string) []byte {
 		case '\r':
 			esc = "&#xD;"
 		default:
-			if isXMLChar(r) && (r != utf8.RuneError || width > 1) {
+			if xmlscan.IsXMLChar(r) && (r != utf8.RuneError || width > 1) {
 				continue
 			}
 			esc = "\uFFFD"
@@ -250,35 +251,50 @@ func appendAttr(b []byte, s string) []byte {
 	return append(b, s[last:]...)
 }
 
-// Parse reads a mapping from the Figure 3 XML dialect. Every pair is
+// Parse reads a mapping from the Figure 3 XML dialect: it reads r to its
+// end into one string and parses the text with ParseString. If reading
+// fails, encoding/xml reads the bytes r delivered followed by r's error, as
+// if it had read r itself.
+func Parse(r io.Reader) (*Mapping, error) {
+	doc, err := xmlscan.ReadString(r)
+	if err == nil {
+		return ParseString(doc)
+	}
+	mDecodeStdlib.Inc()
+	pairs, err := decodeStdlib(io.MultiReader(strings.NewReader(doc), errReader{err}))
+	if err != nil {
+		return nil, err
+	}
+	return fromPairs(pairs)
+}
+
+// ParseString parses a mapping from its Figure 3 XML text. Every pair is
 // validated at import time: empty or whitespace-only atomic service,
 // requester and provider ids and duplicate atomic-service entries are
 // rejected with an error naming the offending pair's position in the file.
 //
-// Parse reads r to its end. A document in the dialect AppendXML writes
-// (whitespace between tags is free) is scanned in one pass (scan.go); any
-// other input is decoded by encoding/xml, which then also owns every
-// syntax error. Both paths yield the same pairs and the same errors.
-func Parse(r io.Reader) (*Mapping, error) {
-	doc, readErr := readAll(r)
-	var pairs []Pair
-	if ok := readErr == nil && scanPairs(doc, &pairs); ok {
+// A document in the lexer subset internal/xmlscan shares with the XMI
+// decoder, in the shape AppendXML writes, is scanned in one pass
+// (scan.go); any other input is decoded by encoding/xml, which then also
+// owns every syntax error. Both paths yield the same pairs and the same
+// errors. The pairs may keep substrings of doc.
+func ParseString(doc string) (*Mapping, error) {
+	pairs, ok := scanPairs(doc)
+	if ok {
 		mDecodeScan.Inc()
 	} else {
 		mDecodeStdlib.Inc()
-		src := io.Reader(strings.NewReader(doc))
-		if readErr != nil {
-			// encoding/xml sees the bytes r delivered, then r's error,
-			// exactly as if it had read r itself.
-			src = io.MultiReader(src, errReader{readErr})
-		}
 		var err error
-		if pairs, err = decodeStdlib(src); err != nil {
+		if pairs, err = decodeStdlib(strings.NewReader(doc)); err != nil {
 			return nil, err
 		}
 	}
-	// The mapping keeps the parsed slice: Add writes pair i back to index
-	// i or lower, after the loop has read it.
+	return fromPairs(pairs)
+}
+
+// fromPairs validates parsed pairs into a mapping that keeps the slice:
+// Add writes pair i back to index i or lower, after the loop has read it.
+func fromPairs(pairs []Pair) (*Mapping, error) {
 	m := &Mapping{pairs: pairs[:0], index: make(map[string]int, len(pairs))}
 	for i, p := range pairs {
 		if err := m.Add(p); err != nil {
@@ -301,17 +317,6 @@ func decodeStdlib(r io.Reader) ([]Pair, error) {
 		pairs[i] = Pair{AtomicService: s.ID, Requester: s.Requester.ID, Provider: s.Provider.ID}
 	}
 	return pairs, nil
-}
-
-// readAll reads r to its end into one string, sized up front when r
-// reports its length (strings.Reader, bytes.Reader, bytes.Buffer).
-func readAll(r io.Reader) (string, error) {
-	var b strings.Builder
-	if l, ok := r.(interface{ Len() int }); ok {
-		b.Grow(l.Len())
-	}
-	_, err := io.Copy(&b, r)
-	return b.String(), err
 }
 
 // errReader fails every read with err.

@@ -257,41 +257,6 @@ func TestParseErrorIsPositional(t *testing.T) {
 	}
 }
 
-// FuzzMappingParse: Parse never panics on untrusted input, and every
-// mapping it accepts survives an Encode/Parse round trip unchanged.
-func FuzzMappingParse(f *testing.F) {
-	var buf bytes.Buffer
-	if err := tableI(f).Encode(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	for _, s := range []string{
-		`<servicemapping><atomicservice id="s"><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
-		`<servicemapping><atomicservice id='s &amp; t'><requester id="&#x41;"/><provider id=" b "/></atomicservice></servicemapping>`,
-		`<?xml version="1.0"?><servicemapping><!-- c --><atomicservice id="s"><requester id="a"/><provider id="a"/></atomicservice></servicemapping>`,
-		`<servicemapping><atomicservice`,
-	} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, doc string) {
-		m, err := Parse(strings.NewReader(doc))
-		if err != nil {
-			return
-		}
-		var b bytes.Buffer
-		if err := m.Encode(&b); err != nil {
-			t.Fatalf("Encode of a parsed mapping: %v", err)
-		}
-		again, err := Parse(&b)
-		if err != nil {
-			t.Fatalf("re-Parse: %v\n%s", err, b.String())
-		}
-		if !slices.Equal(again.Pairs(), m.Pairs()) {
-			t.Fatalf("round trip changed the pairs: %v -> %v", m.Pairs(), again.Pairs())
-		}
-	})
-}
-
 // encodeStdlib is the encoding/xml writer Encode replaced: the oracle
 // FuzzEncodeAgreesWithXML holds AppendXML to.
 func encodeStdlib(t testing.TB, m *Mapping) string {
@@ -342,8 +307,10 @@ func cutReader(doc string, cut int) io.Reader {
 }
 
 // FuzzParseAgreesWithXML: Parse gives the same pairs or the same error
-// text as encoding/xml reading the same bytes, and whenever the scanner
-// accepts a document, encoding/xml parses it into the same pairs.
+// text as encoding/xml reading the same bytes, whenever the scanner
+// accepts a document, encoding/xml parses it into the same pairs, and
+// every mapping Parse accepts survives an Encode/Parse round trip on the
+// scan path.
 func FuzzParseAgreesWithXML(f *testing.F) {
 	var buf bytes.Buffer
 	if err := tableI(f).Encode(&buf); err != nil {
@@ -373,6 +340,9 @@ func FuzzParseAgreesWithXML(f *testing.F) {
 		"<servicemapping><atomicservice id=\"a\tb\nc\"><requester id=\"x>y\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
 		"<servicemapping><atomicservice id=\"\x01\"><requester id=\"a\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
 		"<servicemapping><atomicservice id=\"\uFFFE\"><requester id=\"a\"></requester><provider id=\"b\"></provider></atomicservice></servicemapping>",
+		`<servicemapping><atomicservice id="s"><requester id="a"></requester><provider id="b"></provider></atomicservice></servicemapping>`,
+		`<servicemapping><atomicservice id='s &amp; t'><requester id="&#x41;"/><provider id=" b "/></atomicservice></servicemapping>`,
+		`<?xml version="1.0"?><servicemapping><!-- c --><atomicservice id="s"><requester id="a"/><provider id="a"/></atomicservice></servicemapping>`,
 	} {
 		f.Add(s, -1)
 	}
@@ -391,12 +361,21 @@ func FuzzParseAgreesWithXML(f *testing.F) {
 		case !slices.Equal(m.Pairs(), want):
 			t.Fatalf("pairs differ:\n scan: %v\n  xml: %v", m.Pairs(), want)
 		}
-		var pairs []Pair
-		if scanPairs(doc, &pairs) {
+		if pairs, ok := scanPairs(doc); ok {
 			xp, err := decodeStdlib(strings.NewReader(doc))
 			if err != nil || !slices.Equal(pairs, xp) {
 				t.Fatalf("scanner accepted %q as %v; encoding/xml: %v, %v", doc, pairs, xp, err)
 			}
+		}
+		if err != nil {
+			return
+		}
+		// An accepted mapping survives an Encode/Parse round trip, through
+		// the scanner: AppendXML output always scans.
+		scan := mDecodeScan.Value()
+		again, err := ParseString(string(m.AppendXML(nil)))
+		if err != nil || !slices.Equal(again.Pairs(), m.Pairs()) || mDecodeScan.Value() != scan+1 {
+			t.Fatalf("round trip of %v: %v, %v (scanned: %t)", m.Pairs(), again, err, mDecodeScan.Value() == scan+1)
 		}
 	})
 }
@@ -420,22 +399,32 @@ func FuzzEncodeAgreesWithXML(f *testing.F) {
 	})
 }
 
-// TestParseCountsParser: Table I as Encode writes it takes the scan path,
-// and the same document with CRLF line ends takes encoding/xml.
+// TestParseCountsParser: Table I as Encode writes it, with an XML
+// declaration, with self-closing pair elements and with an entity
+// reference in an id takes the scan path, and the same document with CRLF
+// line ends takes encoding/xml.
 func TestParseCountsParser(t *testing.T) {
 	var buf bytes.Buffer
 	if err := tableI(t).Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	doc := buf.String()
-	scan, stdlib := mDecodeScan.Value(), mDecodeStdlib.Value()
-	if _, err := Parse(strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
+	for name, doc := range map[string]string{
+		"Table I":          doc,
+		"XML declaration":  `<?xml version="1.0" encoding="UTF-8"?>` + "\n" + doc,
+		"self-closing":     strings.ReplaceAll(strings.ReplaceAll(doc, "></requester>", "/>"), "></provider>", "/>"),
+		"entity reference": strings.Replace(doc, `id="t1"`, `id="t&amp;1"`, 1),
+	} {
+		scan, stdlib := mDecodeScan.Value(), mDecodeStdlib.Value()
+		if _, err := Parse(strings.NewReader(doc)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mDecodeScan.Value() != scan+1 || mDecodeStdlib.Value() != stdlib {
+			t.Errorf("%s: scan %d→%d, stdlib %d→%d; want the scanner",
+				name, scan, mDecodeScan.Value(), stdlib, mDecodeStdlib.Value())
+		}
 	}
-	if mDecodeScan.Value() != scan+1 || mDecodeStdlib.Value() != stdlib {
-		t.Errorf("Table I: scan %d→%d, stdlib %d→%d; want the scanner",
-			scan, mDecodeScan.Value(), stdlib, mDecodeStdlib.Value())
-	}
+	stdlib := mDecodeStdlib.Value()
 	crlf := strings.ReplaceAll(doc, "\n", "\r\n")
 	if _, err := Parse(strings.NewReader(crlf)); err != nil {
 		t.Fatal(err)
@@ -445,10 +434,10 @@ func TestParseCountsParser(t *testing.T) {
 	}
 }
 
-// TestParseAllocs pins the scan path's allocations for Table I: the
-// caller's reader, the string builder and its document copy, the pair
-// slice, the index map (two objects) and the mapping. The encoding/xml
-// path takes 229.
+// TestParseAllocs pins the scan path's allocations for Table I. ParseString
+// makes the pair slice, the index map (two objects) and the mapping; Parse
+// adds the caller's reader, the string builder and its document copy. The encoding/xml path
+// takes 229.
 func TestParseAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -458,14 +447,22 @@ func TestParseAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc := buf.String()
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := Parse(strings.NewReader(doc)); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		parse   func() (*Mapping, error)
+	}{
+		{"Parse", 7, func() (*Mapping, error) { return Parse(strings.NewReader(doc)) }},
+		{"ParseString", 4, func() (*Mapping, error) { return ParseString(doc) }},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := c.parse(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s(Table I): %.0f allocs", c.name, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("%s(Table I) allocates %.0f objects, ceiling %.0f", c.name, allocs, c.ceiling)
 		}
-	})
-	const ceiling = 7
-	t.Logf("Parse(Table I): %.0f allocs", allocs)
-	if allocs > ceiling {
-		t.Errorf("Parse(Table I) allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
 }

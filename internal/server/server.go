@@ -708,7 +708,7 @@ func (a *api) generate(ctx context.Context, req *generateRequest) (*core.Result,
 	if err != nil {
 		return nil, err
 	}
-	mp, err := mapping.Parse(strings.NewReader(req.MappingXML))
+	mp, err := mapping.ParseString(req.MappingXML)
 	if err != nil {
 		return nil, err
 	}
@@ -1031,7 +1031,7 @@ func handleLint(_ context.Context, req *lintRequest) (any, error) {
 	}
 	var mp *mapping.Mapping
 	if strings.TrimSpace(req.MappingXML) != "" {
-		if mp, err = mapping.Parse(strings.NewReader(req.MappingXML)); err != nil {
+		if mp, err = mapping.ParseString(req.MappingXML); err != nil {
 			return nil, err
 		}
 	}

@@ -204,6 +204,51 @@ func TestAvailabilityEndpoint(t *testing.T) {
 	}
 }
 
+// FuzzAvailabilityRoute drives POST /api/v1/availability end to end with
+// arbitrary bodies, seeded with the route-contract availability bodies.
+// Whatever the body, the route answers 200, 400 or 422 — never a 500 or a
+// panic — every refusal is a JSON object with a non-empty "error", and
+// replaying an accepted body answers the same bytes, so the warm lane
+// matches the cold reply.
+func FuzzAvailabilityRoute(f *testing.F) {
+	for _, c := range contractCases(f) {
+		if c.method == http.MethodPost && c.target == "/api/v1/availability" && len(c.body) <= MaxRequestBytes {
+			f.Add([]byte(c.body))
+		}
+	}
+	h := New()
+	post := func(body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/availability", bytes.NewReader(body)))
+		return w
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// Bound each input's work: the Monte Carlo sample count, which
+		// defaults to 100000 when unset.
+		var req availabilityRequest
+		if json.Unmarshal(body, &req) == nil && (req.MCSamples <= 0 || req.MCSamples > 20000) {
+			return
+		}
+		w := post(body)
+		switch w.Code {
+		case http.StatusOK:
+			if again := post(body); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), w.Body.Bytes()) {
+				t.Fatalf("replay answers %d:\n%s\nfirst reply:\n%s", again.Code, again.Body.Bytes(), w.Body.Bytes())
+			}
+			return
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+		default:
+			t.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
+		}
+		var refusal struct {
+			Error *string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &refusal); err != nil || refusal.Error == nil || *refusal.Error == "" {
+			t.Fatalf("status %d body is not {\"error\": …} with a message (%v): %s", w.Code, err, w.Body.Bytes())
+		}
+	})
+}
+
 func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New())
 	defer ts.Close()

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"upsim/internal/obs"
+	"upsim/internal/xmlscan"
 )
 
 // Decode metrics: which parser served each model (DecodeString).
@@ -207,14 +208,14 @@ func encodeApply(app *StereotypeApplication) xmiApply {
 	return xa
 }
 
-// Decode reads a model from r: it reads r to the end and decodes the text
-// with DecodeString.
+// Decode reads a model from r: it reads r to the end into one string and
+// decodes the text with DecodeString.
 func Decode(r io.Reader) (*Model, error) {
-	b, err := io.ReadAll(r)
+	s, err := xmlscan.ReadString(r)
 	if err != nil {
 		return nil, fmt.Errorf("uml: decode: %w", err)
 	}
-	return DecodeString(string(b))
+	return DecodeString(s)
 }
 
 // DecodeString decodes a model from its XMI text. The dialect Encode
